@@ -9,11 +9,12 @@ Submodules:
   quad              exact Gaussian moments and Monte Carlo inner products
   discrete_series   twisted actions, the transfer map, representation suites
   suites            named verification suites
-  cli               command-line front end (console script `sjdomains`)
+  cli               command-line front end (console script `sjdomains`);
+                    not imported here, so `python -m sjdomains.cli` runs cleanly
 """
 
-from . import (cli, discrete_series, domains, fockpoly, groups, kernels,
-               numkit, quad, report, suites)
+from . import (discrete_series, domains, fockpoly, groups, kernels, numkit,
+               quad, report, suites)
 from .discrete_series import (ReprParams, SampledFunction, pi_apply,
                               pi_star_apply, t_inv, t_star)
 from .domains import (SJDiskPoint, SJSpacePoint, cayley_forward,
@@ -34,7 +35,7 @@ __all__ = [
     "MCConfig", "PolyFunction", "ReprParams", "SJDiskPoint", "SJSpacePoint",
     "SampledFunction", "TruncationSpec", "VerifyReport", "a_form",
     "act_sj_disk", "act_sj_space", "basis_big_f", "basis_f", "basis_phi",
-    "cayley_forward", "cayley_inverse", "cli", "discrete_series", "domains",
+    "cayley_forward", "cayley_inverse", "discrete_series", "domains",
     "fock_inner", "fockpoly", "gaussian_moment", "groups", "jmk", "jmk_star",
     "kernels", "kmk_kernel", "kmk_star_kernel", "kmk_star_weight",
     "kmk_weight", "numkit", "p_s", "pi_apply", "pi_star_apply", "q_basis",

@@ -145,27 +145,6 @@ def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
 
 # --- transfer between the models ---
 
-def _batch_cayley_inverse(oms, zetas):
-    n = oms.shape[1]
-    eye = np.eye(n)
-    plus = oms + 1j * eye[None]
-    plus_t = np.transpose(plus, (0, 2, 1))
-    ws = np.transpose(np.linalg.solve(plus_t, np.transpose(oms - 1j * eye[None], (0, 2, 1))),
-                      (0, 2, 1))
-    zs = np.linalg.solve(plus_t, zetas[:, :, None])[:, :, 0]
-    return ws, zs
-
-
-def _batch_cayley_forward(ws, zs):
-    n = ws.shape[1]
-    eye = np.eye(n)
-    res_t = np.transpose(eye[None] - ws, (0, 2, 1))
-    oms = 1j * np.transpose(np.linalg.solve(res_t, np.transpose(eye[None] + ws, (0, 2, 1))),
-                            (0, 2, 1))
-    zetas = 2j * np.linalg.solve(res_t, zs[:, :, None])[:, :, 0]
-    return oms, zetas
-
-
 def t_star(psi, params: ReprParams) -> SampledFunction:
     """Transfer a bounded-model function to the unbounded model:
     phi(Omega, zeta) = psi(W, z) det(I-W)^k exp(4 pi m z (I-W)^{-1} t(z))
@@ -182,7 +161,7 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
         return _disk_eval(psi, x.w, x.z) * pack
 
     def batch_split(oms, zetas):
-        ws, zs = _batch_cayley_inverse(oms, zetas)
+        ws, zs = domains.batch_cayley_inverse(oms, zetas)
         res = eye[None] - ws
         sol = np.linalg.solve(np.transpose(res, (0, 2, 1)), zs[:, :, None])[:, :, 0]
         quad_terms = np.einsum("bi,bi->b", zs, sol)
@@ -217,7 +196,7 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
         return _space_eval(phi, y.omega, y.zeta) * pack
 
     def batch(ws, zs):
-        oms, zetas = _batch_cayley_forward(ws, zs)
+        oms, zetas = domains.batch_cayley_forward(ws, zs)
         mats = eye[None] - 1j * oms
         sol = np.linalg.solve(np.transpose(mats, (0, 2, 1)), zetas[:, :, None])[:, :, 0]
         quad_terms = np.einsum("bi,bi->b", zetas, sol)

@@ -132,6 +132,28 @@ def cayley_inverse(y: SJSpacePoint) -> SJDiskPoint:
     return SJDiskPoint(numkit.symmetrize(w), z)
 
 
+def batch_cayley_forward(ws, zs):
+    """cayley_forward on stacked (W (N,n,n), z (N,n)), unvalidated."""
+    n = ws.shape[1]
+    eye = np.eye(n)
+    res_t = np.transpose(eye[None] - ws, (0, 2, 1))
+    oms = 1j * np.transpose(np.linalg.solve(res_t, np.transpose(eye[None] + ws, (0, 2, 1))),
+                            (0, 2, 1))
+    zetas = 2j * np.linalg.solve(res_t, zs[:, :, None])[:, :, 0]
+    return oms, zetas
+
+
+def batch_cayley_inverse(oms, zetas):
+    """cayley_inverse on stacked (Omega (N,n,n), zeta (N,n)), unvalidated."""
+    n = oms.shape[1]
+    eye = np.eye(n)
+    plus_t = np.transpose(oms + 1j * eye[None], (0, 2, 1))
+    ws = np.transpose(np.linalg.solve(plus_t, np.transpose(oms - 1j * eye[None], (0, 2, 1))),
+                      (0, 2, 1))
+    zs = np.linalg.solve(plus_t, zetas[:, :, None])[:, :, 0]
+    return ws, zs
+
+
 def sample_disk_point(n, radius_cap=0.8, seed=None):
     """Random symmetric W with sigma_max(W) < radius_cap, deterministic per seed."""
     if not 0 < radius_cap < 1:

@@ -2,6 +2,12 @@
 Gauss-Hermite cross-check, seeded Monte Carlo engines for the weighted inner
 products on the bounded domains, and finite-difference Jacobian helpers.
 
+The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has its real
+matrix Q written in closed form from H = (I - W conj(W))^{-1} and
+S = conj(W) H, for one W or a stack of them.  Moments E[z^s conj(z)^r] of a
+Gaussian come from a Wick recursion on the exponents (s, r) with the complex
+covariances E[z t(z)] and E[z z^*], again for one covariance or a stack.
+
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
 """
@@ -14,12 +20,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, numkit
+from . import domains, numkit
 from .domains import SJDiskPoint, SJSpacePoint
 from .fockpoly import PolyFunction
 
 
 # --- Gaussian forms and exact moments ---
+
+def _disk_forms(ws, m, flip):
+    """Matrices Q of the Gaussians 8 pi m A(-W, z) (flip) or 8 pi m A(W, z)
+    for a stack ws (N, n, n).  With H = (I - W conj(W))^{-1} (Hermitian) and
+    S = conj(W) H (symmetric), A(W, z) = conj(z) H t(z) + Re(z S t(z)), and
+    W -> -W only flips the sign of S."""
+    h = np.linalg.inv(np.eye(ws.shape[-1]) - ws @ ws.conj())
+    s = ws.conj() @ h
+    if flip:
+        s = -s
+    q = np.block([[h.real + s.real, -h.imag - s.imag],
+                  [h.imag - s.imag, h.real - s.real]])
+    return 4.0 * math.pi * m * (q + np.swapaxes(q, -1, -2))
+
+
+def _complex_covariances(cov):
+    """(E[z t(z)], E[z z^*]) from the real covariance of (Re z, Im z), for
+    one (2n, 2n) matrix or a stack of them."""
+    n = cov.shape[-1] // 2
+    xx, xy = cov[..., :n, :n], cov[..., :n, n:]
+    yx, yy = cov[..., n:, :n], cov[..., n:, n:]
+    return xx - yy + 1j * (xy + yx), xx + yy + 1j * (yx - xy)
+
+
+def _lower(t, j):
+    return t[:j] + (t[j] - 1,) + t[j + 1:]
+
+
+def _wick(c, d, s, r, memo):
+    """E[z^s conj(z)^r] for a centred Gaussian z with E[z t(z)] = c and
+    E[z z^*] = d (leading batch axes allowed): remove one z_i and pair it
+    with each remaining z_j (c_ij) or conj(z_j) (d_ij); with no z left,
+    E[conj(z)^r] = conj(E[z^r])."""
+    if (sum(s) + sum(r)) % 2:
+        return 0.0
+    if not any(r) and not any(s):
+        return 1.0
+    if not any(s):
+        return np.conj(_wick(c, d, r, s, memo))
+    key = (s, r)
+    if key not in memo:
+        i = next(j for j, e in enumerate(s) if e)
+        rest = _lower(s, i)
+        total = 0.0
+        for j, e in enumerate(rest):
+            if e:
+                total = total + e * c[..., i, j] * _wick(c, d, _lower(rest, j), r, memo)
+        for j, e in enumerate(r):
+            if e:
+                total = total + e * d[..., i, j] * _wick(c, d, rest, _lower(r, j), memo)
+        memo[key] = total
+    return memo[key]
+
 
 @dataclass(frozen=True)
 class GaussianForm:
@@ -47,34 +106,11 @@ class GaussianForm:
         return cls(np.eye(2 * n))
 
     @classmethod
-    def from_quadratic(cls, fn, n):
-        """Polarize a real-valued quadratic form fn(z), z a length-n complex
-        row vector; exact for quadratic fn."""
-        dim = 2 * n
-
-        def at(x):
-            return float(np.real(fn(x[:n] + 1j * x[n:])))
-
-        q = np.zeros((dim, dim))
-        base = [at(e) for e in np.eye(dim)]
-        for i in range(dim):
-            q[i, i] = base[i]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                e = np.zeros(dim)
-                e[i] = e[j] = 1.0
-                q[i, j] = q[j, i] = 0.5 * (at(e) - base[i] - base[j])
-        return cls(q)
-
-    @classmethod
     def from_disk_weight(cls, w, m, flip=True):
         """The form 8 pi m A(-W, z) (flip=True, the invariant-weight Gaussian)
         or 8 pi m A(W, z) (flip=False, the fixed-W Fock weight)."""
         w = numkit.symmetrize(w)
-        sign = -1.0 if flip else 1.0
-        n = w.shape[0]
-        return cls.from_quadratic(
-            lambda z: 8.0 * math.pi * m * kernels.a_form(sign * w, z).real, n)
+        return cls(_disk_forms(w[None], m, flip)[0])
 
     def normalization(self):
         """integral of exp(-x^T Q x) over R^{2n} = pi^n det(Q)^{-1/2}."""
@@ -84,57 +120,9 @@ class GaussianForm:
         return numkit.solve(self.q, np.eye(2 * self.n)).real / 2.0
 
 
-def _isserlis(cov, alpha, memo):
-    """E[x^alpha] for x ~ N(0, cov), by the Stein recursion."""
-    alpha = tuple(alpha)
-    if sum(alpha) == 0:
-        return 1.0
-    if sum(alpha) % 2:
-        return 0.0
-    if alpha in memo:
-        return memo[alpha]
-    i0 = next(i for i, a in enumerate(alpha) if a > 0)
-    total = 0.0
-    lower = list(alpha)
-    lower[i0] -= 1
-    for j, aj in enumerate(lower):
-        if aj == 0:
-            continue
-        sub = list(lower)
-        sub[j] -= 1
-        total += cov[i0, j] * aj * _isserlis(cov, tuple(sub), memo)
-    memo[alpha] = total
-    return total
-
-
-def _pair_to_real(s, r, n):
-    """Expand z^s conj(z)^r into real monomials {alpha: complex coeff}."""
-    poly = {(0,) * (2 * n): 1.0 + 0j}
-    for j in range(n):
-        for sign, count in ((1j, s[j]), (-1j, r[j])):
-            for _ in range(count):
-                out = {}
-                for alpha, c in poly.items():
-                    a1 = list(alpha)
-                    a1[j] += 1
-                    out[tuple(a1)] = out.get(tuple(a1), 0j) + c
-                    a2 = list(alpha)
-                    a2[n + j] += 1
-                    out[tuple(a2)] = out.get(tuple(a2), 0j) + c * sign
-                poly = out
-    return poly
-
-
 def monomial_moment(form: GaussianForm, s, r) -> complex:
     """integral of z^s conj(z)^r exp(-x^T Q x) over C^n, plain Lebesgue."""
-    n = form.n
-    cov = form.covariance()
-    znorm = form.normalization()
-    memo = {}
-    total = 0j
-    for alpha, c in _pair_to_real(tuple(s), tuple(r), n).items():
-        total += c * _isserlis(cov, alpha, memo)
-    return complex(total * znorm)
+    return gaussian_moment({(tuple(s), tuple(r)): 1.0}, form)
 
 
 def gaussian_moment(pairs: dict, form: GaussianForm) -> complex:
@@ -143,19 +131,14 @@ def gaussian_moment(pairs: dict, form: GaussianForm) -> complex:
     pairs maps (s, r) exponent-tuple pairs to coefficients: a polynomial in z
     and conj(z) with the holomorphic/antiholomorphic exponents kept paired.
     """
-    n = form.n
-    cov = form.covariance()
-    znorm = form.normalization()
+    c, d = _complex_covariances(form.covariance())
     memo = {}
     total = 0j
     for (s, r), coeff in pairs.items():
         if coeff == 0:
             continue
-        acc = 0j
-        for alpha, c in _pair_to_real(tuple(s), tuple(r), n).items():
-            acc += c * _isserlis(cov, alpha, memo)
-        total += complex(coeff) * acc
-    return complex(total * znorm)
+        total += complex(coeff) * _wick(c, d, tuple(s), tuple(r), memo)
+    return complex(total * form.normalization())
 
 
 def pair_product(f: PolyFunction, g: PolyFunction) -> dict:
@@ -316,44 +299,6 @@ def _sample_w(rng, count, n):
     return ws, mask
 
 
-def _batch_a_form(ws, zs):
-    """a_form evaluated on stacked (W, z) samples."""
-    n = ws.shape[1]
-    eye = np.eye(n)
-    gram = eye[None, :, :] - ws @ ws.conj()
-    zcol = zs[:, :, None]
-    sol_z = np.linalg.solve(gram, zcol)[:, :, 0]
-    sol_wzbar = np.linalg.solve(gram, ws @ zs.conj()[:, :, None])[:, :, 0]
-    first = np.einsum("bi,bi->b", zs.conj() + 0.5 * np.einsum("bi,bij->bj", zs, ws.conj()), sol_z)
-    second = 0.5 * np.einsum("bi,bi->b", zs.conj(), sol_wzbar)
-    return first + second
-
-
-def _batch_forms(ws, m, flip=True):
-    """Per-sample matrices Q of the Gaussian 8 pi m A(+/-W, z) by polarization."""
-    count, n = ws.shape[0], ws.shape[1]
-    base = -ws if flip else ws
-    dim = 2 * n
-    units = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        units.append(e[:n] + 1j * e[n:])
-
-    def f_of(zrow):
-        zz = np.broadcast_to(zrow, (count, n))
-        return 8.0 * math.pi * m * _batch_a_form(base, zz).real
-
-    diag = [f_of(units[i]) for i in range(dim)]
-    q = np.zeros((count, dim, dim))
-    for i in range(dim):
-        q[:, i, i] = diag[i]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            q[:, i, j] = q[:, j, i] = 0.5 * (f_of(units[i] + units[j]) - diag[i] - diag[j])
-    return q
-
-
 def _sample_z_given_w(rng, qmats):
     """z ~ density exp(-x^T Q x) / Z per sample; returns zs and the per-sample
     normalizer Z = pi^n det(Q)^{-1/2}."""
@@ -376,44 +321,40 @@ def _z_coeff_groups(poly: PolyFunction):
     return groups
 
 
-def _z_moment_table(qmats, pmax, qmax):
-    """Per-sample E[z^p conj(z)^q] for the n=1 Gaussian exp(-x^T Q x), from
-    the moment generating function: E[e^{uz+v conj(z)}] =
-    exp(u^2 c2/2 + v^2 conj(c2)/2 + uv c1)."""
-    cov = np.linalg.inv(qmats) / 2.0
-    c1 = cov[:, 0, 0] + cov[:, 1, 1]
-    c2 = cov[:, 0, 0] - cov[:, 1, 1] + 2j * cov[:, 0, 1]
-    table = {}
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
-            if (p - q) % 2:
-                table[(p, q)] = np.zeros(len(qmats), dtype=complex)
-                continue
-            acc = np.zeros(len(qmats), dtype=complex)
-            for gam in range(min(p, q), -1, -2):
-                al, be = (p - gam) // 2, (q - gam) // 2
-                coef = (math.factorial(p) * math.factorial(q)
-                        / (math.factorial(al) * math.factorial(be) * math.factorial(gam)
-                           * 2 ** (al + be)))
-                acc += coef * c2 ** al * np.conj(c2) ** be * c1 ** gam
-            table[(p, q)] = acc
-    return table
-
-
 def _rb_supported(polys, n):
     return n == 1 and all(isinstance(p, PolyFunction) for p in polys)
 
 
 def _rb_coeff_stack(polys, wsc):
-    """Stack of per-sample w-coefficient values A_p^i(w), shape (nf, pmax+1, N)."""
+    """Stack of per-sample w-coefficient values A_p^i(w), shape (N, nf, pmax+1)."""
     groups = [_z_coeff_groups(p) for p in polys]
     pmax = max((p for g in groups for p in g), default=0)
-    stack = np.zeros((len(polys), pmax + 1, len(wsc)), dtype=complex)
+    stack = np.zeros((len(wsc), len(polys), pmax + 1), dtype=complex)
     for i, g in enumerate(groups):
         for p, terms in g.items():
             for apow, c in terms:
-                stack[i, p, :] += c * wsc ** apow
+                stack[:, i, p] += c * wsc ** apow
     return stack, pmax
+
+
+# samples per exact-z Gram contraction: it bounds the (N, nf, nf)
+# temporaries, and of 1000-20000 it gave both the least time and the lowest
+# peak memory for the 12-function n = 1 Gram
+_EXACT_Z_BLOCK = 2000
+
+
+def _exact_z_grams(polys, wsc, cov):
+    """Per-sample Grams S T S^H of n = 1 polynomials under the conditional
+    z-Gaussian of real covariance cov, with S[b, i, p] = A_p^i(w_b) and
+    T[b, p, q] = E[z^p conj(z)^q | w_b]."""
+    stack, pmax = _rb_coeff_stack(polys, wsc)
+    c, d = _complex_covariances(cov)
+    memo = {}
+    table = np.zeros((len(wsc), pmax + 1, pmax + 1), dtype=complex)
+    for p in range(pmax + 1):
+        for q in range(pmax + 1):
+            table[:, p, q] = _wick(c, d, (p,), (q,), memo)
+    return (stack @ table) @ np.conj(np.swapaxes(stack, 1, 2))
 
 
 def _eval_factor(fn, zs, ws):
@@ -473,30 +414,19 @@ def mc_disk_inner(f, g, n, k, cfg: MCConfig) -> MCEstimate:
     return _finalize(av, sqv, done, cfg.seed, t0)
 
 
-def _flip_of(weight_convention):
-    if weight_convention == "plain":
-        return False
-    if weight_convention == "invariant":
-        return True
-    raise ValueError("weight_convention must be 'plain' or 'invariant'")
-
-
-def mc_dj_gram(polys, n, m, k, cfg: MCConfig, weight_convention="plain",
-               exact_z=None):
+def mc_dj_gram(polys, n, m, k, cfg: MCConfig, exact_z=None):
     """Shared-sample MC Gram for the bounded Jacobi-domain inner product
     f conj(g) det(I-W conj(W))^k exp(-8 pi m A(W,z)) against the measure
     det(I-W conj(W))^{-n-2} pi^{-n} dLeb(z) dLeb(W).
 
-    weight_convention 'plain' integrates against the reciprocal of the kernel
-    diagonal (the convention the orthonormal basis lives in); 'invariant'
-    flips the sign of the W argument in the Gaussian, giving the weight that
-    the group action actually preserves.  The two conventions agree on
-    functions whose z-degree stays below 2.
+    The Gaussian is the reciprocal of the kernel diagonal, the convention the
+    orthonormal basis lives in.  The weight that the group action preserves
+    has A(-W, z) instead (see mc_hj_inner); the two agree on functions whose
+    z-degree stays below 2.
 
     For n = 1 and polynomial inputs the conditional z-law is Gaussian, so the
     z-integral is taken exactly per sample (Wick moments) and only the
     W-average is stochastic; exact_z=False forces plain sampling."""
-    flip = _flip_of(weight_convention)
     if exact_z is None:
         exact_z = _rb_supported(polys, n)
     elif exact_z and not _rb_supported(polys, n):
@@ -512,7 +442,7 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig, weight_convention="plain",
         count = min(chunk, cfg.samples - done)
         ws, mask = _sample_w(rng, count, n)
         safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        qmats = _batch_forms(safe_ws, m, flip=flip)
+        qmats = _disk_forms(safe_ws, m, flip=False)
         eye = np.eye(n)
         dets = np.linalg.det(eye[None] - safe_ws @ safe_ws.conj()).real
         if exact_z:
@@ -520,18 +450,12 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig, weight_convention="plain",
             weight = np.where(mask,
                               dets ** (float(k) - n - 2) * math.pi ** d * znorm / math.pi ** n,
                               0.0)
-            stack, pmax = _rb_coeff_stack(polys, safe_ws[:, 0, 0])
-            table = _z_moment_table(qmats, pmax, pmax)
-            pairs = np.zeros((nf, nf, count), dtype=complex)
-            for p in range(pmax + 1):
-                for q in range(pmax + 1):
-                    mom = table[(p, q)]
-                    if not np.any(mom):
-                        continue
-                    pairs += np.einsum("ib,jb,b->ijb", stack[:, p, :],
-                                       stack[:, q, :].conj(), mom)
-            acc += np.einsum("ijb,b->ij", pairs, weight)
-            acc2 += np.einsum("ijb,b->ij", np.abs(pairs) ** 2, weight ** 2).real
+            cov = np.linalg.inv(qmats) / 2.0
+            for lo in range(0, count, _EXACT_Z_BLOCK):
+                blk = slice(lo, lo + _EXACT_Z_BLOCK)
+                pairs = _exact_z_grams(polys, safe_ws[blk, 0, 0], cov[blk])
+                acc += np.tensordot(weight[blk], pairs, axes=1)
+                acc2 += np.tensordot(weight[blk] ** 2, np.abs(pairs) ** 2, axes=1)
         else:
             zs, znorm = _sample_z_given_w(rng, qmats)
             weight = np.where(mask,
@@ -541,17 +465,17 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig, weight_convention="plain",
             acc += (vals * weight) @ vals.conj().T
             acc2 += (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
         done += count
-    gram = acc / done
-    var = np.maximum(acc2 / done - np.abs(gram) ** 2, 0.0)
+    # Hermitian by construction: mirror entries tie exactly, so the worst
+    # entry of the Gram does not depend on roundoff
+    gram = (acc + acc.conj().T) / (2 * done)
+    var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
     return gram, np.sqrt(var / done)
 
 
-def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig,
-                weight_convention="plain", exact_z=None) -> MCEstimate:
+def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig, exact_z=None) -> MCEstimate:
     """Two-function case of mc_dj_gram; see there for the conventions."""
     t0 = time.perf_counter()
-    gram, sigma = mc_dj_gram([psi1, psi2], n, m, k, cfg,
-                             weight_convention=weight_convention, exact_z=exact_z)
+    gram, sigma = mc_dj_gram([psi1, psi2], n, m, k, cfg, exact_z=exact_z)
     return MCEstimate(complex(gram[0, 1]), float(sigma[0, 1]), cfg.samples,
                       cfg.seed, time.perf_counter() - t0)
 
@@ -576,14 +500,10 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
         count = min(cfg.batch, cfg.samples - done)
         ws, mask = _sample_w(rng, count, n)
         safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        qmats = _batch_forms(safe_ws, m, flip=True)
+        qmats = _disk_forms(safe_ws, m, flip=True)
         zs, znorm = _sample_z_given_w(rng, qmats)
-        # forward chart: Omega = i(I+W)(I-W)^{-1}, zeta = 2i z (I-W)^{-1}
+        oms, zetas = domains.batch_cayley_forward(safe_ws, zs)
         res = eye[None] - safe_ws
-        oms = 1j * np.linalg.solve(np.transpose(res, (0, 2, 1)),
-                                   np.transpose(eye[None] + safe_ws, (0, 2, 1)))
-        oms = np.transpose(oms, (0, 2, 1))
-        zetas = 2j * np.linalg.solve(np.transpose(res, (0, 2, 1)), zs[:, :, None])[:, :, 0]
         yims = oms.imag
         etas = zetas.imag
         det_y = np.linalg.det(yims)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sjdomains
 from sjdomains import cli
 
 
@@ -206,3 +210,15 @@ def test_table_gram_big_f_json(capsys):
                       for row in doc["matrix"]])
     assert mat.shape == (len(doc["labels"]),) * 2
     assert np.max(np.abs(mat - np.eye(mat.shape[0]))) < 0.1
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    # the package must not import cli itself, or `python -m sjdomains.cli`
+    # warns that the module was already in sys.modules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sjdomains.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "sjdomains.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -32,6 +32,20 @@ def test_cayley_base_point():
     assert_allclose(y.zeta, np.zeros(1))
 
 
+def test_batch_cayley_matches_scalar():
+    for n in (1, 2, 3):
+        xs = [domains.sample_sj_disk_point(n, 0.85, 1.5, seed=2000 * n + t) for t in range(10)]
+        oms, zetas = domains.batch_cayley_forward(np.stack([x.w for x in xs]),
+                                                  np.stack([x.z for x in xs]))
+        ws, zs = domains.batch_cayley_inverse(oms, zetas)
+        for i, x in enumerate(xs):
+            y = domains.cayley_forward(x)
+            assert_allclose(oms[i], y.omega, rtol=1e-12, atol=1e-12)
+            assert_allclose(zetas[i], y.zeta, rtol=1e-12, atol=1e-12)
+            assert_allclose(ws[i], x.w, atol=1e-12)
+            assert_allclose(zs[i], x.z, atol=1e-12)
+
+
 def test_cayley_roundtrip():
     for n in (1, 2, 3):
         for t in range(80):

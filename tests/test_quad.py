@@ -29,16 +29,30 @@ def test_identity_form_moments_n2():
             assert abs(val - target) <= 1e-12
 
 
-def test_from_quadratic_polarization():
-    # recover the quadratic form q(u) = 8 pi m A(W, z) from evaluations
-    w = np.array([[0.3 - 0.2j]])
-    direct = quad.GaussianForm.from_disk_weight(w, M, flip=False)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_disk_form_matches_a_form(n):
+    # x^T Q x = 8 pi m Re A(+/-W, z), for the scalar form and for the batched
+    # matrices; Q also equals the polarization of that quadratic form
+    rng = np.random.default_rng(40 + n)
+    wlist = [domains.sample_disk_point(n, 0.85, seed=100 * n + t).w for t in range(4)]
+    if n == 1:
+        wlist.insert(0, np.array([[0.3 - 0.2j]]))
+    dim = 2 * n
+    units = [e[:n] + 1j * e[n:] for e in np.eye(dim)]
+    for flip in (False, True):
+        sign = -1.0 if flip else 1.0
+        batched = quad._disk_forms(np.stack(wlist), M, flip)
+        for w, qb in zip(wlist, batched):
+            def fn(z):
+                return 8.0 * math.pi * M * kernels.a_form(sign * w, z).real
 
-    def fn(z):
-        return 8.0 * math.pi * M * kernels.a_form(w, z).real
-
-    rebuilt = quad.GaussianForm.from_quadratic(fn, 1)
-    assert_allclose(rebuilt.q, direct.q, atol=1e-10)
+            polarized = np.array([[0.5 * (fn(u + v) - fn(u) - fn(v)) for v in units]
+                                  for u in units])
+            for q in (quad.GaussianForm.from_disk_weight(w, M, flip=flip).q, qb):
+                assert_allclose(q, q.T, atol=0)
+                assert_allclose(q, polarized, atol=1e-10)
+                for x in rng.standard_normal((5, dim)):
+                    assert_allclose(x @ q @ x, fn(x[:n] + 1j * x[n:]), rtol=1e-12)
 
 
 def test_normalization_closed_form():
@@ -65,6 +79,25 @@ def test_gauss_hermite_agrees_with_exact_moments():
     exact = quad.gaussian_moment(pairs, form)
     gh = quad.gauss_hermite_moment(pairs, form, order=40)
     assert_allclose(gh, exact, rtol=1e-12)
+
+
+def test_complex_wick_agrees_with_gauss_hermite_n2():
+    # non-circular Gaussians (E[z t(z)] != 0), so mixed s != r pairs are
+    # nonzero; the disk weights have real E[z z^*], the generic form does not
+    w = domains.sample_disk_point(2, 0.6, seed=5).w
+    root = np.random.default_rng(6).standard_normal((4, 4))
+    forms = [quad.GaussianForm.from_disk_weight(w, M, flip=flip) for flip in (False, True)]
+    forms.append(quad.GaussianForm(root @ root.T + np.eye(4)))
+    for form in forms:
+        for s, r in [((2, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 1), (0, 0)),
+                     ((2, 1), (0, 1)), ((0, 1), (0, 1)), ((3, 0), (1, 0)),
+                     ((0, 1), (2, 1)), ((1, 2), (1, 0)), ((2, 0), (1, 1)),
+                     ((1, 1), (1, 1))]:
+            pairs = {(s, r): 1.0}
+            exact = quad.gaussian_moment(pairs, form)
+            gh = quad.gauss_hermite_moment(pairs, form, order=12)
+            assert abs(exact) > 1e-6
+            assert_allclose(gh, exact, rtol=1e-11)
 
 
 def test_pair_product_rejects_w_terms():
@@ -155,6 +188,27 @@ def test_mc_dj_gram_exact_z_matches_sampled():
     assert np.all(np.abs(g_rb - g_mc) <= 4 * comb + 1e-9)
     # the exact-z path cancels odd-parity entries identically
     assert abs(g_rb[0, 1]) < 1e-14
+
+
+def test_exact_z_grams_match_scalar_moments():
+    # the batched S T S^H contraction against one gaussian_moment per sample,
+    # each function frozen at the sample's w into a z-only polynomial
+    funcs = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
+    ws = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j])
+    qmats = quad._disk_forms(ws[:, None, None], M, False)
+    grams = quad._exact_z_grams(funcs, ws, np.linalg.inv(qmats) / 2.0)
+    zero = numkit.SymIndex.zero(1)
+    for w, gram in zip(ws, grams):
+        frozen = []
+        for f in funcs:
+            terms = {}
+            for (s, a), c in f.terms.items():
+                terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
+            frozen.append(fockpoly.PolyFunction(1, terms))
+        form = quad.GaussianForm.from_disk_weight(np.array([[w]]), M, flip=False)
+        ref = np.array([[quad.gaussian_moment(quad.pair_product(f, g), form) for g in frozen]
+                        for f in frozen]) / form.normalization()
+        assert_allclose(gram, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_mc_dj_exact_z_rejects_unsupported():

@@ -19,9 +19,15 @@ def test_sub_seed_stable():
     assert suites.sub_seed(3, "a") != suites.sub_seed(3, "b")
 
 
-@pytest.mark.parametrize("name", sorted(suites.SUITES))
-def test_each_suite_passes_quick(name):
-    cfg = SuiteConfig(samples=30000, seed=1)
+# n=2 runs the suites built on the Gaussian forms and moments of quad;
+# q-basis fails at n=2 (its MC-Cholesky basis, ROADMAP item 1) and is left out
+N2_SUITES = ["gaussian-integrals", "isometry", "orthonormality-fock", "series-gram"]
+
+
+@pytest.mark.parametrize("name,n", [pytest.param(name, 1, id=name) for name in sorted(suites.SUITES)]
+                         + [pytest.param(name, 2, id=f"{name}-n2") for name in N2_SUITES])
+def test_each_suite_passes_quick(name, n):
+    cfg = SuiteConfig(n=n, samples=30000, seed=1)
     rep = suites.run_suite(name, cfg)
     failing = [c.summary() for c in rep.checks if not c.passed]
     assert rep.passed, failing
