@@ -2,22 +2,22 @@
 bounded and unbounded models, the transfer map between them, and verification
 suites for the identities the transfer rests on.
 
-Functions are carried as evaluation closures (transported functions are not
-polynomial), with optional vectorized paths so the Monte Carlo engines stay
-fast.  The transfer t_star uses the packaging under which t_inv is an exact
+Functions that are not polynomials (transported and composite ones) are
+SampledFunctions: a batched callable returning (vals, logs), evaluated
+through quad.evaluate like the polynomials, with pointwise values as a batch
+of one.  The transfer t_star uses the packaging under which t_inv is an exact
 pointwise inverse; see the module suites for the convention diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, fockpoly, groups, kernels, numkit, quad, report
+from . import domains, fockpoly, groups, kernels, quad, report
 from .domains import SJDiskPoint, SJSpacePoint
-from .fockpoly import PolyFunction
 
 
 @dataclass(frozen=True)
@@ -38,81 +38,43 @@ class ReprParams:
         return {"n": self.n, "m": self.m, "k": self.k}
 
 
-def _pair(point):
-    if isinstance(point, SJDiskPoint):
-        return point.w, point.z
-    if isinstance(point, SJSpacePoint):
-        return point.omega, point.zeta
-    mat, vec = point
-    return np.asarray(mat), np.asarray(vec)
-
-
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function on one of the two models, carried by closures.
+    """A function on one of the two models ('disk' or 'space').
 
-    fn maps a (matrix, vector) pair to a complex value; batch, when present,
-    maps stacked (mats (N,n,n), vecs (N,n)) to an (N,) value array.
+    split maps stacked points (mats (N,n,n), vecs (N,n)) of that model to
+    (vals, logs), the value being vals * exp(logs): transported functions
+    carry a growing real exponent that integration weights cancel, and
+    keeping it apart lets integrators sum exponents before exp.
     provenance: 'basis' | 'transported' | 'composite'.
     """
 
-    fn: object
+    split: object
+    side: str
     provenance: str = "composite"
-    batch: object = None
-    side: str = "disk"
-    batch_split: object = None
+
+    @classmethod
+    def from_scalar(cls, fn, side):
+        """Wrap fn, which maps one (matrix, vector) pair to a complex value."""
+        def split(mats, vecs):
+            vals = np.array([fn((mats[i], vecs[i])) for i in range(len(mats))], dtype=complex)
+            return vals, np.zeros(len(vals))
+
+        return cls(split, side)
 
     def __call__(self, point) -> complex:
-        mat, vec = _pair(point)
-        return complex(self.fn((mat, vec)))
-
-    def evaluate_batch(self, zs, ws):
-        if self.side != "disk":
-            raise ValueError("disk-side batch evaluation on a space-side function")
-        if self.batch is not None:
-            return self.batch(ws, zs)
-        return np.array([self.fn((ws[i], zs[i])) for i in range(len(ws))], dtype=complex)
-
-    def evaluate_space_batch(self, oms, zetas):
-        if self.side != "space":
-            raise ValueError("space-side batch evaluation on a disk-side function")
-        if self.batch is not None:
-            return self.batch(oms, zetas)
-        return np.array([self.fn((oms[i], zetas[i])) for i in range(len(oms))], dtype=complex)
-
-    def evaluate_space_batch_split(self, oms, zetas):
-        """Value split as vals * exp(logs).  Transported functions carry a
-        growing real exponent that integration weights cancel; returning it
-        unexponentiated lets integrators sum exponents before exp, so
-        near-boundary samples stay finite in double precision."""
-        if self.side != "space":
-            raise ValueError("space-side batch evaluation on a disk-side function")
-        if self.batch_split is not None:
-            return self.batch_split(oms, zetas)
-        vals = np.asarray(self.evaluate_space_batch(oms, zetas), dtype=complex)
-        return vals, np.zeros(vals.shape[0])
+        """Value at one point: an SJDiskPoint, an SJSpacePoint, or a raw
+        (matrix, vector) pair, validated as a point of this function's side."""
+        if not isinstance(point, (SJDiskPoint, SJSpacePoint)):
+            point = (SJDiskPoint if self.side == "disk" else SJSpacePoint)(*point)
+        if isinstance(point, SJDiskPoint):
+            return _value(self, point.w, point.z, "disk")
+        return _value(self, point.omega, point.zeta, "space")
 
 
-def _disk_eval(psi, mat, vec) -> complex:
-    if isinstance(psi, PolyFunction):
-        return complex(psi.evaluate(vec, mat))
-    if isinstance(psi, SampledFunction):
-        return psi((mat, vec))
-    return complex(psi((mat, vec)))
-
-
-def _disk_eval_batch(psi, mats, vecs):
-    if isinstance(psi, PolyFunction):
-        return psi.evaluate_batch(vecs, mats)
-    if isinstance(psi, SampledFunction):
-        return psi.evaluate_batch(vecs, mats)
-    return np.array([psi((mats[i], vecs[i])) for i in range(len(mats))], dtype=complex)
-
-
-def _space_eval(phi, mat, vec) -> complex:
-    if isinstance(phi, SampledFunction):
-        return phi((mat, vec))
-    return complex(phi((mat, vec)))
+def _value(fn, mat, vec, side) -> complex:
+    vals, logs = quad.evaluate(fn, mat[None], vec[None], side)
+    return complex(vals[0] * np.exp(logs[0]))
 
 
 # --- representation operators ---
@@ -125,9 +87,9 @@ def pi_star_apply(gs, psi, params: ReprParams) -> SampledFunction:
     def fn(pair):
         x = SJDiskPoint(pair[0], pair[1])
         gx = groups.act_sj_disk(gs, x)
-        return kernels.jmk_star(gs, x, m, k) * _disk_eval(psi, gx.w, gx.z)
+        return kernels.jmk_star(gs, x, m, k) * _value(psi, gx.w, gx.z, "disk")
 
-    return SampledFunction(fn, provenance="composite", side="disk")
+    return SampledFunction.from_scalar(fn, "disk")
 
 
 def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
@@ -138,9 +100,9 @@ def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
     def fn(pair):
         y = SJSpacePoint(pair[0], pair[1])
         gy = groups.act_sj_space(g, y)
-        return kernels.jmk(g, y, m, k) * _space_eval(phi, gy.omega, gy.zeta)
+        return kernels.jmk(g, y, m, k) * _value(phi, gy.omega, gy.zeta, "space")
 
-    return SampledFunction(fn, provenance="composite", side="space")
+    return SampledFunction.from_scalar(fn, "space")
 
 
 # --- transfer between the models ---
@@ -150,31 +112,18 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
     phi(Omega, zeta) = psi(W, z) det(I-W)^k exp(4 pi m z (I-W)^{-1} t(z))
     with (W, z) the preimage of (Omega, zeta) under the forward chart."""
     m, k = params.m, params.k
-    n = params.n
-    eye = np.eye(n)
+    eye = np.eye(params.n)
 
-    def fn(pair):
-        x = domains.cayley_inverse(SJSpacePoint(pair[0], pair[1]))
-        res = eye - x.w
-        quad_term = complex(x.z @ np.linalg.solve(res, x.z))
-        pack = np.linalg.det(res) ** k * np.exp(4.0 * np.pi * m * quad_term)
-        return _disk_eval(psi, x.w, x.z) * pack
-
-    def batch_split(oms, zetas):
+    def split(oms, zetas):
         ws, zs = domains.batch_cayley_inverse(oms, zetas)
         res = eye[None] - ws
         sol = np.linalg.solve(np.transpose(res, (0, 2, 1)), zs[:, :, None])[:, :, 0]
         quad_terms = np.einsum("bi,bi->b", zs, sol)
-        mant = _disk_eval_batch(psi, ws, zs) * np.linalg.det(res) ** k \
-            * np.exp(4j * np.pi * m * quad_terms.imag)
-        return mant, 4.0 * np.pi * m * quad_terms.real
+        vals, logs = quad.evaluate(psi, ws, zs, "disk")
+        mant = vals * np.linalg.det(res) ** k * np.exp(4j * np.pi * m * quad_terms.imag)
+        return mant, logs + 4.0 * np.pi * m * quad_terms.real
 
-    def batch(oms, zetas):
-        vals, logs = batch_split(oms, zetas)
-        return vals * np.exp(logs)
-
-    return SampledFunction(fn, provenance="transported", batch=batch, side="space",
-                           batch_split=batch_split)
+    return SampledFunction(split, "space", provenance="transported")
 
 
 def t_inv(phi, params: ReprParams) -> SampledFunction:
@@ -188,26 +137,16 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
     eye = np.eye(n)
     scale = 2.0 ** (-n * k)
 
-    def fn(pair):
-        y = domains.cayley_forward(SJDiskPoint(pair[0], pair[1]))
-        mat = eye - 1j * y.omega
-        quad_term = complex(y.zeta @ np.linalg.solve(mat, y.zeta))
-        pack = np.linalg.det(mat) ** k * np.exp(2.0 * np.pi * m * quad_term) * scale
-        return _space_eval(phi, y.omega, y.zeta) * pack
-
-    def batch(ws, zs):
+    def split(ws, zs):
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         mats = eye[None] - 1j * oms
         sol = np.linalg.solve(np.transpose(mats, (0, 2, 1)), zetas[:, :, None])[:, :, 0]
         quad_terms = np.einsum("bi,bi->b", zetas, sol)
-        pack = np.linalg.det(mats) ** k * np.exp(2.0 * np.pi * m * quad_terms) * scale
-        if isinstance(phi, SampledFunction) and phi.side == "space":
-            vals = phi.evaluate_space_batch(oms, zetas)
-        else:
-            vals = np.array([phi((oms[i], zetas[i])) for i in range(len(oms))], dtype=complex)
-        return vals * pack
+        vals, logs = quad.evaluate(phi, oms, zetas, "space")
+        mant = vals * np.linalg.det(mats) ** k * np.exp(2j * np.pi * m * quad_terms.imag) * scale
+        return mant, logs + 2.0 * np.pi * m * quad_terms.real
 
-    return SampledFunction(fn, provenance="transported", batch=batch, side="disk")
+    return SampledFunction(split, "disk", provenance="transported")
 
 
 # --- verification suites ---
@@ -383,7 +322,7 @@ def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyRepor
         om, zeta = pair
         return np.exp(1j * np.trace(om)) * (1.0 + complex(zeta @ zeta))
 
-    forth = t_star(t_inv(SampledFunction(phi_fn, side="space"), params), params)
+    forth = t_star(t_inv(SampledFunction.from_scalar(phi_fn, "space"), params), params)
     worst_disk, worst_space = 0.0, 0.0
     for _ in range(count):
         x = _sample_tame_disk(n, rng)

@@ -531,21 +531,27 @@ def matching_kernel_closed(zp, wp, z, w) -> complex:
     return complex(numkit.det_power(gram, -0.5) * np.exp(kernels.a_polar((wp, zp), (w, z))))
 
 
-def expansion_matching(zp, wp, z, w, trunc: TruncationSpec) -> TruncationResult:
-    """sum over |s| <= d of P_s(Z', W') conj(P_s(Z, W)) / s!."""
-    zp = numkit.as_row_vector(zp)
-    n = zp.shape[0]
+def _graded_sum(n, trunc: TruncationSpec, term) -> TruncationResult:
+    """sum of term(s) over |s| <= trunc.max_degree, one partial sum per
+    degree."""
     partials, total = [], 0j
     for d in range(trunc.max_degree + 1):
-        for s in enumerate_multiindices(n, d):
-            if sum(s) != d:
-                continue
-            poly = p_s(tuple(s))
-            total += (poly.evaluate(zp, wp) * np.conj(poly.evaluate(z, w))
-                      / mi_factorial(tuple(s)))
+        for s in numkit._fixed_total(n, d):
+            total += term(s)
         partials.append(total)
     return TruncationResult(total, _tail_from_partials(partials, trunc.tail_estimate_mode),
                             tuple(partials))
+
+
+def expansion_matching(zp, wp, z, w, trunc: TruncationSpec) -> TruncationResult:
+    """sum over |s| <= d of P_s(Z', W') conj(P_s(Z, W)) / s!."""
+    zp = numkit.as_row_vector(zp)
+
+    def term(s):
+        poly = p_s(s)
+        return poly.evaluate(zp, wp) * np.conj(poly.evaluate(z, w)) / mi_factorial(s)
+
+    return _graded_sum(zp.shape[0], trunc, term)
 
 
 def fock_at_w_closed(w, zp, z, m: float) -> complex:
@@ -558,17 +564,12 @@ def fock_at_w_closed(w, zp, z, m: float) -> complex:
 def expansion_fock_at_w(w, zp, z, m: float, trunc: TruncationSpec) -> TruncationResult:
     """sum over |s| <= d of Phi_{W,s}(z') conj(Phi_{W,s}(z)) at fixed W."""
     zp = numkit.as_row_vector(zp)
-    n = zp.shape[0]
-    partials, total = [], 0j
-    for d in range(trunc.max_degree + 1):
-        for s in enumerate_multiindices(n, d):
-            if sum(s) != d:
-                continue
-            phi = basis_phi(w, tuple(s), m)
-            total += phi.evaluate(zp) * np.conj(phi.evaluate(z))
-        partials.append(total)
-    return TruncationResult(total, _tail_from_partials(partials, trunc.tail_estimate_mode),
-                            tuple(partials))
+
+    def term(s):
+        phi = basis_phi(w, s, m)
+        return phi.evaluate(zp) * np.conj(phi.evaluate(z))
+
+    return _graded_sum(zp.shape[0], trunc, term)
 
 
 def fock_full_closed(xp, x, m: float) -> complex:
@@ -583,17 +584,12 @@ def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationRes
     """sum over |s| <= d of f_s(W', z') conj(f_s(W, z))."""
     wp, zp = kernels._wz(xp)
     w, z = kernels._wz(x)
-    n = len(zp)
-    partials, total = [], 0j
-    for d in range(trunc.max_degree + 1):
-        for s in enumerate_multiindices(n, d):
-            if sum(s) != d:
-                continue
-            f = basis_f(tuple(s), m)
-            total += f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
-        partials.append(total)
-    return TruncationResult(total, _tail_from_partials(partials, trunc.tail_estimate_mode),
-                            tuple(partials))
+
+    def term(s):
+        f = basis_f(s, m)
+        return f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
+
+    return _graded_sum(len(zp), trunc, term)
 
 
 def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
@@ -629,14 +625,10 @@ def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
     qvp = [q.evaluate(None, wp) for q in qs]
     qv = [q.evaluate(None, w) for q in qs]
     scale = float((8.0 * math.pi * m) ** n)
-    partials, total = [], 0j
-    for d in range(trunc.max_degree + 1):
-        for s in enumerate_multiindices(n, d):
-            if sum(s) != d:
-                continue
-            f = basis_f(tuple(s), m)
-            base = scale * f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
-            total += base * sum(qp * np.conj(qq) for qp, qq in zip(qvp, qv))
-        partials.append(total)
-    return TruncationResult(total, _tail_from_partials(partials, trunc.tail_estimate_mode),
-                            tuple(partials))
+
+    def term(s):
+        f = basis_f(s, m)
+        base = scale * f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
+        return base * sum(qp * np.conj(qq) for qp, qq in zip(qvp, qv))
+
+    return _graded_sum(n, trunc, term)

@@ -8,6 +8,13 @@ S = conj(W) H, for one W or a stack of them.  Moments E[z^s conj(z)^r] of a
 Gaussian come from a Wick recursion on the exponents (s, r) with the complex
 covariances E[z t(z)] and E[z z^*], again for one covariance or a stack.
 
+Every function is evaluated through one protocol, evaluate(fn, mats, vecs,
+side) -> (vals, logs) on stacked points, the value being vals * exp(logs).
+The Monte Carlo engines are one streaming driver, _mc_gram, that draws W in
+chunks and contracts the Gram in blocks of _BLOCK samples; each engine only
+supplies its draw (evaluation points and log weight, or the conditional
+z-covariance when the z-integral is exact).
+
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
 """
@@ -321,10 +328,6 @@ def _z_coeff_groups(poly: PolyFunction):
     return groups
 
 
-def _rb_supported(polys, n):
-    return n == 1 and all(isinstance(p, PolyFunction) for p in polys)
-
-
 def _rb_coeff_stack(polys, wsc):
     """Stack of per-sample w-coefficient values A_p^i(w), shape (N, nf, pmax+1)."""
     groups = [_z_coeff_groups(p) for p in polys]
@@ -335,12 +338,6 @@ def _rb_coeff_stack(polys, wsc):
             for apow, c in terms:
                 stack[:, i, p] += c * wsc ** apow
     return stack, pmax
-
-
-# samples per exact-z Gram contraction: it bounds the (N, nf, nf)
-# temporaries, and of 1000-20000 it gave both the least time and the lowest
-# peak memory for the 12-function n = 1 Gram
-_EXACT_Z_BLOCK = 2000
 
 
 def _exact_z_grams(polys, wsc, cov):
@@ -357,64 +354,105 @@ def _exact_z_grams(polys, wsc, cov):
     return (stack @ table) @ np.conj(np.swapaxes(stack, 1, 2))
 
 
-def _eval_factor(fn, zs, ws):
-    if isinstance(fn, PolyFunction) or hasattr(fn, "evaluate_batch"):
-        return fn.evaluate_batch(zs, ws)
-    count = len(ws)
-    zseq = zs if zs is not None else [None] * count
-    return np.array([fn((ws[i], zseq[i])) for i in range(count)], dtype=complex)
+def evaluate(fn, mats, vecs, side):
+    """(vals, logs) of fn at the stacked points (mats (N,n,n), vecs (N,n)) of
+    the bounded ('disk') or unbounded ('space') model; the value is
+    vals * exp(logs).  A PolyFunction lives on the disk and has logs = 0; any
+    other function carries its side and a batched callable `split` with this
+    same signature."""
+    own = "disk" if isinstance(fn, PolyFunction) else fn.side
+    if own != side:
+        raise ValueError(f"{own}-side function evaluated on the {side} model")
+    if isinstance(fn, PolyFunction):
+        return fn.evaluate_batch(vecs, mats), np.zeros(len(mats))
+    return fn.split(mats, vecs)
 
 
-def _finalize(av, sqv, count, seed, t0):
-    mean = av / count
-    var = max(sqv.real / count - abs(mean) ** 2, 0.0)
-    return MCEstimate(complex(mean), math.sqrt(var / count), count, seed,
-                      time.perf_counter() - t0)
+# samples per Gram contraction: it bounds the (nf, block) values and the
+# (block, nf, nf) exact-z temporaries; of 1000-20000 it gave both the least
+# time and the lowest peak memory for the 12-function n = 1 Gram
+_BLOCK = 2000
 
 
-def mc_disk_gram(polys, n, k, cfg: MCConfig):
-    """Shared-sample MC Gram matrix for the weighted measure
-    det(I - W conj(W))^{k - n - 3/2} dLeb(W); returns (gram, sigma)."""
+def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk"):
+    """The Monte Carlo driver: shared-sample estimate of the Gram matrix
+    E[f_i conj(f_j) weight] and its standard errors.
+
+    Each chunk of `chunk` samples draws W from the polydisk, then calls
+    draw(rng, ws, mask) -> (mats, vecs, logw, cov): the points at which the
+    functions are evaluated on `side`, the log weight (-inf off the domain),
+    and, for exact-z engines, the real covariance of the conditional
+    z-Gaussian (else None).  The contraction runs in blocks of _BLOCK
+    samples: sampled, u = vals exp(logs + logw / 2) and the Gram adds u u^H;
+    exact-z, the per-sample Grams S T S^H weighted by exp(logw).  The result
+    is Hermitian by construction, so mirror entries tie exactly and the worst
+    entry of a Gram does not depend on roundoff."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d = _upper_dim(n)
-    nf = len(polys)
+    nf = len(funcs)
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
     done = 0
     while done < cfg.samples:
-        count = min(cfg.batch, cfg.samples - done)
+        count = min(chunk, cfg.samples - done)
         ws, mask = _sample_w(rng, count, n)
-        eye = np.eye(n)
-        dets = np.where(mask, np.linalg.det(eye[None] - ws @ ws.conj()).real, 1.0)
-        weight = np.where(mask, dets ** (float(k) - n - 1.5) * math.pi ** d, 0.0)
-        vals = np.stack([_eval_factor(p, None, ws) for p in polys])
-        acc += (vals * weight) @ vals.conj().T
-        acc2 += (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
+        mats, vecs, logw, cov = draw(rng, ws, mask)
+        for lo in range(0, count, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            if cov is None:
+                parts = [evaluate(f, mats[blk], vecs[blk], side) for f in funcs]
+                # transported functions carry a +exponent that the weight's
+                # -exponent cancels to O(1); summing the logs before exp keeps
+                # boundary samples finite where a factored product would not
+                with np.errstate(over="ignore", invalid="ignore"):
+                    u = np.stack([vals * np.exp(logs + logw[blk] / 2) for vals, logs in parts])
+                sq = np.abs(u) ** 2
+                acc += u @ u.conj().T
+                acc2 += sq @ sq.T
+            else:
+                weight = np.exp(logw[blk])
+                pairs = _exact_z_grams(funcs, mats[blk, 0, 0], cov[blk])
+                acc += np.tensordot(weight, pairs, axes=1)
+                acc2 += np.tensordot(weight ** 2, np.abs(pairs) ** 2, axes=1)
         done += count
-    gram = acc / done
-    var = np.maximum(acc2 / done - np.abs(gram) ** 2, 0.0)
+    gram = (acc + acc.conj().T) / (2 * done)
+    var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
     return gram, np.sqrt(var / done)
 
 
-def mc_disk_inner(f, g, n, k, cfg: MCConfig) -> MCEstimate:
+def _mc_inner(f, g, n, cfg: MCConfig, chunk, draw, side="disk") -> MCEstimate:
+    """<f, g> from _mc_gram over [f] (g is f) or [f, g]."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d = _upper_dim(n)
-    av, sqv, done = 0j, 0j, 0
-    while done < cfg.samples:
-        count = min(cfg.batch, cfg.samples - done)
-        ws, mask = _sample_w(rng, count, n)
-        eye = np.eye(n)
-        dets = np.where(mask, np.linalg.det(eye[None] - ws @ ws.conj()).real, 1.0)
-        weight = np.where(mask, dets ** (float(k) - n - 1.5) * math.pi ** d, 0.0)
-        vals = _eval_factor(f, None, ws) * np.conj(_eval_factor(g, None, ws)) * weight
-        av += vals.sum()
-        sqv += (np.abs(vals) ** 2).sum()
-        done += count
-    return _finalize(av, sqv, done, cfg.seed, t0)
+    gram, sigma = _mc_gram([f] if g is f else [f, g], n, cfg, chunk, draw, side)
+    return MCEstimate(complex(gram[0, -1]), float(sigma[0, -1]), cfg.samples, cfg.seed,
+                      time.perf_counter() - t0)
 
 
-def mc_dj_gram(polys, n, m, k, cfg: MCConfig, exact_z=None):
+def _disk_draw(n, k):
+    """Draw of the weighted measure det(I - W conj(W))^{k - n - 3/2} dLeb(W)
+    with the proposal density pi^{-n(n+1)/2}; functions see z = 0."""
+    logc = _upper_dim(n) * math.log(math.pi)
+
+    def draw(rng, ws, mask):
+        safe_ws = np.where(mask[:, None, None], ws, 0.0)
+        dets = np.linalg.det(np.eye(n)[None] - safe_ws @ safe_ws.conj()).real
+        logw = np.where(mask, (float(k) - n - 1.5) * np.log(dets) + logc, -np.inf)
+        return safe_ws, np.zeros((len(ws), n), dtype=complex), logw, None
+
+    return draw
+
+
+def mc_disk_gram(polys, n, k, cfg: MCConfig):
+    """Shared-sample MC Gram matrix of functions of W for the weighted
+    measure det(I - W conj(W))^{k - n - 3/2} dLeb(W); returns (gram, sigma)."""
+    return _mc_gram(polys, n, cfg, cfg.batch, _disk_draw(n, k))
+
+
+def mc_disk_inner(f, g, n, k, cfg: MCConfig) -> MCEstimate:
+    """Two-function case of mc_disk_gram."""
+    return _mc_inner(f, g, n, cfg, cfg.batch, _disk_draw(n, k))
+
+
+def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     """Shared-sample MC Gram for the bounded Jacobi-domain inner product
     f conj(g) det(I-W conj(W))^k exp(-8 pi m A(W,z)) against the measure
     det(I-W conj(W))^{-n-2} pi^{-n} dLeb(z) dLeb(W).
@@ -426,56 +464,31 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig, exact_z=None):
 
     For n = 1 and polynomial inputs the conditional z-law is Gaussian, so the
     z-integral is taken exactly per sample (Wick moments) and only the
-    W-average is stochastic; exact_z=False forces plain sampling."""
-    if exact_z is None:
-        exact_z = _rb_supported(polys, n)
-    elif exact_z and not _rb_supported(polys, n):
-        raise ValueError("exact_z requires n = 1 and polynomial inputs")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d = _upper_dim(n)
-    nf = len(polys)
-    acc = np.zeros((nf, nf), dtype=complex)
-    acc2 = np.zeros((nf, nf))
-    done = 0
-    chunk = min(cfg.batch, 20000) if exact_z else cfg.batch
-    while done < cfg.samples:
-        count = min(chunk, cfg.samples - done)
-        ws, mask = _sample_w(rng, count, n)
+    W-average is stochastic; any other input samples z as well."""
+    exact_z = n == 1 and all(isinstance(p, PolyFunction) for p in polys)
+    logc = (_upper_dim(n) - n) * math.log(math.pi)
+
+    def draw(rng, ws, mask):
         safe_ws = np.where(mask[:, None, None], ws, 0.0)
         qmats = _disk_forms(safe_ws, m, flip=False)
-        eye = np.eye(n)
-        dets = np.linalg.det(eye[None] - safe_ws @ safe_ws.conj()).real
+        dets = np.linalg.det(np.eye(n)[None] - safe_ws @ safe_ws.conj()).real
         if exact_z:
+            zs, cov = None, np.linalg.inv(qmats) / 2.0
             znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
-            weight = np.where(mask,
-                              dets ** (float(k) - n - 2) * math.pi ** d * znorm / math.pi ** n,
-                              0.0)
-            cov = np.linalg.inv(qmats) / 2.0
-            for lo in range(0, count, _EXACT_Z_BLOCK):
-                blk = slice(lo, lo + _EXACT_Z_BLOCK)
-                pairs = _exact_z_grams(polys, safe_ws[blk, 0, 0], cov[blk])
-                acc += np.tensordot(weight[blk], pairs, axes=1)
-                acc2 += np.tensordot(weight[blk] ** 2, np.abs(pairs) ** 2, axes=1)
         else:
-            zs, znorm = _sample_z_given_w(rng, qmats)
-            weight = np.where(mask,
-                              dets ** (float(k) - n - 2) * math.pi ** d * znorm / math.pi ** n,
-                              0.0)
-            vals = np.stack([_eval_factor(p, zs, safe_ws) for p in polys])
-            acc += (vals * weight) @ vals.conj().T
-            acc2 += (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
-        done += count
-    # Hermitian by construction: mirror entries tie exactly, so the worst
-    # entry of the Gram does not depend on roundoff
-    gram = (acc + acc.conj().T) / (2 * done)
-    var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
-    return gram, np.sqrt(var / done)
+            (zs, znorm), cov = _sample_z_given_w(rng, qmats), None
+        logw = np.where(mask, (float(k) - n - 2) * np.log(dets) + np.log(znorm) + logc,
+                        -np.inf)
+        return safe_ws, zs, logw, cov
+
+    chunk = min(cfg.batch, 20000) if exact_z else cfg.batch
+    return _mc_gram(polys, n, cfg, chunk, draw)
 
 
-def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig, exact_z=None) -> MCEstimate:
+def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     """Two-function case of mc_dj_gram; see there for the conventions."""
     t0 = time.perf_counter()
-    gram, sigma = mc_dj_gram([psi1, psi2], n, m, k, cfg, exact_z=exact_z)
+    gram, sigma = mc_dj_gram([psi1, psi2], n, m, k, cfg)
     return MCEstimate(complex(gram[0, 1]), float(sigma[0, 1]), cfg.samples,
                       cfg.seed, time.perf_counter() - t0)
 
@@ -490,53 +503,25 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     chart Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
     identities relating the two sides stay testable rather than assumed.
-    phi1/phi2 are callables on (Omega, zeta) pairs."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d = _upper_dim(n)
-    av, sqv, done = 0j, 0j, 0
+    phi1/phi2 are space-side functions; the whole weight is kept as a log."""
     eye = np.eye(n)
-    while done < cfg.samples:
-        count = min(cfg.batch, cfg.samples - done)
-        ws, mask = _sample_w(rng, count, n)
+    logc = (_upper_dim(n) - n) * math.log(math.pi)
+
+    def draw(rng, ws, mask):
         safe_ws = np.where(mask[:, None, None], ws, 0.0)
         qmats = _disk_forms(safe_ws, m, flip=True)
         zs, znorm = _sample_z_given_w(rng, qmats)
         oms, zetas = domains.batch_cayley_forward(safe_ws, zs)
-        res = eye[None] - safe_ws
-        yims = oms.imag
-        etas = zetas.imag
-        det_y = np.linalg.det(yims)
+        yims, etas = oms.imag, zetas.imag
         quad = np.einsum("bi,bi->b", np.linalg.solve(yims, etas[:, :, None])[:, :, 0], etas)
-        det_res = np.abs(np.linalg.det(res)) ** 2
-        xqx = np.einsum("bi,bij,bj->b", np.concatenate([zs.real, zs.imag], axis=1), qmats,
-                        np.concatenate([zs.real, zs.imag], axis=1))
-        pref = (det_y ** (float(k) - n - 2) * det_res ** (-(n + 2))
-                * znorm * math.pi ** (d - n))
+        xs = np.concatenate([zs.real, zs.imag], axis=1)
+        xqx = np.einsum("bi,bij,bj->b", xs, qmats, xs)
+        logw = ((float(k) - n - 2) * np.log(np.linalg.det(yims))
+                - (n + 2) * np.log(np.abs(np.linalg.det(eye[None] - safe_ws)) ** 2)
+                + np.log(znorm) + logc - 4.0 * np.pi * m * quad + xqx)
+        return oms, zetas, np.where(mask, logw, -np.inf), None
 
-        def eval_phi(phi):
-            if hasattr(phi, "evaluate_space_batch_split"):
-                vals, logs = phi.evaluate_space_batch_split(oms, zetas)
-                return np.asarray(vals, dtype=complex), np.asarray(logs, dtype=float)
-            if hasattr(phi, "evaluate_space_batch"):
-                vals = np.asarray(phi.evaluate_space_batch(oms, zetas), dtype=complex)
-            else:
-                vals = np.array([phi((oms[i], zetas[i])) if mask[i] else 0.0
-                                 for i in range(count)], dtype=complex)
-            return vals, np.zeros(count)
-
-        vals1, logs1 = eval_phi(phi1)
-        vals2, logs2 = (vals1, logs1) if phi2 is phi1 else eval_phi(phi2)
-        # transported functions carry a +exponent that the weight's -exponent
-        # cancels to O(1); summing the logs before exp keeps boundary samples
-        # finite where the factored product would hit inf * 0
-        log_weight = logs1 + logs2 - 4.0 * np.pi * m * quad + xqx
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.where(mask, vals1 * np.conj(vals2) * np.exp(log_weight) * pref, 0.0)
-        av += vals.sum()
-        sqv += (np.abs(vals) ** 2).sum()
-        done += count
-    return _finalize(av, sqv, done, cfg.seed, t0)
+    return _mc_inner(phi1, phi2, n, cfg, cfg.batch, draw, side="space")
 
 
 # --- finite-difference Jacobians and real charts ---

@@ -40,11 +40,12 @@ def test_transfer_roundtrip_space():
         om, zeta = pair
         return np.exp(1j * np.trace(om)) * (1.0 + complex(zeta @ zeta))
 
-    carrier = ds.SampledFunction(phi, side="space")
+    carrier = ds.SampledFunction.from_scalar(phi, "space")
     forth = ds.t_star(ds.t_inv(carrier, PARAMS), PARAMS)
     for t in range(30):
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t))
         assert abs(forth((y.omega, y.zeta)) - phi((y.omega, y.zeta))) < 1e-12
+        assert abs(forth(y) - phi((y.omega, y.zeta))) < 1e-12
 
 
 def test_transfer_roundtrip_n2():
@@ -57,23 +58,52 @@ def test_transfer_roundtrip_n2():
 
 
 def test_batch_evaluation_matches_scalar():
+    # a batch of N against N batches of one, for a transported function, a
+    # round trip of it, and a wrapped scalar closure
     psi = _test_poly(PARAMS)
     phi = ds.t_star(psi, PARAMS)
-    oms, zetas = [], []
-    for t in range(6):
-        y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=t))
-        oms.append(y.omega)
-        zetas.append(y.zeta)
-    oms, zetas = np.stack(oms), np.stack(zetas)
-    vals = phi.evaluate_space_batch(oms, zetas)
-    for i in range(6):
-        assert_allclose(vals[i], phi((oms[i], zetas[i])), rtol=1e-12)
+    back = ds.t_inv(phi, PARAMS)
+    op = ds.pi_apply(groups.random_jacobi(1, seed=2), phi, PARAMS)
+    xs = [domains.sample_sj_disk_point(1, 0.5, 0.6, seed=t) for t in range(6)]
+    ys = [domains.cayley_forward(x) for x in xs]
+    logs_of = {}
+    for name, fn, side, pts in [("phi", phi, "space", [(y.omega, y.zeta) for y in ys]),
+                                ("op", op, "space", [(y.omega, y.zeta) for y in ys]),
+                                ("back", back, "disk", [(x.w, x.z) for x in xs])]:
+        mats, vecs = np.stack([p[0] for p in pts]), np.stack([p[1] for p in pts])
+        vals, logs = quad.evaluate(fn, mats, vecs, side)
+        logs_of[name] = logs
+        assert vals.shape == logs.shape == (6,)
+        for i in range(6):
+            one_vals, one_logs = quad.evaluate(fn, mats[i:i + 1], vecs[i:i + 1], side)
+            assert_allclose(one_vals[0] * np.exp(one_logs[0]), vals[i] * np.exp(logs[i]),
+                            rtol=1e-12)
+            assert_allclose(fn(pts[i]), vals[i] * np.exp(logs[i]), rtol=1e-12)
+    # the transported exponent stays in logs; the round trip sums the two
+    # transfers' exponents, which cancel
+    assert np.min(np.abs(logs_of["phi"])) > 1e-3
+    assert np.all(logs_of["op"] == 0)
+    assert np.max(np.abs(logs_of["back"])) < 1e-12
 
 
 def test_sampled_function_side_guard():
-    phi = ds.t_star(_test_poly(PARAMS), PARAMS)
+    # the one side guard, in quad.evaluate, reached from each entry point
+    psi = _test_poly(PARAMS)
+    phi = ds.t_star(psi, PARAMS)
+    cfg = quad.MCConfig(samples=100, seed=0)
     with pytest.raises(ValueError):
-        phi.evaluate_batch(np.zeros((1, 1), complex), np.zeros((1, 1, 1), complex))
+        quad.evaluate(phi, np.zeros((1, 1, 1), complex), np.zeros((1, 1), complex), "disk")
+    with pytest.raises(ValueError):
+        quad.mc_hj_inner(psi, psi, 1, PARAMS.m, PARAMS.k, cfg)
+    with pytest.raises(ValueError):
+        quad.mc_dj_gram([psi, phi], 1, PARAMS.m, PARAMS.k, cfg)
+    y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))
+    with pytest.raises(ValueError):
+        ds.t_star(phi, PARAMS)(y)
+    with pytest.raises(ValueError):
+        ds.t_inv(psi, PARAMS)((np.array([[0.2j]]), np.array([0.1])))
+    with pytest.raises(ValueError):
+        phi(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))
 
 
 def test_operator_composition_is_antihomomorphism():

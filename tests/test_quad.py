@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import beta as beta_fn
 
+from sjdomains import discrete_series as ds
 from sjdomains import domains, fockpoly, kernels, numkit, quad
 
 M, K = 0.25, 3
@@ -178,16 +179,64 @@ def test_mc_dj_gram_identity_small():
     assert np.all(err <= 3 * sigma + 1e-9)
 
 
+def _sampled(f):
+    """f as a disk-side SampledFunction, which mc_dj_gram integrates by
+    sampling z instead of the exact-z path."""
+    return ds.SampledFunction(lambda mats, vecs: (f.evaluate_batch(vecs, mats),
+                                                  np.zeros(len(mats))), "disk")
+
+
 def test_mc_dj_gram_exact_z_matches_sampled():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
     funcs = [f for _, f in labeled]
     cfg = quad.MCConfig(samples=60000, seed=8)
-    g_rb, s_rb = quad.mc_dj_gram(funcs, 1, M, K, cfg, exact_z=True)
-    g_mc, s_mc = quad.mc_dj_gram(funcs, 1, M, K, cfg, exact_z=False)
+    g_rb, s_rb = quad.mc_dj_gram(funcs, 1, M, K, cfg)
+    g_mc, s_mc = quad.mc_dj_gram([_sampled(f) for f in funcs], 1, M, K, cfg)
     comb = np.sqrt(s_rb ** 2 + s_mc ** 2)
     assert np.all(np.abs(g_rb - g_mc) <= 4 * comb + 1e-9)
     # the exact-z path cancels odd-parity entries identically
     assert abs(g_rb[0, 1]) < 1e-14
+    # and the sampled path does not: it really sampled z
+    assert abs(g_mc[0, 1]) > 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mc_gram_blocks_match_one_shot(n):
+    # the chunked, blocked driver against one unblocked u u^H over the same
+    # draws; 5001 samples in chunks of 3000 leave partial blocks in both
+    funcs = [fockpoly.basis_f(tuple(s), M) for s in fockpoly.enumerate_multiindices(n, 2)]
+    # a nonzero log part, so the driver's exp(logs + logw / 2) is exercised
+    funcs[1] = ds.SampledFunction(
+        lambda mats, vecs, f=funcs[1]: (f.evaluate_batch(vecs, mats),
+                                        0.5 * np.sum(np.abs(vecs) ** 2, axis=1)), "disk")
+    draws = []
+
+    def draw(rng, ws, mask):
+        # drop |W_11| > 0.9 as well, so that n = 1 has off-domain samples too
+        mask = mask & (np.abs(ws[:, 0, 0]) < 0.9)
+        safe_ws = np.where(mask[:, None, None], ws, 0.0)
+        zs = rng.standard_normal((len(ws), n)) + 1j * rng.standard_normal((len(ws), n))
+        logw = np.where(mask, -np.sum(np.abs(zs) ** 2, axis=1) + np.log(np.arange(len(ws)) + 1.0),
+                        -np.inf)
+        draws.append((safe_ws, zs, logw))
+        return safe_ws, zs, logw, None
+
+    cfg = quad.MCConfig(samples=5001, seed=13, batch=3000)
+    assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
+    gram, sigma = quad._mc_gram(funcs, n, cfg, cfg.batch, draw)
+    ws, zs, logw = (np.concatenate(parts) for parts in zip(*draws))
+    assert len(ws) == cfg.samples and np.any(np.isinf(logw))
+    vals = []
+    for f in funcs:
+        v, logs = quad.evaluate(f, ws, zs, "disk")
+        vals.append(v * np.exp(logs))
+    vals, weight = np.array(vals), np.exp(logw)
+    acc = (vals * weight) @ vals.conj().T
+    acc2 = (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
+    ref = (acc + acc.conj().T) / (2 * cfg.samples)
+    ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
+    assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+    assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
 
 
 def test_exact_z_grams_match_scalar_moments():
@@ -211,15 +260,7 @@ def test_exact_z_grams_match_scalar_moments():
         assert_allclose(gram, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_mc_dj_exact_z_rejects_unsupported():
-    one = fockpoly.PolyFunction.constant(2, 1.0)
-    with pytest.raises(ValueError):
-        quad.mc_dj_gram([one], 2, M, 4, quad.MCConfig(samples=1000, seed=0),
-                        exact_z=True)
-
-
 def test_mc_hj_matches_disk_norm():
-    from sjdomains import discrete_series as ds
     params = ds.ReprParams(1, M, K)
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
     psi = labeled[0][1]
@@ -230,6 +271,20 @@ def test_mc_hj_matches_disk_norm():
     tol = 3 * math.hypot(disk.sigma, space.sigma)
     assert abs(disk.estimate - space.estimate) <= tol
     assert abs(disk.estimate - 1.0) <= 3 * disk.sigma
+
+
+def test_mc_hj_two_function_path():
+    # <phi, phi2> with phi2 a distinct but equal function takes the
+    # two-function path of the driver and must give the same estimate
+    params = ds.ReprParams(1, M, K)
+    psi = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)[3][1]
+    phi, phi2 = ds.t_star(psi, params), ds.t_star(psi, params)
+    cfg = quad.MCConfig(samples=30000, seed=14)
+    one = quad.mc_hj_inner(phi, phi, 1, M, K, cfg)
+    two = quad.mc_hj_inner(phi, phi2, 1, M, K, cfg)
+    assert abs(two.estimate - one.estimate) <= 1e-12 * abs(one.estimate)
+    assert abs(two.sigma - one.sigma) <= 1e-12 * one.sigma
+    assert one.samples == two.samples == cfg.samples
 
 
 def test_pack_unpack_roundtrip():

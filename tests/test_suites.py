@@ -19,9 +19,11 @@ def test_sub_seed_stable():
     assert suites.sub_seed(3, "a") != suites.sub_seed(3, "b")
 
 
-# n=2 runs the suites built on the Gaussian forms and moments of quad;
-# q-basis fails at n=2 (its MC-Cholesky basis, ROADMAP item 1) and is left out
-N2_SUITES = ["gaussian-integrals", "isometry", "orthonormality-fock", "series-gram"]
+# n=2 runs the suites built on the Gaussian forms and moments of quad, and
+# intertwining, which evaluates transported functions pointwise; q-basis
+# fails at n=2 (its MC-Cholesky basis, ROADMAP item 1) and is left out
+N2_SUITES = ["gaussian-integrals", "intertwining", "isometry", "orthonormality-fock",
+             "series-gram"]
 
 
 @pytest.mark.parametrize("name,n", [pytest.param(name, 1, id=name) for name in sorted(suites.SUITES)]
