@@ -5,7 +5,7 @@ Submodules:
   domains           bounded/unbounded models and the partial Cayley transform
   groups            the two Jacobi groups, their isomorphism, and actions
   kernels           automorphy factors, invariant weights, kernel functions
-  fockpoly          polynomial engine: bases, expansions, closed-form kernels
+  fockpoly          polynomial engine: bases and kernel expansions
   quad              exact Gaussian moments and Monte Carlo inner products
   discrete_series   twisted actions, the transfer map, representation suites
   suites            named verification suites

@@ -282,8 +282,8 @@ def _table_expansion_convergence(cfg: SuiteConfig):
     xp = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-a"))
     x = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-b"))
     trunc = fockpoly.TruncationSpec(max_degree=max(cfg.trunc, 4))
-    res = fockpoly.expansion_matching(xp.z, xp.w, x.z, x.w, trunc)
-    closed = fockpoly.matching_kernel_closed(xp.z, xp.w, x.z, x.w)
+    res = fockpoly.expansion_fock_full(xp, x, fockpoly.MATCHING_M, trunc)
+    closed = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
     rows = [(deg, abs(partial - closed))
             for deg, partial in enumerate(res.partials)]
     return rows, closed

@@ -371,7 +371,8 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
         xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=trunc_a)
-        closed = fockpoly.discrete_kernel_closed(xp, x, m, k)
+        closed = (fockpoly.discrete_kernel_constant(m, k)
+                  * kernels.kmk_star_kernel(xp, x, m, k))
         worst_rel = max(worst_rel, abs(approx.value - closed) / abs(closed))
     labeled = fockpoly.series_basis(n, m, k, s_max=4, a_max=3)
     f = labeled[0][1]

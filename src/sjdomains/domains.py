@@ -97,21 +97,6 @@ class SJDiskPoint:
         return self.w.shape[0]
 
 
-def in_disk(w, margin=BOUNDARY_MARGIN):
-    w = numkit.symmetrize(w)
-    try:
-        ok, lam = numkit.posdef_certificate(np.eye(w.shape[0]) - w @ w.conj())
-    except numkit.NotHermitianError:
-        return False
-    return ok and lam > margin
-
-
-def in_upper_half(omega, margin=BOUNDARY_MARGIN):
-    omega = numkit.symmetrize(omega)
-    ok, lam = numkit.posdef_certificate(omega.imag)
-    return ok and lam > margin
-
-
 def cayley_forward(x: SJDiskPoint) -> SJSpacePoint:
     """(W, z) -> (Omega, zeta) = (i(I+W)(I-W)^{-1}, 2iz(I-W)^{-1})."""
     n = x.n
@@ -119,7 +104,7 @@ def cayley_forward(x: SJDiskPoint) -> SJSpacePoint:
     inv = numkit.solve(eye - x.w, eye)
     omega = 1j * (eye + x.w) @ inv
     zeta = 2j * x.z @ inv
-    return SJSpacePoint(numkit.symmetrize(omega), zeta)
+    return SJSpacePoint(omega, zeta)
 
 
 def cayley_inverse(y: SJSpacePoint) -> SJDiskPoint:
@@ -129,7 +114,7 @@ def cayley_inverse(y: SJSpacePoint) -> SJDiskPoint:
     inv = numkit.solve(y.omega + 1j * eye, eye)
     w = (y.omega - 1j * eye) @ inv
     z = y.zeta @ inv
-    return SJDiskPoint(numkit.symmetrize(w), z)
+    return SJDiskPoint(w, z)
 
 
 def batch_cayley_forward(ws, zs):
@@ -165,15 +150,6 @@ def sample_disk_point(n, radius_cap=0.8, seed=None):
     return DiskPoint(radius_cap * m / (1.0 + smax))
 
 
-def sample_upper_half_point(n, seed=None, x_scale=1.0):
-    """Omega = X + iY with X random symmetric, Y = I + S tS."""
-    rng = np.random.default_rng(seed)
-    x = x_scale * numkit.symmetrize(rng.standard_normal((n, n)))
-    s = rng.standard_normal((n, n))
-    y = np.eye(n) + s @ s.T
-    return UpperHalfPoint(x + 1j * y)
-
-
 def _sample_polydisk(rng, n, cap):
     r = cap * np.sqrt(rng.random(n))
     phase = np.exp(2j * np.pi * rng.random(n))
@@ -184,12 +160,6 @@ def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, seed=None):
     rng = np.random.default_rng(seed)
     w = sample_disk_point(n, radius_cap, rng)
     return SJDiskPoint(w.w, _sample_polydisk(rng, n, z_cap))
-
-
-def sample_sj_space_point(n, zeta_cap=2.0, seed=None):
-    rng = np.random.default_rng(seed)
-    om = sample_upper_half_point(n, rng)
-    return SJSpacePoint(om.omega, _sample_polydisk(rng, n, zeta_cap))
 
 
 # --- JSON encoding: complex scalar as [re, im], matrices nested row-major ---

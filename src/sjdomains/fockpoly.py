@@ -1,6 +1,11 @@
 """Polynomial engine: the matching-type polynomials P_s(Z, W), the derived
-orthonormal bases of the Fock-type spaces, and truncated kernel expansions
-with closed-form references.
+orthonormal bases of the Fock-type spaces, and truncated kernel expansions.
+
+There is one kernel expansion, expansion_fock_full: sum f_s(x') conj(f_s(x))
+over |s| <= d.  The matching expansion is its m = MATCHING_M instance and the
+fixed-W expansion its W' = W instance; the discrete-series expansion is a
+constant times it.  The limits are kernels.kmk_star_kernel, the one
+closed-form kernel of the bounded model.
 
 Coefficient exactness policy: P_s coefficients are integers; the scaled basis
 representatives used by the differential-system check keep exact Fraction
@@ -32,16 +37,12 @@ def _key(s, a):
 @dataclass(frozen=True)
 class TruncationSpec:
     """Truncation policy for kernel expansions: keep total degree <= max_degree
-    and estimate the dropped tail either from the last included grade or from
-    a geometric extrapolation of the last two grades."""
+    and estimate the dropped tail by the last included grade."""
     max_degree: int
-    tail_estimate_mode: str = "last-term"
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.tail_estimate_mode not in ("last-term", "geometric-bound"):
-            raise ValueError("unknown tail_estimate_mode %r" % (self.tail_estimate_mode,))
 
 
 @dataclass(frozen=True)
@@ -49,31 +50,6 @@ class TruncationResult:
     value: complex
     tail_estimate: float
     partials: tuple = field(default=(), repr=False)
-
-    def grade_increments(self):
-        out = []
-        prev = 0.0
-        for p in self.partials:
-            out.append(abs(p - prev))
-            prev = p
-        return out
-
-
-def _tail_from_partials(partials, mode):
-    if len(partials) < 2:
-        return float("inf")
-    last = abs(partials[-1] - partials[-2])
-    if mode == "last-term":
-        return last
-    if len(partials) < 3:
-        return float("inf")
-    prev = abs(partials[-2] - partials[-3])
-    if prev == 0.0:
-        return last
-    r = last / prev
-    if r >= 1.0:
-        return float("inf")
-    return last * r / (1.0 - r)
 
 
 class PolyFunction:
@@ -182,19 +158,11 @@ class PolyFunction:
     def z_degree(self):
         return max((sum(s) for (s, _) in self.terms), default=0)
 
-    def w_degree(self):
-        return max((sum(a.upper) for (_, a) in self.terms), default=0)
-
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1].upper))
 
     def has_exact_coeffs(self):
         return all(_is_exact(c) for c in self.terms.values())
-
-    def map_coeffs(self, fn):
-        res = PolyFunction(self.n)
-        res.terms = {k: fn(c) for k, c in self.terms.items() if fn(c) != 0}
-        return res
 
     def flip_w(self):
         """Substitute W -> -W: each stored W_ij picks up one sign."""
@@ -314,7 +282,7 @@ def p_s(s: tuple) -> PolyFunction:
     return PolyFunction(n, terms)
 
 
-def p_s_from_generating(s: tuple, extra_degree: int = 0) -> PolyFunction:
+def p_s_from_generating(s: tuple) -> PolyFunction:
     """Independent construction of P_s: s! times the U^s Taylor coefficient of
     exp(U tZ + U W tU / 2), computed by exact truncated series arithmetic."""
     s = tuple(int(v) for v in s)
@@ -347,7 +315,7 @@ def p_s_from_generating(s: tuple, extra_degree: int = 0) -> PolyFunction:
     expo = dict(gens)
     series = {(zero_s, zero_s, zero_a): Fraction(1)}
     power = {(zero_s, zero_s, zero_a): Fraction(1)}
-    for j in range(1, total + extra_degree + 1):
+    for j in range(1, total + 1):
         power = mul(power, expo)
         inv = Fraction(1, math.factorial(j))
         for key, c in power.items():
@@ -520,76 +488,32 @@ def express_in_matching_basis(f: PolyFunction, m: float):
     return out
 
 
-# --- kernel expansions against closed forms ---
+# --- kernel expansions ---
 
-def matching_kernel_closed(zp, wp, z, w) -> complex:
-    """det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z) evaluated at the given
-    (capital) variables."""
-    wp = numkit.symmetrize(wp)
-    w = numkit.symmetrize(w)
-    gram = np.eye(w.shape[0]) - wp @ w.conj()
-    return complex(numkit.det_power(gram, -0.5) * np.exp(kernels.a_polar((wp, zp), (w, z))))
-
-
-def _graded_sum(n, trunc: TruncationSpec, term) -> TruncationResult:
-    """sum of term(s) over |s| <= trunc.max_degree, one partial sum per
-    degree."""
-    partials, total = [], 0j
-    for d in range(trunc.max_degree + 1):
-        for s in numkit._fixed_total(n, d):
-            total += term(s)
-        partials.append(total)
-    return TruncationResult(total, _tail_from_partials(partials, trunc.tail_estimate_mode),
-                            tuple(partials))
-
-
-def expansion_matching(zp, wp, z, w, trunc: TruncationSpec) -> TruncationResult:
-    """sum over |s| <= d of P_s(Z', W') conj(P_s(Z, W)) / s!."""
-    zp = numkit.as_row_vector(zp)
-
-    def term(s):
-        poly = p_s(s)
-        return poly.evaluate(zp, wp) * np.conj(poly.evaluate(z, w)) / mi_factorial(s)
-
-    return _graded_sum(zp.shape[0], trunc, term)
-
-
-def fock_at_w_closed(w, zp, z, m: float) -> complex:
-    w = numkit.symmetrize(w)
-    gram = np.eye(w.shape[0]) - w @ w.conj()
-    expo = 8.0 * math.pi * m * kernels.a_polar((w, zp), (w, z))
-    return complex(numkit.det_power(gram, -0.5) * np.exp(expo))
-
-
-def expansion_fock_at_w(w, zp, z, m: float, trunc: TruncationSpec) -> TruncationResult:
-    """sum over |s| <= d of Phi_{W,s}(z') conj(Phi_{W,s}(z)) at fixed W."""
-    zp = numkit.as_row_vector(zp)
-
-    def term(s):
-        phi = basis_phi(w, s, m)
-        return phi.evaluate(zp) * np.conj(phi.evaluate(z))
-
-    return _graded_sum(zp.shape[0], trunc, term)
-
-
-def fock_full_closed(xp, x, m: float) -> complex:
-    wp, zp = kernels._wz(xp)
-    w, z = kernels._wz(x)
-    gram = np.eye(w.shape[0]) - wp @ w.conj()
-    expo = 8.0 * math.pi * m * kernels.a_polar(xp, x)
-    return complex(numkit.det_power(gram, -0.5) * np.exp(expo))
+# At this m, f_s = P_s / sqrt(s!) and 8 pi m A = A exactly in floating point,
+# so the Fock kernel is the matching kernel det(I - W' conj(W))^{-1/2}
+# exp A(W', z'; W, z).
+MATCHING_M = 1.0 / (8.0 * math.pi)
 
 
 def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationResult:
-    """sum over |s| <= d of f_s(W', z') conj(f_s(W, z))."""
+    """sum over |s| <= d of f_s(W', z') conj(f_s(W, z)), one partial sum per
+    degree; its limit is kernels.kmk_star_kernel(xp, x, m, 1/2).
+
+    At m = MATCHING_M it is the matching expansion
+    sum P_s(z', W') conj(P_s(z, W)) / s!; at W' = W it is the fixed-W
+    expansion over basis_phi(W, s, m), since basis_phi(W, s, m)(z) =
+    f_s(W, z)."""
     wp, zp = kernels._wz(xp)
     w, z = kernels._wz(x)
-
-    def term(s):
-        f = basis_f(s, m)
-        return f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
-
-    return _graded_sum(len(zp), trunc, term)
+    partials, total = [], 0j
+    for d in range(trunc.max_degree + 1):
+        for s in numkit._fixed_total(len(zp), d):
+            f = basis_f(s, m)
+            total += f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
+        partials.append(total)
+    tail = abs(partials[-1] - partials[-2]) if len(partials) > 1 else float("inf")
+    return TruncationResult(total, tail, tuple(partials))
 
 
 def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
@@ -607,28 +531,21 @@ def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
     return float(8.0 * m * (float(k) - 1.5))
 
 
-def discrete_kernel_closed(xp, x, m: float, k) -> complex:
-    wp, _ = kernels._wz(xp)
-    n = wp.shape[0]
-    return discrete_kernel_constant(m, k, n) * kernels.kmk_star_kernel(xp, x, m, k)
-
-
 def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
                               a_max: int) -> TruncationResult:
-    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)); n=1."""
-    wp, zp = kernels._wz(xp)
-    w, z = kernels._wz(x)
-    n = len(zp)
+    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)); n=1.
+
+    F_{s,a} = (8 pi m)^{n/2} f_s q_a, so the sum factors as (8 pi m)^n times
+    sum_a q_a(W') conj(q_a(W)) times the partial sums of expansion_fock_full;
+    its limit is discrete_kernel_constant(m, k) * kmk_star_kernel(xp, x, m, k)."""
+    wp, _ = kernels._wz(xp)
+    w, _ = kernels._wz(x)
+    n = wp.shape[0]
     if n != 1:
         raise ValueError("reference constant implemented for n = 1 only")
-    qs = q_basis(n, k, a_max)
-    qvp = [q.evaluate(None, wp) for q in qs]
-    qv = [q.evaluate(None, w) for q in qs]
-    scale = float((8.0 * math.pi * m) ** n)
-
-    def term(s):
-        f = basis_f(s, m)
-        base = scale * f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
-        return base * sum(qp * np.conj(qq) for qp, qq in zip(qvp, qv))
-
-    return _graded_sum(n, trunc, term)
+    qsum = sum(q.evaluate(None, wp) * np.conj(q.evaluate(None, w))
+               for q in q_basis(n, k, a_max))
+    scale = float((8.0 * math.pi * m) ** n) * qsum
+    res = expansion_fock_full(xp, x, m, trunc)
+    return TruncationResult(scale * res.value, abs(scale) * res.tail_estimate,
+                            tuple(scale * p for p in res.partials))

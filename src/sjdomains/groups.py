@@ -260,13 +260,13 @@ def theta_inv(gs: JacobiStarElement) -> JacobiElement:
 def act_upper_half(sigma: SpElement, pt: UpperHalfPoint) -> UpperHalfPoint:
     den = sigma.c @ pt.omega + sigma.d
     om = right_divide(sigma.a @ pt.omega + sigma.b, den)
-    return UpperHalfPoint(numkit.symmetrize(om))
+    return UpperHalfPoint(om)
 
 
 def act_disk(omega: SpStarElement, pt: DiskPoint) -> DiskPoint:
     den = omega.q.conj() @ pt.w + omega.p.conj()
     w = right_divide(omega.p @ pt.w + omega.q, den)
-    return DiskPoint(numkit.symmetrize(w))
+    return DiskPoint(w)
 
 
 def act_sj_space(g: JacobiElement, x: SJSpacePoint) -> SJSpacePoint:
@@ -274,7 +274,7 @@ def act_sj_space(g: JacobiElement, x: SJSpacePoint) -> SJSpacePoint:
     den = sigma.c @ x.omega + sigma.d
     om = right_divide(sigma.a @ x.omega + sigma.b, den)
     nu = x.zeta + h.lam @ x.omega + h.mu
-    return SJSpacePoint(numkit.symmetrize(om), right_divide(nu, den))
+    return SJSpacePoint(om, right_divide(nu, den))
 
 
 def act_sj_disk(gs: JacobiStarElement, x: SJDiskPoint) -> SJDiskPoint:
@@ -282,7 +282,7 @@ def act_sj_disk(gs: JacobiStarElement, x: SJDiskPoint) -> SJDiskPoint:
     den = q.conj() @ x.w + p.conj()
     w = right_divide(p @ x.w + q, den)
     nu = x.z + gs.alpha @ x.w + gs.alpha.conj()
-    return SJDiskPoint(numkit.symmetrize(w), right_divide(nu, den))
+    return SJDiskPoint(w, right_divide(nu, den))
 
 
 # --- seeded random elements ---

@@ -180,18 +180,15 @@ def kmk_kernel(yp, y, m, k) -> complex:
 
 
 def kmk_star_weight(x, m, k) -> float:
-    """det(I - W conj(W))^{-k} exp(8 pi m A(W, z))."""
-    w, z = _wz(x)
-    gram = np.eye(w.shape[0]) - w @ w.conj()
-    return float(numkit.det_power(gram, -k).real * np.exp(8.0 * np.pi * m * a_form(w, z).real))
+    """det(I - W conj(W))^{-k} exp(8 pi m A(W, z)): the kernel diagonal."""
+    return float(kmk_star_kernel(x, x, m, k).real)
 
 
 def kmk_star_weight_flipped(x, m, k) -> float:
     """det(I - W conj(W))^{-k} exp(8 pi m A(-W, z)): the action-invariant
     variant (the plain one transforms with an extra z-independent factor)."""
     w, z = _wz(x)
-    gram = np.eye(w.shape[0]) - w @ w.conj()
-    return float(numkit.det_power(gram, -k).real * np.exp(8.0 * np.pi * m * a_form(-w, z).real))
+    return kmk_star_weight((-w, z), m, k)
 
 
 def kmk_star_kernel(xp, x, m, k) -> complex:

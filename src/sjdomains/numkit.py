@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 COND_GUARD = 1e12
 POSDEF_THRESHOLD = 1e-12
@@ -63,28 +64,24 @@ def symmetrize(M):
 def solve(A, B):
     """Solve A X = B, guarding against ill conditioning.
 
-    Raises IllConditionedError (carrying the condition estimate) when the
-    1-norm condition estimate exceeds COND_GUARD, SingularMatrixError when
-    the factorization fails outright.
+    One LU factorization gives the solve and the guard: it raises
+    SingularMatrixError when the factorization meets an exactly zero pivot,
+    and IllConditionedError (carrying the condition estimate) when the LAPACK
+    1-norm condition estimate exceeds COND_GUARD.
     """
     A = as_square(A)
     B = np.asarray(B, dtype=complex)
-    cond = _cond_estimate(A)
-    if not np.isfinite(cond) or cond > COND_GUARD:
+    lu, piv, info = lapack.zgetrf(A)
+    if info > 0:
+        raise SingularMatrixError(f"matrix is exactly singular (zero pivot {info})")
+    rcond, _ = lapack.zgecon(lu, np.linalg.norm(A, 1), norm="1")
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    if cond > COND_GUARD:
         raise IllConditionedError(
             f"condition estimate {cond:.3e} exceeds guard {COND_GUARD:.1e}",
             cond_estimate=cond)
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularMatrixError(str(exc)) from exc
-
-
-def _cond_estimate(A):
-    try:
-        return np.linalg.cond(A, 2)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        return np.inf
+    x, _ = lapack.zgetrs(lu, piv, B)
+    return x
 
 
 def inv(A):
@@ -130,11 +127,6 @@ def mi_factorial(s):
     for si in s:
         out *= math.factorial(si)
     return out
-
-
-def mi_leq(s, r):
-    # componentwise partial order
-    return len(s) == len(r) and all(si <= ri for si, ri in zip(s, r))
 
 
 def enumerate_multiindices(n, max_total):
@@ -208,9 +200,6 @@ class SymIndex:
     def total(self):
         # |a| = sum over the full matrix
         return int(self.full().sum())
-
-    def atilde(self):
-        return tuple(int(c) for c in self.full().sum(axis=0))
 
     def ahat(self):
         return int(np.trace(self.full()))

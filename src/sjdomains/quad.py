@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, numkit
+from . import domains, kernels, numkit
 from .domains import SJDiskPoint, SJSpacePoint
 from .fockpoly import PolyFunction
 
@@ -197,25 +197,19 @@ def gauss_hermite_moment(pairs: dict, form: GaussianForm, order: int = 40) -> co
 
 # --- Fock inner products and the calibration constant ---
 
-def fock_inner(f: PolyFunction, g: PolyFunction, w, m,
-               normalization: str = "calibrated") -> complex:
+def fock_inner(f: PolyFunction, g: PolyFunction, w, m) -> complex:
     """Inner product of z-polynomials in the fixed-W Fock space:
     prefactor det(I - W conj(W))^{-1/2} pi^{-n} integral of
     f conj(g) exp(-8 pi m A(W, z)) dLeb(z), evaluated exactly.
 
-    normalization: 'calibrated' uses the constant that makes the basis
-    orthonormal ((8 pi m)^n); 'reference' uses (2 pi m)^n and is off by the
-    reported ratio."""
+    The constant (8 pi m)^n is the one that makes the basis orthonormal; the
+    reference constant (2 pi m)^n is off by the ratio calibrate_norms
+    reports."""
     if hasattr(w, "w"):
         w = w.w
     w = numkit.symmetrize(w)
     n = w.shape[0]
-    if normalization == "calibrated":
-        pref = (8.0 * math.pi * m) ** n
-    elif normalization == "reference":
-        pref = (2.0 * math.pi * m) ** n
-    else:
-        raise ValueError("normalization must be 'calibrated' or 'reference'")
+    pref = (8.0 * math.pi * m) ** n
     form = GaussianForm.from_disk_weight(w, m, flip=False)
     gram = np.eye(n) - w @ w.conj()
     det_part = numkit.det_power(gram, -0.5)
@@ -257,7 +251,7 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
         for r, cq in coeffs.items():
             pairs[(s, r)] = cp * np.conj(cq)
     lhs = gaussian_moment(pairs, GaussianForm.identity(n)) / math.pi ** n
-    rhs = fockpoly.matching_kernel_closed(zp_v, wp, z_v, w)
+    rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 
 
@@ -488,8 +482,8 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
 def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     """Two-function case of mc_dj_gram; see there for the conventions."""
     t0 = time.perf_counter()
-    gram, sigma = mc_dj_gram([psi1, psi2], n, m, k, cfg)
-    return MCEstimate(complex(gram[0, 1]), float(sigma[0, 1]), cfg.samples,
+    gram, sigma = mc_dj_gram([psi1] if psi2 is psi1 else [psi1, psi2], n, m, k, cfg)
+    return MCEstimate(complex(gram[0, -1]), float(sigma[0, -1]), cfg.samples,
                       cfg.seed, time.perf_counter() - t0)
 
 

@@ -137,10 +137,6 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_report_json(report: VerifyReport, path):
-    atomic_write_text(path, report.to_json())
-
-
 def matrix_csv_text(matrix, row_labels, col_labels, sigma=None) -> str:
     """Long-format CSV of a (Gram) matrix: indices, labels, estimate, sigma."""
     matrix = np.asarray(matrix)

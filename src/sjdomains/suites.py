@@ -245,9 +245,9 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
     checks = []
     spec = fockpoly.TruncationSpec(max_degree=14)
     if n == 1:
-        fixed = fockpoly.expansion_matching(np.zeros(1), 0.3 * np.eye(1),
-                                            np.zeros(1), 0.3 * np.eye(1),
-                                            fockpoly.TruncationSpec(max_degree=20))
+        point = (0.3 * np.eye(1), np.zeros(1))
+        fixed = fockpoly.expansion_fock_full(point, point, fockpoly.MATCHING_M,
+                                             fockpoly.TruncationSpec(max_degree=20))
         target = 0.91 ** -0.5
         checks.append(residual_check("matching-fixed-point",
                                      abs(fixed.value - target), 1e-8,
@@ -257,18 +257,18 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
     for _ in range(pairs):
         xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        res = fockpoly.expansion_matching(xp.z, xp.w, x.z, x.w, spec)
-        closed = fockpoly.matching_kernel_closed(xp.z, xp.w, x.z, x.w)
-        worst["matching"] = max(worst["matching"], abs(res.value - closed))
-        res = fockpoly.expansion_fock_at_w(x.w, xp.z, x.z, m, spec)
-        closed = fockpoly.fock_at_w_closed(x.w, xp.z, x.z, m)
-        worst["fock-at-w"] = max(worst["fock-at-w"], abs(res.value - closed))
-        res = fockpoly.expansion_fock_full(xp, x, m, spec)
-        closed = fockpoly.fock_full_closed(xp, x, m)
-        worst["fock-full"] = max(worst["fock-full"], abs(res.value - closed))
+        # the matching kernel is the Fock kernel at m = MATCHING_M, and the
+        # fixed-W one the Fock kernel with W' = W
+        for name, pair_xp, pair_m in (("matching", xp, fockpoly.MATCHING_M),
+                                      ("fock-at-w", (x.w, xp.z), m),
+                                      ("fock-full", xp, m)):
+            res = fockpoly.expansion_fock_full(pair_xp, x, pair_m, spec)
+            closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
+            worst[name] = max(worst[name], abs(res.value - closed))
         if n == 1:
             res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
-            closed = fockpoly.discrete_kernel_closed(xp, x, m, k)
+            closed = (fockpoly.discrete_kernel_constant(m, k)
+                      * kernels.kmk_star_kernel(xp, x, m, k))
             worst["discrete"] = max(worst["discrete"], abs(res.value - closed))
     for name in ("matching", "fock-at-w", "fock-full"):
         checks.append(residual_check(name, worst[name], tol))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sjdomains import domains, fockpoly, numkit
-from sjdomains.fockpoly import PolyFunction
+from sjdomains import domains, fockpoly, kernels, numkit
+from sjdomains.fockpoly import MATCHING_M, PolyFunction, TruncationSpec
 
 M, K = 0.25, 3
 
@@ -99,33 +99,71 @@ def test_express_in_matching_basis_roundtrip():
     assert (rebuilt - f).is_zero()
 
 
+def _pairs(n, seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31))),
+               domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31))))
+
+
+def _graded_partials(n, max_degree, term):
+    partials, total = [], 0j
+    for d in range(max_degree + 1):
+        for s in fockpoly.enumerate_multiindices(n, d):
+            if sum(s) == d:
+                total += term(tuple(s))
+        partials.append(total)
+    return partials
+
+
 def test_matching_expansion_fixed_point():
     # both sides equal (1 - 0.3^2)^(-1/2) at the coincident real point
-    res = fockpoly.expansion_matching(np.zeros(1), 0.3 * np.eye(1),
-                                      np.zeros(1), 0.3 * np.eye(1),
-                                      fockpoly.TruncationSpec(max_degree=20))
+    point = (0.3 * np.eye(1), np.zeros(1))
+    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=20))
     assert abs(res.value - 0.91 ** -0.5) < 1e-8
-    closed = fockpoly.matching_kernel_closed(np.zeros(1), 0.3 * np.eye(1),
-                                             np.zeros(1), 0.3 * np.eye(1))
+    closed = kernels.kmk_star_kernel(point, point, MATCHING_M, 0.5)
     assert_allclose(closed, 0.91 ** -0.5, rtol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_expansions_converge_on_safe_pairs(n):
-    rng = np.random.default_rng(10 + n)
-    spec = fockpoly.TruncationSpec(max_degree=12)
-    for _ in range(5):
-        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        res = fockpoly.expansion_matching(xp.z, xp.w, x.z, x.w, spec)
-        closed = fockpoly.matching_kernel_closed(xp.z, xp.w, x.z, x.w)
-        assert abs(res.value - closed) < 1e-5
-        res = fockpoly.expansion_fock_at_w(x.w, xp.z, x.z, M, spec)
-        closed = fockpoly.fock_at_w_closed(x.w, xp.z, x.z, M)
-        assert abs(res.value - closed) < 1e-5
-        res = fockpoly.expansion_fock_full(xp, x, M, spec)
-        closed = fockpoly.fock_full_closed(xp, x, M)
-        assert abs(res.value - closed) < 1e-5
+    spec = TruncationSpec(max_degree=12)
+    for xp, x in _pairs(n, 10 + n, 5):
+        # matching (m = MATCHING_M), fixed W (W' = W) and full Fock kernels
+        for pair_xp, m in ((xp, MATCHING_M), ((x.w, xp.z), M), (xp, M)):
+            res = fockpoly.expansion_fock_full(pair_xp, x, m, spec)
+            closed = kernels.kmk_star_kernel(pair_xp, x, m, 0.5)
+            assert abs(res.value - closed) < 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matching_instance_is_the_p_s_sum(n):
+    # at m = MATCHING_M the Fock expansion is sum P_s(z', W') conj P_s(z, W) / s!
+    assert 8.0 * math.pi * MATCHING_M == 1.0
+    max_degree = 6 if n < 3 else 4
+    for xp, x in _pairs(n, 40 + n, 3):
+        res = fockpoly.expansion_fock_full(xp, x, MATCHING_M, TruncationSpec(max_degree))
+        direct = _graded_partials(n, max_degree, lambda s: (
+            fockpoly.p_s(s).evaluate(xp.z, xp.w) * np.conj(fockpoly.p_s(s).evaluate(x.z, x.w))
+            / numkit.mi_factorial(s)))
+        assert_allclose(res.partials, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_w_instance_is_the_basis_phi_sum(n):
+    # basis_phi(W, s, m)(z) = f_s(W, z), so the W' = W Fock expansion is the
+    # fixed-W expansion over basis_phi
+    max_degree = 6 if n == 1 else 4
+    for xp, x in _pairs(n, 50 + n, 3):
+        for s in fockpoly.enumerate_multiindices(n, max_degree):
+            s = tuple(s)
+            assert_allclose(fockpoly.basis_phi(x.w, s, M).evaluate(x.z),
+                            fockpoly.basis_f(s, M).evaluate(x.z, x.w), rtol=1e-12)
+        res = fockpoly.expansion_fock_full((x.w, xp.z), x, M, TruncationSpec(max_degree))
+        direct = _graded_partials(n, max_degree, lambda s: (
+            fockpoly.basis_phi(x.w, s, M).evaluate(xp.z)
+            * np.conj(fockpoly.basis_phi(x.w, s, M).evaluate(x.z))))
+        assert_allclose(res.partials, direct, rtol=1e-12)
 
 
 def test_discrete_kernel_constant_value():
@@ -134,14 +172,24 @@ def test_discrete_kernel_constant_value():
 
 
 def test_discrete_kernel_expansion():
-    rng = np.random.default_rng(30)
-    spec = fockpoly.TruncationSpec(max_degree=12)
-    for _ in range(5):
-        xp = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+    spec = TruncationSpec(max_degree=12)
+    for xp, x in _pairs(1, 30, 5):
         res = fockpoly.expansion_discrete_kernel(xp, x, M, K, spec, a_max=12)
-        closed = fockpoly.discrete_kernel_closed(xp, x, M, K)
+        closed = (fockpoly.discrete_kernel_constant(M, K)
+                  * kernels.kmk_star_kernel(xp, x, M, K))
         assert abs(res.value - closed) / abs(closed) < 1e-5
+
+
+def test_discrete_expansion_is_the_big_f_double_sum():
+    # the factored sum equals sum_{s,a} F_sa(x') conj F_sa(x), grade by grade
+    s_max, a_max = 4, 2
+    qs = fockpoly.q_basis(1, K, a_max)
+    for xp, x in _pairs(1, 60, 3):
+        res = fockpoly.expansion_discrete_kernel(xp, x, M, K, TruncationSpec(s_max), a_max)
+        direct = _graded_partials(1, s_max, lambda s: sum(
+            big_f.evaluate(xp.z, xp.w) * np.conj(big_f.evaluate(x.z, x.w))
+            for big_f in (fockpoly.basis_big_f(s, q, M) for q in qs)))
+        assert_allclose(res.partials, direct, rtol=1e-12)
 
 
 def test_q_basis_closed_form_n1():
@@ -166,9 +214,8 @@ def test_series_basis_labels():
 
 
 def test_truncation_result_tail_decreases():
-    res = fockpoly.expansion_matching(np.zeros(1), 0.3 * np.eye(1),
-                                      np.zeros(1), 0.3 * np.eye(1),
-                                      fockpoly.TruncationSpec(max_degree=14))
+    point = (0.3 * np.eye(1), np.zeros(1))
+    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=14))
     resid = [abs(p - 0.91 ** -0.5) for p in res.partials]
     assert resid[-1] < resid[0]
     assert resid[-1] < 1e-6

@@ -32,6 +32,25 @@ def test_solve_matches_numpy_and_flags_singular():
         numkit.solve(np.zeros((2, 2)), np.ones(2))
 
 
+def test_solve_guard_flags_ill_conditioned():
+    with pytest.raises(numkit.IllConditionedError) as info:
+        numkit.solve(np.diag([1.0, 1e-13]), np.ones(2))
+    assert info.value.cond_estimate > 1e12
+
+
+def test_solve_flags_exactly_singular():
+    with pytest.raises(numkit.SingularMatrixError):
+        numkit.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+
+def test_solve_well_conditioned_complex():
+    rng = np.random.default_rng(4)
+    mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
+    rhs = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    assert_allclose(numkit.solve(mat, rhs), np.linalg.solve(mat, rhs), rtol=1e-13)
+    assert_allclose(numkit.solve(mat, rhs[:, 0]), np.linalg.solve(mat, rhs[:, 0]), rtol=1e-13)
+
+
 def test_det_power_integer_matches_plain_power():
     rng = np.random.default_rng(2)
     mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 4 * np.eye(3)

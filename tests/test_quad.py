@@ -117,16 +117,6 @@ def test_fock_inner_orthonormal():
             assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
 
 
-def test_fock_inner_reference_normalization_ratio():
-    w = np.zeros((1, 1))
-    phi0 = fockpoly.basis_phi(w, (0,), M)
-    calibrated = quad.fock_inner(phi0, phi0, w, M)
-    reference = quad.fock_inner(phi0, phi0, w, M, normalization="reference")
-    assert_allclose(calibrated / reference, 4.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        quad.fock_inner(phi0, phi0, w, M, normalization="bogus")
-
-
 def test_calibrate_norms_values():
     cal = quad.calibrate_norms(1, M)
     assert_allclose(cal["constant"], 8 * math.pi * M, rtol=1e-12)
@@ -285,6 +275,22 @@ def test_mc_hj_two_function_path():
     assert abs(two.estimate - one.estimate) <= 1e-12 * abs(one.estimate)
     assert abs(two.sigma - one.sigma) <= 1e-12 * one.sigma
     assert one.samples == two.samples == cfg.samples
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mc_dj_inner_same_function_path(n):
+    # <psi, psi> integrates the one-function Gram; a distinct but equal psi2
+    # takes the two-function path and must give the same estimate
+    s = (1,) + (0,) * (n - 1)
+    psi, psi2 = fockpoly.basis_f(s, M), fockpoly.basis_f(s, M)
+    cfg = quad.MCConfig(samples=20000, seed=15)
+    one = quad.mc_dj_inner(psi, psi, n, M, K, cfg)
+    gram, sigma = quad.mc_dj_gram([psi], n, M, K, cfg)
+    assert one.estimate == gram[0, 0]
+    assert one.sigma == sigma[0, 0]
+    two = quad.mc_dj_inner(psi, psi2, n, M, K, cfg)
+    assert abs(two.estimate - one.estimate) <= 1e-12 * abs(one.estimate)
+    assert abs(two.sigma - one.sigma) <= 1e-12 * one.sigma
 
 
 def test_pack_unpack_roundtrip():

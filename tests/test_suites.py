@@ -22,8 +22,8 @@ def test_sub_seed_stable():
 # n=2 runs the suites built on the Gaussian forms and moments of quad, and
 # intertwining, which evaluates transported functions pointwise; q-basis
 # fails at n=2 (its MC-Cholesky basis, ROADMAP item 1) and is left out
-N2_SUITES = ["gaussian-integrals", "intertwining", "isometry", "orthonormality-fock",
-             "series-gram"]
+N2_SUITES = ["expansions", "gaussian-integrals", "intertwining", "isometry",
+             "orthonormality-fock", "series-gram"]
 
 
 @pytest.mark.parametrize("name,n", [pytest.param(name, 1, id=name) for name in sorted(suites.SUITES)]
