@@ -10,10 +10,12 @@ covariances E[z t(z)] and E[z z^*], again for one covariance or a stack.
 
 Every function is evaluated through one protocol, evaluate(fn, mats, vecs,
 side) -> (vals, logs) on stacked points, the value being vals * exp(logs).
-The Monte Carlo engines are one streaming driver, _mc_gram, that draws W in
-chunks and contracts the Gram in blocks of _BLOCK samples; each engine only
-supplies its draw (evaluation points and log weight, or the conditional
-z-covariance when the z-integral is exact).
+The Monte Carlo engines are one streaming driver, _mc_gram, that proposes W
+from the polydisk in chunks, keeps the draws that lie in the domain and
+contracts the Gram over them in blocks of _BLOCK samples; each engine only
+supplies its draw on the accepted W (evaluation points and log weight, or the
+conditional z-covariance when the z-integral is exact).  Rejected proposals
+cost only the membership test and count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -280,10 +282,24 @@ def _upper_dim(n):
     return n * (n + 1) // 2
 
 
+def _in_domain(ws):
+    """Membership of a stack ws (N, n, n) of symmetric W in the bounded
+    domain, I - W conj(W) > 0, by a Cholesky elimination vectorised over the
+    stack: n steps on (N,) arrays, W inside when every pivot is positive."""
+    rest = np.eye(ws.shape[-1]) - ws @ ws.conj()
+    inside = np.ones(len(ws), dtype=bool)
+    for _ in range(ws.shape[-1]):
+        pivot = rest[:, 0, 0].real
+        inside &= pivot > 0
+        pivot = np.where(inside, pivot, 1.0)[:, None, None]
+        rest = rest[:, 1:, 1:] - rest[:, 1:, :1] * rest[:, :1, 1:] / pivot
+    return inside
+
+
 def _sample_w(rng, count, n):
     """Symmetric W with independent uniform unit-disk upper entries, plus the
-    indicator of membership in the bounded domain (largest singular value < 1).
-    Proposal density pi^{-n(n+1)/2} on the polydisk."""
+    indicator of membership in the bounded domain (_in_domain).  Proposal
+    density pi^{-n(n+1)/2} on the polydisk."""
     d = _upper_dim(n)
     radii = np.sqrt(rng.uniform(size=(count, d)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, d))
@@ -292,22 +308,19 @@ def _sample_w(rng, count, n):
     for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
         ws[:, i, j] = entries[:, idx]
         ws[:, j, i] = entries[:, idx]
-    if n == 1:
-        mask = np.abs(ws[:, 0, 0]) < 1.0
-    else:
-        smax = np.linalg.svd(ws, compute_uv=False)[:, 0]
-        mask = smax < 1.0
-    return ws, mask
+    return ws, _in_domain(ws)
 
 
-def _sample_z_given_w(rng, qmats):
-    """z ~ density exp(-x^T Q x) / Z per sample; returns zs and the per-sample
-    normalizer Z = pi^n det(Q)^{-1/2}."""
-    count, dim = qmats.shape[0], qmats.shape[1]
+def _sample_z_given_w(rng, qmats, mask):
+    """z ~ density exp(-x^T Q x) / Z per accepted sample; returns zs and the
+    per-sample normalizer Z = pi^n det(Q)^{-1/2}.  The normal draws cover
+    every proposal of the chunk (mask) and the accepted rows are kept, so the
+    random stream does not depend on which proposals were accepted."""
+    dim = qmats.shape[1]
     n = dim // 2
     cov = np.linalg.inv(qmats) / 2.0
     chol = np.linalg.cholesky(cov)
-    gauss = rng.standard_normal((count, dim))
+    gauss = rng.standard_normal((len(mask), dim))[mask]
     xs = np.einsum("bij,bj->bi", chol, gauss)
     zs = xs[:, :n] + 1j * xs[:, n:]
     znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
@@ -372,15 +385,18 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk"):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
     E[f_i conj(f_j) weight] and its standard errors.
 
-    Each chunk of `chunk` samples draws W from the polydisk, then calls
-    draw(rng, ws, mask) -> (mats, vecs, logw, cov): the points at which the
-    functions are evaluated on `side`, the log weight (-inf off the domain),
-    and, for exact-z engines, the real covariance of the conditional
-    z-Gaussian (else None).  The contraction runs in blocks of _BLOCK
-    samples: sampled, u = vals exp(logs + logw / 2) and the Gram adds u u^H;
-    exact-z, the per-sample Grams S T S^H weighted by exp(logw).  The result
-    is Hermitian by construction, so mirror entries tie exactly and the worst
-    entry of a Gram does not depend on roundoff."""
+    Each chunk of `chunk` proposals draws W from the polydisk, then calls
+    draw(rng, ws, mask) -> (mats, vecs, logw, cov) on the accepted ws only
+    (mask marks them among the chunk's proposals): the points at which the
+    functions are evaluated on `side`, the log weight, and, for exact-z
+    engines, the real covariance of the conditional z-Gaussian (else None).
+    A rejected proposal has weight 0: it counts in the denominator, the
+    number of proposals, and nowhere else.  The contraction runs over the
+    accepted samples in blocks of _BLOCK: sampled, u = vals exp(logs +
+    logw / 2) and the Gram adds u u^H; exact-z, the per-sample Grams S T S^H
+    weighted by exp(logw).  The result is Hermitian by construction, so
+    mirror entries tie exactly and the worst entry of a Gram does not depend
+    on roundoff."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(funcs)
     acc = np.zeros((nf, nf), dtype=complex)
@@ -389,8 +405,8 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk"):
     while done < cfg.samples:
         count = min(chunk, cfg.samples - done)
         ws, mask = _sample_w(rng, count, n)
-        mats, vecs, logw, cov = draw(rng, ws, mask)
-        for lo in range(0, count, _BLOCK):
+        mats, vecs, logw, cov = draw(rng, ws[mask], mask)
+        for lo in range(0, len(mats), _BLOCK):
             blk = slice(lo, lo + _BLOCK)
             if cov is None:
                 parts = [evaluate(f, mats[blk], vecs[blk], side) for f in funcs]
@@ -427,10 +443,9 @@ def _disk_draw(n, k):
     logc = _upper_dim(n) * math.log(math.pi)
 
     def draw(rng, ws, mask):
-        safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        dets = np.linalg.det(np.eye(n)[None] - safe_ws @ safe_ws.conj()).real
-        logw = np.where(mask, (float(k) - n - 1.5) * np.log(dets) + logc, -np.inf)
-        return safe_ws, np.zeros((len(ws), n), dtype=complex), logw, None
+        dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
+        logw = (float(k) - n - 1.5) * np.log(dets) + logc
+        return ws, np.zeros((len(ws), n), dtype=complex), logw, None
 
     return draw
 
@@ -463,17 +478,15 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, mask):
-        safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        qmats = _disk_forms(safe_ws, m, flip=False)
-        dets = np.linalg.det(np.eye(n)[None] - safe_ws @ safe_ws.conj()).real
+        qmats = _disk_forms(ws, m, flip=False)
+        dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
         if exact_z:
             zs, cov = None, np.linalg.inv(qmats) / 2.0
             znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
         else:
-            (zs, znorm), cov = _sample_z_given_w(rng, qmats), None
-        logw = np.where(mask, (float(k) - n - 2) * np.log(dets) + np.log(znorm) + logc,
-                        -np.inf)
-        return safe_ws, zs, logw, cov
+            (zs, znorm), cov = _sample_z_given_w(rng, qmats, mask), None
+        logw = (float(k) - n - 2) * np.log(dets) + np.log(znorm) + logc
+        return ws, zs, logw, cov
 
     chunk = min(cfg.batch, 20000) if exact_z else cfg.batch
     return _mc_gram(polys, n, cfg, chunk, draw)
@@ -502,18 +515,17 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, mask):
-        safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        qmats = _disk_forms(safe_ws, m, flip=True)
-        zs, znorm = _sample_z_given_w(rng, qmats)
-        oms, zetas = domains.batch_cayley_forward(safe_ws, zs)
+        qmats = _disk_forms(ws, m, flip=True)
+        zs, znorm = _sample_z_given_w(rng, qmats, mask)
+        oms, zetas = domains.batch_cayley_forward(ws, zs)
         yims, etas = oms.imag, zetas.imag
         quad = np.einsum("bi,bi->b", np.linalg.solve(yims, etas[:, :, None])[:, :, 0], etas)
         xs = np.concatenate([zs.real, zs.imag], axis=1)
         xqx = np.einsum("bi,bij,bj->b", xs, qmats, xs)
         logw = ((float(k) - n - 2) * np.log(np.linalg.det(yims))
-                - (n + 2) * np.log(np.abs(np.linalg.det(eye[None] - safe_ws)) ** 2)
+                - (n + 2) * np.log(np.abs(np.linalg.det(eye[None] - ws)) ** 2)
                 + np.log(znorm) + logc - 4.0 * np.pi * m * quad + xqx)
-        return oms, zetas, np.where(mask, logw, -np.inf), None
+        return oms, zetas, logw, None
 
     return _mc_inner(phi1, phi2, n, cfg, cfg.batch, draw, side="space")
 

@@ -190,32 +190,48 @@ def test_mc_dj_gram_exact_z_matches_sampled():
     assert abs(g_mc[0, 1]) > 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_mc_gram_blocks_match_one_shot(n):
-    # the chunked, blocked driver against one unblocked u u^H over the same
-    # draws; 5001 samples in chunks of 3000 leave partial blocks in both
+    # the chunked, blocked driver, which hands the draw the accepted W only,
+    # against one unblocked u u^H over *all* proposals with weight 0 off the
+    # domain, replayed on the same seed; 5001 samples in chunks of 3000 leave
+    # partial blocks in both
     funcs = [fockpoly.basis_f(tuple(s), M) for s in fockpoly.enumerate_multiindices(n, 2)]
     # a nonzero log part, so the driver's exp(logs + logw / 2) is exercised
     funcs[1] = ds.SampledFunction(
         lambda mats, vecs, f=funcs[1]: (f.evaluate_batch(vecs, mats),
                                         0.5 * np.sum(np.abs(vecs) ** 2, axis=1)), "disk")
-    draws = []
 
     def draw(rng, ws, mask):
-        # drop |W_11| > 0.9 as well, so that n = 1 has off-domain samples too
-        mask = mask & (np.abs(ws[:, 0, 0]) < 0.9)
-        safe_ws = np.where(mask[:, None, None], ws, 0.0)
-        zs = rng.standard_normal((len(ws), n)) + 1j * rng.standard_normal((len(ws), n))
-        logw = np.where(mask, -np.sum(np.abs(zs) ** 2, axis=1) + np.log(np.arange(len(ws)) + 1.0),
-                        -np.inf)
-        draws.append((safe_ws, zs, logw))
-        return safe_ws, zs, logw, None
+        # z for every proposal, accepted rows kept, as the engines draw it
+        zs = rng.standard_normal((len(mask), n)) + 1j * rng.standard_normal((len(mask), n))
+        zs = zs[mask]
+        rank = np.flatnonzero(mask) + 1.0
+        # drop |W_11| >= 0.9 as well, so that n = 1 has zero weights too
+        logw = np.where(np.abs(ws[:, 0, 0]) < 0.9,
+                        -np.sum(np.abs(zs) ** 2, axis=1) + np.log(rank), -np.inf)
+        return ws, zs, logw, None
 
     cfg = quad.MCConfig(samples=5001, seed=13, batch=3000)
     assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
     gram, sigma = quad._mc_gram(funcs, n, cfg, cfg.batch, draw)
-    ws, zs, logw = (np.concatenate(parts) for parts in zip(*draws))
-    assert len(ws) == cfg.samples and np.any(np.isinf(logw))
+
+    # replay the proposals: polydisk entries, SVD membership, then z
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    d, parts = n * (n + 1) // 2, []
+    for count in (3000, 2001):
+        radii = np.sqrt(rng.uniform(size=(count, d)))
+        entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, d)))
+        ws = np.zeros((count, n, n), dtype=complex)
+        for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
+            ws[:, i, j] = ws[:, j, i] = entries[:, idx]
+        zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        inside = (np.linalg.svd(ws, compute_uv=False)[:, 0] < 1) & (np.abs(ws[:, 0, 0]) < 0.9)
+        logw = np.where(inside, -np.sum(np.abs(zs) ** 2, axis=1) + np.log(np.arange(count) + 1.0),
+                        -np.inf)
+        parts.append((ws, zs, logw))
+    ws, zs, logw = (np.concatenate(p) for p in zip(*parts))
+    assert np.any(np.isinf(logw)) and np.any(np.isfinite(logw))
     vals = []
     for f in funcs:
         v, logs = quad.evaluate(f, ws, zs, "disk")
@@ -227,6 +243,59 @@ def test_mc_gram_blocks_match_one_shot(n):
     ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
     assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
     assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
+
+
+def test_mc_engines_survive_rejected_chunks(monkeypatch):
+    # n = 3 accepts about 0.3% of its polydisk proposals, so on this seed no
+    # chunk of 20 keeps a sample: each draw runs on an empty stack and every
+    # engine returns a zero Gram and sigma
+    masks = []
+    sample_w = quad._sample_w
+
+    def recording(rng, count, n):
+        ws, mask = sample_w(rng, count, n)
+        masks.append(mask)
+        return ws, mask
+
+    monkeypatch.setattr(quad, "_sample_w", recording)
+    cfg = quad.MCConfig(samples=60, seed=5, batch=20)
+    f = fockpoly.basis_f((0, 0, 0), M)
+    space_f = ds.SampledFunction(
+        lambda mats, vecs: (np.ones(len(mats), dtype=complex), np.zeros(len(mats))), "space")
+    results = [quad.mc_disk_gram([f], 3, 4, cfg),
+               quad.mc_dj_gram([_sampled(f)], 3, M, 4, cfg)]
+    est = quad.mc_hj_inner(space_f, space_f, 3, M, 4, cfg)
+    results.append((np.array([[est.estimate]]), np.array([[est.sigma]])))
+    assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
+    for gram, sigma in results:
+        assert np.all(gram == 0) and np.all(sigma == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_membership_matches_svd(n):
+    # the vectorised Cholesky against sigma_max(W) < 1 on polydisk draws, and
+    # on the same draws rescaled to sigma_max = 1 -/+ 1e-10
+    ws, mask = quad._sample_w(np.random.default_rng(70 + n), 10000, n)
+    smax = np.linalg.svd(ws, compute_uv=False)[:, 0]
+    assert np.array_equal(mask, smax < 1)
+    for target, inside in ((1 - 1e-10, True), (1 + 1e-10, False)):
+        scaled = ws * (target / smax)[:, None, None]
+        assert np.all((np.linalg.svd(scaled, compute_uv=False)[:, 0] < 1) == inside)
+        assert np.all(quad._in_domain(scaled) == inside)
+
+
+def test_z_draw_keeps_the_stream():
+    # the z-draw of the accepted W consumes normals for every proposal, so
+    # what follows it in the stream does not depend on the acceptances
+    ws, mask = quad._sample_w(np.random.default_rng(3), 500, 2)
+    assert 0 < mask.sum() < len(mask)
+    qmats = quad._disk_forms(ws[mask], M, flip=True)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    zs, _ = quad._sample_z_given_w(rng, qmats, mask)
+    gauss = ref.standard_normal((len(mask), 4))[mask]
+    xs = np.einsum("bij,bj->bi", np.linalg.cholesky(np.linalg.inv(qmats) / 2.0), gauss)
+    assert_allclose(zs, xs[:, :2] + 1j * xs[:, 2:], rtol=1e-14)
+    assert rng.uniform() == ref.uniform()
 
 
 def test_exact_z_grams_match_scalar_moments():
