@@ -1,6 +1,13 @@
 """Polynomial engine: the matching-type polynomials P_s(Z, W), the derived
 orthonormal bases of the Fock-type spaces, and truncated kernel expansions.
 
+Every P_s comes from one recurrence, p_s_values:
+P_{s+e_i} = Z_i P_s + sum_j s_j W_ij P_{s-e_j}.  Run on PolyFunction monomials
+it builds the integer polynomials p_s; run on numbers it evaluates the Fock
+basis f_s = P_s(sqrt(8 pi m) z, W)/sqrt(s!) at a point; run on z-monomials
+with a numeric W it gives basis_phi.  p_s_from_generating expands the
+generating function exp(U tZ + U W tU / 2) independently, as a check.
+
 There is one kernel expansion, expansion_fock_full: sum f_s(x') conj(f_s(x))
 over |s| <= d.  The matching expansion is its m = MATCHING_M instance and the
 fixed-W expansion its W' = W instance; the discrete-series expansion is a
@@ -15,6 +22,7 @@ normalized bases used by quadrature carry float coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, numkit
-from .numkit import SymIndex, enumerate_multiindices, enumerate_symindices, mi_factorial
+from .numkit import SymIndex, enumerate_multiindices, mi_factorial
 
 
 def _is_exact(c) -> bool:
@@ -260,26 +268,56 @@ class PolyFunction:
 
 # --- the matching-type polynomials ---
 
+def p_s_values(z, w, max_degree: int) -> dict:
+    """{s: P_s(Z, W)} for every |s| <= max_degree, in enumerate_multiindices
+    order, by the rule P_{s+e_i} = Z_i P_s + sum_j s_j W_ij P_{s-e_j} that
+    differentiating the generating function exp(U tZ + U W tU / 2) in U_i
+    gives.
+
+    z is a length-n sequence and w an n x n nested sequence (symmetric).  The
+    rule only adds and multiplies, so their entries may be PolyFunction
+    monomials (p_s), complex numbers (values at a point) or z-monomials with
+    a numeric W (basis_phi)."""
+    vals = {}
+    for s in enumerate_multiindices(len(z), max_degree):
+        i = next((j for j, v in enumerate(s) if v), None)
+        if i is None:
+            vals[s] = z[0] * 0 + 1  # the unit of the entries' ring
+            continue
+        t = _lowered(s, i)
+        acc = z[i] * vals[t]
+        for j, tj in enumerate(t):
+            if tj:
+                acc = acc + w[i][j] * tj * vals[_lowered(t, j)]
+        vals[s] = acc
+    return vals
+
+
+def _lowered(s, i):
+    return s[:i] + (s[i] - 1,) + s[i + 1:]
+
+
+def _z_monomials(n, coeff=1):
+    return [PolyFunction.monomial(n, s=tuple(int(j == i) for j in range(n)), coeff=coeff)
+            for i in range(n)]
+
+
 @lru_cache(maxsize=None)
+def _p_s_table(n: int, degree: int) -> dict:
+    pairs = numkit.upper_pairs(n)
+    w = [[PolyFunction.monomial(n, a=SymIndex(n, tuple(int(p == (min(i, j), max(i, j)))
+                                                         for p in pairs)))
+          for j in range(n)] for i in range(n)]
+    return p_s_values(_z_monomials(n), w, degree)
+
+
 def p_s(s: tuple) -> PolyFunction:
-    """P_s(Z, W) = sum over symmetric multi-indices a with w(a) <= s of
-    s! / (2^ahat a! (s - w(a))!) Z^{s - w(a)} W^a; integer coefficients."""
+    """P_s(Z, W) with integer coefficients, from p_s_values on the monomials
+    Z_i and W_ij; the table of each (n, |s|) is cached."""
     s = tuple(int(v) for v in s)
     if any(v < 0 for v in s):
         raise ValueError("negative exponent")
-    n = len(s)
-    terms = {}
-    sfact = mi_factorial(s)
-    for a in enumerate_symindices(n, max(s) if s else 0):
-        w = a.weight()
-        if any(wv > sv for wv, sv in zip(w, s)):
-            continue
-        t = tuple(sv - wv for sv, wv in zip(s, w))
-        coeff = Fraction(sfact, (2 ** a.ahat()) * a.factorial() * mi_factorial(t))
-        if coeff.denominator != 1:
-            raise ArithmeticError("non-integer matching coefficient")
-        terms[(t, a)] = int(coeff)
-    return PolyFunction(n, terms)
+    return _p_s_table(len(s), sum(s))[s]
 
 
 def p_s_from_generating(s: tuple) -> PolyFunction:
@@ -366,37 +404,32 @@ def basis_f_scaled(s: tuple, m: float) -> PolyFunction:
 
 def basis_phi(w, s: tuple, m: float) -> PolyFunction:
     """Phi_{W,s}(z) = f_s(W, z) with the matrix W substituted numerically:
-    a polynomial in z alone."""
+    a polynomial in z alone, from p_s_values on the monomials sqrt(8 pi m) z_i
+    and the entries of W."""
     s = tuple(int(v) for v in s)
     n = len(s)
     if hasattr(w, "w"):
         w = w.w
     wm = numkit.symmetrize(w) if w is not None else np.zeros((n, n), dtype=complex)
-    f = basis_f(s, m)
-    terms = {}
-    zero_a = SymIndex.zero(n)
-    for (t, a), c in f.terms.items():
-        val = complex(c)
-        for (i, j), e in zip(numkit.upper_pairs(n), a.upper):
-            if e:
-                val *= wm[i, j] ** e
-        key = (t, zero_a)
-        terms[key] = terms.get(key, 0) + val
-    return PolyFunction(n, terms)
+    z = _z_monomials(n, math.sqrt(8.0 * math.pi * m))
+    return p_s_values(z, wm.tolist(), sum(s))[s] * (1.0 / math.sqrt(mi_factorial(s)))
 
 
 def sym_degree_list(n: int, max_degree: int):
-    """Symmetric indices with at most max_degree stored entries, graded order."""
-    return [a for a in enumerate_symindices(n, 2 * max_degree) if sum(a.upper) <= max_degree]
+    """Symmetric indices with at most max_degree stored entries, ordered by
+    (|a|, upper triangle)."""
+    labels = [SymIndex(n, u) for u in enumerate_multiindices(n * (n + 1) // 2, max_degree)]
+    return sorted(labels, key=lambda a: (a.total(), a.upper))
 
 
-def q_basis(n: int, k, max_degree: int, cfg=None):
+def q_basis(n: int, k, max_degree: int):
     """Orthonormal polynomials in W for the weighted measure
     det(I - W conj(W))^{k - n - 3/2} dLeb(W) on the bounded symmetric domain.
 
     n = 1: closed form q_a(w) = w^a / sqrt(pi B(a + 1, k - 3/2)).
-    n >= 2: monomials orthonormalized against a Monte Carlo Gram matrix
-    (Cholesky back-substitution), accurate only to the MC error.
+    n >= 2: monomials orthonormalized against the Monte Carlo Gram matrix of
+    quad.Q_BASIS_MC (Cholesky back-substitution), accurate only to the MC
+    error.
     """
     if not k > n + 0.5:
         raise ValueError("need k > n + 1/2 for a finite-norm basis")
@@ -409,8 +442,7 @@ def q_basis(n: int, k, max_degree: int, cfg=None):
         return out
     from . import quad
     monos = [PolyFunction.monomial(n, a=a, coeff=1.0) for a in sym_degree_list(n, max_degree)]
-    cfg = cfg or quad.MCConfig(samples=200000, seed=20240)
-    gram, _sigma = quad.mc_disk_gram(monos, n, k, cfg)
+    gram, _sigma = quad.mc_disk_gram(monos, n, k, quad.Q_BASIS_MC)
     low = np.linalg.cholesky(gram)
     coeffs = numkit.solve(low.T, np.eye(len(monos)))  # columns: new basis in monomials
     out = []
@@ -430,10 +462,10 @@ def basis_big_f(s: tuple, a_poly: PolyFunction, m: float) -> PolyFunction:
     return basis_f(s, m) * a_poly * float((8.0 * math.pi * m) ** (n / 2.0))
 
 
-def series_basis(n: int, m: float, k, s_max: int, a_max: int, cfg=None):
+def series_basis(n: int, m: float, k, s_max: int, a_max: int):
     """Labeled orthonormal family F_{s,a} with |s| <= s_max and deg q_a <= a_max,
     ordered by (|s|, s, a)."""
-    qs = q_basis(n, k, a_max, cfg)
+    qs = q_basis(n, k, a_max)
     labels_a = sym_degree_list(n, a_max)
     out = []
     for s in enumerate_multiindices(n, s_max):
@@ -500,20 +532,24 @@ def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationRes
     """sum over |s| <= d of f_s(W', z') conj(f_s(W, z)), one partial sum per
     degree; its limit is kernels.kmk_star_kernel(xp, x, m, 1/2).
 
-    At m = MATCHING_M it is the matching expansion
-    sum P_s(z', W') conj(P_s(z, W)) / s!; at W' = W it is the fixed-W
-    expansion over basis_phi(W, s, m), since basis_phi(W, s, m)(z) =
-    f_s(W, z)."""
-    wp, zp = kernels._wz(xp)
-    w, z = kernels._wz(x)
-    partials, total = [], 0j
-    for d in range(trunc.max_degree + 1):
-        for s in numkit._fixed_total(len(zp), d):
-            f = basis_f(s, m)
-            total += f.evaluate(zp, wp) * np.conj(f.evaluate(z, w))
-        partials.append(total)
+    f_s(W, z) = P_s(sqrt(8 pi m) z, W) / sqrt(s!), with the P_s values at
+    both points from one p_s_values run each.  At m = MATCHING_M it is the
+    matching expansion sum P_s(z', W') conj(P_s(z, W)) / s!; at W' = W it is
+    the fixed-W expansion over basis_phi(W, s, m), since
+    basis_phi(W, s, m)(z) = f_s(W, z)."""
+    root = math.sqrt(8.0 * math.pi * m)
+
+    def values(point):
+        w, z = kernels._wz(point)
+        return p_s_values([root * v for v in z.tolist()], w.tolist(), trunc.max_degree)
+
+    vals = values(x)
+    grades = [0j] * (trunc.max_degree + 1)
+    for s, vp in values(xp).items():
+        grades[sum(s)] += vp * vals[s].conjugate() / mi_factorial(s)
+    partials = tuple(itertools.accumulate(grades))
     tail = abs(partials[-1] - partials[-2]) if len(partials) > 1 else float("inf")
-    return TruncationResult(total, tail, tuple(partials))
+    return TruncationResult(partials[-1], tail, partials)
 
 
 def discrete_kernel_constant(m: float, k, n: int = 1) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .domains import (DiskPoint, SJDiskPoint, SJSpacePoint, UpperHalfPoint,
-                      matrix_to_json, vector_to_json, json_to_matrix,
-                      json_to_vector, complex_to_json, json_to_complex)
+from .domains import (SJDiskPoint, SJSpacePoint, matrix_to_json, vector_to_json,
+                      json_to_matrix, json_to_vector, complex_to_json,
+                      json_to_complex)
 
 GROUP_TOL = 1e-10
 
@@ -191,10 +191,6 @@ def heisenberg_mul(h: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergEle
     return HeisenbergElement(h.lam + h2.lam, h.mu + h2.mu, kappa)
 
 
-def heisenberg_inv(h: HeisenbergElement) -> HeisenbergElement:
-    return HeisenbergElement(-h.lam, -h.mu, -h.kappa)
-
-
 def _transport(lam, mu, sigma: SpElement):
     # row 2n-vector (lam, mu) times the block matrix, split back into halves
     row = np.concatenate([lam, mu]) @ sigma.as_matrix()
@@ -256,18 +252,6 @@ def theta_inv(gs: JacobiStarElement) -> JacobiElement:
 
 
 # --- actions ---
-
-def act_upper_half(sigma: SpElement, pt: UpperHalfPoint) -> UpperHalfPoint:
-    den = sigma.c @ pt.omega + sigma.d
-    om = right_divide(sigma.a @ pt.omega + sigma.b, den)
-    return UpperHalfPoint(om)
-
-
-def act_disk(omega: SpStarElement, pt: DiskPoint) -> DiskPoint:
-    den = omega.q.conj() @ pt.w + omega.p.conj()
-    w = right_divide(omega.p @ pt.w + omega.q, den)
-    return DiskPoint(w)
-
 
 def act_sj_space(g: JacobiElement, x: SJSpacePoint) -> SJSpacePoint:
     sigma, h = g.sigma, g.h

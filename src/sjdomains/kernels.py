@@ -75,14 +75,6 @@ def j1_star(omega: SpStarElement, x) -> np.ndarray:
     return _block_diag(numkit.solve(den.T, np.eye(den.shape[0])), den)
 
 
-def k1_star(xp, x) -> np.ndarray:
-    wp, _ = _wz(xp)
-    w, _ = _wz(x)
-    n = w.shape[0]
-    gram = np.eye(n) - wp @ w.conj()
-    return _block_diag(gram, numkit.solve(gram, np.eye(n)).T)
-
-
 # --- scalar factors for the two Jacobi groups ---
 
 def theta_factor(g: JacobiElement, y) -> complex:

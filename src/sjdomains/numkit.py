@@ -3,9 +3,9 @@
 Matrices are plain numpy complex arrays.  Symmetric matrices are stored in
 full square form but always passed through symmetrize() so that t(M) == M
 holds exactly (shared upper triangle).  Multi-indices s are tuples of ints;
-symmetric indices a (natural symmetric matrices indexing monomials in the
-entries of a symmetric W) get a small frozen dataclass because their derived
-weights are needed all over the place.
+a symmetric index a (a natural symmetric matrix indexing a monomial in the
+entries of a symmetric W) is a small frozen dataclass over its stored upper
+triangle, so that it can key polynomial terms.
 """
 
 from __future__ import annotations
@@ -157,10 +157,7 @@ def upper_pairs(n):
 class SymIndex:
     """Symmetric matrix of naturals, upper triangle stored row-major.
 
-    Indexes monomials W^a = prod_{i<=j} W_ij^{a_ij}.  The derived weight
-    w(a)_k = (column sum of the full matrix)_k + a_kk is the exponent a
-    contributes to U_k when exp(U W tU / 2) is expanded, so diagonal
-    entries count twice.
+    Indexes monomials W^a = prod_{i<=j} W_ij^{a_ij}.
     """
 
     n: int
@@ -201,55 +198,7 @@ class SymIndex:
         # |a| = sum over the full matrix
         return int(self.full().sum())
 
-    def ahat(self):
-        return int(np.trace(self.full()))
-
-    def weight(self):
-        full = self.full()
-        return tuple(int(full[:, k].sum() + full[k, k]) for k in range(self.n))
-
-    def factorial(self):
-        out = 1
-        for v in self.upper:
-            out *= math.factorial(v)
-        return out
-
 
 def _upper_offset(n, i, j):
     # row-major offset of (i, j), i <= j, in the stacked upper triangle
     return i * n - i * (i - 1) // 2 + (j - i)
-
-
-def enumerate_symindices(n, max_weight):
-    """All SymIndex a with max_k w(a)_k <= max_weight, graded by |a| then
-    lexicographic on the stored upper triangle."""
-    pairs = upper_pairs(n)
-    found = []
-
-    def rec(pos, entries, wload):
-        if pos == len(pairs):
-            found.append(SymIndex(n, tuple(entries)))
-            return
-        i, j = pairs[pos]
-        if i == j:
-            room = (max_weight - wload[i]) // 2
-        else:
-            room = min(max_weight - wload[i], max_weight - wload[j])
-        for v in range(room + 1):
-            if i == j:
-                wload[i] += 2 * v
-            else:
-                wload[i] += v
-                wload[j] += v
-            entries.append(v)
-            rec(pos + 1, entries, wload)
-            entries.pop()
-            if i == j:
-                wload[i] -= 2 * v
-            else:
-                wload[i] -= v
-                wload[j] -= v
-
-    rec(0, [], [0] * n)
-    found.sort(key=lambda a: (a.total(), a.upper))
-    return found

@@ -242,16 +242,14 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
     zp_v = numkit.as_row_vector(zp)
     z_v = numkit.as_row_vector(z)
     n = z_v.shape[0]
-    coeffs_p, coeffs = {}, {}
-    for s in numkit.enumerate_multiindices(n, trunc):
-        poly = fockpoly.p_s(tuple(s))
-        fact = numkit.mi_factorial(tuple(s))
-        coeffs_p[tuple(s)] = poly.evaluate(zp_v, wp) / fact
-        coeffs[tuple(s)] = poly.evaluate(z_v, w) / fact
-    pairs = {}
-    for s, cp in coeffs_p.items():
-        for r, cq in coeffs.items():
-            pairs[(s, r)] = cp * np.conj(cq)
+
+    def coefficients(zv, wm):
+        # P_s(z, W) / s!, the U^s coefficient of the generating function
+        vals = fockpoly.p_s_values(zv.tolist(), wm.tolist(), trunc)
+        return {s: v / numkit.mi_factorial(s) for s, v in vals.items()}
+
+    coeffs_p, coeffs = coefficients(zp_v, wp), coefficients(z_v, w)
+    pairs = {(s, r): cp * np.conj(cq) for s, cp in coeffs_p.items() for r, cq in coeffs.items()}
     lhs = gaussian_moment(pairs, GaussianForm.identity(n)) / math.pi ** n
     rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
@@ -266,6 +264,11 @@ class MCConfig:
     batch: int = 100000
 
 
+# The Monte Carlo Gram that fockpoly.q_basis orthonormalizes its n >= 2
+# monomials against.
+Q_BASIS_MC = MCConfig(samples=200000, seed=20240)
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: complex
@@ -273,9 +276,6 @@ class MCEstimate:
     samples: int
     seed: int
     elapsed: float
-
-    def agrees(self, other_value, nsigma=3.0, floor=0.0):
-        return abs(self.estimate - other_value) <= nsigma * self.sigma + floor
 
 
 def _upper_dim(n):
@@ -552,16 +552,6 @@ def pack_space_point(y: SJSpacePoint) -> np.ndarray:
     n = y.n
     ou = np.array([y.omega[i, j] for (i, j) in numkit.upper_pairs(n)])
     return np.concatenate([ou.real, ou.imag, y.zeta.real, y.zeta.imag])
-
-
-def unpack_space_point(vec, n) -> SJSpacePoint:
-    d = _upper_dim(n)
-    ou = vec[:d] + 1j * vec[d:2 * d]
-    om = np.zeros((n, n), dtype=complex)
-    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-        om[i, j] = om[j, i] = ou[idx]
-    zeta = vec[2 * d:2 * d + n] + 1j * vec[2 * d + n:]
-    return SJSpacePoint(om, zeta)
 
 
 def numeric_jacobian(fn, x0, step=1e-5):

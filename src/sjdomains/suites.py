@@ -17,7 +17,7 @@ import numpy as np
 
 from . import discrete_series as ds
 from . import domains, fockpoly, groups, kernels, quad
-from .report import CheckResult, VerifyReport, mc_check, residual_check
+from .report import CheckResult, VerifyReport, residual_check
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,8 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
                                      abs(fixed.value - target), 1e-8,
                                      detail={"target": target}))
     rng = np.random.default_rng(seed)
-    worst = {"matching": 0.0, "fock-at-w": 0.0, "fock-full": 0.0, "discrete": 0.0}
+    # per check: the largest residual over the pairs and that pair's tail
+    worst = {name: (0.0, 0.0) for name in ("matching", "fock-at-w", "fock-full", "discrete")}
     for _ in range(pairs):
         xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
@@ -264,16 +265,16 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
                                       ("fock-full", xp, m)):
             res = fockpoly.expansion_fock_full(pair_xp, x, pair_m, spec)
             closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
-            worst[name] = max(worst[name], abs(res.value - closed))
+            worst[name] = max(worst[name], (abs(res.value - closed), res.tail_estimate))
         if n == 1:
             res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
             closed = (fockpoly.discrete_kernel_constant(m, k)
                       * kernels.kmk_star_kernel(xp, x, m, k))
-            worst["discrete"] = max(worst["discrete"], abs(res.value - closed))
-    for name in ("matching", "fock-at-w", "fock-full"):
-        checks.append(residual_check(name, worst[name], tol))
-    if n == 1:
-        checks.append(residual_check("discrete", worst["discrete"], tol))
+            worst["discrete"] = max(worst["discrete"],
+                                    (abs(res.value - closed), res.tail_estimate))
+    for name in ("matching", "fock-at-w", "fock-full") + (("discrete",) if n == 1 else ()):
+        resid, tail = worst[name]
+        checks.append(residual_check(name, resid, tol, detail={"tail_estimate": tail}))
     return VerifyReport("expansions", cfg.to_dict(), seed, checks)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,48 @@ def test_p_s_hand_values():
 def test_p_s_exact_coefficients():
     assert fockpoly.p_s((6,)).has_exact_coeffs()
     assert fockpoly.p_s((2, 1)).has_exact_coeffs()
+
+
+def _explicit_p_s(s):
+    # the paper's explicit sum over symmetric indices a with w(a) <= s:
+    # P_s = sum s! / (2^ahat a! (s - w(a))!) Z^{s - w(a)} W^a, where
+    # w(a)_k = sum_j a_kj + a_kk and ahat = trace a; plain ints throughout
+    n = len(s)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    ranges = [range(min(s[i], s[j]) // (2 if i == j else 1) + 1) for i, j in pairs]
+    terms = {}
+    for upper in itertools.product(*ranges):
+        weight = [0] * n
+        for (i, j), v in zip(pairs, upper):
+            weight[i] += v
+            weight[j] += v
+        if any(wk > sk for wk, sk in zip(weight, s)):
+            continue
+        ahat = sum(v for (i, j), v in zip(pairs, upper) if i == j)
+        t = tuple(sk - wk for sk, wk in zip(s, weight))
+        den = 2 ** ahat * math.prod(map(math.factorial, upper + t))
+        num = math.prod(map(math.factorial, s))
+        assert num % den == 0
+        terms[(t, upper)] = num // den
+    return terms
+
+
+@pytest.mark.parametrize("n,s_max", [(1, 8), (2, 6), (3, 4)])
+def test_p_s_is_the_explicit_sum(n, s_max):
+    for s in fockpoly.enumerate_multiindices(n, s_max):
+        got = {(t, a.upper): c for (t, a), c in fockpoly.p_s(s).terms.items()}
+        assert all(type(c) is int for c in got.values())
+        assert got == _explicit_p_s(s)
+
+
+def test_sym_degree_list_order():
+    # the q_basis Cholesky order and the series-gram labels depend on it
+    assert [a.upper for a in fockpoly.sym_degree_list(2, 2)] == [
+        (0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 2), (0, 1, 0), (1, 0, 1), (2, 0, 0),
+        (0, 1, 1), (1, 1, 0), (0, 2, 0)]
+    assert [a.upper for a in fockpoly.sym_degree_list(3, 1)] == [
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
 
 
 def test_generating_function_matches_recursion():

