@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, fockpoly, groups, kernels, quad, report
+from . import domains, fockpoly, groups, kernels, numkit, quad, report
 from .domains import SJDiskPoint, SJSpacePoint
 
 
@@ -62,34 +62,34 @@ class SampledFunction:
 
         return cls(split, side)
 
-    def __call__(self, point) -> complex:
-        """Value at one point: an SJDiskPoint, an SJSpacePoint, or a raw
-        (matrix, vector) pair, validated as a point of this function's side."""
+    def __call__(self, point):
+        """Value at one point or at each point of a stack: an SJDiskPoint, an
+        SJSpacePoint, or a raw (matrix, vector) pair, validated as a point of
+        this function's side."""
         if not isinstance(point, (SJDiskPoint, SJSpacePoint)):
             point = (SJDiskPoint if self.side == "disk" else SJSpacePoint)(*point)
-        if isinstance(point, SJDiskPoint):
-            return _value(self, point.w, point.z, "disk")
-        return _value(self, point.omega, point.zeta, "space")
-
-
-def _value(fn, mat, vec, side) -> complex:
-    vals, logs = quad.evaluate(fn, mat[None], vec[None], side)
-    return complex(vals[0] * np.exp(logs[0]))
+        side = "disk" if isinstance(point, SJDiskPoint) else "space"
+        mat, vec = (point.w, point.z) if side == "disk" else (point.omega, point.zeta)
+        vals, logs = quad.evaluate(self, mat.reshape((-1,) + mat.shape[-2:]),
+                                   vec.reshape(-1, vec.shape[-1]), side)
+        return numkit.item_or_stack((vals * np.exp(logs)).reshape(mat.shape[:-2]))
 
 
 # --- representation operators ---
+# g may be one element or a stack aligned with the evaluation points.
 
 def pi_star_apply(gs, psi, params: ReprParams) -> SampledFunction:
     """x -> jmk_star(g*, x) psi(g* . x): the bounded-model operator applied
     to the inverse group element."""
     m, k = params.m, params.k
 
-    def fn(pair):
-        x = SJDiskPoint(pair[0], pair[1])
+    def split(ws, zs):
+        x = SJDiskPoint(ws, zs)
         gx = groups.act_sj_disk(gs, x)
-        return kernels.jmk_star(gs, x, m, k) * _value(psi, gx.w, gx.z, "disk")
+        vals, logs = quad.evaluate(psi, gx.w, gx.z, "disk")
+        return kernels.jmk_star(gs, x, m, k) * (vals * np.exp(logs)), np.zeros(len(vals))
 
-    return SampledFunction.from_scalar(fn, "disk")
+    return SampledFunction(split, "disk")
 
 
 def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
@@ -97,12 +97,13 @@ def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
     inverse group element."""
     m, k = params.m, params.k
 
-    def fn(pair):
-        y = SJSpacePoint(pair[0], pair[1])
+    def split(oms, zetas):
+        y = SJSpacePoint(oms, zetas)
         gy = groups.act_sj_space(g, y)
-        return kernels.jmk(g, y, m, k) * _value(phi, gy.omega, gy.zeta, "space")
+        vals, logs = quad.evaluate(phi, gy.omega, gy.zeta, "space")
+        return kernels.jmk(g, y, m, k) * (vals * np.exp(logs)), np.zeros(len(vals))
 
-    return SampledFunction.from_scalar(fn, "space")
+    return SampledFunction(split, "space")
 
 
 # --- transfer between the models ---
@@ -151,9 +152,11 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
 
 # --- verification suites ---
 
-def _sample_tame_disk(n, rng, radius=0.5, zscale=0.6):
-    x = domains.sample_sj_disk_point(n, radius, zscale, seed=int(rng.integers(2 ** 31)))
-    return x
+def _tame_disk_batch(n, rng, count):
+    """count points (W, z) drawn as one stack, each from its own seed taken
+    from rng, as a loop of per-point draws would take them."""
+    seeds = [int(rng.integers(2 ** 31)) for _ in range(count)]
+    return domains.sample_sj_disk_batch(n, seeds, 0.5, 0.6)
 
 
 def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyReport:
@@ -162,35 +165,25 @@ def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyRep
     Gaussian exponent.  The exponent identity holds with the W-argument of A
     negated and plus signs on the holomorphic terms; the residuals of the
     as-printed sign variant are recorded in the detail for comparison."""
-    n, m = params.n, params.m
-    rng = np.random.default_rng(seed)
+    n = params.n
     eye = np.eye(n)
-    worst = {"imag-part-matrix": 0.0, "imag-part-vector": 0.0, "exponent-transfer": 0.0}
-    printed_variant = 0.0
-    for _ in range(count):
-        x = _sample_tame_disk(n, rng)
-        y = domains.cayley_forward(x)
-        w, z = x.w, x.z
-        yim = y.omega.imag
-        eta = y.zeta.imag
-        gram = eye - w @ w.conj()
-        rhs_y = np.linalg.solve(eye - w, gram) @ np.linalg.inv(eye - w.conj())
-        worst["imag-part-matrix"] = max(worst["imag-part-matrix"],
-                                        float(np.max(np.abs(yim - rhs_y))))
-        rhs_eta = z @ np.linalg.inv(eye - w) + z.conj() @ np.linalg.inv(eye - w.conj())
-        worst["imag-part-vector"] = max(worst["imag-part-vector"],
-                                        float(np.max(np.abs(eta - rhs_eta))))
-        lhs = float(np.linalg.solve(yim, eta) @ eta)
-        hol = complex(z @ np.linalg.solve(eye - w, z))
-        rhs = 2.0 * kernels.a_form(-w, z).real + 2.0 * hol.real
-        worst["exponent-transfer"] = max(worst["exponent-transfer"], abs(lhs - rhs))
-        printed = 2.0 * kernels.a_form(-w, z).real - 2.0 * hol.real
-        printed_variant = max(printed_variant, abs(lhs - printed))
+    x = _tame_disk_batch(n, np.random.default_rng(seed), count)
+    y = domains.cayley_forward(x)
+    w, z = x.w, x.z
+    yim, eta = y.omega.imag, y.zeta.imag
+    res_inv, res_conj_inv = np.linalg.inv(eye - w), np.linalg.inv(eye - w.conj())
+    rhs_y = np.linalg.solve(eye - w, eye - w @ w.conj()) @ res_conj_inv
+    rhs_eta = numkit.vecmat(z, res_inv) + numkit.vecmat(z.conj(), res_conj_inv)
+    lhs = numkit.vecvec(np.linalg.solve(yim, eta[..., None])[..., 0], eta)
+    hol = numkit.vecvec(z, np.linalg.solve(eye - w, z[..., None])[..., 0]).real
+    a_flip = 2.0 * kernels.a_form(-w, z).real
     checks = [
-        report.residual_check("imag-part-matrix", worst["imag-part-matrix"], 1e-10),
-        report.residual_check("imag-part-vector", worst["imag-part-vector"], 1e-10),
-        report.residual_check("exponent-transfer", worst["exponent-transfer"], 1e-10,
-                              detail={"printed_sign_variant_residual": printed_variant}),
+        report.residual_check("imag-part-matrix", float(np.max(np.abs(yim - rhs_y))), 1e-10),
+        report.residual_check("imag-part-vector", float(np.max(np.abs(eta - rhs_eta))), 1e-10),
+        report.residual_check(
+            "exponent-transfer", float(np.max(np.abs(lhs - (a_flip + 2.0 * hol)))), 1e-10,
+            detail={"printed_sign_variant_residual":
+                    float(np.max(np.abs(lhs - (a_flip - 2.0 * hol))))}),
     ]
     return report.VerifyReport("transfer-identities", params.to_dict(), seed, checks)
 
@@ -201,26 +194,22 @@ def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
     times the density ratio of the two invariant measures is the constant
     2^{n(n+3)}, globally across random points."""
     n = params.n
-    rng = np.random.default_rng(seed)
     target = 2.0 ** (n * (n + 3))
     eye = np.eye(n)
-    worst = 0.0
-    values = []
-    for _ in range(count):
-        x = _sample_tame_disk(n, rng)
-        vec = quad.pack_disk_point(x)
+    x = _tame_disk_batch(n, np.random.default_rng(seed), count)
 
-        def chart(v):
-            return quad.pack_space_point(domains.cayley_forward(quad.unpack_disk_point(v, n)))
+    def chart(v):
+        # real chart coordinates as columns (D, ...) -> image coordinates
+        pts = quad.unpack_disk_point(v.reshape(len(v), -1).T, n)
+        return quad.pack_space_point(domains.cayley_forward(pts)).T.reshape(v.shape)
 
-        jac = quad.numeric_jacobian(chart, vec, step=step)
-        y = domains.cayley_forward(x)
-        dets_ratio = (np.linalg.det(eye - x.w @ x.w.conj()).real ** (n + 2)
-                      / np.linalg.det(y.omega.imag) ** (n + 2))
-        product = abs(np.linalg.det(jac)) * dets_ratio
-        values.append(product)
-        worst = max(worst, abs(product / target - 1.0))
-    checks = [report.residual_check(f"measure-constant-n{n}", worst, 1e-4,
+    jac = quad.numeric_jacobian(chart, quad.pack_disk_point(x).T, step=step)
+    y = domains.cayley_forward(x)
+    dets_ratio = (np.linalg.det(eye - x.w @ x.w.conj()).real ** (n + 2)
+                  / np.linalg.det(y.omega.imag) ** (n + 2))
+    values = np.abs(np.linalg.det(np.moveaxis(jac, -1, 0))) * dets_ratio
+    checks = [report.residual_check(f"measure-constant-n{n}",
+                                    float(np.max(np.abs(values / target - 1.0))), 1e-4,
                                     detail={"target": target,
                                             "min": float(np.min(values)),
                                             "max": float(np.max(values))})]
@@ -312,23 +301,22 @@ def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyRepo
 def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyReport:
     """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise."""
     n = params.n
-    rng = np.random.default_rng(seed)
     qb = fockpoly.q_basis(n, params.k, 1)
     psi = (fockpoly.basis_big_f((0,) * n, qb[0], params.m)
            + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * (0.5 + 0.25j))
     back = t_inv(t_star(psi, params), params)
 
-    def phi_fn(pair):
-        om, zeta = pair
-        return np.exp(1j * np.trace(om)) * (1.0 + complex(zeta @ zeta))
+    def phi_split(oms, zetas):
+        vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
+        return vals, np.zeros(len(vals))
 
-    forth = t_star(t_inv(SampledFunction.from_scalar(phi_fn, "space"), params), params)
-    worst_disk, worst_space = 0.0, 0.0
-    for _ in range(count):
-        x = _sample_tame_disk(n, rng)
-        worst_disk = max(worst_disk, abs(back((x.w, x.z)) - psi.evaluate(x.z, x.w)))
-        y = domains.cayley_forward(_sample_tame_disk(n, rng))
-        worst_space = max(worst_space, abs(forth((y.omega, y.zeta)) - phi_fn((y.omega, y.zeta))))
+    phi = SampledFunction(phi_split, "space")
+    forth = t_star(t_inv(phi, params), params)
+    # the draws alternate: a disk point, then one mapped to the space side
+    both = _tame_disk_batch(n, np.random.default_rng(seed), 2 * count)
+    x, y = both[0::2], domains.cayley_forward(both[1::2])
+    worst_disk = float(np.max(np.abs(back(x) - psi.evaluate_batch(x.z, x.w))))
+    worst_space = float(np.max(np.abs(forth(y) - phi(y))))
     checks = [
         report.residual_check("roundtrip-disk", worst_disk, 1e-10),
         report.residual_check("roundtrip-space", worst_space, 1e-10),
@@ -337,22 +325,17 @@ def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyRepor
 
 
 def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> report.VerifyReport:
-    """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise."""
+    """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise,
+    with the t-th element evaluated at the t-th point."""
     n = params.n
-    rng = np.random.default_rng(seed)
     qb = fockpoly.q_basis(n, params.k, 1)
     psi = (fockpoly.basis_big_f((0,) * n, qb[0], params.m)
            + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * 0.7)
-    phi = t_star(psi, params)
-    worst = 0.0
-    for t in range(count):
-        gs = groups.random_jacobi_star(n, scale=scale, seed=seed * 1000 + t)
-        g = groups.theta_inv(gs)
-        y = domains.cayley_forward(_sample_tame_disk(n, rng))
-        lhs = t_star(pi_star_apply(gs, psi, params), params)((y.omega, y.zeta))
-        rhs = pi_apply(g, phi, params)((y.omega, y.zeta))
-        worst = max(worst, abs(lhs - rhs))
-    checks = [report.residual_check("intertwining", worst, 1e-7)]
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, seed * 1000 + np.arange(count), scale))
+    y = domains.cayley_forward(_tame_disk_batch(n, np.random.default_rng(seed), count))
+    lhs = t_star(pi_star_apply(gs, psi, params), params)(y)
+    rhs = pi_apply(groups.theta_inv(gs), t_star(psi, params), params)(y)
+    checks = [report.residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
     return report.VerifyReport("intertwining", params.to_dict(), seed, checks)
 
 

@@ -5,6 +5,15 @@ positive definite; the unbounded model is the set of symmetric Omega with
 positive definite imaginary part.  The Jacobi versions append a complex row
 vector (z resp. zeta).  Points within 1e-12 of the boundary are rejected so
 that (I - W)^{-1} style inverses stay well conditioned.
+
+Every point class holds one point or a stack of them (a leading axis on each
+field): the constructor symmetrizes and certifies the whole stack at once
+with one batched eigvalsh, and stack[i] is a member, not validated again.
+The chart functions work on both; a single point is the stack with no
+leading axis.  cayley_forward / cayley_inverse validate (the condition of
+the matrix they invert and, through the constructor, the image);
+batch_cayley_forward / batch_cayley_inverse are the same arithmetic on raw
+arrays, unvalidated, for the Monte Carlo engines' boundary samples.
 """
 
 from __future__ import annotations
@@ -18,20 +27,26 @@ from . import numkit
 BOUNDARY_MARGIN = 1e-12
 
 
+def _certify(h, what):
+    """ValueError unless every member of the Hermitian stack h is positive
+    definite with smallest eigenvalue above BOUNDARY_MARGIN."""
+    ok, lam = numkit.posdef_certificate(h, BOUNDARY_MARGIN)
+    if not np.all(ok):
+        raise ValueError(f"{what} not positive definite (lambda_min={np.min(lam):.3e})")
+
+
 @dataclass(frozen=True, eq=False)
-class UpperHalfPoint:
+class UpperHalfPoint(numkit.Stack):
     omega: np.ndarray
 
     def __post_init__(self):
         om = numkit.symmetrize(self.omega)
         object.__setattr__(self, "omega", om)
-        ok, lam = numkit.posdef_certificate(om.imag)
-        if not ok or lam <= BOUNDARY_MARGIN:
-            raise ValueError(f"Im Omega not positive definite (lambda_min={lam:.3e})")
+        _certify(om.imag, "Im Omega")
 
     @property
     def n(self):
-        return self.omega.shape[0]
+        return self.omega.shape[-1]
 
     @property
     def x(self):
@@ -43,35 +58,32 @@ class UpperHalfPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class DiskPoint:
+class DiskPoint(numkit.Stack):
     w: np.ndarray
 
     def __post_init__(self):
         w = numkit.symmetrize(self.w)
         object.__setattr__(self, "w", w)
-        gram = np.eye(w.shape[0]) - w @ w.conj()
-        ok, lam = numkit.posdef_certificate(gram)
-        if not ok or lam <= BOUNDARY_MARGIN:
-            raise ValueError(f"I - W conj(W) not positive definite (lambda_min={lam:.3e})")
+        _certify(np.eye(w.shape[-1]) - w @ w.conj(), "I - W conj(W)")
 
     @property
     def n(self):
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
-class SJSpacePoint:
+class SJSpacePoint(numkit.Stack):
     omega: np.ndarray
     zeta: np.ndarray
 
     def __post_init__(self):
         base = UpperHalfPoint(self.omega)
         object.__setattr__(self, "omega", base.omega)
-        object.__setattr__(self, "zeta", numkit.as_row_vector(self.zeta, base.n))
+        object.__setattr__(self, "zeta", numkit.row_vectors(self.zeta, base.omega))
 
     @property
     def n(self):
-        return self.omega.shape[0]
+        return self.omega.shape[-1]
 
     @property
     def y(self):
@@ -83,71 +95,61 @@ class SJSpacePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class SJDiskPoint:
+class SJDiskPoint(numkit.Stack):
     w: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
         base = DiskPoint(self.w)
         object.__setattr__(self, "w", base.w)
-        object.__setattr__(self, "z", numkit.as_row_vector(self.z, base.n))
+        object.__setattr__(self, "z", numkit.row_vectors(self.z, base.w))
 
     @property
     def n(self):
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
 
 def cayley_forward(x: SJDiskPoint) -> SJSpacePoint:
-    """(W, z) -> (Omega, zeta) = (i(I+W)(I-W)^{-1}, 2iz(I-W)^{-1})."""
-    n = x.n
-    eye = np.eye(n)
-    inv = numkit.solve(eye - x.w, eye)
-    omega = 1j * (eye + x.w) @ inv
-    zeta = 2j * x.z @ inv
-    return SJSpacePoint(omega, zeta)
+    """(W, z) -> (Omega, zeta) = (i(I+W)(I-W)^{-1}, 2iz(I-W)^{-1}), for a
+    point or a stack; guards the condition of I - W."""
+    numkit.condition_guard(np.eye(x.n) - x.w)
+    return SJSpacePoint(*batch_cayley_forward(x.w, x.z))
 
 
 def cayley_inverse(y: SJSpacePoint) -> SJDiskPoint:
-    """(Omega, zeta) -> (W, z) = ((Omega-iI)(Omega+iI)^{-1}, zeta(Omega+iI)^{-1})."""
-    n = y.n
-    eye = np.eye(n)
-    inv = numkit.solve(y.omega + 1j * eye, eye)
-    w = (y.omega - 1j * eye) @ inv
-    z = y.zeta @ inv
-    return SJDiskPoint(w, z)
+    """(Omega, zeta) -> (W, z) = ((Omega-iI)(Omega+iI)^{-1}, zeta(Omega+iI)^{-1}),
+    for a point or a stack; guards the condition of Omega + iI."""
+    numkit.condition_guard(y.omega + 1j * np.eye(y.n))
+    return SJDiskPoint(*batch_cayley_inverse(y.omega, y.zeta))
 
 
 def batch_cayley_forward(ws, zs):
-    """cayley_forward on stacked (W (N,n,n), z (N,n)), unvalidated."""
-    n = ws.shape[1]
-    eye = np.eye(n)
-    res_t = np.transpose(eye[None] - ws, (0, 2, 1))
-    oms = 1j * np.transpose(np.linalg.solve(res_t, np.transpose(eye[None] + ws, (0, 2, 1))),
-                            (0, 2, 1))
-    zetas = 2j * np.linalg.solve(res_t, zs[:, :, None])[:, :, 0]
-    return oms, zetas
+    """The forward chart on arrays W (..., n, n), z (..., n); unvalidated."""
+    eye = np.eye(ws.shape[-1])
+    inv = np.linalg.inv(eye - ws)
+    return 1j * (eye + ws) @ inv, 2j * numkit.vecmat(zs, inv)
 
 
 def batch_cayley_inverse(oms, zetas):
-    """cayley_inverse on stacked (Omega (N,n,n), zeta (N,n)), unvalidated."""
-    n = oms.shape[1]
-    eye = np.eye(n)
-    plus_t = np.transpose(oms + 1j * eye[None], (0, 2, 1))
-    ws = np.transpose(np.linalg.solve(plus_t, np.transpose(oms - 1j * eye[None], (0, 2, 1))),
-                      (0, 2, 1))
-    zs = np.linalg.solve(plus_t, zetas[:, :, None])[:, :, 0]
-    return ws, zs
+    """The inverse chart on arrays Omega (..., n, n), zeta (..., n); unvalidated."""
+    eye = np.eye(oms.shape[-1])
+    inv = np.linalg.inv(oms + 1j * eye)
+    return (oms - 1j * eye) @ inv, numkit.vecmat(zetas, inv)
+
+
+def _draw_w(rngs, n, radius_cap):
+    """One symmetric W per generator, sigma_max(W) < radius_cap; unvalidated."""
+    if not 0 < radius_cap < 1:
+        raise ValueError("radius_cap must lie in (0, 1)")
+    m = numkit.symmetrize(np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                    for rng in rngs]))
+    smax = np.linalg.svd(m, compute_uv=False)[:, 0]
+    return radius_cap * m / (1.0 + smax)[:, None, None]
 
 
 def sample_disk_point(n, radius_cap=0.8, seed=None):
     """Random symmetric W with sigma_max(W) < radius_cap, deterministic per seed."""
-    if not 0 < radius_cap < 1:
-        raise ValueError("radius_cap must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = numkit.symmetrize(m)
-    smax = np.linalg.svd(m, compute_uv=False)[0]
-    return DiskPoint(radius_cap * m / (1.0 + smax))
+    return DiskPoint(_draw_w([np.random.default_rng(seed)], n, radius_cap)[0])
 
 
 def _sample_polydisk(rng, n, cap):
@@ -156,10 +158,16 @@ def _sample_polydisk(rng, n, cap):
     return r * phase
 
 
+def sample_sj_disk_batch(n, seeds, radius_cap=0.8, z_cap=2.0) -> SJDiskPoint:
+    """The stack of sample_sj_disk_point(n, radius_cap, z_cap, seed) over
+    seeds, member for member, validated once."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    ws = _draw_w(rngs, n, radius_cap)
+    return SJDiskPoint(ws, np.stack([_sample_polydisk(rng, n, z_cap) for rng in rngs]))
+
+
 def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, seed=None):
-    rng = np.random.default_rng(seed)
-    w = sample_disk_point(n, radius_cap, rng)
-    return SJDiskPoint(w.w, _sample_polydisk(rng, n, z_cap))
+    return sample_sj_disk_batch(n, [seed], radius_cap, z_cap)[0]
 
 
 # --- JSON encoding: complex scalar as [re, im], matrices nested row-major ---

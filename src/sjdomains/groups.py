@@ -5,6 +5,13 @@ counterpart (complex blocks p, q), the Heisenberg group (lam, mu, kappa),
 and the two semidirect products built on them.  The isomorphism theta_iso
 carries the real model to the bounded one; its compatibility with the two
 multiplication laws is part of the test suite, not assumed.
+
+Every element class holds one element or a stack of them (a leading axis on
+each field), and every product, inverse, theta and action runs the same code
+on both, broadcasting an element against a stack of points or two stacks
+member by member.  The constructors check the symplectic and bounded-model
+relations (GROUP_TOL) and the imaginary varkappa once per stack; actions
+return points whose constructors certify the whole image stack.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from . import numkit
 from .domains import (SJDiskPoint, SJSpacePoint, matrix_to_json, vector_to_json,
                       json_to_matrix, json_to_vector, complex_to_json,
                       json_to_complex)
+from .numkit import transpose, vecmat, vecvec
 
 GROUP_TOL = 1e-10
 
@@ -29,15 +37,20 @@ def symplectic_j(n):
 
 
 def right_divide(A, M):
-    """A M^{-1} for a matrix or row vector A."""
+    """A M^{-1} for matrices M (one or a stack); A is a row vector (or a
+    stack of them) when it has fewer axes than M, else a matrix."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim == 1:
-        return numkit.solve(M.T, A)
-    return numkit.solve(M.T, A.T).T
+    if A.ndim < M.ndim:
+        return numkit.solve(transpose(M), A[..., None])[..., 0]
+    return transpose(numkit.solve(transpose(M), transpose(A)))
+
+
+def _real_vectors(v):
+    return np.atleast_1d(np.asarray(v, dtype=complex).real)
 
 
 @dataclass(frozen=True, eq=False)
-class SpElement:
+class SpElement(numkit.Stack):
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -45,25 +58,24 @@ class SpElement:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            blk = np.asarray(getattr(self, name), dtype=float)
-            blk = np.atleast_2d(blk)
+            blk = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             object.__setattr__(self, name, blk)
         m = self.as_matrix()
         j = symplectic_j(self.n)
-        if np.max(np.abs(m.T @ j @ m - j)) > GROUP_TOL:
+        if np.max(np.abs(transpose(m) @ j @ m - j)) > GROUP_TOL:
             raise ValueError("blocks do not satisfy the symplectic relation")
 
     @property
     def n(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def as_matrix(self):
         return np.block([[self.a, self.b], [self.c, self.d]])
 
     @classmethod
     def from_matrix(cls, m):
-        n = m.shape[0] // 2
-        return cls(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
+        n = m.shape[-1] // 2
+        return cls(m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:])
 
     @classmethod
     def identity(cls, n):
@@ -72,7 +84,7 @@ class SpElement:
 
 
 @dataclass(frozen=True, eq=False)
-class SpStarElement:
+class SpStarElement(numkit.Stack):
     p: np.ndarray
     q: np.ndarray
 
@@ -82,14 +94,15 @@ class SpStarElement:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         eye = np.eye(self.n)
-        r1 = p.T @ p.conj() - q.conj().T @ q - eye
-        r2 = p.T @ q.conj() - q.conj().T @ p
+        qh = transpose(q).conj()
+        r1 = transpose(p) @ p.conj() - qh @ q - eye
+        r2 = transpose(p) @ q.conj() - qh @ p
         if max(np.max(np.abs(r1)), np.max(np.abs(r2))) > GROUP_TOL:
             raise ValueError("blocks do not satisfy the bounded-model relations")
 
     @property
     def n(self):
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
     def as_matrix(self):
         return np.block([[self.p, self.q], [self.q.conj(), self.p.conj()]])
@@ -100,23 +113,22 @@ class SpStarElement:
 
 
 @dataclass(frozen=True, eq=False)
-class HeisenbergElement:
+class HeisenbergElement(numkit.Stack):
     lam: np.ndarray
     mu: np.ndarray
     kappa: float
 
     def __post_init__(self):
-        lam = numkit.as_row_vector(self.lam).real.astype(float)
-        mu = numkit.as_row_vector(self.mu).real.astype(float)
+        lam, mu = _real_vectors(self.lam), _real_vectors(self.mu)
         if lam.shape != mu.shape:
             raise ValueError("lam and mu must have the same length")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", numkit.item_or_stack(np.asarray(self.kappa, dtype=float)))
 
     @property
     def n(self):
-        return self.lam.shape[0]
+        return self.lam.shape[-1]
 
     @classmethod
     def identity(cls, n):
@@ -124,7 +136,7 @@ class HeisenbergElement:
 
 
 @dataclass(frozen=True, eq=False)
-class JacobiElement:
+class JacobiElement(numkit.Stack):
     sigma: SpElement
     h: HeisenbergElement
 
@@ -142,17 +154,17 @@ class JacobiElement:
 
 
 @dataclass(frozen=True, eq=False)
-class JacobiStarElement:
+class JacobiStarElement(numkit.Stack):
     omega: SpStarElement
     alpha: np.ndarray
     varkappa: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", numkit.as_row_vector(self.alpha, self.omega.n))
-        vk = complex(self.varkappa)
-        if abs(vk.real) > 1e-12:
+        object.__setattr__(self, "alpha", numkit.row_vectors(self.alpha, self.omega.p))
+        vk = np.asarray(self.varkappa, dtype=complex)
+        if np.any(np.abs(vk.real) > 1e-12):
             raise ValueError("varkappa must be purely imaginary")
-        object.__setattr__(self, "varkappa", vk)
+        object.__setattr__(self, "varkappa", numkit.item_or_stack(vk))
 
     @property
     def n(self):
@@ -171,7 +183,7 @@ def sp_mul(s1: SpElement, s2: SpElement) -> SpElement:
 
 def sp_inv(s: SpElement) -> SpElement:
     # inverse of a symplectic block matrix: (ta, tb; tc, td) -> (td, -tb; -tc, ta)
-    return SpElement(s.d.T, -s.b.T, -s.c.T, s.a.T)
+    return SpElement(transpose(s.d), -transpose(s.b), -transpose(s.c), transpose(s.a))
 
 
 def sp_star_mul(w1: SpStarElement, w2: SpStarElement) -> SpStarElement:
@@ -181,21 +193,21 @@ def sp_star_mul(w1: SpStarElement, w2: SpStarElement) -> SpStarElement:
 
 
 def sp_star_inv(w: SpStarElement) -> SpStarElement:
-    return SpStarElement(w.p.conj().T, -w.q.T)
+    return SpStarElement(transpose(w.p).conj(), -transpose(w.q))
 
 
 def heisenberg_mul(h: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
     if h.n != h2.n:
         raise ValueError("dimension mismatch")
-    kappa = h.kappa + h2.kappa + float(h.lam @ h2.mu - h.mu @ h2.lam)
+    kappa = h.kappa + h2.kappa + (vecvec(h.lam, h2.mu) - vecvec(h.mu, h2.lam))
     return HeisenbergElement(h.lam + h2.lam, h.mu + h2.mu, kappa)
 
 
 def _transport(lam, mu, sigma: SpElement):
     # row 2n-vector (lam, mu) times the block matrix, split back into halves
-    row = np.concatenate([lam, mu]) @ sigma.as_matrix()
+    row = vecmat(np.concatenate([lam, mu], axis=-1), sigma.as_matrix())
     n = sigma.n
-    return row[:n], row[n:]
+    return row[..., :n], row[..., n:]
 
 
 def jacobi_mul(g: JacobiElement, g2: JacobiElement) -> JacobiElement:
@@ -212,20 +224,25 @@ def jacobi_inv(g: JacobiElement) -> JacobiElement:
     return JacobiElement(sinv, HeisenbergElement(-lam_t, -mu_t, -g.h.kappa))
 
 
+def _star_transport(alpha, w: SpStarElement):
+    # alpha p + conj(alpha) conj(q)
+    return vecmat(alpha, w.p) + vecmat(alpha.conj(), w.q.conj())
+
+
 def jacobi_star_mul(g1: JacobiStarElement, g2: JacobiStarElement) -> JacobiStarElement:
     """Product g1 g2; the translation part of g1 is transported by g2's
     matrix blocks (beta = alpha1 p2 + conj(alpha1) conj(q2))."""
     if g1.n != g2.n:
         raise ValueError("dimension mismatch")
-    beta = g1.alpha @ g2.omega.p + g1.alpha.conj() @ g2.omega.q.conj()
-    vk = g1.varkappa + g2.varkappa + (beta @ g2.alpha.conj() - beta.conj() @ g2.alpha)
+    beta = _star_transport(g1.alpha, g2.omega)
+    vk = g1.varkappa + g2.varkappa + (vecvec(beta, g2.alpha.conj())
+                                      - vecvec(beta.conj(), g2.alpha))
     return JacobiStarElement(sp_star_mul(g1.omega, g2.omega), beta + g2.alpha, vk)
 
 
 def jacobi_star_inv(g: JacobiStarElement) -> JacobiStarElement:
     winv = sp_star_inv(g.omega)
-    beta = g.alpha @ winv.p + g.alpha.conj() @ winv.q.conj()
-    return JacobiStarElement(winv, -beta, -g.varkappa)
+    return JacobiStarElement(winv, -_star_transport(g.alpha, winv), -g.varkappa)
 
 
 # --- the isomorphism between the two models ---
@@ -235,7 +252,7 @@ def theta_iso(g: JacobiElement) -> JacobiStarElement:
     p = 0.5 * (a + d) + 0.5j * (b - c)
     q = 0.5 * (a - d) - 0.5j * (b + c)
     alpha = 0.5 * (g.h.lam + 1j * g.h.mu)
-    varkappa = -0.5j * g.h.kappa
+    varkappa = -0.5j * np.asarray(g.h.kappa)
     return JacobiStarElement(SpStarElement(p, q), alpha, varkappa)
 
 
@@ -247,7 +264,7 @@ def theta_inv(gs: JacobiStarElement) -> JacobiElement:
     b = (p - q).imag
     lam = 2.0 * gs.alpha.real
     mu = 2.0 * gs.alpha.imag
-    kappa = -2.0 * gs.varkappa.imag
+    kappa = -2.0 * np.imag(gs.varkappa)
     return JacobiElement(SpElement(a, b, c, d), HeisenbergElement(lam, mu, kappa))
 
 
@@ -257,7 +274,7 @@ def act_sj_space(g: JacobiElement, x: SJSpacePoint) -> SJSpacePoint:
     sigma, h = g.sigma, g.h
     den = sigma.c @ x.omega + sigma.d
     om = right_divide(sigma.a @ x.omega + sigma.b, den)
-    nu = x.zeta + h.lam @ x.omega + h.mu
+    nu = x.zeta + vecmat(h.lam, x.omega) + h.mu
     return SJSpacePoint(om, right_divide(nu, den))
 
 
@@ -265,28 +282,26 @@ def act_sj_disk(gs: JacobiStarElement, x: SJDiskPoint) -> SJDiskPoint:
     p, q = gs.omega.p, gs.omega.q
     den = q.conj() @ x.w + p.conj()
     w = right_divide(p @ x.w + q, den)
-    nu = x.z + gs.alpha @ x.w + gs.alpha.conj()
+    nu = x.z + vecmat(gs.alpha, x.w) + gs.alpha.conj()
     return SJDiskPoint(w, right_divide(nu, den))
 
 
 # --- seeded random elements ---
 
-def random_sp(n, scale=0.5, seed=None) -> SpElement:
-    """exp(J S) with S random real symmetric; lands in the group up to roundoff."""
-    rng = np.random.default_rng(seed)
-    s = scale * numkit.symmetrize(rng.standard_normal((2 * n, 2 * n))).real
-    return SpElement.from_matrix(numkit.matrix_exp(symplectic_j(n) @ s).real)
-
-
-def random_heisenberg(n, scale=0.5, seed=None) -> HeisenbergElement:
-    rng = np.random.default_rng(seed)
-    lam, mu = scale * rng.standard_normal((2, n))
-    return HeisenbergElement(lam, mu, scale * rng.standard_normal())
+def random_jacobi_batch(n, seeds, scale=0.5) -> JacobiElement:
+    """The stack of random_jacobi(n, scale, seed) over seeds, member for
+    member: sigma = exp(J S) with S random real symmetric (in the group up to
+    roundoff), then (lam, mu, kappa), all drawn from one generator per seed."""
+    draws = [(rng.standard_normal((2 * n, 2 * n)), rng.standard_normal((2, n)),
+              rng.standard_normal()) for rng in map(np.random.default_rng, seeds)]
+    s, lam_mu, kappa = (scale * np.array(part) for part in zip(*draws))
+    sigma = numkit.matrix_exp(symplectic_j(n) @ numkit.symmetrize(s).real).real
+    return JacobiElement(SpElement.from_matrix(sigma),
+                         HeisenbergElement(lam_mu[:, 0], lam_mu[:, 1], kappa))
 
 
 def random_jacobi(n, scale=0.5, seed=None) -> JacobiElement:
-    rng = np.random.default_rng(seed)
-    return JacobiElement(random_sp(n, scale, rng), random_heisenberg(n, scale, rng))
+    return random_jacobi_batch(n, [seed], scale)[0]
 
 
 def random_jacobi_star(n, scale=0.5, seed=None) -> JacobiStarElement:

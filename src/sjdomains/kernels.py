@@ -1,6 +1,12 @@
 """Automorphy factors and kernel functions for both symplectic models and
 both Jacobi groups, plus the weight functions consumed by the inner products.
 
+Each function takes one point (and element) or stacks of them, broadcast
+member by member as in groups, and runs the same code on both: a stack gives
+an array of values, a single point a Python number.  Points are the
+validated classes of domains or raw (matrix, vector) pairs, which are
+symmetrized but not certified.
+
 Scalar conventions that are easy to get wrong, all pinned by the test suite:
   - theta_star is i-valued on the center, so the scalar automorphy factor on
     the bounded model carries exp(-4 pi m theta_star): on a central element
@@ -20,59 +26,63 @@ from . import numkit
 from .domains import DiskPoint, SJDiskPoint, SJSpacePoint, UpperHalfPoint
 from .groups import (JacobiElement, JacobiStarElement, SpElement,
                      SpStarElement, right_divide)
+from .numkit import item_or_stack, transpose, vecmat, vecvec
 
 
 def _wz(x):
     if isinstance(x, SJDiskPoint):
         return x.w, x.z
     if isinstance(x, DiskPoint):
-        return x.w, np.zeros(x.n, dtype=complex)
-    w, z = x
-    return numkit.symmetrize(w), numkit.as_row_vector(z)
+        return x.w, np.zeros(x.w.shape[:-1], dtype=complex)
+    w = numkit.symmetrize(x[0])
+    return w, numkit.row_vectors(x[1], w)
 
 
 def _oz(y):
     if isinstance(y, SJSpacePoint):
         return y.omega, y.zeta
     if isinstance(y, UpperHalfPoint):
-        return y.omega, np.zeros(y.n, dtype=complex)
-    om, zeta = y
-    return numkit.symmetrize(om), numkit.as_row_vector(zeta)
+        return y.omega, np.zeros(y.omega.shape[:-1], dtype=complex)
+    om = numkit.symmetrize(y[0])
+    return om, numkit.row_vectors(y[1], om)
 
 
-def _block_diag(top, bottom):
-    n = top.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = top
-    out[n:, n:] = bottom
-    return out
+def _factor(c, d, mat):
+    # block-diag(t(den)^{-1}, den) with den = c mat + d
+    den = c @ mat + d
+    inv_t = numkit.solve(transpose(den), np.broadcast_to(np.eye(den.shape[-1]), den.shape))
+    zero = np.zeros_like(inv_t)
+    return np.block([[inv_t, zero], [zero, den]])
+
+
+def _theta(center, lam, shift, c, d, mat, vec):
+    # center + lam t(vec) + nu t(lam) - nu (c mat + d)^{-1} c t(nu),
+    # nu = vec + lam mat + shift
+    nu = vec + vecmat(lam, mat) + shift
+    quad = vecvec(vecmat(right_divide(nu, c @ mat + d), c), nu)
+    return item_or_stack(center + vecvec(lam, vec) + vecvec(nu, lam) - quad)
 
 
 # --- factors and kernels for the two symplectic models ---
 
 def j1(sigma: SpElement, y) -> np.ndarray:
     """block-diag(t(c Omega + d)^{-1}, c Omega + d)."""
-    omega, _ = _oz(y)
-    den = sigma.c @ omega + sigma.d
-    return _block_diag(numkit.solve(den.T, np.eye(den.shape[0])), den)
+    return _factor(sigma.c, sigma.d, _oz(y)[0])
 
 
 def k1(yp, y) -> np.ndarray:
     """Anti-diagonal blocks conj(Omega) - Omega' and (Omega' - conj(Omega))^{-1}."""
     omp, _ = _oz(yp)
     om, _ = _oz(y)
-    n = om.shape[0]
     diff = om.conj() - omp
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = diff
-    out[n:, :n] = numkit.solve(-diff, np.eye(n))
-    return out
+    zero = np.zeros_like(diff)
+    return np.block([[zero, diff],
+                     [numkit.solve(-diff, np.broadcast_to(np.eye(diff.shape[-1]), diff.shape)), zero]])
 
 
 def j1_star(omega: SpStarElement, x) -> np.ndarray:
-    w, _ = _wz(x)
-    den = omega.q.conj() @ w + omega.p.conj()
-    return _block_diag(numkit.solve(den.T, np.eye(den.shape[0])), den)
+    """block-diag(t(conj(q) W + conj(p))^{-1}, conj(q) W + conj(p))."""
+    return _factor(omega.q.conj(), omega.p.conj(), _wz(x)[0])
 
 
 # --- scalar factors for the two Jacobi groups ---
@@ -80,23 +90,14 @@ def j1_star(omega: SpStarElement, x) -> np.ndarray:
 def theta_factor(g: JacobiElement, y) -> complex:
     """kappa + lam t(zeta) + nu t(lam) - nu (c Omega + d)^{-1} c t(nu),
     nu = zeta + lam Omega + mu."""
-    omega, zeta = _oz(y)
-    lam, mu = g.h.lam, g.h.mu
-    nu = zeta + lam @ omega + mu
-    den = g.sigma.c @ omega + g.sigma.d
-    quad = right_divide(nu, den) @ g.sigma.c @ nu
-    return complex(g.h.kappa + lam @ zeta + nu @ lam - quad)
+    return _theta(g.h.kappa, g.h.lam, g.h.mu, g.sigma.c, g.sigma.d, *_oz(y))
 
 
 def theta_star(gs: JacobiStarElement, x) -> complex:
     """varkappa + z t(alpha) + nu t(alpha) - nu (conj(q) W + conj(p))^{-1}
     conj(q) t(nu), nu = z + alpha W + conj(alpha)."""
-    w, z = _wz(x)
-    alpha = gs.alpha
-    nu = z + alpha @ w + alpha.conj()
-    den = gs.omega.q.conj() @ w + gs.omega.p.conj()
-    quad = right_divide(nu, den) @ gs.omega.q.conj() @ nu
-    return complex(gs.varkappa + z @ alpha + nu @ alpha - quad)
+    return _theta(gs.varkappa, gs.alpha, gs.alpha.conj(), gs.omega.q.conj(),
+                  gs.omega.p.conj(), *_wz(x))
 
 
 def k2_space(yp, y) -> complex:
@@ -104,7 +105,7 @@ def k2_space(yp, y) -> complex:
     omp, zp = _oz(yp)
     _, z = _oz(y)
     diff = zp - z.conj()
-    return complex(-0.5 * (right_divide(diff, omp - omp.conj()) @ diff))
+    return item_or_stack(-0.5 * vecvec(right_divide(diff, omp - omp.conj()), diff))
 
 
 def a_form(w, z) -> complex:
@@ -116,11 +117,11 @@ def a_form(w, z) -> complex:
 def a_polar(xp, x) -> complex:
     wp, zp = _wz(xp)
     w, z = _wz(x)
-    n = w.shape[0]
-    gram = np.eye(n) - wp @ w.conj()
-    first = (z.conj() + 0.5 * zp @ w.conj()) @ numkit.solve(gram, zp)
-    second = 0.5 * z.conj() @ numkit.solve(gram, wp @ z.conj())
-    return complex(first + second)
+    gram = np.eye(w.shape[-1]) - wp @ w.conj()
+    sol = numkit.solve(gram, np.stack([zp, (wp @ z.conj()[..., None])[..., 0]], axis=-1))
+    first = vecvec(z.conj() + 0.5 * vecmat(zp, w.conj()), sol[..., 0])
+    second = 0.5 * vecvec(z.conj(), sol[..., 1])
+    return item_or_stack(first + second)
 
 
 # --- representation-level factors and kernels ---
@@ -129,7 +130,8 @@ def jmk(g: JacobiElement, y, m, k) -> complex:
     """det(c Omega + d)^{-k} exp(2 pi i m theta)."""
     omega, _ = _oz(y)
     den = g.sigma.c @ omega + g.sigma.d
-    return complex(numkit.det_power(den, -k) * np.exp(2j * np.pi * m * theta_factor(g, y)))
+    return item_or_stack(numkit.det_power(den, -k)
+                         * np.exp(2j * np.pi * m * theta_factor(g, y)))
 
 
 def jmk_star(gs: JacobiStarElement, x, m, k) -> complex:
@@ -142,25 +144,23 @@ def jmk_star(gs: JacobiStarElement, x, m, k) -> complex:
     """
     w, _ = _wz(x)
     den = gs.omega.q.conj() @ w + gs.omega.p.conj()
-    return complex(numkit.det_power(den, -k) * np.exp(-4.0 * np.pi * m * theta_star(gs, x)))
+    return item_or_stack(numkit.det_power(den, -k)
+                         * np.exp(-4.0 * np.pi * m * theta_star(gs, x)))
 
 
 def kmk_weight(y, m, k) -> float:
     """exp(4 pi m eta Y^{-1} t(eta)) (det Y)^k with Y = Im Omega, eta = Im zeta."""
     omega, zeta = _oz(y)
     yim, eta = omega.imag, zeta.imag
-    quad = float((numkit.solve(yim, eta) @ eta).real)
-    return float(np.exp(4.0 * np.pi * m * quad) * numkit.det_power(yim, k).real)
+    quad = vecvec(numkit.solve(yim, eta[..., None])[..., 0], eta).real
+    return item_or_stack(np.exp(4.0 * np.pi * m * quad) * np.real(numkit.det_power(yim, k)))
 
 
 def hj_inner_weight(y, m, k) -> float:
     """(det Y)^k exp(-4 pi m eta Y^{-1} t(eta)): the weight the unbounded-model
     inner product integrates against (it decays in eta and carries the +k
     determinant power that matches the bounded side through the transform)."""
-    omega, zeta = _oz(y)
-    yim, eta = omega.imag, zeta.imag
-    quad = float((numkit.solve(yim, eta) @ eta).real)
-    return float(np.exp(-4.0 * np.pi * m * quad) * numkit.det_power(yim, k).real)
+    return kmk_weight(y, -m, k)
 
 
 def kmk_kernel(yp, y, m, k) -> complex:
@@ -168,12 +168,12 @@ def kmk_kernel(yp, y, m, k) -> complex:
     omp, _ = _oz(yp)
     om, _ = _oz(y)
     det_part = numkit.det_power(0.5j * om.conj() - 0.5j * omp, -k)
-    return complex(det_part * np.exp(2j * np.pi * m * k2_space(yp, y)))
+    return item_or_stack(det_part * np.exp(2j * np.pi * m * k2_space(yp, y)))
 
 
 def kmk_star_weight(x, m, k) -> float:
     """det(I - W conj(W))^{-k} exp(8 pi m A(W, z)): the kernel diagonal."""
-    return float(kmk_star_kernel(x, x, m, k).real)
+    return item_or_stack(np.real(kmk_star_kernel(x, x, m, k)))
 
 
 def kmk_star_weight_flipped(x, m, k) -> float:
@@ -187,8 +187,8 @@ def kmk_star_kernel(xp, x, m, k) -> complex:
     """det(I - W' conj(W))^{-k} exp(8 pi m A(W', z'; W, z))."""
     wp, _ = _wz(xp)
     w, _ = _wz(x)
-    gram = np.eye(w.shape[0]) - wp @ w.conj()
-    return complex(numkit.det_power(gram, -k) * np.exp(8.0 * np.pi * m * a_polar(xp, x)))
+    gram = np.eye(w.shape[-1]) - wp @ w.conj()
+    return item_or_stack(numkit.det_power(gram, -k) * np.exp(8.0 * np.pi * m * a_polar(xp, x)))
 
 
 def weight_diagnostics(y, m, k) -> dict:

@@ -1,21 +1,22 @@
 """Dense complex linear algebra helpers and multi-index bookkeeping.
 
-Matrices are plain numpy complex arrays.  Symmetric matrices are stored in
-full square form but always passed through symmetrize() so that t(M) == M
-holds exactly (shared upper triangle).  Multi-indices s are tuples of ints;
-a symmetric index a (a natural symmetric matrix indexing a monomial in the
-entries of a symmetric W) is a small frozen dataclass over its stored upper
-triangle, so that it can key polynomial terms.
+Matrices are plain numpy complex arrays, one matrix (n, n) or a stack
+(..., n, n) with leading axes; every helper here runs the same code on both.
+Symmetric matrices are stored in full square form but always passed through
+symmetrize() so that t(M) == M holds exactly (shared upper triangle).
+Multi-indices s are tuples of ints; a symmetric index a (a natural symmetric
+matrix indexing a monomial in the entries of a symmetric W) is a small frozen
+dataclass over its stored upper triangle, so that it can key polynomial terms.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 COND_GUARD = 1e12
 POSDEF_THRESHOLD = 1e-12
@@ -36,11 +37,30 @@ class NotHermitianError(ValueError):
     pass
 
 
+class Stack:
+    """Mixin for the frozen point and element dataclasses, whose fields carry
+    an optional leading stack axis: stack[idx] is the member (or sub-stack)
+    idx, taken as it is, since the stack was validated when it was built."""
+
+    def __getitem__(self, idx):
+        out = object.__new__(type(self))
+        for field in dataclasses.fields(self):
+            object.__setattr__(out, field.name, getattr(self, field.name)[idx])
+        return out
+
+
+def item_or_stack(value):
+    """A 0-d result as a Python number, a stacked one as its array."""
+    value = np.asarray(value)
+    return value.item() if value.ndim == 0 else value
+
+
 def as_square(A):
+    """A complex square matrix, or a stack of them (..., n, n)."""
     A = np.asarray(A, dtype=complex)
     if A.ndim == 0:
         A = A.reshape(1, 1)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
         raise ValueError("non-finite entries")
@@ -55,57 +75,83 @@ def as_row_vector(z, n=None):
     return z
 
 
+def row_vectors(v, mats):
+    """v as the row vectors that go with the square matrices mats: a flat
+    (n,) vector for one matrix, shape (..., n) matching a stack."""
+    if np.ndim(mats) == 2:
+        return as_row_vector(v, mats.shape[-1])
+    v = np.asarray(v, dtype=complex)
+    if v.shape != mats.shape[:-1]:
+        raise ValueError(f"expected vectors of shape {mats.shape[:-1]}, got {v.shape}")
+    return v
+
+
+def transpose(M):
+    """t(M) of each member of a stack."""
+    return np.swapaxes(M, -1, -2)
+
+
+def vecmat(v, M):
+    """Row vector times matrix, v M, for one pair or stacks of them."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def vecvec(u, v):
+    """u t(v) (no conjugation) for row vectors, one pair or stacks of them."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def symmetrize(M):
     """Mirror the upper triangle so that t(M) == M exactly."""
     M = as_square(M)
-    return np.triu(M) + np.triu(M, 1).T
+    return np.triu(M) + transpose(np.triu(M, 1))
+
+
+def condition_guard(A):
+    """Raise unless every member of A has a 1-norm condition number
+    ||A||_1 ||A^{-1}||_1 of at most COND_GUARD: SingularMatrixError when a
+    member is exactly singular (its LU factorization meets a zero pivot),
+    IllConditionedError carrying the largest condition number otherwise."""
+    cond = float(np.max(np.linalg.cond(as_square(A), 1)))
+    if np.isinf(cond):
+        raise SingularMatrixError("matrix is exactly singular")
+    if not cond <= COND_GUARD:
+        raise IllConditionedError(
+            f"condition number {cond:.3e} exceeds guard {COND_GUARD:.1e}",
+            cond_estimate=cond)
 
 
 def solve(A, B):
-    """Solve A X = B, guarding against ill conditioning.
+    """Solve A X = B for one matrix or a stack, after condition_guard(A).
 
-    One LU factorization gives the solve and the guard: it raises
-    SingularMatrixError when the factorization meets an exactly zero pivot,
-    and IllConditionedError (carrying the condition estimate) when the LAPACK
-    1-norm condition estimate exceeds COND_GUARD.
-    """
+    B is one vector (n,), or matrices (..., n, k) matching A's stack; a
+    stack of vectors is passed as (..., n, 1)."""
     A = as_square(A)
-    B = np.asarray(B, dtype=complex)
-    lu, piv, info = lapack.zgetrf(A)
-    if info > 0:
-        raise SingularMatrixError(f"matrix is exactly singular (zero pivot {info})")
-    rcond, _ = lapack.zgecon(lu, np.linalg.norm(A, 1), norm="1")
-    cond = 1.0 / rcond if rcond > 0 else np.inf
-    if cond > COND_GUARD:
-        raise IllConditionedError(
-            f"condition estimate {cond:.3e} exceeds guard {COND_GUARD:.1e}",
-            cond_estimate=cond)
-    x, _ = lapack.zgetrs(lu, piv, B)
-    return x
-
-
-def inv(A):
-    return solve(A, np.eye(A.shape[0] if hasattr(A, "shape") else 1))
+    condition_guard(A)
+    return np.linalg.solve(A, np.asarray(B, dtype=complex))
 
 
 def posdef_certificate(H, threshold=POSDEF_THRESHOLD):
-    """Return (is positive definite, smallest eigenvalue) for Hermitian H."""
+    """(is positive definite, smallest eigenvalue) for a Hermitian matrix,
+    or per member of a stack.  NotHermitianError when a member departs from
+    Hermitian by more than HERMITIAN_TOL relative to max(1, its largest
+    entry)."""
     H = as_square(H)
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.conj().T)) > HERMITIAN_TOL * scale:
+    Hh = transpose(H).conj()
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+    if np.any(np.max(np.abs(H - Hh), axis=(-2, -1)) > HERMITIAN_TOL * scale):
         raise NotHermitianError("matrix is not Hermitian within 1e-12")
-    w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-    lam_min = float(w[0])
-    return lam_min > threshold, lam_min
+    lam_min = np.linalg.eigvalsh(0.5 * (H + Hh))[..., 0]
+    return item_or_stack(lam_min > threshold), item_or_stack(lam_min)
 
 
 def principal_logdet(A):
     """log det A on the principal branch (imaginary part in (-pi, pi])."""
     A = as_square(A)
     sign, logabs = np.linalg.slogdet(A)
-    if sign == 0 or not np.isfinite(logabs):
+    if np.any(sign == 0) or not np.all(np.isfinite(logabs)):
         raise SingularMatrixError("singular matrix in principal_logdet")
-    return complex(logabs, float(np.angle(sign)))
+    return item_or_stack(logabs + 1j * np.angle(sign))
 
 
 def det_power(A, alpha):

@@ -532,35 +532,41 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
 
 # --- finite-difference Jacobians and real charts ---
 
+def _pack(mats, vecs):
+    rows, cols = np.array(numkit.upper_pairs(mats.shape[-1])).T
+    upper = mats[..., rows, cols]
+    return np.concatenate([upper.real, upper.imag, vecs.real, vecs.imag], axis=-1)
+
+
 def pack_disk_point(x: SJDiskPoint) -> np.ndarray:
-    n = x.n
-    wu = np.array([x.w[i, j] for (i, j) in numkit.upper_pairs(n)])
-    return np.concatenate([wu.real, wu.imag, x.z.real, x.z.imag])
+    """Real chart coordinates of a point, or of each point of a stack (..., D)."""
+    return _pack(x.w, x.z)
 
 
 def unpack_disk_point(vec, n) -> SJDiskPoint:
     d = _upper_dim(n)
-    wu = vec[:d] + 1j * vec[d:2 * d]
-    w = np.zeros((n, n), dtype=complex)
-    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-        w[i, j] = w[j, i] = wu[idx]
-    z = vec[2 * d:2 * d + n] + 1j * vec[2 * d + n:]
+    vec = np.asarray(vec, dtype=float)
+    wu = vec[..., :d] + 1j * vec[..., d:2 * d]
+    w = np.zeros(vec.shape[:-1] + (n, n), dtype=complex)
+    rows, cols = np.array(numkit.upper_pairs(n)).T
+    w[..., rows, cols] = wu
+    w[..., cols, rows] = wu
+    z = vec[..., 2 * d:2 * d + n] + 1j * vec[..., 2 * d + n:]
     return SJDiskPoint(w, z)
 
 
 def pack_space_point(y: SJSpacePoint) -> np.ndarray:
-    n = y.n
-    ou = np.array([y.omega[i, j] for (i, j) in numkit.upper_pairs(n)])
-    return np.concatenate([ou.real, ou.imag, y.zeta.real, y.zeta.imag])
+    return _pack(y.omega, y.zeta)
 
 
 def numeric_jacobian(fn, x0, step=1e-5):
-    """Central-difference Jacobian of a vector map R^D -> R^D."""
+    """Central-difference Jacobian J[j, i] = d fn_j / d x_i of a map
+    R^D -> R^D at x0 (D,), or at each column of x0 (D, N), giving (D, D, N).
+
+    fn takes points as columns: it maps an array (D, ...) to (D, ...), and is
+    called once, on the 2D perturbed copies of every point."""
     x0 = np.asarray(x0, dtype=float)
     dim = x0.shape[0]
-    cols = []
-    for i in range(dim):
-        dx = np.zeros(dim)
-        dx[i] = step
-        cols.append((np.asarray(fn(x0 + dx)) - np.asarray(fn(x0 - dx))) / (2 * step))
-    return np.stack(cols, axis=1)
+    dx = step * np.eye(dim).reshape((dim, dim) + (1,) * (x0.ndim - 1))
+    vals = np.asarray(fn(np.concatenate([x0[:, None] + dx, x0[:, None] - dx], axis=1)))
+    return (vals[:, :dim] - vals[:, dim:]) / (2 * step)

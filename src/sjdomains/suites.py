@@ -46,61 +46,55 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return default if cfg.tol is None else cfg.tol
 
 
+def _max_abs(*diffs) -> float:
+    return max(float(np.max(np.abs(d))) for d in diffs)
+
+
 def _jacobi_dist(g1: groups.JacobiElement, g2: groups.JacobiElement) -> float:
-    return max(float(np.max(np.abs(g1.sigma.as_matrix() - g2.sigma.as_matrix()))),
-               float(np.max(np.abs(g1.h.lam - g2.h.lam))),
-               float(np.max(np.abs(g1.h.mu - g2.h.mu))),
-               abs(g1.h.kappa - g2.h.kappa))
+    return _max_abs(g1.sigma.as_matrix() - g2.sigma.as_matrix(), g1.h.lam - g2.h.lam,
+                    g1.h.mu - g2.h.mu, g1.h.kappa - g2.h.kappa)
 
 
 def _jacobi_star_dist(g1: groups.JacobiStarElement, g2: groups.JacobiStarElement) -> float:
-    return max(float(np.max(np.abs(g1.omega.as_matrix() - g2.omega.as_matrix()))),
-               float(np.max(np.abs(g1.alpha - g2.alpha))),
-               abs(g1.varkappa - g2.varkappa))
+    return _max_abs(g1.omega.as_matrix() - g2.omega.as_matrix(), g1.alpha - g2.alpha,
+                    g1.varkappa - g2.varkappa)
 
 
 def _space_dist(y1: domains.SJSpacePoint, y2: domains.SJSpacePoint) -> float:
-    return max(float(np.max(np.abs(y1.omega - y2.omega))),
-               float(np.max(np.abs(y1.zeta - y2.zeta))))
+    return _max_abs(y1.omega - y2.omega, y1.zeta - y2.zeta)
 
 
 def _disk_dist(x1: domains.SJDiskPoint, x2: domains.SJDiskPoint) -> float:
-    return max(float(np.max(np.abs(x1.w - x2.w))),
-               float(np.max(np.abs(x1.z - x2.z))))
+    return _max_abs(x1.w - x2.w, x1.z - x2.z)
 
 
 # --- algebraic suites ---
+# Each draws its points and elements as stacks from the same per-index seeds
+# as one draw per index would, and evaluates every identity on the stack;
+# the residual is the worst member.
 
 def run_group_axioms(cfg: SuiteConfig, count=100) -> VerifyReport:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    worst = {name: 0.0 for name in
-             ("space-associativity", "space-inverse", "disk-associativity", "disk-inverse")}
+    base = seed * 7919 + 3 * np.arange(count)
+    g1, g2, g3 = (groups.random_jacobi_batch(n, base + i) for i in range(3))
+    # random_jacobi_star(seed) is theta_iso(random_jacobi(seed))
+    s1, s2, s3 = (groups.theta_iso(g) for g in (g1, g2, g3))
     ident = groups.JacobiElement.identity(n)
     ident_s = groups.JacobiStarElement.identity(n)
-    for t in range(count):
-        g1 = groups.random_jacobi(n, seed=seed * 7919 + 3 * t)
-        g2 = groups.random_jacobi(n, seed=seed * 7919 + 3 * t + 1)
-        g3 = groups.random_jacobi(n, seed=seed * 7919 + 3 * t + 2)
-        lhs = groups.jacobi_mul(groups.jacobi_mul(g1, g2), g3)
-        rhs = groups.jacobi_mul(g1, groups.jacobi_mul(g2, g3))
-        worst["space-associativity"] = max(worst["space-associativity"],
-                                           _jacobi_dist(lhs, rhs))
-        worst["space-inverse"] = max(
-            worst["space-inverse"],
-            _jacobi_dist(groups.jacobi_mul(g1, groups.jacobi_inv(g1)), ident),
-            _jacobi_dist(groups.jacobi_mul(groups.jacobi_inv(g1), g1), ident))
-        s1 = groups.random_jacobi_star(n, seed=seed * 7919 + 3 * t)
-        s2 = groups.random_jacobi_star(n, seed=seed * 7919 + 3 * t + 1)
-        s3 = groups.random_jacobi_star(n, seed=seed * 7919 + 3 * t + 2)
-        lhs = groups.jacobi_star_mul(groups.jacobi_star_mul(s1, s2), s3)
-        rhs = groups.jacobi_star_mul(s1, groups.jacobi_star_mul(s2, s3))
-        worst["disk-associativity"] = max(worst["disk-associativity"],
-                                          _jacobi_star_dist(lhs, rhs))
-        worst["disk-inverse"] = max(
-            worst["disk-inverse"],
+    worst = {
+        "space-associativity": _jacobi_dist(
+            groups.jacobi_mul(groups.jacobi_mul(g1, g2), g3),
+            groups.jacobi_mul(g1, groups.jacobi_mul(g2, g3))),
+        "space-inverse": max(_jacobi_dist(groups.jacobi_mul(g1, groups.jacobi_inv(g1)), ident),
+                             _jacobi_dist(groups.jacobi_mul(groups.jacobi_inv(g1), g1), ident)),
+        "disk-associativity": _jacobi_star_dist(
+            groups.jacobi_star_mul(groups.jacobi_star_mul(s1, s2), s3),
+            groups.jacobi_star_mul(s1, groups.jacobi_star_mul(s2, s3))),
+        "disk-inverse": max(
             _jacobi_star_dist(groups.jacobi_star_mul(s1, groups.jacobi_star_inv(s1)), ident_s),
-            _jacobi_star_dist(groups.jacobi_star_mul(groups.jacobi_star_inv(s1), s1), ident_s))
+            _jacobi_star_dist(groups.jacobi_star_mul(groups.jacobi_star_inv(s1), s1), ident_s)),
+    }
     checks = [residual_check(name, val, tol) for name, val in worst.items()]
     return VerifyReport("group-axioms", cfg.to_dict(), seed, checks)
 
@@ -108,18 +102,13 @@ def run_group_axioms(cfg: SuiteConfig, count=100) -> VerifyReport:
 def run_theta_iso(cfg: SuiteConfig, count=100) -> VerifyReport:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    worst_hom, worst_round = 0.0, 0.0
-    for t in range(count):
-        g1 = groups.random_jacobi(n, seed=seed * 6211 + 2 * t)
-        g2 = groups.random_jacobi(n, seed=seed * 6211 + 2 * t + 1)
-        lhs = groups.theta_iso(groups.jacobi_mul(g1, g2))
-        rhs = groups.jacobi_star_mul(groups.theta_iso(g1), groups.theta_iso(g2))
-        worst_hom = max(worst_hom, _jacobi_star_dist(lhs, rhs))
-        worst_round = max(worst_round,
-                          _jacobi_dist(groups.theta_inv(groups.theta_iso(g1)), g1))
-        gs = groups.random_jacobi_star(n, seed=seed * 6211 + 2 * t)
-        worst_round = max(worst_round,
-                          _jacobi_star_dist(groups.theta_iso(groups.theta_inv(gs)), gs))
+    base = seed * 6211 + 2 * np.arange(count)
+    g1, g2 = groups.random_jacobi_batch(n, base), groups.random_jacobi_batch(n, base + 1)
+    gs = groups.theta_iso(g1)
+    worst_hom = _jacobi_star_dist(groups.theta_iso(groups.jacobi_mul(g1, g2)),
+                                  groups.jacobi_star_mul(gs, groups.theta_iso(g2)))
+    worst_round = max(_jacobi_dist(groups.theta_inv(gs), g1),
+                      _jacobi_star_dist(groups.theta_iso(groups.theta_inv(gs)), gs))
     checks = [residual_check("homomorphism", worst_hom, tol),
               residual_check("inverse-roundtrip", worst_round, tol)]
     return VerifyReport("theta-iso", cfg.to_dict(), seed, checks)
@@ -128,27 +117,22 @@ def run_theta_iso(cfg: SuiteConfig, count=100) -> VerifyReport:
 def run_actions(cfg: SuiteConfig, count=100) -> VerifyReport:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    worst = {name: 0.0 for name in
-             ("space-composition", "space-identity", "disk-composition", "disk-identity")}
-    ident = groups.JacobiElement.identity(n)
-    ident_s = groups.JacobiStarElement.identity(n)
-    for t in range(count):
-        x = domains.sample_sj_disk_point(n, 0.6, 0.8, seed=seed * 4099 + t)
-        y = domains.cayley_forward(x)
-        g1 = groups.random_jacobi(n, seed=seed * 4099 + 2 * t)
-        g2 = groups.random_jacobi(n, seed=seed * 4099 + 2 * t + 1)
-        lhs = groups.act_sj_space(g1, groups.act_sj_space(g2, y))
-        rhs = groups.act_sj_space(groups.jacobi_mul(g1, g2), y)
-        worst["space-composition"] = max(worst["space-composition"], _space_dist(lhs, rhs))
-        worst["space-identity"] = max(worst["space-identity"],
-                                      _space_dist(groups.act_sj_space(ident, y), y))
-        s1 = groups.theta_iso(g1)
-        s2 = groups.theta_iso(g2)
-        lhs = groups.act_sj_disk(s1, groups.act_sj_disk(s2, x))
-        rhs = groups.act_sj_disk(groups.jacobi_star_mul(s1, s2), x)
-        worst["disk-composition"] = max(worst["disk-composition"], _disk_dist(lhs, rhs))
-        worst["disk-identity"] = max(worst["disk-identity"],
-                                     _disk_dist(groups.act_sj_disk(ident_s, x), x))
+    t = np.arange(count)
+    x = domains.sample_sj_disk_batch(n, seed * 4099 + t, 0.6, 0.8)
+    y = domains.cayley_forward(x)
+    g1 = groups.random_jacobi_batch(n, seed * 4099 + 2 * t)
+    g2 = groups.random_jacobi_batch(n, seed * 4099 + 2 * t + 1)
+    s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
+    worst = {
+        "space-composition": _space_dist(groups.act_sj_space(g1, groups.act_sj_space(g2, y)),
+                                         groups.act_sj_space(groups.jacobi_mul(g1, g2), y)),
+        "space-identity": _space_dist(
+            groups.act_sj_space(groups.JacobiElement.identity(n), y), y),
+        "disk-composition": _disk_dist(groups.act_sj_disk(s1, groups.act_sj_disk(s2, x)),
+                                       groups.act_sj_disk(groups.jacobi_star_mul(s1, s2), x)),
+        "disk-identity": _disk_dist(
+            groups.act_sj_disk(groups.JacobiStarElement.identity(n), x), x),
+    }
     checks = [residual_check(name, val, tol) for name, val in worst.items()]
     return VerifyReport("actions", cfg.to_dict(), seed, checks)
 
@@ -157,22 +141,16 @@ def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> VerifyReport:
     n, seed = cfg.n, cfg.seed
     round_tol = 1e-12
     equi_tol = _tol(cfg, 1e-9)
-    worst_round = 0.0
-    for t in range(count):
-        x = domains.sample_sj_disk_point(n, 0.85, 1.5, seed=seed * 9001 + t)
-        back = domains.cayley_inverse(domains.cayley_forward(x))
-        worst_round = max(worst_round, _disk_dist(back, x))
-        y = domains.cayley_forward(domains.sample_sj_disk_point(n, 0.7, 1.0,
-                                                                seed=seed * 9001 + count + t))
-        forth = domains.cayley_forward(domains.cayley_inverse(y))
-        worst_round = max(worst_round, _space_dist(forth, y))
-    worst_equi = 0.0
-    for t in range(cases):
-        g = groups.random_jacobi(n, scale=0.5, seed=seed * 9013 + t)
-        x = domains.sample_sj_disk_point(n, 0.6, 0.8, seed=seed * 9013 + t)
-        lhs = domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x))
-        rhs = groups.act_sj_space(g, domains.cayley_forward(x))
-        worst_equi = max(worst_equi, _space_dist(lhs, rhs))
+    t = np.arange(count)
+    x = domains.sample_sj_disk_batch(n, seed * 9001 + t, 0.85, 1.5)
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, seed * 9001 + count + t, 0.7, 1.0))
+    worst_round = max(_disk_dist(domains.cayley_inverse(domains.cayley_forward(x)), x),
+                      _space_dist(domains.cayley_forward(domains.cayley_inverse(y)), y))
+    t = np.arange(cases)
+    g = groups.random_jacobi_batch(n, seed * 9013 + t)
+    x = domains.sample_sj_disk_batch(n, seed * 9013 + t, 0.6, 0.8)
+    worst_equi = _space_dist(domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x)),
+                             groups.act_sj_space(g, domains.cayley_forward(x)))
     checks = [residual_check("roundtrip", worst_round, round_tol),
               residual_check("equivariance", worst_equi, equi_tol)]
     return VerifyReport("cayley", cfg.to_dict(), seed, checks)
@@ -182,28 +160,27 @@ def run_cocycle(cfg: SuiteConfig, count=100) -> VerifyReport:
     n, seed = cfg.n, cfg.seed
     m, k = cfg.m, cfg.k
     tol = _tol(cfg, 1e-8)
-    worst = {name: 0.0 for name in
-             ("sp-factor", "sp-star-factor", "space-automorphy", "disk-automorphy")}
-    for t in range(count):
-        x = domains.sample_sj_disk_point(n, 0.55, 0.7, seed=seed * 5003 + t)
-        y = domains.cayley_forward(x)
-        g1 = groups.random_jacobi(n, scale=0.5, seed=seed * 5003 + 2 * t)
-        g2 = groups.random_jacobi(n, scale=0.5, seed=seed * 5003 + 2 * t + 1)
-        lhs0 = kernels.j1(groups.sp_mul(g1.sigma, g2.sigma), y)
-        rhs0 = kernels.j1(g1.sigma, groups.act_sj_space(g2, y)) @ kernels.j1(g2.sigma, y)
-        worst["sp-factor"] = max(worst["sp-factor"], float(np.max(np.abs(lhs0 - rhs0))))
-        s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
-        lhs0 = kernels.j1_star(groups.sp_star_mul(s1.omega, s2.omega), x)
-        rhs = kernels.j1_star(s1.omega, groups.act_sj_disk(s2, x)) @ kernels.j1_star(s2.omega, x)
-        worst["sp-star-factor"] = max(worst["sp-star-factor"],
-                                      float(np.max(np.abs(lhs0 - rhs))))
-        lhs_c = kernels.jmk(groups.jacobi_mul(g1, g2), y, m, k)
-        rhs_c = kernels.jmk(g1, groups.act_sj_space(g2, y), m, k) * kernels.jmk(g2, y, m, k)
-        worst["space-automorphy"] = max(worst["space-automorphy"], abs(lhs_c - rhs_c))
-        lhs_c = kernels.jmk_star(groups.jacobi_star_mul(s1, s2), x, m, k)
-        rhs_c = (kernels.jmk_star(s1, groups.act_sj_disk(s2, x), m, k)
-                 * kernels.jmk_star(s2, x, m, k))
-        worst["disk-automorphy"] = max(worst["disk-automorphy"], abs(lhs_c - rhs_c))
+    t = np.arange(count)
+    x = domains.sample_sj_disk_batch(n, seed * 5003 + t, 0.55, 0.7)
+    y = domains.cayley_forward(x)
+    g1 = groups.random_jacobi_batch(n, seed * 5003 + 2 * t)
+    g2 = groups.random_jacobi_batch(n, seed * 5003 + 2 * t + 1)
+    s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
+    g2y, s2x = groups.act_sj_space(g2, y), groups.act_sj_disk(s2, x)
+    worst = {
+        "sp-factor": _max_abs(
+            kernels.j1(groups.sp_mul(g1.sigma, g2.sigma), y)
+            - kernels.j1(g1.sigma, g2y) @ kernels.j1(g2.sigma, y)),
+        "sp-star-factor": _max_abs(
+            kernels.j1_star(groups.sp_star_mul(s1.omega, s2.omega), x)
+            - kernels.j1_star(s1.omega, s2x) @ kernels.j1_star(s2.omega, x)),
+        "space-automorphy": _max_abs(
+            kernels.jmk(groups.jacobi_mul(g1, g2), y, m, k)
+            - kernels.jmk(g1, g2y, m, k) * kernels.jmk(g2, y, m, k)),
+        "disk-automorphy": _max_abs(
+            kernels.jmk_star(groups.jacobi_star_mul(s1, s2), x, m, k)
+            - kernels.jmk_star(s1, s2x, m, k) * kernels.jmk_star(s2, x, m, k)),
+    }
     checks = [residual_check(name, val, tol) for name, val in worst.items()]
     return VerifyReport("cocycle", cfg.to_dict(), seed, checks)
 
@@ -404,19 +381,15 @@ def run_kernel_invariance(cfg: SuiteConfig, count=100) -> VerifyReport:
     variant is reported alongside for reference."""
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
     tol = _tol(cfg, 1e-7)
-    worst, worst_plain = 0.0, 0.0
-    for t in range(count):
-        gs = groups.random_jacobi_star(n, scale=0.4, seed=seed * 7717 + t)
-        x = domains.sample_sj_disk_point(n, 0.5, 0.8, seed=seed * 7717 + t)
-        gx = groups.act_sj_disk(gs, x)
-        jac = abs(kernels.jmk_star(gs, x, m, k)) ** 2
-        ratio = kernels.kmk_star_weight_flipped(gx, m, k) * jac \
-            / kernels.kmk_star_weight_flipped(x, m, k)
-        worst = max(worst, abs(ratio - 1.0))
-        plain = kernels.kmk_star_weight(gx, m, k) * jac / kernels.kmk_star_weight(x, m, k)
-        worst_plain = max(worst_plain, abs(plain - 1.0))
-    checks = [residual_check("invariance-ratio", worst, tol,
-                             detail={"plain_weight_variant_residual": worst_plain})]
+    t = np.arange(count)
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, seed * 7717 + t, scale=0.4))
+    x = domains.sample_sj_disk_batch(n, seed * 7717 + t, 0.5, 0.8)
+    gx = groups.act_sj_disk(gs, x)
+    jac = np.abs(kernels.jmk_star(gs, x, m, k)) ** 2
+    ratio = kernels.kmk_star_weight_flipped(gx, m, k) * jac / kernels.kmk_star_weight_flipped(x, m, k)
+    plain = kernels.kmk_star_weight(gx, m, k) * jac / kernels.kmk_star_weight(x, m, k)
+    checks = [residual_check("invariance-ratio", _max_abs(ratio - 1.0), tol,
+                             detail={"plain_weight_variant_residual": _max_abs(plain - 1.0)})]
     return VerifyReport("kernel-invariance", cfg.to_dict(), seed, checks)
 
 

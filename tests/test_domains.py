@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sjdomains import domains, groups
+from sjdomains import domains, groups, numkit
 
 
 def test_disk_point_validation():
@@ -101,3 +101,91 @@ def test_json_point_roundtrip():
 def test_complex_json_encoding():
     assert domains.complex_to_json(1 - 2j) == [1.0, -2.0]
     assert domains.json_to_complex([1.0, -2.0]) == 1 - 2j
+
+
+# --- stacks: one implementation, the scalar API a batch of one ---
+
+def _seeds(n):
+    return 5000 * n + np.arange(60)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_disk_sampler_batch_is_bitwise_per_seed(n):
+    xs = domains.sample_sj_disk_batch(n, _seeds(n), 0.85, 1.5)
+    for i, seed in enumerate(_seeds(n)):
+        x = domains.sample_sj_disk_point(n, 0.85, 1.5, seed=seed)
+        assert np.array_equal(xs.w[i], x.w) and np.array_equal(xs.z[i], x.z)
+        assert np.array_equal(xs[i].w, x.w) and np.array_equal(xs[i].z, x.z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_stack_matches_batches_of_one(n):
+    xs = domains.sample_sj_disk_batch(n, _seeds(n), 0.85, 1.5)
+    ys = domains.cayley_forward(xs)
+    back = domains.cayley_inverse(ys)
+    for i in range(len(_seeds(n))):
+        y = domains.cayley_forward(xs[i])
+        assert_allclose(ys.omega[i], y.omega, rtol=1e-13)
+        assert_allclose(ys.zeta[i], y.zeta, rtol=1e-13)
+        x = domains.cayley_inverse(ys[i])
+        assert_allclose(back.w[i], x.w, rtol=1e-13)
+        assert_allclose(back.z[i], x.z, rtol=1e-13)
+
+
+# Validation at the batch boundary: a stack of 100 valid inputs with one
+# member spoiled raises the exception type the scalar constructor raises on
+# that member, wherever the member sits.
+
+SPOILED_AT = (0, 37, 99)
+
+
+def _raises_like_scalar(build_one, build_stack, bad, expected):
+    with pytest.raises(expected):
+        build_one(bad)
+    with pytest.raises(expected):
+        build_stack()
+
+
+def _disk_stack(n=2):
+    return domains.sample_sj_disk_batch(n, np.arange(100), 0.8, 1.0)
+
+
+@pytest.mark.parametrize("at", SPOILED_AT)
+@pytest.mark.parametrize("smax", [1.0 + 1e-9, 1.0 - 2e-13])
+def test_disk_stack_certifies_every_member(at, smax):
+    # 1 + 1e-9 is outside the domain; 1 - 2e-13 is inside it but within the
+    # boundary margin (lambda_min of I - W conj(W) about 4e-13)
+    xs = _disk_stack()
+    ws, zs = xs.w.copy(), xs.z.copy()
+    ws[at] = np.diag([smax, 0.3])
+    domains.SJDiskPoint(np.delete(ws, at, axis=0), np.delete(zs, at, axis=0))
+    _raises_like_scalar(domains.DiskPoint, lambda: domains.SJDiskPoint(ws, zs), ws[at],
+                        ValueError)
+
+
+@pytest.mark.parametrize("at", SPOILED_AT)
+@pytest.mark.parametrize("lam", [-0.5, 4e-13])
+def test_space_stack_certifies_every_member(at, lam):
+    ys = domains.cayley_forward(_disk_stack())
+    oms = ys.omega.copy()
+    oms[at] = np.diag([0.2 + 1j * lam, 1j])
+    _raises_like_scalar(domains.UpperHalfPoint, lambda: domains.SJSpacePoint(oms, ys.zeta),
+                        oms[at], ValueError)
+
+
+@pytest.mark.parametrize("at", SPOILED_AT)
+def test_chart_stack_guards_conditioning(at):
+    # W = diag(1 - 6e-13, -0.9) lies in the domain beyond the margin, but
+    # I - W has condition number 1.9 / 6e-13 > COND_GUARD
+    xs = _disk_stack()
+    ws = xs.w.copy()
+    ws[at] = np.diag([1.0 - 6e-13, -0.9])
+    bad = domains.SJDiskPoint(ws, xs.z)
+    _raises_like_scalar(domains.cayley_forward, lambda: domains.cayley_forward(bad), bad[at],
+                        numkit.IllConditionedError)
+    ys = domains.cayley_forward(xs)
+    oms = ys.omega.copy()
+    oms[at] = np.diag([5e12j, 1j])  # Omega + iI has condition number 2.5e12
+    bad = domains.SJSpacePoint(oms, ys.zeta)
+    _raises_like_scalar(domains.cayley_inverse, lambda: domains.cayley_inverse(bad), bad[at],
+                        numkit.IllConditionedError)

@@ -125,3 +125,91 @@ def test_group_json_roundtrip():
     gs = groups.random_jacobi_star(2, seed=9)
     back = groups.json_to_jacobi_star(groups.jacobi_star_to_json(gs))
     assert _dist_star(back, gs) < 1e-15
+
+
+# --- stacks: one implementation, the scalar API a batch of one ---
+
+def _assert_jacobi_close(g, ref, rtol=1e-13, atol=0.0):
+    assert_allclose(g.sigma.as_matrix(), ref.sigma.as_matrix(), rtol=rtol, atol=atol)
+    for attr in ("lam", "mu", "kappa"):
+        assert_allclose(getattr(g.h, attr), getattr(ref.h, attr), rtol=rtol, atol=atol)
+
+
+def _assert_star_close(g, ref, rtol=1e-13):
+    assert_allclose(g.omega.as_matrix(), ref.omega.as_matrix(), rtol=rtol)
+    assert_allclose(g.alpha, ref.alpha, rtol=rtol)
+    assert_allclose(g.varkappa, ref.varkappa, rtol=rtol)
+
+
+def _stacks(n, count=60):
+    seeds = 3000 * n + np.arange(count)
+    g1, g2 = groups.random_jacobi_batch(n, seeds), groups.random_jacobi_batch(n, seeds + count)
+    return seeds, g1, g2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_sampler_batch_matches_per_seed(n):
+    seeds, g1, _ = _stacks(n)
+    for i, seed in enumerate(seeds):
+        _assert_jacobi_close(g1[i], groups.random_jacobi(n, seed=seed), rtol=0.0, atol=1e-15)
+        _assert_star_close(groups.theta_iso(g1)[i], groups.random_jacobi_star(n, seed=seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_laws_stack_match_batches_of_one(n):
+    _, g1, g2 = _stacks(n)
+    s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
+    stacked = {"mul": groups.jacobi_mul(g1, g2), "inv": groups.jacobi_inv(g1),
+               "theta_inv": groups.theta_inv(s1)}
+    stacked_s = {"mul": groups.jacobi_star_mul(s1, s2), "inv": groups.jacobi_star_inv(s1),
+                 "theta": s1}
+    for i in range(len(g1.h.kappa)):
+        _assert_jacobi_close(stacked["mul"][i], groups.jacobi_mul(g1[i], g2[i]))
+        _assert_jacobi_close(stacked["inv"][i], groups.jacobi_inv(g1[i]))
+        _assert_jacobi_close(stacked["theta_inv"][i], groups.theta_inv(s1[i]))
+        _assert_star_close(stacked_s["mul"][i], groups.jacobi_star_mul(s1[i], s2[i]))
+        _assert_star_close(stacked_s["inv"][i], groups.jacobi_star_inv(s1[i]))
+        _assert_star_close(stacked_s["theta"][i], groups.theta_iso(g1[i]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_actions_stack_match_batches_of_one(n):
+    seeds, g1, _ = _stacks(n)
+    s1 = groups.theta_iso(g1)
+    x = domains.sample_sj_disk_batch(n, seeds, 0.6, 0.8)
+    y = domains.cayley_forward(x)
+    gy, sx = groups.act_sj_space(g1, y), groups.act_sj_disk(s1, x)
+    for i in range(len(seeds)):
+        one = groups.act_sj_space(g1[i], y[i])
+        assert_allclose(gy.omega[i], one.omega, rtol=1e-13)
+        assert_allclose(gy.zeta[i], one.zeta, rtol=1e-13)
+        one = groups.act_sj_disk(s1[i], x[i])
+        assert_allclose(sx.w[i], one.w, rtol=1e-13)
+        assert_allclose(sx.z[i], one.z, rtol=1e-13)
+
+
+# Validation at the batch boundary: one spoiled member of a stack of 100
+# raises what the scalar constructor raises on it.
+
+@pytest.mark.parametrize("at", [0, 37, 99])
+def test_element_stacks_validate_every_member(at):
+    g = groups.random_jacobi_batch(2, np.arange(100))
+    gs = groups.theta_iso(g)
+    blocks = [getattr(g.sigma, name).copy() for name in "abcd"]
+    blocks[0][at] *= 1.01
+    with pytest.raises(ValueError):
+        groups.SpElement(*(blk[at] for blk in blocks))
+    with pytest.raises(ValueError):
+        groups.SpElement(*blocks)
+    p = gs.omega.p.copy()
+    p[at] *= 1.01
+    with pytest.raises(ValueError):
+        groups.SpStarElement(p[at], gs.omega.q[at])
+    with pytest.raises(ValueError):
+        groups.SpStarElement(p, gs.omega.q)
+    vk = np.array(gs.varkappa)
+    vk[at] += 1e-9
+    with pytest.raises(ValueError):
+        groups.JacobiStarElement(gs.omega[at], gs.alpha[at], vk[at])
+    with pytest.raises(ValueError):
+        groups.JacobiStarElement(gs.omega, gs.alpha, vk)

@@ -150,3 +150,25 @@ def test_weights_positive():
         assert kernels.kmk_star_weight_flipped(x, M, K) > 0
         assert kernels.kmk_star_weight(x, M, K) > 0
         assert kernels.hj_inner_weight(y, M, K) > 0
+
+
+# --- stacks: one implementation, the scalar API a batch of one ---
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factors_stack_match_batches_of_one(n):
+    seeds = 4000 * n + np.arange(60)
+    g = groups.random_jacobi_batch(n, seeds)
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, seeds + 60))
+    x = domains.sample_sj_disk_batch(n, seeds, 0.55, 0.7)
+    y = domains.cayley_forward(x)
+    stacked = {"j1": kernels.j1(g.sigma, y), "j1_star": kernels.j1_star(gs.omega, x),
+               "theta": kernels.theta_factor(g, y), "theta_star": kernels.theta_star(gs, x),
+               "jmk": kernels.jmk(g, y, M, K), "jmk_star": kernels.jmk_star(gs, x, M, K)}
+    for i in range(len(seeds)):
+        one = {"j1": kernels.j1(g.sigma[i], y[i]), "j1_star": kernels.j1_star(gs.omega[i], x[i]),
+               "theta": kernels.theta_factor(g[i], y[i]),
+               "theta_star": kernels.theta_star(gs[i], x[i]),
+               "jmk": kernels.jmk(g[i], y[i], M, K), "jmk_star": kernels.jmk_star(gs[i], x[i], M, K)}
+        for name, value in one.items():
+            assert_allclose(stacked[name][i], value, rtol=1e-13, err_msg=name)
+    assert isinstance(one["jmk_star"], complex) and isinstance(one["theta"], complex)

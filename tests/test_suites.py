@@ -19,16 +19,21 @@ def test_sub_seed_stable():
     assert suites.sub_seed(3, "a") != suites.sub_seed(3, "b")
 
 
-# n=2 runs the polynomial-engine suites, the suites built on the Gaussian
-# forms and moments of quad, and intertwining, which evaluates transported
-# functions pointwise; q-basis fails at n=2 (its MC-Cholesky basis, ROADMAP
-# item 1) and is left out
-N2_SUITES = ["expansions", "gaussian-integrals", "genfun", "intertwining", "isometry",
-             "orthonormality-fock", "pde", "series-gram"]
+# the geometry suites: the group laws, theta, the actions, the Cayley chart,
+# the automorphy factors and the transfer identities, evaluated on stacks
+GEOMETRY_SUITES = ["actions", "cayley", "cocycle", "group-axioms", "kernel-invariance",
+                   "measure-jacobian", "theta-iso", "transfer-identities"]
+
+# n=2 also runs the polynomial-engine suites, the suites built on the
+# Gaussian forms and moments of quad, and intertwining, which evaluates
+# transported functions; q-basis fails at n=2 (its MC-Cholesky basis,
+# ROADMAP item 1) and is left out
+N2_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "intertwining",
+                               "isometry", "orthonormality-fock", "pde", "series-gram"]
 
 # n=3 needs k > n + 1/2 for the discrete series; isometry runs its MC
 # engines on the accepted W of a polydisk that keeps about 0.3% of them
-N3_SUITES = ["expansions", "genfun", "isometry", "pde"]
+N3_SUITES = GEOMETRY_SUITES + ["expansions", "genfun", "intertwining", "isometry", "pde"]
 
 
 @pytest.mark.parametrize("name,n,k", [pytest.param(name, 1, 3, id=name) for name in sorted(suites.SUITES)]
