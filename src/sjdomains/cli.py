@@ -274,7 +274,7 @@ def _table_gram_phi(cfg: SuiteConfig):
 
 def _table_gram_big_f(cfg: SuiteConfig):
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "table-gram-F"))
-    labels, gram, sigma = ds.gram_matrix(cfg.params(), mccfg, s_max=3, a_max=2)
+    labels, gram, sigma, _ = ds.gram_matrix(cfg.params(), mccfg, s_max=3, a_max=2)
     return [str(lbl) for lbl in labels], gram, sigma
 
 
@@ -312,14 +312,8 @@ def cmd_table(kind: str, cfg: SuiteConfig, fmt: str):
     if kind == "expansion-convergence":
         rows, closed = _table_expansion_convergence(cfg)
         if fmt == "csv":
-            import io
-            import csv as _csv
-            buf = io.StringIO()
-            writer = _csv.writer(buf)
-            writer.writerow(["degree", "abs_residual"])
-            for deg, resid in rows:
-                writer.writerow([deg, repr(float(resid))])
-            return buf.getvalue()
+            return report.csv_text(["degree", "abs_residual"],
+                                   [[deg, repr(float(resid))] for deg, resid in rows])
         return json.dumps({"kind": kind, "closed_form": report.encode_value(closed),
                            "rows": [[deg, float(r)] for deg, r in rows]},
                           indent=2, sort_keys=True) + "\n"
@@ -328,14 +322,8 @@ def cmd_table(kind: str, cfg: SuiteConfig, fmt: str):
         header = ["n", "m", "reference_constant", "calibrated_constant", "ratio",
                   "closed_form"]
         if fmt == "csv":
-            import io
-            import csv as _csv
-            buf = io.StringIO()
-            writer = _csv.writer(buf)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
-            return buf.getvalue()
+            return report.csv_text(header, [[row[0]] + [repr(float(v)) for v in row[1:]]
+                                            for row in rows])
         return json.dumps({"kind": kind,
                            "rows": [dict(zip(header, row)) for row in rows]},
                           indent=2, sort_keys=True) + "\n"
@@ -403,18 +391,13 @@ def _emit(text: str, out_path):
 
 
 def _verify_csv(rep: report.VerifyReport) -> str:
-    import io
-    import csv as _csv
-    buf = io.StringIO()
-    writer = _csv.writer(buf)
-    writer.writerow(["name", "pass", "residual", "estimate", "sigma", "tol"])
-    for c in rep.checks:
-        writer.writerow([c.name, int(c.passed),
-                         "" if c.residual is None else repr(float(c.residual)),
-                         "" if c.estimate is None else repr(complex(c.estimate).real),
-                         "" if c.sigma is None else repr(float(c.sigma)),
-                         "" if c.tol is None else repr(float(c.tol))])
-    return buf.getvalue()
+    return report.csv_text(
+        ["name", "pass", "residual", "estimate", "sigma", "tol"],
+        [[c.name, int(c.passed),
+          "" if c.residual is None else repr(float(c.residual)),
+          "" if c.estimate is None else repr(complex(c.estimate).real),
+          "" if c.sigma is None else repr(float(c.sigma)),
+          "" if c.tol is None else repr(float(c.tol))] for c in rep.checks])
 
 
 def main(argv=None) -> int:

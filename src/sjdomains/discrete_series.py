@@ -218,12 +218,11 @@ def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
 
 def gram_matrix(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2):
     """Labeled MC Gram matrix of the series basis under the bounded-model
-    inner product; returns (labels, gram, sigma)."""
+    inner product; returns (labels, gram, sigma, stats)."""
     labeled = fockpoly.series_basis(params.n, params.m, params.k, s_max, a_max)
     labels = [lbl for (lbl, _) in labeled]
     funcs = [f for (_, f) in labeled]
-    gram, sigma = quad.mc_dj_gram(funcs, params.n, params.m, params.k, cfg)
-    return labels, gram, sigma
+    return (labels, *quad.mc_dj_gram(funcs, params.n, params.m, params.k, cfg))
 
 
 def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> report.VerifyReport:
@@ -238,7 +237,7 @@ def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> rep
     construction-error allowance, and the exact-cancellation checks are
     skipped.
     """
-    labels, gram, sigma = gram_matrix(params, cfg, s_max=s_max, a_max=a_max)
+    labels, gram, sigma, stats = gram_matrix(params, cfg, s_max=s_max, a_max=a_max)
     size = len(labels)
     err = np.abs(gram - np.eye(size))
     i, j = np.unravel_index(np.argmax(err), err.shape)
@@ -253,7 +252,8 @@ def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> rep
         report.CheckResult(name="gram-identity", passed=bool(err[i, j] <= tol_entry),
                            residual=float(err[i, j]), tol=tol_entry,
                            detail={"worst_row": str(labels[i]), "worst_col": str(labels[j]),
-                                   "sigma": float(sigma[i, j]), "z_critical": zcrit}),
+                                   "sigma": float(sigma[i, j]), "z_critical": zcrit,
+                                   **stats}),
     ]
     if exact_z:
         sigma_budget = 3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples))
@@ -294,7 +294,9 @@ def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyRepo
             residual=float(err), tol=float(tol),
             detail={"disk_norm_sq": report.encode_value(disk.estimate),
                     "space_norm_sq": report.encode_value(space.estimate),
-                    "disk_sigma": disk.sigma, "space_sigma": space.sigma}))
+                    "disk_sigma": disk.sigma, "space_sigma": space.sigma,
+                    **{"disk_" + key: v for key, v in disk.stats.items()},
+                    **{"space_" + key: v for key, v in space.stats.items()}}))
     return report.VerifyReport("isometry", params.to_dict(), cfg.seed, checks)
 
 
@@ -376,6 +378,7 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
     checks = [
         report.residual_check("kernel-expansion", worst_rel, 1e-4),
         report.CheckResult(name="kernel-section-pairing", passed=bool(ok),
-                           residual=float(worst_err), tol=float(worst_tol)),
+                           residual=float(worst_err), tol=float(worst_tol),
+                           detail=est.stats),  # each pairing draws the same W
     ]
     return report.VerifyReport("reproducing", params.to_dict(), seed, checks)

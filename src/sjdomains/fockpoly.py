@@ -442,7 +442,7 @@ def q_basis(n: int, k, max_degree: int):
         return out
     from . import quad
     monos = [PolyFunction.monomial(n, a=a, coeff=1.0) for a in sym_degree_list(n, max_degree)]
-    gram, _sigma = quad.mc_disk_gram(monos, n, k, quad.Q_BASIS_MC)
+    gram, _, _ = quad.mc_disk_gram(monos, n, k, quad.Q_BASIS_MC)
     low = np.linalg.cholesky(gram)
     coeffs = numkit.solve(low.T, np.eye(len(monos)))  # columns: new basis in monomials
     out = []

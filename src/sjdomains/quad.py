@@ -6,16 +6,18 @@ The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has its real
 matrix Q written in closed form from H = (I - W conj(W))^{-1} and
 S = conj(W) H, for one W or a stack of them.  Moments E[z^s conj(z)^r] of a
 Gaussian come from a Wick recursion on the exponents (s, r) with the complex
-covariances E[z t(z)] and E[z z^*], again for one covariance or a stack.
+covariances E[z t(z)] and E[z z^*], again for one covariance or a stack; the
+Monte Carlo engines take them, and the weight's integral, in closed form.
 
 Every function is evaluated through one protocol, evaluate(fn, mats, vecs,
 side) -> (vals, logs) on stacked points, the value being vals * exp(logs).
 The Monte Carlo engines are one streaming driver, _mc_gram, that proposes W
 from the polydisk in chunks, keeps the draws that lie in the domain and
 contracts the Gram over them in blocks of _BLOCK samples; each engine only
-supplies its draw on the accepted W (evaluation points and log weight, or the
-conditional z-covariance when the z-integral is exact).  Rejected proposals
-cost only the membership test and count in the estimator's denominator.
+supplies its draw on the accepted W (evaluation points and log weight); where
+the z-integral is exact (n = 1, polynomials) the driver accumulates weighted
+power sums of w instead of evaluating functions.  Rejected proposals cost only
+the membership test and count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -163,38 +166,20 @@ def pair_product(f: PolyFunction, g: PolyFunction) -> dict:
     return out
 
 
-_GH_CACHE = {}
-
-
 def gauss_hermite_moment(pairs: dict, form: GaussianForm, order: int = 40) -> complex:
     """Tensor Gauss-Hermite evaluation of gaussian_moment, for cross-checks."""
     dim = 2 * form.n
-    if (order,) not in _GH_CACHE:
-        _GH_CACHE[(order,)] = np.polynomial.hermite.hermgauss(order)
-    nodes, weights = _GH_CACHE[(order,)]
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     evals, vecs = np.linalg.eigh(form.q)
     # x = root @ y whitens the form: x^T Q x = |y|^2
     root = vecs @ np.diag(evals ** -0.5)
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    ys = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    wgrid = np.ones(len(ys))
-    for g in wgrids:
-        wgrid = wgrid * g.ravel()
+    ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    wgrid = np.prod(np.meshgrid(*([weights] * dim), indexing="ij"), axis=0).ravel()
     xs = ys @ root.T
     zs = xs[:, :form.n] + 1j * xs[:, form.n:]
-    total = np.zeros(len(ys), dtype=complex)
-    for (s, r), coeff in pairs.items():
-        val = np.full(len(ys), complex(coeff))
-        for j, e in enumerate(s):
-            if e:
-                val = val * zs[:, j] ** e
-        for j, e in enumerate(r):
-            if e:
-                val = val * np.conj(zs[:, j]) ** e
-        total += val
-    jac = abs(float(np.linalg.det(root)))
-    return complex(np.sum(total * wgrid) * jac)
+    total = sum(complex(coeff) * np.prod(zs ** np.array(s) * np.conj(zs) ** np.array(r), axis=1)
+                for (s, r), coeff in pairs.items())
+    return complex(np.sum(total * wgrid) * abs(float(np.linalg.det(root))))
 
 
 # --- Fock inner products and the calibration constant ---
@@ -276,10 +261,21 @@ class MCEstimate:
     samples: int
     seed: int
     elapsed: float
+    stats: dict
 
 
 def _upper_dim(n):
     return n * (n + 1) // 2
+
+
+def _symmetric(upper, n):
+    """Symmetric (..., n, n) matrices from their upper entries (..., d),
+    stored row-major as numkit.upper_pairs orders them."""
+    rows, cols = np.array(numkit.upper_pairs(n)).T
+    out = np.zeros(upper.shape[:-1] + (n, n), dtype=complex)
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper
+    return out
 
 
 def _in_domain(ws):
@@ -303,62 +299,84 @@ def _sample_w(rng, count, n):
     d = _upper_dim(n)
     radii = np.sqrt(rng.uniform(size=(count, d)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, d))
-    entries = radii * np.exp(1j * angles)
-    ws = np.zeros((count, n, n), dtype=complex)
-    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-        ws[:, i, j] = entries[:, idx]
-        ws[:, j, i] = entries[:, idx]
+    ws = _symmetric(radii * np.exp(1j * angles), n)
     return ws, _in_domain(ws)
 
 
-def _sample_z_given_w(rng, qmats, mask):
-    """z ~ density exp(-x^T Q x) / Z per accepted sample; returns zs and the
-    per-sample normalizer Z = pi^n det(Q)^{-1/2}.  The normal draws cover
+def _z_moments(ws, m, flip):
+    """E[z t(z)] = c = -W / (8 pi m) (+W flipped) and E[z z^*] = d I, d =
+    1 / (8 pi m), of the z-law exp(-8 pi m A(+/-W, z)) / Z given each W."""
+    d = 1.0 / (8.0 * math.pi * m)
+    return (d if flip else -d) * ws, d
+
+
+def _z_normalizer(dets, n, m):
+    """Z = pi^n det(Q)^{-1/2} = (8 m)^{-n} dets^{1/2}, dets = det(I - W conj(W))."""
+    return np.sqrt(dets) / (8.0 * m) ** n
+
+
+def _sample_z_given_w(rng, ws, m, flip, mask):
+    """z from the conditional law (_z_moments) of each accepted W, through
+    the Cholesky factor L of its real covariance (2Q)^{-1}, and the exponent
+    x^T Q x = |g|^2 / 2 of its density at x = L g.  The normal draws g cover
     every proposal of the chunk (mask) and the accepted rows are kept, so the
     random stream does not depend on which proposals were accepted."""
-    dim = qmats.shape[1]
-    n = dim // 2
-    cov = np.linalg.inv(qmats) / 2.0
-    chol = np.linalg.cholesky(cov)
-    gauss = rng.standard_normal((len(mask), dim))[mask]
-    xs = np.einsum("bij,bj->bi", chol, gauss)
-    zs = xs[:, :n] + 1j * xs[:, n:]
-    znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
-    return zs, znorm
+    n = ws.shape[-1]
+    c, d = _z_moments(ws, m, flip)
+    # the inverse of _complex_covariances for E[z z^*] = d I
+    eye = d * np.eye(n)
+    cov = 0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]])
+    gauss = rng.standard_normal((len(mask), 2 * n))[mask]
+    xs = np.einsum("bij,bj->bi", np.linalg.cholesky(cov), gauss)
+    return xs[:, :n] + 1j * xs[:, n:], 0.5 * np.sum(gauss ** 2, axis=1)
 
 
-def _z_coeff_groups(poly: PolyFunction):
-    """n=1 only: split f(z,w) = sum_p z^p A_p(w) into {p: [(w_power, coeff)]}."""
-    groups = {}
-    for (s, a), c in poly.terms.items():
-        groups.setdefault(s[0], []).append((a.upper[0], complex(c)))
-    return groups
-
-
-def _rb_coeff_stack(polys, wsc):
-    """Stack of per-sample w-coefficient values A_p^i(w), shape (N, nf, pmax+1)."""
-    groups = [_z_coeff_groups(p) for p in polys]
-    pmax = max((p for g in groups for p in g), default=0)
-    stack = np.zeros((len(wsc), len(polys), pmax + 1), dtype=complex)
-    for i, g in enumerate(groups):
-        for p, terms in g.items():
-            for apow, c in terms:
-                stack[:, i, p] += c * wsc ** apow
-    return stack, pmax
-
-
-def _exact_z_grams(polys, wsc, cov):
-    """Per-sample Grams S T S^H of n = 1 polynomials under the conditional
-    z-Gaussian of real covariance cov, with S[b, i, p] = A_p^i(w_b) and
-    T[b, p, q] = E[z^p conj(z)^q | w_b]."""
-    stack, pmax = _rb_coeff_stack(polys, wsc)
-    c, d = _complex_covariances(cov)
-    memo = {}
-    table = np.zeros((len(wsc), pmax + 1, pmax + 1), dtype=complex)
+def _exact_z_kernel(polys, m):
+    """n = 1, f_i = sum_{p,a} C[i, p, a] z^p w^a: K (nf, nf, D + 1, D + 1)
+    with E[f_i conj(f_j) | w] = sum_{a,b} K[i, j, a, b] w^a conj(w)^b under
+    the z-law of mc_dj_gram, from the Wick sum E[z^p conj(z)^q | w] =
+    sum_j p! q! / (j! u! v! 2^(u+v)) d^j c^u conj(c)^v, u = (p - j) / 2,
+    v = (q - j) / 2; D = the largest w-degree + pmax // 2."""
+    pmax = max((s[0] for f in polys for (s, _) in f.terms), default=0)
+    amax = max((a.upper[0] for f in polys for (_, a) in f.terms), default=0)
+    coef = np.zeros((len(polys), pmax + 1, amax + 1), dtype=complex)
+    for i, f in enumerate(polys):
+        for (s, a), cf in f.terms.items():
+            coef[i, s[0], a.upper[0]] += complex(cf)
+    c1, d = _z_moments(1.0, m, False)  # c = c1 w
+    size, fact = amax + pmax // 2 + 1, math.factorial
+    kern = np.zeros((len(polys), len(polys), size, size), dtype=complex)
     for p in range(pmax + 1):
-        for q in range(pmax + 1):
-            table[:, p, q] = _wick(c, d, (p,), (q,), memo)
-    return (stack @ table) @ np.conj(np.swapaxes(stack, 1, 2))
+        for q in range(p % 2, pmax + 1, 2):
+            block = np.einsum("ia,jb->ijab", coef[:, p], coef[:, q].conj())
+            for j in range(p % 2, min(p, q) + 1, 2):
+                u, v = (p - j) // 2, (q - j) // 2
+                t = (fact(p) * fact(q) / (fact(j) * fact(u) * fact(v) * 2 ** (u + v))
+                     * d ** j * c1 ** (u + v))
+                kern[:, :, u:u + amax + 1, v:v + amax + 1] += t * block
+    return kern
+
+
+def _power_sums(wsc, weight, deg):
+    """M[a, b] = sum_t weight_t w_t^a conj(w_t)^b for a, b <= deg, and M2
+    the same with weight^2 for a, b <= 2 deg."""
+    powers = np.empty((2 * deg + 1, len(wsc)), dtype=complex)
+    powers[0] = 1.0
+    for a in range(2 * deg):
+        np.multiply(powers[a], wsc, out=powers[a + 1])
+    conj = powers.conj().T
+    scaled = powers * weight
+    return scaled[:deg + 1] @ conj[:, :deg + 1], (scaled * weight) @ conj
+
+
+def _contract_power_sums(kern, sums, sums2):
+    """(sum_t weight_t G_t, sum_t weight_t^2 |G_t|^2) of the Grams G_t =
+    sum_{a,b} kern[..., a, b] w_t^a conj(w_t)^b from _power_sums(w, weight,
+    D), with |G|^2 = sum K[a, b] conj(K[a', b']) w^(a + b') conj(w)^(b + a')."""
+    idx = np.arange(kern.shape[-1])
+    a, b, a2, b2 = np.ix_(idx, idx, idx, idx)
+    acc2 = np.einsum("ijab,abcd,ijcd->ij", kern, sums2[a + b2, b + a2], kern.conj())
+    return np.einsum("ijab,ab->ij", kern, sums), acc2.real
 
 
 def evaluate(fn, mats, vecs, side):
@@ -375,40 +393,51 @@ def evaluate(fn, mats, vecs, side):
     return fn.split(mats, vecs)
 
 
-# samples per Gram contraction: it bounds the (nf, block) values and the
-# (block, nf, nf) exact-z temporaries; of 1000-20000 it gave both the least
-# time and the lowest peak memory for the 12-function n = 1 Gram
+# samples per Gram contraction: it bounds the (nf, block) values or the
+# (2D + 1, block) powers of w; it ran the power sums of a 20000-sample chunk
+# 3x faster than one pass over the chunk
 _BLOCK = 2000
 
 
-def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk"):
+def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
-    E[f_i conj(f_j) weight] and its standard errors.
+    E[f_i conj(f_j) weight], its standard errors and stats: the proposals,
+    the accepted draws, and over their weights w = exp(logw) the Kish
+    effective sample size (sum w)^2 / sum w^2 and largest share max w / sum w.
 
     Each chunk of `chunk` proposals draws W from the polydisk, then calls
-    draw(rng, ws, mask) -> (mats, vecs, logw, cov) on the accepted ws only
-    (mask marks them among the chunk's proposals): the points at which the
-    functions are evaluated on `side`, the log weight, and, for exact-z
-    engines, the real covariance of the conditional z-Gaussian (else None).
-    A rejected proposal has weight 0: it counts in the denominator, the
-    number of proposals, and nowhere else.  The contraction runs over the
-    accepted samples in blocks of _BLOCK: sampled, u = vals exp(logs +
-    logw / 2) and the Gram adds u u^H; exact-z, the per-sample Grams S T S^H
-    weighted by exp(logw).  The result is Hermitian by construction, so
-    mirror entries tie exactly and the worst entry of a Gram does not depend
-    on roundoff."""
+    draw(rng, ws, mask) -> (mats, vecs, logw) on the accepted ws only (mask
+    marks them among the chunk's proposals): the points at which the
+    functions are evaluated on `side`, and the log weight.  A rejected
+    proposal has weight 0: it counts in the denominator, the number of
+    proposals, and nowhere else.  The contraction runs over the accepted
+    samples in blocks of _BLOCK.  Sampled, u = vals exp(logs + logw / 2) and
+    the Gram adds u u^H.  Exact in z (kern from _exact_z_kernel), a block
+    adds the weighted power sums of w, and the Gram and its variance are
+    contracted from them at the end.  The result is Hermitian by
+    construction, so mirror entries tie exactly and the worst entry of a Gram
+    does not depend on roundoff."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(funcs)
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
-    done = 0
+    done = accepted = 0
+    wsum = wsum2 = wmax = sums = sums2 = 0.0
     while done < cfg.samples:
         count = min(chunk, cfg.samples - done)
         ws, mask = _sample_w(rng, count, n)
-        mats, vecs, logw, cov = draw(rng, ws[mask], mask)
+        mats, vecs, logw = draw(rng, ws[mask], mask)
+        with np.errstate(over="ignore"):
+            weight = np.exp(logw)
+        accepted += len(weight)
+        wsum, wsum2 = wsum + np.sum(weight), wsum2 + weight @ weight
+        wmax = max(wmax, np.max(weight, initial=0.0))
         for lo in range(0, len(mats), _BLOCK):
             blk = slice(lo, lo + _BLOCK)
-            if cov is None:
+            if kern is not None:
+                part, part2 = _power_sums(mats[blk, 0, 0], weight[blk], kern.shape[-1] - 1)
+                sums, sums2 = sums + part, sums2 + part2
+            else:
                 parts = [evaluate(f, mats[blk], vecs[blk], side) for f in funcs]
                 # transported functions carry a +exponent that the weight's
                 # -exponent cancels to O(1); summing the logs before exp keeps
@@ -418,23 +447,23 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk"):
                 sq = np.abs(u) ** 2
                 acc += u @ u.conj().T
                 acc2 += sq @ sq.T
-            else:
-                weight = np.exp(logw[blk])
-                pairs = _exact_z_grams(funcs, mats[blk, 0, 0], cov[blk])
-                acc += np.tensordot(weight, pairs, axes=1)
-                acc2 += np.tensordot(weight ** 2, np.abs(pairs) ** 2, axes=1)
         done += count
+    if kern is not None:
+        acc, acc2 = _contract_power_sums(kern, sums, sums2)
     gram = (acc + acc.conj().T) / (2 * done)
     var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
-    return gram, np.sqrt(var / done)
+    stats = {"proposed": done, "accepted": accepted,
+             "ess": float(wsum ** 2 / wsum2) if wsum2 else 0.0,
+             "max_share": float(wmax / wsum) if wsum else 0.0}
+    return gram, np.sqrt(var / done), stats
 
 
-def _mc_inner(f, g, n, cfg: MCConfig, chunk, draw, side="disk") -> MCEstimate:
-    """<f, g> from _mc_gram over [f] (g is f) or [f, g]."""
+def _mc_inner(f, g, cfg: MCConfig, gram_of) -> MCEstimate:
+    """<f, g> from the Gram engine gram_of over [f] (g is f) or [f, g]."""
     t0 = time.perf_counter()
-    gram, sigma = _mc_gram([f] if g is f else [f, g], n, cfg, chunk, draw, side)
+    gram, sigma, stats = gram_of([f] if g is f else [f, g])
     return MCEstimate(complex(gram[0, -1]), float(sigma[0, -1]), cfg.samples, cfg.seed,
-                      time.perf_counter() - t0)
+                      time.perf_counter() - t0, stats)
 
 
 def _disk_draw(n, k):
@@ -445,59 +474,56 @@ def _disk_draw(n, k):
     def draw(rng, ws, mask):
         dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
         logw = (float(k) - n - 1.5) * np.log(dets) + logc
-        return ws, np.zeros((len(ws), n), dtype=complex), logw, None
+        return ws, np.zeros((len(ws), n), dtype=complex), logw
 
     return draw
 
 
 def mc_disk_gram(polys, n, k, cfg: MCConfig):
     """Shared-sample MC Gram matrix of functions of W for the weighted
-    measure det(I - W conj(W))^{k - n - 3/2} dLeb(W); returns (gram, sigma)."""
+    measure det(I - W conj(W))^{k - n - 3/2} dLeb(W); returns (gram, sigma,
+    stats)."""
     return _mc_gram(polys, n, cfg, cfg.batch, _disk_draw(n, k))
 
 
 def mc_disk_inner(f, g, n, k, cfg: MCConfig) -> MCEstimate:
     """Two-function case of mc_disk_gram."""
-    return _mc_inner(f, g, n, cfg, cfg.batch, _disk_draw(n, k))
+    return _mc_inner(f, g, cfg, partial(_mc_gram, n=n, cfg=cfg, chunk=cfg.batch,
+                                        draw=_disk_draw(n, k)))
 
 
 def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     """Shared-sample MC Gram for the bounded Jacobi-domain inner product
     f conj(g) det(I-W conj(W))^k exp(-8 pi m A(W,z)) against the measure
-    det(I-W conj(W))^{-n-2} pi^{-n} dLeb(z) dLeb(W).
+    det(I-W conj(W))^{-n-2} pi^{-n} dLeb(z) dLeb(W); returns (gram, sigma,
+    stats).
 
     The Gaussian is the reciprocal of the kernel diagonal, the convention the
     orthonormal basis lives in.  The weight that the group action preserves
     has A(-W, z) instead (see mc_hj_inner); the two agree on functions whose
     z-degree stays below 2.
 
-    For n = 1 and polynomial inputs the conditional z-law is Gaussian, so the
-    z-integral is taken exactly per sample (Wick moments) and only the
-    W-average is stochastic; any other input samples z as well."""
+    For n = 1 and polynomial inputs the z-integral is exact: each conditional
+    Gram is a polynomial in w and conj(w) (_exact_z_kernel), and only the
+    W-average is stochastic.  Any other input samples z from its closed-form
+    law as well."""
     exact_z = n == 1 and all(isinstance(p, PolyFunction) for p in polys)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, mask):
-        qmats = _disk_forms(ws, m, flip=False)
         dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
-        if exact_z:
-            zs, cov = None, np.linalg.inv(qmats) / 2.0
-            znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
-        else:
-            (zs, znorm), cov = _sample_z_given_w(rng, qmats, mask), None
-        logw = (float(k) - n - 2) * np.log(dets) + np.log(znorm) + logc
-        return ws, zs, logw, cov
+        zs = None if exact_z else _sample_z_given_w(rng, ws, m, False, mask)[0]
+        logw = (float(k) - n - 2) * np.log(dets) + np.log(_z_normalizer(dets, n, m)) + logc
+        return ws, zs, logw
 
-    chunk = min(cfg.batch, 20000) if exact_z else cfg.batch
-    return _mc_gram(polys, n, cfg, chunk, draw)
+    kern = _exact_z_kernel(polys, m) if exact_z else None
+    return _mc_gram(polys, n, cfg, min(cfg.batch, 20000) if exact_z else cfg.batch, draw,
+                    kern=kern)
 
 
 def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     """Two-function case of mc_dj_gram; see there for the conventions."""
-    t0 = time.perf_counter()
-    gram, sigma = mc_dj_gram([psi1] if psi2 is psi1 else [psi1, psi2], n, m, k, cfg)
-    return MCEstimate(complex(gram[0, -1]), float(sigma[0, -1]), cfg.samples,
-                      cfg.seed, time.perf_counter() - t0)
+    return _mc_inner(psi1, psi2, cfg, partial(mc_dj_gram, n=n, m=m, k=k, cfg=cfg))
 
 
 def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
@@ -515,19 +541,18 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, mask):
-        qmats = _disk_forms(ws, m, flip=True)
-        zs, znorm = _sample_z_given_w(rng, qmats, mask)
+        zs, xqx = _sample_z_given_w(rng, ws, m, True, mask)
+        dets = np.linalg.det(eye[None] - ws @ ws.conj()).real
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         yims, etas = oms.imag, zetas.imag
         quad = np.einsum("bi,bi->b", np.linalg.solve(yims, etas[:, :, None])[:, :, 0], etas)
-        xs = np.concatenate([zs.real, zs.imag], axis=1)
-        xqx = np.einsum("bi,bij,bj->b", xs, qmats, xs)
         logw = ((float(k) - n - 2) * np.log(np.linalg.det(yims))
                 - (n + 2) * np.log(np.abs(np.linalg.det(eye[None] - ws)) ** 2)
-                + np.log(znorm) + logc - 4.0 * np.pi * m * quad + xqx)
-        return oms, zetas, logw, None
+                + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
+        return oms, zetas, logw
 
-    return _mc_inner(phi1, phi2, n, cfg, cfg.batch, draw, side="space")
+    return _mc_inner(phi1, phi2, cfg, partial(_mc_gram, n=n, cfg=cfg, chunk=cfg.batch,
+                                              draw=draw, side="space"))
 
 
 # --- finite-difference Jacobians and real charts ---
@@ -546,11 +571,7 @@ def pack_disk_point(x: SJDiskPoint) -> np.ndarray:
 def unpack_disk_point(vec, n) -> SJDiskPoint:
     d = _upper_dim(n)
     vec = np.asarray(vec, dtype=float)
-    wu = vec[..., :d] + 1j * vec[..., d:2 * d]
-    w = np.zeros(vec.shape[:-1] + (n, n), dtype=complex)
-    rows, cols = np.array(numkit.upper_pairs(n)).T
-    w[..., rows, cols] = wu
-    w[..., cols, rows] = wu
+    w = _symmetric(vec[..., :d] + 1j * vec[..., d:2 * d], n)
     z = vec[..., 2 * d:2 * d + n] + 1j * vec[..., 2 * d + n:]
     return SJDiskPoint(w, z)
 

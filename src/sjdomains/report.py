@@ -137,32 +137,24 @@ def atomic_write_text(path, text):
         raise
 
 
-def matrix_csv_text(matrix, row_labels, col_labels, sigma=None) -> str:
-    """Long-format CSV of a (Gram) matrix: indices, labels, estimate, sigma."""
-    matrix = np.asarray(matrix)
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and the rows after it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["i", "j", "row", "col", "re", "im", "sigma"])
-    for i, rlab in enumerate(row_labels):
-        for j, clab in enumerate(col_labels):
-            entry = complex(matrix[i, j])
-            sig = repr(float(sigma[i, j])) if sigma is not None else ""
-            writer.writerow([i, j, str(rlab), str(clab),
-                             repr(entry.real), repr(entry.imag), sig])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
+def matrix_csv_text(matrix, row_labels, col_labels, sigma=None) -> str:
+    """Long-format CSV of a (Gram) matrix: indices, labels, estimate, sigma."""
+    matrix = np.asarray(matrix)
+    rows = [[i, j, str(rlab), str(clab), repr(complex(matrix[i, j]).real),
+             repr(complex(matrix[i, j]).imag),
+             repr(float(sigma[i, j])) if sigma is not None else ""]
+            for i, rlab in enumerate(row_labels) for j, clab in enumerate(col_labels)]
+    return csv_text(["i", "j", "row", "col", "re", "im", "sigma"], rows)
+
+
 def write_csv_rows(path, header, rows):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([encode_value(v) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, csv_text(header, [[encode_value(v) for v in row] for row in rows]))

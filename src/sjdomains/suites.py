@@ -324,19 +324,19 @@ def run_q_basis(cfg: SuiteConfig) -> VerifyReport:
     mccfg = quad.MCConfig(samples=cfg.samples, seed=seed)
     degree = 4 if n == 1 else 2
     qs = fockpoly.q_basis(n, k, degree)
-    gram, sigma = quad.mc_disk_gram(qs, n, k, mccfg)
+    gram, sigma, stats = quad.mc_disk_gram(qs, n, k, mccfg)
     err = np.abs(gram - np.eye(len(qs)))
     if n == 1:
         i, j = np.unravel_index(np.argmax(err - 3.0 * sigma), err.shape)
         checks = [CheckResult(name="gram-identity", passed=bool(err[i, j] <= 3.0 * sigma[i, j] + 1e-9),
                               residual=float(err[i, j]), tol=float(3.0 * sigma[i, j] + 1e-9),
-                              detail={"sigma": float(sigma[i, j])})]
+                              detail={"sigma": float(sigma[i, j]), **stats})]
     else:
         resid = float(np.max(err))
         checks = [residual_check("gram-identity", resid, 0.05,
                                  detail={"note": "basis itself is sample-orthonormalized;"
                                                  " residual limited by construction error",
-                                         "max_sigma": float(np.max(sigma))})]
+                                         "max_sigma": float(np.max(sigma)), **stats})]
     return VerifyReport("q-basis", cfg.to_dict(), cfg.seed, checks)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -210,6 +211,24 @@ def test_table_gram_big_f_json(capsys):
                       for row in doc["matrix"]])
     assert mat.shape == (len(doc["labels"]),) * 2
     assert np.max(np.abs(mat - np.eye(mat.shape[0]))) < 0.1
+
+
+def test_table_gram_big_f_million_samples(capsys):
+    # the 1e6-sample Gram of the benchmark: Hermitian, exact zeros where the
+    # z-degrees differ in parity, and every sigma within 3e-3
+    code, out, _ = run(["table", "--kind", "gram-F", "--n", "1", "--samples", "1000000"],
+                       capsys)
+    assert code == 0
+    doc = json.loads(out)
+    mat = np.asarray([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+    sigma = np.asarray(doc["sigma"])
+    assert mat.shape == sigma.shape == (12, 12)
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    # a label reads "((s,), SymIndex(n=1, upper=(a,)))"
+    zdeg = np.array([int(re.match(r"\(\((\d+),\)", lbl).group(1)) for lbl in doc["labels"]])
+    odd = (zdeg[:, None] - zdeg[None, :]) % 2 == 1
+    assert odd.any() and np.max(np.abs(mat[odd])) <= 1e-12
+    assert np.max(sigma) <= 3e-3
 
 
 def test_module_entry_point_has_no_runpy_warning():

@@ -147,11 +147,18 @@ def test_jacobian_constant_both_sizes():
 
 
 def test_gram_matrix_labels():
-    labels, gram, sigma = ds.gram_matrix(PARAMS, quad.MCConfig(samples=20000, seed=4),
-                                         s_max=2, a_max=1)
+    labels, gram, sigma, _ = ds.gram_matrix(PARAMS, quad.MCConfig(samples=20000, seed=4),
+                                            s_max=2, a_max=1)
     assert len(labels) == 3 * 2
     assert gram.shape == (6, 6)
     assert sigma.shape == (6, 6)
+
+
+def _assert_mc_stats(detail, samples, prefix=""):
+    # n = 1 accepts every polydisk proposal
+    assert detail[prefix + "proposed"] == detail[prefix + "accepted"] == samples
+    assert 0 < detail[prefix + "ess"] <= samples
+    assert 1 / samples <= detail[prefix + "max_share"] < 1
 
 
 def test_verify_gram_small_run():
@@ -159,18 +166,23 @@ def test_verify_gram_small_run():
     assert rep.passed
     names = {c.name for c in rep.checks}
     assert names == {"gram-identity", "sigma-budget", "parity-zeros"}
+    _assert_mc_stats(rep.checks[0].detail, 120000)
 
 
 def test_isometry_small_run():
     rep = ds.verify_isometry(PARAMS, quad.MCConfig(samples=60000, seed=6))
     assert rep.passed
     assert len(rep.checks) == 4
+    for check in rep.checks:
+        _assert_mc_stats(check.detail, 60000, "disk_")
+        _assert_mc_stats(check.detail, 60000, "space_")
 
 
 def test_reproducing_small_run():
     rep = ds.reproducing_check(PARAMS, quad.MCConfig(samples=60000, seed=7),
                                trunc_s=8, trunc_a=5, points=3, seed=7)
     assert rep.passed
+    _assert_mc_stats(rep.checks[1].detail, 60000)
     with pytest.raises(ValueError):
         ds.reproducing_check(ds.ReprParams(2, 0.25, 4),
                              quad.MCConfig(samples=1000, seed=0))

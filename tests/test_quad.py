@@ -164,7 +164,7 @@ def test_mc_dj_gram_identity_small():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)
     funcs = [f for _, f in labeled]
     cfg = quad.MCConfig(samples=100000, seed=7)
-    gram, sigma = quad.mc_dj_gram(funcs, 1, M, K, cfg)
+    gram, sigma, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
     err = np.abs(gram - np.eye(len(funcs)))
     assert np.all(err <= 3 * sigma + 1e-9)
 
@@ -180,8 +180,8 @@ def test_mc_dj_gram_exact_z_matches_sampled():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
     funcs = [f for _, f in labeled]
     cfg = quad.MCConfig(samples=60000, seed=8)
-    g_rb, s_rb = quad.mc_dj_gram(funcs, 1, M, K, cfg)
-    g_mc, s_mc = quad.mc_dj_gram([_sampled(f) for f in funcs], 1, M, K, cfg)
+    g_rb, s_rb, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
+    g_mc, s_mc, _ = quad.mc_dj_gram([_sampled(f) for f in funcs], 1, M, K, cfg)
     comb = np.sqrt(s_rb ** 2 + s_mc ** 2)
     assert np.all(np.abs(g_rb - g_mc) <= 4 * comb + 1e-9)
     # the exact-z path cancels odd-parity entries identically
@@ -210,15 +210,15 @@ def test_mc_gram_blocks_match_one_shot(n):
         # drop |W_11| >= 0.9 as well, so that n = 1 has zero weights too
         logw = np.where(np.abs(ws[:, 0, 0]) < 0.9,
                         -np.sum(np.abs(zs) ** 2, axis=1) + np.log(rank), -np.inf)
-        return ws, zs, logw, None
+        return ws, zs, logw
 
     cfg = quad.MCConfig(samples=5001, seed=13, batch=3000)
     assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
-    gram, sigma = quad._mc_gram(funcs, n, cfg, cfg.batch, draw)
+    gram, sigma, stats = quad._mc_gram(funcs, n, cfg, cfg.batch, draw)
 
     # replay the proposals: polydisk entries, SVD membership, then z
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d, parts = n * (n + 1) // 2, []
+    d, parts, accepted = n * (n + 1) // 2, [], 0
     for count in (3000, 2001):
         radii = np.sqrt(rng.uniform(size=(count, d)))
         entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, d)))
@@ -226,7 +226,9 @@ def test_mc_gram_blocks_match_one_shot(n):
         for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
             ws[:, i, j] = ws[:, j, i] = entries[:, idx]
         zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        inside = (np.linalg.svd(ws, compute_uv=False)[:, 0] < 1) & (np.abs(ws[:, 0, 0]) < 0.9)
+        in_domain = np.linalg.svd(ws, compute_uv=False)[:, 0] < 1
+        accepted += int(in_domain.sum())
+        inside = in_domain & (np.abs(ws[:, 0, 0]) < 0.9)
         logw = np.where(inside, -np.sum(np.abs(zs) ** 2, axis=1) + np.log(np.arange(count) + 1.0),
                         -np.inf)
         parts.append((ws, zs, logw))
@@ -243,6 +245,11 @@ def test_mc_gram_blocks_match_one_shot(n):
     ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
     assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
     assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
+    # the run's stats: proposals, accepted W (the zero weights of |W_11| >=
+    # 0.9 included), Kish ESS and largest weight share
+    assert (stats["proposed"], stats["accepted"]) == (cfg.samples, accepted)
+    assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
+    assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
 
 
 def test_mc_engines_survive_rejected_chunks(monkeypatch):
@@ -265,10 +272,11 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     results = [quad.mc_disk_gram([f], 3, 4, cfg),
                quad.mc_dj_gram([_sampled(f)], 3, M, 4, cfg)]
     est = quad.mc_hj_inner(space_f, space_f, 3, M, 4, cfg)
-    results.append((np.array([[est.estimate]]), np.array([[est.sigma]])))
+    results.append((np.array([[est.estimate]]), np.array([[est.sigma]]), est.stats))
     assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
-    for gram, sigma in results:
+    for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
+        assert stats == {"proposed": 60, "accepted": 0, "ess": 0.0, "max_share": 0.0}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -284,39 +292,130 @@ def test_membership_matches_svd(n):
         assert np.all(quad._in_domain(scaled) == inside)
 
 
+def _w_stack(n, count=200, cap=0.95):
+    return domains.sample_sj_disk_batch(n, range(count), cap).w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("flip", [False, True])
+def test_closed_form_z_law(n, flip):
+    # c = E[z t(z)], d = E[z z^*] and Z against inv(Q) / 2 and
+    # pi^n det(Q)^{-1/2} of the Gaussian matrices Q, on W with sigma_max < 0.95
+    ws = _w_stack(n)
+    assert np.max(np.linalg.svd(ws, compute_uv=False)) < 0.95
+    qmats = quad._disk_forms(ws, M, flip)
+    c, d = quad._z_moments(ws, M, flip)
+    c_ref, d_ref = quad._complex_covariances(np.linalg.inv(qmats) / 2.0)
+    assert np.max(np.abs(c - c_ref)) <= 1e-15
+    assert np.max(np.abs(d * np.eye(n) - d_ref)) <= 1e-15
+    dets = np.linalg.det(np.eye(n) - ws @ ws.conj()).real
+    znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
+    assert_allclose(quad._z_normalizer(dets, n, M), znorm, rtol=2e-15, atol=0)
+
+
 def test_z_draw_keeps_the_stream():
-    # the z-draw of the accepted W consumes normals for every proposal, so
-    # what follows it in the stream does not depend on the acceptances
-    ws, mask = quad._sample_w(np.random.default_rng(3), 500, 2)
-    assert 0 < mask.sum() < len(mask)
+    # the z-draw of the accepted W equals the Cholesky draw of inv(Q) / 2 and
+    # consumes normals for every proposal, so what follows it in the stream
+    # does not depend on the acceptances.  inv(Q) is accurate only to
+    # cond(Q) eps, which grows without bound as sigma_max(W) -> 1, so the
+    # draw is compared on the polydisk proposals with sigma_max < 0.95
+    ws, inside = quad._sample_w(np.random.default_rng(3), 500, 2)
+    mask = np.linalg.svd(ws, compute_uv=False)[:, 0] < 0.95
+    assert 0 < mask.sum() < inside.sum()
     qmats = quad._disk_forms(ws[mask], M, flip=True)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    zs, _ = quad._sample_z_given_w(rng, qmats, mask)
+    zs, xqx = quad._sample_z_given_w(rng, ws[mask], M, True, mask)
     gauss = ref.standard_normal((len(mask), 4))[mask]
     xs = np.einsum("bij,bj->bi", np.linalg.cholesky(np.linalg.inv(qmats) / 2.0), gauss)
     assert_allclose(zs, xs[:, :2] + 1j * xs[:, 2:], rtol=1e-14)
+    assert_allclose(xqx, np.einsum("bi,bij,bj->b", xs, qmats, xs), rtol=1e-13)
     assert rng.uniform() == ref.uniform()
 
 
-def test_exact_z_grams_match_scalar_moments():
-    # the batched S T S^H contraction against one gaussian_moment per sample,
-    # each function frozen at the sample's w into a z-only polynomial
-    funcs = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
-    ws = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j])
-    qmats = quad._disk_forms(ws[:, None, None], M, False)
-    grams = quad._exact_z_grams(funcs, ws, np.linalg.inv(qmats) / 2.0)
+def _frozen_gram(funcs, w):
+    """Conditional Gram E[f_i conj(f_j) | w] by one gaussian_moment per entry,
+    each function frozen at w into a z-only polynomial."""
     zero = numkit.SymIndex.zero(1)
-    for w, gram in zip(ws, grams):
-        frozen = []
-        for f in funcs:
-            terms = {}
-            for (s, a), c in f.terms.items():
-                terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
-            frozen.append(fockpoly.PolyFunction(1, terms))
-        form = quad.GaussianForm.from_disk_weight(np.array([[w]]), M, flip=False)
-        ref = np.array([[quad.gaussian_moment(quad.pair_product(f, g), form) for g in frozen]
-                        for f in frozen]) / form.normalization()
-        assert_allclose(gram, ref, rtol=1e-12, atol=1e-12)
+    frozen = []
+    for f in funcs:
+        terms = {}
+        for (s, a), c in f.terms.items():
+            terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
+        frozen.append(fockpoly.PolyFunction(1, terms))
+    form = quad.GaussianForm.from_disk_weight(np.array([[w]]), M, flip=False)
+    return np.array([[quad.gaussian_moment(quad.pair_product(f, g), form) for g in frozen]
+                     for f in frozen]) / form.normalization()
+
+
+def _section_pair():
+    # reproducing-style: the first basis function and a kernel section with
+    # complex coefficients, s <= 4, a <= 3
+    labeled = fockpoly.series_basis(1, M, K, s_max=4, a_max=3)
+    x = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=21)
+    section = fockpoly.PolyFunction.zero(1)
+    for _, fn in labeled:
+        section = section + fn * complex(np.conj(fn.evaluate(x.z, x.w)))
+    return [labeled[0][1], section]
+
+
+def _power_sum_contraction(funcs, ws, weight):
+    kern = quad._exact_z_kernel(funcs, M)
+    deg = kern.shape[-1] - 1
+    return quad._contract_power_sums(kern, *quad._power_sums(ws, weight, deg))
+
+
+_GRAM_F = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
+_WS = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j, 0.6 + 0.7j])
+
+
+@pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
+def test_power_sum_grams_match_scalar_moments(funcs):
+    # the contraction at single samples (unit weight) against one
+    # gaussian_moment per entry: the Gram and its squared modulus
+    for w in _WS:
+        ref = _frozen_gram(funcs, w)
+        acc, acc2 = _power_sum_contraction(funcs, np.array([w]), np.ones(1))
+        assert_allclose(acc, ref, rtol=1e-12, atol=1e-12)
+        assert_allclose(acc2, np.abs(ref) ** 2, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
+def test_power_sum_variance_matches_per_sample_sum(funcs):
+    # sum_t weight_t^2 |G_t|^2 and sum_t weight_t G_t over several weighted
+    # samples against the per-sample values
+    weight = np.array([0.5, 1.7, 0.2, 3.0, 0.9])
+    grams = np.array([_frozen_gram(funcs, w) for w in _WS])
+    acc, acc2 = _power_sum_contraction(funcs, _WS, weight)
+    assert_allclose(acc, np.tensordot(weight, grams, axes=1), rtol=1e-12, atol=1e-12)
+    ref2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
+    assert_allclose(acc2, ref2, rtol=1e-12, atol=1e-12 * np.max(ref2))
+
+
+def test_power_sum_parity_entries_are_exact_zeros():
+    # functions of z-degree of different parity pair to an odd moment: their
+    # kernel block, Gram entry and variance vanish identically
+    zdeg = [sum(s) for s, _ in (lbl for lbl, _ in fockpoly.series_basis(1, M, K, 3, 2))]
+    odd = np.array([[(a - b) % 2 == 1 for b in zdeg] for a in zdeg])
+    kern = quad._exact_z_kernel(_GRAM_F, M)
+    assert odd.any() and np.all(kern[odd] == 0)
+    acc, acc2 = _power_sum_contraction(_GRAM_F, _WS, np.ones(len(_WS)))
+    assert np.all(acc[odd] == 0) and np.all(acc2[odd] == 0)
+    gram, sigma, _ = quad.mc_dj_gram(_GRAM_F, 1, M, K, quad.MCConfig(samples=30000, seed=3))
+    assert np.all(gram[odd] == 0) and np.all(sigma[odd] == 0)
+
+
+def test_exact_z_stats_match_the_disk_draw():
+    # at n = 1 the exact-z weight is det^(k - 2) Z, proportional to the
+    # det^(k - 5/2) of mc_disk_gram, and in chunks of 20000 both see the same
+    # W: the ESS and the largest share, both scale-free, agree
+    cfg = quad.MCConfig(samples=50000, seed=17, batch=20000)
+    _, _, exact = quad.mc_dj_gram(_GRAM_F[:2], 1, M, K, cfg)
+    _, _, disk = quad.mc_disk_gram([fockpoly.PolyFunction.constant(1, 1.0)], 1, K, cfg)
+    assert exact["proposed"] == exact["accepted"] == cfg.samples
+    assert (disk["proposed"], disk["accepted"]) == (cfg.samples, cfg.samples)
+    assert_allclose(exact["ess"], disk["ess"], rtol=1e-12)
+    assert_allclose(exact["max_share"], disk["max_share"], rtol=1e-12)
+    assert 0.5 * cfg.samples < exact["ess"] < cfg.samples
 
 
 def test_mc_hj_matches_disk_norm():
@@ -354,7 +453,7 @@ def test_mc_dj_inner_same_function_path(n):
     psi, psi2 = fockpoly.basis_f(s, M), fockpoly.basis_f(s, M)
     cfg = quad.MCConfig(samples=20000, seed=15)
     one = quad.mc_dj_inner(psi, psi, n, M, K, cfg)
-    gram, sigma = quad.mc_dj_gram([psi], n, M, K, cfg)
+    gram, sigma, _ = quad.mc_dj_gram([psi], n, M, K, cfg)
     assert one.estimate == gram[0, 0]
     assert one.sigma == sigma[0, 0]
     two = quad.mc_dj_inner(psi, psi2, n, M, K, cfg)
