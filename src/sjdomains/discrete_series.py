@@ -359,15 +359,16 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
         closed = (fockpoly.discrete_kernel_constant(m, k)
                   * kernels.kmk_star_kernel(xp, x, m, k))
         worst_rel = max(worst_rel, abs(approx.value - closed) / abs(closed))
-    labeled = fockpoly.series_basis(n, m, k, s_max=4, a_max=3)
-    f = labeled[0][1]
+    funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
+    family = fockpoly.PolyFamily(funcs)
+    f = funcs[0]
     worst_err, worst_tol = 0.0, 0.0
     ok = True
     for _ in range(min(points, 5)):
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         section = fockpoly.PolyFunction.zero(n)
-        for (_, basis_fn) in labeled:
-            section = section + basis_fn * complex(np.conj(basis_fn.evaluate(x.z, x.w)))
+        for basis_fn, val in zip(funcs, family.evaluate(x.z[None], x.w[None])[:, 0]):
+            section = section + basis_fn * complex(np.conj(val))
         est = quad.mc_dj_inner(f, section, n, m, k, cfg)
         target = f.evaluate(x.z, x.w)
         err = abs(est.estimate - target)

@@ -14,6 +14,11 @@ fixed-W expansion its W' = W instance; the discrete-series expansion is a
 constant times it.  The limits are kernels.kmk_star_kernel, the one
 closed-form kernel of the bounded model.
 
+Polynomials are evaluated in families (PolyFamily): the table of the
+family's distinct monomials on a batch of points, times the matrix of their
+coefficients; PolyFunction.evaluate_batch is a family of one and evaluate a
+batch of one.
+
 Coefficient exactness policy: P_s coefficients are integers; the scaled basis
 representatives used by the differential-system check keep exact Fraction
 coefficients so that residuals are exactly zero, not merely small.  The
@@ -212,39 +217,16 @@ class PolyFunction:
     # --- evaluation ---
 
     def evaluate(self, z=None, w=None):
+        """Value at one point (z defaults to 0): a batch of one of
+        evaluate_batch."""
         z = np.zeros(self.n, dtype=complex) if z is None else numkit.as_row_vector(z, self.n)
-        total = 0j
-        for (s, a), c in self.terms.items():
-            val = complex(c)
-            for i, e in enumerate(s):
-                if e:
-                    val *= z[i] ** e
-            if any(a.upper):
-                if w is None:
-                    raise ValueError("term involves W but no W supplied")
-                wm = np.asarray(w, dtype=complex)
-                for (i, j), e in zip(numkit.upper_pairs(self.n), a.upper):
-                    if e:
-                        val *= wm[i, j] ** e
-            total += val
-        return total
+        ws = None if w is None else np.asarray(w, dtype=complex)[None]
+        return complex(self.evaluate_batch(z[None], ws)[0])
 
     def evaluate_batch(self, zs=None, ws=None):
-        """Vectorized evaluation: zs (N, n) complex, ws (N, n, n) complex."""
-        if zs is None and ws is None:
-            raise ValueError("need at least one batch argument")
-        nrow = len(zs) if zs is not None else len(ws)
-        out = np.zeros(nrow, dtype=complex)
-        for (s, a), c in self.terms.items():
-            val = np.full(nrow, complex(c))
-            for i, e in enumerate(s):
-                if e:
-                    val = val * zs[:, i] ** e
-            for (i, j), e in zip(numkit.upper_pairs(self.n), a.upper):
-                if e:
-                    val = val * ws[:, i, j] ** e
-            out += val
-        return out
+        """Values at zs (N, n) and ws (N, n, n): a family of one of
+        PolyFamily."""
+        return PolyFamily([self]).evaluate(zs, ws)[0]
 
     # --- serialization ---
 
@@ -264,6 +246,55 @@ class PolyFunction:
             c = complex(item["c"][0], item["c"][1])
             terms[(tuple(item["s"]), a)] = c
         return cls(n, terms)
+
+
+class PolyFamily:
+    """PolyFunctions of one arity evaluated together.
+
+    The family's distinct monomials z^s W^a are collected once, with the
+    (nf, #monomials) matrix of their coefficients.  evaluate builds the table
+    of the monomials' values on a batch of points, as products of the powers
+    of each variable (z_i, or W_ij with i <= j), and multiplies the
+    coefficient matrix by it."""
+
+    def __init__(self, polys):
+        self.n = polys[0].n
+        index = {}
+        for f in polys:
+            for s, a in f.terms:
+                index.setdefault(s + a.upper, len(index))
+        width = self.n + self.n * (self.n + 1) // 2
+        self.exponents = np.array(list(index), dtype=int).reshape(len(index), width)
+        self.coeffs = np.zeros((len(polys), len(index)), dtype=complex)
+        for i, f in enumerate(polys):
+            for (s, a), c in f.terms.items():
+                self.coeffs[i, index[s + a.upper]] = complex(c)
+
+    def evaluate(self, zs=None, ws=None):
+        """Values (nf, N) of the family at zs (N, n) and ws (N, n, n); either
+        may be None when no monomial involves it."""
+        if zs is None and ws is None:
+            raise ValueError("need at least one batch argument")
+        nrow = len(zs) if zs is not None else len(ws)
+        table = np.ones((len(self.exponents), nrow), dtype=complex)
+        pairs = numkit.upper_pairs(self.n)
+        for v, top in enumerate(self.exponents.max(axis=0, initial=0)):
+            if not top:
+                continue
+            if v < self.n:
+                if zs is None:
+                    raise ValueError("term involves z but no z supplied")
+                x = zs[:, v]
+            else:
+                if ws is None:
+                    raise ValueError("term involves W but no W supplied")
+                x = ws[(slice(None),) + pairs[v - self.n]]
+            powers = np.empty((top + 1, nrow), dtype=complex)
+            powers[0] = 1.0
+            for e in range(top):
+                np.multiply(powers[e], x, out=powers[e + 1])
+            table *= powers[self.exponents[:, v]]
+        return self.coeffs @ table
 
 
 # --- the matching-type polynomials ---
@@ -579,8 +610,8 @@ def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
     n = wp.shape[0]
     if n != 1:
         raise ValueError("reference constant implemented for n = 1 only")
-    qsum = sum(q.evaluate(None, wp) * np.conj(q.evaluate(None, w))
-               for q in q_basis(n, k, a_max))
+    vals = PolyFamily(q_basis(n, k, a_max)).evaluate(None, np.stack([wp, w]))
+    qsum = sum(vp * np.conj(v) for vp, v in vals)
     scale = float((8.0 * math.pi * m) ** n) * qsum
     res = expansion_fock_full(xp, x, m, trunc)
     return TruncationResult(scale * res.value, abs(scale) * res.tail_estimate,

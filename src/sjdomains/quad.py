@@ -16,8 +16,10 @@ from the polydisk in chunks, keeps the draws that lie in the domain and
 contracts the Gram over them in blocks of _BLOCK samples; each engine only
 supplies its draw on the accepted W (evaluation points and log weight); where
 the z-integral is exact (n = 1, polynomials) the driver accumulates weighted
-power sums of w instead of evaluating functions.  Rejected proposals cost only
-the membership test and count in the estimator's denominator.
+power sums of w instead of evaluating functions.  Proposals are tested on
+their entries as (N,) arrays: a filter on the radii, then one Cholesky
+elimination that also gives det(I - W conj(W)); only accepted W become
+matrices.  Rejected proposals count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import domains, kernels, numkit
 from .domains import SJDiskPoint, SJSpacePoint
-from .fockpoly import PolyFunction
+from .fockpoly import PolyFamily, PolyFunction
 
 
 # --- Gaussian forms and exact moments ---
@@ -278,29 +280,64 @@ def _symmetric(upper, n):
     return out
 
 
-def _in_domain(ws):
-    """Membership of a stack ws (N, n, n) of symmetric W in the bounded
-    domain, I - W conj(W) > 0, by a Cholesky elimination vectorised over the
-    stack: n steps on (N,) arrays, W inside when every pivot is positive."""
-    rest = np.eye(ws.shape[-1]) - ws @ ws.conj()
-    inside = np.ones(len(ws), dtype=bool)
-    for _ in range(ws.shape[-1]):
-        pivot = rest[:, 0, 0].real
+def _diagonal(sq, n):
+    """The diagonal 1 - sum_l |W_il|^2 of I - W conj(W), as n arrays (N,),
+    from the squared moduli (N, d) of the upper entries of W."""
+    pairs = numkit.upper_pairs(n)
+    return [1.0 - sum(sq[:, p] for p, pair in enumerate(pairs) if i in pair)
+            for i in range(n)]
+
+
+def _in_domain(entries, n):
+    """Membership of symmetric W in the bounded domain, I - W conj(W) > 0,
+    and det(I - W conj(W)), from the upper entries of W (N, d), stored as
+    numkit.upper_pairs orders them.  One Cholesky elimination runs on the
+    Hermitian entries of I - W conj(W), an (N,) array each: W is inside when
+    every pivot is positive, and the determinant is the product of the
+    pivots."""
+    col = {pair: entries[:, p] for p, pair in enumerate(numkit.upper_pairs(n))}
+
+    def w(i, j):
+        return col[min(i, j), max(i, j)]
+
+    diag = _diagonal(entries.real ** 2 + entries.imag ** 2, n)
+    h = {(i, j): -sum(w(i, l) * w(j, l).conj() for l in range(n))
+         for i, j in numkit.upper_pairs(n) if i < j}
+    h.update({(i, i): diag[i] for i in range(n)})
+    inside = np.ones(len(entries), dtype=bool)
+    dets = np.ones(len(entries))
+    for k in range(n):
+        pivot = h[k, k]
         inside &= pivot > 0
-        pivot = np.where(inside, pivot, 1.0)[:, None, None]
-        rest = rest[:, 1:, 1:] - rest[:, 1:, :1] * rest[:, :1, 1:] / pivot
-    return inside
+        dets = dets * pivot
+        pivot = np.where(inside, pivot, 1.0)
+        for i in range(k + 1, n):
+            h[i, i] = h[i, i] - (h[k, i].real ** 2 + h[k, i].imag ** 2) / pivot
+            for j in range(i + 1, n):
+                h[i, j] = h[i, j] - h[k, i].conj() * h[k, j] / pivot
+    return inside, dets
 
 
 def _sample_w(rng, count, n):
-    """Symmetric W with independent uniform unit-disk upper entries, plus the
-    indicator of membership in the bounded domain (_in_domain).  Proposal
-    density pi^{-n(n+1)/2} on the polydisk."""
+    """count proposals W with independent uniform unit-disk upper entries
+    (density pi^{-n(n+1)/2} on the polydisk), drawn as all radii, then all
+    angles.  Returns the accepted W as a stack, their det(I - W conj(W)) and
+    the acceptance mask over the proposals.
+
+    The diagonal of I - W conj(W) is 1 - sum_l r_il^2, a function of the
+    radii alone: a proposal with a non-positive diagonal entry lies outside,
+    and is dropped before its entries are formed (about 2/3 of the proposals
+    at n = 2).  The rest go through _in_domain, whose first pivot is that
+    diagonal again, from the entries: the two differ by roundoff, so the
+    filter drops nothing that the elimination accepts."""
     d = _upper_dim(n)
     radii = np.sqrt(rng.uniform(size=(count, d)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, d))
-    ws = _symmetric(radii * np.exp(1j * angles), n)
-    return ws, _in_domain(ws)
+    mask = np.logical_and.reduce([row > 0 for row in _diagonal(radii * radii, n)])
+    entries = radii[mask] * np.exp(1j * angles[mask])
+    inside, dets = _in_domain(entries, n)
+    mask[mask] = inside
+    return _symmetric(entries[inside], n), dets[inside], mask
 
 
 def _z_moments(ws, m, flip):
@@ -382,14 +419,18 @@ def _contract_power_sums(kern, sums, sums2):
 def evaluate(fn, mats, vecs, side):
     """(vals, logs) of fn at the stacked points (mats (N,n,n), vecs (N,n)) of
     the bounded ('disk') or unbounded ('space') model; the value is
-    vals * exp(logs).  A PolyFunction lives on the disk and has logs = 0; any
-    other function carries its side and a batched callable `split` with this
-    same signature."""
-    own = "disk" if isinstance(fn, PolyFunction) else fn.side
+    vals * exp(logs).  A PolyFunction lives on the disk and has logs = 0, and
+    so does a PolyFamily, whose vals are (nf, N) and whose members share the
+    (N,) logs; any other function carries its side and a batched callable
+    `split` with this same signature."""
+    poly = isinstance(fn, (PolyFunction, PolyFamily))
+    own = "disk" if poly else fn.side
     if own != side:
         raise ValueError(f"{own}-side function evaluated on the {side} model")
     if isinstance(fn, PolyFunction):
         return fn.evaluate_batch(vecs, mats), np.zeros(len(mats))
+    if poly:
+        return fn.evaluate(vecs, mats), np.zeros(len(mats))
     return fn.split(mats, vecs)
 
 
@@ -402,31 +443,39 @@ _BLOCK = 2000
 def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
     E[f_i conj(f_j) weight], its standard errors and stats: the proposals,
-    the accepted draws, and over their weights w = exp(logw) the Kish
-    effective sample size (sum w)^2 / sum w^2 and largest share max w / sum w.
+    the accepted draws, over their weights w = exp(logw) the Kish effective
+    sample size (sum w)^2 / sum w^2 and largest share max w / sum w, and
+    ess_f, the smallest over the functions of the Kish size of the samples'
+    contributions to the diagonal entry, w |f_i|^2 (their log parts
+    included).
 
-    Each chunk of `chunk` proposals draws W from the polydisk, then calls
-    draw(rng, ws, mask) -> (mats, vecs, logw) on the accepted ws only (mask
-    marks them among the chunk's proposals): the points at which the
-    functions are evaluated on `side`, and the log weight.  A rejected
-    proposal has weight 0: it counts in the denominator, the number of
-    proposals, and nowhere else.  The contraction runs over the accepted
-    samples in blocks of _BLOCK.  Sampled, u = vals exp(logs + logw / 2) and
-    the Gram adds u u^H.  Exact in z (kern from _exact_z_kernel), a block
-    adds the weighted power sums of w, and the Gram and its variance are
-    contracted from them at the end.  The result is Hermitian by
-    construction, so mirror entries tie exactly and the worst entry of a Gram
-    does not depend on roundoff."""
+    Each chunk of `chunk` proposals draws W from the polydisk (_sample_w),
+    then calls draw(rng, ws, dets, mask) -> (mats, vecs, logw) on the
+    accepted ws only, with their dets = det(I - W conj(W)) and the mask that
+    marks them among the chunk's proposals: the points at which the functions
+    are evaluated on `side`, and the log weight.  A rejected proposal has
+    weight 0: it counts in the denominator, the number of proposals, and
+    nowhere else.  The contraction runs over the accepted samples in blocks
+    of _BLOCK.  Sampled, u = vals exp(logs + logw / 2) and the Gram adds
+    u u^H; the PolyFunctions among funcs are evaluated together, as one
+    PolyFamily.  Exact in z (kern from _exact_z_kernel), a block adds the
+    weighted power sums of w, and the Gram and its variance are contracted
+    from them at the end.  The result is Hermitian by construction, so mirror
+    entries tie exactly and the worst entry of a Gram does not depend on
+    roundoff."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(funcs)
+    polys = [i for i, f in enumerate(funcs) if isinstance(f, PolyFunction)]
+    groups = [([i], f) for i, f in enumerate(funcs) if i not in polys]
+    if polys:
+        groups.insert(0, (polys, PolyFamily([funcs[i] for i in polys])))
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
     done = accepted = 0
     wsum = wsum2 = wmax = sums = sums2 = 0.0
     while done < cfg.samples:
         count = min(chunk, cfg.samples - done)
-        ws, mask = _sample_w(rng, count, n)
-        mats, vecs, logw = draw(rng, ws[mask], mask)
+        mats, vecs, logw = draw(rng, *_sample_w(rng, count, n))
         with np.errstate(over="ignore"):
             weight = np.exp(logw)
         accepted += len(weight)
@@ -437,24 +486,28 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
             if kern is not None:
                 part, part2 = _power_sums(mats[blk, 0, 0], weight[blk], kern.shape[-1] - 1)
                 sums, sums2 = sums + part, sums2 + part2
-            else:
-                parts = [evaluate(f, mats[blk], vecs[blk], side) for f in funcs]
+                continue
+            u = np.empty((nf, len(logw[blk])), dtype=complex)
+            for rows, fn in groups:
+                vals, logs = evaluate(fn, mats[blk], vecs[blk], side)
                 # transported functions carry a +exponent that the weight's
                 # -exponent cancels to O(1); summing the logs before exp keeps
                 # boundary samples finite where a factored product would not
                 with np.errstate(over="ignore", invalid="ignore"):
-                    u = np.stack([vals * np.exp(logs + logw[blk] / 2) for vals, logs in parts])
-                sq = np.abs(u) ** 2
-                acc += u @ u.conj().T
-                acc2 += sq @ sq.T
+                    u[rows] = vals * np.exp(logs + logw[blk] / 2)
+            sq = np.abs(u) ** 2
+            acc += u @ u.conj().T
+            acc2 += sq @ sq.T
         done += count
     if kern is not None:
         acc, acc2 = _contract_power_sums(kern, sums, sums2)
+    diag, diag2 = acc.diagonal().real, acc2.diagonal()
     gram = (acc + acc.conj().T) / (2 * done)
     var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
     stats = {"proposed": done, "accepted": accepted,
              "ess": float(wsum ** 2 / wsum2) if wsum2 else 0.0,
-             "max_share": float(wmax / wsum) if wsum else 0.0}
+             "max_share": float(wmax / wsum) if wsum else 0.0,
+             "ess_f": float(np.min(diag ** 2 / np.where(diag2 > 0, diag2, np.inf)))}
     return gram, np.sqrt(var / done), stats
 
 
@@ -471,8 +524,7 @@ def _disk_draw(n, k):
     with the proposal density pi^{-n(n+1)/2}; functions see z = 0."""
     logc = _upper_dim(n) * math.log(math.pi)
 
-    def draw(rng, ws, mask):
-        dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
+    def draw(rng, ws, dets, mask):
         logw = (float(k) - n - 1.5) * np.log(dets) + logc
         return ws, np.zeros((len(ws), n), dtype=complex), logw
 
@@ -510,8 +562,7 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     exact_z = n == 1 and all(isinstance(p, PolyFunction) for p in polys)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
-    def draw(rng, ws, mask):
-        dets = np.linalg.det(np.eye(n)[None] - ws @ ws.conj()).real
+    def draw(rng, ws, dets, mask):
         zs = None if exact_z else _sample_z_given_w(rng, ws, m, False, mask)[0]
         logw = (float(k) - n - 2) * np.log(dets) + np.log(_z_normalizer(dets, n, m)) + logc
         return ws, zs, logw
@@ -540,9 +591,8 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
     eye = np.eye(n)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
-    def draw(rng, ws, mask):
+    def draw(rng, ws, dets, mask):
         zs, xqx = _sample_z_given_w(rng, ws, m, True, mask)
-        dets = np.linalg.det(eye[None] - ws @ ws.conj()).real
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         yims, etas = oms.imag, zetas.imag
         quad = np.einsum("bi,bi->b", np.linalg.solve(yims, etas[:, :, None])[:, :, 0], etas)

@@ -89,11 +89,16 @@ def mc_check(name, estimate, sigma, target, nsigma=3.0, floor=0.0, detail=None) 
 
 @dataclass
 class VerifyReport:
+    """Checks of a suite run.  wall_s maps the suites of a combined run to
+    their wall time in seconds; it is printed in the summary lines and never
+    serialized, so the JSON of a run without timestamp repeats byte for
+    byte."""
     suite: str
     params: dict
     seed: int | None
     checks: list
     timestamp: str | None = None
+    wall_s: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -119,8 +124,17 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def summary_lines(self) -> list:
-        head = f"[{'PASS' if self.passed else 'FAIL'}] suite {self.suite}"
-        return [head] + ["  " + c.summary() for c in self.checks]
+        """The verdict, then one line per check; in a combined run each
+        suite's checks follow a line with its wall time."""
+        lines = [f"[{'PASS' if self.passed else 'FAIL'}] suite {self.suite}"]
+        shown = None
+        for c in self.checks:
+            suite = c.name.split("/")[0]
+            if suite in self.wall_s and suite != shown:
+                lines.append(f"  -- {suite} {self.wall_s[suite]:.3f} s")
+                shown = suite
+            lines.append("  " + c.summary())
+        return lines
 
 
 def atomic_write_text(path, text):

@@ -10,6 +10,7 @@ check by check.
 from __future__ import annotations
 
 import math
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -216,6 +217,22 @@ def run_pde(cfg: SuiteConfig) -> VerifyReport:
     return VerifyReport("pde", cfg.to_dict(), cfg.seed, checks)
 
 
+# The Fock expansions start at degree 14 and grow 2 grades at a time until
+# the last grade is at most 1/100 of the tolerance, or the cap is reached.
+FOCK_DEGREES = range(14, 41, 2)
+
+
+def _fock_expansion(xp, x, m, target):
+    """expansion_fock_full at the first degree of FOCK_DEGREES whose last
+    grade (the tail estimate) is <= target, or at the cap; returns it and
+    the degree."""
+    for degree in FOCK_DEGREES:
+        res = fockpoly.expansion_fock_full(xp, x, m, fockpoly.TruncationSpec(degree))
+        if res.tail_estimate <= target:
+            break
+    return res, degree
+
+
 def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
     tol = _tol(cfg, 1e-6)
@@ -230,8 +247,10 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
                                      abs(fixed.value - target), 1e-8,
                                      detail={"target": target}))
     rng = np.random.default_rng(seed)
-    # per check: the largest residual over the pairs and that pair's tail
-    worst = {name: (0.0, 0.0) for name in ("matching", "fock-at-w", "fock-full", "discrete")}
+    # per check: the largest residual over the pairs, that pair's tail and
+    # the degree it was truncated at
+    worst = {name: (0.0, 0.0, spec.max_degree)
+             for name in ("matching", "fock-at-w", "fock-full", "discrete")}
     for _ in range(pairs):
         xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
@@ -240,18 +259,19 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
         for name, pair_xp, pair_m in (("matching", xp, fockpoly.MATCHING_M),
                                       ("fock-at-w", (x.w, xp.z), m),
                                       ("fock-full", xp, m)):
-            res = fockpoly.expansion_fock_full(pair_xp, x, pair_m, spec)
+            res, degree = _fock_expansion(pair_xp, x, pair_m, tol / 100)
             closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
-            worst[name] = max(worst[name], (abs(res.value - closed), res.tail_estimate))
+            worst[name] = max(worst[name], (abs(res.value - closed), res.tail_estimate, degree))
         if n == 1:
             res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
             closed = (fockpoly.discrete_kernel_constant(m, k)
                       * kernels.kmk_star_kernel(xp, x, m, k))
             worst["discrete"] = max(worst["discrete"],
-                                    (abs(res.value - closed), res.tail_estimate))
+                                    (abs(res.value - closed), res.tail_estimate, spec.max_degree))
     for name in ("matching", "fock-at-w", "fock-full") + (("discrete",) if n == 1 else ()):
-        resid, tail = worst[name]
-        checks.append(residual_check(name, resid, tol, detail={"tail_estimate": tail}))
+        resid, tail, degree = worst[name]
+        checks.append(residual_check(name, resid, tol,
+                                     detail={"tail_estimate": tail, "degree": degree}))
     return VerifyReport("expansions", cfg.to_dict(), seed, checks)
 
 
@@ -416,18 +436,20 @@ SUITES = {
 
 
 def run_all(cfg: SuiteConfig) -> VerifyReport:
-    checks = []
+    checks, wall_s = [], {}
     for name, runner in SUITES.items():
         if name == "reproducing" and cfg.n != 1:
             continue
         sub = SuiteConfig(n=cfg.n, m=cfg.m, k=cfg.k, seed=sub_seed(cfg.seed, name),
                           tol=cfg.tol, samples=cfg.samples, trunc=cfg.trunc)
+        start = time.perf_counter()
         rep = runner(sub)
+        wall_s[name] = time.perf_counter() - start
         for c in rep.checks:
             checks.append(CheckResult(name=f"{name}/{c.name}", passed=c.passed,
                                       residual=c.residual, estimate=c.estimate,
                                       sigma=c.sigma, tol=c.tol, detail=c.detail))
-    return VerifyReport("all", cfg.to_dict(), cfg.seed, checks)
+    return VerifyReport("all", cfg.to_dict(), cfg.seed, checks, wall_s=wall_s)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> VerifyReport:

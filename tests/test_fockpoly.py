@@ -105,6 +105,33 @@ def test_poly_batch_evaluation_matches_scalar():
         assert_allclose(vals[i], f.evaluate(zs[i], ws[i]), rtol=1e-12)
 
 
+def _per_term(f, zs, ws):
+    """Reference: f at each point as the sum of its terms, each term the
+    coefficient times the powers of the entries it involves."""
+    out = np.zeros(len(zs), dtype=complex)
+    for (s, a), c in f.terms.items():
+        val = np.full(len(zs), complex(c))
+        for i, e in enumerate(s):
+            val = val * zs[:, i] ** e
+        for (i, j), e in zip(numkit.upper_pairs(f.n), a.upper):
+            val = val * ws[:, i, j] ** e
+        out += val
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
+def test_family_evaluation_matches_per_term_sums(n, k):
+    # the series basis F_sa (|s| <= 3, deg q_a <= 2) evaluated together from
+    # one monomial table, against the per-term sums, at 50 points
+    funcs = [f for _, f in fockpoly.series_basis(n, M, k, s_max=3, a_max=2)]
+    x = domains.sample_sj_disk_batch(n, range(50), 0.6, 0.8)
+    vals = fockpoly.PolyFamily(funcs).evaluate(x.z, x.w)
+    assert vals.shape == (len(funcs), 50)
+    for f, got in zip(funcs, vals):
+        assert_allclose(got, _per_term(f, x.z, x.w), rtol=1e-13, atol=0)
+        assert_allclose(f.evaluate_batch(x.z, x.w), got, rtol=1e-13, atol=0)
+
+
 def test_poly_json_roundtrip():
     f = fockpoly.basis_f((2, 0), M) + fockpoly.basis_f((0, 1), M) * (1 - 1j)
     back = PolyFunction.from_json(f.to_json(), 2)

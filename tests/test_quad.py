@@ -202,7 +202,7 @@ def test_mc_gram_blocks_match_one_shot(n):
         lambda mats, vecs, f=funcs[1]: (f.evaluate_batch(vecs, mats),
                                         0.5 * np.sum(np.abs(vecs) ** 2, axis=1)), "disk")
 
-    def draw(rng, ws, mask):
+    def draw(rng, ws, dets, mask):
         # z for every proposal, accepted rows kept, as the engines draw it
         zs = rng.standard_normal((len(mask), n)) + 1j * rng.standard_normal((len(mask), n))
         zs = zs[mask]
@@ -218,13 +218,9 @@ def test_mc_gram_blocks_match_one_shot(n):
 
     # replay the proposals: polydisk entries, SVD membership, then z
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    d, parts, accepted = n * (n + 1) // 2, [], 0
+    parts, accepted = [], 0
     for count in (3000, 2001):
-        radii = np.sqrt(rng.uniform(size=(count, d)))
-        entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, d)))
-        ws = np.zeros((count, n, n), dtype=complex)
-        for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-            ws[:, i, j] = ws[:, j, i] = entries[:, idx]
+        ws = _proposals(rng, count, n)[1]
         zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
         in_domain = np.linalg.svd(ws, compute_uv=False)[:, 0] < 1
         accepted += int(in_domain.sum())
@@ -250,6 +246,10 @@ def test_mc_gram_blocks_match_one_shot(n):
     assert (stats["proposed"], stats["accepted"]) == (cfg.samples, accepted)
     assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
     assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
+    # and the smallest per-function Kish size of the contributions w |f_i|^2
+    contrib = np.abs(vals) ** 2 * weight
+    assert_allclose(stats["ess_f"], np.min(np.sum(contrib, axis=1) ** 2
+                                           / np.sum(contrib ** 2, axis=1)), rtol=1e-12)
 
 
 def test_mc_engines_survive_rejected_chunks(monkeypatch):
@@ -260,9 +260,9 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     sample_w = quad._sample_w
 
     def recording(rng, count, n):
-        ws, mask = sample_w(rng, count, n)
+        ws, dets, mask = sample_w(rng, count, n)
         masks.append(mask)
-        return ws, mask
+        return ws, dets, mask
 
     monkeypatch.setattr(quad, "_sample_w", recording)
     cfg = quad.MCConfig(samples=60, seed=5, batch=20)
@@ -276,24 +276,70 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
     for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
-        assert stats == {"proposed": 60, "accepted": 0, "ess": 0.0, "max_share": 0.0}
+        assert stats == {"proposed": 60, "accepted": 0, "ess": 0.0, "max_share": 0.0,
+                         "ess_f": 0.0}
+
+
+def _proposals(rng, count, n):
+    """The polydisk proposals of quad._sample_w, all of them: their upper
+    entries (count, d) and the symmetric stack (count, n, n)."""
+    d = n * (n + 1) // 2
+    radii = np.sqrt(rng.uniform(size=(count, d)))
+    entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, d)))
+    ws = np.zeros((count, n, n), dtype=complex)
+    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
+        ws[:, i, j] = ws[:, j, i] = entries[:, idx]
+    return entries, ws
+
+
+def _upper(ws):
+    rows, cols = np.array(numkit.upper_pairs(ws.shape[-1])).T
+    return ws[:, rows, cols]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_membership_matches_svd(n):
-    # the vectorised Cholesky against sigma_max(W) < 1 on polydisk draws, and
-    # on the same draws rescaled to sigma_max = 1 -/+ 1e-10
-    ws, mask = quad._sample_w(np.random.default_rng(70 + n), 10000, n)
+    # the elimination on the upper entries against sigma_max(W) < 1 on
+    # polydisk proposals, and on the same proposals rescaled to
+    # sigma_max = 1 -/+ 1e-10
+    _, ws = _proposals(np.random.default_rng(70 + n), 10000, n)
     smax = np.linalg.svd(ws, compute_uv=False)[:, 0]
-    assert np.array_equal(mask, smax < 1)
+    assert np.array_equal(quad._in_domain(_upper(ws), n)[0], smax < 1)
     for target, inside in ((1 - 1e-10, True), (1 + 1e-10, False)):
         scaled = ws * (target / smax)[:, None, None]
         assert np.all((np.linalg.svd(scaled, compute_uv=False)[:, 0] < 1) == inside)
-        assert np.all(quad._in_domain(scaled) == inside)
+        assert np.all(quad._in_domain(_upper(scaled), n)[0] == inside)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radius_filter_drops_no_accepted_proposal(n):
+    # _sample_w (radius filter, then the elimination on the survivors)
+    # against the elimination on every proposal of the same stream: the same
+    # mask and accepted W, bit for bit, and the same determinants up to the
+    # roundoff of numpy's complex products, which depends on the layout
+    entries, ws = _proposals(np.random.default_rng(80 + n), 100000, n)
+    inside, dets = quad._in_domain(entries, n)
+    got_ws, got_dets, mask = quad._sample_w(np.random.default_rng(80 + n), 100000, n)
+    # n = 1 accepts every proposal, n = 2 about 1/6 and n = 3 about 0.3%
+    assert inside.any() and (n == 1) == inside.all()
+    assert np.array_equal(mask, inside)
+    assert np.array_equal(got_ws, ws[inside])
+    assert_allclose(got_dets, dets[inside], rtol=1e-13, atol=0)
 
 
 def _w_stack(n, count=200, cap=0.95):
     return domains.sample_sj_disk_batch(n, range(count), cap).w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elimination_dets_match_lapack(n):
+    # the product of the pivots against det(I - W conj(W)) on W with
+    # sigma_max < 0.95
+    ws = _w_stack(n)
+    inside, dets = quad._in_domain(_upper(ws), n)
+    assert inside.all()
+    ref = np.linalg.det(np.eye(n) - ws @ ws.conj()).real
+    assert_allclose(dets, ref, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -319,9 +365,9 @@ def test_z_draw_keeps_the_stream():
     # does not depend on the acceptances.  inv(Q) is accurate only to
     # cond(Q) eps, which grows without bound as sigma_max(W) -> 1, so the
     # draw is compared on the polydisk proposals with sigma_max < 0.95
-    ws, inside = quad._sample_w(np.random.default_rng(3), 500, 2)
+    entries, ws = _proposals(np.random.default_rng(3), 500, 2)
     mask = np.linalg.svd(ws, compute_uv=False)[:, 0] < 0.95
-    assert 0 < mask.sum() < inside.sum()
+    assert 0 < mask.sum() < quad._in_domain(entries, 2)[0].sum()
     qmats = quad._disk_forms(ws[mask], M, flip=True)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     zs, xqx = quad._sample_z_given_w(rng, ws[mask], M, True, mask)

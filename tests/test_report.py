@@ -50,6 +50,18 @@ def test_report_schema_and_json_stability():
     assert "timestamp" in json.loads(stamped.to_json())
 
 
+def test_suite_times_print_but_do_not_serialize():
+    # a combined run prints each suite's wall time above its checks and
+    # writes the same JSON as a run without times
+    checks = [report.residual_check(name, 0.0, 1.0) for name in ("a/x", "a/y", "b/x")]
+    timed = report.VerifyReport("all", {"n": 1}, 0, checks, wall_s={"a": 0.25, "b": 1.5})
+    assert timed.summary_lines() == [
+        "[PASS] suite all", "  -- a 0.250 s", "  PASS a/x residual=0.000e+00 tol=1.0e+00",
+        "  PASS a/y residual=0.000e+00 tol=1.0e+00", "  -- b 1.500 s",
+        "  PASS b/x residual=0.000e+00 tol=1.0e+00"]
+    assert timed.to_json() == report.VerifyReport("all", {"n": 1}, 0, checks).to_json()
+
+
 def test_report_fails_when_any_check_fails():
     checks = [report.residual_check("a", 0.0, 1.0),
               report.residual_check("b", 2.0, 1.0)]

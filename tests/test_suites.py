@@ -55,6 +55,19 @@ def test_run_all_aggregates_with_prefixes():
     assert rep.suite == "all"
     prefixes = {c.name.split("/")[0] for c in rep.checks}
     assert prefixes == set(suites.SUITES)
+    assert set(rep.wall_s) == prefixes and all(t > 0 for t in rep.wall_s.values())
+
+
+@pytest.mark.parametrize("seed", [2002, 3003])
+def test_fock_expansions_grow_to_their_tail_target(seed):
+    # at these `verify --suite all` seeds degree 14 left fock-at-w at n=2 a
+    # tail of 8e-6 and a residual of 1.9e-6 against 1e-6; each pair now grows
+    # its degree until the last grade is <= tol / 100
+    rep = suites.run_expansions(SuiteConfig(n=2, seed=suites.sub_seed(seed, "expansions")))
+    assert rep.passed, [c.summary() for c in rep.checks]
+    for c in rep.checks:
+        assert c.detail["degree"] in suites.FOCK_DEGREES
+        assert c.detail["tail_estimate"] <= 1e-8
 
 
 def test_unknown_suite_raises():
