@@ -40,27 +40,24 @@ class ReprParams:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function on one of the two models ('disk' or 'space').
+    """A function, or a family of `size` functions, on one of the two models
+    ('disk' or 'space').
 
     split maps stacked points (mats (N,n,n), vecs (N,n)) of that model to
     (vals, logs), the value being vals * exp(logs): transported functions
     carry a growing real exponent that integration weights cancel, and
-    keeping it apart lets integrators sum exponents before exp.
+    keeping it apart lets integrators sum exponents before exp.  A family's
+    vals are (size, N) and its members share the (N,) logs.
     provenance: 'basis' | 'transported' | 'composite'.
     """
 
     split: object
     side: str
     provenance: str = "composite"
+    size: int = 1
 
-    @classmethod
-    def from_scalar(cls, fn, side):
-        """Wrap fn, which maps one (matrix, vector) pair to a complex value."""
-        def split(mats, vecs):
-            vals = np.array([fn((mats[i], vecs[i])) for i in range(len(mats))], dtype=complex)
-            return vals, np.zeros(len(vals))
-
-        return cls(split, side)
+    def __len__(self):
+        return self.size
 
     def __call__(self, point):
         """Value at one point or at each point of a stack: an SJDiskPoint, an
@@ -111,7 +108,11 @@ def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
 def t_star(psi, params: ReprParams) -> SampledFunction:
     """Transfer a bounded-model function to the unbounded model:
     phi(Omega, zeta) = psi(W, z) det(I-W)^k exp(4 pi m z (I-W)^{-1} t(z))
-    with (W, z) the preimage of (Omega, zeta) under the forward chart."""
+    with (W, z) the preimage of (Omega, zeta) under the forward chart.
+
+    psi may be a family (a PolyFamily): the inverse chart, det(I-W)^k and
+    the exponent are computed once for all its members, which share them as
+    the logs of a transported family of the same size."""
     m, k = params.m, params.k
     eye = np.eye(params.n)
 
@@ -124,7 +125,8 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
         mant = vals * np.linalg.det(res) ** k * np.exp(4j * np.pi * m * quad_terms.imag)
         return mant, logs + 4.0 * np.pi * m * quad_terms.real
 
-    return SampledFunction(split, "space", provenance="transported")
+    return SampledFunction(split, "space", provenance="transported",
+                           size=quad.width(psi))
 
 
 def t_inv(phi, params: ReprParams) -> SampledFunction:
@@ -253,7 +255,7 @@ def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> rep
                            residual=float(err[i, j]), tol=tol_entry,
                            detail={"worst_row": str(labels[i]), "worst_col": str(labels[j]),
                                    "sigma": float(sigma[i, j]), "z_critical": zcrit,
-                                   **stats}),
+                                   **quad.mc_stats(stats)}),
     ]
     if exact_z:
         sigma_budget = 3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples))
@@ -281,22 +283,31 @@ def _isometry_functions(params: ReprParams):
 def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyReport:
     """Norms before and after the transfer agree within combined MC error;
     the test functions have z-degree at most one, where the two bounded-side
-    weight conventions coincide, so the comparison is convention-free."""
+    weight conventions coincide, so the comparison is convention-free.
+
+    Each side is one Gram over all the test functions, on one draw: the
+    disk side over the polynomials, the space side over their transfer as
+    one family.  The norms, sigmas and per-function stats are read off the
+    diagonals."""
+    n, m, k = params.n, params.m, params.k
+    names, psis = zip(*_isometry_functions(params))
+    disk = quad.mc_dj_gram(list(psis), n, m, k, cfg)
+    space = quad.mc_hj_gram([t_star(fockpoly.PolyFamily(psis), params)], n, m, k, cfg)
     checks = []
-    for name, psi in _isometry_functions(params):
-        disk = quad.mc_dj_inner(psi, psi, params.n, params.m, params.k, cfg)
-        phi = t_star(psi, params)
-        space = quad.mc_hj_inner(phi, phi, params.n, params.m, params.k, cfg)
-        err = abs(space.estimate - disk.estimate)
-        tol = 3.0 * math.hypot(space.sigma, disk.sigma) + 1e-9
+    for i, name in enumerate(names):
+        (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
+            (complex(gram[i, i]), float(sigma[i, i]), quad.mc_stats(stats, [i]))
+            for gram, sigma, stats in (disk, space))
+        err = abs(s_est - d_est)
+        tol = 3.0 * math.hypot(s_sig, d_sig) + 1e-9
         checks.append(report.CheckResult(
             name=f"isometry-{name}", passed=bool(err <= tol),
             residual=float(err), tol=float(tol),
-            detail={"disk_norm_sq": report.encode_value(disk.estimate),
-                    "space_norm_sq": report.encode_value(space.estimate),
-                    "disk_sigma": disk.sigma, "space_sigma": space.sigma,
-                    **{"disk_" + key: v for key, v in disk.stats.items()},
-                    **{"space_" + key: v for key, v in space.stats.items()}}))
+            detail={"disk_norm_sq": report.encode_value(d_est),
+                    "space_norm_sq": report.encode_value(s_est),
+                    "disk_sigma": d_sig, "space_sigma": s_sig,
+                    **{"disk_" + key: v for key, v in d_stats.items()},
+                    **{"space_" + key: v for key, v in s_stats.items()}}))
     return report.VerifyReport("isometry", params.to_dict(), cfg.seed, checks)
 
 
@@ -362,17 +373,21 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
     funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
     family = fockpoly.PolyFamily(funcs)
     f = funcs[0]
-    worst_err, worst_tol = 0.0, 0.0
-    ok = True
+    sections, targets = [], []
     for _ in range(min(points, 5)):
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         section = fockpoly.PolyFunction.zero(n)
         for basis_fn, val in zip(funcs, family.evaluate(x.z[None], x.w[None])[:, 0]):
             section = section + basis_fn * complex(np.conj(val))
-        est = quad.mc_dj_inner(f, section, n, m, k, cfg)
-        target = f.evaluate(x.z, x.w)
-        err = abs(est.estimate - target)
-        tol = 3.0 * est.sigma + 1e-6
+        sections.append(section)
+        targets.append(f.evaluate(x.z, x.w))
+    # every pairing <f, section_j> is an entry (0, j) of one Gram
+    gram, sigma, stats = quad.mc_dj_gram([f] + sections, n, m, k, cfg)
+    worst_err, worst_tol = 0.0, 0.0
+    ok = True
+    for j, target in enumerate(targets, 1):
+        err = abs(gram[0, j] - target)
+        tol = 3.0 * sigma[0, j] + 1e-6
         ok = ok and err <= tol
         if err > worst_err:
             worst_err, worst_tol = err, tol
@@ -380,6 +395,6 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
         report.residual_check("kernel-expansion", worst_rel, 1e-4),
         report.CheckResult(name="kernel-section-pairing", passed=bool(ok),
                            residual=float(worst_err), tol=float(worst_tol),
-                           detail=est.stats),  # each pairing draws the same W
+                           detail=quad.mc_stats(stats, [0, -1])),  # of <f, last section>
     ]
     return report.VerifyReport("reproducing", params.to_dict(), seed, checks)

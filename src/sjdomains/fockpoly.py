@@ -9,7 +9,8 @@ with a numeric W it gives basis_phi.  p_s_from_generating expands the
 generating function exp(U tZ + U W tU / 2) independently, as a check.
 
 There is one kernel expansion, expansion_fock_full: sum f_s(x') conj(f_s(x))
-over |s| <= d.  The matching expansion is its m = MATCHING_M instance and the
+over |s| <= d; fock_expansions grows it through increasing degrees, extending
+its P_s tables.  The matching expansion is its m = MATCHING_M instance and the
 fixed-W expansion its W' = W instance; the discrete-series expansion is a
 constant times it.  The limits are kernels.kmk_star_kernel, the one
 closed-form kernel of the bounded model.
@@ -168,20 +169,11 @@ class PolyFunction:
     def is_zero(self):
         return not self.terms
 
-    def z_degree(self):
-        return max((sum(s) for (s, _) in self.terms), default=0)
-
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1].upper))
 
     def has_exact_coeffs(self):
         return all(_is_exact(c) for c in self.terms.values())
-
-    def flip_w(self):
-        """Substitute W -> -W: each stored W_ij picks up one sign."""
-        res = PolyFunction(self.n)
-        res.terms = {(s, a): c * (-1) ** sum(a.upper) for (s, a), c in self.terms.items()}
-        return res
 
     # --- calculus ---
 
@@ -238,15 +230,6 @@ class PolyFunction:
                         "c": [cc.real, cc.imag]})
         return out
 
-    @classmethod
-    def from_json(cls, data, n):
-        terms = {}
-        for item in data:
-            a = SymIndex.from_full(np.asarray(item["a"]))
-            c = complex(item["c"][0], item["c"][1])
-            terms[(tuple(item["s"]), a)] = c
-        return cls(n, terms)
-
 
 class PolyFamily:
     """PolyFunctions of one arity evaluated together.
@@ -269,6 +252,9 @@ class PolyFamily:
         for i, f in enumerate(polys):
             for (s, a), c in f.terms.items():
                 self.coeffs[i, index[s + a.upper]] = complex(c)
+
+    def __len__(self):
+        return len(self.coeffs)
 
     def evaluate(self, zs=None, ws=None):
         """Values (nf, N) of the family at zs (N, n) and ws (N, n, n); either
@@ -299,18 +285,20 @@ class PolyFamily:
 
 # --- the matching-type polynomials ---
 
-def p_s_values(z, w, max_degree: int) -> dict:
+def p_s_values(z, w, max_degree: int, vals=None) -> dict:
     """{s: P_s(Z, W)} for every |s| <= max_degree, in enumerate_multiindices
     order, by the rule P_{s+e_i} = Z_i P_s + sum_j s_j W_ij P_{s-e_j} that
     differentiating the generating function exp(U tZ + U W tU / 2) in U_i
-    gives.
+    gives.  A table vals of an earlier call at the same (z, w) and a lower
+    degree is extended in place.
 
     z is a length-n sequence and w an n x n nested sequence (symmetric).  The
     rule only adds and multiplies, so their entries may be PolyFunction
     monomials (p_s), complex numbers (values at a point) or z-monomials with
     a numeric W (basis_phi)."""
-    vals = {}
-    for s in enumerate_multiindices(len(z), max_degree):
+    vals = {} if vals is None else vals
+    # graded order: the table holds a prefix of the indices
+    for s in enumerate_multiindices(len(z), max_degree)[len(vals):]:
         i = next((j for j, v in enumerate(s) if v), None)
         if i is None:
             vals[s] = z[0] * 0 + 1  # the unit of the entries' ring
@@ -465,10 +453,11 @@ def q_basis(n: int, k, max_degree: int):
     if not k > n + 0.5:
         raise ValueError("need k > n + 1/2 for a finite-norm basis")
     if n == 1:
-        from scipy.special import beta as beta_fn
+        b = float(k) - 1.5
         out = []
         for a in range(max_degree + 1):
-            norm = math.sqrt(math.pi * float(beta_fn(a + 1, float(k) - 1.5)))
+            # pi B(a + 1, b), with B(a + 1, b) = a! / (b (b + 1) ... (b + a))
+            norm = math.sqrt(math.pi * math.factorial(a) / math.prod(b + j for j in range(a + 1)))
             out.append(PolyFunction.monomial(1, a=SymIndex(1, (a,)), coeff=1.0 / norm))
         return out
     from . import quad
@@ -527,36 +516,32 @@ def pde_check(f: PolyFunction, m: float) -> float:
     return worst
 
 
-def express_in_matching_basis(f: PolyFunction, m: float):
-    """Write f(z, W) = sum_s c_s(W) fs_s(z, W) over the exact scaled basis
-    representatives (basis_f_scaled); returns {s: PolyFunction in W}.
-
-    Works by back-substitution on the z-leading terms; exact when f has exact
-    coefficients.  Every polynomial is reachable: the representative of s has
-    unit z^s coefficient and only lower z-degrees otherwise.
-    """
-    remainder = f
-    out = {}
-    guard = 0
-    while not remainder.is_zero():
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("back-substitution failed to terminate")
-        deg = remainder.z_degree()
-        layer = [(sv, av, c) for (sv, av), c in remainder.terms.items() if sum(sv) == deg]
-        (sv, av, c) = layer[0]
-        coeff_w = PolyFunction.monomial(f.n, a=av, coeff=c)
-        out[sv] = out.get(sv, PolyFunction(f.n)) + coeff_w
-        remainder = remainder - coeff_w * basis_f_scaled(sv, m)
-    return out
-
-
 # --- kernel expansions ---
 
 # At this m, f_s = P_s / sqrt(s!) and 8 pi m A = A exactly in floating point,
 # so the Fock kernel is the matching kernel det(I - W' conj(W))^{-1/2}
 # exp A(W', z'; W, z).
 MATCHING_M = 1.0 / (8.0 * math.pi)
+
+
+def fock_expansions(xp, x, m: float, degrees):
+    """expansion_fock_full at each degree of the increasing sequence degrees,
+    lazily: each extends the P_s tables and the grades of the one before."""
+    root = math.sqrt(8.0 * math.pi * m)
+    args = [([root * v for v in z.tolist()], w.tolist())
+            for w, z in (kernels._wz(xp), kernels._wz(x))]
+    tables, grades = ({}, {}), []
+    for degree in degrees:
+        start = len(tables[0])
+        for (z, w), table in zip(args, tables):
+            p_s_values(z, w, degree, table)
+        grades += [0j] * (degree + 1 - len(grades))
+        vals_p, vals = tables
+        for s in list(vals_p)[start:]:
+            grades[sum(s)] += vals_p[s] * vals[s].conjugate() / mi_factorial(s)
+        partials = tuple(itertools.accumulate(grades))
+        tail = abs(partials[-1] - partials[-2]) if len(partials) > 1 else float("inf")
+        yield TruncationResult(partials[-1], tail, partials)
 
 
 def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationResult:
@@ -568,19 +553,7 @@ def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationRes
     matching expansion sum P_s(z', W') conj(P_s(z, W)) / s!; at W' = W it is
     the fixed-W expansion over basis_phi(W, s, m), since
     basis_phi(W, s, m)(z) = f_s(W, z)."""
-    root = math.sqrt(8.0 * math.pi * m)
-
-    def values(point):
-        w, z = kernels._wz(point)
-        return p_s_values([root * v for v in z.tolist()], w.tolist(), trunc.max_degree)
-
-    vals = values(x)
-    grades = [0j] * (trunc.max_degree + 1)
-    for s, vp in values(xp).items():
-        grades[sum(s)] += vp * vals[s].conjugate() / mi_factorial(s)
-    partials = tuple(itertools.accumulate(grades))
-    tail = abs(partials[-1] - partials[-2]) if len(partials) > 1 else float("inf")
-    return TruncationResult(partials[-1], tail, partials)
+    return next(fock_expansions(xp, x, m, [trunc.max_degree]))
 
 
 def discrete_kernel_constant(m: float, k, n: int = 1) -> float:

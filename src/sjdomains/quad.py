@@ -1,6 +1,6 @@
-"""Quadrature layer: exact moments of complex Gaussian weights, a tensor
-Gauss-Hermite cross-check, seeded Monte Carlo engines for the weighted inner
-products on the bounded domains, and finite-difference Jacobian helpers.
+"""Quadrature layer: exact moments of complex Gaussian weights, seeded Monte
+Carlo engines for the weighted inner products on the bounded and unbounded
+domains, and finite-difference Jacobian helpers.
 
 The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has its real
 matrix Q written in closed form from H = (I - W conj(W))^{-1} and
@@ -16,7 +16,9 @@ from the polydisk in chunks, keeps the draws that lie in the domain and
 contracts the Gram over them in blocks of _BLOCK samples; each engine only
 supplies its draw on the accepted W (evaluation points and log weight); where
 the z-integral is exact (n = 1, polynomials) the driver accumulates weighted
-power sums of w instead of evaluating functions.  Proposals are tested on
+power sums of w instead of evaluating functions.  Every function is a row
+(a family, several rows) of one Gram, so a check draws its samples once and
+reads its inner products off that Gram.  Proposals are tested on
 their entries as (N,) arrays: a filter on the radii, then one Cholesky
 elimination that also gives det(I - W conj(W)); only accepted W become
 matrices.  Rejected proposals count in the estimator's denominator.
@@ -28,9 +30,7 @@ matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -168,22 +168,6 @@ def pair_product(f: PolyFunction, g: PolyFunction) -> dict:
     return out
 
 
-def gauss_hermite_moment(pairs: dict, form: GaussianForm, order: int = 40) -> complex:
-    """Tensor Gauss-Hermite evaluation of gaussian_moment, for cross-checks."""
-    dim = 2 * form.n
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    evals, vecs = np.linalg.eigh(form.q)
-    # x = root @ y whitens the form: x^T Q x = |y|^2
-    root = vecs @ np.diag(evals ** -0.5)
-    ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    wgrid = np.prod(np.meshgrid(*([weights] * dim), indexing="ij"), axis=0).ravel()
-    xs = ys @ root.T
-    zs = xs[:, :form.n] + 1j * xs[:, form.n:]
-    total = sum(complex(coeff) * np.prod(zs ** np.array(s) * np.conj(zs) ** np.array(r), axis=1)
-                for (s, r), coeff in pairs.items())
-    return complex(np.sum(total * wgrid) * abs(float(np.linalg.det(root))))
-
-
 # --- Fock inner products and the calibration constant ---
 
 def fock_inner(f: PolyFunction, g: PolyFunction, w, m) -> complex:
@@ -254,16 +238,6 @@ class MCConfig:
 # The Monte Carlo Gram that fockpoly.q_basis orthonormalizes its n >= 2
 # monomials against.
 Q_BASIS_MC = MCConfig(samples=200000, seed=20240)
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: complex
-    sigma: float
-    samples: int
-    seed: int
-    elapsed: float
-    stats: dict
 
 
 def _upper_dim(n):
@@ -422,7 +396,8 @@ def evaluate(fn, mats, vecs, side):
     vals * exp(logs).  A PolyFunction lives on the disk and has logs = 0, and
     so does a PolyFamily, whose vals are (nf, N) and whose members share the
     (N,) logs; any other function carries its side and a batched callable
-    `split` with this same signature."""
+    `split` with this same signature, whose vals are (N,), or (size, N) with
+    shared logs for a family of `size` functions."""
     poly = isinstance(fn, (PolyFunction, PolyFamily))
     own = "disk" if poly else fn.side
     if own != side:
@@ -434,6 +409,18 @@ def evaluate(fn, mats, vecs, side):
     return fn.split(mats, vecs)
 
 
+def width(fn):
+    """The number of functions fn holds, its rows in a Gram: one for a
+    PolyFunction, the members of a PolyFamily, the size of any other."""
+    return 1 if isinstance(fn, PolyFunction) else len(fn)
+
+
+def mc_stats(stats, rows=slice(None)):
+    """The stats of a check that reads the functions `rows` of an engine's
+    Gram: its ess_f is the smallest of their Kish sizes."""
+    return {**stats, "ess_f": float(np.min(stats["ess_f"][rows]))}
+
+
 # samples per Gram contraction: it bounds the (nf, block) values or the
 # (2D + 1, block) powers of w; it ran the power sums of a 20000-sample chunk
 # 3x faster than one pass over the chunk
@@ -442,33 +429,38 @@ _BLOCK = 2000
 
 def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
-    E[f_i conj(f_j) weight], its standard errors and stats: the proposals,
-    the accepted draws, over their weights w = exp(logw) the Kish effective
-    sample size (sum w)^2 / sum w^2 and largest share max w / sum w, and
-    ess_f, the smallest over the functions of the Kish size of the samples'
-    contributions to the diagonal entry, w |f_i|^2 (their log parts
-    included).
+    E[f_i conj(f_j) weight] over the functions of funcs, its standard errors
+    and stats: the proposals, the accepted draws, over their weights
+    w = exp(logw) the Kish effective sample size (sum w)^2 / sum w^2 and
+    largest share max w / sum w, and ess_f, the (nf,) Kish sizes of each
+    function's contributions to its diagonal entry, w |f_i|^2 (their log
+    parts included); mc_stats reduces them to the functions a check reads.
 
-    Each chunk of `chunk` proposals draws W from the polydisk (_sample_w),
-    then calls draw(rng, ws, dets, mask) -> (mats, vecs, logw) on the
-    accepted ws only, with their dets = det(I - W conj(W)) and the mask that
-    marks them among the chunk's proposals: the points at which the functions
-    are evaluated on `side`, and the log weight.  A rejected proposal has
-    weight 0: it counts in the denominator, the number of proposals, and
-    nowhere else.  The contraction runs over the accepted samples in blocks
-    of _BLOCK.  Sampled, u = vals exp(logs + logw / 2) and the Gram adds
-    u u^H; the PolyFunctions among funcs are evaluated together, as one
-    PolyFamily.  Exact in z (kern from _exact_z_kernel), a block adds the
-    weighted power sums of w, and the Gram and its variance are contracted
-    from them at the end.  The result is Hermitian by construction, so mirror
-    entries tie exactly and the worst entry of a Gram does not depend on
-    roundoff."""
+    An entry of funcs fills width(fn) consecutive rows: a PolyFunction one,
+    a family (a PolyFamily, or a SampledFunction whose split returns (size,
+    N) values with shared (N,) logs) one per member, evaluated once per
+    block for all of them.  Each chunk of `chunk` proposals draws W from the
+    polydisk (_sample_w), then calls draw(rng, ws, dets, mask) -> (mats,
+    vecs, logw) on the accepted ws only, with their dets = det(I - W
+    conj(W)) and the mask that marks them among the chunk's proposals: the
+    points at which the functions are evaluated on `side`, and the log
+    weight.  A rejected proposal has weight 0: it counts in the denominator,
+    the number of proposals, and nowhere else.  The contraction runs over the
+    accepted samples in blocks of _BLOCK.  Sampled, u = vals exp(logs +
+    logw / 2) and the Gram adds u u^H; the PolyFunctions among funcs are
+    evaluated together, as one PolyFamily.  Exact in z (kern from
+    _exact_z_kernel), a block adds the weighted power sums of w, and the
+    Gram and its variance are contracted from them at the end.  The result
+    is Hermitian by construction, so mirror entries tie exactly and the
+    worst entry of a Gram does not depend on roundoff."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    nf = len(funcs)
+    offsets = np.cumsum([0] + [width(f) for f in funcs])
+    nf = int(offsets[-1])
     polys = [i for i, f in enumerate(funcs) if isinstance(f, PolyFunction)]
-    groups = [([i], f) for i, f in enumerate(funcs) if i not in polys]
+    groups = [(slice(offsets[i], offsets[i + 1]), f) for i, f in enumerate(funcs)
+              if i not in polys]
     if polys:
-        groups.insert(0, (polys, PolyFamily([funcs[i] for i in polys])))
+        groups.insert(0, (offsets[polys], PolyFamily([funcs[i] for i in polys])))
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
     done = accepted = 0
@@ -507,16 +499,8 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     stats = {"proposed": done, "accepted": accepted,
              "ess": float(wsum ** 2 / wsum2) if wsum2 else 0.0,
              "max_share": float(wmax / wsum) if wsum else 0.0,
-             "ess_f": float(np.min(diag ** 2 / np.where(diag2 > 0, diag2, np.inf)))}
+             "ess_f": diag ** 2 / np.where(diag2 > 0, diag2, np.inf)}
     return gram, np.sqrt(var / done), stats
-
-
-def _mc_inner(f, g, cfg: MCConfig, gram_of) -> MCEstimate:
-    """<f, g> from the Gram engine gram_of over [f] (g is f) or [f, g]."""
-    t0 = time.perf_counter()
-    gram, sigma, stats = gram_of([f] if g is f else [f, g])
-    return MCEstimate(complex(gram[0, -1]), float(sigma[0, -1]), cfg.samples, cfg.seed,
-                      time.perf_counter() - t0, stats)
 
 
 def _disk_draw(n, k):
@@ -538,12 +522,6 @@ def mc_disk_gram(polys, n, k, cfg: MCConfig):
     return _mc_gram(polys, n, cfg, cfg.batch, _disk_draw(n, k))
 
 
-def mc_disk_inner(f, g, n, k, cfg: MCConfig) -> MCEstimate:
-    """Two-function case of mc_disk_gram."""
-    return _mc_inner(f, g, cfg, partial(_mc_gram, n=n, cfg=cfg, chunk=cfg.batch,
-                                        draw=_disk_draw(n, k)))
-
-
 def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     """Shared-sample MC Gram for the bounded Jacobi-domain inner product
     f conj(g) det(I-W conj(W))^k exp(-8 pi m A(W,z)) against the measure
@@ -552,7 +530,7 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
 
     The Gaussian is the reciprocal of the kernel diagonal, the convention the
     orthonormal basis lives in.  The weight that the group action preserves
-    has A(-W, z) instead (see mc_hj_inner); the two agree on functions whose
+    has A(-W, z) instead (see mc_hj_gram); the two agree on functions whose
     z-degree stays below 2.
 
     For n = 1 and polynomial inputs the z-integral is exact: each conditional
@@ -572,22 +550,22 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
                     kern=kern)
 
 
-def mc_dj_inner(psi1, psi2, n, m, k, cfg: MCConfig) -> MCEstimate:
-    """Two-function case of mc_dj_gram; see there for the conventions."""
-    return _mc_inner(psi1, psi2, cfg, partial(mc_dj_gram, n=n, m=m, k=k, cfg=cfg))
-
-
-def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
-    """MC inner product on the unbounded Jacobi domain with the decaying
+def mc_hj_gram(phis, n, m, k, cfg: MCConfig):
+    """Shared-sample MC Gram on the unbounded Jacobi domain with the decaying
     weight (det Y)^k exp(-4 pi m eta Y^{-1} t(eta)), overall constant
-    2^{-n(n+3)}, measure (det Y)^{-n-2} pi^{-n} dLeb(zeta) dLeb(Omega).
+    2^{-n(n+3)}, measure (det Y)^{-n-2} pi^{-n} dLeb(zeta) dLeb(Omega);
+    returns (gram, sigma, stats) as mc_dj_gram does.
 
-    Samples are proposed in the bounded chart (the only practical way to
-    cover the domain) and mapped forward; the overall constant cancels the
-    chart Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
+    The space-side twin of mc_dj_gram, on the same W draw: samples are
+    proposed in the bounded chart (the only practical way to cover the
+    domain), z is drawn from the flipped law exp(-8 pi m A(-W, z)) / Z, and
+    the points are mapped forward.  The overall constant cancels the chart
+    Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
     identities relating the two sides stay testable rather than assumed.
-    phi1/phi2 are space-side functions; the whole weight is kept as a log."""
+    phis are space-side functions, a transported family such as
+    t_star(PolyFamily(...)) filling several rows; the whole weight is kept
+    as a log."""
     eye = np.eye(n)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
@@ -601,8 +579,7 @@ def mc_hj_inner(phi1, phi2, n, m, k, cfg: MCConfig) -> MCEstimate:
                 + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
         return oms, zetas, logw
 
-    return _mc_inner(phi1, phi2, cfg, partial(_mc_gram, n=n, cfg=cfg, chunk=cfg.batch,
-                                              draw=draw, side="space"))
+    return _mc_gram(phis, n, cfg, cfg.batch, draw, side="space")
 
 
 # --- finite-difference Jacobians and real charts ---

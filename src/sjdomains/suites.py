@@ -225,9 +225,8 @@ FOCK_DEGREES = range(14, 41, 2)
 def _fock_expansion(xp, x, m, target):
     """expansion_fock_full at the first degree of FOCK_DEGREES whose last
     grade (the tail estimate) is <= target, or at the cap; returns it and
-    the degree."""
-    for degree in FOCK_DEGREES:
-        res = fockpoly.expansion_fock_full(xp, x, m, fockpoly.TruncationSpec(degree))
+    the degree.  Each degree extends the partial sums of the one before."""
+    for degree, res in zip(FOCK_DEGREES, fockpoly.fock_expansions(xp, x, m, FOCK_DEGREES)):
         if res.tail_estimate <= target:
             break
     return res, degree
@@ -345,6 +344,7 @@ def run_q_basis(cfg: SuiteConfig) -> VerifyReport:
     degree = 4 if n == 1 else 2
     qs = fockpoly.q_basis(n, k, degree)
     gram, sigma, stats = quad.mc_disk_gram(qs, n, k, mccfg)
+    stats = quad.mc_stats(stats)
     err = np.abs(gram - np.eye(len(qs)))
     if n == 1:
         i, j = np.unravel_index(np.argmax(err - 3.0 * sigma), err.shape)

@@ -231,13 +231,26 @@ def test_table_gram_big_f_million_samples(capsys):
     assert np.max(sigma) <= 3e-3
 
 
+def _src_env():
+    """The environment with this sjdomains first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sjdomains.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_has_no_runpy_warning():
     # the package must not import cli itself, or `python -m sjdomains.cli`
     # warns that the module was already in sys.modules
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sjdomains.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
                            "sjdomains.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy is a test dependency only: the program imports none of it
+    code = "import sys, sjdomains.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sjdomains import discrete_series as ds
-from sjdomains import domains, fockpoly, groups, quad
+from sjdomains import domains, fockpoly, groups, numkit, quad
 
 PARAMS = ds.ReprParams(1, 0.25, 3)
 
@@ -40,7 +40,11 @@ def test_transfer_roundtrip_space():
         om, zeta = pair
         return np.exp(1j * np.trace(om)) * (1.0 + complex(zeta @ zeta))
 
-    carrier = ds.SampledFunction.from_scalar(phi, "space")
+    def phi_split(oms, zetas):
+        vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
+        return vals, np.zeros(len(vals))
+
+    carrier = ds.SampledFunction(phi_split, "space")
     forth = ds.t_star(ds.t_inv(carrier, PARAMS), PARAMS)
     for t in range(30):
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t))
@@ -86,6 +90,23 @@ def test_batch_evaluation_matches_scalar():
     assert np.max(np.abs(logs_of["back"])) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_t_star_of_a_family_stacks_the_members(n):
+    # one transfer of the family against the transfer of each member: the
+    # same values and logs
+    params = ds.ReprParams(n, 0.25, 3)
+    psis = [f for _, f in ds._isometry_functions(params)] + [_test_poly(params)]
+    phi = ds.t_star(fockpoly.PolyFamily(psis), params)
+    assert len(phi) == len(psis) and phi.provenance == "transported"
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, range(40), 0.6, 0.8))
+    vals, logs = quad.evaluate(phi, y.omega, y.zeta, "space")
+    assert vals.shape == (len(psis), 40) and logs.shape == (40,)
+    for i, psi in enumerate(psis):
+        one_vals, one_logs = quad.evaluate(ds.t_star(psi, params), y.omega, y.zeta, "space")
+        assert_allclose(vals[i], one_vals, rtol=1e-14, atol=0)
+        assert_allclose(logs, one_logs, rtol=1e-14, atol=0)
+
+
 def test_sampled_function_side_guard():
     # the one side guard, in quad.evaluate, reached from each entry point
     psi = _test_poly(PARAMS)
@@ -94,7 +115,7 @@ def test_sampled_function_side_guard():
     with pytest.raises(ValueError):
         quad.evaluate(phi, np.zeros((1, 1, 1), complex), np.zeros((1, 1), complex), "disk")
     with pytest.raises(ValueError):
-        quad.mc_hj_inner(psi, psi, 1, PARAMS.m, PARAMS.k, cfg)
+        quad.mc_hj_gram([psi], 1, PARAMS.m, PARAMS.k, cfg)
     with pytest.raises(ValueError):
         quad.mc_dj_gram([psi, phi], 1, PARAMS.m, PARAMS.k, cfg)
     y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from sjdomains import numkit
+from sjdomains import groups, numkit
 
 
 def test_as_row_vector_shapes():
@@ -108,3 +109,37 @@ def test_solve_roundtrip_property(n, seed):
     rhs = rng.normal(size=(n, n))
     sol = numkit.solve(mat, rhs)
     assert np.max(np.abs(mat @ sol - rhs)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_exp_matches_scipy_on_hamiltonian_stacks(n):
+    # exp(J S) for the random symmetric S of random_jacobi_batch, as one
+    # stack, against scipy's expm one member at a time; the results are
+    # symplectic
+    s = 0.5 * np.array([np.random.default_rng(t).standard_normal((2 * n, 2 * n))
+                        for t in range(200)])
+    jmat = groups.symplectic_j(n)
+    ham = jmat @ numkit.symmetrize(s).real
+    got = numkit.matrix_exp(ham)
+    ref = np.array([scipy.linalg.expm(h) for h in ham])
+    scale = np.max(np.abs(ref), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    sig = got.real
+    assert np.max(np.abs(np.swapaxes(sig, 1, 2) @ jmat @ sig - jmat)) <= 1e-14
+
+
+def test_matrix_exp_squares_each_member_by_its_own_scale():
+    # rotations exp(t J) and boosts, in closed form, at norms that need 0 to
+    # 3 squarings in one stack; each member equals its batch of one, bit for
+    # bit, whatever the other members' norms
+    ts = np.array([0.3, 3.0, 10.0, 30.0])
+    jmat = groups.symplectic_j(1)
+    ham = np.array([t * jmat for t in ts] + [t * jmat @ np.diag([1.0, -1.0]) for t in ts])
+    rot = [[[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]] for t in ts]
+    boost = [[[np.cosh(t), -np.sinh(t)], [-np.sinh(t), np.cosh(t)]] for t in ts]
+    exact = np.array(rot + boost)
+    got = numkit.matrix_exp(ham)
+    scale = np.max(np.abs(exact), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got - exact) <= 1e-13 * scale)
+    for member, alone in zip(got, map(numkit.matrix_exp, ham)):
+        assert np.array_equal(member, alone)

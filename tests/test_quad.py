@@ -73,12 +73,29 @@ def test_flip_matches_reflected_argument():
     assert_allclose(flipped.q, reflected.q, atol=1e-12)
 
 
+def _gauss_hermite_moment(pairs, form, order):
+    """Tensor Gauss-Hermite evaluation of gaussian_moment, the independent
+    reference for the Wick engine."""
+    dim = 2 * form.n
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    evals, vecs = np.linalg.eigh(form.q)
+    # x = root @ y whitens the form: x^T Q x = |y|^2
+    root = vecs @ np.diag(evals ** -0.5)
+    ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    wgrid = np.prod(np.meshgrid(*([weights] * dim), indexing="ij"), axis=0).ravel()
+    xs = ys @ root.T
+    zs = xs[:, :form.n] + 1j * xs[:, form.n:]
+    total = sum(complex(coeff) * np.prod(zs ** np.array(s) * np.conj(zs) ** np.array(r), axis=1)
+                for (s, r), coeff in pairs.items())
+    return complex(np.sum(total * wgrid) * abs(float(np.linalg.det(root))))
+
+
 def test_gauss_hermite_agrees_with_exact_moments():
     w = np.array([[0.35 - 0.15j]])
     form = quad.GaussianForm.from_disk_weight(w, M, flip=False)
     pairs = {((2,), (2,)): 1.0, ((1,), (1,)): 0.5 - 0.25j, ((0,), (0,)): -1.0}
     exact = quad.gaussian_moment(pairs, form)
-    gh = quad.gauss_hermite_moment(pairs, form, order=40)
+    gh = _gauss_hermite_moment(pairs, form, order=40)
     assert_allclose(gh, exact, rtol=1e-12)
 
 
@@ -96,7 +113,7 @@ def test_complex_wick_agrees_with_gauss_hermite_n2():
                      ((1, 1), (1, 1))]:
             pairs = {(s, r): 1.0}
             exact = quad.gaussian_moment(pairs, form)
-            gh = quad.gauss_hermite_moment(pairs, form, order=12)
+            gh = _gauss_hermite_moment(pairs, form, order=12)
             assert abs(exact) > 1e-6
             assert_allclose(gh, exact, rtol=1e-11)
 
@@ -135,29 +152,27 @@ def test_mc_disk_inner_against_beta_moments():
     # |w|^{2a} against the bounded-domain weight: pi B(a + 1, k - 3/2)
     cfg = quad.MCConfig(samples=200000, seed=11)
     one = fockpoly.PolyFunction.constant(1, 1.0)
-    est = quad.mc_disk_inner(one, one, 1, K, cfg)
-    target = math.pi * beta_fn(1, K - 1.5)
-    assert abs(est.estimate - target) <= 3 * est.sigma
     wmono = fockpoly.PolyFunction.monomial(1, a=numkit.SymIndex(1, (1,)))
-    est = quad.mc_disk_inner(wmono, wmono, 1, K, cfg)
-    target = math.pi * beta_fn(2, K - 1.5)
-    assert abs(est.estimate - target) <= 3 * est.sigma
+    gram, sigma, _ = quad.mc_disk_gram([one, wmono], 1, K, cfg)
+    for a in range(2):
+        target = math.pi * beta_fn(a + 1, K - 1.5)
+        assert abs(gram[a, a] - target) <= 3 * sigma[a, a]
 
 
 def test_mc_determinism():
     cfg = quad.MCConfig(samples=20000, seed=5)
     one = fockpoly.PolyFunction.constant(1, 1.0)
-    est1 = quad.mc_disk_inner(one, one, 1, K, cfg)
-    est2 = quad.mc_disk_inner(one, one, 1, K, cfg)
-    assert est1.estimate == est2.estimate
-    assert est1.sigma == est2.sigma
+    gram1, sigma1, _ = quad.mc_disk_gram([one], 1, K, cfg)
+    gram2, sigma2, _ = quad.mc_disk_gram([one], 1, K, cfg)
+    assert gram1[0, 0] == gram2[0, 0]
+    assert sigma1[0, 0] == sigma2[0, 0]
 
 
 def test_mc_sigma_scaling():
     one = fockpoly.PolyFunction.constant(1, 1.0)
-    small = quad.mc_disk_inner(one, one, 1, K, quad.MCConfig(samples=20000, seed=6))
-    big = quad.mc_disk_inner(one, one, 1, K, quad.MCConfig(samples=80000, seed=6))
-    assert 1.6 < small.sigma / big.sigma < 2.4
+    _, small, _ = quad.mc_disk_gram([one], 1, K, quad.MCConfig(samples=20000, seed=6))
+    _, big, _ = quad.mc_disk_gram([one], 1, K, quad.MCConfig(samples=80000, seed=6))
+    assert 1.6 < small[0, 0] / big[0, 0] < 2.4
 
 
 def test_mc_dj_gram_identity_small():
@@ -246,10 +261,12 @@ def test_mc_gram_blocks_match_one_shot(n):
     assert (stats["proposed"], stats["accepted"]) == (cfg.samples, accepted)
     assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
     assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
-    # and the smallest per-function Kish size of the contributions w |f_i|^2
+    # and each function's Kish size of its contributions w |f_i|^2, whose
+    # smallest a check reports
     contrib = np.abs(vals) ** 2 * weight
-    assert_allclose(stats["ess_f"], np.min(np.sum(contrib, axis=1) ** 2
-                                           / np.sum(contrib ** 2, axis=1)), rtol=1e-12)
+    ess_f = np.sum(contrib, axis=1) ** 2 / np.sum(contrib ** 2, axis=1)
+    assert_allclose(stats["ess_f"], ess_f, rtol=1e-12)
+    assert_allclose(quad.mc_stats(stats)["ess_f"], np.min(ess_f), rtol=1e-12)
 
 
 def test_mc_engines_survive_rejected_chunks(monkeypatch):
@@ -270,14 +287,13 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     space_f = ds.SampledFunction(
         lambda mats, vecs: (np.ones(len(mats), dtype=complex), np.zeros(len(mats))), "space")
     results = [quad.mc_disk_gram([f], 3, 4, cfg),
-               quad.mc_dj_gram([_sampled(f)], 3, M, 4, cfg)]
-    est = quad.mc_hj_inner(space_f, space_f, 3, M, 4, cfg)
-    results.append((np.array([[est.estimate]]), np.array([[est.sigma]]), est.stats))
+               quad.mc_dj_gram([_sampled(f)], 3, M, 4, cfg),
+               quad.mc_hj_gram([space_f], 3, M, 4, cfg)]
     assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
     for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
-        assert stats == {"proposed": 60, "accepted": 0, "ess": 0.0, "max_share": 0.0,
-                         "ess_f": 0.0}
+        assert quad.mc_stats(stats) == {"proposed": 60, "accepted": 0, "ess": 0.0,
+                                        "max_share": 0.0, "ess_f": 0.0}
 
 
 def _proposals(rng, count, n):
@@ -469,12 +485,12 @@ def test_mc_hj_matches_disk_norm():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
     psi = labeled[0][1]
     cfg = quad.MCConfig(samples=120000, seed=9)
-    disk = quad.mc_dj_inner(psi, psi, 1, M, K, cfg)
+    disk, disk_sigma, _ = quad.mc_dj_gram([psi], 1, M, K, cfg)
     phi = ds.t_star(psi, params)
-    space = quad.mc_hj_inner(phi, phi, 1, M, K, cfg)
-    tol = 3 * math.hypot(disk.sigma, space.sigma)
-    assert abs(disk.estimate - space.estimate) <= tol
-    assert abs(disk.estimate - 1.0) <= 3 * disk.sigma
+    space, space_sigma, _ = quad.mc_hj_gram([phi], 1, M, K, cfg)
+    tol = 3 * math.hypot(disk_sigma[0, 0], space_sigma[0, 0])
+    assert abs(disk[0, 0] - space[0, 0]) <= tol
+    assert abs(disk[0, 0] - 1.0) <= 3 * disk_sigma[0, 0]
 
 
 def test_mc_hj_two_function_path():
@@ -484,27 +500,47 @@ def test_mc_hj_two_function_path():
     psi = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)[3][1]
     phi, phi2 = ds.t_star(psi, params), ds.t_star(psi, params)
     cfg = quad.MCConfig(samples=30000, seed=14)
-    one = quad.mc_hj_inner(phi, phi, 1, M, K, cfg)
-    two = quad.mc_hj_inner(phi, phi2, 1, M, K, cfg)
-    assert abs(two.estimate - one.estimate) <= 1e-12 * abs(one.estimate)
-    assert abs(two.sigma - one.sigma) <= 1e-12 * one.sigma
-    assert one.samples == two.samples == cfg.samples
+    one, one_sigma, one_stats = quad.mc_hj_gram([phi], 1, M, K, cfg)
+    two, two_sigma, two_stats = quad.mc_hj_gram([phi, phi2], 1, M, K, cfg)
+    assert abs(two[0, 1] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
+    assert abs(two_sigma[0, 1] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
+    assert one_stats["proposed"] == two_stats["proposed"] == cfg.samples
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_mc_dj_inner_same_function_path(n):
-    # <psi, psi> integrates the one-function Gram; a distinct but equal psi2
-    # takes the two-function path and must give the same estimate
+    # <psi, psi> from the one-function Gram; a distinct but equal psi2 in a
+    # two-function Gram must give the same estimate, on and off the diagonal
     s = (1,) + (0,) * (n - 1)
     psi, psi2 = fockpoly.basis_f(s, M), fockpoly.basis_f(s, M)
     cfg = quad.MCConfig(samples=20000, seed=15)
-    one = quad.mc_dj_inner(psi, psi, n, M, K, cfg)
-    gram, sigma, _ = quad.mc_dj_gram([psi], n, M, K, cfg)
-    assert one.estimate == gram[0, 0]
-    assert one.sigma == sigma[0, 0]
-    two = quad.mc_dj_inner(psi, psi2, n, M, K, cfg)
-    assert abs(two.estimate - one.estimate) <= 1e-12 * abs(one.estimate)
-    assert abs(two.sigma - one.sigma) <= 1e-12 * one.sigma
+    one, one_sigma, _ = quad.mc_dj_gram([psi], n, M, K, cfg)
+    two, two_sigma, _ = quad.mc_dj_gram([psi, psi2], n, M, K, cfg)
+    for entry in ((0, 0), (0, 1), (1, 1)):
+        assert abs(two[entry] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
+        assert abs(two_sigma[entry] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_family_grams_match_one_member_runs(n):
+    # the shared pass of isometry: one Gram over the functions on each side,
+    # the space side over their transfer as one family, against one run per
+    # function on the same seed: diagonal, sigma and per-function Kish size
+    params = ds.ReprParams(n, M, K)
+    psis = [f for _, f in ds._isometry_functions(params)]
+    cfg = quad.MCConfig(samples=20000, seed=16)
+    family = [quad.mc_dj_gram(psis, n, M, K, cfg),
+              quad.mc_hj_gram([ds.t_star(fockpoly.PolyFamily(psis), params)], n, M, K, cfg)]
+    for i, psi in enumerate(psis):
+        ones = [quad.mc_dj_gram([psi], n, M, K, cfg),
+                quad.mc_hj_gram([ds.t_star(psi, params)], n, M, K, cfg)]
+        for (gram, sigma, stats), (g1, s1, st1) in zip(family, ones):
+            assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
+            assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)
+            assert_allclose(stats["ess_f"][i], st1["ess_f"][0], rtol=1e-12, atol=0)
+            assert all(stats[key] == st1[key] for key in ("proposed", "accepted"))
+            assert_allclose([stats["ess"], stats["max_share"]],
+                            [st1["ess"], st1["max_share"]], rtol=1e-12)
 
 
 def test_pack_unpack_roundtrip():
