@@ -25,7 +25,7 @@ from .groups import (JacobiElement, JacobiStarElement, act_sj_disk,
                      act_sj_space, theta_inv, theta_iso)
 from .kernels import (a_form, jmk, jmk_star, kmk_kernel, kmk_star_kernel,
                       kmk_star_weight, kmk_weight)
-from .quad import GaussianForm, MCConfig, fock_inner, gaussian_moment
+from .quad import GaussianForm, MCConfig, fock_gram
 from .report import CheckResult, VerifyReport
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "SampledFunction", "TruncationSpec", "VerifyReport", "a_form",
     "act_sj_disk", "act_sj_space", "basis_big_f", "basis_f", "basis_phi",
     "cayley_forward", "cayley_inverse", "discrete_series", "domains",
-    "fock_inner", "fockpoly", "gaussian_moment", "groups", "jmk", "jmk_star",
+    "fock_gram", "fockpoly", "groups", "jmk", "jmk_star",
     "kernels", "kmk_kernel", "kmk_star_kernel", "kmk_star_weight",
     "kmk_weight", "numkit", "p_s", "pi_apply", "pi_star_apply", "q_basis",
     "quad", "report", "series_basis", "suites", "t_inv", "t_star",

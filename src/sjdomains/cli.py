@@ -262,12 +262,7 @@ def _table_gram_phi(cfg: SuiteConfig):
     degree = min(cfg.trunc, 6)
     w = 0.3 * np.eye(n)
     index_list = list(fockpoly.enumerate_multiindices(n, degree))
-    polys = [fockpoly.basis_phi(w, tuple(s), cfg.m) for s in index_list]
-    size = len(polys)
-    gram = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            gram[a, b] = quad.fock_inner(polys[a], polys[b], w, cfg.m)
+    gram = quad.fock_gram([fockpoly.basis_phi(w, tuple(s), cfg.m) for s in index_list], w, cfg.m)
     labels = [str(tuple(s)) for s in index_list]
     return labels, gram, None
 

@@ -441,9 +441,11 @@ def sym_degree_list(n: int, max_degree: int):
     return sorted(labels, key=lambda a: (a.total(), a.upper))
 
 
+@lru_cache(maxsize=None)
 def q_basis(n: int, k, max_degree: int):
     """Orthonormal polynomials in W for the weighted measure
-    det(I - W conj(W))^{k - n - 3/2} dLeb(W) on the bounded symmetric domain.
+    det(I - W conj(W))^{k - n - 3/2} dLeb(W) on the bounded symmetric domain,
+    as a tuple; each (n, k, max_degree) is built once per process.
 
     n = 1: closed form q_a(w) = w^a / sqrt(pi B(a + 1, k - 3/2)).
     n >= 2: monomials orthonormalized against the Monte Carlo Gram matrix of
@@ -459,7 +461,7 @@ def q_basis(n: int, k, max_degree: int):
             # pi B(a + 1, b), with B(a + 1, b) = a! / (b (b + 1) ... (b + a))
             norm = math.sqrt(math.pi * math.factorial(a) / math.prod(b + j for j in range(a + 1)))
             out.append(PolyFunction.monomial(1, a=SymIndex(1, (a,)), coeff=1.0 / norm))
-        return out
+        return tuple(out)
     from . import quad
     monos = [PolyFunction.monomial(n, a=a, coeff=1.0) for a in sym_degree_list(n, max_degree)]
     gram, _, _ = quad.mc_disk_gram(monos, n, k, quad.Q_BASIS_MC)
@@ -471,7 +473,7 @@ def q_basis(n: int, k, max_degree: int):
         for c, mono in zip(row, monos):
             acc = acc + mono * complex(c)
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 def basis_big_f(s: tuple, a_poly: PolyFunction, m: float) -> PolyFunction:

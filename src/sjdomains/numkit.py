@@ -190,10 +190,6 @@ def matrix_exp(A):
     return r
 
 
-def mi_total(s):
-    return int(sum(s))
-
-
 def mi_factorial(s):
     out = 1
     for si in s:

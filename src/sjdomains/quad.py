@@ -4,10 +4,11 @@ domains, and finite-difference Jacobian helpers.
 
 The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has its real
 matrix Q written in closed form from H = (I - W conj(W))^{-1} and
-S = conj(W) H, for one W or a stack of them.  Moments E[z^s conj(z)^r] of a
-Gaussian come from a Wick recursion on the exponents (s, r) with the complex
-covariances E[z t(z)] and E[z z^*], again for one covariance or a stack; the
-Monte Carlo engines take them, and the weight's integral, in closed form.
+S = conj(W) H, for one W or a stack of them.  Every exact z-integral reads
+off one table of moments E[z^s conj(z)^r], |s|, |r| <= degree, filled row by
+row by Wick's rule from the complex covariances E[z t(z)] and E[z z^*]: a
+Gram of z-polynomials is A M A^H, with A their coefficients.  The Monte
+Carlo engines take the z-law, and the weight's integral, in closed form.
 
 Every function is evaluated through one protocol, evaluate(fn, mats, vecs,
 side) -> (vals, logs) on stacked points, the value being vals * exp(logs).
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, kernels, numkit
+from . import domains, fockpoly, kernels, numkit
 from .domains import SJDiskPoint, SJSpacePoint
 from .fockpoly import PolyFamily, PolyFunction
 
@@ -64,34 +65,40 @@ def _complex_covariances(cov):
     return xx - yy + 1j * (xy + yx), xx + yy + 1j * (yx - xy)
 
 
-def _lower(t, j):
-    return t[:j] + (t[j] - 1,) + t[j + 1:]
+def _moment_table(c, d, degree):
+    """T[s, r] = E[z^s conj(z)^r] for a centred Gaussian z with E[z t(z)] = c
+    and E[z z^*] = d, both axes over enumerate_multiindices(n, degree).
 
-
-def _wick(c, d, s, r, memo):
-    """E[z^s conj(z)^r] for a centred Gaussian z with E[z t(z)] = c and
-    E[z z^*] = d (leading batch axes allowed): remove one z_i and pair it
-    with each remaining z_j (c_ij) or conj(z_j) (d_ij); with no z left,
-    E[conj(z)^r] = conj(E[z^r])."""
-    if (sum(s) + sum(r)) % 2:
-        return 0.0
-    if not any(r) and not any(s):
-        return 1.0
-    if not any(s):
-        return np.conj(_wick(c, d, r, s, memo))
-    key = (s, r)
-    if key not in memo:
-        i = next(j for j, e in enumerate(s) if e)
-        rest = _lower(s, i)
-        total = 0.0
-        for j, e in enumerate(rest):
-            if e:
-                total = total + e * c[..., i, j] * _wick(c, d, _lower(rest, j), r, memo)
-        for j, e in enumerate(r):
-            if e:
-                total = total + e * d[..., i, j] * _wick(c, d, rest, _lower(r, j), memo)
-        memo[key] = total
-    return memo[key]
+    Wick's rule removes the first z_i of z^s and pairs it with each remaining
+    z_j (c_ij) or conj(z_j) (d_ij).  The column E[z^s] comes from the
+    c-pairings alone, row 0 is its conjugate, and then the rows of each
+    degree follow at once from the rows of s - e_i, vectorized over r.
+    Entries with |s| + |r| odd come out as exact zeros."""
+    n = c.shape[-1]
+    idx = numkit.enumerate_multiindices(n, degree)
+    pos = {s: p for p, s in enumerate(idx)}
+    exps = np.array(idx)
+    # low[p, j]: the position of idx[p] - e_j; 0 where exps[p, j] = 0, which
+    # is also the multiplier of that term
+    low = np.array([[pos[s[:j] + (e - 1,) + s[j + 1:]] if e else 0 for j, e in enumerate(s)]
+                    for s in idx])
+    first = np.argmax(exps > 0, axis=1)
+    parent = low[np.arange(len(idx)), first]
+    grades = [np.flatnonzero(exps.sum(axis=1) == g) for g in range(1, degree + 1)]
+    col = np.zeros(len(idx), dtype=complex)
+    col[0] = 1.0
+    for rows in grades:
+        i, rest = first[rows], parent[rows]
+        col[rows] = sum(exps[rest, j] * c[i, j] * col[low[rest, j]] for j in range(n))
+    table = np.zeros((len(idx), len(idx)), dtype=complex)
+    table[0] = col.conj()
+    for rows in grades:
+        i, rest = first[rows], parent[rows]
+        prev = table[rest]
+        terms = [(exps[rest, j] * c[i, j])[:, None] * table[low[rest, j]] for j in range(n)]
+        terms += [np.outer(d[i, j], exps[:, j]) * prev[:, low[:, j]] for j in range(n)]
+        table[rows] = sum(terms)
+    return table
 
 
 @dataclass(frozen=True)
@@ -133,47 +140,22 @@ class GaussianForm:
     def covariance(self):
         return numkit.solve(self.q, np.eye(2 * self.n)).real / 2.0
 
-
-def monomial_moment(form: GaussianForm, s, r) -> complex:
-    """integral of z^s conj(z)^r exp(-x^T Q x) over C^n, plain Lebesgue."""
-    return gaussian_moment({(tuple(s), tuple(r)): 1.0}, form)
-
-
-def gaussian_moment(pairs: dict, form: GaussianForm) -> complex:
-    """integral of sum_{(s,r)} pairs[s,r] z^s conj(z)^r exp(-x^T Q x), exact.
-
-    pairs maps (s, r) exponent-tuple pairs to coefficients: a polynomial in z
-    and conj(z) with the holomorphic/antiholomorphic exponents kept paired.
-    """
-    c, d = _complex_covariances(form.covariance())
-    memo = {}
-    total = 0j
-    for (s, r), coeff in pairs.items():
-        if coeff == 0:
-            continue
-        total += complex(coeff) * _wick(c, d, tuple(s), tuple(r), memo)
-    return complex(total * form.normalization())
-
-
-def pair_product(f: PolyFunction, g: PolyFunction) -> dict:
-    """Pairs dict of f(z) conj(g(z)) for polynomials in z alone."""
-    for poly in (f, g):
-        if any(any(a.upper) for (_, a) in poly.terms):
-            raise ValueError("pair_product needs z-only polynomials")
-    out = {}
-    for (s, _), cf in f.terms.items():
-        for (r, _), cg in g.terms.items():
-            key = (s, r)
-            out[key] = out.get(key, 0j) + complex(cf) * np.conj(complex(cg))
-    return out
+    def moment_table(self, degree):
+        """M[s, r] = integral of z^s conj(z)^r exp(-x^T Q x) over C^n, plain
+        Lebesgue, for |s|, |r| <= degree in enumerate_multiindices order: the
+        normalization times the table of the form's Gaussian law."""
+        c, d = _complex_covariances(self.covariance())
+        return self.normalization() * _moment_table(c, d, degree)
 
 
 # --- Fock inner products and the calibration constant ---
 
-def fock_inner(f: PolyFunction, g: PolyFunction, w, m) -> complex:
-    """Inner product of z-polynomials in the fixed-W Fock space:
-    prefactor det(I - W conj(W))^{-1/2} pi^{-n} integral of
-    f conj(g) exp(-8 pi m A(W, z)) dLeb(z), evaluated exactly.
+def fock_gram(polys, w, m) -> np.ndarray:
+    """Gram matrix of z-polynomials in the fixed-W Fock space: prefactor
+    (8 pi m)^n det(I - W conj(W))^{-1/2} pi^{-n} times the integrals of
+    f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z), evaluated exactly as
+    A M A^H with A the z-coefficients of the polynomials and M the form's
+    moment table.  Raises ValueError on a polynomial with a W term.
 
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
@@ -182,20 +164,25 @@ def fock_inner(f: PolyFunction, g: PolyFunction, w, m) -> complex:
         w = w.w
     w = numkit.symmetrize(w)
     n = w.shape[0]
-    pref = (8.0 * math.pi * m) ** n
+    degree = max((sum(s) for f in polys for (s, _) in f.terms), default=0)
+    pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(n, degree))}
+    coef = np.zeros((len(polys), len(pos)), dtype=complex)
+    for i, f in enumerate(polys):
+        for (s, a), cf in f.terms.items():
+            if any(a.upper):
+                raise ValueError("fock_gram needs z-only polynomials")
+            coef[i, pos[s]] += complex(cf)
     form = GaussianForm.from_disk_weight(w, m, flip=False)
-    gram = np.eye(n) - w @ w.conj()
-    det_part = numkit.det_power(gram, -0.5)
-    integral = gaussian_moment(pair_product(f, g), form)
-    return complex(pref * det_part * integral / math.pi ** n)
+    pref = ((8.0 * math.pi * m) ** n * numkit.det_power(np.eye(n) - w @ w.conj(), -0.5)
+            / math.pi ** n)
+    return pref * (coef @ form.moment_table(degree) @ coef.conj().T)
 
 
 def calibrate_norms(n: int, m) -> dict:
     """Numerically determine the constant c_n(m) that gives the constant
     function norm 1 at W = 0, and report it against (2 pi m)^n."""
     form = GaussianForm.from_disk_weight(np.zeros((n, n)), m, flip=False)
-    zero = (0,) * n
-    base = gaussian_moment({(zero, zero): 1.0}, form) / math.pi ** n
+    base = form.moment_table(0)[0, 0] / math.pi ** n
     constant = float(1.0 / base.real)
     reference = float((2.0 * math.pi * m) ** n)
     return {"constant": constant, "reference_constant": reference,
@@ -206,8 +193,11 @@ def calibrate_norms(n: int, m) -> dict:
 def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
     """Pair the truncated exponential generating series with itself under the
     restored Gaussian weight exp(-U conj(t(U))) pi^{-n} dLeb(U) and compare
-    with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z)."""
-    from . import fockpoly
+    with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z).
+
+    The U^s coefficients P_s(z, W) / s! of both series, in table order, are
+    vectors a and b, and the pairing is a M conj(b) with M the identity
+    form's moment table."""
     wp = numkit.symmetrize(wp)
     w = numkit.symmetrize(w)
     zp_v = numkit.as_row_vector(zp)
@@ -215,13 +205,11 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
     n = z_v.shape[0]
 
     def coefficients(zv, wm):
-        # P_s(z, W) / s!, the U^s coefficient of the generating function
         vals = fockpoly.p_s_values(zv.tolist(), wm.tolist(), trunc)
-        return {s: v / numkit.mi_factorial(s) for s, v in vals.items()}
+        return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()])
 
-    coeffs_p, coeffs = coefficients(zp_v, wp), coefficients(z_v, w)
-    pairs = {(s, r): cp * np.conj(cq) for s, cp in coeffs_p.items() for r, cq in coeffs.items()}
-    lhs = gaussian_moment(pairs, GaussianForm.identity(n)) / math.pi ** n
+    table = GaussianForm.identity(n).moment_table(trunc)
+    lhs = coefficients(zp_v, wp) @ table @ coefficients(z_v, w).conj() / math.pi ** n
     rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 

@@ -79,14 +79,6 @@ def residual_check(name, residual, tol, detail=None) -> CheckResult:
                        detail=detail or {})
 
 
-def mc_check(name, estimate, sigma, target, nsigma=3.0, floor=0.0, detail=None) -> CheckResult:
-    err = abs(complex(estimate) - complex(target))
-    return CheckResult(name=name, passed=bool(err <= nsigma * sigma + floor),
-                       estimate=complex(estimate), sigma=float(sigma),
-                       tol=float(nsigma * sigma + floor),
-                       detail={**(detail or {}), "target": encode_value(complex(target))})
-
-
 @dataclass
 class VerifyReport:
     """Checks of a suite run.  wall_s maps the suites of a combined run to
@@ -168,7 +160,3 @@ def matrix_csv_text(matrix, row_labels, col_labels, sigma=None) -> str:
              repr(float(sigma[i, j])) if sigma is not None else ""]
             for i, rlab in enumerate(row_labels) for j, clab in enumerate(col_labels)]
     return csv_text(["i", "j", "row", "col", "re", "im", "sigma"], rows)
-
-
-def write_csv_rows(path, header, rows):
-    atomic_write_text(path, csv_text(header, [[encode_value(v) for v in row] for row in rows]))

@@ -78,7 +78,6 @@ def test_posdef_certificate():
 
 def test_multiindex_helpers():
     assert numkit.mi_factorial((3, 2)) == 12
-    assert numkit.mi_total((3, 2)) == 5
     idx = list(numkit.enumerate_multiindices(2, 3))
     assert len(idx) == 10
     assert idx[0] == (0, 0)

@@ -12,22 +12,41 @@ M, K = 0.25, 3
 
 
 def test_identity_form_moments_are_factorials():
-    form = quad.GaussianForm.identity(1)
+    table = quad.GaussianForm.identity(1).moment_table(4) / math.pi
     for s in range(5):
         for r in range(5):
-            val = quad.monomial_moment(form, (s,), (r,)) / math.pi
             target = math.factorial(s) if s == r else 0.0
-            assert abs(val - target) <= 1e-12
+            assert abs(table[s, r] - target) <= 1e-12
 
 
 def test_identity_form_moments_n2():
-    form = quad.GaussianForm.identity(2)
+    table = quad.GaussianForm.identity(2).moment_table(3) / math.pi ** 2
     idx = list(fockpoly.enumerate_multiindices(2, 3))
-    for s in idx:
-        for r in idx:
-            val = quad.monomial_moment(form, tuple(s), tuple(r)) / math.pi ** 2
+    for p, s in enumerate(idx):
+        for q, r in enumerate(idx):
             target = float(fockpoly.mi_factorial(tuple(s))) if tuple(s) == tuple(r) else 0.0
-            assert abs(val - target) <= 1e-12
+            assert abs(table[p, q] - target) <= 1e-12
+
+
+def _test_forms(n):
+    # non-circular Gaussians (E[z t(z)] != 0), so mixed s != r pairs are
+    # nonzero; the disk weights have real E[z z^*], the generic form does not
+    w = domains.sample_disk_point(n, 0.6, seed=5).w
+    root = np.random.default_rng(6).standard_normal((2 * n, 2 * n))
+    forms = [quad.GaussianForm.from_disk_weight(w, M, flip=flip) for flip in (False, True)]
+    return forms + [quad.GaussianForm(root @ root.T + np.eye(2 * n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_table_hermitian_with_exact_odd_zeros(n):
+    # E[z^r conj(z)^s] = conj(E[z^s conj(z)^r]), and a centred Gaussian has
+    # no odd moments: those entries are 0, not roundoff
+    idx = numkit.enumerate_multiindices(n, 5)
+    odd = np.array([[(sum(s) + sum(r)) % 2 == 1 for r in idx] for s in idx])
+    for form in _test_forms(n):
+        table = form.moment_table(5)
+        assert_allclose(table, table.conj().T, rtol=0, atol=1e-15 * np.max(np.abs(table)))
+        assert np.all(table[odd] == 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -73,10 +92,10 @@ def test_flip_matches_reflected_argument():
     assert_allclose(flipped.q, reflected.q, atol=1e-12)
 
 
-def _gauss_hermite_moment(pairs, form, order):
-    """Tensor Gauss-Hermite evaluation of gaussian_moment, the independent
-    reference for the Wick engine."""
-    dim = 2 * form.n
+def _gauss_hermite_table(form, degree, order):
+    """Tensor Gauss-Hermite evaluation of form.moment_table(degree), the
+    independent reference for the Wick table."""
+    n, dim = form.n, 2 * form.n
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     evals, vecs = np.linalg.eigh(form.q)
     # x = root @ y whitens the form: x^T Q x = |y|^2
@@ -84,54 +103,56 @@ def _gauss_hermite_moment(pairs, form, order):
     ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     wgrid = np.prod(np.meshgrid(*([weights] * dim), indexing="ij"), axis=0).ravel()
     xs = ys @ root.T
-    zs = xs[:, :form.n] + 1j * xs[:, form.n:]
-    total = sum(complex(coeff) * np.prod(zs ** np.array(s) * np.conj(zs) ** np.array(r), axis=1)
-                for (s, r), coeff in pairs.items())
-    return complex(np.sum(total * wgrid) * abs(float(np.linalg.det(root))))
+    zs = xs[:, :n] + 1j * xs[:, n:]
+    exps = np.array(numkit.enumerate_multiindices(n, degree))
+    mono = np.prod(zs[:, None, :] ** exps[None], axis=2)
+    return (mono.T * wgrid) @ mono.conj() * abs(float(np.linalg.det(root)))
 
 
 def test_gauss_hermite_agrees_with_exact_moments():
     w = np.array([[0.35 - 0.15j]])
     form = quad.GaussianForm.from_disk_weight(w, M, flip=False)
-    pairs = {((2,), (2,)): 1.0, ((1,), (1,)): 0.5 - 0.25j, ((0,), (0,)): -1.0}
-    exact = quad.gaussian_moment(pairs, form)
-    gh = _gauss_hermite_moment(pairs, form, order=40)
-    assert_allclose(gh, exact, rtol=1e-12)
+    pairs = {(2, 2): 1.0, (1, 1): 0.5 - 0.25j, (0, 0): -1.0}
+    exact, gh = form.moment_table(2), _gauss_hermite_table(form, 2, order=40)
+    assert_allclose(sum(cf * gh[s, r] for (s, r), cf in pairs.items()),
+                    sum(cf * exact[s, r] for (s, r), cf in pairs.items()), rtol=1e-12)
 
 
 def test_complex_wick_agrees_with_gauss_hermite_n2():
-    # non-circular Gaussians (E[z t(z)] != 0), so mixed s != r pairs are
-    # nonzero; the disk weights have real E[z z^*], the generic form does not
-    w = domains.sample_disk_point(2, 0.6, seed=5).w
-    root = np.random.default_rng(6).standard_normal((4, 4))
-    forms = [quad.GaussianForm.from_disk_weight(w, M, flip=flip) for flip in (False, True)]
-    forms.append(quad.GaussianForm(root @ root.T + np.eye(4)))
-    for form in forms:
+    pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(2, 3))}
+    for form in _test_forms(2):
+        exact, gh = form.moment_table(3), _gauss_hermite_table(form, 3, order=12)
         for s, r in [((2, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 1), (0, 0)),
                      ((2, 1), (0, 1)), ((0, 1), (0, 1)), ((3, 0), (1, 0)),
                      ((0, 1), (2, 1)), ((1, 2), (1, 0)), ((2, 0), (1, 1)),
                      ((1, 1), (1, 1))]:
-            pairs = {(s, r): 1.0}
-            exact = quad.gaussian_moment(pairs, form)
-            gh = _gauss_hermite_moment(pairs, form, order=12)
-            assert abs(exact) > 1e-6
-            assert_allclose(gh, exact, rtol=1e-11)
+            assert abs(exact[pos[s], pos[r]]) > 1e-6
+            assert_allclose(gh[pos[s], pos[r]], exact[pos[s], pos[r]], rtol=1e-11)
 
 
-def test_pair_product_rejects_w_terms():
+def test_moment_table_matches_gauss_hermite_n2():
+    # every entry of degree <= 4: the nonzero ones to rtol 1e-11; the zeros
+    # in exact arithmetic (odd entries, and those of E[z_1 conj(z_2)] = 0 of
+    # the disk forms) read as roundoff of the largest entry on both sides
+    for form in _test_forms(2):
+        exact, gh = form.moment_table(4), _gauss_hermite_table(form, 4, order=12)
+        scale = np.max(np.abs(exact))
+        nonzero = np.abs(exact) > 1e-12 * scale
+        assert_allclose(gh[nonzero], exact[nonzero], rtol=1e-11)
+        assert np.max(np.abs(gh[~nonzero]) + np.abs(exact[~nonzero])) <= 1e-13 * scale
+
+
+def test_fock_gram_rejects_w_terms():
     f = fockpoly.p_s((2,))  # contains a W monomial
     with pytest.raises(ValueError):
-        quad.pair_product(f, f)
+        quad.fock_gram([f], np.array([[0.3]]), M)
 
 
-def test_fock_inner_orthonormal():
+def test_fock_gram_orthonormal():
     w = np.array([[0.3 + 0.2j]])
     idx = list(fockpoly.enumerate_multiindices(1, 4))
-    polys = [fockpoly.basis_phi(w, tuple(s), M) for s in idx]
-    for a, pa in enumerate(polys):
-        for b, pb in enumerate(polys):
-            val = quad.fock_inner(pa, pb, w, M)
-            assert abs(val - (1.0 if a == b else 0.0)) < 1e-12
+    gram = quad.fock_gram([fockpoly.basis_phi(w, tuple(s), M) for s in idx], w, M)
+    assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-12
 
 
 def test_calibrate_norms_values():
@@ -395,8 +416,9 @@ def test_z_draw_keeps_the_stream():
 
 
 def _frozen_gram(funcs, w):
-    """Conditional Gram E[f_i conj(f_j) | w] by one gaussian_moment per entry,
-    each function frozen at w into a z-only polynomial."""
+    """Conditional Gram E[f_i conj(f_j) | w] from the moment table, each
+    function frozen at w into a z-only polynomial: the fixed-w Fock Gram,
+    whose prefactor is the reciprocal of the weight's integral."""
     zero = numkit.SymIndex.zero(1)
     frozen = []
     for f in funcs:
@@ -404,9 +426,7 @@ def _frozen_gram(funcs, w):
         for (s, a), c in f.terms.items():
             terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
         frozen.append(fockpoly.PolyFunction(1, terms))
-    form = quad.GaussianForm.from_disk_weight(np.array([[w]]), M, flip=False)
-    return np.array([[quad.gaussian_moment(quad.pair_product(f, g), form) for g in frozen]
-                     for f in frozen]) / form.normalization()
+    return quad.fock_gram(frozen, np.array([[w]]), M)
 
 
 def _section_pair():
@@ -432,8 +452,8 @@ _WS = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j, 0.6 + 0.7j])
 
 @pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
 def test_power_sum_grams_match_scalar_moments(funcs):
-    # the contraction at single samples (unit weight) against one
-    # gaussian_moment per entry: the Gram and its squared modulus
+    # the contraction at single samples (unit weight) against the moment
+    # table's Gram: the Gram and its squared modulus
     for w in _WS:
         ref = _frozen_gram(funcs, w)
         acc, acc2 = _power_sum_contraction(funcs, np.array([w]), np.ones(1))

@@ -20,21 +20,12 @@ def test_residual_check_boundary():
     assert not report.residual_check("x", 1.0000001e-9, 1e-9).passed
 
 
-def test_mc_check_floor():
-    good = report.mc_check("x", 1.0 + 0j, sigma=0.01, target=1.02)
-    assert good.passed  # 2 sigma away
-    bad = report.mc_check("x", 1.0 + 0j, sigma=0.001, target=1.02)
-    assert not bad.passed
-    rescued = report.mc_check("x", 1.0 + 0j, sigma=0.001, target=1.02, floor=0.05)
-    assert rescued.passed
-    assert good.detail["target"] == [1.02, 0.0]
-
-
 def test_check_dict_schema():
     c = report.residual_check("roundtrip", 1e-13, 1e-10)
     d = c.to_dict()
     assert d == {"name": "roundtrip", "pass": True, "residual": 1e-13, "tol": 1e-10}
-    c = report.mc_check("norm", 1.001, 0.002, 1.0)
+    c = report.CheckResult(name="norm", passed=True, estimate=1.001 + 0j, sigma=0.002,
+                           tol=0.006, detail={"target": [1.0, 0.0]})
     d = c.to_dict()
     assert set(d) == {"name", "pass", "estimate", "sigma", "tol", "detail"}
 
@@ -86,11 +77,3 @@ def test_matrix_csv_text():
     assert len(lines) == 5
     assert lines[2].split(",")[:4] == ["0", "1", "r0", "c1"]
     assert "0.5" in lines[1]
-
-
-def test_write_csv_rows(tmp_path):
-    path = tmp_path / "rows.csv"
-    report.write_csv_rows(str(path), ["a", "b"], [[1, 2.5], [3, 1j]])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "a,b"
-    assert len(lines) == 3

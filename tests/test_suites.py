@@ -33,7 +33,8 @@ N2_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "in
 
 # n=3 needs k > n + 1/2 for the discrete series; isometry runs its MC
 # engines on the accepted W of a polydisk that keeps about 0.3% of them
-N3_SUITES = GEOMETRY_SUITES + ["expansions", "genfun", "intertwining", "isometry", "pde"]
+N3_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "intertwining",
+                               "isometry", "orthonormality-fock", "pde"]
 
 
 @pytest.mark.parametrize("name,n,k", [pytest.param(name, 1, 3, id=name) for name in sorted(suites.SUITES)]
