@@ -112,17 +112,18 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
 
     psi may be a family (a PolyFamily): the inverse chart, det(I-W)^k and
     the exponent are computed once for all its members, which share them as
-    the logs of a transported family of the same size."""
+    the logs of a transported family of the same size.  The exponent's solve
+    and det(I-W) come from one elimination of t(I-W) over the stack
+    (numkit.eliminate)."""
     m, k = params.m, params.k
     eye = np.eye(params.n)
 
     def split(oms, zetas):
         ws, zs = domains.batch_cayley_inverse(oms, zetas)
-        res = eye[None] - ws
-        sol = np.linalg.solve(np.transpose(res, (0, 2, 1)), zs[:, :, None])[:, :, 0]
-        quad_terms = np.einsum("bi,bi->b", zs, sol)
+        sol, lu = numkit.eliminate(numkit.transpose(eye - ws), zs[:, :, None])
+        quad_terms = np.einsum("bi,bi->b", zs, sol[:, :, 0])
         vals, logs = quad.evaluate(psi, ws, zs, "disk")
-        mant = vals * np.linalg.det(res) ** k * np.exp(4j * np.pi * m * quad_terms.imag)
+        mant = vals * numkit.lu_det(lu) ** k * np.exp(4j * np.pi * m * quad_terms.imag)
         return mant, logs + 4.0 * np.pi * m * quad_terms.real
 
     return SampledFunction(split, "space", provenance="transported",
@@ -134,7 +135,9 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
     psi(W, z) = phi(Omega, zeta) det(I-i Omega)^k exp(2 pi m zeta (I-i Omega)^{-1} t(zeta)) / 2^{nk}
     with (Omega, zeta) the forward-chart image of (W, z).  The 2^{-nk}
     normalization makes the round trip exactly the identity (the det factors
-    compose to det(2 I)^k)."""
+    compose to det(2 I)^k).  The exponent's solve and det(I-i Omega) come
+    from one elimination of t(I-i Omega), whose Hermitian part I + Im Omega
+    is positive definite (numkit.eliminate)."""
     m, k = params.m, params.k
     n = params.n
     eye = np.eye(n)
@@ -142,11 +145,10 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
 
     def split(ws, zs):
         oms, zetas = domains.batch_cayley_forward(ws, zs)
-        mats = eye[None] - 1j * oms
-        sol = np.linalg.solve(np.transpose(mats, (0, 2, 1)), zetas[:, :, None])[:, :, 0]
-        quad_terms = np.einsum("bi,bi->b", zetas, sol)
+        sol, lu = numkit.eliminate(numkit.transpose(eye - 1j * oms), zetas[:, :, None])
+        quad_terms = np.einsum("bi,bi->b", zetas, sol[:, :, 0])
         vals, logs = quad.evaluate(phi, oms, zetas, "space")
-        mant = vals * np.linalg.det(mats) ** k * np.exp(2j * np.pi * m * quad_terms.imag) * scale
+        mant = vals * numkit.lu_det(lu) ** k * np.exp(2j * np.pi * m * quad_terms.imag) * scale
         return mant, logs + 2.0 * np.pi * m * quad_terms.real
 
     return SampledFunction(split, "disk", provenance="transported")

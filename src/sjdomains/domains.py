@@ -124,17 +124,25 @@ def cayley_inverse(y: SJSpacePoint) -> SJDiskPoint:
 
 
 def batch_cayley_forward(ws, zs):
-    """The forward chart on arrays W (..., n, n), z (..., n); unvalidated."""
-    eye = np.eye(ws.shape[-1])
-    inv = np.linalg.inv(eye - ws)
-    return 1j * (eye + ws) @ inv, 2j * numkit.vecmat(zs, inv)
+    """The forward chart on arrays W (..., n, n), z (..., n); unvalidated.
+    W is symmetric, so (I+W)(I-W)^{-1} = (I-W)^{-1}(I+W) and t(z (I-W)^{-1})
+    = (I-W)^{-1} t(z): one elimination of I - W, whose Hermitian part is
+    positive definite for sigma_max(W) < 1, solves for both at once."""
+    n = ws.shape[-1]
+    eye = np.eye(n)
+    x = numkit.eliminate(eye - ws, np.concatenate([eye + ws, zs[..., :, None]], axis=-1))[0]
+    return 1j * x[..., :n], 2j * x[..., n]
 
 
 def batch_cayley_inverse(oms, zetas):
-    """The inverse chart on arrays Omega (..., n, n), zeta (..., n); unvalidated."""
-    eye = np.eye(oms.shape[-1])
-    inv = np.linalg.inv(oms + 1j * eye)
-    return (oms - 1j * eye) @ inv, numkit.vecmat(zetas, inv)
+    """The inverse chart on arrays Omega (..., n, n), zeta (..., n);
+    unvalidated.  As in the forward chart, Omega is symmetric, so one
+    elimination of Omega + iI (-i times it has Hermitian part I + Im Omega)
+    with right-hand sides [Omega - iI | t(zeta)] gives W and z."""
+    n = oms.shape[-1]
+    eye = 1j * np.eye(n)
+    x = numkit.eliminate(oms + eye, np.concatenate([oms - eye, zetas[..., :, None]], axis=-1))[0]
+    return x[..., :n], x[..., n]
 
 
 def _draw_w(rngs, n, radius_cap):

@@ -7,6 +7,16 @@ symmetrize() so that t(M) == M holds exactly (shared upper triangle).
 Multi-indices s are tuples of ints; a symmetric index a (a natural symmetric
 matrix indexing a monomial in the entries of a symmetric W) is a small frozen
 dataclass over its stored upper triangle, so that it can key polynomial terms.
+
+Two kinds of solver live here.  solve and condition_guard take general
+matrices, check their condition and call LAPACK.  eliminate is Gaussian
+elimination without pivoting vectorized over a stack, for the Monte Carlo
+path's small matrices, where a batched LAPACK call per member costs more
+than the arithmetic: it solves, and its pivots give the determinant
+(lu_det) and, on a real SPD matrix, the Cholesky factor (spd_cholesky).
+Skipping the pivoting is safe on exactly the matrices it is given: each has
+a positive definite Hermitian part once multiplied by a unit scalar, so
+every Schur complement does too and no pivot can vanish.
 """
 
 from __future__ import annotations
@@ -128,6 +138,63 @@ def solve(A, B):
     A = as_square(A)
     condition_guard(A)
     return np.linalg.solve(A, np.asarray(B, dtype=complex))
+
+
+def eliminate(a, b):
+    """Gaussian elimination without pivoting on every member of a stack at
+    once: (x, lu) with a x = b, for a (..., n, n) and right-hand sides b
+    (..., n, k).  lu is the compact factorization a = L U: the multipliers
+    of the unit lower L below the diagonal, U on and above it, so the
+    pivots are its diagonal (lu_det, spd_cholesky).  The loop runs over the
+    n columns; each step is one array operation on the whole stack, where
+    numpy's batched solvers make one LAPACK call per member.
+
+    Unvalidated, and only for matrices whose pivots cannot vanish: those
+    with a positive definite Hermitian part, after multiplying by a unit
+    scalar where needed (I - W for sigma_max(W) < 1; -i(Omega + iI) and
+    I - i Omega, with Hermitian part I + Im Omega; Im Omega; real SPD
+    covariances).  Each Schur complement of such a matrix keeps that
+    property, so every pivot has a positive real part, and the elimination
+    is backward stable without pivoting (Golub and Van Loan, Linear Algebra
+    Appl. 28 (1979); Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 10.4)."""
+    # the matrix axes go first, in fresh C-ordered copies, so that each entry
+    # is one contiguous array over the stack
+    dtype = np.result_type(a, b, float)
+    first = (-2, -1) + tuple(range(np.ndim(a) - 2))
+    lu = np.array(np.transpose(a, first), dtype=dtype, order="C")
+    x = np.array(np.transpose(b, first), dtype=dtype, order="C")
+    n = lu.shape[0]
+    for k in range(n - 1):
+        # (column * row) / pivot keeps a symmetric Schur complement exactly
+        # symmetric
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[None, k, k + 1:] / lu[k, k]
+        lu[k + 1:, k] /= lu[k, k]
+        x[k + 1:] -= lu[k + 1:, k, None] * x[None, k]
+    for k in reversed(range(n)):
+        x[k] /= lu[k, k]
+        x[:k] -= lu[:k, k, None] * x[None, k]
+    last = tuple(range(2, lu.ndim)) + (0, 1)
+    return np.transpose(x, last), np.transpose(lu, last)
+
+
+def lu_det(lu):
+    """det a, the product of the pivots of eliminate(a, b)."""
+    return np.prod(np.diagonal(lu, axis1=-2, axis2=-1), axis=-1)
+
+
+def spd_cholesky(a):
+    """The lower Cholesky factor of each real symmetric positive definite
+    member of a, L diag(pivots)^(1/2) from the elimination a = L U."""
+    # in place on the elimination's own copy: the factor is the only array
+    # the size of the stack
+    low = eliminate(a, a[..., :0])[1]
+    root = np.sqrt(np.diagonal(low, axis1=-2, axis2=-1))
+    rows, cols = np.triu_indices(low.shape[-1])
+    low[..., rows, cols] = 0.0
+    low *= root[..., None, :]
+    low[..., range(low.shape[-1]), range(low.shape[-1])] = root
+    return low
 
 
 def posdef_certificate(H, threshold=POSDEF_THRESHOLD):

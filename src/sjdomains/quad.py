@@ -317,16 +317,18 @@ def _z_normalizer(dets, n, m):
 def _sample_z_given_w(rng, ws, m, flip, mask):
     """z from the conditional law (_z_moments) of each accepted W, through
     the Cholesky factor L of its real covariance (2Q)^{-1}, and the exponent
-    x^T Q x = |g|^2 / 2 of its density at x = L g.  The normal draws g cover
-    every proposal of the chunk (mask) and the accepted rows are kept, so the
-    random stream does not depend on which proposals were accepted."""
+    x^T Q x = |g|^2 / 2 of its density at x = L g.  L comes from one
+    elimination over the stack of covariances (numkit.spd_cholesky).  The
+    normal draws g cover every proposal of the chunk (mask) and the accepted
+    rows are kept, so the random stream does not depend on which proposals
+    were accepted."""
     n = ws.shape[-1]
     c, d = _z_moments(ws, m, flip)
     # the inverse of _complex_covariances for E[z z^*] = d I
     eye = d * np.eye(n)
     cov = 0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]])
     gauss = rng.standard_normal((len(mask), 2 * n))[mask]
-    xs = np.einsum("bij,bj->bi", np.linalg.cholesky(cov), gauss)
+    xs = np.einsum("bij,bj->bi", numkit.spd_cholesky(cov), gauss)
     return xs[:, :n] + 1j * xs[:, n:], 0.5 * np.sum(gauss ** 2, axis=1)
 
 
@@ -553,17 +555,20 @@ def mc_hj_gram(phis, n, m, k, cfg: MCConfig):
     identities relating the two sides stay testable rather than assumed.
     phis are space-side functions, a transported family such as
     t_star(PolyFamily(...)) filling several rows; the whole weight is kept
-    as a log."""
+    as a log.  eta Y^{-1} t(eta) and det Y come from one elimination of the
+    real stack Y = Im Omega, and det(I - W) from one of I - W."""
     eye = np.eye(n)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, dets, mask):
         zs, xqx = _sample_z_given_w(rng, ws, m, True, mask)
         oms, zetas = domains.batch_cayley_forward(ws, zs)
-        yims, etas = oms.imag, zetas.imag
-        quad = np.einsum("bi,bi->b", np.linalg.solve(yims, etas[:, :, None])[:, :, 0], etas)
-        logw = ((float(k) - n - 2) * np.log(np.linalg.det(yims))
-                - (n + 2) * np.log(np.abs(np.linalg.det(eye[None] - ws)) ** 2)
+        etas = zetas.imag
+        sol, lu = numkit.eliminate(oms.imag, etas[:, :, None])
+        quad = np.einsum("bi,bi->b", sol[:, :, 0], etas)
+        det_res = numkit.lu_det(numkit.eliminate(eye - ws, ws[..., :0])[1])
+        logw = ((float(k) - n - 2) * np.log(numkit.lu_det(lu))
+                - (n + 2) * np.log(np.abs(det_res) ** 2)
                 + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
         return oms, zetas, logw
 

@@ -82,9 +82,9 @@ def residual_check(name, residual, tol, detail=None) -> CheckResult:
 @dataclass
 class VerifyReport:
     """Checks of a suite run.  wall_s maps the suites of a combined run to
-    their wall time in seconds; it is printed in the summary lines and never
-    serialized, so the JSON of a run without timestamp repeats byte for
-    byte."""
+    their wall time in seconds; it is printed in the summary lines and
+    serialized, as timing.wall_s, only with a timestamp, so the JSON of a
+    run without timestamp repeats byte for byte."""
     suite: str
     params: dict
     seed: int | None
@@ -110,6 +110,8 @@ class VerifyReport:
         }
         if self.timestamp is not None:
             out["timestamp"] = self.timestamp
+            if self.wall_s:
+                out["timing"] = {"wall_s": encode_value(self.wall_s)}
         return out
 
     def to_json(self) -> str:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from sjdomains import groups, numkit
+from sjdomains import discrete_series as ds
+from sjdomains import domains, fockpoly, groups, numkit, quad
 
 
 def test_as_row_vector_shapes():
@@ -142,3 +143,201 @@ def test_matrix_exp_squares_each_member_by_its_own_scale():
     assert np.all(np.abs(got - exact) <= 1e-13 * scale)
     for member, alone in zip(got, map(numkit.matrix_exp, ham)):
         assert np.array_equal(member, alone)
+
+
+# --- the stack elimination ---
+
+def _polydisk_w(n, edge):
+    """The W that quad._sample_w accepts from 20000 proposals (all of them
+    at n = 1, a few dozen at n = 3), or the same W rescaled to
+    sigma_max(W) = 1 - 1e-10."""
+    ws = quad._sample_w(np.random.default_rng(n), 20000, n)[0]
+    if edge:
+        ws = ws * ((1.0 - 1e-10) / np.linalg.svd(ws, compute_uv=False)[:, 0])[:, None, None]
+    return ws
+
+
+def _random_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _forward_reference(ws, zs):
+    eye = np.eye(ws.shape[-1])
+    inv = np.linalg.inv(eye - ws)
+    return 1j * (eye + ws) @ inv, 2j * numkit.vecmat(zs, inv)
+
+
+def _inverse_reference(oms, zetas):
+    eye = np.eye(oms.shape[-1])
+    inv = np.linalg.inv(oms + 1j * eye)
+    return (oms - 1j * eye) @ inv, numkit.vecmat(zetas, inv)
+
+
+def _inf_norm(a):
+    return np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+
+
+def _assert_close_per_member(got, ref, rtol):
+    # normwise per stack member: entries near zero carry the roundoff of the
+    # member's largest entry
+    axes = tuple(range(1, np.ndim(ref)))
+    err = np.max(np.abs(got - ref), axis=axes)
+    assert np.all(err <= rtol * np.max(np.abs(ref), axis=axes))
+
+
+def _z_covariances(ws):
+    """The real covariances of both z-laws of _sample_z_given_w at each W."""
+    n = ws.shape[-1]
+    out = []
+    for flip in (False, True):
+        c, d = quad._z_moments(ws, 0.25, flip)
+        eye = d * np.eye(n)
+        out.append(0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]]))
+    return out
+
+
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eliminate_matches_lapack_on_the_chart_matrices(n, edge):
+    # the matrices the Monte Carlo path eliminates: normwise backward error
+    # at roundoff, the solution within cond eps of LAPACK's, and the pivot
+    # product within cond eps of LAPACK's determinant.  scipy's det is the
+    # product of LAPACK's LU pivots; np.linalg.det goes through
+    # exp(log |det|), which costs |log det| ulps on its own
+    ws = _polydisk_w(n, edge)
+    eye = np.eye(n)
+    om = numkit.symmetrize(_forward_reference(ws, np.zeros(ws.shape[:-1]))[0])
+    rng = np.random.default_rng(7)
+    for a in (eye - ws, om + 1j * eye, eye - 1j * om, om.imag):
+        b = _random_rows(rng, a.shape[:-1] + (2,))
+        b = b if np.iscomplexobj(a) else b.real
+        x, lu = numkit.eliminate(a, b)
+        backward = _inf_norm(a @ x - b) / (_inf_norm(a) * _inf_norm(x) + _inf_norm(b))
+        assert np.max(backward) <= 2e-15
+        cond = np.linalg.cond(a)
+        ref = np.linalg.solve(a, b)
+        assert np.all(_inf_norm(x - ref) <= 1e-15 * cond * _inf_norm(ref))
+        det_ref = scipy.linalg.det(a)
+        assert np.all(np.abs(numkit.lu_det(lu) - det_ref) <= 1e-15 * cond * np.abs(det_ref))
+
+
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spd_cholesky_matches_lapack(n, edge):
+    # the z-covariances of both laws and Im Omega: the factor reproduces its
+    # matrix to roundoff, and stays within 1e-14 cond of LAPACK's factor,
+    # relative to its largest entry (cond grows like 1 / (1 - sigma_max(W)))
+    ws = _polydisk_w(n, edge)
+    om = _forward_reference(ws, np.zeros(ws.shape[:-1]))[0]
+    for a in _z_covariances(ws) + [numkit.symmetrize(om).imag]:
+        low = numkit.spd_cholesky(a)
+        assert np.array_equal(low, np.tril(low))
+        backward = _inf_norm(low @ numkit.transpose(low) - a) / _inf_norm(a)
+        assert np.max(backward) <= 2e-15
+        ref = np.linalg.cholesky(a)
+        err = np.max(np.abs(low - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.linalg.cond(a))
+
+
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_charts_match_the_lapack_reference(n, edge):
+    ws = _polydisk_w(n, edge)
+    zs = _random_rows(np.random.default_rng(8), ws.shape[:-1])
+    oms, zetas = _forward_reference(ws, zs)
+    for got, ref in zip(domains.batch_cayley_forward(ws, zs), (oms, zetas)):
+        _assert_close_per_member(got, ref, 1e-12)
+    for got, ref in zip(domains.batch_cayley_inverse(oms, zetas), _inverse_reference(oms, zetas)):
+        _assert_close_per_member(got, ref, 1e-12)
+    # one point is the stack with no leading axis
+    one = domains.batch_cayley_forward(ws[0], zs[0])
+    _assert_close_per_member(one[0][None], oms[:1], 1e-12)
+    _assert_close_per_member(one[1][None], zetas[:1], 1e-12)
+
+
+def _transfer_carriers():
+    def disk_split(ws, zs):
+        return 1.0 + np.sum(zs, axis=-1) * np.trace(ws, axis1=-2, axis2=-1), np.zeros(len(ws))
+
+    def space_split(oms, zetas):
+        vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
+        return vals, np.zeros(len(oms))
+
+    return ds.SampledFunction(disk_split, "disk"), ds.SampledFunction(space_split, "space")
+
+
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transfer_splits_match_the_lapack_reference(n, edge):
+    # t_star and t_inv against their arithmetic with np.linalg.solve and det,
+    # at the points of the (separately tested) batch charts.  The exponent
+    # scale * q is known to a relative roundoff, so its absolute error, and
+    # the phase error of the mantissa exp(i scale Im q), grow with |scale q|
+    params = ds.ReprParams(n, 0.25, n + 2)
+    m, k, eye = params.m, params.k, np.eye(n)
+    psi, phi = _transfer_carriers()
+    ws = _polydisk_w(n, edge)
+    zs = _random_rows(np.random.default_rng(9), ws.shape[:-1])
+    oms, zetas = domains.batch_cayley_forward(ws, zs)
+    pre_ws, pre_zs = domains.batch_cayley_inverse(oms, zetas)
+    cases = [(ds.t_star(psi, params).split(oms, zetas), eye - pre_ws, pre_zs,
+              psi.split(pre_ws, pre_zs)[0], 4.0 * np.pi * m),
+             (ds.t_inv(phi, params).split(ws, zs), eye - 1j * oms, zetas,
+              phi.split(oms, zetas)[0] * 2.0 ** (-n * k), 2.0 * np.pi * m)]
+    for (mant, logs), mats, vecs, vals, scale in cases:
+        sol = np.linalg.solve(numkit.transpose(mats), vecs[:, :, None])[:, :, 0]
+        exponent = scale * np.einsum("bi,bi->b", vecs, sol)
+        ref = vals * np.linalg.det(mats) ** k * np.exp(1j * exponent.imag)
+        tol = 1e-12 * (1.0 + np.abs(exponent))
+        assert np.all(np.abs(mant - ref) <= tol * np.abs(ref))
+        assert np.all(np.abs(logs - exponent.real) <= tol)
+
+
+_GUARDED = ("inv", "det", "solve", "cholesky")
+
+
+def _refuse_stacks(monkeypatch, limit=64):
+    """Make np.linalg's batched solvers raise on a stack of more than limit
+    members, where they would make one LAPACK call per member."""
+    for name in _GUARDED:
+        original = getattr(np.linalg, name)
+
+        def guarded(a, *args, _name=name, _original=original, **kwargs):
+            members = int(np.prod(np.shape(a)[:-2]))
+            if members > limit:
+                raise AssertionError(f"np.linalg.{_name} on a stack of {members} matrices")
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+
+
+def test_refuse_stacks_guard_trips():
+    with pytest.MonkeyPatch.context() as patch:
+        _refuse_stacks(patch)
+        for name in _GUARDED:
+            for count in (64, 65):
+                args = [np.tile(np.eye(2), (count, 1, 1))] * (2 if name == "solve" else 1)
+                if count > 64:
+                    with pytest.raises(AssertionError):
+                        getattr(np.linalg, name)(*args)
+                else:
+                    getattr(np.linalg, name)(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
+    params = ds.ReprParams(n, 0.25, 3)
+    e1 = (1,) + (0,) * (n - 1)
+    a1 = numkit.SymIndex(n, (1,) + (0,) * (len(numkit.upper_pairs(n)) - 1))
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0),
+                                  fockpoly.PolyFunction.monomial(n, e1),
+                                  fockpoly.PolyFunction.monomial(n, a=a1)])
+    ws = _polydisk_w(n, False)[:500]
+    zs = _random_rows(np.random.default_rng(10), ws.shape[:-1])
+    _refuse_stacks(monkeypatch)
+    cfg = quad.MCConfig(samples=20000, seed=0)
+    gram, _, stats = quad.mc_hj_gram([ds.t_star(family, params)], n, params.m, params.k, cfg)
+    assert stats["accepted"] > 64 and np.all(np.isfinite(gram))
+    oms, zetas = domains.batch_cayley_forward(ws, zs)
+    domains.batch_cayley_inverse(oms, zetas)
+    ds.t_inv(_transfer_carriers()[1], params).split(ws, zs)

@@ -42,8 +42,9 @@ def test_report_schema_and_json_stability():
 
 
 def test_suite_times_print_but_do_not_serialize():
-    # a combined run prints each suite's wall time above its checks and
-    # writes the same JSON as a run without times
+    # a combined run prints each suite's wall time above its checks; without
+    # a timestamp it writes the same JSON as a run without times, and with
+    # one it adds them as timing.wall_s
     checks = [report.residual_check(name, 0.0, 1.0) for name in ("a/x", "a/y", "b/x")]
     timed = report.VerifyReport("all", {"n": 1}, 0, checks, wall_s={"a": 0.25, "b": 1.5})
     assert timed.summary_lines() == [
@@ -51,6 +52,11 @@ def test_suite_times_print_but_do_not_serialize():
         "  PASS a/y residual=0.000e+00 tol=1.0e+00", "  -- b 1.500 s",
         "  PASS b/x residual=0.000e+00 tol=1.0e+00"]
     assert timed.to_json() == report.VerifyReport("all", {"n": 1}, 0, checks).to_json()
+    stamped = json.loads(timed.stamp().to_json())
+    untimed = json.loads(report.VerifyReport("all", {"n": 1}, 0, checks).stamp().to_json())
+    assert stamped.pop("timing") == {"wall_s": {"a": 0.25, "b": 1.5}}
+    assert stamped.keys() == untimed.keys()
+    assert "timing" not in untimed
 
 
 def test_report_fails_when_any_check_fails():
