@@ -262,7 +262,8 @@ def _table_gram_phi(cfg: SuiteConfig):
     degree = min(cfg.trunc, 6)
     w = 0.3 * np.eye(n)
     index_list = list(fockpoly.enumerate_multiindices(n, degree))
-    gram = quad.fock_gram([fockpoly.basis_phi(w, tuple(s), cfg.m) for s in index_list], w, cfg.m)
+    family = fockpoly.PolyFamily([fockpoly.basis_phi(w, tuple(s), cfg.m) for s in index_list])
+    gram = quad.fock_gram(family, w, cfg.m)
     labels = [str(tuple(s)) for s in index_list]
     return labels, gram, None
 

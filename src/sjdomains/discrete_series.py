@@ -3,10 +3,12 @@ bounded and unbounded models, the transfer map between them, and verification
 suites for the identities the transfer rests on.
 
 Functions that are not polynomials (transported and composite ones) are
-SampledFunctions: a batched callable returning (vals, logs), evaluated
-through quad.evaluate like the polynomials, with pointwise values as a batch
-of one.  The transfer t_star uses the packaging under which t_inv is an exact
-pointwise inverse; see the module suites for the convention diagnostics.
+SampledFunctions, families of quad's evaluation protocol like the
+PolyFamily; pointwise values are a batch of one.  Each operator takes one
+family, checks its side once when built, and returns a family of the same
+length.  The transfer t_star uses the packaging under which t_inv is an
+exact pointwise inverse; see the module suites for the convention
+diagnostics.
 """
 
 from __future__ import annotations
@@ -46,29 +48,28 @@ class SampledFunction:
     split maps stacked points (mats (N,n,n), vecs (N,n)) of that model to
     (vals, logs), the value being vals * exp(logs): transported functions
     carry a growing real exponent that integration weights cancel, and
-    keeping it apart lets integrators sum exponents before exp.  A family's
-    vals are (size, N) and its members share the (N,) logs.
-    provenance: 'basis' | 'transported' | 'composite'.
+    keeping it apart lets integrators sum exponents before exp.  The vals
+    are (size, N) and the members share the (N,) logs.
     """
 
     split: object
     side: str
-    provenance: str = "composite"
     size: int = 1
 
     def __len__(self):
         return self.size
 
     def __call__(self, point):
-        """Value at one point or at each point of a stack: an SJDiskPoint, an
-        SJSpacePoint, or a raw (matrix, vector) pair, validated as a point of
-        this function's side."""
+        """Value of a one-member family at one point or at each point of a
+        stack: an SJDiskPoint, an SJSpacePoint, or a raw (matrix, vector)
+        pair, validated as a point of this function's side."""
         if not isinstance(point, (SJDiskPoint, SJSpacePoint)):
             point = (SJDiskPoint if self.side == "disk" else SJSpacePoint)(*point)
         side = "disk" if isinstance(point, SJDiskPoint) else "space"
+        quad.require_side(self, side)
         mat, vec = (point.w, point.z) if side == "disk" else (point.omega, point.zeta)
-        vals, logs = quad.evaluate(self, mat.reshape((-1,) + mat.shape[-2:]),
-                                   vec.reshape(-1, vec.shape[-1]), side)
+        vals, logs = self.split(mat.reshape((-1,) + mat.shape[-2:]),
+                                vec.reshape(-1, vec.shape[-1]))
         return numkit.item_or_stack((vals * np.exp(logs)).reshape(mat.shape[:-2]))
 
 
@@ -76,31 +77,34 @@ class SampledFunction:
 # g may be one element or a stack aligned with the evaluation points.
 
 def pi_star_apply(gs, psi, params: ReprParams) -> SampledFunction:
-    """x -> jmk_star(g*, x) psi(g* . x): the bounded-model operator applied
-    to the inverse group element."""
+    """x -> jmk_star(g*, x) psi(g* . x) for each member of the disk-side
+    family psi: the bounded-model operator applied to the inverse group
+    element."""
+    quad.require_side(psi, "disk")
     m, k = params.m, params.k
 
     def split(ws, zs):
         x = SJDiskPoint(ws, zs)
         gx = groups.act_sj_disk(gs, x)
-        vals, logs = quad.evaluate(psi, gx.w, gx.z, "disk")
-        return kernels.jmk_star(gs, x, m, k) * (vals * np.exp(logs)), np.zeros(len(vals))
+        vals, logs = psi.split(gx.w, gx.z)
+        return kernels.jmk_star(gs, x, m, k) * (vals * np.exp(logs)), np.zeros(len(logs))
 
-    return SampledFunction(split, "disk")
+    return SampledFunction(split, "disk", size=len(psi))
 
 
 def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
-    """y -> jmk(g, y) phi(g . y): the unbounded-model operator applied to the
-    inverse group element."""
+    """y -> jmk(g, y) phi(g . y) for each member of the space-side family
+    phi: the unbounded-model operator applied to the inverse group element."""
+    quad.require_side(phi, "space")
     m, k = params.m, params.k
 
     def split(oms, zetas):
         y = SJSpacePoint(oms, zetas)
         gy = groups.act_sj_space(g, y)
-        vals, logs = quad.evaluate(phi, gy.omega, gy.zeta, "space")
-        return kernels.jmk(g, y, m, k) * (vals * np.exp(logs)), np.zeros(len(vals))
+        vals, logs = phi.split(gy.omega, gy.zeta)
+        return kernels.jmk(g, y, m, k) * (vals * np.exp(logs)), np.zeros(len(logs))
 
-    return SampledFunction(split, "space")
+    return SampledFunction(split, "space", size=len(phi))
 
 
 # --- transfer between the models ---
@@ -110,11 +114,12 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
     phi(Omega, zeta) = psi(W, z) det(I-W)^k exp(4 pi m z (I-W)^{-1} t(z))
     with (W, z) the preimage of (Omega, zeta) under the forward chart.
 
-    psi may be a family (a PolyFamily): the inverse chart, det(I-W)^k and
-    the exponent are computed once for all its members, which share them as
-    the logs of a transported family of the same size.  The exponent's solve
-    and det(I-W) come from one elimination of t(I-W) over the stack
-    (numkit.eliminate)."""
+    psi is a disk-side family (a PolyFamily, say): the inverse chart,
+    det(I-W)^k and the exponent are computed once for all its members, which
+    share them as the logs of a transported family of the same size.  The
+    exponent's solve and det(I-W) come from one elimination of t(I-W) over
+    the stack (numkit.eliminate)."""
+    quad.require_side(psi, "disk")
     m, k = params.m, params.k
     eye = np.eye(params.n)
 
@@ -122,22 +127,23 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
         ws, zs = domains.batch_cayley_inverse(oms, zetas)
         sol, lu = numkit.eliminate(numkit.transpose(eye - ws), zs[:, :, None])
         quad_terms = np.einsum("bi,bi->b", zs, sol[:, :, 0])
-        vals, logs = quad.evaluate(psi, ws, zs, "disk")
+        vals, logs = psi.split(ws, zs)
         mant = vals * numkit.lu_det(lu) ** k * np.exp(4j * np.pi * m * quad_terms.imag)
         return mant, logs + 4.0 * np.pi * m * quad_terms.real
 
-    return SampledFunction(split, "space", provenance="transported",
-                           size=quad.width(psi))
+    return SampledFunction(split, "space", size=len(psi))
 
 
 def t_inv(phi, params: ReprParams) -> SampledFunction:
     """Inverse transfer:
     psi(W, z) = phi(Omega, zeta) det(I-i Omega)^k exp(2 pi m zeta (I-i Omega)^{-1} t(zeta)) / 2^{nk}
-    with (Omega, zeta) the forward-chart image of (W, z).  The 2^{-nk}
-    normalization makes the round trip exactly the identity (the det factors
-    compose to det(2 I)^k).  The exponent's solve and det(I-i Omega) come
-    from one elimination of t(I-i Omega), whose Hermitian part I + Im Omega
-    is positive definite (numkit.eliminate)."""
+    with (Omega, zeta) the forward-chart image of (W, z), for each member of
+    the space-side family phi.  The 2^{-nk} normalization makes the round
+    trip exactly the identity (the det factors compose to det(2 I)^k).  The
+    exponent's solve and det(I-i Omega) come from one elimination of
+    t(I-i Omega), whose Hermitian part I + Im Omega is positive definite
+    (numkit.eliminate)."""
+    quad.require_side(phi, "space")
     m, k = params.m, params.k
     n = params.n
     eye = np.eye(n)
@@ -147,11 +153,11 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         sol, lu = numkit.eliminate(numkit.transpose(eye - 1j * oms), zetas[:, :, None])
         quad_terms = np.einsum("bi,bi->b", zetas, sol[:, :, 0])
-        vals, logs = quad.evaluate(phi, oms, zetas, "space")
+        vals, logs = phi.split(oms, zetas)
         mant = vals * numkit.lu_det(lu) ** k * np.exp(2j * np.pi * m * quad_terms.imag) * scale
         return mant, logs + 2.0 * np.pi * m * quad_terms.real
 
-    return SampledFunction(split, "disk", provenance="transported")
+    return SampledFunction(split, "disk", size=len(phi))
 
 
 # --- verification suites ---
@@ -225,8 +231,8 @@ def gram_matrix(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2):
     inner product; returns (labels, gram, sigma, stats)."""
     labeled = fockpoly.series_basis(params.n, params.m, params.k, s_max, a_max)
     labels = [lbl for (lbl, _) in labeled]
-    funcs = [f for (_, f) in labeled]
-    return (labels, *quad.mc_dj_gram(funcs, params.n, params.m, params.k, cfg))
+    family = fockpoly.PolyFamily([f for (_, f) in labeled])
+    return (labels, *quad.mc_dj_gram(family, params.n, params.m, params.k, cfg))
 
 
 def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> report.VerifyReport:
@@ -293,8 +299,9 @@ def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyRepo
     diagonals."""
     n, m, k = params.n, params.m, params.k
     names, psis = zip(*_isometry_functions(params))
-    disk = quad.mc_dj_gram(list(psis), n, m, k, cfg)
-    space = quad.mc_hj_gram([t_star(fockpoly.PolyFamily(psis), params)], n, m, k, cfg)
+    family = fockpoly.PolyFamily(psis)
+    disk = quad.mc_dj_gram(family, n, m, k, cfg)
+    space = quad.mc_hj_gram(t_star(family, params), n, m, k, cfg)
     checks = []
     for i, name in enumerate(names):
         (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
@@ -317,20 +324,21 @@ def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyRepor
     """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise."""
     n = params.n
     qb = fockpoly.q_basis(n, params.k, 1)
-    psi = (fockpoly.basis_big_f((0,) * n, qb[0], params.m)
-           + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * (0.5 + 0.25j))
+    psi = fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], params.m)
+                               + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m)
+                               * (0.5 + 0.25j)])
     back = t_inv(t_star(psi, params), params)
 
     def phi_split(oms, zetas):
         vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
-        return vals, np.zeros(len(vals))
+        return vals[None], np.zeros(len(vals))
 
     phi = SampledFunction(phi_split, "space")
     forth = t_star(t_inv(phi, params), params)
     # the draws alternate: a disk point, then one mapped to the space side
     both = _tame_disk_batch(n, np.random.default_rng(seed), 2 * count)
     x, y = both[0::2], domains.cayley_forward(both[1::2])
-    worst_disk = float(np.max(np.abs(back(x) - psi.evaluate_batch(x.z, x.w))))
+    worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
     worst_space = float(np.max(np.abs(forth(y) - phi(y))))
     checks = [
         report.residual_check("roundtrip-disk", worst_disk, 1e-10),
@@ -344,8 +352,9 @@ def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> repo
     with the t-th element evaluated at the t-th point."""
     n = params.n
     qb = fockpoly.q_basis(n, params.k, 1)
-    psi = (fockpoly.basis_big_f((0,) * n, qb[0], params.m)
-           + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * 0.7)
+    psi = fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], params.m)
+                               + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m)
+                               * 0.7])
     gs = groups.theta_iso(groups.random_jacobi_batch(n, seed * 1000 + np.arange(count), scale))
     y = domains.cayley_forward(_tame_disk_batch(n, np.random.default_rng(seed), count))
     lhs = t_star(pi_star_apply(gs, psi, params), params)(y)
@@ -379,12 +388,12 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
     for _ in range(min(points, 5)):
         x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
         section = fockpoly.PolyFunction.zero(n)
-        for basis_fn, val in zip(funcs, family.evaluate(x.z[None], x.w[None])[:, 0]):
+        for basis_fn, val in zip(funcs, family.split(x.w[None], x.z[None])[0][:, 0]):
             section = section + basis_fn * complex(np.conj(val))
         sections.append(section)
         targets.append(f.evaluate(x.z, x.w))
     # every pairing <f, section_j> is an entry (0, j) of one Gram
-    gram, sigma, stats = quad.mc_dj_gram([f] + sections, n, m, k, cfg)
+    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily([f] + sections), n, m, k, cfg)
     worst_err, worst_tol = 0.0, 0.0
     ok = True
     for j, target in enumerate(targets, 1):

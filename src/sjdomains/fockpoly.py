@@ -17,8 +17,10 @@ closed-form kernel of the bounded model.
 
 Polynomials are evaluated in families (PolyFamily): the table of the
 family's distinct monomials on a batch of points, times the matrix of their
-coefficients; PolyFunction.evaluate_batch is a family of one and evaluate a
-batch of one.
+coefficients.  A PolyFamily is a disk-side integrand of the one evaluation
+protocol (side, len and split(ws, zs) -> (vals, logs), logs = 0) that every
+Gram engine and transfer operator takes; PolyFunction.evaluate is a batch of
+one of a family of one.
 
 Coefficient exactness policy: P_s coefficients are integers; the scaled basis
 representatives used by the differential-system check keep exact Fraction
@@ -209,16 +211,11 @@ class PolyFunction:
     # --- evaluation ---
 
     def evaluate(self, z=None, w=None):
-        """Value at one point (z defaults to 0): a batch of one of
-        evaluate_batch."""
+        """Value at one point (z defaults to 0): a batch of one of a family
+        of one."""
         z = np.zeros(self.n, dtype=complex) if z is None else numkit.as_row_vector(z, self.n)
         ws = None if w is None else np.asarray(w, dtype=complex)[None]
-        return complex(self.evaluate_batch(z[None], ws)[0])
-
-    def evaluate_batch(self, zs=None, ws=None):
-        """Values at zs (N, n) and ws (N, n, n): a family of one of
-        PolyFamily."""
-        return PolyFamily([self]).evaluate(zs, ws)[0]
+        return complex(PolyFamily([self]).split(ws, z[None])[0][0, 0])
 
     # --- serialization ---
 
@@ -232,13 +229,17 @@ class PolyFunction:
 
 
 class PolyFamily:
-    """PolyFunctions of one arity evaluated together.
+    """PolyFunctions of one arity evaluated together, as one disk-side
+    integrand.
 
-    The family's distinct monomials z^s W^a are collected once, with the
-    (nf, #monomials) matrix of their coefficients.  evaluate builds the table
-    of the monomials' values on a batch of points, as products of the powers
-    of each variable (z_i, or W_ij with i <= j), and multiplies the
-    coefficient matrix by it."""
+    The family's distinct monomials z^s W^a are collected once, the one place
+    where terms become arrays: exponents (#monomials, n + n(n+1)/2), the
+    z-exponents then the upper W-exponents, and the (nf, #monomials) matrix
+    coeffs.  split builds the table of the monomials' values on a batch of
+    points, as products of the powers of each variable (z_i, or W_ij with
+    i <= j), and multiplies the coefficient matrix by it."""
+
+    side = "disk"
 
     def __init__(self, polys):
         self.n = polys[0].n
@@ -256,9 +257,9 @@ class PolyFamily:
     def __len__(self):
         return len(self.coeffs)
 
-    def evaluate(self, zs=None, ws=None):
-        """Values (nf, N) of the family at zs (N, n) and ws (N, n, n); either
-        may be None when no monomial involves it."""
+    def split(self, ws=None, zs=None):
+        """(vals (nf, N), logs (N,) = 0) of the family at ws (N, n, n) and
+        zs (N, n); either may be None when no monomial involves it."""
         if zs is None and ws is None:
             raise ValueError("need at least one batch argument")
         nrow = len(zs) if zs is not None else len(ws)
@@ -280,7 +281,7 @@ class PolyFamily:
             for e in range(top):
                 np.multiply(powers[e], x, out=powers[e + 1])
             table *= powers[self.exponents[:, v]]
-        return self.coeffs @ table
+        return self.coeffs @ table, np.zeros(nrow)
 
 
 # --- the matching-type polynomials ---
@@ -464,7 +465,7 @@ def q_basis(n: int, k, max_degree: int):
         return tuple(out)
     from . import quad
     monos = [PolyFunction.monomial(n, a=a, coeff=1.0) for a in sym_degree_list(n, max_degree)]
-    gram, _, _ = quad.mc_disk_gram(monos, n, k, quad.Q_BASIS_MC)
+    gram, _, _ = quad.mc_disk_gram(PolyFamily(monos), n, k, quad.Q_BASIS_MC)
     low = np.linalg.cholesky(gram)
     coeffs = numkit.solve(low.T, np.eye(len(monos)))  # columns: new basis in monomials
     out = []
@@ -585,7 +586,7 @@ def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
     n = wp.shape[0]
     if n != 1:
         raise ValueError("reference constant implemented for n = 1 only")
-    vals = PolyFamily(q_basis(n, k, a_max)).evaluate(None, np.stack([wp, w]))
+    vals = PolyFamily(q_basis(n, k, a_max)).split(np.stack([wp, w]))[0]
     qsum = sum(vp * np.conj(v) for vp, v in vals)
     scale = float((8.0 * math.pi * m) ** n) * qsum
     res = expansion_fock_full(xp, x, m, trunc)

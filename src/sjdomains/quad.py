@@ -10,19 +10,22 @@ row by Wick's rule from the complex covariances E[z t(z)] and E[z z^*]: a
 Gram of z-polynomials is A M A^H, with A their coefficients.  The Monte
 Carlo engines take the z-law, and the weight's integral, in closed form.
 
-Every function is evaluated through one protocol, evaluate(fn, mats, vecs,
-side) -> (vals, logs) on stacked points, the value being vals * exp(logs).
-The Monte Carlo engines are one streaming driver, _mc_gram, that proposes W
-from the polydisk in chunks, keeps the draws that lie in the domain and
-contracts the Gram over them in blocks of _BLOCK samples; each engine only
-supplies its draw on the accepted W (evaluation points and log weight); where
-the z-integral is exact (n = 1, polynomials) the driver accumulates weighted
-power sums of w instead of evaluating functions.  Every function is a row
-(a family, several rows) of one Gram, so a check draws its samples once and
-reads its inner products off that Gram.  Proposals are tested on
-their entries as (N,) arrays: a filter on the radii, then one Cholesky
-elimination that also gives det(I - W conj(W)); only accepted W become
-matrices.  Rejected proposals count in the estimator's denominator.
+Every integrand is a family with one protocol: its side ('disk' or
+'space'), len() members, and split(mats, vecs) -> (vals (len, N), logs (N,))
+on stacked points of that side, member i being vals[i] * exp(logs): a
+fockpoly.PolyFamily (disk, logs = 0) or a discrete_series.SampledFunction.
+Each engine takes one family, checks its side once (require_side), and
+makes each member a row of one Gram, so a check draws its samples once and
+reads its inner products off that Gram.  The Monte Carlo engines are one
+streaming driver, _mc_gram, that proposes W from the polydisk in chunks,
+keeps the draws that lie in the domain and contracts the Gram over them in
+blocks of _BLOCK samples; each engine only supplies its draw on the accepted
+W (evaluation points and log weight); where the z-integral is exact (n = 1,
+a PolyFamily) the driver accumulates weighted power sums of w instead of
+evaluating the family.  Proposals are tested on their entries as (N,)
+arrays: a filter on the radii, then one Cholesky elimination that also gives
+det(I - W conj(W)); only accepted W become matrices.  Rejected proposals
+count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import domains, fockpoly, kernels, numkit
 from .domains import SJDiskPoint, SJSpacePoint
-from .fockpoly import PolyFamily, PolyFunction
+from .fockpoly import PolyFamily
 
 
 # --- Gaussian forms and exact moments ---
@@ -150,12 +153,13 @@ class GaussianForm:
 
 # --- Fock inner products and the calibration constant ---
 
-def fock_gram(polys, w, m) -> np.ndarray:
-    """Gram matrix of z-polynomials in the fixed-W Fock space: prefactor
-    (8 pi m)^n det(I - W conj(W))^{-1/2} pi^{-n} times the integrals of
-    f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z), evaluated exactly as
-    A M A^H with A the z-coefficients of the polynomials and M the form's
-    moment table.  Raises ValueError on a polynomial with a W term.
+def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
+    """Gram matrix of a family of z-polynomials in the fixed-W Fock space:
+    prefactor (8 pi m)^n det(I - W conj(W))^{-1/2} pi^{-n} times the
+    integrals of f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z), evaluated
+    exactly as A M A^H with A the family's coefficients, each monomial
+    z^s moved to the column of s in the form's moment table M.  Raises
+    ValueError on a family with a W term.
 
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
@@ -164,14 +168,13 @@ def fock_gram(polys, w, m) -> np.ndarray:
         w = w.w
     w = numkit.symmetrize(w)
     n = w.shape[0]
-    degree = max((sum(s) for f in polys for (s, _) in f.terms), default=0)
+    exps = family.exponents
+    if exps[:, n:].any():
+        raise ValueError("fock_gram needs z-only polynomials")
+    degree = int(exps.sum(axis=1).max(initial=0))
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(n, degree))}
-    coef = np.zeros((len(polys), len(pos)), dtype=complex)
-    for i, f in enumerate(polys):
-        for (s, a), cf in f.terms.items():
-            if any(a.upper):
-                raise ValueError("fock_gram needs z-only polynomials")
-            coef[i, pos[s]] += complex(cf)
+    coef = np.zeros((len(family), len(pos)), dtype=complex)
+    coef[:, [pos[tuple(s)] for s in exps[:, :n].tolist()]] = family.coeffs
     form = GaussianForm.from_disk_weight(w, m, flip=False)
     pref = ((8.0 * math.pi * m) ** n * numkit.det_power(np.eye(n) - w @ w.conj(), -0.5)
             / math.pi ** n)
@@ -332,21 +335,21 @@ def _sample_z_given_w(rng, ws, m, flip, mask):
     return xs[:, :n] + 1j * xs[:, n:], 0.5 * np.sum(gauss ** 2, axis=1)
 
 
-def _exact_z_kernel(polys, m):
+def _exact_z_kernel(family: PolyFamily, m):
     """n = 1, f_i = sum_{p,a} C[i, p, a] z^p w^a: K (nf, nf, D + 1, D + 1)
     with E[f_i conj(f_j) | w] = sum_{a,b} K[i, j, a, b] w^a conj(w)^b under
     the z-law of mc_dj_gram, from the Wick sum E[z^p conj(z)^q | w] =
     sum_j p! q! / (j! u! v! 2^(u+v)) d^j c^u conj(c)^v, u = (p - j) / 2,
-    v = (q - j) / 2; D = the largest w-degree + pmax // 2."""
-    pmax = max((s[0] for f in polys for (s, _) in f.terms), default=0)
-    amax = max((a.upper[0] for f in polys for (_, a) in f.terms), default=0)
-    coef = np.zeros((len(polys), pmax + 1, amax + 1), dtype=complex)
-    for i, f in enumerate(polys):
-        for (s, a), cf in f.terms.items():
-            coef[i, s[0], a.upper[0]] += complex(cf)
+    v = (q - j) / 2; D = the largest w-degree + pmax // 2.  C is the
+    family's coefficient table, each monomial at its exponents (p, a)."""
+    zexp, wexp = family.exponents.T
+    pmax, amax = int(zexp.max(initial=0)), int(wexp.max(initial=0))
+    nf = len(family)
+    coef = np.zeros((nf, pmax + 1, amax + 1), dtype=complex)
+    coef[:, zexp, wexp] = family.coeffs
     c1, d = _z_moments(1.0, m, False)  # c = c1 w
     size, fact = amax + pmax // 2 + 1, math.factorial
-    kern = np.zeros((len(polys), len(polys), size, size), dtype=complex)
+    kern = np.zeros((nf, nf, size, size), dtype=complex)
     for p in range(pmax + 1):
         for q in range(p % 2, pmax + 1, 2):
             block = np.einsum("ia,jb->ijab", coef[:, p], coef[:, q].conj())
@@ -380,29 +383,12 @@ def _contract_power_sums(kern, sums, sums2):
     return np.einsum("ijab,ab->ij", kern, sums), acc2.real
 
 
-def evaluate(fn, mats, vecs, side):
-    """(vals, logs) of fn at the stacked points (mats (N,n,n), vecs (N,n)) of
-    the bounded ('disk') or unbounded ('space') model; the value is
-    vals * exp(logs).  A PolyFunction lives on the disk and has logs = 0, and
-    so does a PolyFamily, whose vals are (nf, N) and whose members share the
-    (N,) logs; any other function carries its side and a batched callable
-    `split` with this same signature, whose vals are (N,), or (size, N) with
-    shared logs for a family of `size` functions."""
-    poly = isinstance(fn, (PolyFunction, PolyFamily))
-    own = "disk" if poly else fn.side
-    if own != side:
-        raise ValueError(f"{own}-side function evaluated on the {side} model")
-    if isinstance(fn, PolyFunction):
-        return fn.evaluate_batch(vecs, mats), np.zeros(len(mats))
-    if poly:
-        return fn.evaluate(vecs, mats), np.zeros(len(mats))
-    return fn.split(mats, vecs)
-
-
-def width(fn):
-    """The number of functions fn holds, its rows in a Gram: one for a
-    PolyFunction, the members of a PolyFamily, the size of any other."""
-    return 1 if isinstance(fn, PolyFunction) else len(fn)
+def require_side(family, side):
+    """The side guard: raise ValueError unless family lives on side ('disk'
+    or 'space').  It runs once, where a family enters an engine or an
+    operator, before any point is evaluated."""
+    if family.side != side:
+        raise ValueError(f"{family.side}-side function evaluated on the {side} model")
 
 
 def mc_stats(stats, rows=slice(None)):
@@ -417,40 +403,31 @@ def mc_stats(stats, rows=slice(None)):
 _BLOCK = 2000
 
 
-def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
+def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
-    E[f_i conj(f_j) weight] over the functions of funcs, its standard errors
+    E[f_i conj(f_j) weight] over the members of family, its standard errors
     and stats: the proposals, the accepted draws, over their weights
     w = exp(logw) the Kish effective sample size (sum w)^2 / sum w^2 and
     largest share max w / sum w, and ess_f, the (nf,) Kish sizes of each
     function's contributions to its diagonal entry, w |f_i|^2 (their log
     parts included); mc_stats reduces them to the functions a check reads.
 
-    An entry of funcs fills width(fn) consecutive rows: a PolyFunction one,
-    a family (a PolyFamily, or a SampledFunction whose split returns (size,
-    N) values with shared (N,) logs) one per member, evaluated once per
-    block for all of them.  Each chunk of `chunk` proposals draws W from the
-    polydisk (_sample_w), then calls draw(rng, ws, dets, mask) -> (mats,
-    vecs, logw) on the accepted ws only, with their dets = det(I - W
+    Each member of family, an integrand of side `side`, is a row; one split
+    per block evaluates them all.  Each chunk of `chunk` proposals draws W
+    from the polydisk (_sample_w), then calls draw(rng, ws, dets, mask) ->
+    (mats, vecs, logw) on the accepted ws only, with their dets = det(I - W
     conj(W)) and the mask that marks them among the chunk's proposals: the
-    points at which the functions are evaluated on `side`, and the log
-    weight.  A rejected proposal has weight 0: it counts in the denominator,
+    points at which the family is evaluated, and the log weight.  A rejected proposal has weight 0: it counts in the denominator,
     the number of proposals, and nowhere else.  The contraction runs over the
     accepted samples in blocks of _BLOCK.  Sampled, u = vals exp(logs +
-    logw / 2) and the Gram adds u u^H; the PolyFunctions among funcs are
-    evaluated together, as one PolyFamily.  Exact in z (kern from
+    logw / 2) and the Gram adds u u^H.  Exact in z (kern from
     _exact_z_kernel), a block adds the weighted power sums of w, and the
     Gram and its variance are contracted from them at the end.  The result
     is Hermitian by construction, so mirror entries tie exactly and the
     worst entry of a Gram does not depend on roundoff."""
+    require_side(family, side)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    offsets = np.cumsum([0] + [width(f) for f in funcs])
-    nf = int(offsets[-1])
-    polys = [i for i, f in enumerate(funcs) if isinstance(f, PolyFunction)]
-    groups = [(slice(offsets[i], offsets[i + 1]), f) for i, f in enumerate(funcs)
-              if i not in polys]
-    if polys:
-        groups.insert(0, (offsets[polys], PolyFamily([funcs[i] for i in polys])))
+    nf = len(family)
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
     done = accepted = 0
@@ -469,14 +446,12 @@ def _mc_gram(funcs, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
                 part, part2 = _power_sums(mats[blk, 0, 0], weight[blk], kern.shape[-1] - 1)
                 sums, sums2 = sums + part, sums2 + part2
                 continue
-            u = np.empty((nf, len(logw[blk])), dtype=complex)
-            for rows, fn in groups:
-                vals, logs = evaluate(fn, mats[blk], vecs[blk], side)
-                # transported functions carry a +exponent that the weight's
-                # -exponent cancels to O(1); summing the logs before exp keeps
-                # boundary samples finite where a factored product would not
-                with np.errstate(over="ignore", invalid="ignore"):
-                    u[rows] = vals * np.exp(logs + logw[blk] / 2)
+            vals, logs = family.split(mats[blk], vecs[blk])
+            # transported functions carry a +exponent that the weight's
+            # -exponent cancels to O(1); summing the logs before exp keeps
+            # boundary samples finite where a factored product would not
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = vals * np.exp(logs + logw[blk] / 2)
             sq = np.abs(u) ** 2
             acc += u @ u.conj().T
             acc2 += sq @ sq.T
@@ -505,16 +480,17 @@ def _disk_draw(n, k):
     return draw
 
 
-def mc_disk_gram(polys, n, k, cfg: MCConfig):
-    """Shared-sample MC Gram matrix of functions of W for the weighted
-    measure det(I - W conj(W))^{k - n - 3/2} dLeb(W); returns (gram, sigma,
-    stats)."""
-    return _mc_gram(polys, n, cfg, cfg.batch, _disk_draw(n, k))
+def mc_disk_gram(family, n, k, cfg: MCConfig):
+    """Shared-sample MC Gram matrix of a disk-side family of functions of W
+    for the weighted measure det(I - W conj(W))^{k - n - 3/2} dLeb(W);
+    returns (gram, sigma, stats)."""
+    return _mc_gram(family, n, cfg, cfg.batch, _disk_draw(n, k))
 
 
-def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
-    """Shared-sample MC Gram for the bounded Jacobi-domain inner product
-    f conj(g) det(I-W conj(W))^k exp(-8 pi m A(W,z)) against the measure
+def mc_dj_gram(family, n, m, k, cfg: MCConfig):
+    """Shared-sample MC Gram of a disk-side family for the bounded
+    Jacobi-domain inner product f conj(g) det(I-W conj(W))^k
+    exp(-8 pi m A(W,z)) against the measure
     det(I-W conj(W))^{-n-2} pi^{-n} dLeb(z) dLeb(W); returns (gram, sigma,
     stats).
 
@@ -523,11 +499,11 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
     has A(-W, z) instead (see mc_hj_gram); the two agree on functions whose
     z-degree stays below 2.
 
-    For n = 1 and polynomial inputs the z-integral is exact: each conditional
+    For n = 1 and a PolyFamily the z-integral is exact: each conditional
     Gram is a polynomial in w and conj(w) (_exact_z_kernel), and only the
-    W-average is stochastic.  Any other input samples z from its closed-form
-    law as well."""
-    exact_z = n == 1 and all(isinstance(p, PolyFunction) for p in polys)
+    W-average is stochastic.  Any other family samples z from its
+    closed-form law as well."""
+    exact_z = n == 1 and isinstance(family, PolyFamily)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, dets, mask):
@@ -535,13 +511,14 @@ def mc_dj_gram(polys, n, m, k, cfg: MCConfig):
         logw = (float(k) - n - 2) * np.log(dets) + np.log(_z_normalizer(dets, n, m)) + logc
         return ws, zs, logw
 
-    kern = _exact_z_kernel(polys, m) if exact_z else None
-    return _mc_gram(polys, n, cfg, min(cfg.batch, 20000) if exact_z else cfg.batch, draw,
+    kern = _exact_z_kernel(family, m) if exact_z else None
+    return _mc_gram(family, n, cfg, min(cfg.batch, 20000) if exact_z else cfg.batch, draw,
                     kern=kern)
 
 
-def mc_hj_gram(phis, n, m, k, cfg: MCConfig):
-    """Shared-sample MC Gram on the unbounded Jacobi domain with the decaying
+def mc_hj_gram(family, n, m, k, cfg: MCConfig):
+    """Shared-sample MC Gram of a space-side family, such as
+    t_star(PolyFamily(...)), on the unbounded Jacobi domain with the decaying
     weight (det Y)^k exp(-4 pi m eta Y^{-1} t(eta)), overall constant
     2^{-n(n+3)}, measure (det Y)^{-n-2} pi^{-n} dLeb(zeta) dLeb(Omega);
     returns (gram, sigma, stats) as mc_dj_gram does.
@@ -553,10 +530,9 @@ def mc_hj_gram(phis, n, m, k, cfg: MCConfig):
     Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
     identities relating the two sides stay testable rather than assumed.
-    phis are space-side functions, a transported family such as
-    t_star(PolyFamily(...)) filling several rows; the whole weight is kept
-    as a log.  eta Y^{-1} t(eta) and det Y come from one elimination of the
-    real stack Y = Im Omega, and det(I - W) from one of I - W."""
+    The whole weight is kept as a log.  eta Y^{-1} t(eta) and det Y come
+    from one elimination of the real stack Y = Im Omega, and det(I - W) from
+    one of I - W."""
     eye = np.eye(n)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
@@ -572,7 +548,7 @@ def mc_hj_gram(phis, n, m, k, cfg: MCConfig):
                 + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
         return oms, zetas, logw
 
-    return _mc_gram(phis, n, cfg, cfg.batch, draw, side="space")
+    return _mc_gram(family, n, cfg, cfg.batch, draw, side="space")
 
 
 # --- finite-difference Jacobians and real charts ---

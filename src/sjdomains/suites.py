@@ -1,14 +1,17 @@
 """Named verification suites behind the command-line front end.
 
-Each runner takes a SuiteConfig and returns a VerifyReport; the registry at
-the bottom maps the public suite names.  Residual tolerances default to the
-per-suite contract values and can be overridden globally with the config tol.
-Monte Carlo sub-streams are seeded per check name so reports are reproducible
-check by check.
+Each runner takes a SuiteConfig and returns a VerifyReport; the decorator
+_suite registers it in SUITES under its public name and builds that report,
+in one place, from the checks the runner's body returns, so every report
+records the run that made it: cfg.to_dict() and cfg.seed.  Residual
+tolerances default to the per-suite contract values and can be overridden
+globally with the config tol.  Monte Carlo sub-streams are seeded per check
+name so reports are reproducible check by check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
@@ -37,6 +40,25 @@ class SuiteConfig:
     def to_dict(self):
         return {"n": self.n, "m": self.m, "k": self.k, "samples": self.samples,
                 "trunc": self.trunc, "tol": self.tol}
+
+
+# public suite name -> runner, in the order run_all runs them
+SUITES = {}
+
+
+def _suite(name):
+    """Register a runner under name: its body returns the list of checks,
+    and the runner the VerifyReport of them, with the config's params and
+    seed."""
+    def register(checks_of):
+        @functools.wraps(checks_of)
+        def runner(cfg: SuiteConfig, *args, **kwargs) -> VerifyReport:
+            return VerifyReport(name, cfg.to_dict(), cfg.seed, checks_of(cfg, *args, **kwargs))
+
+        SUITES[name] = runner
+        return runner
+
+    return register
 
 
 def sub_seed(base: int, name: str) -> int:
@@ -74,7 +96,8 @@ def _disk_dist(x1: domains.SJDiskPoint, x2: domains.SJDiskPoint) -> float:
 # as one draw per index would, and evaluates every identity on the stack;
 # the residual is the worst member.
 
-def run_group_axioms(cfg: SuiteConfig, count=100) -> VerifyReport:
+@_suite("group-axioms")
+def run_group_axioms(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
     base = seed * 7919 + 3 * np.arange(count)
@@ -96,11 +119,11 @@ def run_group_axioms(cfg: SuiteConfig, count=100) -> VerifyReport:
             _jacobi_star_dist(groups.jacobi_star_mul(s1, groups.jacobi_star_inv(s1)), ident_s),
             _jacobi_star_dist(groups.jacobi_star_mul(groups.jacobi_star_inv(s1), s1), ident_s)),
     }
-    checks = [residual_check(name, val, tol) for name, val in worst.items()]
-    return VerifyReport("group-axioms", cfg.to_dict(), seed, checks)
+    return [residual_check(name, val, tol) for name, val in worst.items()]
 
 
-def run_theta_iso(cfg: SuiteConfig, count=100) -> VerifyReport:
+@_suite("theta-iso")
+def run_theta_iso(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
     base = seed * 6211 + 2 * np.arange(count)
@@ -110,12 +133,12 @@ def run_theta_iso(cfg: SuiteConfig, count=100) -> VerifyReport:
                                   groups.jacobi_star_mul(gs, groups.theta_iso(g2)))
     worst_round = max(_jacobi_dist(groups.theta_inv(gs), g1),
                       _jacobi_star_dist(groups.theta_iso(groups.theta_inv(gs)), gs))
-    checks = [residual_check("homomorphism", worst_hom, tol),
-              residual_check("inverse-roundtrip", worst_round, tol)]
-    return VerifyReport("theta-iso", cfg.to_dict(), seed, checks)
+    return [residual_check("homomorphism", worst_hom, tol),
+            residual_check("inverse-roundtrip", worst_round, tol)]
 
 
-def run_actions(cfg: SuiteConfig, count=100) -> VerifyReport:
+@_suite("actions")
+def run_actions(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
     t = np.arange(count)
@@ -134,11 +157,11 @@ def run_actions(cfg: SuiteConfig, count=100) -> VerifyReport:
         "disk-identity": _disk_dist(
             groups.act_sj_disk(groups.JacobiStarElement.identity(n), x), x),
     }
-    checks = [residual_check(name, val, tol) for name, val in worst.items()]
-    return VerifyReport("actions", cfg.to_dict(), seed, checks)
+    return [residual_check(name, val, tol) for name, val in worst.items()]
 
 
-def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> VerifyReport:
+@_suite("cayley")
+def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> list:
     n, seed = cfg.n, cfg.seed
     round_tol = 1e-12
     equi_tol = _tol(cfg, 1e-9)
@@ -152,12 +175,12 @@ def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> VerifyReport:
     x = domains.sample_sj_disk_batch(n, seed * 9013 + t, 0.6, 0.8)
     worst_equi = _space_dist(domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x)),
                              groups.act_sj_space(g, domains.cayley_forward(x)))
-    checks = [residual_check("roundtrip", worst_round, round_tol),
-              residual_check("equivariance", worst_equi, equi_tol)]
-    return VerifyReport("cayley", cfg.to_dict(), seed, checks)
+    return [residual_check("roundtrip", worst_round, round_tol),
+            residual_check("equivariance", worst_equi, equi_tol)]
 
 
-def run_cocycle(cfg: SuiteConfig, count=100) -> VerifyReport:
+@_suite("cocycle")
+def run_cocycle(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     m, k = cfg.m, cfg.k
     tol = _tol(cfg, 1e-8)
@@ -182,13 +205,13 @@ def run_cocycle(cfg: SuiteConfig, count=100) -> VerifyReport:
             kernels.jmk_star(groups.jacobi_star_mul(s1, s2), x, m, k)
             - kernels.jmk_star(s1, s2x, m, k) * kernels.jmk_star(s2, x, m, k)),
     }
-    checks = [residual_check(name, val, tol) for name, val in worst.items()]
-    return VerifyReport("cocycle", cfg.to_dict(), seed, checks)
+    return [residual_check(name, val, tol) for name, val in worst.items()]
 
 
 # --- polynomial-engine suites ---
 
-def run_genfun(cfg: SuiteConfig) -> VerifyReport:
+@_suite("genfun")
+def run_genfun(cfg: SuiteConfig) -> list:
     n = cfg.n
     s_max = 8 if n == 1 else 4
     mismatches = 0
@@ -197,12 +220,12 @@ def run_genfun(cfg: SuiteConfig) -> VerifyReport:
         tested += 1
         if not (fockpoly.p_s(tuple(s)) - fockpoly.p_s_from_generating(tuple(s))).is_zero():
             mismatches += 1
-    checks = [residual_check("generating-vs-recursion", float(mismatches), 0.0,
-                             detail={"indices_tested": tested, "s_max": s_max})]
-    return VerifyReport("genfun", cfg.to_dict(), cfg.seed, checks)
+    return [residual_check("generating-vs-recursion", float(mismatches), 0.0,
+                           detail={"indices_tested": tested, "s_max": s_max})]
 
 
-def run_pde(cfg: SuiteConfig) -> VerifyReport:
+@_suite("pde")
+def run_pde(cfg: SuiteConfig) -> list:
     n, m = cfg.n, cfg.m
     s_max = 8 if n == 1 else 4
     worst_exact = 0.0
@@ -211,10 +234,8 @@ def run_pde(cfg: SuiteConfig) -> VerifyReport:
         worst_exact = max(worst_exact,
                           fockpoly.pde_check(fockpoly.basis_f_scaled(tuple(s), m), m))
         worst_float = max(worst_float, fockpoly.pde_check(fockpoly.basis_f(tuple(s), m), m))
-    checks = [residual_check("heat-system-exact", worst_exact, 0.0,
-                             detail={"s_max": s_max}),
-              residual_check("heat-system-float", worst_float, 1e-10)]
-    return VerifyReport("pde", cfg.to_dict(), cfg.seed, checks)
+    return [residual_check("heat-system-exact", worst_exact, 0.0, detail={"s_max": s_max}),
+            residual_check("heat-system-float", worst_float, 1e-10)]
 
 
 # The Fock expansions start at degree 14 and grow 2 grades at a time until
@@ -232,7 +253,8 @@ def _fock_expansion(xp, x, m, target):
     return res, degree
 
 
-def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
+@_suite("expansions")
+def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
     tol = _tol(cfg, 1e-6)
     checks = []
@@ -271,10 +293,11 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> VerifyReport:
         resid, tail, degree = worst[name]
         checks.append(residual_check(name, resid, tol,
                                      detail={"tail_estimate": tail, "degree": degree}))
-    return VerifyReport("expansions", cfg.to_dict(), seed, checks)
+    return checks
 
 
-def run_orthonormality_fock(cfg: SuiteConfig) -> VerifyReport:
+@_suite("orthonormality-fock")
+def run_orthonormality_fock(cfg: SuiteConfig) -> list:
     n, m, seed = cfg.n, cfg.m, cfg.seed
     tol = _tol(cfg, 1e-6)
     s_max = 4 if n == 1 else 2
@@ -286,7 +309,8 @@ def run_orthonormality_fock(cfg: SuiteConfig) -> VerifyReport:
         ws = [np.zeros((n, n)), base]
     checks = []
     for idx, w in enumerate(ws):
-        gram = quad.fock_gram([fockpoly.basis_phi(w, tuple(s), m) for s in index_list], w, m)
+        family = fockpoly.PolyFamily([fockpoly.basis_phi(w, tuple(s), m) for s in index_list])
+        gram = quad.fock_gram(family, w, m)
         resid = float(np.max(np.abs(gram - np.eye(len(index_list)))))
         checks.append(residual_check(f"gram-w{idx}", resid, tol,
                                      detail={"w": [[ [v.real, v.imag] for v in row]
@@ -294,10 +318,11 @@ def run_orthonormality_fock(cfg: SuiteConfig) -> VerifyReport:
     cal = quad.calibrate_norms(n, m)
     checks.append(residual_check("calibration-ratio", abs(cal["ratio"] - 4.0 ** n), 1e-12,
                                  detail=cal))
-    return VerifyReport("orthonormality-fock", cfg.to_dict(), seed, checks)
+    return checks
 
 
-def run_gaussian_integrals(cfg: SuiteConfig) -> VerifyReport:
+@_suite("gaussian-integrals")
+def run_gaussian_integrals(cfg: SuiteConfig) -> list:
     n, m = cfg.n, cfg.m
     checks = []
     s_max = 6 if n == 1 else 3
@@ -323,16 +348,17 @@ def run_gaussian_integrals(cfg: SuiteConfig) -> VerifyReport:
         res = quad.verify_gaussian_pairing(xp.w, x.w, xp.z, x.z, trunc=max(cfg.trunc, 12))
         worst = max(worst, res["residual"])
     checks.append(residual_check("generating-series-pairing", worst, 1e-6))
-    return VerifyReport("gaussian-integrals", cfg.to_dict(), cfg.seed, checks)
+    return checks
 
 
-def run_q_basis(cfg: SuiteConfig) -> VerifyReport:
+@_suite("q-basis")
+def run_q_basis(cfg: SuiteConfig) -> list:
     n, k = cfg.n, cfg.k
     seed = sub_seed(cfg.seed, "q-basis-check")
     mccfg = quad.MCConfig(samples=cfg.samples, seed=seed)
     degree = 4 if n == 1 else 2
     qs = fockpoly.q_basis(n, k, degree)
-    gram, sigma, stats = quad.mc_disk_gram(qs, n, k, mccfg)
+    gram, sigma, stats = quad.mc_disk_gram(fockpoly.PolyFamily(qs), n, k, mccfg)
     stats = quad.mc_stats(stats)
     err = np.abs(gram - np.eye(len(qs)))
     if n == 1:
@@ -346,44 +372,50 @@ def run_q_basis(cfg: SuiteConfig) -> VerifyReport:
                                  detail={"note": "basis itself is sample-orthonormalized;"
                                                  " residual limited by construction error",
                                          "max_sigma": float(np.max(sigma)), **stats})]
-    return VerifyReport("q-basis", cfg.to_dict(), cfg.seed, checks)
+    return checks
 
 
 # --- transfer and representation suites ---
 
-def run_transfer_identities(cfg: SuiteConfig) -> VerifyReport:
-    return ds.verify_identities(cfg.params(), count=100, seed=cfg.seed)
+@_suite("transfer-identities")
+def run_transfer_identities(cfg: SuiteConfig) -> list:
+    return ds.verify_identities(cfg.params(), count=100, seed=cfg.seed).checks
 
 
-def run_measure_jacobian(cfg: SuiteConfig) -> VerifyReport:
-    return ds.verify_jacobian_constant(cfg.params(), count=50, seed=cfg.seed)
+@_suite("measure-jacobian")
+def run_measure_jacobian(cfg: SuiteConfig) -> list:
+    return ds.verify_jacobian_constant(cfg.params(), count=50, seed=cfg.seed).checks
 
 
-def run_series_gram(cfg: SuiteConfig) -> VerifyReport:
+@_suite("series-gram")
+def run_series_gram(cfg: SuiteConfig) -> list:
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "series-gram"))
-    return ds.verify_gram(cfg.params(), mccfg, s_max=3, a_max=2)
+    return ds.verify_gram(cfg.params(), mccfg, s_max=3, a_max=2).checks
 
 
-def run_isometry(cfg: SuiteConfig) -> VerifyReport:
+@_suite("isometry")
+def run_isometry(cfg: SuiteConfig) -> list:
     params = cfg.params()
     roundtrip = ds.verify_roundtrip(params, count=50, seed=cfg.seed)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
     isom = ds.verify_isometry(params, mccfg)
-    return VerifyReport("isometry", cfg.to_dict(), cfg.seed,
-                        list(roundtrip.checks) + list(isom.checks))
+    return roundtrip.checks + isom.checks
 
 
-def run_intertwining(cfg: SuiteConfig) -> VerifyReport:
-    return ds.verify_intertwining(cfg.params(), count=50, seed=cfg.seed)
+@_suite("intertwining")
+def run_intertwining(cfg: SuiteConfig) -> list:
+    return ds.verify_intertwining(cfg.params(), count=50, seed=cfg.seed).checks
 
 
-def run_reproducing(cfg: SuiteConfig) -> VerifyReport:
+@_suite("reproducing")
+def run_reproducing(cfg: SuiteConfig) -> list:
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "reproducing"))
     return ds.reproducing_check(cfg.params(), mccfg, trunc_s=max(cfg.trunc, 10),
-                                trunc_a=6, points=5, seed=cfg.seed)
+                                trunc_a=6, points=5, seed=cfg.seed).checks
 
 
-def run_kernel_invariance(cfg: SuiteConfig, count=100) -> VerifyReport:
+@_suite("kernel-invariance")
+def run_kernel_invariance(cfg: SuiteConfig, count=100) -> list:
     """Pointwise unitarity trace: the invariant weight transported by the
     action and corrected by |jmk_star|^2 reproduces itself.  The identity
     holds for the reflected-argument weight; the deviation of the plain
@@ -397,31 +429,8 @@ def run_kernel_invariance(cfg: SuiteConfig, count=100) -> VerifyReport:
     jac = np.abs(kernels.jmk_star(gs, x, m, k)) ** 2
     ratio = kernels.kmk_star_weight_flipped(gx, m, k) * jac / kernels.kmk_star_weight_flipped(x, m, k)
     plain = kernels.kmk_star_weight(gx, m, k) * jac / kernels.kmk_star_weight(x, m, k)
-    checks = [residual_check("invariance-ratio", _max_abs(ratio - 1.0), tol,
-                             detail={"plain_weight_variant_residual": _max_abs(plain - 1.0)})]
-    return VerifyReport("kernel-invariance", cfg.to_dict(), seed, checks)
-
-
-SUITES = {
-    "group-axioms": run_group_axioms,
-    "theta-iso": run_theta_iso,
-    "actions": run_actions,
-    "cayley": run_cayley,
-    "cocycle": run_cocycle,
-    "genfun": run_genfun,
-    "pde": run_pde,
-    "expansions": run_expansions,
-    "orthonormality-fock": run_orthonormality_fock,
-    "gaussian-integrals": run_gaussian_integrals,
-    "q-basis": run_q_basis,
-    "transfer-identities": run_transfer_identities,
-    "measure-jacobian": run_measure_jacobian,
-    "series-gram": run_series_gram,
-    "isometry": run_isometry,
-    "intertwining": run_intertwining,
-    "reproducing": run_reproducing,
-    "kernel-invariance": run_kernel_invariance,
-}
+    return [residual_check("invariance-ratio", _max_abs(ratio - 1.0), tol,
+                           detail={"plain_weight_variant_residual": _max_abs(plain - 1.0)})]
 
 
 def run_all(cfg: SuiteConfig) -> VerifyReport:

@@ -27,9 +27,13 @@ def _test_poly(params):
             + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * (0.4 - 0.3j))
 
 
+def _test_family(params):
+    return fockpoly.PolyFamily([_test_poly(params)])
+
+
 def test_transfer_roundtrip_disk():
     psi = _test_poly(PARAMS)
-    back = ds.t_inv(ds.t_star(psi, PARAMS), PARAMS)
+    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), PARAMS), PARAMS)
     for t in range(30):
         x = domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t)
         assert abs(back((x.w, x.z)) - psi.evaluate(x.z, x.w)) < 1e-12
@@ -55,7 +59,7 @@ def test_transfer_roundtrip_space():
 def test_transfer_roundtrip_n2():
     params = ds.ReprParams(2, 0.25, 4)
     psi = _test_poly(params)
-    back = ds.t_inv(ds.t_star(psi, params), params)
+    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), params), params)
     for t in range(10):
         x = domains.sample_sj_disk_point(2, 0.5, 0.6, seed=t)
         assert abs(back((x.w, x.z)) - psi.evaluate(x.z, x.w)) < 1e-12
@@ -64,8 +68,7 @@ def test_transfer_roundtrip_n2():
 def test_batch_evaluation_matches_scalar():
     # a batch of N against N batches of one, for a transported function, a
     # round trip of it, and a wrapped scalar closure
-    psi = _test_poly(PARAMS)
-    phi = ds.t_star(psi, PARAMS)
+    phi = ds.t_star(_test_family(PARAMS), PARAMS)
     back = ds.t_inv(phi, PARAMS)
     op = ds.pi_apply(groups.random_jacobi(1, seed=2), phi, PARAMS)
     xs = [domains.sample_sj_disk_point(1, 0.5, 0.6, seed=t) for t in range(6)]
@@ -74,13 +77,15 @@ def test_batch_evaluation_matches_scalar():
     for name, fn, side, pts in [("phi", phi, "space", [(y.omega, y.zeta) for y in ys]),
                                 ("op", op, "space", [(y.omega, y.zeta) for y in ys]),
                                 ("back", back, "disk", [(x.w, x.z) for x in xs])]:
+        assert fn.side == side and len(fn) == 1
         mats, vecs = np.stack([p[0] for p in pts]), np.stack([p[1] for p in pts])
-        vals, logs = quad.evaluate(fn, mats, vecs, side)
+        vals, logs = fn.split(mats, vecs)
         logs_of[name] = logs
-        assert vals.shape == logs.shape == (6,)
+        assert vals.shape == (1, 6) and logs.shape == (6,)
+        vals = vals[0]
         for i in range(6):
-            one_vals, one_logs = quad.evaluate(fn, mats[i:i + 1], vecs[i:i + 1], side)
-            assert_allclose(one_vals[0] * np.exp(one_logs[0]), vals[i] * np.exp(logs[i]),
+            one_vals, one_logs = fn.split(mats[i:i + 1], vecs[i:i + 1])
+            assert_allclose(one_vals[0, 0] * np.exp(one_logs[0]), vals[i] * np.exp(logs[i]),
                             rtol=1e-12)
             assert_allclose(fn(pts[i]), vals[i] * np.exp(logs[i]), rtol=1e-12)
     # the transported exponent stays in logs; the round trip sums the two
@@ -97,39 +102,57 @@ def test_t_star_of_a_family_stacks_the_members(n):
     params = ds.ReprParams(n, 0.25, 3)
     psis = [f for _, f in ds._isometry_functions(params)] + [_test_poly(params)]
     phi = ds.t_star(fockpoly.PolyFamily(psis), params)
-    assert len(phi) == len(psis) and phi.provenance == "transported"
+    assert len(phi) == len(psis) and phi.side == "space"
     y = domains.cayley_forward(domains.sample_sj_disk_batch(n, range(40), 0.6, 0.8))
-    vals, logs = quad.evaluate(phi, y.omega, y.zeta, "space")
+    vals, logs = phi.split(y.omega, y.zeta)
     assert vals.shape == (len(psis), 40) and logs.shape == (40,)
     for i, psi in enumerate(psis):
-        one_vals, one_logs = quad.evaluate(ds.t_star(psi, params), y.omega, y.zeta, "space")
-        assert_allclose(vals[i], one_vals, rtol=1e-14, atol=0)
+        one_vals, one_logs = ds.t_star(fockpoly.PolyFamily([psi]), params).split(y.omega, y.zeta)
+        assert_allclose(vals[i], one_vals[0], rtol=1e-14, atol=0)
         assert_allclose(logs, one_logs, rtol=1e-14, atol=0)
 
 
 def test_sampled_function_side_guard():
-    # the one side guard, in quad.evaluate, reached from each entry point
-    psi = _test_poly(PARAMS)
-    phi = ds.t_star(psi, PARAMS)
+    # the one side guard, quad.require_side, reached from each entry point:
+    # every engine and operator raises when it is called or built, before
+    # the family it was given is evaluated at any point
+    calls = []
+
+    def spy(family):
+        def split(mats, vecs):
+            calls.append(family.side)
+            return family.split(mats, vecs)
+
+        return ds.SampledFunction(split, family.side, size=len(family))
+
+    psi = spy(_test_family(PARAMS))
+    phi = spy(ds.t_star(_test_family(PARAMS), PARAMS))
+    g = groups.random_jacobi(1, seed=2)
     cfg = quad.MCConfig(samples=100, seed=0)
     with pytest.raises(ValueError):
-        quad.evaluate(phi, np.zeros((1, 1, 1), complex), np.zeros((1, 1), complex), "disk")
+        quad.require_side(phi, "disk")
     with pytest.raises(ValueError):
-        quad.mc_hj_gram([psi], 1, PARAMS.m, PARAMS.k, cfg)
+        quad.mc_hj_gram(psi, 1, PARAMS.m, PARAMS.k, cfg)
     with pytest.raises(ValueError):
-        quad.mc_dj_gram([psi, phi], 1, PARAMS.m, PARAMS.k, cfg)
-    y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))
+        quad.mc_dj_gram(phi, 1, PARAMS.m, PARAMS.k, cfg)
     with pytest.raises(ValueError):
-        ds.t_star(phi, PARAMS)(y)
+        quad.mc_disk_gram(phi, 1, PARAMS.k, cfg)
     with pytest.raises(ValueError):
-        ds.t_inv(psi, PARAMS)((np.array([[0.2j]]), np.array([0.1])))
+        ds.t_star(phi, PARAMS)
+    with pytest.raises(ValueError):
+        ds.t_inv(psi, PARAMS)
+    with pytest.raises(ValueError):
+        ds.pi_apply(g, psi, PARAMS)
+    with pytest.raises(ValueError):
+        ds.pi_star_apply(groups.theta_iso(g), phi, PARAMS)
     with pytest.raises(ValueError):
         phi(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))
+    assert calls == []
 
 
 def test_operator_composition_is_antihomomorphism():
     # T_g psi = jmk_star(g, .) psi(g . .): T_{g1} T_{g2} = T_{g2 g1}
-    psi = _test_poly(PARAMS)
+    psi = _test_family(PARAMS)
     g1 = groups.random_jacobi_star(1, scale=0.4, seed=21)
     g2 = groups.random_jacobi_star(1, scale=0.4, seed=22)
     lhs = ds.pi_star_apply(g1, ds.pi_star_apply(g2, psi, PARAMS), PARAMS)
@@ -140,7 +163,7 @@ def test_operator_composition_is_antihomomorphism():
 
 
 def test_intertwining_pointwise():
-    psi = _test_poly(PARAMS)
+    psi = _test_family(PARAMS)
     phi = ds.t_star(psi, PARAMS)
     for t in range(10):
         gs = groups.random_jacobi_star(1, scale=0.4, seed=31 + t)
@@ -209,9 +232,8 @@ def test_reproducing_small_run():
                              quad.MCConfig(samples=1000, seed=0))
 
 
-def test_transported_function_provenance():
-    phi = ds.t_star(_test_poly(PARAMS), PARAMS)
-    assert phi.provenance == "transported"
+def test_transported_function_side():
+    phi = ds.t_star(_test_family(PARAMS), PARAMS)
     assert phi.side == "space"
     op = ds.pi_apply(groups.random_jacobi(1, seed=1), phi, PARAMS)
-    assert op.provenance == "composite"
+    assert op.side == "space"

@@ -100,7 +100,7 @@ def test_poly_batch_evaluation_matches_scalar():
     f = fockpoly.basis_f((2, 1), M)
     zs = np.array([[0.1 + 0.2j, -0.3j], [0.5, 0.2 - 0.1j]])
     ws = np.stack([0.1 * np.eye(2), np.array([[0.2, 0.1j], [0.1j, -0.3]])])
-    vals = f.evaluate_batch(zs, ws)
+    vals = fockpoly.PolyFamily([f]).split(ws, zs)[0][0]
     for i in range(2):
         assert_allclose(vals[i], f.evaluate(zs[i], ws[i]), rtol=1e-12)
 
@@ -125,11 +125,11 @@ def test_family_evaluation_matches_per_term_sums(n, k):
     # one monomial table, against the per-term sums, at 50 points
     funcs = [f for _, f in fockpoly.series_basis(n, M, k, s_max=3, a_max=2)]
     x = domains.sample_sj_disk_batch(n, range(50), 0.6, 0.8)
-    vals = fockpoly.PolyFamily(funcs).evaluate(x.z, x.w)
-    assert vals.shape == (len(funcs), 50)
+    vals, logs = fockpoly.PolyFamily(funcs).split(x.w, x.z)
+    assert vals.shape == (len(funcs), 50) and np.all(logs == 0)
     for f, got in zip(funcs, vals):
         assert_allclose(got, _per_term(f, x.z, x.w), rtol=1e-13, atol=0)
-        assert_allclose(f.evaluate_batch(x.z, x.w), got, rtol=1e-13, atol=0)
+        assert_allclose(fockpoly.PolyFamily([f]).split(x.w, x.z)[0][0], got, rtol=1e-13, atol=0)
 
 
 def test_poly_json_roundtrip():

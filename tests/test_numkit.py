@@ -336,7 +336,7 @@ def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
     zs = _random_rows(np.random.default_rng(10), ws.shape[:-1])
     _refuse_stacks(monkeypatch)
     cfg = quad.MCConfig(samples=20000, seed=0)
-    gram, _, stats = quad.mc_hj_gram([ds.t_star(family, params)], n, params.m, params.k, cfg)
+    gram, _, stats = quad.mc_hj_gram(ds.t_star(family, params), n, params.m, params.k, cfg)
     assert stats["accepted"] > 64 and np.all(np.isfinite(gram))
     oms, zetas = domains.batch_cayley_forward(ws, zs)
     domains.batch_cayley_inverse(oms, zetas)

@@ -145,13 +145,14 @@ def test_moment_table_matches_gauss_hermite_n2():
 def test_fock_gram_rejects_w_terms():
     f = fockpoly.p_s((2,))  # contains a W monomial
     with pytest.raises(ValueError):
-        quad.fock_gram([f], np.array([[0.3]]), M)
+        quad.fock_gram(fockpoly.PolyFamily([f]), np.array([[0.3]]), M)
 
 
 def test_fock_gram_orthonormal():
     w = np.array([[0.3 + 0.2j]])
     idx = list(fockpoly.enumerate_multiindices(1, 4))
-    gram = quad.fock_gram([fockpoly.basis_phi(w, tuple(s), M) for s in idx], w, M)
+    family = fockpoly.PolyFamily([fockpoly.basis_phi(w, tuple(s), M) for s in idx])
+    gram = quad.fock_gram(family, w, M)
     assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-12
 
 
@@ -174,7 +175,7 @@ def test_mc_disk_inner_against_beta_moments():
     cfg = quad.MCConfig(samples=200000, seed=11)
     one = fockpoly.PolyFunction.constant(1, 1.0)
     wmono = fockpoly.PolyFunction.monomial(1, a=numkit.SymIndex(1, (1,)))
-    gram, sigma, _ = quad.mc_disk_gram([one, wmono], 1, K, cfg)
+    gram, sigma, _ = quad.mc_disk_gram(fockpoly.PolyFamily([one, wmono]), 1, K, cfg)
     for a in range(2):
         target = math.pi * beta_fn(a + 1, K - 1.5)
         assert abs(gram[a, a] - target) <= 3 * sigma[a, a]
@@ -182,42 +183,41 @@ def test_mc_disk_inner_against_beta_moments():
 
 def test_mc_determinism():
     cfg = quad.MCConfig(samples=20000, seed=5)
-    one = fockpoly.PolyFunction.constant(1, 1.0)
-    gram1, sigma1, _ = quad.mc_disk_gram([one], 1, K, cfg)
-    gram2, sigma2, _ = quad.mc_disk_gram([one], 1, K, cfg)
+    one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
+    gram1, sigma1, _ = quad.mc_disk_gram(one, 1, K, cfg)
+    gram2, sigma2, _ = quad.mc_disk_gram(one, 1, K, cfg)
     assert gram1[0, 0] == gram2[0, 0]
     assert sigma1[0, 0] == sigma2[0, 0]
 
 
 def test_mc_sigma_scaling():
-    one = fockpoly.PolyFunction.constant(1, 1.0)
-    _, small, _ = quad.mc_disk_gram([one], 1, K, quad.MCConfig(samples=20000, seed=6))
-    _, big, _ = quad.mc_disk_gram([one], 1, K, quad.MCConfig(samples=80000, seed=6))
+    one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
+    _, small, _ = quad.mc_disk_gram(one, 1, K, quad.MCConfig(samples=20000, seed=6))
+    _, big, _ = quad.mc_disk_gram(one, 1, K, quad.MCConfig(samples=80000, seed=6))
     assert 1.6 < small[0, 0] / big[0, 0] < 2.4
 
 
 def test_mc_dj_gram_identity_small():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)
-    funcs = [f for _, f in labeled]
+    funcs = fockpoly.PolyFamily([f for _, f in labeled])
     cfg = quad.MCConfig(samples=100000, seed=7)
     gram, sigma, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
     err = np.abs(gram - np.eye(len(funcs)))
     assert np.all(err <= 3 * sigma + 1e-9)
 
 
-def _sampled(f):
-    """f as a disk-side SampledFunction, which mc_dj_gram integrates by
-    sampling z instead of the exact-z path."""
-    return ds.SampledFunction(lambda mats, vecs: (f.evaluate_batch(vecs, mats),
-                                                  np.zeros(len(mats))), "disk")
+def _sampled(family):
+    """A PolyFamily as a disk-side SampledFunction, which mc_dj_gram
+    integrates by sampling z instead of the exact-z path."""
+    return ds.SampledFunction(family.split, "disk", size=len(family))
 
 
 def test_mc_dj_gram_exact_z_matches_sampled():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
-    funcs = [f for _, f in labeled]
+    funcs = fockpoly.PolyFamily([f for _, f in labeled])
     cfg = quad.MCConfig(samples=60000, seed=8)
     g_rb, s_rb, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
-    g_mc, s_mc, _ = quad.mc_dj_gram([_sampled(f) for f in funcs], 1, M, K, cfg)
+    g_mc, s_mc, _ = quad.mc_dj_gram(_sampled(funcs), 1, M, K, cfg)
     comb = np.sqrt(s_rb ** 2 + s_mc ** 2)
     assert np.all(np.abs(g_rb - g_mc) <= 4 * comb + 1e-9)
     # the exact-z path cancels odd-parity entries identically
@@ -232,11 +232,13 @@ def test_mc_gram_blocks_match_one_shot(n):
     # against one unblocked u u^H over *all* proposals with weight 0 off the
     # domain, replayed on the same seed; 5001 samples in chunks of 3000 leave
     # partial blocks in both
-    funcs = [fockpoly.basis_f(tuple(s), M) for s in fockpoly.enumerate_multiindices(n, 2)]
-    # a nonzero log part, so the driver's exp(logs + logw / 2) is exercised
-    funcs[1] = ds.SampledFunction(
-        lambda mats, vecs, f=funcs[1]: (f.evaluate_batch(vecs, mats),
-                                        0.5 * np.sum(np.abs(vecs) ** 2, axis=1)), "disk")
+    polys = fockpoly.PolyFamily([fockpoly.basis_f(tuple(s), M)
+                                 for s in fockpoly.enumerate_multiindices(n, 2)])
+    # a nonzero shared log part, so the driver's exp(logs + logw / 2) is
+    # exercised
+    funcs = ds.SampledFunction(
+        lambda mats, vecs: (polys.split(mats, vecs)[0], 0.5 * np.sum(np.abs(vecs) ** 2, axis=1)),
+        "disk", size=len(polys))
 
     def draw(rng, ws, dets, mask):
         # z for every proposal, accepted rows kept, as the engines draw it
@@ -266,11 +268,8 @@ def test_mc_gram_blocks_match_one_shot(n):
         parts.append((ws, zs, logw))
     ws, zs, logw = (np.concatenate(p) for p in zip(*parts))
     assert np.any(np.isinf(logw)) and np.any(np.isfinite(logw))
-    vals = []
-    for f in funcs:
-        v, logs = quad.evaluate(f, ws, zs, "disk")
-        vals.append(v * np.exp(logs))
-    vals, weight = np.array(vals), np.exp(logw)
+    vals, logs = funcs.split(ws, zs)
+    vals, weight = vals * np.exp(logs), np.exp(logw)
     acc = (vals * weight) @ vals.conj().T
     acc2 = (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
     ref = (acc + acc.conj().T) / (2 * cfg.samples)
@@ -304,12 +303,12 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
 
     monkeypatch.setattr(quad, "_sample_w", recording)
     cfg = quad.MCConfig(samples=60, seed=5, batch=20)
-    f = fockpoly.basis_f((0, 0, 0), M)
+    f = fockpoly.PolyFamily([fockpoly.basis_f((0, 0, 0), M)])
     space_f = ds.SampledFunction(
-        lambda mats, vecs: (np.ones(len(mats), dtype=complex), np.zeros(len(mats))), "space")
-    results = [quad.mc_disk_gram([f], 3, 4, cfg),
-               quad.mc_dj_gram([_sampled(f)], 3, M, 4, cfg),
-               quad.mc_hj_gram([space_f], 3, M, 4, cfg)]
+        lambda mats, vecs: (np.ones((1, len(mats)), dtype=complex), np.zeros(len(mats))), "space")
+    results = [quad.mc_disk_gram(f, 3, 4, cfg),
+               quad.mc_dj_gram(_sampled(f), 3, M, 4, cfg),
+               quad.mc_hj_gram(space_f, 3, M, 4, cfg)]
     assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
     for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
@@ -426,7 +425,7 @@ def _frozen_gram(funcs, w):
         for (s, a), c in f.terms.items():
             terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
         frozen.append(fockpoly.PolyFunction(1, terms))
-    return quad.fock_gram(frozen, np.array([[w]]), M)
+    return quad.fock_gram(fockpoly.PolyFamily(frozen), np.array([[w]]), M)
 
 
 def _section_pair():
@@ -441,7 +440,7 @@ def _section_pair():
 
 
 def _power_sum_contraction(funcs, ws, weight):
-    kern = quad._exact_z_kernel(funcs, M)
+    kern = quad._exact_z_kernel(fockpoly.PolyFamily(funcs), M)
     deg = kern.shape[-1] - 1
     return quad._contract_power_sums(kern, *quad._power_sums(ws, weight, deg))
 
@@ -478,11 +477,12 @@ def test_power_sum_parity_entries_are_exact_zeros():
     # kernel block, Gram entry and variance vanish identically
     zdeg = [sum(s) for s, _ in (lbl for lbl, _ in fockpoly.series_basis(1, M, K, 3, 2))]
     odd = np.array([[(a - b) % 2 == 1 for b in zdeg] for a in zdeg])
-    kern = quad._exact_z_kernel(_GRAM_F, M)
+    kern = quad._exact_z_kernel(fockpoly.PolyFamily(_GRAM_F), M)
     assert odd.any() and np.all(kern[odd] == 0)
     acc, acc2 = _power_sum_contraction(_GRAM_F, _WS, np.ones(len(_WS)))
     assert np.all(acc[odd] == 0) and np.all(acc2[odd] == 0)
-    gram, sigma, _ = quad.mc_dj_gram(_GRAM_F, 1, M, K, quad.MCConfig(samples=30000, seed=3))
+    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), 1, M, K,
+                                     quad.MCConfig(samples=30000, seed=3))
     assert np.all(gram[odd] == 0) and np.all(sigma[odd] == 0)
 
 
@@ -491,8 +491,9 @@ def test_exact_z_stats_match_the_disk_draw():
     # det^(k - 5/2) of mc_disk_gram, and in chunks of 20000 both see the same
     # W: the ESS and the largest share, both scale-free, agree
     cfg = quad.MCConfig(samples=50000, seed=17, batch=20000)
-    _, _, exact = quad.mc_dj_gram(_GRAM_F[:2], 1, M, K, cfg)
-    _, _, disk = quad.mc_disk_gram([fockpoly.PolyFunction.constant(1, 1.0)], 1, K, cfg)
+    _, _, exact = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F[:2]), 1, M, K, cfg)
+    _, _, disk = quad.mc_disk_gram(fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)]),
+                                   1, K, cfg)
     assert exact["proposed"] == exact["accepted"] == cfg.samples
     assert (disk["proposed"], disk["accepted"]) == (cfg.samples, cfg.samples)
     assert_allclose(exact["ess"], disk["ess"], rtol=1e-12)
@@ -503,25 +504,27 @@ def test_exact_z_stats_match_the_disk_draw():
 def test_mc_hj_matches_disk_norm():
     params = ds.ReprParams(1, M, K)
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
-    psi = labeled[0][1]
+    psi = fockpoly.PolyFamily([labeled[0][1]])
     cfg = quad.MCConfig(samples=120000, seed=9)
-    disk, disk_sigma, _ = quad.mc_dj_gram([psi], 1, M, K, cfg)
+    disk, disk_sigma, _ = quad.mc_dj_gram(psi, 1, M, K, cfg)
     phi = ds.t_star(psi, params)
-    space, space_sigma, _ = quad.mc_hj_gram([phi], 1, M, K, cfg)
+    space, space_sigma, _ = quad.mc_hj_gram(phi, 1, M, K, cfg)
     tol = 3 * math.hypot(disk_sigma[0, 0], space_sigma[0, 0])
     assert abs(disk[0, 0] - space[0, 0]) <= tol
     assert abs(disk[0, 0] - 1.0) <= 3 * disk_sigma[0, 0]
 
 
 def test_mc_hj_two_function_path():
-    # <phi, phi2> with phi2 a distinct but equal function takes the
-    # two-function path of the driver and must give the same estimate
+    # <phi, phi2> with phi2 a distinct but equal member of a transported
+    # family of two takes the two-function path of the driver and must give
+    # the same estimate
     params = ds.ReprParams(1, M, K)
     psi = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)[3][1]
-    phi, phi2 = ds.t_star(psi, params), ds.t_star(psi, params)
+    phi = ds.t_star(fockpoly.PolyFamily([psi]), params)
+    phis = ds.t_star(fockpoly.PolyFamily([psi, psi]), params)
     cfg = quad.MCConfig(samples=30000, seed=14)
-    one, one_sigma, one_stats = quad.mc_hj_gram([phi], 1, M, K, cfg)
-    two, two_sigma, two_stats = quad.mc_hj_gram([phi, phi2], 1, M, K, cfg)
+    one, one_sigma, one_stats = quad.mc_hj_gram(phi, 1, M, K, cfg)
+    two, two_sigma, two_stats = quad.mc_hj_gram(phis, 1, M, K, cfg)
     assert abs(two[0, 1] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
     assert abs(two_sigma[0, 1] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
     assert one_stats["proposed"] == two_stats["proposed"] == cfg.samples
@@ -530,12 +533,12 @@ def test_mc_hj_two_function_path():
 @pytest.mark.parametrize("n", [1, 2])
 def test_mc_dj_inner_same_function_path(n):
     # <psi, psi> from the one-function Gram; a distinct but equal psi2 in a
-    # two-function Gram must give the same estimate, on and off the diagonal
+    # family of two must give the same estimate, on and off the diagonal
     s = (1,) + (0,) * (n - 1)
     psi, psi2 = fockpoly.basis_f(s, M), fockpoly.basis_f(s, M)
     cfg = quad.MCConfig(samples=20000, seed=15)
-    one, one_sigma, _ = quad.mc_dj_gram([psi], n, M, K, cfg)
-    two, two_sigma, _ = quad.mc_dj_gram([psi, psi2], n, M, K, cfg)
+    one, one_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), n, M, K, cfg)
+    two, two_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi, psi2]), n, M, K, cfg)
     for entry in ((0, 0), (0, 1), (1, 1)):
         assert abs(two[entry] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
         assert abs(two_sigma[entry] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
@@ -549,11 +552,13 @@ def test_family_grams_match_one_member_runs(n):
     params = ds.ReprParams(n, M, K)
     psis = [f for _, f in ds._isometry_functions(params)]
     cfg = quad.MCConfig(samples=20000, seed=16)
-    family = [quad.mc_dj_gram(psis, n, M, K, cfg),
-              quad.mc_hj_gram([ds.t_star(fockpoly.PolyFamily(psis), params)], n, M, K, cfg)]
+    both = fockpoly.PolyFamily(psis)
+    family = [quad.mc_dj_gram(both, n, M, K, cfg),
+              quad.mc_hj_gram(ds.t_star(both, params), n, M, K, cfg)]
     for i, psi in enumerate(psis):
-        ones = [quad.mc_dj_gram([psi], n, M, K, cfg),
-                quad.mc_hj_gram([ds.t_star(psi, params)], n, M, K, cfg)]
+        psi = fockpoly.PolyFamily([psi])
+        ones = [quad.mc_dj_gram(psi, n, M, K, cfg),
+                quad.mc_hj_gram(ds.t_star(psi, params), n, M, K, cfg)]
         for (gram, sigma, stats), (g1, s1, st1) in zip(family, ones):
             assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
             assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)

@@ -71,6 +71,18 @@ def test_fock_expansions_grow_to_their_tail_target(seed):
         assert c.detail["tail_estimate"] <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_single_suite_report_records_its_run(name):
+    # a single-suite report carries the config that made it, every field and
+    # the seed it was given (not a Monte Carlo substream), so a rerun from
+    # the report's own params and seed repeats it
+    cfg = SuiteConfig(n=1, seed=5, samples=2000, trunc=11)
+    rep = suites.run_suite(name, cfg)
+    assert (rep.suite, rep.params, rep.seed) == (name, cfg.to_dict(), cfg.seed)
+    again = suites.run_suite(name, SuiteConfig(seed=rep.seed, **rep.params))
+    assert again.to_json() == rep.to_json()
+
+
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         suites.run_suite("bogus", SuiteConfig())
