@@ -60,9 +60,10 @@ class SampledFunction:
         return self.size
 
     def __call__(self, point):
-        """Value of a one-member family at one point or at each point of a
-        stack: an SJDiskPoint, an SJSpacePoint, or a raw (matrix, vector)
-        pair, validated as a point of this function's side."""
+        """Values at one point or at each point of a stack: an SJDiskPoint,
+        an SJSpacePoint, or a raw (matrix, vector) pair, validated as a point
+        of this function's side.  A one-member family has the shape of the
+        stack, a larger one a leading axis of its members."""
         if not isinstance(point, (SJDiskPoint, SJSpacePoint)):
             point = (SJDiskPoint if self.side == "disk" else SJSpacePoint)(*point)
         side = "disk" if isinstance(point, SJDiskPoint) else "space"
@@ -70,7 +71,8 @@ class SampledFunction:
         mat, vec = (point.w, point.z) if side == "disk" else (point.omega, point.zeta)
         vals, logs = self.split(mat.reshape((-1,) + mat.shape[-2:]),
                                 vec.reshape(-1, vec.shape[-1]))
-        return numkit.item_or_stack((vals * np.exp(logs)).reshape(mat.shape[:-2]))
+        members = () if self.size == 1 else (self.size,)
+        return numkit.item_or_stack((vals * np.exp(logs)).reshape(members + mat.shape[:-2]))
 
 
 # --- representation operators ---
@@ -162,11 +164,8 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
 
 # --- verification suites ---
 
-def _tame_disk_batch(n, rng, count):
-    """count points (W, z) drawn as one stack, each from its own seed taken
-    from rng, as a loop of per-point draws would take them."""
-    seeds = [int(rng.integers(2 ** 31)) for _ in range(count)]
-    return domains.sample_sj_disk_batch(n, seeds, 0.5, 0.6)
+def _tame_disk_batch(n, count, seed):
+    return domains.sample_sj_disk_batch(n, count, seed, 0.5, 0.6)
 
 
 def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyReport:
@@ -177,7 +176,7 @@ def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyRep
     as-printed sign variant are recorded in the detail for comparison."""
     n = params.n
     eye = np.eye(n)
-    x = _tame_disk_batch(n, np.random.default_rng(seed), count)
+    x = _tame_disk_batch(n, count, seed)
     y = domains.cayley_forward(x)
     w, z = x.w, x.z
     yim, eta = y.omega.imag, y.zeta.imag
@@ -206,7 +205,7 @@ def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
     n = params.n
     target = 2.0 ** (n * (n + 3))
     eye = np.eye(n)
-    x = _tame_disk_batch(n, np.random.default_rng(seed), count)
+    x = _tame_disk_batch(n, count, seed)
 
     def chart(v):
         # real chart coordinates as columns (D, ...) -> image coordinates
@@ -335,9 +334,8 @@ def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyRepor
 
     phi = SampledFunction(phi_split, "space")
     forth = t_star(t_inv(phi, params), params)
-    # the draws alternate: a disk point, then one mapped to the space side
-    both = _tame_disk_batch(n, np.random.default_rng(seed), 2 * count)
-    x, y = both[0::2], domains.cayley_forward(both[1::2])
+    both = _tame_disk_batch(n, 2 * count, seed)
+    x, y = both[:count], domains.cayley_forward(both[count:])
     worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
     worst_space = float(np.max(np.abs(forth(y) - phi(y))))
     checks = [
@@ -355,8 +353,8 @@ def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> repo
     psi = fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], params.m)
                                + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m)
                                * 0.7])
-    gs = groups.theta_iso(groups.random_jacobi_batch(n, seed * 1000 + np.arange(count), scale))
-    y = domains.cayley_forward(_tame_disk_batch(n, np.random.default_rng(seed), count))
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, count, (seed, 1000, 0), scale))
+    y = domains.cayley_forward(_tame_disk_batch(n, count, (seed, 1000, 1)))
     lhs = t_star(pi_star_apply(gs, psi, params), params)(y)
     rhs = pi_apply(groups.theta_inv(gs), t_star(psi, params), params)(y)
     checks = [report.residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]

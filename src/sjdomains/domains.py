@@ -145,37 +145,35 @@ def batch_cayley_inverse(oms, zetas):
     return x[..., :n], x[..., n]
 
 
-def _draw_w(rngs, n, radius_cap):
-    """One symmetric W per generator, sigma_max(W) < radius_cap; unvalidated."""
+def _draw_w(rng, n, count, radius_cap):
+    """count symmetric W from rng, sigma_max(W) < radius_cap; unvalidated."""
     if not 0 < radius_cap < 1:
         raise ValueError("radius_cap must lie in (0, 1)")
-    m = numkit.symmetrize(np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                                    for rng in rngs]))
+    shape = (count, n, n)
+    m = numkit.symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     smax = np.linalg.svd(m, compute_uv=False)[:, 0]
     return radius_cap * m / (1.0 + smax)[:, None, None]
 
 
 def sample_disk_point(n, radius_cap=0.8, seed=None):
     """Random symmetric W with sigma_max(W) < radius_cap, deterministic per seed."""
-    return DiskPoint(_draw_w([np.random.default_rng(seed)], n, radius_cap)[0])
+    return DiskPoint(_draw_w(np.random.default_rng(seed), n, 1, radius_cap)[0])
 
 
-def _sample_polydisk(rng, n, cap):
-    r = cap * np.sqrt(rng.random(n))
-    phase = np.exp(2j * np.pi * rng.random(n))
-    return r * phase
-
-
-def sample_sj_disk_batch(n, seeds, radius_cap=0.8, z_cap=2.0) -> SJDiskPoint:
-    """The stack of sample_sj_disk_point(n, radius_cap, z_cap, seed) over
-    seeds, member for member, validated once."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    ws = _draw_w(rngs, n, radius_cap)
-    return SJDiskPoint(ws, np.stack([_sample_polydisk(rng, n, z_cap) for rng in rngs]))
+def sample_sj_disk_batch(n, count, seed, radius_cap=0.8, z_cap=2.0) -> SJDiskPoint:
+    """A stack of count points (W, z), sigma_max(W) < radius_cap and z in
+    the polydisk of radius z_cap, validated once.  One generator, seeded by
+    any entropy default_rng takes, draws the stack with one array call each:
+    the real then imaginary normals of W, then the radii then the phases of
+    z; a batch of one is sample_sj_disk_point at the same seed."""
+    rng = np.random.default_rng(seed)
+    ws = _draw_w(rng, n, count, radius_cap)
+    r = z_cap * np.sqrt(rng.random((count, n)))
+    return SJDiskPoint(ws, r * np.exp(2j * np.pi * rng.random((count, n))))
 
 
 def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, seed=None):
-    return sample_sj_disk_batch(n, [seed], radius_cap, z_cap)[0]
+    return sample_sj_disk_batch(n, 1, seed, radius_cap, z_cap)[0]
 
 
 # --- JSON encoding: complex scalar as [re, im], matrices nested row-major ---

@@ -288,20 +288,23 @@ def act_sj_disk(gs: JacobiStarElement, x: SJDiskPoint) -> SJDiskPoint:
 
 # --- seeded random elements ---
 
-def random_jacobi_batch(n, seeds, scale=0.5) -> JacobiElement:
-    """The stack of random_jacobi(n, scale, seed) over seeds, member for
-    member: sigma = exp(J S) with S random real symmetric (in the group up to
-    roundoff), then (lam, mu, kappa), all drawn from one generator per seed."""
-    draws = [(rng.standard_normal((2 * n, 2 * n)), rng.standard_normal((2, n)),
-              rng.standard_normal()) for rng in map(np.random.default_rng, seeds)]
-    s, lam_mu, kappa = (scale * np.array(part) for part in zip(*draws))
+def random_jacobi_batch(n, count, seed, scale=0.5) -> JacobiElement:
+    """A stack of count random Jacobi elements: sigma = exp(J S) with S
+    random real symmetric (in the group up to roundoff), then (lam, mu,
+    kappa).  One generator, seeded by any entropy default_rng takes, draws
+    the stack with one array call each for S, (lam, mu) and kappa; a batch
+    of one is random_jacobi at the same seed."""
+    rng = np.random.default_rng(seed)
+    s = scale * rng.standard_normal((count, 2 * n, 2 * n))
+    lam_mu = scale * rng.standard_normal((count, 2, n))
+    kappa = scale * rng.standard_normal(count)
     sigma = numkit.matrix_exp(symplectic_j(n) @ numkit.symmetrize(s).real).real
     return JacobiElement(SpElement.from_matrix(sigma),
                          HeisenbergElement(lam_mu[:, 0], lam_mu[:, 1], kappa))
 
 
 def random_jacobi(n, scale=0.5, seed=None) -> JacobiElement:
-    return random_jacobi_batch(n, [seed], scale)[0]
+    return random_jacobi_batch(n, 1, seed, scale)[0]
 
 
 def random_jacobi_star(n, scale=0.5, seed=None) -> JacobiStarElement:

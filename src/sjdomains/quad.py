@@ -391,10 +391,18 @@ def require_side(family, side):
         raise ValueError(f"{family.side}-side function evaluated on the {side} model")
 
 
+# a check whose ess_f is below this fraction of its accepted samples rests on
+# a few of them; ess_f_low flags it, as data: no verdict or bound reads it
+ESS_F_LOW_FRACTION = 0.01
+
+
 def mc_stats(stats, rows=slice(None)):
     """The stats of a check that reads the functions `rows` of an engine's
-    Gram: its ess_f is the smallest of their Kish sizes."""
-    return {**stats, "ess_f": float(np.min(stats["ess_f"][rows]))}
+    Gram: its ess_f is the smallest of their Kish sizes, and ess_f_low says
+    whether that is below ESS_F_LOW_FRACTION of the accepted samples."""
+    ess_f = float(np.min(stats["ess_f"][rows]))
+    return {**stats, "ess_f": ess_f,
+            "ess_f_low": ess_f < ESS_F_LOW_FRACTION * stats["accepted"]}
 
 
 # samples per Gram contraction: it bounds the (nf, block) values or the

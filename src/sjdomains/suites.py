@@ -92,17 +92,15 @@ def _disk_dist(x1: domains.SJDiskPoint, x2: domains.SJDiskPoint) -> float:
 
 
 # --- algebraic suites ---
-# Each draws its points and elements as stacks from the same per-index seeds
-# as one draw per index would, and evaluates every identity on the stack;
-# the residual is the worst member.
+# Each draws its points and elements as stacks, each stack from its own
+# entropy (seed, suite tag, stack index), and evaluates every identity on the
+# stack; the residual is the worst member.
 
 @_suite("group-axioms")
 def run_group_axioms(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    base = seed * 7919 + 3 * np.arange(count)
-    g1, g2, g3 = (groups.random_jacobi_batch(n, base + i) for i in range(3))
-    # random_jacobi_star(seed) is theta_iso(random_jacobi(seed))
+    g1, g2, g3 = (groups.random_jacobi_batch(n, count, (seed, 7919, i)) for i in range(3))
     s1, s2, s3 = (groups.theta_iso(g) for g in (g1, g2, g3))
     ident = groups.JacobiElement.identity(n)
     ident_s = groups.JacobiStarElement.identity(n)
@@ -126,8 +124,7 @@ def run_group_axioms(cfg: SuiteConfig, count=100) -> list:
 def run_theta_iso(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    base = seed * 6211 + 2 * np.arange(count)
-    g1, g2 = groups.random_jacobi_batch(n, base), groups.random_jacobi_batch(n, base + 1)
+    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 6211, i)) for i in range(2))
     gs = groups.theta_iso(g1)
     worst_hom = _jacobi_star_dist(groups.theta_iso(groups.jacobi_mul(g1, g2)),
                                   groups.jacobi_star_mul(gs, groups.theta_iso(g2)))
@@ -141,11 +138,9 @@ def run_theta_iso(cfg: SuiteConfig, count=100) -> list:
 def run_actions(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     tol = _tol(cfg, 1e-9)
-    t = np.arange(count)
-    x = domains.sample_sj_disk_batch(n, seed * 4099 + t, 0.6, 0.8)
+    x = domains.sample_sj_disk_batch(n, count, (seed, 4099, 0), 0.6, 0.8)
     y = domains.cayley_forward(x)
-    g1 = groups.random_jacobi_batch(n, seed * 4099 + 2 * t)
-    g2 = groups.random_jacobi_batch(n, seed * 4099 + 2 * t + 1)
+    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 4099, i)) for i in (1, 2))
     s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
     worst = {
         "space-composition": _space_dist(groups.act_sj_space(g1, groups.act_sj_space(g2, y)),
@@ -165,14 +160,12 @@ def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> list:
     n, seed = cfg.n, cfg.seed
     round_tol = 1e-12
     equi_tol = _tol(cfg, 1e-9)
-    t = np.arange(count)
-    x = domains.sample_sj_disk_batch(n, seed * 9001 + t, 0.85, 1.5)
-    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, seed * 9001 + count + t, 0.7, 1.0))
+    x = domains.sample_sj_disk_batch(n, count, (seed, 9001, 0), 0.85, 1.5)
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, count, (seed, 9001, 1), 0.7, 1.0))
     worst_round = max(_disk_dist(domains.cayley_inverse(domains.cayley_forward(x)), x),
                       _space_dist(domains.cayley_forward(domains.cayley_inverse(y)), y))
-    t = np.arange(cases)
-    g = groups.random_jacobi_batch(n, seed * 9013 + t)
-    x = domains.sample_sj_disk_batch(n, seed * 9013 + t, 0.6, 0.8)
+    g = groups.random_jacobi_batch(n, cases, (seed, 9013, 0))
+    x = domains.sample_sj_disk_batch(n, cases, (seed, 9013, 1), 0.6, 0.8)
     worst_equi = _space_dist(domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x)),
                              groups.act_sj_space(g, domains.cayley_forward(x)))
     return [residual_check("roundtrip", worst_round, round_tol),
@@ -184,11 +177,9 @@ def run_cocycle(cfg: SuiteConfig, count=100) -> list:
     n, seed = cfg.n, cfg.seed
     m, k = cfg.m, cfg.k
     tol = _tol(cfg, 1e-8)
-    t = np.arange(count)
-    x = domains.sample_sj_disk_batch(n, seed * 5003 + t, 0.55, 0.7)
+    x = domains.sample_sj_disk_batch(n, count, (seed, 5003, 0), 0.55, 0.7)
     y = domains.cayley_forward(x)
-    g1 = groups.random_jacobi_batch(n, seed * 5003 + 2 * t)
-    g2 = groups.random_jacobi_batch(n, seed * 5003 + 2 * t + 1)
+    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 5003, i)) for i in (1, 2))
     s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
     g2y, s2x = groups.act_sj_space(g2, y), groups.act_sj_disk(s2, x)
     worst = {
@@ -422,9 +413,8 @@ def run_kernel_invariance(cfg: SuiteConfig, count=100) -> list:
     variant is reported alongside for reference."""
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
     tol = _tol(cfg, 1e-7)
-    t = np.arange(count)
-    gs = groups.theta_iso(groups.random_jacobi_batch(n, seed * 7717 + t, scale=0.4))
-    x = domains.sample_sj_disk_batch(n, seed * 7717 + t, 0.5, 0.8)
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, count, (seed, 7717, 0), scale=0.4))
+    x = domains.sample_sj_disk_batch(n, count, (seed, 7717, 1), 0.5, 0.8)
     gx = groups.act_sj_disk(gs, x)
     jac = np.abs(kernels.jmk_star(gs, x, m, k)) ** 2
     ratio = kernels.kmk_star_weight_flipped(gx, m, k) * jac / kernels.kmk_star_weight_flipped(x, m, k)

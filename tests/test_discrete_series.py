@@ -103,13 +103,28 @@ def test_t_star_of_a_family_stacks_the_members(n):
     psis = [f for _, f in ds._isometry_functions(params)] + [_test_poly(params)]
     phi = ds.t_star(fockpoly.PolyFamily(psis), params)
     assert len(phi) == len(psis) and phi.side == "space"
-    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, range(40), 0.6, 0.8))
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 40, n, 0.6, 0.8))
     vals, logs = phi.split(y.omega, y.zeta)
     assert vals.shape == (len(psis), 40) and logs.shape == (40,)
     for i, psi in enumerate(psis):
         one_vals, one_logs = ds.t_star(fockpoly.PolyFamily([psi]), params).split(y.omega, y.zeta)
         assert_allclose(vals[i], one_vals[0], rtol=1e-14, atol=0)
         assert_allclose(logs, one_logs, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_family_values_have_a_member_axis(n):
+    # a family of two called at a point or a stack gives one value per
+    # member, (len,) + the stack's shape; a family of one the stack's shape
+    params = ds.ReprParams(n, 0.25, 3)
+    f0, f1 = [f for _, f in ds._isometry_functions(params)][:2]
+    phi = ds.t_star(fockpoly.PolyFamily([f0, f1]), params)
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 7, n, 0.6, 0.8))
+    ones = [ds.t_star(fockpoly.PolyFamily([f]), params) for f in (f0, f1)]
+    assert phi(y).shape == (2, 7) and ones[0](y).shape == (7,)
+    assert_allclose(phi(y), [one(y) for one in ones], rtol=1e-14, atol=0)
+    assert phi(y[3]).shape == (2,) and isinstance(ones[1](y[3]), complex)
+    assert_allclose(phi(y[3]), [one(y[3]) for one in ones], rtol=1e-14, atol=0)
 
 
 def test_sampled_function_side_guard():

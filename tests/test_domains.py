@@ -109,21 +109,44 @@ def _seeds(n):
     return 5000 * n + np.arange(60)
 
 
+def _reference_disk_point(n, radius_cap, z_cap, seed):
+    # one member's draws written out in their order: the real then imaginary
+    # normals of W, then the radii then the phases of z
+    rng = np.random.default_rng(seed)
+    m = numkit.symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = radius_cap * m / (1.0 + np.linalg.svd(m, compute_uv=False)[0])
+    r = z_cap * np.sqrt(rng.random(n))
+    return w, r * np.exp(2j * np.pi * rng.random(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_disk_sampler_batch_is_bitwise_per_seed(n):
-    xs = domains.sample_sj_disk_batch(n, _seeds(n), 0.85, 1.5)
-    for i, seed in enumerate(_seeds(n)):
+    # one generator per stack: at each seed a batch of one is the scalar
+    # draw and the reference draw bit for bit; a stack repeats at its
+    # entropy, other entropy gives another stack, and every member meets
+    # the caps
+    for seed in _seeds(n):
+        w, z = _reference_disk_point(n, 0.85, 1.5, seed)
         x = domains.sample_sj_disk_point(n, 0.85, 1.5, seed=seed)
-        assert np.array_equal(xs.w[i], x.w) and np.array_equal(xs.z[i], x.z)
-        assert np.array_equal(xs[i].w, x.w) and np.array_equal(xs[i].z, x.z)
+        one = domains.sample_sj_disk_batch(n, 1, seed, 0.85, 1.5)
+        assert np.array_equal(x.w, w) and np.array_equal(x.z, z)
+        assert np.array_equal(one.w[0], w) and np.array_equal(one.z[0], z)
+        assert np.array_equal(domains.sample_disk_point(n, 0.85, seed=seed).w, w)
+    first = _seeds(n)[0]
+    xs, again, other = (domains.sample_sj_disk_batch(n, 60, entropy, 0.85, 1.5)
+                        for entropy in (first, first, (first, 1)))
+    assert np.array_equal(xs.w, again.w) and np.array_equal(xs.z, again.z)
+    assert not np.any(xs.w == other.w) and not np.any(xs.z == other.z)
+    assert np.all(np.linalg.svd(xs.w, compute_uv=False)[:, 0] < 0.85)
+    assert np.all(np.abs(xs.z) < 1.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chart_stack_matches_batches_of_one(n):
-    xs = domains.sample_sj_disk_batch(n, _seeds(n), 0.85, 1.5)
+    xs = domains.sample_sj_disk_batch(n, 60, _seeds(n)[0], 0.85, 1.5)
     ys = domains.cayley_forward(xs)
     back = domains.cayley_inverse(ys)
-    for i in range(len(_seeds(n))):
+    for i in range(60):
         y = domains.cayley_forward(xs[i])
         assert_allclose(ys.omega[i], y.omega, rtol=1e-13)
         assert_allclose(ys.zeta[i], y.zeta, rtol=1e-13)
@@ -147,7 +170,7 @@ def _raises_like_scalar(build_one, build_stack, bad, expected):
 
 
 def _disk_stack(n=2):
-    return domains.sample_sj_disk_batch(n, np.arange(100), 0.8, 1.0)
+    return domains.sample_sj_disk_batch(n, 100, n, 0.8, 1.0)
 
 
 @pytest.mark.parametrize("at", SPOILED_AT)

@@ -124,7 +124,7 @@ def test_family_evaluation_matches_per_term_sums(n, k):
     # the series basis F_sa (|s| <= 3, deg q_a <= 2) evaluated together from
     # one monomial table, against the per-term sums, at 50 points
     funcs = [f for _, f in fockpoly.series_basis(n, M, k, s_max=3, a_max=2)]
-    x = domains.sample_sj_disk_batch(n, range(50), 0.6, 0.8)
+    x = domains.sample_sj_disk_batch(n, 50, n, 0.6, 0.8)
     vals, logs = fockpoly.PolyFamily(funcs).split(x.w, x.z)
     assert vals.shape == (len(funcs), 50) and np.all(logs == 0)
     for f, got in zip(funcs, vals):

@@ -142,22 +142,36 @@ def _assert_star_close(g, ref, rtol=1e-13):
 
 
 def _stacks(n, count=60):
-    seeds = 3000 * n + np.arange(count)
-    g1, g2 = groups.random_jacobi_batch(n, seeds), groups.random_jacobi_batch(n, seeds + count)
-    return seeds, g1, g2
+    return (groups.random_jacobi_batch(n, count, (3000, n, i)) for i in range(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jacobi_sampler_batch_matches_per_seed(n):
-    seeds, g1, _ = _stacks(n)
-    for i, seed in enumerate(seeds):
-        _assert_jacobi_close(g1[i], groups.random_jacobi(n, seed=seed), rtol=0.0, atol=1e-15)
-        _assert_star_close(groups.theta_iso(g1)[i], groups.random_jacobi_star(n, seed=seed))
+    # one generator per stack: at each seed a batch of one is the scalar
+    # element, whose (lam, mu, kappa) are the reference draws (S, then
+    # (lam, mu), then kappa) bit for bit; a stack repeats at its entropy,
+    # other entropy gives another stack, and every member is symplectic
+    seeds = 3000 * n + np.arange(60)
+    for seed in seeds:
+        g = groups.random_jacobi(n, seed=seed)
+        _assert_jacobi_close(groups.random_jacobi_batch(n, 1, seed)[0], g, rtol=0.0)
+        _assert_star_close(groups.random_jacobi_star(n, seed=seed), groups.theta_iso(g), rtol=0.0)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((2 * n, 2 * n))
+        lam, mu = 0.5 * rng.standard_normal((2, n))
+        assert np.array_equal(g.h.lam, lam) and np.array_equal(g.h.mu, mu)
+        assert g.h.kappa == 0.5 * rng.standard_normal()
+    g1, again, other = (groups.random_jacobi_batch(n, 60, entropy)
+                        for entropy in (seeds[0], seeds[0], (seeds[0], 1)))
+    _assert_jacobi_close(again, g1, rtol=0.0)
+    assert not np.any(g1.h.lam == other.h.lam) and not np.any(g1.h.kappa == other.h.kappa)
+    m, j = g1.sigma.as_matrix(), groups.symplectic_j(n)
+    assert np.max(np.abs(np.swapaxes(m, -1, -2) @ j @ m - j)) <= groups.GROUP_TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_laws_stack_match_batches_of_one(n):
-    _, g1, g2 = _stacks(n)
+    g1, g2 = _stacks(n)
     s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
     stacked = {"mul": groups.jacobi_mul(g1, g2), "inv": groups.jacobi_inv(g1),
                "theta_inv": groups.theta_inv(s1)}
@@ -174,12 +188,12 @@ def test_group_laws_stack_match_batches_of_one(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_actions_stack_match_batches_of_one(n):
-    seeds, g1, _ = _stacks(n)
+    g1, _ = _stacks(n)
     s1 = groups.theta_iso(g1)
-    x = domains.sample_sj_disk_batch(n, seeds, 0.6, 0.8)
+    x = domains.sample_sj_disk_batch(n, 60, (3000, n, 2), 0.6, 0.8)
     y = domains.cayley_forward(x)
     gy, sx = groups.act_sj_space(g1, y), groups.act_sj_disk(s1, x)
-    for i in range(len(seeds)):
+    for i in range(60):
         one = groups.act_sj_space(g1[i], y[i])
         assert_allclose(gy.omega[i], one.omega, rtol=1e-13)
         assert_allclose(gy.zeta[i], one.zeta, rtol=1e-13)
@@ -193,7 +207,7 @@ def test_actions_stack_match_batches_of_one(n):
 
 @pytest.mark.parametrize("at", [0, 37, 99])
 def test_element_stacks_validate_every_member(at):
-    g = groups.random_jacobi_batch(2, np.arange(100))
+    g = groups.random_jacobi_batch(2, 100, 0)
     gs = groups.theta_iso(g)
     blocks = [getattr(g.sigma, name).copy() for name in "abcd"]
     blocks[0][at] *= 1.01

@@ -156,15 +156,15 @@ def test_weights_positive():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_factors_stack_match_batches_of_one(n):
-    seeds = 4000 * n + np.arange(60)
-    g = groups.random_jacobi_batch(n, seeds)
-    gs = groups.theta_iso(groups.random_jacobi_batch(n, seeds + 60))
-    x = domains.sample_sj_disk_batch(n, seeds, 0.55, 0.7)
+    count = 60
+    g = groups.random_jacobi_batch(n, count, (4000, n, 0))
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, count, (4000, n, 1)))
+    x = domains.sample_sj_disk_batch(n, count, (4000, n, 2), 0.55, 0.7)
     y = domains.cayley_forward(x)
     stacked = {"j1": kernels.j1(g.sigma, y), "j1_star": kernels.j1_star(gs.omega, x),
                "theta": kernels.theta_factor(g, y), "theta_star": kernels.theta_star(gs, x),
                "jmk": kernels.jmk(g, y, M, K), "jmk_star": kernels.jmk_star(gs, x, M, K)}
-    for i in range(len(seeds)):
+    for i in range(count):
         one = {"j1": kernels.j1(g.sigma[i], y[i]), "j1_star": kernels.j1_star(gs.omega[i], x[i]),
                "theta": kernels.theta_factor(g[i], y[i]),
                "theta_star": kernels.theta_star(gs[i], x[i]),

@@ -116,8 +116,7 @@ def test_matrix_exp_matches_scipy_on_hamiltonian_stacks(n):
     # exp(J S) for the random symmetric S of random_jacobi_batch, as one
     # stack, against scipy's expm one member at a time; the results are
     # symplectic
-    s = 0.5 * np.array([np.random.default_rng(t).standard_normal((2 * n, 2 * n))
-                        for t in range(200)])
+    s = 0.5 * np.random.default_rng(n).standard_normal((200, 2 * n, 2 * n))
     jmat = groups.symplectic_j(n)
     ham = jmat @ numkit.symmetrize(s).real
     got = numkit.matrix_exp(ham)

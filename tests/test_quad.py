@@ -313,7 +313,23 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
         assert quad.mc_stats(stats) == {"proposed": 60, "accepted": 0, "ess": 0.0,
-                                        "max_share": 0.0, "ess_f": 0.0}
+                                        "max_share": 0.0, "ess_f": 0.0, "ess_f_low": False}
+
+
+def test_mc_stats_flags_a_small_ess_f():
+    # ess_f_low: the smallest Kish size of the rows a check reads is below
+    # ESS_F_LOW_FRACTION of the accepted samples (the n=2 series-gram at
+    # seed 0 read 2.7 of 16,730); the other stats pass through unchanged
+    stats = {"proposed": 100000, "accepted": 16730, "ess": 900.0, "max_share": 0.2,
+             "ess_f": np.array([2.7, 5000.0, 167.0, 168.0])}
+    cut = quad.ESS_F_LOW_FRACTION * 16730
+    assert 167.0 < cut < 168.0
+    for rows, ess_f, low in (([0, 1], 2.7, True), ([1], 5000.0, False),
+                             ([2], 167.0, True), ([3], 168.0, False),
+                             (slice(None), 2.7, True)):
+        got = quad.mc_stats(stats, rows)
+        assert got == {"proposed": 100000, "accepted": 16730, "ess": 900.0,
+                       "max_share": 0.2, "ess_f": ess_f, "ess_f_low": low}
 
 
 def _proposals(rng, count, n):
@@ -364,7 +380,7 @@ def test_radius_filter_drops_no_accepted_proposal(n):
 
 
 def _w_stack(n, count=200, cap=0.95):
-    return domains.sample_sj_disk_batch(n, range(count), cap).w
+    return domains.sample_sj_disk_batch(n, count, n, cap).w
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

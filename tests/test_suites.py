@@ -49,6 +49,20 @@ def test_each_suite_passes_quick(name, n, k):
     assert all(c.name for c in rep.checks)
 
 
+# the suites whose points and group elements come from the stack samplers,
+# one generator per stack: each passes at several seeds within its tolerance
+SAMPLED_SUITES = ["actions", "cayley", "cocycle", "group-axioms", "intertwining",
+                  "kernel-invariance", "measure-jacobian", "theta-iso", "transfer-identities"]
+
+
+@pytest.mark.parametrize("name", SAMPLED_SUITES)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_sampled_suites_pass_at_several_seeds(name, n, seed):
+    rep = suites.run_suite(name, SuiteConfig(n=n, seed=seed))
+    assert rep.passed, [c.summary() for c in rep.checks if not c.passed]
+
+
 def test_run_all_aggregates_with_prefixes():
     cfg = SuiteConfig(samples=20000, seed=2)
     rep = suites.run_suite("all", cfg)
