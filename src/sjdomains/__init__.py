@@ -25,13 +25,13 @@ from .groups import (JacobiElement, JacobiStarElement, act_sj_disk,
                      act_sj_space, theta_inv, theta_iso)
 from .kernels import (a_form, jmk, jmk_star, kmk_kernel, kmk_star_kernel,
                       kmk_star_weight, kmk_weight)
-from .quad import GaussianForm, MCConfig, fock_gram
+from .quad import MCConfig, fock_gram
 from .report import CheckResult, VerifyReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "GaussianForm", "JacobiElement", "JacobiStarElement",
+    "CheckResult", "JacobiElement", "JacobiStarElement",
     "MCConfig", "PolyFunction", "ReprParams", "SJDiskPoint", "SJSpacePoint",
     "SampledFunction", "TruncationSpec", "VerifyReport", "a_form",
     "act_sj_disk", "act_sj_space", "basis_big_f", "basis_f", "basis_phi",

@@ -22,6 +22,10 @@ protocol (side, len and split(ws, zs) -> (vals, logs), logs = 0) that every
 Gram engine and transfer operator takes; PolyFunction.evaluate is a batch of
 one of a family of one.
 
+q_basis is exact at every n: Hua's total mass of the weighted measure and
+the Taylor blocks of det(I - W conj(V))^{-(k - 1/2)} give the Gram of the
+W-monomials, so nothing here samples or imports the quadrature layer.
+
 Coefficient exactness policy: P_s coefficients are integers; the scaled basis
 representatives used by the differential-system check keep exact Fraction
 coefficients so that residuals are exactly zero, not merely small.  The
@@ -442,39 +446,89 @@ def sym_degree_list(n: int, max_degree: int):
     return sorted(labels, key=lambda a: (a.total(), a.upper))
 
 
+def bergman_mass(n: int, k) -> float:
+    """Total mass of det(I - W conj(W))^{k - n - 3/2} dLeb(W) over the
+    bounded domain, Lebesgue in the upper entries (Hua): with lam = k - 1/2,
+    pi^{n(n+1)/2} 2^{-n(n-1)/2} prod_{j<n} Gamma(lam - (n+1+j)/2)
+    / Gamma(lam - j/2); pi / (k - 3/2) at n = 1."""
+    lam = float(k) - 0.5
+    ratio = math.prod(math.gamma(lam - (n + 1 + j) / 2) / math.gamma(lam - j / 2)
+                      for j in range(n))
+    return math.pi ** (n * (n + 1) // 2) * ratio / 2 ** (n * (n - 1) // 2)
+
+
+def _taylor_blocks(n: int, k, max_degree: int) -> list:
+    """[K_0, ..., K_max_degree]: K_d is the bidegree-(d, d) Taylor block of
+    det(I - W conj(V))^{-lam}, lam = k - 1/2, in the upper entries of W and
+    of conj(V), both axes over the labels a of sym_degree_list with
+    sum(a.upper) = d, in that order.  A bidegree-(d, d) polynomial is its
+    matrix of coefficients, and a product adds each pair of monomials
+    (a, a') into a + a'.  The power sums t_j = tr((W conj V)^j) come from
+    the powers of W conj(V), and the blocks from
+    d K_d = lam sum_{j=1..d} t_j K_{d-j}, the Euler operator applied to
+    exp(lam sum_j t_j / j)."""
+    top = max(max_degree, 1)  # the entries of W conj(V) have degree 1
+    labels = [[a.upper for a in sym_degree_list(n, top) if sum(a.upper) == d]
+              for d in range(top + 1)]
+    pos = {u: p for block in labels for p, u in enumerate(block)}
+
+    @lru_cache(maxsize=None)
+    def scatter(dx, dy):
+        out = np.zeros((len(labels[dx + dy]), len(labels[dx]) * len(labels[dy])))
+        for col, (a, b) in enumerate(itertools.product(labels[dx], labels[dy])):
+            out[pos[tuple(x + y for x, y in zip(a, b))], col] = 1.0
+        return out
+
+    def mul(x, dx, y, dy):
+        return scatter(dx, dy) @ np.kron(x, y) @ scatter(dx, dy).T
+
+    # w[i, j]: the entry W_ij as a vector over the degree-1 labels
+    dim = len(labels[1])
+    w = np.zeros((n, n, dim))
+    for p, (i, j) in enumerate(numkit.upper_pairs(n)):
+        w[i, j, pos[tuple(int(q == p) for q in range(dim))]] = 1.0
+        w[j, i] = w[i, j]
+    entry = np.einsum("ipa,plb->ilab", w, w)  # (W conj V)_il = sum_p W_ip conj(V)_pl
+    power, traces = entry, [None, np.trace(entry)]
+    for j in range(2, max_degree + 1):
+        power = np.array([[sum(mul(power[i, p], j - 1, entry[p, l], 1) for p in range(n))
+                           for l in range(n)] for i in range(n)])
+        traces.append(np.trace(power))
+    blocks = [np.ones((1, 1))]
+    for d in range(1, max_degree + 1):
+        blocks.append((float(k) - 0.5) / d * sum(mul(traces[j], j, blocks[d - j], d - j)
+                                                 for j in range(1, d + 1)))
+    return blocks
+
+
 @lru_cache(maxsize=None)
 def q_basis(n: int, k, max_degree: int):
     """Orthonormal polynomials in W for the weighted measure
     det(I - W conj(W))^{k - n - 3/2} dLeb(W) on the bounded symmetric domain,
-    as a tuple; each (n, k, max_degree) is built once per process.
+    as a tuple over the labels of sym_degree_list(n, max_degree); each
+    (n, k, max_degree) is built once per process.
 
-    n = 1: closed form q_a(w) = w^a / sqrt(pi B(a + 1, k - 3/2)).
-    n >= 2: monomials orthonormalized against the Monte Carlo Gram matrix of
-    quad.Q_BASIS_MC (Cholesky back-substitution), accurate only to the MC
-    error.
+    The monomials are orthonormalized in label order against their exact
+    Gram.  Monomials of different degree sum(a.upper) are orthogonal, and
+    the degree-d block of the Gram is mass inv(K_d) (bergman_mass,
+    _taylor_blocks).  So the degree-d coefficients are the upper triangular
+    U with U t(U) = K_d / mass, a Cholesky factor in reversed order, and no
+    matrix is inverted.  At n = 1, q_a(w) = w^a / sqrt(pi B(a + 1, k - 3/2)).
     """
     if not k > n + 0.5:
         raise ValueError("need k > n + 1/2 for a finite-norm basis")
-    if n == 1:
-        b = float(k) - 1.5
-        out = []
-        for a in range(max_degree + 1):
-            # pi B(a + 1, b), with B(a + 1, b) = a! / (b (b + 1) ... (b + a))
-            norm = math.sqrt(math.pi * math.factorial(a) / math.prod(b + j for j in range(a + 1)))
-            out.append(PolyFunction.monomial(1, a=SymIndex(1, (a,)), coeff=1.0 / norm))
-        return tuple(out)
-    from . import quad
-    monos = [PolyFunction.monomial(n, a=a, coeff=1.0) for a in sym_degree_list(n, max_degree)]
-    gram, _, _ = quad.mc_disk_gram(PolyFamily(monos), n, k, quad.Q_BASIS_MC)
-    low = np.linalg.cholesky(gram)
-    coeffs = numkit.solve(low.T, np.eye(len(monos)))  # columns: new basis in monomials
-    out = []
-    for row in coeffs.T:
-        acc = PolyFunction(n)
-        for c, mono in zip(row, monos):
-            acc = acc + mono * complex(c)
-        out.append(acc)
-    return tuple(out)
+    mass = bergman_mass(n, k)
+    labels = sym_degree_list(n, max_degree)
+    out = {}
+    for d, block in enumerate(_taylor_blocks(n, k, max_degree)):
+        mono = [a for a in labels if sum(a.upper) == d]
+        # U t(U) = K_d / mass; a 1 x 1 block (each one at n = 1) needs only
+        # its square root
+        upper = (np.sqrt(block / mass) if len(block) == 1
+                 else numkit.spd_cholesky(block[::-1, ::-1] / mass)[::-1, ::-1])
+        for a, col in zip(mono, upper.T):
+            out[a] = PolyFunction(n, {((0,) * n, b): float(c) for b, c in zip(mono, col)})
+    return tuple(out[a] for a in labels)
 
 
 def basis_big_f(s: tuple, a_poly: PolyFunction, m: float) -> PolyFunction:
@@ -564,28 +618,25 @@ def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
     rho det(I - W' conj(W))^{-k} exp(8 pi m A(W', z'; W, z)).
 
     With the unit normalization constant convention the reproducing kernel
-    of the weighted space keeps an explicit constant: for n = 1 the q-basis
-    sums to ((k - 3/2)/pi)(1 - w' conj(w))^{-(k - 1/2)}, giving
-    rho = 8 m (k - 3/2).  (Equivalently: unit constant in the kernel would
-    force the normalization constant of the inner product to equal rho.)
+    of the weighted space keeps an explicit constant: the q-basis sums to
+    det(I - W' conj(W))^{-(k - 1/2)} / bergman_mass(n, k), giving
+    rho = (8 pi m)^n / bergman_mass(n, k), which is 8 m (k - 3/2) at n = 1.
+    (Equivalently: unit constant in the kernel would force the normalization
+    constant of the inner product to equal rho.)
     """
-    if n != 1:
-        raise ValueError("closed-form constant implemented for n = 1 only")
-    return float(8.0 * m * (float(k) - 1.5))
+    return float((8.0 * math.pi * m) ** n / bergman_mass(n, k))
 
 
 def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
                               a_max: int) -> TruncationResult:
-    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)); n=1.
+    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)).
 
     F_{s,a} = (8 pi m)^{n/2} f_s q_a, so the sum factors as (8 pi m)^n times
     sum_a q_a(W') conj(q_a(W)) times the partial sums of expansion_fock_full;
-    its limit is discrete_kernel_constant(m, k) * kmk_star_kernel(xp, x, m, k)."""
+    its limit is discrete_kernel_constant(m, k, n) * kmk_star_kernel(xp, x, m, k)."""
     wp, _ = kernels._wz(xp)
     w, _ = kernels._wz(x)
     n = wp.shape[0]
-    if n != 1:
-        raise ValueError("reference constant implemented for n = 1 only")
     vals = PolyFamily(q_basis(n, k, a_max)).split(np.stack([wp, w]))[0]
     qsum = sum(vp * np.conj(v) for vp, v in vals)
     scale = float((8.0 * math.pi * m) ** n) * qsum

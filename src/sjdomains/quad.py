@@ -2,13 +2,15 @@
 Carlo engines for the weighted inner products on the bounded and unbounded
 domains, and finite-difference Jacobian helpers.
 
-The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has its real
-matrix Q written in closed form from H = (I - W conj(W))^{-1} and
-S = conj(W) H, for one W or a stack of them.  Every exact z-integral reads
-off one table of moments E[z^s conj(z)^r], |s|, |r| <= degree, filled row by
-row by Wick's rule from the complex covariances E[z t(z)] and E[z z^*]: a
-Gram of z-polynomials is A M A^H, with A their coefficients.  The Monte
-Carlo engines take the z-law, and the weight's integral, in closed form.
+The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has one
+closed-form law for one W or a stack of them: E[z t(z)] = -/+W / (8 pi m),
+E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
+(_z_moments, _z_normalizer).  Every exact z-integral reads off one table of
+that law's moments E[z^s conj(z)^r], |s|, |r| <= degree, filled row by row
+by Wick's rule (z_law_table): a Gram of z-polynomials is A T A^H, with A
+their coefficients.  The Monte Carlo engines draw z from the same law and
+weigh W by its integral.  The checks of that integral read the form's real
+matrix off kernels.a_form instead (a_form_matrix).
 
 Every integrand is a family with one protocol: its side ('disk' or
 'space'), len() members, and split(mats, vecs) -> (vals (len, N), logs (N,))
@@ -43,29 +45,18 @@ from .domains import SJDiskPoint, SJSpacePoint
 from .fockpoly import PolyFamily
 
 
-# --- Gaussian forms and exact moments ---
+# --- the closed-form z-law and its exact moments ---
 
-def _disk_forms(ws, m, flip):
-    """Matrices Q of the Gaussians 8 pi m A(-W, z) (flip) or 8 pi m A(W, z)
-    for a stack ws (N, n, n).  With H = (I - W conj(W))^{-1} (Hermitian) and
-    S = conj(W) H (symmetric), A(W, z) = conj(z) H t(z) + Re(z S t(z)), and
-    W -> -W only flips the sign of S."""
-    h = np.linalg.inv(np.eye(ws.shape[-1]) - ws @ ws.conj())
-    s = ws.conj() @ h
-    if flip:
-        s = -s
-    q = np.block([[h.real + s.real, -h.imag - s.imag],
-                  [h.imag - s.imag, h.real - s.real]])
-    return 4.0 * math.pi * m * (q + np.swapaxes(q, -1, -2))
+def _z_moments(ws, m, flip):
+    """E[z t(z)] = c = -W / (8 pi m) (+W flipped) and E[z z^*] = d I, d =
+    1 / (8 pi m), of the z-law exp(-8 pi m A(+/-W, z)) / Z given each W."""
+    d = 1.0 / (8.0 * math.pi * m)
+    return (d if flip else -d) * ws, d
 
 
-def _complex_covariances(cov):
-    """(E[z t(z)], E[z z^*]) from the real covariance of (Re z, Im z), for
-    one (2n, 2n) matrix or a stack of them."""
-    n = cov.shape[-1] // 2
-    xx, xy = cov[..., :n, :n], cov[..., :n, n:]
-    yx, yy = cov[..., n:, :n], cov[..., n:, n:]
-    return xx - yy + 1j * (xy + yx), xx + yy + 1j * (yx - xy)
+def _z_normalizer(dets, n, m):
+    """Z = pi^n det(Q)^{-1/2} = (8 m)^{-n} dets^{1/2}, dets = det(I - W conj(W))."""
+    return np.sqrt(dets) / (8.0 * m) ** n
 
 
 def _moment_table(c, d, degree):
@@ -104,51 +95,29 @@ def _moment_table(c, d, degree):
     return table
 
 
-@dataclass(frozen=True)
-class GaussianForm:
-    """Weight exp(-x^T Q x) on R^{2n} in the coordinates (Re z, Im z)."""
+def z_law_table(w, m, degree) -> np.ndarray:
+    """T[s, r] = E[z^s conj(z)^r], |s|, |r| <= degree, under the z-law
+    exp(-8 pi m A(W, z)) / Z of one W (_z_moments).  At W = 0 and
+    m = fockpoly.MATCHING_M, E[z z^*] = I exactly: the standard complex
+    Gaussian, whose table is diag(s!)."""
+    c, d = _z_moments(numkit.symmetrize(w), m, False)
+    return _moment_table(c, d * np.eye(c.shape[-1]), degree)
 
-    q: np.ndarray
 
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] % 2:
-            raise ValueError("q must be 2n x 2n")
-        if np.max(np.abs(q - q.T)) > 1e-10 * max(1.0, np.max(np.abs(q))):
-            raise ValueError("q must be symmetric")
-        ok, lam = numkit.posdef_certificate(q)
-        if not ok:
-            raise ValueError(f"q must be positive definite (min eigenvalue {lam:.3e})")
-        object.__setattr__(self, "q", 0.5 * (q + q.T))
-
-    @property
-    def n(self):
-        return self.q.shape[0] // 2
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(2 * n))
-
-    @classmethod
-    def from_disk_weight(cls, w, m, flip=True):
-        """The form 8 pi m A(-W, z) (flip=True, the invariant-weight Gaussian)
-        or 8 pi m A(W, z) (flip=False, the fixed-W Fock weight)."""
-        w = numkit.symmetrize(w)
-        return cls(_disk_forms(w[None], m, flip)[0])
-
-    def normalization(self):
-        """integral of exp(-x^T Q x) over R^{2n} = pi^n det(Q)^{-1/2}."""
-        return math.pi ** self.n / math.sqrt(float(np.linalg.det(self.q)))
-
-    def covariance(self):
-        return numkit.solve(self.q, np.eye(2 * self.n)).real / 2.0
-
-    def moment_table(self, degree):
-        """M[s, r] = integral of z^s conj(z)^r exp(-x^T Q x) over C^n, plain
-        Lebesgue, for |s|, |r| <= degree in enumerate_multiindices order: the
-        normalization times the table of the form's Gaussian law."""
-        c, d = _complex_covariances(self.covariance())
-        return self.normalization() * _moment_table(c, d, degree)
+def a_form_matrix(w, m) -> np.ndarray:
+    """The real (2n, 2n) matrix Q with x^T Q x = 8 pi m A(W, z) at
+    x = (Re z, Im z), polarized from kernels.a_form, the one implementation
+    of A: Q_uv = (f(u + v) - f(u) - f(v)) / 2 on the unit vectors, with
+    f(2u) = 4 f(u).  The checks of the integral pi^n det(Q)^{-1/2} read it,
+    not the z-law they check."""
+    w = numkit.symmetrize(w)
+    n = w.shape[-1]
+    units = np.eye(2 * n)
+    xs = (units[:, None] + units[None]).reshape(-1, 2 * n)
+    vals = kernels.a_form(np.broadcast_to(w, (len(xs), n, n)), xs[:, :n] + 1j * xs[:, n:])
+    f = 8.0 * math.pi * m * np.real(vals).reshape(2 * n, 2 * n)
+    half = np.diagonal(f) / 4.0
+    return (f - half[:, None] - half[None]) / 2.0
 
 
 # --- Fock inner products and the calibration constant ---
@@ -156,18 +125,18 @@ class GaussianForm:
 def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
     """Gram matrix of a family of z-polynomials in the fixed-W Fock space:
     prefactor (8 pi m)^n det(I - W conj(W))^{-1/2} pi^{-n} times the
-    integrals of f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z), evaluated
-    exactly as A M A^H with A the family's coefficients, each monomial
-    z^s moved to the column of s in the form's moment table M.  Raises
-    ValueError on a family with a W term.
+    integrals of f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z).  The prefactor
+    is the reciprocal of the Gaussian's integral (_z_normalizer), so the
+    Gram is exactly A T A^H, with T the z-law's moment table (z_law_table)
+    and A the family's coefficients, each monomial z^s moved to the column
+    of s.  Raises ValueError on a family with a W term.
 
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
     reports."""
     if hasattr(w, "w"):
         w = w.w
-    w = numkit.symmetrize(w)
-    n = w.shape[0]
+    n = np.shape(w)[-1]
     exps = family.exponents
     if exps[:, n:].any():
         raise ValueError("fock_gram needs z-only polynomials")
@@ -175,18 +144,15 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(n, degree))}
     coef = np.zeros((len(family), len(pos)), dtype=complex)
     coef[:, [pos[tuple(s)] for s in exps[:, :n].tolist()]] = family.coeffs
-    form = GaussianForm.from_disk_weight(w, m, flip=False)
-    pref = ((8.0 * math.pi * m) ** n * numkit.det_power(np.eye(n) - w @ w.conj(), -0.5)
-            / math.pi ** n)
-    return pref * (coef @ form.moment_table(degree) @ coef.conj().T)
+    return coef @ z_law_table(w, m, degree) @ coef.conj().T
 
 
 def calibrate_norms(n: int, m) -> dict:
     """Numerically determine the constant c_n(m) that gives the constant
-    function norm 1 at W = 0, and report it against (2 pi m)^n."""
-    form = GaussianForm.from_disk_weight(np.zeros((n, n)), m, flip=False)
-    base = form.moment_table(0)[0, 0] / math.pi ** n
-    constant = float(1.0 / base.real)
+    function norm 1 at W = 0, c pi^{-n} integral exp(-8 pi m A(0, z)) dLeb(z)
+    = c det(Q)^{-1/2} = 1 with Q from a_form_matrix, and report it against
+    (2 pi m)^n."""
+    constant = float(math.sqrt(np.linalg.det(a_form_matrix(np.zeros((n, n)), m))))
     reference = float((2.0 * math.pi * m) ** n)
     return {"constant": constant, "reference_constant": reference,
             "ratio": constant / reference,
@@ -199,8 +165,8 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
     with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z).
 
     The U^s coefficients P_s(z, W) / s! of both series, in table order, are
-    vectors a and b, and the pairing is a M conj(b) with M the identity
-    form's moment table."""
+    vectors a and b, and the pairing is a T conj(b) with T the moment table
+    of that weight, the z-law at W = 0 and m = fockpoly.MATCHING_M."""
     wp = numkit.symmetrize(wp)
     w = numkit.symmetrize(w)
     zp_v = numkit.as_row_vector(zp)
@@ -211,8 +177,8 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
         vals = fockpoly.p_s_values(zv.tolist(), wm.tolist(), trunc)
         return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()])
 
-    table = GaussianForm.identity(n).moment_table(trunc)
-    lhs = coefficients(zp_v, wp) @ table @ coefficients(z_v, w).conj() / math.pi ** n
+    table = z_law_table(np.zeros((n, n)), fockpoly.MATCHING_M, trunc)
+    lhs = coefficients(zp_v, wp) @ table @ coefficients(z_v, w).conj()
     rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 
@@ -224,11 +190,6 @@ class MCConfig:
     samples: int = 100000
     seed: int = 0
     batch: int = 100000
-
-
-# The Monte Carlo Gram that fockpoly.q_basis orthonormalizes its n >= 2
-# monomials against.
-Q_BASIS_MC = MCConfig(samples=200000, seed=20240)
 
 
 def _upper_dim(n):
@@ -305,18 +266,6 @@ def _sample_w(rng, count, n):
     return _symmetric(entries[inside], n), dets[inside], mask
 
 
-def _z_moments(ws, m, flip):
-    """E[z t(z)] = c = -W / (8 pi m) (+W flipped) and E[z z^*] = d I, d =
-    1 / (8 pi m), of the z-law exp(-8 pi m A(+/-W, z)) / Z given each W."""
-    d = 1.0 / (8.0 * math.pi * m)
-    return (d if flip else -d) * ws, d
-
-
-def _z_normalizer(dets, n, m):
-    """Z = pi^n det(Q)^{-1/2} = (8 m)^{-n} dets^{1/2}, dets = det(I - W conj(W))."""
-    return np.sqrt(dets) / (8.0 * m) ** n
-
-
 def _sample_z_given_w(rng, ws, m, flip, mask):
     """z from the conditional law (_z_moments) of each accepted W, through
     the Cholesky factor L of its real covariance (2Q)^{-1}, and the exponent
@@ -327,7 +276,7 @@ def _sample_z_given_w(rng, ws, m, flip, mask):
     were accepted."""
     n = ws.shape[-1]
     c, d = _z_moments(ws, m, flip)
-    # the inverse of _complex_covariances for E[z z^*] = d I
+    # the real covariance of (Re z, Im z) with E[z t(z)] = c, E[z z^*] = d I
     eye = d * np.eye(n)
     cov = 0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]])
     gauss = rng.standard_normal((len(mask), 2 * n))[mask]

@@ -1,11 +1,13 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sjdomains import domains, fockpoly, kernels, numkit
+from sjdomains import domains, fockpoly, kernels, numkit, quad
 from sjdomains.fockpoly import MATCHING_M, PolyFunction, TruncationSpec
 
 M, K = 0.25, 3
@@ -225,6 +227,25 @@ def test_discrete_kernel_constant_value():
     assert_allclose(fockpoly.discrete_kernel_constant(M, K, 1), 3.0)
 
 
+def test_discrete_kernel_constant_n1_closed_form():
+    # (8 pi m)^n / mass reads 8 m (k - 3/2) at n = 1, to roundoff
+    for m in (0.05, 0.25, 1.0, 4.0):
+        for k in range(2, 40):
+            ref = 8.0 * m * (k - 1.5)
+            assert abs(fockpoly.discrete_kernel_constant(m, k, 1) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_discrete_kernel_expansion_n2(k):
+    # sum F conj(F) over |s| <= 14, deg q_a <= 8 against rho kmk_star_kernel
+    spec = TruncationSpec(max_degree=14)
+    for xp, x in _pairs(2, 80 + k, 5):
+        res = fockpoly.expansion_discrete_kernel(xp, x, M, k, spec, a_max=8)
+        closed = (fockpoly.discrete_kernel_constant(M, k, 2)
+                  * kernels.kmk_star_kernel(xp, x, M, k))
+        assert abs(res.value - closed) / abs(closed) < 1e-6
+
+
 def test_discrete_kernel_expansion():
     spec = TruncationSpec(max_degree=12)
     for xp, x in _pairs(1, 30, 5):
@@ -253,6 +274,62 @@ def test_q_basis_closed_form_n1():
     for a, q in enumerate(qs):
         expect = w[0, 0] ** a / math.sqrt(math.pi * beta_fn(a + 1, K - 1.5))
         assert_allclose(q.evaluate(None, w), expect, rtol=1e-12)
+
+
+def test_bergman_mass_n1():
+    # pi B(1, k - 3/2) = pi / (k - 3/2)
+    for k in (2, 3, 4.5, 10):
+        assert_allclose(fockpoly.bergman_mass(1, k), math.pi / (k - 1.5), rtol=1e-15)
+
+
+def _monomial_gram(n, k, degree):
+    """The Gram of the W-monomials, labels of sym_degree_list, that makes
+    q_basis orthonormal: C G t(C) = I for the coefficient matrix C of the
+    basis, so G = inv(C) inv(t(C))."""
+    labels = fockpoly.sym_degree_list(n, degree)
+    zero = (0,) * n
+    coef = np.array([[q.terms.get((zero, a), 0.0) for a in labels] for q in
+                     fockpoly.q_basis(n, k, degree)])
+    inv = np.linalg.inv(coef)
+    return labels, inv @ inv.T
+
+
+def test_q_basis_exact_gram_n2():
+    # n = 2, k = 3, over the mass: Hua's law in the upper entries
+    labels, gram = _monomial_gram(2, 3, 2)
+    gram /= fockpoly.bergman_mass(2, 3)
+    at = {a.upper: p for p, a in enumerate(labels)}
+    w11, w12, w22 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    target = np.zeros_like(gram)
+    target[0, 0] = 1.0
+    for a, v in [(w11, 2 / 5), (w22, 2 / 5), (w12, 1 / 5), ((2, 0, 0), 8 / 35),
+                 ((0, 0, 2), 8 / 35), ((1, 1, 0), 2 / 35), ((0, 1, 1), 2 / 35),
+                 ((1, 0, 1), 6 / 35), ((0, 2, 0), 1 / 14)]:
+        target[at[a], at[a]] = v
+    target[at[1, 0, 1], at[0, 2, 0]] = target[at[0, 2, 0], at[1, 0, 1]] = -1 / 35
+    assert np.max(np.abs(gram - target)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 4)])
+def test_q_basis_matches_mc_gram(n, k):
+    # the exact basis against an independent sampled Gram: every entry of
+    # its deviation from I within 5 sigma
+    qs = fockpoly.q_basis(n, k, 2)
+    gram, sigma, _ = quad.mc_disk_gram(fockpoly.PolyFamily(qs), n, k,
+                                       quad.MCConfig(samples=400000, seed=11))
+    assert np.all(np.abs(gram - np.eye(len(qs))) <= 5.0 * sigma)
+
+
+def test_fockpoly_does_not_import_quad():
+    # the polynomial engine stands below the quadrature layer
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(fockpoly.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert "numkit" in names
+    assert not any(name.split(".")[-1] == "quad" for name in names)
 
 
 def test_q_basis_requires_integrable_weight():

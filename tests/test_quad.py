@@ -12,7 +12,8 @@ M, K = 0.25, 3
 
 
 def test_identity_form_moments_are_factorials():
-    table = quad.GaussianForm.identity(1).moment_table(4) / math.pi
+    # the z-law at W = 0, m = MATCHING_M is the standard complex Gaussian
+    table = quad.z_law_table(np.zeros((1, 1)), fockpoly.MATCHING_M, 4)
     for s in range(5):
         for r in range(5):
             target = math.factorial(s) if s == r else 0.0
@@ -20,7 +21,7 @@ def test_identity_form_moments_are_factorials():
 
 
 def test_identity_form_moments_n2():
-    table = quad.GaussianForm.identity(2).moment_table(3) / math.pi ** 2
+    table = quad.z_law_table(np.zeros((2, 2)), fockpoly.MATCHING_M, 3)
     idx = list(fockpoly.enumerate_multiindices(2, 3))
     for p, s in enumerate(idx):
         for q, r in enumerate(idx):
@@ -28,13 +29,56 @@ def test_identity_form_moments_n2():
             assert abs(table[p, q] - target) <= 1e-12
 
 
-def _test_forms(n):
-    # non-circular Gaussians (E[z t(z)] != 0), so mixed s != r pairs are
-    # nonzero; the disk weights have real E[z z^*], the generic form does not
+def _polarized_forms(ws, m, flip):
+    """Q with x^T Q x = 8 pi m Re A(+/-W, z), x = (Re z, Im z), for each W
+    of a stack (N, n, n): kernels.a_form polarized on the unit vectors, one
+    call per pair over the whole stack."""
+    n = ws.shape[-1]
+    sign = -1.0 if flip else 1.0
+    units = [e[:n] + 1j * e[n:] for e in np.eye(2 * n)]
+
+    def fn(z):
+        return 8.0 * math.pi * m * kernels.a_form(sign * ws, np.broadcast_to(z, ws.shape[:-1])).real
+
+    return np.stack([np.stack([0.5 * (fn(u + v) - fn(u) - fn(v)) for v in units], axis=-1)
+                     for u in units], axis=-2)
+
+
+def _closed_forms(ws, m, flip):
+    """The same Q in closed form from H = (I - W conj(W))^{-1} (Hermitian)
+    and S = conj(W) H (symmetric): A(W, z) = conj(z) H t(z) + Re(z S t(z)),
+    and W -> -W only flips the sign of S.  Its inverse is accurate to
+    cond(Q) eps, where the polarized one adds the roundoff of the
+    polarization."""
+    h = np.linalg.inv(np.eye(ws.shape[-1]) - ws @ ws.conj())
+    s = -(ws.conj() @ h) if flip else ws.conj() @ h
+    q = np.block([[h.real + s.real, -h.imag - s.imag],
+                  [h.imag - s.imag, h.real - s.real]])
+    return 4.0 * math.pi * m * (q + np.swapaxes(q, -1, -2))
+
+
+def _complex_covariances(cov):
+    """(E[z t(z)], E[z z^*]) from the real covariance of (Re z, Im z), for
+    one (2n, 2n) matrix or a stack of them."""
+    n = cov.shape[-1] // 2
+    xx, xy = cov[..., :n, :n], cov[..., :n, n:]
+    yx, yy = cov[..., n:, :n], cov[..., n:, n:]
+    return xx - yy + 1j * (xy + yx), xx + yy + 1j * (yx - xy)
+
+
+def _test_laws(n):
+    # (Q, c, d) of non-circular Gaussians (E[z t(z)] != 0), so mixed s != r
+    # pairs are nonzero: the two disk weights, with Q polarized from a_form
+    # and c, d in closed form, which have real E[z z^*], and a generic form
+    # whose E[z z^*] is complex
     w = domains.sample_disk_point(n, 0.6, seed=5).w
+    laws = []
+    for flip in (False, True):
+        c, d = quad._z_moments(w, M, flip)
+        laws.append((_polarized_forms(w[None], M, flip)[0], c, d * np.eye(n)))
     root = np.random.default_rng(6).standard_normal((2 * n, 2 * n))
-    forms = [quad.GaussianForm.from_disk_weight(w, M, flip=flip) for flip in (False, True)]
-    return forms + [quad.GaussianForm(root @ root.T + np.eye(2 * n))]
+    q = root @ root.T + np.eye(2 * n)
+    return laws + [(q, *_complex_covariances(np.linalg.inv(q) / 2.0))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -43,16 +87,17 @@ def test_moment_table_hermitian_with_exact_odd_zeros(n):
     # no odd moments: those entries are 0, not roundoff
     idx = numkit.enumerate_multiindices(n, 5)
     odd = np.array([[(sum(s) + sum(r)) % 2 == 1 for r in idx] for s in idx])
-    for form in _test_forms(n):
-        table = form.moment_table(5)
+    for _, c, d in _test_laws(n):
+        table = quad._moment_table(c, d, 5)
         assert_allclose(table, table.conj().T, rtol=0, atol=1e-15 * np.max(np.abs(table)))
         assert np.all(table[odd] == 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_disk_form_matches_a_form(n):
-    # x^T Q x = 8 pi m Re A(+/-W, z), for the scalar form and for the batched
-    # matrices; Q also equals the polarization of that quadratic form
+    # x^T Q x = 8 pi m Re A(+/-W, z), for quad's matrix, the polarized stack
+    # and the closed form; each equals the polarization of that quadratic
+    # form
     rng = np.random.default_rng(40 + n)
     wlist = [domains.sample_disk_point(n, 0.85, seed=100 * n + t).w for t in range(4)]
     if n == 1:
@@ -61,14 +106,15 @@ def test_disk_form_matches_a_form(n):
     units = [e[:n] + 1j * e[n:] for e in np.eye(dim)]
     for flip in (False, True):
         sign = -1.0 if flip else 1.0
-        batched = quad._disk_forms(np.stack(wlist), M, flip)
-        for w, qb in zip(wlist, batched):
+        batched = _polarized_forms(np.stack(wlist), M, flip)
+        closed = _closed_forms(np.stack(wlist), M, flip)
+        for w, qb, qc in zip(wlist, batched, closed):
             def fn(z):
                 return 8.0 * math.pi * M * kernels.a_form(sign * w, z).real
 
             polarized = np.array([[0.5 * (fn(u + v) - fn(u) - fn(v)) for v in units]
                                   for u in units])
-            for q in (quad.GaussianForm.from_disk_weight(w, M, flip=flip).q, qb):
+            for q in (quad.a_form_matrix(sign * w, M), qb, qc):
                 assert_allclose(q, q.T, atol=0)
                 assert_allclose(q, polarized, atol=1e-10)
                 for x in rng.standard_normal((5, dim)):
@@ -79,25 +125,29 @@ def test_normalization_closed_form():
     # integral of the z-Gaussian: pi^n det(1 - W conj(W))^{1/2} (8 pi m)^{-n}
     for t in range(6):
         x = domains.sample_sj_disk_point(2, 0.7, 0.1, seed=t)
-        form = quad.GaussianForm.from_disk_weight(x.w, M, flip=False)
-        closed = (math.pi ** 2 * (8 * math.pi * M) ** -2
-                  * math.sqrt(np.linalg.det(np.eye(2) - x.w @ x.w.conj()).real))
-        assert_allclose(form.normalization(), closed, rtol=1e-12)
+        integral = math.pi ** 2 / math.sqrt(np.linalg.det(quad.a_form_matrix(x.w, M)))
+        dets = np.linalg.det(np.eye(2) - x.w @ x.w.conj()).real
+        closed = math.pi ** 2 * (8 * math.pi * M) ** -2 * math.sqrt(dets)
+        assert_allclose(integral, closed, rtol=1e-12)
+        assert_allclose(quad._z_normalizer(dets, 2, M), closed, rtol=1e-12)
 
 
 def test_flip_matches_reflected_argument():
     w = np.array([[0.4 + 0.1j]])
-    flipped = quad.GaussianForm.from_disk_weight(w, M, flip=True)
-    reflected = quad.GaussianForm.from_disk_weight(-w, M, flip=False)
-    assert_allclose(flipped.q, reflected.q, atol=1e-12)
+    flipped = _polarized_forms(w[None], M, flip=True)[0]
+    assert_allclose(flipped, quad.a_form_matrix(-w, M), atol=1e-12)
+    (c_flip, d_flip), (c_ref, d_ref) = quad._z_moments(w, M, True), quad._z_moments(-w, M, False)
+    assert_allclose(quad._moment_table(c_flip, d_flip * np.eye(1), 4),
+                    quad._moment_table(c_ref, d_ref * np.eye(1), 4), atol=1e-12)
 
 
-def _gauss_hermite_table(form, degree, order):
-    """Tensor Gauss-Hermite evaluation of form.moment_table(degree), the
-    independent reference for the Wick table."""
-    n, dim = form.n, 2 * form.n
+def _gauss_hermite_table(q, degree, order):
+    """Tensor Gauss-Hermite evaluation of the moment table of the law
+    exp(-x^T Q x) / Z, the independent reference for the Wick table."""
+    dim = q.shape[0]
+    n = dim // 2
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    evals, vecs = np.linalg.eigh(form.q)
+    evals, vecs = np.linalg.eigh(q)
     # x = root @ y whitens the form: x^T Q x = |y|^2
     root = vecs @ np.diag(evals ** -0.5)
     ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
@@ -106,22 +156,23 @@ def _gauss_hermite_table(form, degree, order):
     zs = xs[:, :n] + 1j * xs[:, n:]
     exps = np.array(numkit.enumerate_multiindices(n, degree))
     mono = np.prod(zs[:, None, :] ** exps[None], axis=2)
-    return (mono.T * wgrid) @ mono.conj() * abs(float(np.linalg.det(root)))
+    return (mono.T * wgrid) @ mono.conj() / np.sum(wgrid)
 
 
 def test_gauss_hermite_agrees_with_exact_moments():
     w = np.array([[0.35 - 0.15j]])
-    form = quad.GaussianForm.from_disk_weight(w, M, flip=False)
+    c, d = quad._z_moments(w, M, False)
     pairs = {(2, 2): 1.0, (1, 1): 0.5 - 0.25j, (0, 0): -1.0}
-    exact, gh = form.moment_table(2), _gauss_hermite_table(form, 2, order=40)
+    exact = quad._moment_table(c, d * np.eye(1), 2)
+    gh = _gauss_hermite_table(_polarized_forms(w[None], M, False)[0], 2, order=40)
     assert_allclose(sum(cf * gh[s, r] for (s, r), cf in pairs.items()),
                     sum(cf * exact[s, r] for (s, r), cf in pairs.items()), rtol=1e-12)
 
 
 def test_complex_wick_agrees_with_gauss_hermite_n2():
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(2, 3))}
-    for form in _test_forms(2):
-        exact, gh = form.moment_table(3), _gauss_hermite_table(form, 3, order=12)
+    for q, c, d in _test_laws(2):
+        exact, gh = quad._moment_table(c, d, 3), _gauss_hermite_table(q, 3, order=12)
         for s, r in [((2, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 1), (0, 0)),
                      ((2, 1), (0, 1)), ((0, 1), (0, 1)), ((3, 0), (1, 0)),
                      ((0, 1), (2, 1)), ((1, 2), (1, 0)), ((2, 0), (1, 1)),
@@ -133,9 +184,9 @@ def test_complex_wick_agrees_with_gauss_hermite_n2():
 def test_moment_table_matches_gauss_hermite_n2():
     # every entry of degree <= 4: the nonzero ones to rtol 1e-11; the zeros
     # in exact arithmetic (odd entries, and those of E[z_1 conj(z_2)] = 0 of
-    # the disk forms) read as roundoff of the largest entry on both sides
-    for form in _test_forms(2):
-        exact, gh = form.moment_table(4), _gauss_hermite_table(form, 4, order=12)
+    # the disk laws) read as roundoff of the largest entry on both sides
+    for q, c, d in _test_laws(2):
+        exact, gh = quad._moment_table(c, d, 4), _gauss_hermite_table(q, 4, order=12)
         scale = np.max(np.abs(exact))
         nonzero = np.abs(exact) > 1e-12 * scale
         assert_allclose(gh[nonzero], exact[nonzero], rtol=1e-11)
@@ -398,12 +449,13 @@ def test_elimination_dets_match_lapack(n):
 @pytest.mark.parametrize("flip", [False, True])
 def test_closed_form_z_law(n, flip):
     # c = E[z t(z)], d = E[z z^*] and Z against inv(Q) / 2 and
-    # pi^n det(Q)^{-1/2} of the Gaussian matrices Q, on W with sigma_max < 0.95
+    # pi^n det(Q)^{-1/2} of the Gaussian matrices Q polarized from a_form,
+    # on W with sigma_max < 0.95
     ws = _w_stack(n)
     assert np.max(np.linalg.svd(ws, compute_uv=False)) < 0.95
-    qmats = quad._disk_forms(ws, M, flip)
+    qmats = _polarized_forms(ws, M, flip)
     c, d = quad._z_moments(ws, M, flip)
-    c_ref, d_ref = quad._complex_covariances(np.linalg.inv(qmats) / 2.0)
+    c_ref, d_ref = _complex_covariances(np.linalg.inv(qmats) / 2.0)
     assert np.max(np.abs(c - c_ref)) <= 1e-15
     assert np.max(np.abs(d * np.eye(n) - d_ref)) <= 1e-15
     dets = np.linalg.det(np.eye(n) - ws @ ws.conj()).real
@@ -420,7 +472,7 @@ def test_z_draw_keeps_the_stream():
     entries, ws = _proposals(np.random.default_rng(3), 500, 2)
     mask = np.linalg.svd(ws, compute_uv=False)[:, 0] < 0.95
     assert 0 < mask.sum() < quad._in_domain(entries, 2)[0].sum()
-    qmats = quad._disk_forms(ws[mask], M, flip=True)
+    qmats = _closed_forms(ws[mask], M, flip=True)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     zs, xqx = quad._sample_z_given_w(rng, ws[mask], M, True, mask)
     gauss = ref.standard_normal((len(mask), 4))[mask]
