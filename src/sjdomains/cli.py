@@ -9,6 +9,7 @@ are byte-identical across identical invocations when --no-timestamp is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -328,7 +329,10 @@ def cmd_table(kind: str, cfg: SuiteConfig, fmt: str):
 
 # --- argument plumbing ---
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built on the first call and reused by every later
+    main in the process: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="sjdomains",
         description="Verified computations on Siegel-Jacobi domains.")

@@ -371,14 +371,13 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
     n, m, k = params.n, params.m, params.k
     rng = np.random.default_rng(seed)
     spec = fockpoly.TruncationSpec(max_degree=trunc_s)
-    worst_rel = 0.0
-    for _ in range(points):
-        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=trunc_a)
-        closed = (fockpoly.discrete_kernel_constant(m, k)
-                  * kernels.kmk_star_kernel(xp, x, m, k))
-        worst_rel = max(worst_rel, abs(approx.value - closed) / abs(closed))
+    # the pairs (x', x) as two stacks, for one stacked expansion
+    pairs = [domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+             for _ in range(2 * points)]
+    xp, x = SJDiskPoint.of(pairs[0::2]), SJDiskPoint.of(pairs[1::2])
+    approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=trunc_a)
+    closed = fockpoly.discrete_kernel_constant(m, k) * kernels.kmk_star_kernel(xp, x, m, k)
+    worst_rel = float(np.max(np.abs(approx.value - closed) / np.abs(closed)))
     funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
     family = fockpoly.PolyFamily(funcs)
     f = funcs[0]

@@ -3,24 +3,28 @@ orthonormal bases of the Fock-type spaces, and truncated kernel expansions.
 
 Every P_s comes from one recurrence, p_s_values:
 P_{s+e_i} = Z_i P_s + sum_j s_j W_ij P_{s-e_j}.  Run on PolyFunction monomials
-it builds the integer polynomials p_s; run on numbers it evaluates the Fock
-basis f_s = P_s(sqrt(8 pi m) z, W)/sqrt(s!) at a point; run on z-monomials
-with a numeric W it gives basis_phi.  p_s_from_generating expands the
-generating function exp(U tZ + U W tU / 2) independently, as a check.
+it builds the integer polynomials p_s; run on numbers, or on (N,) arrays of
+them, it evaluates the Fock basis f_s = P_s(sqrt(8 pi m) z, W)/sqrt(s!) at a
+point or at each point of a stack; run on z-monomials with a numeric W it
+gives basis_phi.  p_s_from_generating expands the generating function
+exp(U tZ + U W tU / 2) independently, as a check.
 
 There is one kernel expansion, expansion_fock_full: sum f_s(x') conj(f_s(x))
 over |s| <= d; fock_expansions grows it through increasing degrees, extending
-its P_s tables.  The matching expansion is its m = MATCHING_M instance and the
-fixed-W expansion its W' = W instance; the discrete-series expansion is a
-constant times it.  The limits are kernels.kmk_star_kernel, the one
-closed-form kernel of the bounded model.
+its P_s tables.  Both take one pair of points or a stack of pairs, whose
+values, tails and partial sums are (N,) arrays; one pair is a batch of one.
+The matching expansion is its m = MATCHING_M instance and the fixed-W
+expansion its W' = W instance; the discrete-series expansion is a constant
+times it.  The limits are kernels.kmk_star_kernel, the one closed-form
+kernel of the bounded model.
 
-Polynomials are evaluated in families (PolyFamily): the table of the
-family's distinct monomials on a batch of points, times the matrix of their
-coefficients.  A PolyFamily is a disk-side integrand of the one evaluation
-protocol (side, len and split(ws, zs) -> (vals, logs), logs = 0) that every
-Gram engine and transfer operator takes; PolyFunction.evaluate is a batch of
-one of a family of one.
+Polynomials are evaluated in families (PolyFamily): a product chain fills
+the table of the family's monomials on a batch of points, one multiplication
+per monomial, and the real coefficient matrix (the imaginary one too, if
+some coefficient has an imaginary part) multiplies the table.  A PolyFamily
+is a disk-side integrand of the one evaluation protocol (side, len and
+split(ws, zs) -> (vals, logs), logs = 0) that every Gram engine and transfer
+operator takes; PolyFunction.evaluate is a batch of one of a family of one.
 
 q_basis is exact at every n: Hua's total mass of the weighted measure and
 the Taylor blocks of det(I - W conj(V))^{-(k - 1/2)} give the Gram of the
@@ -232,31 +236,58 @@ class PolyFunction:
         return out
 
 
+def _chain_link(mono):
+    """(v, parent): the exponent tuple mono is parent times variable v, the
+    first variable with a nonzero exponent."""
+    v = next(i for i, e in enumerate(mono) if e)
+    return v, _lowered(mono, v)
+
+
 class PolyFamily:
     """PolyFunctions of one arity evaluated together, as one disk-side
     integrand.
 
-    The family's distinct monomials z^s W^a are collected once, the one place
-    where terms become arrays: exponents (#monomials, n + n(n+1)/2), the
-    z-exponents then the upper W-exponents, and the (nf, #monomials) matrix
-    coeffs.  split builds the table of the monomials' values on a batch of
-    points, as products of the powers of each variable (z_i, or W_ij with
-    i <= j), and multiplies the coefficient matrix by it."""
+    The terms become arrays once, here, as a graded chain of monomials
+    z^s W^a over the variables z_i, then W_ij with i <= j: the family's
+    monomials and every monomial reached from them by lowering the first
+    nonzero exponent again and again, down to the constant 1.  Each
+    monomial but 1 is its parent (the first nonzero exponent lowered) times
+    one variable, and every parent comes before its children.  exponents is
+    (#chain, n + n(n+1)/2), the z-exponents then the upper W-exponents, and
+    coeffs the (nf, #chain) matrix of coefficients, zero in the columns of
+    monomials that only serve as parents.
+
+    split fills the table of the chain's values on a batch of points with
+    one multiplication per monomial and multiplies the coefficients by it,
+    the real parts against the table's float view and the imaginary parts
+    only if some coefficient has one."""
 
     side = "disk"
 
     def __init__(self, polys):
         self.n = polys[0].n
-        index = {}
-        for f in polys:
-            for s, a in f.terms:
-                index.setdefault(s + a.upper, len(index))
         width = self.n + self.n * (self.n + 1) // 2
-        self.exponents = np.array(list(index), dtype=int).reshape(len(index), width)
-        self.coeffs = np.zeros((len(polys), len(index)), dtype=complex)
-        for i, f in enumerate(polys):
-            for (s, a), c in f.terms.items():
-                self.coeffs[i, index[s + a.upper]] = complex(c)
+        terms = [{s + a.upper: complex(c) for (s, a), c in f.terms.items()} for f in polys]
+        chain = set()
+        for mono in itertools.chain.from_iterable(terms):
+            while mono not in chain:
+                chain.add(mono)
+                if any(mono):
+                    mono = _chain_link(mono)[1]
+        rows = sorted(chain, key=lambda e: (sum(e), e))
+        index = {mono: r for r, mono in enumerate(rows)}
+        self.exponents = np.array(rows, dtype=int).reshape(len(rows), width)
+        # row r > 0 is row parent[r - 1] times variable var[r - 1]; row 0 is 1
+        links = [_chain_link(mono) for mono in rows[1:]]
+        self.var = [v for v, _ in links]
+        self.parent = [index[lower] for _, lower in links]
+        self.variables = sorted(set(self.var))
+        self.coeffs = np.zeros((len(polys), len(rows)), dtype=complex)
+        for i, f in enumerate(terms):
+            for mono, c in f.items():
+                self.coeffs[i, index[mono]] = c
+        self._re = np.ascontiguousarray(self.coeffs.real)
+        self._im = np.ascontiguousarray(self.coeffs.imag) if self.coeffs.imag.any() else None
 
     def __len__(self):
         return len(self.coeffs)
@@ -267,25 +298,24 @@ class PolyFamily:
         if zs is None and ws is None:
             raise ValueError("need at least one batch argument")
         nrow = len(zs) if zs is not None else len(ws)
-        table = np.ones((len(self.exponents), nrow), dtype=complex)
+        used = self.variables
+        if zs is None and used and used[0] < self.n:
+            raise ValueError("term involves z but no z supplied")
+        if ws is None and used and used[-1] >= self.n:
+            raise ValueError("term involves W but no W supplied")
         pairs = numkit.upper_pairs(self.n)
-        for v, top in enumerate(self.exponents.max(axis=0, initial=0)):
-            if not top:
-                continue
-            if v < self.n:
-                if zs is None:
-                    raise ValueError("term involves z but no z supplied")
-                x = zs[:, v]
-            else:
-                if ws is None:
-                    raise ValueError("term involves W but no W supplied")
-                x = ws[(slice(None),) + pairs[v - self.n]]
-            powers = np.empty((top + 1, nrow), dtype=complex)
-            powers[0] = 1.0
-            for e in range(top):
-                np.multiply(powers[e], x, out=powers[e + 1])
-            table *= powers[self.exponents[:, v]]
-        return self.coeffs @ table, np.zeros(nrow)
+        xs = {v: np.ascontiguousarray(zs[:, v] if v < self.n
+                                      else ws[(slice(None),) + pairs[v - self.n]])
+              for v in used}
+        table = np.empty((len(self.exponents), nrow), dtype=complex)
+        table[:1] = 1.0
+        for r, (p, v) in enumerate(zip(self.parent, self.var), 1):
+            np.multiply(table[p], xs[v], out=table[r])
+        flat = table.view(float)
+        vals = (self._re @ flat).view(complex)
+        if self._im is not None:
+            vals = vals + 1j * (self._im @ flat).view(complex)
+        return vals, np.zeros(nrow)
 
 
 # --- the matching-type polynomials ---
@@ -299,8 +329,10 @@ def p_s_values(z, w, max_degree: int, vals=None) -> dict:
 
     z is a length-n sequence and w an n x n nested sequence (symmetric).  The
     rule only adds and multiplies, so their entries may be PolyFunction
-    monomials (p_s), complex numbers (values at a point) or z-monomials with
-    a numeric W (basis_phi)."""
+    monomials (p_s), complex numbers (values at a point), (N,) complex
+    arrays (values at each point of a stack, member by member the same
+    arithmetic as a batch of one) or z-monomials with a numeric W
+    (basis_phi)."""
     vals = {} if vals is None else vals
     # graded order: the table holds a prefix of the indices
     for s in enumerate_multiindices(len(z), max_degree)[len(vals):]:
@@ -581,29 +613,53 @@ def pde_check(f: PolyFunction, m: float) -> float:
 MATCHING_M = 1.0 / (8.0 * math.pi)
 
 
+def _pair_stacks(xp, x):
+    """W', z', W, z of one pair of points or of a stack of pairs, each with
+    a leading axis over the N pairs (one point broadcasts against a stack),
+    and whether a stack was given."""
+    (wp, zp), (w, z) = kernels._wz(xp), kernels._wz(x)
+    n = w.shape[-1]
+    count = max(wp.size, w.size) // (n * n)
+    stacks = [np.broadcast_to(a, (count,) + (n,) * dims)
+              for a, dims in ((wp, 2), (zp, 1), (w, 2), (z, 1))]
+    return stacks, max(wp.ndim, w.ndim) > 2
+
+
 def fock_expansions(xp, x, m: float, degrees):
     """expansion_fock_full at each degree of the increasing sequence degrees,
-    lazily: each extends the P_s tables and the grades of the one before."""
+    lazily: each extends the P_s tables and the grades of the one before.
+
+    xp and x are one pair of points or stacks of pairs (one point broadcasts
+    against a stack).  The P_s values, grades and partial sums are (N,)
+    arrays over the pairs, the same arithmetic for each pair as for a batch
+    of one; one pair gives numbers."""
+    (wp, zp, w, z), stacked = _pair_stacks(xp, x)
+    count, n = z.shape
+    pick = (lambda v: v) if stacked else (lambda v: v[0].item())
     root = math.sqrt(8.0 * math.pi * m)
-    args = [([root * v for v in z.tolist()], w.tolist())
-            for w, z in (kernels._wz(xp), kernels._wz(x))]
+    args = [([root * vecs[:, i] for i in range(n)],
+             [[mats[:, i, j] for j in range(n)] for i in range(n)])
+            for mats, vecs in ((wp, zp), (w, z))]
     tables, grades = ({}, {}), []
     for degree in degrees:
         start = len(tables[0])
-        for (z, w), table in zip(args, tables):
-            p_s_values(z, w, degree, table)
-        grades += [0j] * (degree + 1 - len(grades))
+        for (zz, ww), table in zip(args, tables):
+            p_s_values(zz, ww, degree, table)
+        grades += [np.zeros(count, dtype=complex)] * (degree + 1 - len(grades))
         vals_p, vals = tables
         for s in list(vals_p)[start:]:
-            grades[sum(s)] += vals_p[s] * vals[s].conjugate() / mi_factorial(s)
+            term = vals_p[s] * np.conj(vals[s]) / float(mi_factorial(s))
+            grades[sum(s)] = grades[sum(s)] + term
         partials = tuple(itertools.accumulate(grades))
-        tail = abs(partials[-1] - partials[-2]) if len(partials) > 1 else float("inf")
-        yield TruncationResult(partials[-1], tail, partials)
+        tail = (np.abs(partials[-1] - partials[-2]) if len(partials) > 1
+                else np.full(count, np.inf))
+        yield TruncationResult(pick(partials[-1]), pick(tail), tuple(map(pick, partials)))
 
 
 def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationResult:
     """sum over |s| <= d of f_s(W', z') conj(f_s(W, z)), one partial sum per
-    degree; its limit is kernels.kmk_star_kernel(xp, x, m, 1/2).
+    degree; its limit is kernels.kmk_star_kernel(xp, x, m, 1/2).  One pair
+    of points gives numbers, a stack of pairs (N,) arrays (fock_expansions).
 
     f_s(W, z) = P_s(sqrt(8 pi m) z, W) / sqrt(s!), with the P_s values at
     both points from one p_s_values run each.  At m = MATCHING_M it is the
@@ -629,17 +685,20 @@ def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
 
 def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
                               a_max: int) -> TruncationResult:
-    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)).
+    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)),
+    for one pair of points or a stack of pairs as expansion_fock_full.
 
     F_{s,a} = (8 pi m)^{n/2} f_s q_a, so the sum factors as (8 pi m)^n times
     sum_a q_a(W') conj(q_a(W)) times the partial sums of expansion_fock_full;
-    its limit is discrete_kernel_constant(m, k, n) * kmk_star_kernel(xp, x, m, k)."""
-    wp, _ = kernels._wz(xp)
-    w, _ = kernels._wz(x)
-    n = wp.shape[0]
-    vals = PolyFamily(q_basis(n, k, a_max)).split(np.stack([wp, w]))[0]
-    qsum = sum(vp * np.conj(v) for vp, v in vals)
+    its limit is discrete_kernel_constant(m, k, n) * kmk_star_kernel(xp, x, m, k).
+    The q_a are one PolyFamily, evaluated once at every W' and W."""
+    (wp, _, w, _), stacked = _pair_stacks(xp, x)
+    count, n = len(w), w.shape[-1]
+    vals = PolyFamily(q_basis(n, k, a_max)).split(np.concatenate([wp, w]))[0]
+    qsum = sum(vp * np.conj(v) for vp, v in zip(vals[:, :count], vals[:, count:]))
     scale = float((8.0 * math.pi * m) ** n) * qsum
+    if not stacked:
+        scale = scale[0].item()
     res = expansion_fock_full(xp, x, m, trunc)
     return TruncationResult(scale * res.value, abs(scale) * res.tail_estimate,
                             tuple(scale * p for p in res.partials))

@@ -57,6 +57,12 @@ class Stack:
             object.__setattr__(out, field.name, getattr(self, field.name)[idx])
         return out
 
+    @classmethod
+    def of(cls, members):
+        """The stack of a sequence of members, built (and validated) as one."""
+        return cls(*(np.stack([getattr(m, field.name) for m in members])
+                     for field in dataclasses.fields(cls)))
+
 
 def item_or_stack(value):
     """A 0-d result as a Python number, a stacked one as its array."""

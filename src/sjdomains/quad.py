@@ -480,10 +480,14 @@ def mc_hj_gram(family, n, m, k, cfg: MCConfig):
     2^{-n(n+3)}, measure (det Y)^{-n-2} pi^{-n} dLeb(zeta) dLeb(Omega);
     returns (gram, sigma, stats) as mc_dj_gram does.
 
-    The space-side twin of mc_dj_gram, on the same W draw: samples are
-    proposed in the bounded chart (the only practical way to cover the
-    domain), z is drawn from the flipped law exp(-8 pi m A(-W, z)) / Z, and
-    the points are mapped forward.  The overall constant cancels the chart
+    The space-side counterpart of mc_dj_gram: samples are proposed in the
+    bounded chart (the only practical way to cover the domain), in chunks of
+    cfg.batch from the stream of cfg.seed, z is drawn from the flipped law
+    exp(-8 pi m A(-W, z)) / Z, and the points are mapped forward.  The two
+    engines draw the same W only where they chunk alike: at n >= 2
+    mc_dj_gram proposes the same W (and draws the same normals a second
+    time), while at n = 1 its exact-z path proposes in chunks of at most
+    20000 and so sees other W.  The overall constant cancels the chart
     Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
     identities relating the two sides stay testable rather than assumed.

@@ -234,14 +234,9 @@ def run_pde(cfg: SuiteConfig) -> list:
 FOCK_DEGREES = range(14, 41, 2)
 
 
-def _fock_expansion(xp, x, m, target):
-    """expansion_fock_full at the first degree of FOCK_DEGREES whose last
-    grade (the tail estimate) is <= target, or at the cap; returns it and
-    the degree.  Each degree extends the partial sums of the one before."""
-    for degree, res in zip(FOCK_DEGREES, fockpoly.fock_expansions(xp, x, m, FOCK_DEGREES)):
-        if res.tail_estimate <= target:
-            break
-    return res, degree
+def _worst(resid, tail, degree):
+    """The largest (residual, tail, degree) over the pairs."""
+    return max(zip(resid.tolist(), tail.tolist(), degree.tolist()))
 
 
 @_suite("expansions")
@@ -259,29 +254,38 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
                                      abs(fixed.value - target), 1e-8,
                                      detail={"target": target}))
     rng = np.random.default_rng(seed)
+    points = [domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+              for _ in range(2 * pairs)]
+    xp, x = domains.SJDiskPoint.of(points[0::2]), domains.SJDiskPoint.of(points[1::2])
     # per check: the largest residual over the pairs, that pair's tail and
     # the degree it was truncated at
-    worst = {name: (0.0, 0.0, spec.max_degree)
-             for name in ("matching", "fock-at-w", "fock-full", "discrete")}
-    for _ in range(pairs):
-        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        # the matching kernel is the Fock kernel at m = MATCHING_M, and the
-        # fixed-W one the Fock kernel with W' = W
-        for name, pair_xp, pair_m in (("matching", xp, fockpoly.MATCHING_M),
-                                      ("fock-at-w", (x.w, xp.z), m),
-                                      ("fock-full", xp, m)):
-            res, degree = _fock_expansion(pair_xp, x, pair_m, tol / 100)
-            closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
-            worst[name] = max(worst[name], (abs(res.value - closed), res.tail_estimate, degree))
-        if n == 1:
-            res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
-            closed = (fockpoly.discrete_kernel_constant(m, k)
-                      * kernels.kmk_star_kernel(xp, x, m, k))
-            worst["discrete"] = max(worst["discrete"],
-                                    (abs(res.value - closed), res.tail_estimate, spec.max_degree))
-    for name in ("matching", "fock-at-w", "fock-full") + (("discrete",) if n == 1 else ()):
-        resid, tail, degree = worst[name]
+    worst = {}
+    # the matching kernel is the Fock kernel at m = MATCHING_M, and the
+    # fixed-W one the Fock kernel with W' = W; each runs on the stack of
+    # pairs, and each pair stops at the first degree of FOCK_DEGREES whose
+    # last grade (the tail estimate) is <= tol / 100, or at the cap
+    for name, pair_xp, pair_m in (("matching", xp, fockpoly.MATCHING_M),
+                                  ("fock-at-w", (x.w, xp.z), m),
+                                  ("fock-full", xp, m)):
+        value, tail = np.zeros(pairs, dtype=complex), np.zeros(pairs)
+        degree = np.zeros(pairs, dtype=int)
+        growing = np.ones(pairs, dtype=bool)
+        for deg, res in zip(FOCK_DEGREES, fockpoly.fock_expansions(pair_xp, x, pair_m,
+                                                                   FOCK_DEGREES)):
+            stop = growing & ((res.tail_estimate <= tol / 100) | (deg == FOCK_DEGREES[-1]))
+            value[stop], tail[stop], degree[stop] = res.value[stop], res.tail_estimate[stop], deg
+            growing &= ~stop
+            if not growing.any():
+                break
+        closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
+        worst[name] = _worst(np.abs(value - closed), tail, degree)
+    if n == 1:
+        res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
+        closed = (fockpoly.discrete_kernel_constant(m, k)
+                  * kernels.kmk_star_kernel(xp, x, m, k))
+        worst["discrete"] = _worst(np.abs(res.value - closed), res.tail_estimate,
+                                   np.full(pairs, spec.max_degree))
+    for name, (resid, tail, degree) in worst.items():
         checks.append(residual_check(name, resid, tol,
                                      detail={"tail_estimate": tail, "degree": degree}))
     return checks

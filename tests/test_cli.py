@@ -254,3 +254,24 @@ def test_importing_the_cli_leaves_scipy_out():
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once_and_not_at_import(capsys):
+    # main builds the argparse tree on its first call and reuses it: each
+    # call of a sequence gives the output and exit code that the same call
+    # gives first, on a freshly built parser
+    calls = [["verify", "--suite", "cayley", "--no-timestamp"],
+             ["verify", "--suite", "nope"], ["--help"],
+             ["table", "--kind", "calibration"]]
+    cli._build_parser.cache_clear()
+    in_sequence = [run(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_sequence] == [0, 2, 0, 0]
+    for argv, got in zip(calls, in_sequence):
+        cli._build_parser.cache_clear()
+        assert run(argv, capsys) == got
+    code = "import sjdomains.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

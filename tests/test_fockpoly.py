@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sjdomains import domains, fockpoly, kernels, numkit, quad
+from sjdomains.domains import SJDiskPoint
 from sjdomains.fockpoly import MATCHING_M, PolyFunction, TruncationSpec
 
 M, K = 0.25, 3
@@ -366,3 +367,110 @@ def test_truncation_result_tail_decreases():
     resid = [abs(p - 0.91 ** -0.5) for p in res.partials]
     assert resid[-1] < resid[0]
     assert resid[-1] < 1e-6
+
+
+# --- the polynomial engine on stacks ---
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_fock_expansions_are_batches_of_one(n):
+    # each member of a stack of pairs equals its batch of one bit for bit,
+    # and the scalar run of its pair to roundoff
+    degrees = [0, 4, 9] if n < 3 else [0, 3, 6]
+    pairs = list(_pairs(n, 90 + n, 4))
+    xp, x = (SJDiskPoint.of(half) for half in zip(*pairs))
+    stacked = list(fockpoly.fock_expansions(xp, x, M, degrees))
+    for i, (p, q) in enumerate(pairs):
+        ones = fockpoly.fock_expansions(SJDiskPoint.of([p]), SJDiskPoint.of([q]), M, degrees)
+        scalars = fockpoly.fock_expansions(p, q, M, degrees)
+        for res, one, scalar in zip(stacked, ones, scalars):
+            assert one.value.shape == one.tail_estimate.shape == (1,)
+            assert res.value[i] == one.value[0]
+            assert res.tail_estimate[i] == one.tail_estimate[0]
+            assert all(a[i] == b[0] for a, b in zip(res.partials, one.partials))
+            assert isinstance(scalar.value, complex)
+            assert_allclose(res.partials[-1][i], scalar.value, rtol=1e-13, atol=0)
+            assert_allclose([a[i] for a in res.partials], scalar.partials, rtol=1e-13, atol=0)
+    # the degree-0 tail is an array of inf
+    assert np.all(np.isinf(stacked[0].tail_estimate)) and stacked[0].tail_estimate.shape == (4,)
+
+
+def test_stacked_fock_expansion_broadcasts_one_point():
+    # one point against a stack is that point repeated
+    pairs = list(_pairs(2, 95, 3))
+    xp, x = pairs[0][0], SJDiskPoint.of([q for _, q in pairs])
+    spec = TruncationSpec(8)
+    res = fockpoly.expansion_fock_full(xp, x, M, spec)
+    again = fockpoly.expansion_fock_full(SJDiskPoint.of([xp] * 3), x, M, spec)
+    assert np.array_equal(res.value, again.value)
+
+
+@pytest.mark.parametrize("n,a_max", [(1, 10), (2, 4)])
+def test_stacked_discrete_expansion_matches_each_pair(n, a_max):
+    spec = TruncationSpec(10 if n == 1 else 6)
+    pairs = list(_pairs(n, 100 + n, 5))
+    xp, x = (SJDiskPoint.of(half) for half in zip(*pairs))
+    res = fockpoly.expansion_discrete_kernel(xp, x, M, K, spec, a_max)
+    assert res.value.shape == (5,)
+    for i, (p, q) in enumerate(pairs):
+        one = fockpoly.expansion_discrete_kernel(p, q, M, K, spec, a_max)
+        assert_allclose(res.value[i], one.value, rtol=1e-13, atol=0)
+        assert_allclose(res.tail_estimate[i], one.tail_estimate, rtol=1e-13, atol=0)
+        assert_allclose([v[i] for v in res.partials], one.partials, rtol=1e-13, atol=0)
+
+
+def _chain_families(n):
+    """name -> (family members, whether they involve z, whether W)."""
+    funcs = [f for _, f in fockpoly.series_basis(n, M, K, s_max=2, a_max=1)]
+    x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=7)
+    # kernel sections, as reproducing builds them: complex coefficients
+    vals = fockpoly.PolyFamily(funcs).split(x.w[None], x.z[None])[0][:, 0]
+    section = fockpoly.PolyFunction.zero(n)
+    for f, val in zip(funcs, vals):
+        section = section + f * complex(np.conj(val))
+    w = domains.sample_sj_disk_point(n, 0.4, 0.1, seed=3).w
+    lone = numkit.SymIndex(n, tuple(int(p == (0, n - 1)) for p in numkit.upper_pairs(n)))
+    return {
+        "complex-sections": ([section, section * (0.5 - 1j), funcs[1]], True, True),
+        "w-only": (list(fockpoly.q_basis(n, K, 2)), False, True),
+        "z-only": ([fockpoly.basis_phi(w, s, M) for s in fockpoly.enumerate_multiindices(n, 3)],
+                   True, False),
+        "zero-member": ([funcs[2], PolyFunction.zero(n), funcs[-1]], True, True),
+        "no-parents": ([PolyFunction.monomial(n, s=(3,) + (0,) * (n - 1), a=lone,
+                                              coeff=0.7 - 0.2j)], True, True),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["complex-sections", "w-only", "z-only", "zero-member",
+                                  "no-parents"])
+def test_chain_split_matches_per_term_sums(n, name):
+    funcs, has_z, has_w = _chain_families(n)[name]
+    family = fockpoly.PolyFamily(funcs)
+    x = domains.sample_sj_disk_batch(n, 40, (n, 17), 0.6, 0.8)
+    vals, logs = family.split(x.w if has_w else None, x.z if has_z else None)
+    assert vals.shape == (len(funcs), 40) and np.all(logs == 0)
+    zs = x.z if has_z else np.zeros_like(x.z)
+    ws = x.w if has_w else np.zeros_like(x.w)
+    for f, got in zip(funcs, vals):
+        assert_allclose(got, _per_term(f, zs, ws), rtol=1e-13, atol=0)
+    # every chain row but the constant is its parent times one variable,
+    # parents first; the coefficients of pure parents are zero
+    exps = family.exponents
+    assert not exps[0].any()
+    for r, (p, v) in enumerate(zip(family.parent, family.var), 1):
+        assert p < r and exps[r, v] == exps[p, v] + 1
+        assert np.array_equal(np.delete(exps[r], v), np.delete(exps[p], v))
+    if name == "no-parents":
+        # z_1^3 W_1n lowers to z_1^2 W_1n, z_1 W_1n, W_1n and 1
+        assert len(exps) == 5 and np.count_nonzero(family.coeffs) == 1
+
+
+def test_split_names_a_missing_batch_argument():
+    x = domains.sample_sj_disk_batch(2, 3, 1, 0.6, 0.8)
+    mixed = fockpoly.PolyFamily([fockpoly.basis_f((1, 1), M)])
+    with pytest.raises(ValueError, match="at least one batch argument"):
+        mixed.split()
+    with pytest.raises(ValueError, match="no z supplied"):
+        mixed.split(x.w, None)
+    with pytest.raises(ValueError, match="no W supplied"):
+        mixed.split(None, x.z)

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sjdomains import suites
+from sjdomains import domains, fockpoly, kernels, suites
 from sjdomains.suites import SuiteConfig
 
 
@@ -84,6 +85,39 @@ def test_fock_expansions_grow_to_their_tail_target(seed):
     for c in rep.checks:
         assert c.detail["degree"] in suites.FOCK_DEGREES
         assert c.detail["tail_estimate"] <= 1e-8
+
+
+def _expansions_pair_by_pair(n, seed, pairs=20, tol=1e-6):
+    """Reference for run_expansions: each pair grown alone, degree by
+    degree, to the first degree of FOCK_DEGREES whose tail is <= tol / 100
+    (or the cap), and per check the largest (residual, tail, degree)."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(pairs):
+        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+        for name, pair_xp, m in (("matching", xp, fockpoly.MATCHING_M),
+                                 ("fock-at-w", (x.w, xp.z), 0.25), ("fock-full", xp, 0.25)):
+            for degree, res in zip(suites.FOCK_DEGREES, fockpoly.fock_expansions(
+                    pair_xp, x, m, suites.FOCK_DEGREES)):
+                if res.tail_estimate <= tol / 100:
+                    break
+            closed = kernels.kmk_star_kernel(pair_xp, x, m, 0.5)
+            worst[name] = max(worst.get(name, (0.0, 0.0, 0)),
+                              (abs(res.value - closed), res.tail_estimate, degree))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_expansions_select_each_pairs_degree(n, seed):
+    # one stacked run per check gives the degrees and worst residuals of
+    # the pairs grown one at a time
+    checks = {c.name: c for c in suites.run_expansions(SuiteConfig(n=n, seed=seed)).checks}
+    for name, (resid, tail, degree) in _expansions_pair_by_pair(n, seed).items():
+        assert checks[name].detail["degree"] == degree
+        assert abs(checks[name].residual - resid) <= 1e-15
+        assert abs(checks[name].detail["tail_estimate"] - tail) <= 1e-15 * tail
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
