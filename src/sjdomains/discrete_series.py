@@ -369,28 +369,26 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
     if params.n != 1:
         raise ValueError("reproducing_check runs at n = 1")
     n, m, k = params.n, params.m, params.k
-    rng = np.random.default_rng(seed)
     spec = fockpoly.TruncationSpec(max_degree=trunc_s)
     # the pairs (x', x) as two stacks, for one stacked expansion
-    pairs = [domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-             for _ in range(2 * points)]
-    xp, x = SJDiskPoint.of(pairs[0::2]), SJDiskPoint.of(pairs[1::2])
+    xp, x = (domains.sample_sj_disk_batch(n, points, (seed, 3301, i), 0.25, 0.3) for i in (0, 1))
     approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=trunc_a)
     closed = fockpoly.discrete_kernel_constant(m, k) * kernels.kmk_star_kernel(xp, x, m, k)
     worst_rel = float(np.max(np.abs(approx.value - closed) / np.abs(closed)))
     funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
     family = fockpoly.PolyFamily(funcs)
-    f = funcs[0]
-    sections, targets = [], []
-    for _ in range(min(points, 5)):
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+    # the section at x_j is sum_i conj(F_i(x_j)) F_i; f = F_0 pairs with it
+    # to f(x_j)
+    x = domains.sample_sj_disk_batch(n, min(points, 5), (seed, 3301, 2), 0.25, 0.3)
+    vals = family.split(x.w, x.z)[0]
+    sections, targets = [], vals[0]
+    for col in vals.T:
         section = fockpoly.PolyFunction.zero(n)
-        for basis_fn, val in zip(funcs, family.split(x.w[None], x.z[None])[0][:, 0]):
+        for basis_fn, val in zip(funcs, col):
             section = section + basis_fn * complex(np.conj(val))
         sections.append(section)
-        targets.append(f.evaluate(x.z, x.w))
     # every pairing <f, section_j> is an entry (0, j) of one Gram
-    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily([f] + sections), n, m, k, cfg)
+    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(funcs[:1] + sections), n, m, k, cfg)
     worst_err, worst_tol = 0.0, 0.0
     ok = True
     for j, target in enumerate(targets, 1):

@@ -24,10 +24,11 @@ keeps the draws that lie in the domain and contracts the Gram over them in
 blocks of _BLOCK samples; each engine only supplies its draw on the accepted
 W (evaluation points and log weight); where the z-integral is exact (n = 1,
 a PolyFamily) the driver accumulates weighted power sums of w instead of
-evaluating the family.  Proposals are tested on their entries as (N,)
-arrays: a filter on the radii, then one Cholesky elimination that also gives
-det(I - W conj(W)); only accepted W become matrices.  Rejected proposals
-count in the estimator's denominator.
+evaluating the family, folded by their Hermitian symmetry into one real
+GEMM per block on one workspace (_PowerSums).  Proposals are tested on
+their entries as (N,) arrays: a filter on the radii, then one Cholesky
+elimination that also gives det(I - W conj(W)); only accepted W become
+matrices.  Rejected proposals count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -310,22 +311,48 @@ def _exact_z_kernel(family: PolyFamily, m):
     return kern
 
 
-def _power_sums(wsc, weight, deg):
-    """M[a, b] = sum_t weight_t w_t^a conj(w_t)^b for a, b <= deg, and M2
-    the same with weight^2 for a, b <= 2 deg."""
-    powers = np.empty((2 * deg + 1, len(wsc)), dtype=complex)
-    powers[0] = 1.0
-    for a in range(2 * deg):
-        np.multiply(powers[a], wsc, out=powers[a + 1])
-    conj = powers.conj().T
-    scaled = powers * weight
-    return scaled[:deg + 1] @ conj[:, :deg + 1], (scaled * weight) @ conj
+class _PowerSums:
+    """The weighted power sums of w at n = 1: M[a, b] = sum_t weight_t w_t^a
+    conj(w_t)^b, a, b <= deg, and M2 the same with weight^2, a, b <= 2 deg.
+    Both are Hermitian, and w^a conj(w)^b = w^(a - b) |w|^(2b) for a >= b,
+    so every entry is a folded sum sum_t weight_t^(1|2) w_t^j |w_t|^(2b).
+    A block adds them all by one real GEMM, the table |w|^(2b), b <= 2 deg,
+    times the float view of the rows [weight w^j, j <= deg; weight^2 w^j,
+    j <= 2 deg], both filled in place in one workspace kept for the run."""
+
+    def __init__(self, deg):
+        self.deg = deg
+        self.rows = np.empty((_BLOCK, 3 * deg + 2), dtype=complex)
+        self.table = np.empty((2 * deg + 1, _BLOCK))
+        self.folded = np.zeros((2 * deg + 1, 3 * deg + 2), dtype=complex)
+
+    def add(self, wsc, weight):
+        """Add the samples w (N,), N <= _BLOCK, with their weights (N,)."""
+        deg = self.deg
+        rows, table = self.rows[:len(wsc)], self.table[:, :len(wsc)]
+        rows[:, 0], rows[:, deg + 1] = weight, weight * weight
+        for j in range(3 * deg + 1):
+            if j != deg:
+                np.multiply(rows[:, j], wsc, out=rows[:, j + 1])
+        table[0], sq = 1.0, wsc.real ** 2 + wsc.imag ** 2
+        for b in range(2 * deg):
+            np.multiply(table[b], sq, out=table[b + 1])
+        self.folded += (table @ rows.view(float)).view(complex)
+
+    def unfold(self):
+        """(M, M2), each entry read off its folded sum."""
+        def full(folded):
+            a, b = np.indices(folded.shape)
+            vals = folded[np.minimum(a, b), np.abs(a - b)]
+            return np.where(a >= b, vals, vals.conj())
+        return full(self.folded[:self.deg + 1, :self.deg + 1]), full(self.folded[:, self.deg + 1:])
 
 
 def _contract_power_sums(kern, sums, sums2):
     """(sum_t weight_t G_t, sum_t weight_t^2 |G_t|^2) of the Grams G_t =
-    sum_{a,b} kern[..., a, b] w_t^a conj(w_t)^b from _power_sums(w, weight,
-    D), with |G|^2 = sum K[a, b] conj(K[a', b']) w^(a + b') conj(w)^(b + a')."""
+    sum_{a,b} kern[..., a, b] w_t^a conj(w_t)^b from the unfolded sums of
+    _PowerSums(D), with |G|^2 = sum K[a, b] conj(K[a', b']) w^(a + b')
+    conj(w)^(b + a')."""
     idx = np.arange(kern.shape[-1])
     a, b, a2, b2 = np.ix_(idx, idx, idx, idx)
     acc2 = np.einsum("ijab,abcd,ijcd->ij", kern, sums2[a + b2, b + a2], kern.conj())
@@ -354,9 +381,10 @@ def mc_stats(stats, rows=slice(None)):
             "ess_f_low": ess_f < ESS_F_LOW_FRACTION * stats["accepted"]}
 
 
-# samples per Gram contraction: it bounds the (nf, block) values or the
-# (2D + 1, block) powers of w; it ran the power sums of a 20000-sample chunk
-# 3x faster than one pass over the chunk
+# samples per Gram contraction: it bounds the (nf, block) values, or the
+# power-sum workspace at 232 bytes per sample for D = 3 (0.45 MiB); the
+# folded power sums ran 64 ns per sample in blocks of 2000, 58 in blocks of
+# 5000, and 112 and 99 in blocks of 500 and 20000 (one BLAS thread)
 _BLOCK = 2000
 
 
@@ -374,21 +402,25 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     from the polydisk (_sample_w), then calls draw(rng, ws, dets, mask) ->
     (mats, vecs, logw) on the accepted ws only, with their dets = det(I - W
     conj(W)) and the mask that marks them among the chunk's proposals: the
-    points at which the family is evaluated, and the log weight.  A rejected proposal has weight 0: it counts in the denominator,
-    the number of proposals, and nowhere else.  The contraction runs over the
-    accepted samples in blocks of _BLOCK.  Sampled, u = vals exp(logs +
-    logw / 2) and the Gram adds u u^H.  Exact in z (kern from
-    _exact_z_kernel), a block adds the weighted power sums of w, and the
-    Gram and its variance are contracted from them at the end.  The result
-    is Hermitian by construction, so mirror entries tie exactly and the
-    worst entry of a Gram does not depend on roundoff."""
+    points at which the family is evaluated, and the log weight.  A rejected
+    proposal has weight 0: it counts in the denominator, the number of
+    proposals, and nowhere else.  The contraction runs over the accepted
+    samples in blocks of _BLOCK, and a chunk is released before the next
+    draw.  Sampled, u = vals exp(logs + logw / 2) and the Gram adds u u^H.
+    Exact in z (kern from _exact_z_kernel), a block adds its folded power
+    sums of w to one _PowerSums, whose workspace is allocated once per call;
+    at the end they are unfolded once, and the Gram and its variance are
+    contracted from them.  The result is Hermitian by construction, so
+    mirror entries tie exactly and the worst entry of a Gram does not depend
+    on roundoff."""
     require_side(family, side)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(family)
     acc = np.zeros((nf, nf), dtype=complex)
     acc2 = np.zeros((nf, nf))
     done = accepted = 0
-    wsum = wsum2 = wmax = sums = sums2 = 0.0
+    wsum = wsum2 = wmax = 0.0
+    sums = None if kern is None else _PowerSums(kern.shape[-1] - 1)
     while done < cfg.samples:
         count = min(chunk, cfg.samples - done)
         mats, vecs, logw = draw(rng, *_sample_w(rng, count, n))
@@ -399,9 +431,8 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
         wmax = max(wmax, np.max(weight, initial=0.0))
         for lo in range(0, len(mats), _BLOCK):
             blk = slice(lo, lo + _BLOCK)
-            if kern is not None:
-                part, part2 = _power_sums(mats[blk, 0, 0], weight[blk], kern.shape[-1] - 1)
-                sums, sums2 = sums + part, sums2 + part2
+            if sums is not None:
+                sums.add(mats[blk, 0, 0], weight[blk])
                 continue
             vals, logs = family.split(mats[blk], vecs[blk])
             # transported functions carry a +exponent that the weight's
@@ -413,8 +444,10 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
             acc += u @ u.conj().T
             acc2 += sq @ sq.T
         done += count
-    if kern is not None:
-        acc, acc2 = _contract_power_sums(kern, sums, sums2)
+        # released before the next draw, whose peak then holds one chunk
+        del mats, vecs, logw, weight
+    if sums is not None:
+        acc, acc2 = _contract_power_sums(kern, *sums.unfold())
     diag, diag2 = acc.diagonal().real, acc2.diagonal()
     gram = (acc + acc.conj().T) / (2 * done)
     var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)

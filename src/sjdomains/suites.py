@@ -253,10 +253,7 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
         checks.append(residual_check("matching-fixed-point",
                                      abs(fixed.value - target), 1e-8,
                                      detail={"target": target}))
-    rng = np.random.default_rng(seed)
-    points = [domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-              for _ in range(2 * pairs)]
-    xp, x = domains.SJDiskPoint.of(points[0::2]), domains.SJDiskPoint.of(points[1::2])
+    xp, x = (domains.sample_sj_disk_batch(n, pairs, (seed, 6007, i), 0.25, 0.3) for i in (0, 1))
     # per check: the largest residual over the pairs, that pair's tail and
     # the degree it was truncated at
     worst = {}
@@ -326,20 +323,17 @@ def run_gaussian_integrals(cfg: SuiteConfig) -> list:
                       for s in fockpoly.enumerate_multiindices(n, s_max)])
     checks.append(residual_check("moment-factorial", float(np.max(np.abs(table - target))),
                                  1e-12, detail={"s_max": s_max}))
-    rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    grid = [np.zeros((n, n))] + [domains.sample_sj_disk_point(
-        n, 0.65, 0.1, seed=int(rng.integers(2 ** 31))).w for _ in range(5)]
-    for w in grid:
+    grid = domains.sample_sj_disk_batch(n, 5, (cfg.seed, 6011, 0), 0.65, 0.1).w
+    for w in [np.zeros((n, n)), *grid]:
         integral = math.pi ** n / math.sqrt(float(np.linalg.det(quad.a_form_matrix(w, m))))
         closed = (math.pi ** n * (8.0 * math.pi * m) ** -n
                   * math.sqrt(float(np.linalg.det(np.eye(n) - w @ w.conj()).real)))
         worst = max(worst, abs(integral - closed) / closed)
     checks.append(residual_check("weight-normalization-closed-form", worst, 1e-10))
     worst = 0.0
-    for _ in range(2):
-        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+    xps, xs = (domains.sample_sj_disk_batch(n, 2, (cfg.seed, 6011, i), 0.25, 0.3) for i in (1, 2))
+    for xp, x in zip(xps, xs):
         res = quad.verify_gaussian_pairing(xp.w, x.w, xp.z, x.z, trunc=max(cfg.trunc, 12))
         worst = max(worst, res["residual"])
     checks.append(residual_check("generating-series-pairing", worst, 1e-6))

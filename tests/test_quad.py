@@ -509,8 +509,9 @@ def _section_pair():
 
 def _power_sum_contraction(funcs, ws, weight):
     kern = quad._exact_z_kernel(fockpoly.PolyFamily(funcs), M)
-    deg = kern.shape[-1] - 1
-    return quad._contract_power_sums(kern, *quad._power_sums(ws, weight, deg))
+    sums = quad._PowerSums(kern.shape[-1] - 1)
+    sums.add(ws, weight)
+    return quad._contract_power_sums(kern, *sums.unfold())
 
 
 _GRAM_F = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
@@ -552,6 +553,74 @@ def test_power_sum_parity_entries_are_exact_zeros():
     gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), 1, M, K,
                                      quad.MCConfig(samples=30000, seed=3))
     assert np.all(gram[odd] == 0) and np.all(sigma[odd] == 0)
+
+
+@pytest.mark.parametrize("deg", range(8))
+def test_folded_power_sums_match_direct_sums(deg):
+    # M and M2 unfolded from a stream fed in blocks of _BLOCK, the last one
+    # partial, against the per-sample sums of weight^(1|2) w^a conj(w)^b;
+    # deg = 0 has a one-row |w|^(2b) table
+    rng = np.random.default_rng(90 + deg)
+    count = 2 * quad._BLOCK + 123
+    w = np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    w[0] = 0.0
+    weight = rng.uniform(0.1, 2.0, size=count)
+    sums = quad._PowerSums(deg)
+    for lo in range(0, count, quad._BLOCK):
+        sums.add(w[lo:lo + quad._BLOCK], weight[lo:lo + quad._BLOCK])
+    big, big2 = sums.unfold()
+    powers = w[:, None] ** np.arange(2 * deg + 1)
+    low = powers[:, :deg + 1]
+    assert big.shape == (deg + 1, deg + 1) and big2.shape == (2 * deg + 1, 2 * deg + 1)
+    assert_allclose(big, np.einsum("t,ta,tb->ab", weight, low, low.conj()), rtol=1e-13)
+    assert_allclose(big2, np.einsum("t,ta,tb->ab", weight ** 2, powers, powers.conj()),
+                    rtol=1e-13)
+
+
+def test_mc_dj_gram_exact_z_replays_per_sample_grams():
+    # the exact-z twin of test_mc_gram_blocks_match_one_shot: mc_dj_gram at
+    # n = 1 on a PolyFamily with complex coefficients against a replay of its
+    # proposals, each sample's conditional Gram E[f_i conj(f_j) | w] from the
+    # family's own values on a tensor Gauss-Hermite rule of the z-law, and
+    # the weight det^(k - 3) Z written out; 5001 samples in chunks of 3000
+    # leave partial blocks in both chunks
+    family = fockpoly.PolyFamily(_section_pair())
+    assert np.iscomplexobj(family.coeffs) and np.any(family.coeffs.imag)
+    k = 5
+    cfg = quad.MCConfig(samples=5001, seed=17, batch=3000)
+    assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
+    gram, sigma, stats = quad.mc_dj_gram(family, 1, M, k, cfg)
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    w = np.concatenate([_proposals(rng, count, 1)[0][:, 0] for count in (3000, 2001)])
+    dets = 1.0 - np.abs(w) ** 2
+    weight = dets ** (k - 3) * np.sqrt(dets) / (8 * M)
+    # (Re z, Im z) has covariance (1/2) [[d + Re c, Im c], [Im c, d - Re c]]
+    # with E[z^2] = c = -w d and E[|z|^2] = d = 1 / (8 pi m)
+    d = 1.0 / (8 * np.pi * M)
+    c = -w * d
+    l11 = np.sqrt(0.5 * (d + c.real))
+    l21 = 0.5 * c.imag / l11
+    l22 = np.sqrt(0.5 * (d - c.real) - l21 ** 2)
+    nodes, gw = np.polynomial.hermite.hermgauss(8)
+    g1, g2 = (np.sqrt(2.0) * g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    rule = np.outer(gw, gw).ravel() / np.pi
+    zs = l11[:, None] * g1 + 1j * (l21[:, None] * g1 + l22[:, None] * g2)
+    mats = np.broadcast_to(w[:, None, None, None], zs.shape + (1, 1)).reshape(-1, 1, 1)
+    vals = family.split(mats, zs.reshape(-1, 1))[0].reshape(len(family), *zs.shape)
+    grams = np.einsum("itq,jtq,q->tij", vals, vals.conj(), rule)
+    acc = np.tensordot(weight, grams, axes=1)
+    acc2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
+    ref = (acc + acc.conj().T) / (2 * cfg.samples)
+    ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
+    assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+    assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
+    assert (stats["proposed"], stats["accepted"]) == (cfg.samples, cfg.samples)
+    assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
+    assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
+    diag = np.einsum("t,tii->i", weight, grams).real
+    diag2 = np.einsum("t,tii->i", weight ** 2, np.abs(grams) ** 2)
+    assert_allclose(stats["ess_f"], diag ** 2 / diag2, rtol=1e-12)
 
 
 def test_exact_z_stats_match_the_disk_draw():

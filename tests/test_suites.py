@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sjdomains import domains, fockpoly, kernels, suites
@@ -91,11 +90,9 @@ def _expansions_pair_by_pair(n, seed, pairs=20, tol=1e-6):
     """Reference for run_expansions: each pair grown alone, degree by
     degree, to the first degree of FOCK_DEGREES whose tail is <= tol / 100
     (or the cap), and per check the largest (residual, tail, degree)."""
-    rng = np.random.default_rng(seed)
+    xps, xs = (domains.sample_sj_disk_batch(n, pairs, (seed, 6007, i), 0.25, 0.3) for i in (0, 1))
     worst = {}
-    for _ in range(pairs):
-        xp = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
-        x = domains.sample_sj_disk_point(n, 0.25, 0.3, seed=int(rng.integers(2 ** 31)))
+    for xp, x in zip(xps, xs):
         for name, pair_xp, m in (("matching", xp, fockpoly.MATCHING_M),
                                  ("fock-at-w", (x.w, xp.z), 0.25), ("fock-full", xp, 0.25)):
             for degree, res in zip(suites.FOCK_DEGREES, fockpoly.fock_expansions(
