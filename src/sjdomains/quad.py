@@ -5,10 +5,10 @@ domains, and finite-difference Jacobian helpers.
 The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has one
 closed-form law for one W or a stack of them: E[z t(z)] = -/+W / (8 pi m),
 E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
-(_z_moments, _z_normalizer).  Every exact z-integral reads off one table of
-that law's moments E[z^s conj(z)^r], |s|, |r| <= degree, filled row by row
-by Wick's rule (z_law_table): a Gram of z-polynomials is A T A^H, with A
-their coefficients.  The Monte Carlo engines draw z from the same law and
+(_z_moments, _z_normalizer).  Every exact z-integral, the n = 1 exact-z Gram
+included, reads one Wick factor of that law built on the P_s recurrence at
+Z = 0 (_wick_factor): E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
+(z_law_table).  The Monte Carlo engines draw z from the same law and
 weigh W by its integral.  The checks of that integral read the form's real
 matrix off kernels.a_form instead (a_form_matrix).
 
@@ -60,49 +60,33 @@ def _z_normalizer(dets, n, m):
     return np.sqrt(dets) / (8.0 * m) ** n
 
 
-def _moment_table(c, d, degree):
-    """T[s, r] = E[z^s conj(z)^r] for a centred Gaussian z with E[z t(z)] = c
-    and E[z z^*] = d, both axes over enumerate_multiindices(n, degree).
-
-    Wick's rule removes the first z_i of z^s and pairs it with each remaining
-    z_j (c_ij) or conj(z_j) (d_ij).  The column E[z^s] comes from the
-    c-pairings alone, row 0 is its conjugate, and then the rows of each
-    degree follow at once from the rows of s - e_i, vectorized over r.
-    Entries with |s| + |r| odd come out as exact zeros."""
+def _wick_factor(c, d, degree):
+    """(B, lam) with E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r] for a centred
+    Gaussian z with E[z t(z)] = c and E[z z^*] = d I (d a scalar), over
+    enumerate_multiindices(n, degree): Wick's rule with u pairings across the
+    two sides gives B[s, u] = C(s, u) E[z^(s - u)] and lam[u] = u! d^|u|, and
+    E[z^v] = P_v(0, c) (fockpoly.p_s_values) is an exact zero at odd |v|."""
     n = c.shape[-1]
-    idx = numkit.enumerate_multiindices(n, degree)
-    pos = {s: p for p, s in enumerate(idx)}
-    exps = np.array(idx)
-    # low[p, j]: the position of idx[p] - e_j; 0 where exps[p, j] = 0, which
-    # is also the multiplier of that term
-    low = np.array([[pos[s[:j] + (e - 1,) + s[j + 1:]] if e else 0 for j, e in enumerate(s)]
-                    for s in idx])
-    first = np.argmax(exps > 0, axis=1)
-    parent = low[np.arange(len(idx)), first]
-    grades = [np.flatnonzero(exps.sum(axis=1) == g) for g in range(1, degree + 1)]
-    col = np.zeros(len(idx), dtype=complex)
-    col[0] = 1.0
-    for rows in grades:
-        i, rest = first[rows], parent[rows]
-        col[rows] = sum(exps[rest, j] * c[i, j] * col[low[rest, j]] for j in range(n))
-    table = np.zeros((len(idx), len(idx)), dtype=complex)
-    table[0] = col.conj()
-    for rows in grades:
-        i, rest = first[rows], parent[rows]
-        prev = table[rest]
-        terms = [(exps[rest, j] * c[i, j])[:, None] * table[low[rest, j]] for j in range(n)]
-        terms += [np.outer(d[i, j], exps[:, j]) * prev[:, low[:, j]] for j in range(n)]
-        table[rows] = sum(terms)
-    return table
+    exps = np.array(numkit.enumerate_multiindices(n, degree))
+    moments = np.array([*fockpoly.p_s_values([0] * n, c.tolist(), degree).values()], complex)
+    # each index read as base-(degree + 1) digits: key(s) - key(u) =
+    # key(s - u) for u <= s, and C(s, u) = 0 for any other u
+    key = exps @ (degree + 1) ** np.arange(n)
+    pos = np.zeros((degree + 1) ** n, dtype=int)
+    pos[key] = np.arange(len(exps))
+    binom = np.array([[math.comb(a, b) for b in range(degree + 1)] for a in range(degree + 1)])
+    below = math.prod(binom[e[:, None], e[None]] for e in exps.T)
+    lam = np.array([numkit.mi_factorial(u) for u in exps]) * d ** exps.sum(axis=1)
+    return below * moments[pos[np.maximum(key[:, None] - key[None], 0)]], lam
 
 
 def z_law_table(w, m, degree) -> np.ndarray:
     """T[s, r] = E[z^s conj(z)^r], |s|, |r| <= degree, under the z-law
-    exp(-8 pi m A(W, z)) / Z of one W (_z_moments).  At W = 0 and
+    exp(-8 pi m A(W, z)) / Z of one W (_wick_factor).  At W = 0 and
     m = fockpoly.MATCHING_M, E[z z^*] = I exactly: the standard complex
     Gaussian, whose table is diag(s!)."""
-    c, d = _z_moments(numkit.symmetrize(w), m, False)
-    return _moment_table(c, d * np.eye(c.shape[-1]), degree)
+    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m, False), degree)
+    return (factor * lam) @ factor.conj().T
 
 
 def a_form_matrix(w, m) -> np.ndarray:
@@ -128,9 +112,9 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
     prefactor (8 pi m)^n det(I - W conj(W))^{-1/2} pi^{-n} times the
     integrals of f_i conj(f_j) exp(-8 pi m A(W, z)) dLeb(z).  The prefactor
     is the reciprocal of the Gaussian's integral (_z_normalizer), so the
-    Gram is exactly A T A^H, with T the z-law's moment table (z_law_table)
-    and A the family's coefficients, each monomial z^s moved to the column
-    of s.  Raises ValueError on a family with a W term.
+    Gram is exactly (A B) diag(lam) (A B)^H, with (B, lam) the z-law's Wick
+    factor and A the family's coefficients: A B sums the rows of B at the
+    family's monomials.  Raises ValueError on a family with a W term.
 
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
@@ -143,9 +127,9 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
         raise ValueError("fock_gram needs z-only polynomials")
     degree = int(exps.sum(axis=1).max(initial=0))
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(n, degree))}
-    coef = np.zeros((len(family), len(pos)), dtype=complex)
-    coef[:, [pos[tuple(s)] for s in exps[:, :n].tolist()]] = family.coeffs
-    return coef @ z_law_table(w, m, degree) @ coef.conj().T
+    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m, False), degree)
+    coef = family.coeffs @ factor[[pos[tuple(s)] for s in exps[:, :n].tolist()]]
+    return (coef * lam) @ coef.conj().T
 
 
 def calibrate_norms(n: int, m) -> dict:
@@ -166,8 +150,8 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
     with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z).
 
     The U^s coefficients P_s(z, W) / s! of both series, in table order, are
-    vectors a and b, and the pairing is a T conj(b) with T the moment table
-    of that weight, the z-law at W = 0 and m = fockpoly.MATCHING_M."""
+    vectors a and b, and the pairing is (a B) diag(lam) conj(b B), with
+    (B, lam) the Wick factor of the z-law at W = 0, m = fockpoly.MATCHING_M."""
     wp = numkit.symmetrize(wp)
     w = numkit.symmetrize(w)
     zp_v = numkit.as_row_vector(zp)
@@ -176,10 +160,10 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
 
     def coefficients(zv, wm):
         vals = fockpoly.p_s_values(zv.tolist(), wm.tolist(), trunc)
-        return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()])
+        return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()]) @ factor
 
-    table = z_law_table(np.zeros((n, n)), fockpoly.MATCHING_M, trunc)
-    lhs = coefficients(zp_v, wp) @ table @ coefficients(z_v, w).conj()
+    factor, lam = _wick_factor(*_z_moments(np.zeros((n, n)), fockpoly.MATCHING_M, False), trunc)
+    lhs = (coefficients(zp_v, wp) * lam) @ coefficients(z_v, w).conj()
     rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 
@@ -288,27 +272,20 @@ def _sample_z_given_w(rng, ws, m, flip, mask):
 def _exact_z_kernel(family: PolyFamily, m):
     """n = 1, f_i = sum_{p,a} C[i, p, a] z^p w^a: K (nf, nf, D + 1, D + 1)
     with E[f_i conj(f_j) | w] = sum_{a,b} K[i, j, a, b] w^a conj(w)^b under
-    the z-law of mc_dj_gram, from the Wick sum E[z^p conj(z)^q | w] =
-    sum_j p! q! / (j! u! v! 2^(u+v)) d^j c^u conj(c)^v, u = (p - j) / 2,
-    v = (q - j) / 2; D = the largest w-degree + pmax // 2.  C is the
-    family's coefficient table, each monomial at its exponents (p, a)."""
+    the z-law of mc_dj_gram; D = the largest w-degree + pmax // 2.  Its
+    c = c1 w makes the Wick factor B[p, u] of w = 1 carry w^((p - u) / 2), so
+    K = sum_u lam_u beta_u conj(beta_u), beta_u the sum over p of B[p, u]
+    C[:, p] shifted by (p - u) / 2 in w; C[i, p, a] is at exponents (p, a)."""
     zexp, wexp = family.exponents.T
     pmax, amax = int(zexp.max(initial=0)), int(wexp.max(initial=0))
     nf = len(family)
     coef = np.zeros((nf, pmax + 1, amax + 1), dtype=complex)
     coef[:, zexp, wexp] = family.coeffs
-    c1, d = _z_moments(1.0, m, False)  # c = c1 w
-    size, fact = amax + pmax // 2 + 1, math.factorial
-    kern = np.zeros((nf, nf, size, size), dtype=complex)
-    for p in range(pmax + 1):
-        for q in range(p % 2, pmax + 1, 2):
-            block = np.einsum("ia,jb->ijab", coef[:, p], coef[:, q].conj())
-            for j in range(p % 2, min(p, q) + 1, 2):
-                u, v = (p - j) // 2, (q - j) // 2
-                t = (fact(p) * fact(q) / (fact(j) * fact(u) * fact(v) * 2 ** (u + v))
-                     * d ** j * c1 ** (u + v))
-                kern[:, :, u:u + amax + 1, v:v + amax + 1] += t * block
-    return kern
+    factor, lam = _wick_factor(*_z_moments(np.ones((1, 1)), m, False), pmax)
+    beta = np.zeros((pmax + 1, nf, amax + pmax // 2 + 1), dtype=complex)
+    for p, u in zip(*np.nonzero(factor)):
+        beta[u, :, (p - u) // 2:(p - u) // 2 + amax + 1] += factor[p, u] * coef[:, p]
+    return np.einsum("u,uia,ujb->ijab", lam, beta, beta.conj())
 
 
 class _PowerSums:
@@ -410,9 +387,7 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     Exact in z (kern from _exact_z_kernel), a block adds its folded power
     sums of w to one _PowerSums, whose workspace is allocated once per call;
     at the end they are unfolded once, and the Gram and its variance are
-    contracted from them.  The result is Hermitian by construction, so
-    mirror entries tie exactly and the worst entry of a Gram does not depend
-    on roundoff."""
+    contracted from them.  The result is Hermitian by construction."""
     require_side(family, side)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(family)
@@ -504,6 +479,19 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
     kern = _exact_z_kernel(family, m) if exact_z else None
     return _mc_gram(family, n, cfg, min(cfg.batch, 20000) if exact_z else cfg.batch, draw,
                     kern=kern)
+
+
+def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
+    """mc_dj_gram's Gram without sampling, at n = 1 only: the rotation-invariant
+    W-weight keeps the a = b terms of _exact_z_kernel, each times
+    int |w|^(2a) (1 - |w|^2)^(k - 5/2) dLeb(w) / (8 m pi) = a! / (8 m b ... (b + a)),
+    b = k - 3/2."""
+    if n != 1:
+        raise NotImplementedError("exact_dj_gram is implemented at n = 1 only")
+    kern = _exact_z_kernel(family, m)
+    mom = [math.factorial(a) / (8.0 * m * math.prod(k - 1.5 + j for j in range(a + 1)))
+           for a in range(kern.shape[-1])]
+    return np.einsum("ijaa,a->ij", kern, mom)
 
 
 def mc_hj_gram(family, n, m, k, cfg: MCConfig):

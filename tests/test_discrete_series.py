@@ -228,6 +228,33 @@ def test_verify_gram_small_run():
     _assert_mc_stats(rep.checks[0].detail, 120000)
 
 
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_verify_gram_reports_the_first_tied_entry(seed):
+    # at n = 1 the worst error is a tie among the entries (F_sa, F_sa') of
+    # every s, equal up to roundoff: the report names the first of them in
+    # label order, s = (0,), with that entry's own error and sigma (at seed
+    # 2 np.argmax picks s = (1,) of the tie)
+    cfg = quad.MCConfig(samples=20000, seed=seed)
+    labels, gram, sigma, _ = ds.gram_matrix(PARAMS, cfg)
+    err = np.abs(gram - np.eye(len(labels)))
+    ties = np.argwhere(err >= (1.0 - ds.TIE_RTOL) * err.max())
+    assert len(ties) > 1
+    i, j = ties[0]
+    check = ds.verify_gram(PARAMS, cfg).checks[0]
+    assert (check.detail["worst_row"], check.detail["worst_col"]) == (str(labels[i]),
+                                                                      str(labels[j]))
+    assert labels[i][0] == (0,)
+    assert check.residual == err[i, j] and check.detail["sigma"] == sigma[i, j]
+
+
+def test_verify_gram_reports_the_exact_residual_at_n1():
+    # the sample-free Gram rides along at n = 1 only, as data
+    cfg = quad.MCConfig(samples=20000, seed=3)
+    assert ds.verify_gram(PARAMS, cfg).checks[0].detail["exact_residual"] <= 1e-12
+    n2 = ds.verify_gram(ds.ReprParams(2, 0.25, 3), cfg, s_max=1, a_max=1)
+    assert "exact_residual" not in n2.checks[0].detail
+
+
 def test_isometry_small_run():
     rep = ds.verify_isometry(PARAMS, quad.MCConfig(samples=60000, seed=6))
     assert rep.passed

@@ -69,16 +69,16 @@ def _complex_covariances(cov):
 def _test_laws(n):
     # (Q, c, d) of non-circular Gaussians (E[z t(z)] != 0), so mixed s != r
     # pairs are nonzero: the two disk weights, with Q polarized from a_form
-    # and c, d in closed form, which have real E[z z^*], and a generic form
-    # whose E[z z^*] is complex
+    # and c, d (E[z z^*] = d I) in closed form
     w = domains.sample_disk_point(n, 0.6, seed=5).w
-    laws = []
-    for flip in (False, True):
-        c, d = quad._z_moments(w, M, flip)
-        laws.append((_polarized_forms(w[None], M, flip)[0], c, d * np.eye(n)))
-    root = np.random.default_rng(6).standard_normal((2 * n, 2 * n))
-    q = root @ root.T + np.eye(2 * n)
-    return laws + [(q, *_complex_covariances(np.linalg.inv(q) / 2.0))]
+    return [(_polarized_forms(w[None], M, flip)[0], *quad._z_moments(w, M, flip))
+            for flip in (False, True)]
+
+
+def _wick_table(c, d, degree):
+    """The moment table B diag(lam) B^H from quad's Wick factor."""
+    factor, lam = quad._wick_factor(c, d, degree)
+    return (factor * lam) @ factor.conj().T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -88,7 +88,7 @@ def test_moment_table_hermitian_with_exact_odd_zeros(n):
     idx = numkit.enumerate_multiindices(n, 5)
     odd = np.array([[(sum(s) + sum(r)) % 2 == 1 for r in idx] for s in idx])
     for _, c, d in _test_laws(n):
-        table = quad._moment_table(c, d, 5)
+        table = _wick_table(c, d, 5)
         assert_allclose(table, table.conj().T, rtol=0, atol=1e-15 * np.max(np.abs(table)))
         assert np.all(table[odd] == 0)
 
@@ -137,8 +137,7 @@ def test_flip_matches_reflected_argument():
     flipped = _polarized_forms(w[None], M, flip=True)[0]
     assert_allclose(flipped, quad.a_form_matrix(-w, M), atol=1e-12)
     (c_flip, d_flip), (c_ref, d_ref) = quad._z_moments(w, M, True), quad._z_moments(-w, M, False)
-    assert_allclose(quad._moment_table(c_flip, d_flip * np.eye(1), 4),
-                    quad._moment_table(c_ref, d_ref * np.eye(1), 4), atol=1e-12)
+    assert_allclose(_wick_table(c_flip, d_flip, 4), _wick_table(c_ref, d_ref, 4), atol=1e-12)
 
 
 def _gauss_hermite_table(q, degree, order):
@@ -163,7 +162,7 @@ def test_gauss_hermite_agrees_with_exact_moments():
     w = np.array([[0.35 - 0.15j]])
     c, d = quad._z_moments(w, M, False)
     pairs = {(2, 2): 1.0, (1, 1): 0.5 - 0.25j, (0, 0): -1.0}
-    exact = quad._moment_table(c, d * np.eye(1), 2)
+    exact = _wick_table(c, d, 2)
     gh = _gauss_hermite_table(_polarized_forms(w[None], M, False)[0], 2, order=40)
     assert_allclose(sum(cf * gh[s, r] for (s, r), cf in pairs.items()),
                     sum(cf * exact[s, r] for (s, r), cf in pairs.items()), rtol=1e-12)
@@ -172,7 +171,7 @@ def test_gauss_hermite_agrees_with_exact_moments():
 def test_complex_wick_agrees_with_gauss_hermite_n2():
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(2, 3))}
     for q, c, d in _test_laws(2):
-        exact, gh = quad._moment_table(c, d, 3), _gauss_hermite_table(q, 3, order=12)
+        exact, gh = _wick_table(c, d, 3), _gauss_hermite_table(q, 3, order=12)
         for s, r in [((2, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 1), (0, 0)),
                      ((2, 1), (0, 1)), ((0, 1), (0, 1)), ((3, 0), (1, 0)),
                      ((0, 1), (2, 1)), ((1, 2), (1, 0)), ((2, 0), (1, 1)),
@@ -186,7 +185,7 @@ def test_moment_table_matches_gauss_hermite_n2():
     # in exact arithmetic (odd entries, and those of E[z_1 conj(z_2)] = 0 of
     # the disk laws) read as roundoff of the largest entry on both sides
     for q, c, d in _test_laws(2):
-        exact, gh = quad._moment_table(c, d, 4), _gauss_hermite_table(q, 4, order=12)
+        exact, gh = _wick_table(c, d, 4), _gauss_hermite_table(q, 4, order=12)
         scale = np.max(np.abs(exact))
         nonzero = np.abs(exact) > 1e-12 * scale
         assert_allclose(gh[nonzero], exact[nonzero], rtol=1e-11)
@@ -482,20 +481,6 @@ def test_z_draw_keeps_the_stream():
     assert rng.uniform() == ref.uniform()
 
 
-def _frozen_gram(funcs, w):
-    """Conditional Gram E[f_i conj(f_j) | w] from the moment table, each
-    function frozen at w into a z-only polynomial: the fixed-w Fock Gram,
-    whose prefactor is the reciprocal of the weight's integral."""
-    zero = numkit.SymIndex.zero(1)
-    frozen = []
-    for f in funcs:
-        terms = {}
-        for (s, a), c in f.terms.items():
-            terms[(s, zero)] = terms.get((s, zero), 0) + complex(c) * w ** a.upper[0]
-        frozen.append(fockpoly.PolyFunction(1, terms))
-    return quad.fock_gram(fockpoly.PolyFamily(frozen), np.array([[w]]), M)
-
-
 def _section_pair():
     # reproducing-style: the first basis function and a kernel section with
     # complex coefficients, s <= 4, a <= 3
@@ -505,6 +490,28 @@ def _section_pair():
     for _, fn in labeled:
         section = section + fn * complex(np.conj(fn.evaluate(x.z, x.w)))
     return [labeled[0][1], section]
+
+
+def _gauss_hermite_grams(family, ws, order=8):
+    """The conditional Grams E[f_i conj(f_j) | w] (N, nf, nf) of a family at
+    n = 1, at each w of ws (N,), under the z-law of mc_dj_gram, from the
+    family's own values on a tensor Gauss-Hermite rule of that law: the
+    independent reference for the exact-z kernel.  Order 8 is exact for
+    z-degree up to 7 in each function."""
+    # (Re z, Im z) has covariance (1/2) [[d + Re c, Im c], [Im c, d - Re c]]
+    # with E[z^2] = c = -w d and E[|z|^2] = d = 1 / (8 pi m)
+    d = 1.0 / (8 * np.pi * M)
+    c = -ws * d
+    l11 = np.sqrt(0.5 * (d + c.real))
+    l21 = 0.5 * c.imag / l11
+    l22 = np.sqrt(0.5 * (d - c.real) - l21 ** 2)
+    nodes, gw = np.polynomial.hermite.hermgauss(order)
+    g1, g2 = (np.sqrt(2.0) * g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    rule = np.outer(gw, gw).ravel() / np.pi
+    zs = l11[:, None] * g1 + 1j * (l21[:, None] * g1 + l22[:, None] * g2)
+    mats = np.broadcast_to(ws[:, None, None, None], zs.shape + (1, 1)).reshape(-1, 1, 1)
+    vals = family.split(mats, zs.reshape(-1, 1))[0].reshape(len(family), *zs.shape)
+    return np.einsum("itq,jtq,q->tij", vals, vals.conj(), rule)
 
 
 def _power_sum_contraction(funcs, ws, weight):
@@ -520,10 +527,9 @@ _WS = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j, 0.6 + 0.7j])
 
 @pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
 def test_power_sum_grams_match_scalar_moments(funcs):
-    # the contraction at single samples (unit weight) against the moment
-    # table's Gram: the Gram and its squared modulus
-    for w in _WS:
-        ref = _frozen_gram(funcs, w)
+    # the contraction at single samples (unit weight) against the
+    # Gauss-Hermite conditional Gram: the Gram and its squared modulus
+    for w, ref in zip(_WS, _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)):
         acc, acc2 = _power_sum_contraction(funcs, np.array([w]), np.ones(1))
         assert_allclose(acc, ref, rtol=1e-12, atol=1e-12)
         assert_allclose(acc2, np.abs(ref) ** 2, rtol=1e-12, atol=1e-12)
@@ -534,7 +540,7 @@ def test_power_sum_variance_matches_per_sample_sum(funcs):
     # sum_t weight_t^2 |G_t|^2 and sum_t weight_t G_t over several weighted
     # samples against the per-sample values
     weight = np.array([0.5, 1.7, 0.2, 3.0, 0.9])
-    grams = np.array([_frozen_gram(funcs, w) for w in _WS])
+    grams = _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)
     acc, acc2 = _power_sum_contraction(funcs, _WS, weight)
     assert_allclose(acc, np.tensordot(weight, grams, axes=1), rtol=1e-12, atol=1e-12)
     ref2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
@@ -595,20 +601,7 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
     w = np.concatenate([_proposals(rng, count, 1)[0][:, 0] for count in (3000, 2001)])
     dets = 1.0 - np.abs(w) ** 2
     weight = dets ** (k - 3) * np.sqrt(dets) / (8 * M)
-    # (Re z, Im z) has covariance (1/2) [[d + Re c, Im c], [Im c, d - Re c]]
-    # with E[z^2] = c = -w d and E[|z|^2] = d = 1 / (8 pi m)
-    d = 1.0 / (8 * np.pi * M)
-    c = -w * d
-    l11 = np.sqrt(0.5 * (d + c.real))
-    l21 = 0.5 * c.imag / l11
-    l22 = np.sqrt(0.5 * (d - c.real) - l21 ** 2)
-    nodes, gw = np.polynomial.hermite.hermgauss(8)
-    g1, g2 = (np.sqrt(2.0) * g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
-    rule = np.outer(gw, gw).ravel() / np.pi
-    zs = l11[:, None] * g1 + 1j * (l21[:, None] * g1 + l22[:, None] * g2)
-    mats = np.broadcast_to(w[:, None, None, None], zs.shape + (1, 1)).reshape(-1, 1, 1)
-    vals = family.split(mats, zs.reshape(-1, 1))[0].reshape(len(family), *zs.shape)
-    grams = np.einsum("itq,jtq,q->tij", vals, vals.conj(), rule)
+    grams = _gauss_hermite_grams(family, w)
     acc = np.tensordot(weight, grams, axes=1)
     acc2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
     ref = (acc + acc.conj().T) / (2 * cfg.samples)
@@ -636,6 +629,33 @@ def test_exact_z_stats_match_the_disk_draw():
     assert_allclose(exact["ess"], disk["ess"], rtol=1e-12)
     assert_allclose(exact["max_share"], disk["max_share"], rtol=1e-12)
     assert 0.5 * cfg.samples < exact["ess"] < cfg.samples
+
+
+@pytest.mark.parametrize("m", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_exact_dj_gram_of_the_series_basis_is_the_identity(m, k):
+    # the sample-free n = 1 Gram of F_sa (|s| <= 3, a <= 2) is the identity
+    # to roundoff; the same W-moments taken at k + 1/2 miss it by far, so
+    # the identity tests the moments and not only the z-law
+    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(1, m, k, 3, 2)])
+    eye = np.eye(len(family))
+    assert np.max(np.abs(quad.exact_dj_gram(family, 1, m, k) - eye)) <= 1e-12
+    assert np.max(np.abs(quad.exact_dj_gram(family, 1, m, k + 0.5) - eye)) > 0.1
+
+
+def test_exact_dj_gram_against_beta_moments():
+    # 1 and w: E[|f|^2 | w] is 1 and |w|^2, and the W-integral of |w|^(2a)
+    # is B(a + 1, k - 3/2) / (8 m); 1 and w do not pair
+    one = fockpoly.PolyFunction.constant(1, 1.0)
+    wmono = fockpoly.PolyFunction.monomial(1, a=numkit.SymIndex(1, (1,)))
+    gram = quad.exact_dj_gram(fockpoly.PolyFamily([one, wmono]), 1, M, K)
+    target = np.diag([beta_fn(a + 1, K - 1.5) / (8 * M) for a in range(2)])
+    assert_allclose(gram, target, rtol=1e-14, atol=1e-15)
+
+
+def test_exact_dj_gram_is_n1_only():
+    with pytest.raises(NotImplementedError):
+        quad.exact_dj_gram(fockpoly.PolyFamily([fockpoly.basis_f((0, 0), M)]), 2, M, K)
 
 
 def test_mc_hj_matches_disk_norm():
