@@ -27,8 +27,9 @@ class CliError(Exception):
 
 # --- lenient JSON coercion for eval arguments ---
 # Scalars may be given as plain numbers; a two-number list is a complex
-# scalar [re, im].  Vectors and matrices beyond that use the nested strict
-# forms ([[re, im], ...] and [[...row...], ...]).
+# scalar [re, im] (at n = 2 it is a real vector).  Vectors and matrices
+# beyond that use the nested strict forms ([[re, im], ...] and
+# [[...row...], ...]).  Every point enters through _point.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -42,7 +43,7 @@ def _as_complex(v):
     raise CliError(f"expected a number or [re, im] pair, got {v!r}")
 
 
-def _as_vector(v, n=None):
+def _as_vector(v, n):
     if _is_num(v):
         return np.array([complex(v)])
     if isinstance(v, list):
@@ -66,19 +67,34 @@ def _as_matrix(v, n=None):
     raise CliError(f"cannot read a matrix from {v!r}")
 
 
-def _need(args, *keys):
+def _need(args, *keys, default=None):
+    """The value of the first of keys in args, else default; without a
+    default a missing argument is a usage error."""
     for key in keys:
         if key in args:
             return args[key]
-    raise CliError(f"missing required argument {keys[0]!r}")
+    if default is None:
+        raise CliError(f"missing required argument {keys[0]!r}")
+    return default
 
 
-def _maybe_point_disk(args, n):
-    w = _as_matrix(_need(args, "W", "w"), n)
-    z = _as_vector(args.get("z", args.get("Z", 0.0)), n)
-    if z.shape[0] != w.shape[0]:
-        z = np.zeros(w.shape[0], dtype=complex) + (z[0] if z.shape[0] == 1 else 0)
-    return w, z
+def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.0):
+    """The point (matrix, vector) read from the first of mat_keys and of
+    vec_keys in args, else from the defaults (None: required).  n is the
+    dimension, else the matrix's size.  A scalar broadcasts, the matrix to
+    w I and the vector to (z, ..., z); any other size is a usage error."""
+    mat = _as_matrix(_need(args, *mat_keys, default=mat_default), n)
+    n = len(mat) if n is None else n
+    vec = _as_vector(_need(args, *vec_keys, default=vec_default), n)
+    if mat.shape == (1, 1):
+        mat = mat[0, 0] * np.eye(n)
+    if len(vec) == 1:
+        vec = np.full(n, vec[0])
+    if mat.shape != (n, n):
+        raise CliError(f"{mat_keys[0]!r} must be {n} x {n} or a scalar, got shape {mat.shape}")
+    if vec.shape != (n,):
+        raise CliError(f"{vec_keys[0]!r} must have length {n} or be a scalar, got length {len(vec)}")
+    return mat, vec
 
 
 def _q_poly(n, k, a):
@@ -97,15 +113,9 @@ def _q_poly(n, k, a):
 # --- eval handlers ---
 
 def _ev_poly(poly, args, n):
-    has_point = any(key in args for key in ("Z", "z", "W", "w"))
-    if not has_point:
+    if not any(key in args for key in ("Z", "z", "W", "w")):
         return poly.to_json()
-    z = _as_vector(args.get("Z", args.get("z", 0.0)), n)
-    if z.shape[0] != n:
-        z = np.full(n, z[0]) if z.shape[0] == 1 else z
-    w = _as_matrix(args.get("W", args.get("w", 0.0)), n)
-    if w.shape[0] != n:
-        w = w[0, 0] * np.eye(n)
+    w, z = _point(args, ("W", "w"), ("Z", "z"), n, mat_default=0.0)
     return poly.evaluate(z, w)
 
 
@@ -121,12 +131,11 @@ def _ev_f_s(args, cfg):
 
 def _ev_phi(args, cfg):
     s = tuple(int(v) for v in _need(args, "s"))
-    n = len(s)
-    w = _as_matrix(args.get("W", args.get("w", 0.0)), n)
+    w, z = _point(args, ("W", "w"), ("Z", "z"), len(s), mat_default=0.0)
     poly = fockpoly.basis_phi(w, s, args.get("m", cfg.m))
     if "Z" not in args and "z" not in args:
         return poly.to_json()
-    return poly.evaluate(_as_vector(_need(args, "Z", "z"), n), None)
+    return poly.evaluate(z, None)
 
 
 def _ev_big_f(args, cfg):
@@ -145,13 +154,12 @@ def _ev_q_a(args, cfg):
     qpoly = _q_poly(n, args.get("k", cfg.k), a)
     if "W" not in args and "w" not in args:
         return qpoly.to_json()
-    return qpoly.evaluate(None, _as_matrix(_need(args, "W", "w"), n))
+    return qpoly.evaluate(None, _point(args, ("W", "w"), n=n)[0])
 
 
 def _ev_j1(args, cfg):
     sigma = groups.json_to_sp(_need(args, "g"))
-    om = _as_matrix(_need(args, "Omega"), sigma.n)
-    return kernels.j1(sigma, (om, np.zeros(sigma.n)))
+    return kernels.j1(sigma, _point(args, ("Omega",), n=sigma.n))
 
 
 def _ev_theta(args, cfg):
@@ -161,78 +169,66 @@ def _ev_theta(args, cfg):
 
 
 def _ev_k1(args, cfg):
-    omp = _as_matrix(_need(args, "Omega_p"))
-    om = _as_matrix(_need(args, "Omega"))
-    n = om.shape[0]
-    zero = np.zeros(n)
-    return kernels.k1((omp, zero), (om, zero))
+    yp = _point(args, ("Omega_p",))
+    return kernels.k1(yp, _point(args, ("Omega",), n=len(yp[0])))
 
 
 def _ev_k2(args, cfg):
-    omp = _as_matrix(_need(args, "Omega_p"))
-    n = omp.shape[0]
-    yp = (omp, _as_vector(_need(args, "zeta_p"), n))
-    y = (_as_matrix(_need(args, "Omega"), n), _as_vector(_need(args, "zeta"), n))
+    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None)
+    y = _point(args, ("Omega",), ("zeta",), len(yp[0]), vec_default=None)
     return kernels.k2_space(yp, y)
 
 
 def _ev_a_form(args, cfg):
-    w, z = _maybe_point_disk(args, None)
-    return kernels.a_form(w, z)
+    return kernels.a_form(*_point(args, ("W", "w"), ("z", "Z")))
 
 
 def _ev_jmk(args, cfg):
     g = groups.json_to_jacobi(_need(args, "g"))
-    om = _as_matrix(_need(args, "Omega"), g.n)
-    zeta = _as_vector(args.get("zeta", 0.0), g.n)
-    if zeta.shape[0] != g.n:
-        zeta = np.zeros(g.n, dtype=complex)
-    return kernels.jmk(g, (om, zeta), args.get("m", cfg.m), args.get("k", cfg.k))
+    y = _point(args, ("Omega",), ("zeta",), g.n)
+    return kernels.jmk(g, y, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_jmk_star(args, cfg):
     gs = groups.json_to_jacobi_star(_need(args, "g"))
-    w, z = _maybe_point_disk(args, gs.n)
-    return kernels.jmk_star(gs, (w, z), args.get("m", cfg.m), args.get("k", cfg.k))
+    x = _point(args, ("W", "w"), ("z", "Z"), gs.n)
+    return kernels.jmk_star(gs, x, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_kmk(args, cfg):
-    omp = _as_matrix(_need(args, "Omega_p"))
-    n = omp.shape[0]
-    yp = (omp, _as_vector(_need(args, "zeta_p"), n))
-    y = (_as_matrix(_need(args, "Omega"), n), _as_vector(_need(args, "zeta"), n))
+    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None)
+    y = _point(args, ("Omega",), ("zeta",), len(yp[0]), vec_default=None)
     return kernels.kmk_kernel(yp, y, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_kmk_star(args, cfg):
-    wp = _as_matrix(_need(args, "W_p"))
-    n = wp.shape[0]
-    xp = (wp, _as_vector(_need(args, "z_p"), n))
-    x = (_as_matrix(_need(args, "W"), n), _as_vector(_need(args, "z"), n))
+    xp = _point(args, ("W_p",), ("z_p",), vec_default=None)
+    x = _point(args, ("W",), ("z",), len(xp[0]), vec_default=None)
     return kernels.kmk_star_kernel(xp, x, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_action(args, cfg):
     g = _need(args, "g")
     point = domains.json_to_point(_need(args, "point"))
-    if "p" in g:
-        moved = groups.act_sj_disk(groups.json_to_jacobi_star(g), point)
-    else:
-        moved = groups.act_sj_space(groups.json_to_jacobi(g), point)
-    return domains.point_to_json(moved)
+    disk = "p" in g
+    if disk != isinstance(point, domains.SJDiskPoint):
+        raise CliError("a disk element {p, q, ...} acts on {W, z} points and a space"
+                       " element {a, b, c, d, ...} on {Omega, zeta} points")
+    elem = groups.json_to_jacobi_star(g) if disk else groups.json_to_jacobi(g)
+    if elem.n != point.n:
+        raise CliError(f"the element has n = {elem.n} and the point n = {point.n}")
+    act = groups.act_sj_disk if disk else groups.act_sj_space
+    return domains.point_to_json(act(elem, point))
 
 
 def _ev_cayley(args, cfg):
     direction = args.get("direction", "forward")
     if direction == "forward":
-        w, z = _maybe_point_disk(args, None)
-        return domains.point_to_json(domains.cayley_forward(domains.SJDiskPoint(w, z)))
+        x = domains.SJDiskPoint(*_point(args, ("W", "w"), ("z", "Z")))
+        return domains.point_to_json(domains.cayley_forward(x))
     if direction == "inverse":
-        om = _as_matrix(_need(args, "Omega"))
-        zeta = _as_vector(args.get("zeta", 0.0), om.shape[0])
-        if zeta.shape[0] != om.shape[0]:
-            zeta = np.zeros(om.shape[0], dtype=complex)
-        return domains.point_to_json(domains.cayley_inverse(domains.SJSpacePoint(om, zeta)))
+        y = domains.SJSpacePoint(*_point(args, ("Omega",), ("zeta",)))
+        return domains.point_to_json(domains.cayley_inverse(y))
     raise CliError("direction must be 'forward' or 'inverse'")
 
 
@@ -392,11 +388,9 @@ def _emit(text: str, out_path):
 
 def _verify_csv(rep: report.VerifyReport) -> str:
     return report.csv_text(
-        ["name", "pass", "residual", "estimate", "sigma", "tol"],
+        ["name", "pass", "residual", "tol"],
         [[c.name, int(c.passed),
           "" if c.residual is None else repr(float(c.residual)),
-          "" if c.estimate is None else repr(complex(c.estimate).real),
-          "" if c.sigma is None else repr(float(c.sigma)),
           "" if c.tol is None else repr(float(c.tol))] for c in rep.checks])
 
 

@@ -1,6 +1,7 @@
 """Discrete-series layer: twisted group actions on function spaces over the
-bounded and unbounded models, the transfer map between them, and verification
-suites for the identities the transfer rests on.
+bounded and unbounded models, the transfer map between them, and the checks
+of the identities the transfer rests on, each returned as a list of
+CheckResults for the suites to report.
 
 Functions that are not polynomials (transported and composite ones) are
 SampledFunctions, families of quad's evaluation protocol like the
@@ -35,9 +36,6 @@ class ReprParams:
             raise ValueError("k must be an integer")
         if not self.k > self.n + 0.5:
             raise ValueError(f"need k > n + 1/2, got k={self.k}, n={self.n}")
-
-    def to_dict(self):
-        return {"n": self.n, "m": self.m, "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def _tame_disk_batch(n, count, seed):
     return domains.sample_sj_disk_batch(n, count, seed, 0.5, 0.6)
 
 
-def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyReport:
+def verify_identities(params: ReprParams, count=100, seed=0) -> list:
     """Both-sides evaluation of the three chart identities: the imaginary
     parts of the forward chart in closed form, and the transfer of the
     Gaussian exponent.  The exponent identity holds with the W-argument of A
@@ -186,7 +184,7 @@ def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyRep
     lhs = numkit.vecvec(np.linalg.solve(yim, eta[..., None])[..., 0], eta)
     hol = numkit.vecvec(z, np.linalg.solve(eye - w, z[..., None])[..., 0]).real
     a_flip = 2.0 * kernels.a_form(-w, z).real
-    checks = [
+    return [
         report.residual_check("imag-part-matrix", float(np.max(np.abs(yim - rhs_y))), 1e-10),
         report.residual_check("imag-part-vector", float(np.max(np.abs(eta - rhs_eta))), 1e-10),
         report.residual_check(
@@ -194,11 +192,10 @@ def verify_identities(params: ReprParams, count=100, seed=0) -> report.VerifyRep
             detail={"printed_sign_variant_residual":
                     float(np.max(np.abs(lhs - (a_flip - 2.0 * hol))))}),
     ]
-    return report.VerifyReport("transfer-identities", params.to_dict(), seed, checks)
 
 
 def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
-                             step=1e-5) -> report.VerifyReport:
+                             step=1e-5) -> list:
     """Finite-difference check that the real Jacobian of the forward chart
     times the density ratio of the two invariant measures is the constant
     2^{n(n+3)}, globally across random points."""
@@ -217,12 +214,11 @@ def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
     dets_ratio = (np.linalg.det(eye - x.w @ x.w.conj()).real ** (n + 2)
                   / np.linalg.det(y.omega.imag) ** (n + 2))
     values = np.abs(np.linalg.det(np.moveaxis(jac, -1, 0))) * dets_ratio
-    checks = [report.residual_check(f"measure-constant-n{n}",
-                                    float(np.max(np.abs(values / target - 1.0))), 1e-4,
-                                    detail={"target": target,
-                                            "min": float(np.min(values)),
-                                            "max": float(np.max(values))})]
-    return report.VerifyReport("measure-jacobian", params.to_dict(), seed, checks)
+    return [report.residual_check(f"measure-constant-n{n}",
+                                  float(np.max(np.abs(values / target - 1.0))), 1e-4,
+                                  detail={"target": target,
+                                          "min": float(np.min(values)),
+                                          "max": float(np.max(values))})]
 
 
 def _series_family(params: ReprParams, s_max, a_max):
@@ -242,7 +238,7 @@ def gram_matrix(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2):
 TIE_RTOL = 1e-10
 
 
-def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> report.VerifyReport:
+def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> list:
     """Largest Gram deviation against the error bar of that entry.
 
     At n = 1 the z-integrals are evaluated exactly per sample, the remaining
@@ -286,7 +282,7 @@ def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> rep
         checks.append(report.residual_check("sigma-budget", float(np.max(sigma)),
                                             sigma_budget))
         checks.append(report.residual_check("parity-zeros", parity_worst, 1e-12))
-    return report.VerifyReport("series-gram", params.to_dict(), cfg.seed, checks)
+    return checks
 
 
 def _isometry_functions(params: ReprParams):
@@ -298,7 +294,7 @@ def _isometry_functions(params: ReprParams):
     return [("F00", f00), ("F10", f10), ("F01", f01), ("mix", mix)]
 
 
-def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyReport:
+def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> list:
     """Norms before and after the transfer agree within combined MC error;
     the test functions have z-degree at most one, where the two bounded-side
     weight conventions coincide, so the comparison is convention-free.
@@ -327,10 +323,10 @@ def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> report.VerifyRepo
                     "disk_sigma": d_sig, "space_sigma": s_sig,
                     **{"disk_" + key: v for key, v in d_stats.items()},
                     **{"space_" + key: v for key, v in s_stats.items()}}))
-    return report.VerifyReport("isometry", params.to_dict(), cfg.seed, checks)
+    return checks
 
 
-def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyReport:
+def verify_roundtrip(params: ReprParams, count=50, seed=0) -> list:
     """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise."""
     n = params.n
     qb = fockpoly.q_basis(n, params.k, 1)
@@ -349,14 +345,13 @@ def verify_roundtrip(params: ReprParams, count=50, seed=0) -> report.VerifyRepor
     x, y = both[:count], domains.cayley_forward(both[count:])
     worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
     worst_space = float(np.max(np.abs(forth(y) - phi(y))))
-    checks = [
+    return [
         report.residual_check("roundtrip-disk", worst_disk, 1e-10),
         report.residual_check("roundtrip-space", worst_space, 1e-10),
     ]
-    return report.VerifyReport("transfer-roundtrip", params.to_dict(), seed, checks)
 
 
-def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> report.VerifyReport:
+def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> list:
     """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise,
     with the t-th element evaluated at the t-th point."""
     n = params.n
@@ -368,12 +363,11 @@ def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> repo
     y = domains.cayley_forward(_tame_disk_batch(n, count, (seed, 1000, 1)))
     lhs = t_star(pi_star_apply(gs, psi, params), params)(y)
     rhs = pi_apply(groups.theta_inv(gs), t_star(psi, params), params)(y)
-    checks = [report.residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
-    return report.VerifyReport("intertwining", params.to_dict(), seed, checks)
+    return [report.residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
 
 
 def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_a=6,
-                      points=5, seed=0) -> report.VerifyReport:
+                      points=5, seed=0) -> list:
     """(i) The truncated two-point basis sum matches the closed-form kernel;
     (ii) pairing against the truncated kernel section reproduces point values
     within MC error."""
@@ -408,10 +402,9 @@ def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_
         ok = ok and err <= tol
         if err > worst_err:
             worst_err, worst_tol = err, tol
-    checks = [
+    return [
         report.residual_check("kernel-expansion", worst_rel, 1e-4),
         report.CheckResult(name="kernel-section-pairing", passed=bool(ok),
                            residual=float(worst_err), tol=float(worst_tol),
                            detail=quad.mc_stats(stats, [0, -1])),  # of <f, last section>
     ]
-    return report.VerifyReport("reproducing", params.to_dict(), seed, checks)

@@ -1,10 +1,14 @@
-"""Points of the four domains and the partial Cayley transform between them.
+"""Points of the two Siegel-Jacobi domains and the partial Cayley transform
+between them.
 
-The bounded domain is the set of symmetric complex W with I - W conj(W)
-positive definite; the unbounded model is the set of symmetric Omega with
-positive definite imaginary part.  The Jacobi versions append a complex row
-vector (z resp. zeta).  Points within 1e-12 of the boundary are rejected so
-that (I - W)^{-1} style inverses stay well conditioned.
+The Siegel-Jacobi disk holds the points (W, z): a symmetric complex W with
+I - W conj(W) positive definite and a complex row vector z.  The
+Siegel-Jacobi space holds the points (Omega, zeta): a symmetric Omega with
+positive definite imaginary part and a complex row vector zeta.  Each model
+has one point class, SJDiskPoint resp. SJSpacePoint; elsewhere a raw
+(matrix, vector) pair stands for a point too.  Points within 1e-12 of the
+boundary are rejected so that (I - W)^{-1} style inverses stay well
+conditioned.
 
 Every point class holds one point or a stack of them (a leading axis on each
 field): the constructor symmetrizes and certifies the whole stack at once
@@ -36,62 +40,19 @@ def _certify(h, what):
 
 
 @dataclass(frozen=True, eq=False)
-class UpperHalfPoint(numkit.Stack):
-    omega: np.ndarray
-
-    def __post_init__(self):
-        om = numkit.symmetrize(self.omega)
-        object.__setattr__(self, "omega", om)
-        _certify(om.imag, "Im Omega")
-
-    @property
-    def n(self):
-        return self.omega.shape[-1]
-
-    @property
-    def x(self):
-        return self.omega.real
-
-    @property
-    def y(self):
-        return self.omega.imag
-
-
-@dataclass(frozen=True, eq=False)
-class DiskPoint(numkit.Stack):
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = numkit.symmetrize(self.w)
-        object.__setattr__(self, "w", w)
-        _certify(np.eye(w.shape[-1]) - w @ w.conj(), "I - W conj(W)")
-
-    @property
-    def n(self):
-        return self.w.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
 class SJSpacePoint(numkit.Stack):
     omega: np.ndarray
     zeta: np.ndarray
 
     def __post_init__(self):
-        base = UpperHalfPoint(self.omega)
-        object.__setattr__(self, "omega", base.omega)
-        object.__setattr__(self, "zeta", numkit.row_vectors(self.zeta, base.omega))
+        om = numkit.symmetrize(self.omega)
+        _certify(om.imag, "Im Omega")
+        object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "zeta", numkit.row_vectors(self.zeta, om))
 
     @property
     def n(self):
         return self.omega.shape[-1]
-
-    @property
-    def y(self):
-        return self.omega.imag
-
-    @property
-    def eta(self):
-        return self.zeta.imag
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +61,10 @@ class SJDiskPoint(numkit.Stack):
     z: np.ndarray
 
     def __post_init__(self):
-        base = DiskPoint(self.w)
-        object.__setattr__(self, "w", base.w)
-        object.__setattr__(self, "z", numkit.row_vectors(self.z, base.w))
+        w = numkit.symmetrize(self.w)
+        _certify(np.eye(w.shape[-1]) - w @ w.conj(), "I - W conj(W)")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "z", numkit.row_vectors(self.z, w))
 
     @property
     def n(self):
@@ -155,11 +117,6 @@ def _draw_w(rng, n, count, radius_cap):
     return radius_cap * m / (1.0 + smax)[:, None, None]
 
 
-def sample_disk_point(n, radius_cap=0.8, seed=None):
-    """Random symmetric W with sigma_max(W) < radius_cap, deterministic per seed."""
-    return DiskPoint(_draw_w(np.random.default_rng(seed), n, 1, radius_cap)[0])
-
-
 def sample_sj_disk_batch(n, count, seed, radius_cap=0.8, z_cap=2.0) -> SJDiskPoint:
     """A stack of count points (W, z), sigma_max(W) < radius_cap and z in
     the polydisk of radius z_cap, validated once.  One generator, seeded by
@@ -204,10 +161,6 @@ def point_to_json(point):
         return {"W": matrix_to_json(point.w), "z": vector_to_json(point.z)}
     if isinstance(point, SJSpacePoint):
         return {"Omega": matrix_to_json(point.omega), "zeta": vector_to_json(point.zeta)}
-    if isinstance(point, DiskPoint):
-        return {"W": matrix_to_json(point.w)}
-    if isinstance(point, UpperHalfPoint):
-        return {"Omega": matrix_to_json(point.omega)}
     raise TypeError(f"not a domain point: {type(point)!r}")
 
 
@@ -216,8 +169,4 @@ def json_to_point(obj):
         return SJDiskPoint(json_to_matrix(obj["W"]), json_to_vector(obj["z"]))
     if "Omega" in obj and "zeta" in obj:
         return SJSpacePoint(json_to_matrix(obj["Omega"]), json_to_vector(obj["zeta"]))
-    if "W" in obj:
-        return DiskPoint(json_to_matrix(obj["W"]))
-    if "Omega" in obj:
-        return UpperHalfPoint(json_to_matrix(obj["Omega"]))
     raise ValueError("unrecognized point encoding")

@@ -463,12 +463,9 @@ def basis_phi(w, s: tuple, m: float) -> PolyFunction:
     a polynomial in z alone, from p_s_values on the monomials sqrt(8 pi m) z_i
     and the entries of W."""
     s = tuple(int(v) for v in s)
-    n = len(s)
-    if hasattr(w, "w"):
-        w = w.w
-    wm = numkit.symmetrize(w) if w is not None else np.zeros((n, n), dtype=complex)
-    z = _z_monomials(n, math.sqrt(8.0 * math.pi * m))
-    return p_s_values(z, wm.tolist(), sum(s))[s] * (1.0 / math.sqrt(mi_factorial(s)))
+    z = _z_monomials(len(s), math.sqrt(8.0 * math.pi * m))
+    return (p_s_values(z, numkit.symmetrize(w).tolist(), sum(s))[s]
+            * (1.0 / math.sqrt(mi_factorial(s))))
 
 
 def sym_degree_list(n: int, max_degree: int):
@@ -554,10 +551,8 @@ def q_basis(n: int, k, max_degree: int):
     out = {}
     for d, block in enumerate(_taylor_blocks(n, k, max_degree)):
         mono = [a for a in labels if sum(a.upper) == d]
-        # U t(U) = K_d / mass; a 1 x 1 block (each one at n = 1) needs only
-        # its square root
-        upper = (np.sqrt(block / mass) if len(block) == 1
-                 else numkit.spd_cholesky(block[::-1, ::-1] / mass)[::-1, ::-1])
+        # U t(U) = K_d / mass
+        upper = numkit.spd_cholesky(block[::-1, ::-1] / mass)[::-1, ::-1]
         for a, col in zip(mono, upper.T):
             out[a] = PolyFunction(n, {((0,) * n, b): float(c) for b, c in zip(mono, col)})
     return tuple(out[a] for a in labels)

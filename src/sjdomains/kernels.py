@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkit
-from .domains import DiskPoint, SJDiskPoint, SJSpacePoint, UpperHalfPoint
+from .domains import SJDiskPoint, SJSpacePoint
 from .groups import (JacobiElement, JacobiStarElement, SpElement,
                      SpStarElement, right_divide)
 from .numkit import item_or_stack, transpose, vecmat, vecvec
@@ -32,8 +32,6 @@ from .numkit import item_or_stack, transpose, vecmat, vecvec
 def _wz(x):
     if isinstance(x, SJDiskPoint):
         return x.w, x.z
-    if isinstance(x, DiskPoint):
-        return x.w, np.zeros(x.w.shape[:-1], dtype=complex)
     w = numkit.symmetrize(x[0])
     return w, numkit.row_vectors(x[1], w)
 
@@ -41,8 +39,6 @@ def _wz(x):
 def _oz(y):
     if isinstance(y, SJSpacePoint):
         return y.omega, y.zeta
-    if isinstance(y, UpperHalfPoint):
-        return y.omega, np.zeros(y.omega.shape[:-1], dtype=complex)
     om = numkit.symmetrize(y[0])
     return om, numkit.row_vectors(y[1], om)
 

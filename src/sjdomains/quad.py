@@ -119,8 +119,6 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
     reports."""
-    if hasattr(w, "w"):
-        w = w.w
     n = np.shape(w)[-1]
     exps = family.exponents
     if exps[:, n:].any():

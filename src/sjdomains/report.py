@@ -1,9 +1,9 @@
 """Typed results for verification suites plus JSON/CSV serialization.
 
-A check either carries a residual (deterministic, compared against tol) or an
-(estimate, sigma) pair (Monte Carlo, compared against a target within a sigma
-multiple).  Reports serialize deterministically: keys sorted, complex values
-as [re, im], timestamp optional so byte-identical reruns are possible.
+A check carries a residual compared against tol; a Monte Carlo check's tol
+is its sigma multiple, and its sigma goes in the detail.  Reports serialize
+deterministically: keys sorted, complex values as [re, im], timestamp
+optional so byte-identical reruns are possible.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ class CheckResult:
     name: str
     passed: bool
     residual: float | None = None
-    estimate: complex | None = None
-    sigma: float | None = None
     tol: float | None = None
     detail: dict = field(default_factory=dict)
 
@@ -48,10 +46,6 @@ class CheckResult:
         out = {"name": self.name, "pass": bool(self.passed)}
         if self.residual is not None:
             out["residual"] = float(self.residual)
-        if self.estimate is not None:
-            out["estimate"] = encode_value(complex(self.estimate))
-        if self.sigma is not None:
-            out["sigma"] = float(self.sigma)
         if self.tol is not None:
             out["tol"] = float(self.tol)
         if self.detail:
@@ -60,16 +54,11 @@ class CheckResult:
 
     def summary(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
+        body = ""
         if self.residual is not None:
             body = f"residual={self.residual:.3e}"
             if self.tol is not None:
                 body += f" tol={self.tol:.1e}"
-        elif self.estimate is not None:
-            body = f"estimate={complex(self.estimate):.6g}"
-            if self.sigma is not None:
-                body += f" sigma={self.sigma:.2e}"
-        else:
-            body = ""
         return f"{tag} {self.name} {body}".rstrip()
 
 

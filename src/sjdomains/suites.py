@@ -15,7 +15,7 @@ import functools
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -366,39 +366,38 @@ def run_q_basis(cfg: SuiteConfig) -> list:
 
 @_suite("transfer-identities")
 def run_transfer_identities(cfg: SuiteConfig) -> list:
-    return ds.verify_identities(cfg.params(), count=100, seed=cfg.seed).checks
+    return ds.verify_identities(cfg.params(), count=100, seed=cfg.seed)
 
 
 @_suite("measure-jacobian")
 def run_measure_jacobian(cfg: SuiteConfig) -> list:
-    return ds.verify_jacobian_constant(cfg.params(), count=50, seed=cfg.seed).checks
+    return ds.verify_jacobian_constant(cfg.params(), count=50, seed=cfg.seed)
 
 
 @_suite("series-gram")
 def run_series_gram(cfg: SuiteConfig) -> list:
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "series-gram"))
-    return ds.verify_gram(cfg.params(), mccfg, s_max=3, a_max=2).checks
+    return ds.verify_gram(cfg.params(), mccfg, s_max=3, a_max=2)
 
 
 @_suite("isometry")
 def run_isometry(cfg: SuiteConfig) -> list:
     params = cfg.params()
-    roundtrip = ds.verify_roundtrip(params, count=50, seed=cfg.seed)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
-    isom = ds.verify_isometry(params, mccfg)
-    return roundtrip.checks + isom.checks
+    return (ds.verify_roundtrip(params, count=50, seed=cfg.seed)
+            + ds.verify_isometry(params, mccfg))
 
 
 @_suite("intertwining")
 def run_intertwining(cfg: SuiteConfig) -> list:
-    return ds.verify_intertwining(cfg.params(), count=50, seed=cfg.seed).checks
+    return ds.verify_intertwining(cfg.params(), count=50, seed=cfg.seed)
 
 
 @_suite("reproducing")
 def run_reproducing(cfg: SuiteConfig) -> list:
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "reproducing"))
     return ds.reproducing_check(cfg.params(), mccfg, trunc_s=max(cfg.trunc, 10),
-                                trunc_a=6, points=5, seed=cfg.seed).checks
+                                trunc_a=6, points=5, seed=cfg.seed)
 
 
 @_suite("kernel-invariance")
@@ -424,15 +423,10 @@ def run_all(cfg: SuiteConfig) -> VerifyReport:
     for name, runner in SUITES.items():
         if name == "reproducing" and cfg.n != 1:
             continue
-        sub = SuiteConfig(n=cfg.n, m=cfg.m, k=cfg.k, seed=sub_seed(cfg.seed, name),
-                          tol=cfg.tol, samples=cfg.samples, trunc=cfg.trunc)
         start = time.perf_counter()
-        rep = runner(sub)
+        rep = runner(replace(cfg, seed=sub_seed(cfg.seed, name)))
         wall_s[name] = time.perf_counter() - start
-        for c in rep.checks:
-            checks.append(CheckResult(name=f"{name}/{c.name}", passed=c.passed,
-                                      residual=c.residual, estimate=c.estimate,
-                                      sigma=c.sigma, tol=c.tol, detail=c.detail))
+        checks += [replace(c, name=f"{name}/{c.name}") for c in rep.checks]
     return VerifyReport("all", cfg.to_dict(), cfg.seed, checks, wall_s=wall_s)
 
 

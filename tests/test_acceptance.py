@@ -16,15 +16,17 @@ from sjdomains.discrete_series import ReprParams
 from sjdomains.suites import SuiteConfig
 
 
-def _finish(num, label, reports, t0, limit):
+def _checks(*reports):
+    """The checks of suite reports, in order."""
+    return [c for rep in reports for c in rep.checks]
+
+
+def _finish(num, label, checks, t0, limit):
     elapsed = time.time() - t0
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
-    ok = all(rep.passed for rep in reports)
+    ok = all(c.passed for c in checks)
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {label} "
           f"({elapsed:.1f}s, budget {limit:.0f}s)")
-    failing = [c.summary() for rep in reports for c in rep.checks
-               if not c.passed]
+    failing = [c.summary() for c in checks if not c.passed]
     assert ok, failing
     assert elapsed <= limit, f"runtime {elapsed:.1f}s over budget {limit}s"
 
@@ -37,19 +39,19 @@ def test_criterion_01_group_algebra():
         reports += [suites.run_group_axioms(cfg), suites.run_theta_iso(cfg),
                     suites.run_actions(cfg)]
     _finish(1, "group axioms, theta isomorphism, actions (n=1,2,3)",
-            reports, t0, 30)
+            _checks(*reports), t0, 30)
 
 
 def test_criterion_02_cayley():
     t0 = time.time()
     reports = [suites.run_cayley(SuiteConfig(n=n, seed=n)) for n in (1, 2)]
-    _finish(2, "Cayley roundtrip 1e-12 and equivariance 1e-9", reports, t0, 30)
+    _finish(2, "Cayley roundtrip 1e-12 and equivariance 1e-9", _checks(*reports), t0, 30)
 
 
 def test_criterion_03_cocycles():
     t0 = time.time()
     reports = [suites.run_cocycle(SuiteConfig(n=n, seed=n)) for n in (1, 2)]
-    _finish(3, "four cocycle laws at 1e-8, 100 cases each", reports, t0, 60)
+    _finish(3, "four cocycle laws at 1e-8, 100 cases each", _checks(*reports), t0, 60)
 
 
 def test_criterion_04_polynomial_engine():
@@ -59,7 +61,7 @@ def test_criterion_04_polynomial_engine():
         cfg = SuiteConfig(n=n)
         reports += [suites.run_genfun(cfg), suites.run_pde(cfg)]
     _finish(4, "generating function coefficient-exact; heat system exactly 0",
-            reports, t0, 60)
+            _checks(*reports), t0, 60)
 
 
 def test_criterion_05_expansions():
@@ -69,14 +71,14 @@ def test_criterion_05_expansions():
     assert fixed and fixed[0].residual <= 1e-8
     assert fixed[0].detail["target"] == 0.91 ** -0.5
     _finish(5, "kernel expansions vs closed forms (incl. 0.91^-1/2 fixed pt)",
-            rep, t0, 120)
+            rep.checks, t0, 120)
 
 
 def test_criterion_06_gaussian_integrals():
     t0 = time.time()
     rep = suites.run_gaussian_integrals(SuiteConfig(n=1, seed=4))
     _finish(6, "Gaussian moments s!*delta, closed-form norm, series pairing",
-            rep, t0, 60)
+            rep.checks, t0, 60)
 
 
 def test_criterion_07_fock_orthonormality():
@@ -87,56 +89,54 @@ def test_criterion_07_fock_orthonormality():
     print(f"    calibration ratio vs reference constant: "
           f"{ratio[0].detail['ratio']:.12g}")
     _finish(7, "calibrated Fock Gram = identity at 1e-6 (3 W values)",
-            rep, t0, 30)
+            rep.checks, t0, 30)
 
 
 def test_criterion_08_transfer_identities():
     t0 = time.time()
-    reports = [ds.verify_identities(ReprParams(n, 0.25, 3), count=100, seed=n)
-               for n in (1, 2)]
+    checks = [c for n in (1, 2)
+              for c in ds.verify_identities(ReprParams(n, 0.25, 3), count=100, seed=n)]
     _finish(8, "imag-part and exponent transfer identities at 1e-10",
-            reports, t0, 30)
+            checks, t0, 30)
 
 
 def test_criterion_09_jacobian_constant():
     t0 = time.time()
-    reports = []
+    checks = []
     for n, target in ((1, 16.0), (2, 1024.0)):
-        rep = ds.verify_jacobian_constant(ReprParams(n, 0.25, 3), count=50,
-                                          seed=n)
-        assert rep.checks[0].detail["target"] == target
-        reports.append(rep)
+        found = ds.verify_jacobian_constant(ReprParams(n, 0.25, 3), count=50,
+                                            seed=n)
+        assert found[0].detail["target"] == target
+        checks += found
     _finish(9, "measure Jacobian constant 16 (n=1), 1024 (n=2) at 1e-4 rel",
-            reports, t0, 120)
+            checks, t0, 120)
 
 
 def test_criterion_10_mc_gram():
     t0 = time.time()
     mccfg = quad.MCConfig(samples=10 ** 6, seed=10)
-    rep = ds.verify_gram(ReprParams(1, 0.25, 3), mccfg, s_max=3, a_max=2)
-    gram = [c for c in rep.checks if c.name == "gram-identity"][0]
+    checks = ds.verify_gram(ReprParams(1, 0.25, 3), mccfg, s_max=3, a_max=2)
+    gram = [c for c in checks if c.name == "gram-identity"][0]
     sigma = gram.detail["sigma"]
     print(f"    |G - I|_inf = {gram.residual:.3e}, sigma = {sigma:.3e}")
     assert sigma <= 3e-3
     _finish(10, "MC Gram of F_sa (|s|<=3, a<=2) within 3 sigma, 1e6 samples",
-            rep, t0, 300)
+            checks, t0, 300)
 
 
 def test_criterion_11_intertwiner():
     t0 = time.time()
     params = ReprParams(1, 0.25, 3)
-    reports = [
-        ds.verify_roundtrip(params, count=50, seed=11),
-        ds.verify_isometry(params, quad.MCConfig(samples=200000, seed=11)),
-        ds.verify_intertwining(params, count=50, seed=11),
-    ]
+    checks = (ds.verify_roundtrip(params, count=50, seed=11)
+              + ds.verify_isometry(params, quad.MCConfig(samples=200000, seed=11))
+              + ds.verify_intertwining(params, count=50, seed=11))
     _finish(11, "transfer roundtrip 1e-10, isometry 3 sigma, intertwining 1e-7",
-            reports, t0, 300)
+            checks, t0, 300)
 
 
 def test_criterion_12_kernel_invariance():
     t0 = time.time()
     reports = [suites.run_kernel_invariance(SuiteConfig(n=n, seed=n))
                for n in (1, 2)]
-    _finish(12, "weight invariance ratio = 1 at 1e-7, 100 cases", reports,
+    _finish(12, "weight invariance ratio = 1 at 1e-7, 100 cases", _checks(*reports),
             t0, 30)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sjdomains
-from sjdomains import cli
+from sjdomains import cli, domains, fockpoly, groups, kernels
 
 
 def run(argv, capsys):
@@ -79,6 +79,116 @@ def test_eval_theta_identity_roundtrip(capsys):
     assert code == 0
     back = json.loads(out)
     assert np.allclose(back["a"], g["a"]) and np.allclose(back["d"], g["d"])
+
+
+# --- eval: every object through the CLI, checked against the library ---
+
+M, K = 0.25, 3  # the CLI defaults
+G = groups.random_jacobi(1, seed=3)
+GS = groups.theta_iso(G)
+X, XP = (domains.sample_sj_disk_point(1, 0.5, 0.6, seed=s) for s in (1, 2))
+Y, YP = domains.cayley_forward(X), domains.cayley_forward(XP)
+DISK = {"W": domains.matrix_to_json(X.w), "z": domains.vector_to_json(X.z)}
+SPACE = {"Omega": domains.matrix_to_json(Y.omega), "zeta": domains.vector_to_json(Y.zeta)}
+SPACE_P = {"Omega_p": domains.matrix_to_json(YP.omega),
+           "zeta_p": domains.vector_to_json(YP.zeta)}
+DISK_P = {"W_p": domains.matrix_to_json(XP.w), "z_p": domains.vector_to_json(XP.z)}
+G_JSON, GS_JSON = groups.jacobi_to_json(G), groups.jacobi_star_to_json(GS)
+
+# object -> [(arguments, the library's value)], one case or more per object
+EVAL_CASES = {
+    "P_s": [({"s": [2], "Z": 1, "W": 0.5}, lambda: 1.5 + 0j)],
+    "Phi": [({"s": [2], **DISK}, lambda: fockpoly.basis_f((2,), M).evaluate(X.z, X.w))],
+    "f_s": [({"s": [2], **DISK}, lambda: fockpoly.basis_f((2,), M).evaluate(X.z, X.w))],
+    "F_sa": [({"s": [1], "a": 1, **DISK}, lambda: fockpoly.basis_big_f(
+        (1,), fockpoly.q_basis(1, K, 1)[1], M).evaluate(X.z, X.w))],
+    "Q_a": [({"a": 1, "n": 1, "W": DISK["W"]},
+             lambda: fockpoly.q_basis(1, K, 1)[1].evaluate(None, X.w))],
+    "J1": [({"g": groups.sp_to_json(G.sigma), "Omega": SPACE["Omega"]},
+            lambda: kernels.j1(G.sigma, Y))],
+    "theta": [({"g": G_JSON}, lambda: GS_JSON)],
+    "K1": [({"Omega_p": SPACE_P["Omega_p"], "Omega": SPACE["Omega"]},
+            lambda: kernels.k1(YP, Y))],
+    "K2": [({**SPACE_P, **SPACE}, lambda: kernels.k2_space(YP, Y))],
+    "A": [(DISK, lambda: kernels.a_form(X.w, X.z))],
+    "Jmk": [({"g": G_JSON, **SPACE}, lambda: kernels.jmk(G, Y, M, K))],
+    "JmkStar": [({"g": GS_JSON, **DISK}, lambda: kernels.jmk_star(GS, X, M, K))],
+    "Kmk": [({**SPACE_P, **SPACE}, lambda: kernels.kmk_kernel(YP, Y, M, K))],
+    "KmkStar": [({**DISK_P, **DISK}, lambda: kernels.kmk_star_kernel(XP, X, M, K))],
+    "action": [({"g": GS_JSON, "point": DISK},
+                lambda: domains.point_to_json(groups.act_sj_disk(GS, X))),
+               ({"g": G_JSON, "point": SPACE},
+                lambda: domains.point_to_json(groups.act_sj_space(G, Y)))],
+    "cayley": [(DISK, lambda: SPACE),
+               ({"direction": "inverse", **SPACE}, lambda: DISK)],
+}
+
+
+def _assert_close(out, expected):
+    if isinstance(expected, dict):
+        assert set(out) == set(expected)
+        for key in expected:
+            _assert_close(out[key], expected[key])
+    else:
+        expected = sjdomains.report.encode_value(expected)
+        np.testing.assert_allclose(np.asarray(out, dtype=float),
+                                   np.asarray(expected, dtype=float), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("obj", sorted(cli.EVAL_OBJECTS))
+def test_eval_every_object_matches_the_library(obj, capsys):
+    for args, expected in EVAL_CASES[obj]:
+        code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+        assert (code, err) == (0, "")
+        _assert_close(json.loads(out), expected())
+
+
+def test_eval_scalars_broadcast_over_the_point(capsys):
+    # at n = 2 a scalar W is w I and a scalar z is (z, z), in every reader
+    # (a bare number, or a one-entry [[re, im]] vector; at n = 2 a flat
+    # [re, im] is a real 2-vector)
+    gs = groups.theta_iso(groups.random_jacobi(2, seed=4))
+    w, z = 0.2, 0.3 + 0.2j
+    explicit = {"W": domains.matrix_to_json(w * np.eye(2)), "z": domains.vector_to_json([z, z])}
+    for obj, extra in (("JmkStar", {"g": groups.jacobi_star_to_json(gs)}),
+                       ("P_s", {"s": [1, 1]})):
+        outs = [run(["eval", obj, json.dumps({**extra, **point})], capsys)
+                for point in (explicit, {"W": w, "z": [[z.real, z.imag]]})]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+# Each input below is a usage error: exit 2 and one error line, no traceback.
+WRONG_LENGTH = [[1, 0], [2, 0], [3, 0]]
+BAD_EVAL_INPUTS = {
+    "action-matrix-only-point": ("action", {"g": GS_JSON, "point": {"W": DISK["W"]}}),
+    "action-space-point-disk-element": ("action", {"g": GS_JSON, "point": SPACE}),
+    "action-disk-point-space-element": ("action", {"g": G_JSON, "point": DISK}),
+    "action-dimension": ("action", {"g": groups.jacobi_star_to_json(
+        groups.theta_iso(groups.random_jacobi(2, seed=4))), "point": DISK}),
+    "cayley-forward-z": ("cayley", {"W": DISK["W"], "z": WRONG_LENGTH}),
+    "cayley-inverse-zeta": ("cayley", {"direction": "inverse", "Omega": SPACE["Omega"],
+                                       "zeta": WRONG_LENGTH}),
+    "A-z": ("A", {"W": DISK["W"], "z": WRONG_LENGTH}),
+    "Jmk-zeta": ("Jmk", {"g": G_JSON, "Omega": SPACE["Omega"], "zeta": WRONG_LENGTH}),
+    "JmkStar-z": ("JmkStar", {"g": GS_JSON, "W": DISK["W"], "z": WRONG_LENGTH}),
+    "P_s-W": ("P_s", {"s": [1, 1], "Z": 1, "W": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUTS))
+def test_eval_malformed_point_exits_two(case, capsys):
+    obj, args = BAD_EVAL_INPUTS[case]
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_matrix_only_action_point_has_no_traceback():
+    obj, args = BAD_EVAL_INPUTS["action-matrix-only-point"]
+    proc = subprocess.run([sys.executable, "-m", "sjdomains.cli", "eval", obj, json.dumps(args)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: unrecognized point encoding\n"
 
 
 # --- exit code contract ---
@@ -159,7 +269,7 @@ def test_verify_csv_format(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "name,pass,residual,estimate,sigma,tol"
+    assert lines[0] == "name,pass,residual,tol"
     assert len(lines) >= 2
 
 

@@ -7,14 +7,14 @@ from sjdomains import domains, groups, numkit
 
 def test_disk_point_validation():
     with pytest.raises(ValueError):
-        domains.DiskPoint(np.array([[1.2]]))  # outside the unit ball
+        domains.SJDiskPoint(np.array([[1.2]]), np.zeros(1))  # outside the unit ball
     pt = domains.SJDiskPoint(np.array([[0.3 + 0.1j]]), np.array([0.5 - 0.2j]))
     assert pt.n == 1
 
 
 def test_space_point_validation():
     with pytest.raises(ValueError):
-        domains.UpperHalfPoint(np.array([[1.0 - 0.5j]]))  # Im not positive
+        domains.SJSpacePoint(np.array([[1.0 - 0.5j]]), np.zeros(1))  # Im not positive
     pt = domains.SJSpacePoint(np.array([[0.4 + 1.1j]]), np.array([0.2 + 0.3j]))
     assert pt.n == 1
 
@@ -96,6 +96,10 @@ def test_json_point_roundtrip():
     back = domains.json_to_point(domains.point_to_json(y))
     assert_allclose(back.omega, y.omega)
     assert_allclose(back.zeta, y.zeta)
+    # a point is a matrix with its vector: a matrix alone is no encoding
+    for half in ({"W": [[[0.2, 0.0]]]}, {"Omega": [[[0.0, 1.0]]]}):
+        with pytest.raises(ValueError, match="unrecognized point encoding"):
+            domains.json_to_point(half)
 
 
 def test_complex_json_encoding():
@@ -131,7 +135,6 @@ def test_disk_sampler_batch_is_bitwise_per_seed(n):
         one = domains.sample_sj_disk_batch(n, 1, seed, 0.85, 1.5)
         assert np.array_equal(x.w, w) and np.array_equal(x.z, z)
         assert np.array_equal(one.w[0], w) and np.array_equal(one.z[0], z)
-        assert np.array_equal(domains.sample_disk_point(n, 0.85, seed=seed).w, w)
     first = _seeds(n)[0]
     xs, again, other = (domains.sample_sj_disk_batch(n, 60, entropy, 0.85, 1.5)
                         for entropy in (first, first, (first, 1)))
@@ -182,8 +185,8 @@ def test_disk_stack_certifies_every_member(at, smax):
     ws, zs = xs.w.copy(), xs.z.copy()
     ws[at] = np.diag([smax, 0.3])
     domains.SJDiskPoint(np.delete(ws, at, axis=0), np.delete(zs, at, axis=0))
-    _raises_like_scalar(domains.DiskPoint, lambda: domains.SJDiskPoint(ws, zs), ws[at],
-                        ValueError)
+    _raises_like_scalar(lambda w: domains.SJDiskPoint(w, zs[at]),
+                        lambda: domains.SJDiskPoint(ws, zs), ws[at], ValueError)
 
 
 @pytest.mark.parametrize("at", SPOILED_AT)
@@ -192,8 +195,8 @@ def test_space_stack_certifies_every_member(at, lam):
     ys = domains.cayley_forward(_disk_stack())
     oms = ys.omega.copy()
     oms[at] = np.diag([0.2 + 1j * lam, 1j])
-    _raises_like_scalar(domains.UpperHalfPoint, lambda: domains.SJSpacePoint(oms, ys.zeta),
-                        oms[at], ValueError)
+    _raises_like_scalar(lambda om: domains.SJSpacePoint(om, ys.zeta[at]),
+                        lambda: domains.SJSpacePoint(oms, ys.zeta), oms[at], ValueError)
 
 
 @pytest.mark.parametrize("at", SPOILED_AT)

@@ -70,7 +70,7 @@ def _test_laws(n):
     # (Q, c, d) of non-circular Gaussians (E[z t(z)] != 0), so mixed s != r
     # pairs are nonzero: the two disk weights, with Q polarized from a_form
     # and c, d (E[z z^*] = d I) in closed form
-    w = domains.sample_disk_point(n, 0.6, seed=5).w
+    w = domains.sample_sj_disk_point(n, 0.6, seed=5).w
     return [(_polarized_forms(w[None], M, flip)[0], *quad._z_moments(w, M, flip))
             for flip in (False, True)]
 
@@ -99,7 +99,7 @@ def test_disk_form_matches_a_form(n):
     # and the closed form; each equals the polarization of that quadratic
     # form
     rng = np.random.default_rng(40 + n)
-    wlist = [domains.sample_disk_point(n, 0.85, seed=100 * n + t).w for t in range(4)]
+    wlist = [domains.sample_sj_disk_point(n, 0.85, seed=100 * n + t).w for t in range(4)]
     if n == 1:
         wlist.insert(0, np.array([[0.3 - 0.2j]]))
     dim = 2 * n
