@@ -18,6 +18,7 @@ import numpy as np
 
 from . import discrete_series as ds
 from . import domains, fockpoly, groups, kernels, quad, report, suites
+from .domains import SJDiskPoint, SJSpacePoint
 from .suites import SuiteConfig, sub_seed
 
 
@@ -28,42 +29,40 @@ class CliError(Exception):
 # --- lenient JSON coercion for eval arguments ---
 # Scalars may be given as plain numbers; a two-number list is a complex
 # scalar [re, im] (at n = 2 it is a real vector).  Vectors and matrices
-# beyond that use the nested strict forms ([[re, im], ...] and
-# [[...row...], ...]).  Every point enters through _point.
+# beyond that use the nested forms ([[re, im], ...] and [[...row...], ...]),
+# whose entries are numbers or [re, im] pairs.  Every point enters through
+# _point and every group element through _element, on the same readers;
+# every result leaves through report.encode_value.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(_is_num(u) for u in v)
+
+
 def _as_complex(v):
     if _is_num(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(_is_num(u) for u in v):
+    if _is_pair(v):
         return complex(v[0], v[1])
     raise CliError(f"expected a number or [re, im] pair, got {v!r}")
 
 
 def _as_vector(v, n):
-    if _is_num(v):
-        return np.array([complex(v)])
+    if _is_num(v) or (_is_pair(v) and n != 2):
+        return np.array([_as_complex(v)])
     if isinstance(v, list):
-        if len(v) == 2 and all(_is_num(u) for u in v) and n != 2:
-            return np.array([complex(v[0], v[1])])
         return np.array([_as_complex(u) for u in v])
     raise CliError(f"cannot read a vector from {v!r}")
 
 
 def _as_matrix(v, n=None):
-    if _is_num(v):
-        return np.array([[complex(v)]])
-    if isinstance(v, list) and len(v) == 2 and all(_is_num(u) for u in v) and n != 2:
-        return np.array([[complex(v[0], v[1])]])
-    if isinstance(v, list) and v and isinstance(v[0], list):
-        if v[0] and isinstance(v[0][0], list):
-            return domains.json_to_matrix(v)
-        if all(_is_num(u) for row in v for u in row):
-            return np.array(v, dtype=complex)
-        return domains.json_to_matrix(v)
+    if _is_num(v) or (_is_pair(v) and n != 2):
+        return np.array([[_as_complex(v)]])
+    if isinstance(v, list) and v and all(isinstance(row, list) for row in v):
+        return np.array([[_as_complex(u) for u in row] for row in v])
     raise CliError(f"cannot read a matrix from {v!r}")
 
 
@@ -78,11 +77,14 @@ def _need(args, *keys, default=None):
     return default
 
 
-def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.0):
+def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.0,
+           model=None):
     """The point (matrix, vector) read from the first of mat_keys and of
     vec_keys in args, else from the defaults (None: required).  n is the
     dimension, else the matrix's size.  A scalar broadcasts, the matrix to
-    w I and the vector to (z, ..., z); any other size is a usage error."""
+    w I and the vector to (z, ..., z); any other size is a usage error.
+    With a model, SJDiskPoint or SJSpacePoint, the point is that class,
+    whose constructor certifies it: a ValueError outside the domain."""
     mat = _as_matrix(_need(args, *mat_keys, default=mat_default), n)
     n = len(mat) if n is None else n
     vec = _as_vector(_need(args, *vec_keys, default=vec_default), n)
@@ -94,7 +96,56 @@ def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.
         raise CliError(f"{mat_keys[0]!r} must be {n} x {n} or a scalar, got shape {mat.shape}")
     if vec.shape != (n,):
         raise CliError(f"{vec_keys[0]!r} must have length {n} or be a scalar, got length {len(vec)}")
-    return mat, vec
+    return (mat, vec) if model is None else model(mat, vec)
+
+
+def _element(args, kind):
+    """The group element g of args, its fields read as points are: kind 'sp'
+    {a, b, c, d}, 'jacobi' those and {lam, mu, kappa}, 'star' {p, q, alpha,
+    varkappa}.  A missing field, or an imaginary part in a field of the real
+    group, is a usage error that names the field."""
+    g = _need(args, "g")
+    if not isinstance(g, dict):
+        raise CliError("g must be a JSON object of its fields")
+
+    def field(name, read=_as_matrix, *rest):
+        if name not in g:
+            raise CliError(f"g lacks its field {name!r}")
+        return read(g[name], *rest)
+
+    def real(name, *read):
+        value = field(name, *read)
+        if np.any(np.imag(value)):
+            raise CliError(f"the field {name!r} of g must be real")
+        return np.real(value)
+
+    if kind == "star":
+        omega = groups.SpStarElement(field("p"), field("q"))
+        return groups.JacobiStarElement(omega, field("alpha", _as_vector, omega.n),
+                                        field("varkappa", _as_complex))
+    sigma = groups.SpElement(*(real(name) for name in "abcd"))
+    if kind == "sp":
+        return sigma
+    lam, mu = (real(name, _as_vector, sigma.n) for name in ("lam", "mu"))
+    h = groups.HeisenbergElement(lam, mu, real("kappa", _as_complex))
+    return groups.JacobiElement(sigma, h)
+
+
+def _point_fields(x):
+    """A point's fields by name, as eval writes them."""
+    if isinstance(x, SJDiskPoint):
+        return {"W": x.w, "z": x.z}
+    return {"Omega": x.omega, "zeta": x.zeta}
+
+
+def _element_fields(g):
+    """A Jacobi or bounded Jacobi element's fields by name, the blocks and
+    vectors complex, as eval writes them."""
+    if isinstance(g, groups.JacobiStarElement):
+        return {"p": g.omega.p, "q": g.omega.q, "alpha": g.alpha, "varkappa": g.varkappa}
+    out = {name: getattr(g.sigma, name).astype(complex) for name in "abcd"}
+    out.update(lam=g.h.lam.astype(complex), mu=g.h.mu.astype(complex), kappa=g.h.kappa)
+    return out
 
 
 def _q_poly(n, k, a):
@@ -158,77 +209,82 @@ def _ev_q_a(args, cfg):
 
 
 def _ev_j1(args, cfg):
-    sigma = groups.json_to_sp(_need(args, "g"))
-    return kernels.j1(sigma, _point(args, ("Omega",), n=sigma.n))
+    sigma = _element(args, "sp")
+    return kernels.j1(sigma, _point(args, ("Omega",), n=sigma.n, model=SJSpacePoint))
 
 
 def _ev_theta(args, cfg):
     if args.get("inverse"):
-        return groups.jacobi_to_json(groups.theta_inv(groups.json_to_jacobi_star(_need(args, "g"))))
-    return groups.jacobi_star_to_json(groups.theta_iso(groups.json_to_jacobi(_need(args, "g"))))
+        return _element_fields(groups.theta_inv(_element(args, "star")))
+    return _element_fields(groups.theta_iso(_element(args, "jacobi")))
 
 
 def _ev_k1(args, cfg):
-    yp = _point(args, ("Omega_p",))
-    return kernels.k1(yp, _point(args, ("Omega",), n=len(yp[0])))
+    yp = _point(args, ("Omega_p",), model=SJSpacePoint)
+    return kernels.k1(yp, _point(args, ("Omega",), n=yp.n, model=SJSpacePoint))
 
 
 def _ev_k2(args, cfg):
-    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None)
-    y = _point(args, ("Omega",), ("zeta",), len(yp[0]), vec_default=None)
+    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
+    y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
     return kernels.k2_space(yp, y)
 
 
 def _ev_a_form(args, cfg):
-    return kernels.a_form(*_point(args, ("W", "w"), ("z", "Z")))
+    return kernels.a_form(_point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint))
 
 
 def _ev_jmk(args, cfg):
-    g = groups.json_to_jacobi(_need(args, "g"))
-    y = _point(args, ("Omega",), ("zeta",), g.n)
+    g = _element(args, "jacobi")
+    y = _point(args, ("Omega",), ("zeta",), g.n, model=SJSpacePoint)
     return kernels.jmk(g, y, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_jmk_star(args, cfg):
-    gs = groups.json_to_jacobi_star(_need(args, "g"))
-    x = _point(args, ("W", "w"), ("z", "Z"), gs.n)
+    gs = _element(args, "star")
+    x = _point(args, ("W", "w"), ("z", "Z"), gs.n, model=SJDiskPoint)
     return kernels.jmk_star(gs, x, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_kmk(args, cfg):
-    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None)
-    y = _point(args, ("Omega",), ("zeta",), len(yp[0]), vec_default=None)
+    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
+    y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
     return kernels.kmk_kernel(yp, y, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_kmk_star(args, cfg):
-    xp = _point(args, ("W_p",), ("z_p",), vec_default=None)
-    x = _point(args, ("W",), ("z",), len(xp[0]), vec_default=None)
+    xp = _point(args, ("W_p",), ("z_p",), vec_default=None, model=SJDiskPoint)
+    x = _point(args, ("W",), ("z",), xp.n, vec_default=None, model=SJDiskPoint)
     return kernels.kmk_star_kernel(xp, x, args.get("m", cfg.m), args.get("k", cfg.k))
 
 
 def _ev_action(args, cfg):
-    g = _need(args, "g")
-    point = domains.json_to_point(_need(args, "point"))
-    disk = "p" in g
-    if disk != isinstance(point, domains.SJDiskPoint):
+    g, point = _need(args, "g"), _need(args, "point")
+    disk = isinstance(g, dict) and "p" in g
+    elem = _element(args, "star" if disk else "jacobi")
+    if "W" in point and "z" in point:
+        x = _point(point, ("W",), ("z",), vec_default=None, model=SJDiskPoint)
+    elif "Omega" in point and "zeta" in point:
+        x = _point(point, ("Omega",), ("zeta",), vec_default=None, model=SJSpacePoint)
+    else:
+        raise CliError("unrecognized point encoding")
+    if disk != isinstance(x, SJDiskPoint):
         raise CliError("a disk element {p, q, ...} acts on {W, z} points and a space"
                        " element {a, b, c, d, ...} on {Omega, zeta} points")
-    elem = groups.json_to_jacobi_star(g) if disk else groups.json_to_jacobi(g)
-    if elem.n != point.n:
-        raise CliError(f"the element has n = {elem.n} and the point n = {point.n}")
+    if elem.n != x.n:
+        raise CliError(f"the element has n = {elem.n} and the point n = {x.n}")
     act = groups.act_sj_disk if disk else groups.act_sj_space
-    return domains.point_to_json(act(elem, point))
+    return _point_fields(act(elem, x))
 
 
 def _ev_cayley(args, cfg):
     direction = args.get("direction", "forward")
     if direction == "forward":
-        x = domains.SJDiskPoint(*_point(args, ("W", "w"), ("z", "Z")))
-        return domains.point_to_json(domains.cayley_forward(x))
+        x = _point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint)
+        return _point_fields(domains.cayley_forward(x))
     if direction == "inverse":
-        y = domains.SJSpacePoint(*_point(args, ("Omega",), ("zeta",)))
-        return domains.point_to_json(domains.cayley_inverse(y))
+        y = _point(args, ("Omega",), ("zeta",), model=SJSpacePoint)
+        return _point_fields(domains.cayley_inverse(y))
     raise CliError("direction must be 'forward' or 'inverse'")
 
 
@@ -297,30 +353,26 @@ def cmd_table(kind: str, cfg: SuiteConfig, fmt: str):
                                else _table_gram_big_f)(cfg)
         if fmt == "csv":
             return report.matrix_csv_text(gram, labels, labels, sigma=sigma)
-        payload = {"kind": kind, "labels": labels,
-                   "matrix": report.encode_value(gram)}
+        payload = {"kind": kind, "labels": labels, "matrix": gram}
         if sigma is not None:
-            payload["sigma"] = report.encode_value(sigma)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if kind == "expansion-convergence":
+            payload["sigma"] = sigma
+    elif kind == "expansion-convergence":
         rows, closed = _table_expansion_convergence(cfg)
         if fmt == "csv":
             return report.csv_text(["degree", "abs_residual"],
                                    [[deg, repr(float(resid))] for deg, resid in rows])
-        return json.dumps({"kind": kind, "closed_form": report.encode_value(closed),
-                           "rows": [[deg, float(r)] for deg, r in rows]},
-                          indent=2, sort_keys=True) + "\n"
-    if kind == "calibration":
+        payload = {"kind": kind, "closed_form": closed, "rows": rows}
+    elif kind == "calibration":
         rows = _table_calibration(cfg)
         header = ["n", "m", "reference_constant", "calibrated_constant", "ratio",
                   "closed_form"]
         if fmt == "csv":
             return report.csv_text(header, [[row[0]] + [repr(float(v)) for v in row[1:]]
                                             for row in rows])
-        return json.dumps({"kind": kind,
-                           "rows": [dict(zip(header, row)) for row in rows]},
-                          indent=2, sort_keys=True) + "\n"
-    raise CliError(f"unknown table kind '{kind}'")
+        payload = {"kind": kind, "rows": [dict(zip(header, row)) for row in rows]}
+    else:
+        raise CliError(f"unknown table kind '{kind}'")
+    return json.dumps(report.encode_value(payload), indent=2, sort_keys=True) + "\n"
 
 
 # --- argument plumbing ---

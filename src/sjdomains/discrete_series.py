@@ -58,12 +58,9 @@ class SampledFunction:
         return self.size
 
     def __call__(self, point):
-        """Values at one point or at each point of a stack: an SJDiskPoint,
-        an SJSpacePoint, or a raw (matrix, vector) pair, validated as a point
-        of this function's side.  A one-member family has the shape of the
-        stack, a larger one a leading axis of its members."""
-        if not isinstance(point, (SJDiskPoint, SJSpacePoint)):
-            point = (SJDiskPoint if self.side == "disk" else SJSpacePoint)(*point)
+        """Values at one point or at each point of a stack, an SJDiskPoint
+        or an SJSpacePoint of this function's side.  A one-member family has
+        the shape of the stack, a larger one a leading axis of its members."""
         side = "disk" if isinstance(point, SJDiskPoint) else "space"
         quad.require_side(self, side)
         mat, vec = (point.w, point.z) if side == "disk" else (point.omega, point.zeta)
@@ -183,7 +180,7 @@ def verify_identities(params: ReprParams, count=100, seed=0) -> list:
     rhs_eta = numkit.vecmat(z, res_inv) + numkit.vecmat(z.conj(), res_conj_inv)
     lhs = numkit.vecvec(np.linalg.solve(yim, eta[..., None])[..., 0], eta)
     hol = numkit.vecvec(z, np.linalg.solve(eye - w, z[..., None])[..., 0]).real
-    a_flip = 2.0 * kernels.a_form(-w, z).real
+    a_flip = 2.0 * kernels.a_form(SJDiskPoint(-w, z)).real
     return [
         report.residual_check("imag-part-matrix", float(np.max(np.abs(yim - rhs_y))), 1e-10),
         report.residual_check("imag-part-vector", float(np.max(np.abs(eta - rhs_eta))), 1e-10),
@@ -318,8 +315,7 @@ def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> list:
         checks.append(report.CheckResult(
             name=f"isometry-{name}", passed=bool(err <= tol),
             residual=float(err), tol=float(tol),
-            detail={"disk_norm_sq": report.encode_value(d_est),
-                    "space_norm_sq": report.encode_value(s_est),
+            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est,
                     "disk_sigma": d_sig, "space_sigma": s_sig,
                     **{"disk_" + key: v for key, v in d_stats.items()},
                     **{"space_" + key: v for key, v in s_stats.items()}}))

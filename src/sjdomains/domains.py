@@ -5,10 +5,10 @@ The Siegel-Jacobi disk holds the points (W, z): a symmetric complex W with
 I - W conj(W) positive definite and a complex row vector z.  The
 Siegel-Jacobi space holds the points (Omega, zeta): a symmetric Omega with
 positive definite imaginary part and a complex row vector zeta.  Each model
-has one point class, SJDiskPoint resp. SJSpacePoint; elsewhere a raw
-(matrix, vector) pair stands for a point too.  Points within 1e-12 of the
-boundary are rejected so that (I - W)^{-1} style inverses stay well
-conditioned.
+has one point class, SJDiskPoint resp. SJSpacePoint, and every function
+defined on a domain takes its points as that class: the constructor is the
+one place where a point is certified.  Points within 1e-12 of the boundary
+are rejected so that (I - W)^{-1} style inverses stay well conditioned.
 
 Every point class holds one point or a stack of them (a leading axis on each
 field): the constructor symmetrizes and certifies the whole stack at once
@@ -132,41 +132,3 @@ def sample_sj_disk_batch(n, count, seed, radius_cap=0.8, z_cap=2.0) -> SJDiskPoi
 def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, seed=None):
     return sample_sj_disk_batch(n, 1, seed, radius_cap, z_cap)[0]
 
-
-# --- JSON encoding: complex scalar as [re, im], matrices nested row-major ---
-
-def complex_to_json(value):
-    value = complex(value)
-    return [value.real, value.imag]
-
-def json_to_complex(pair):
-    return complex(pair[0], pair[1])
-
-def matrix_to_json(mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [[complex_to_json(v) for v in row] for row in mat]
-
-def json_to_matrix(rows):
-    return np.array([[json_to_complex(v) for v in row] for row in rows])
-
-def vector_to_json(vec):
-    return [complex_to_json(v) for v in numkit.as_row_vector(vec)]
-
-def json_to_vector(items):
-    return np.array([json_to_complex(v) for v in items])
-
-
-def point_to_json(point):
-    if isinstance(point, SJDiskPoint):
-        return {"W": matrix_to_json(point.w), "z": vector_to_json(point.z)}
-    if isinstance(point, SJSpacePoint):
-        return {"Omega": matrix_to_json(point.omega), "zeta": vector_to_json(point.zeta)}
-    raise TypeError(f"not a domain point: {type(point)!r}")
-
-
-def json_to_point(obj):
-    if "W" in obj and "z" in obj:
-        return SJDiskPoint(json_to_matrix(obj["W"]), json_to_vector(obj["z"]))
-    if "Omega" in obj and "zeta" in obj:
-        return SJSpacePoint(json_to_matrix(obj["Omega"]), json_to_vector(obj["zeta"]))
-    raise ValueError("unrecognized point encoding")

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels, numkit
+from . import numkit
 from .numkit import SymIndex, enumerate_multiindices, mi_factorial
 
 
@@ -228,12 +228,10 @@ class PolyFunction:
     # --- serialization ---
 
     def to_json(self):
-        out = []
-        for (s, a), c in self.terms_sorted():
-            cc = complex(c)
-            out.append({"s": list(s), "a": [list(map(int, row)) for row in a.full()],
-                        "c": [cc.real, cc.imag]})
-        return out
+        """The terms as {s, a, c}, a as its full symmetric matrix and c
+        complex; report.encode_value writes them."""
+        return [{"s": list(s), "a": [list(map(int, row)) for row in a.full()], "c": complex(c)}
+                for (s, a), c in self.terms_sorted()]
 
 
 def _chain_link(mono):
@@ -609,11 +607,11 @@ MATCHING_M = 1.0 / (8.0 * math.pi)
 
 
 def _pair_stacks(xp, x):
-    """W', z', W, z of one pair of points or of a stack of pairs, each with
-    a leading axis over the N pairs (one point broadcasts against a stack),
-    and whether a stack was given."""
-    (wp, zp), (w, z) = kernels._wz(xp), kernels._wz(x)
-    n = w.shape[-1]
+    """W', z', W, z of one pair of SJDiskPoints or of a stack of pairs, each
+    with a leading axis over the N pairs (one point broadcasts against a
+    stack), and whether a stack was given."""
+    wp, zp, w, z = xp.w, xp.z, x.w, x.z
+    n = x.n
     count = max(wp.size, w.size) // (n * n)
     stacks = [np.broadcast_to(a, (count,) + (n,) * dims)
               for a, dims in ((wp, 2), (zp, 1), (w, 2), (z, 1))]
@@ -624,10 +622,10 @@ def fock_expansions(xp, x, m: float, degrees):
     """expansion_fock_full at each degree of the increasing sequence degrees,
     lazily: each extends the P_s tables and the grades of the one before.
 
-    xp and x are one pair of points or stacks of pairs (one point broadcasts
-    against a stack).  The P_s values, grades and partial sums are (N,)
-    arrays over the pairs, the same arithmetic for each pair as for a batch
-    of one; one pair gives numbers."""
+    xp and x are one pair of SJDiskPoints or stacks of pairs (one point
+    broadcasts against a stack).  The P_s values, grades and partial sums
+    are (N,) arrays over the pairs, the same arithmetic for each pair as for
+    a batch of one; one pair gives numbers."""
     (wp, zp, w, z), stacked = _pair_stacks(xp, x)
     count, n = z.shape
     pick = (lambda v: v) if stacked else (lambda v: v[0].item())

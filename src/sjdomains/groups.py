@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .domains import (SJDiskPoint, SJSpacePoint, matrix_to_json, vector_to_json,
-                      json_to_matrix, json_to_vector, complex_to_json,
-                      json_to_complex)
+from .domains import SJDiskPoint, SJSpacePoint
 from .numkit import transpose, vecmat, vecvec
 
 GROUP_TOL = 1e-10
@@ -310,30 +308,3 @@ def random_jacobi(n, scale=0.5, seed=None) -> JacobiElement:
 def random_jacobi_star(n, scale=0.5, seed=None) -> JacobiStarElement:
     return theta_iso(random_jacobi(n, scale, seed))
 
-
-# --- JSON encodings ---
-
-def sp_to_json(s: SpElement):
-    return {k: matrix_to_json(getattr(s, k)) for k in ("a", "b", "c", "d")}
-
-def json_to_sp(obj) -> SpElement:
-    return SpElement(*(json_to_matrix(obj[k]).real for k in ("a", "b", "c", "d")))
-
-def jacobi_to_json(g: JacobiElement):
-    out = sp_to_json(g.sigma)
-    out.update(lam=vector_to_json(g.h.lam), mu=vector_to_json(g.h.mu), kappa=g.h.kappa)
-    return out
-
-def json_to_jacobi(obj) -> JacobiElement:
-    h = HeisenbergElement(json_to_vector(obj["lam"]).real,
-                          json_to_vector(obj["mu"]).real, obj["kappa"])
-    return JacobiElement(json_to_sp(obj), h)
-
-def jacobi_star_to_json(g: JacobiStarElement):
-    return {"p": matrix_to_json(g.omega.p), "q": matrix_to_json(g.omega.q),
-            "alpha": vector_to_json(g.alpha),
-            "varkappa": complex_to_json(g.varkappa)}
-
-def json_to_jacobi_star(obj) -> JacobiStarElement:
-    return JacobiStarElement(SpStarElement(json_to_matrix(obj["p"]), json_to_matrix(obj["q"])),
-                             json_to_vector(obj["alpha"]), json_to_complex(obj["varkappa"]))

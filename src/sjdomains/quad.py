@@ -95,12 +95,11 @@ def a_form_matrix(w, m) -> np.ndarray:
     of A: Q_uv = (f(u + v) - f(u) - f(v)) / 2 on the unit vectors, with
     f(2u) = 4 f(u).  The checks of the integral pi^n det(Q)^{-1/2} read it,
     not the z-law they check."""
-    w = numkit.symmetrize(w)
-    n = w.shape[-1]
+    n = np.shape(w)[-1]
     units = np.eye(2 * n)
     xs = (units[:, None] + units[None]).reshape(-1, 2 * n)
-    vals = kernels.a_form(np.broadcast_to(w, (len(xs), n, n)), xs[:, :n] + 1j * xs[:, n:])
-    f = 8.0 * math.pi * m * np.real(vals).reshape(2 * n, 2 * n)
+    x = SJDiskPoint(np.broadcast_to(w, (len(xs), n, n)), xs[:, :n] + 1j * xs[:, n:])
+    f = 8.0 * math.pi * m * np.real(kernels.a_form(x)).reshape(2 * n, 2 * n)
     half = np.diagonal(f) / 4.0
     return (f - half[:, None] - half[None]) / 2.0
 
@@ -142,27 +141,24 @@ def calibrate_norms(n: int, m) -> dict:
             "closed_form": float((8.0 * math.pi * m) ** n)}
 
 
-def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
+def verify_gaussian_pairing(xp: SJDiskPoint, x: SJDiskPoint, trunc: int) -> dict:
     """Pair the truncated exponential generating series with itself under the
     restored Gaussian weight exp(-U conj(t(U))) pi^{-n} dLeb(U) and compare
     with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z).
 
     The U^s coefficients P_s(z, W) / s! of both series, in table order, are
     vectors a and b, and the pairing is (a B) diag(lam) conj(b B), with
-    (B, lam) the Wick factor of the z-law at W = 0, m = fockpoly.MATCHING_M."""
-    wp = numkit.symmetrize(wp)
-    w = numkit.symmetrize(w)
-    zp_v = numkit.as_row_vector(zp)
-    z_v = numkit.as_row_vector(z)
-    n = z_v.shape[0]
+    (B, lam) the Wick factor of the z-law at W = 0, m = fockpoly.MATCHING_M,
+    for one pair of points (W', z'), (W, z)."""
+    n = x.n
 
-    def coefficients(zv, wm):
-        vals = fockpoly.p_s_values(zv.tolist(), wm.tolist(), trunc)
+    def coefficients(point):
+        vals = fockpoly.p_s_values(point.z.tolist(), point.w.tolist(), trunc)
         return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()]) @ factor
 
     factor, lam = _wick_factor(*_z_moments(np.zeros((n, n)), fockpoly.MATCHING_M, False), trunc)
-    lhs = (coefficients(zp_v, wp) * lam) @ coefficients(z_v, w).conj()
-    rhs = kernels.kmk_star_kernel((wp, zp_v), (w, z_v), fockpoly.MATCHING_M, 0.5)
+    lhs = (coefficients(xp) * lam) @ coefficients(x).conj()
+    rhs = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 
 
@@ -172,7 +168,12 @@ def verify_gaussian_pairing(wp, w, zp, z, trunc: int) -> dict:
 class MCConfig:
     samples: int = 100000
     seed: int = 0
-    batch: int = 100000
+
+
+# W proposals per chunk of the Monte Carlo driver; the exact-z path of
+# mc_dj_gram proposes in smaller chunks, so at n = 1 the two paths see other W
+_CHUNK = 100000
+_EXACT_Z_CHUNK = 20000
 
 
 def _upper_dim(n):
@@ -447,7 +448,7 @@ def mc_disk_gram(family, n, k, cfg: MCConfig):
     """Shared-sample MC Gram matrix of a disk-side family of functions of W
     for the weighted measure det(I - W conj(W))^{k - n - 3/2} dLeb(W);
     returns (gram, sigma, stats)."""
-    return _mc_gram(family, n, cfg, cfg.batch, _disk_draw(n, k))
+    return _mc_gram(family, n, cfg, _CHUNK, _disk_draw(n, k))
 
 
 def mc_dj_gram(family, n, m, k, cfg: MCConfig):
@@ -475,8 +476,7 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
         return ws, zs, logw
 
     kern = _exact_z_kernel(family, m) if exact_z else None
-    return _mc_gram(family, n, cfg, min(cfg.batch, 20000) if exact_z else cfg.batch, draw,
-                    kern=kern)
+    return _mc_gram(family, n, cfg, _EXACT_Z_CHUNK if exact_z else _CHUNK, draw, kern=kern)
 
 
 def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
@@ -501,12 +501,12 @@ def mc_hj_gram(family, n, m, k, cfg: MCConfig):
 
     The space-side counterpart of mc_dj_gram: samples are proposed in the
     bounded chart (the only practical way to cover the domain), in chunks of
-    cfg.batch from the stream of cfg.seed, z is drawn from the flipped law
+    _CHUNK from the stream of cfg.seed, z is drawn from the flipped law
     exp(-8 pi m A(-W, z)) / Z, and the points are mapped forward.  The two
     engines draw the same W only where they chunk alike: at n >= 2
     mc_dj_gram proposes the same W (and draws the same normals a second
-    time), while at n = 1 its exact-z path proposes in chunks of at most
-    20000 and so sees other W.  The overall constant cancels the chart
+    time), while at n = 1 its exact-z path proposes in chunks of
+    _EXACT_Z_CHUNK and so sees other W.  The overall constant cancels the chart
     Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
     identities relating the two sides stay testable rather than assumed.
@@ -528,7 +528,7 @@ def mc_hj_gram(family, n, m, k, cfg: MCConfig):
                 + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
         return oms, zetas, logw
 
-    return _mc_gram(family, n, cfg, cfg.batch, draw, side="space")
+    return _mc_gram(family, n, cfg, _CHUNK, draw, side="space")
 
 
 # --- finite-difference Jacobians and real charts ---

@@ -246,7 +246,7 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
     checks = []
     spec = fockpoly.TruncationSpec(max_degree=14)
     if n == 1:
-        point = (0.3 * np.eye(1), np.zeros(1))
+        point = domains.SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
         fixed = fockpoly.expansion_fock_full(point, point, fockpoly.MATCHING_M,
                                              fockpoly.TruncationSpec(max_degree=20))
         target = 0.91 ** -0.5
@@ -262,7 +262,7 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
     # pairs, and each pair stops at the first degree of FOCK_DEGREES whose
     # last grade (the tail estimate) is <= tol / 100, or at the cap
     for name, pair_xp, pair_m in (("matching", xp, fockpoly.MATCHING_M),
-                                  ("fock-at-w", (x.w, xp.z), m),
+                                  ("fock-at-w", domains.SJDiskPoint(x.w, xp.z), m),
                                   ("fock-full", xp, m)):
         value, tail = np.zeros(pairs, dtype=complex), np.zeros(pairs)
         degree = np.zeros(pairs, dtype=int)
@@ -305,8 +305,7 @@ def run_orthonormality_fock(cfg: SuiteConfig) -> list:
         gram = quad.fock_gram(family, w, m)
         resid = float(np.max(np.abs(gram - np.eye(len(index_list)))))
         checks.append(residual_check(f"gram-w{idx}", resid, tol,
-                                     detail={"w": [[ [v.real, v.imag] for v in row]
-                                                   for row in np.atleast_2d(w).astype(complex)]}))
+                                     detail={"w": np.asarray(w, dtype=complex)}))
     cal = quad.calibrate_norms(n, m)
     checks.append(residual_check("calibration-ratio", abs(cal["ratio"] - 4.0 ** n), 1e-12,
                                  detail=cal))
@@ -334,7 +333,7 @@ def run_gaussian_integrals(cfg: SuiteConfig) -> list:
     worst = 0.0
     xps, xs = (domains.sample_sj_disk_batch(n, 2, (cfg.seed, 6011, i), 0.25, 0.3) for i in (1, 2))
     for xp, x in zip(xps, xs):
-        res = quad.verify_gaussian_pairing(xp.w, x.w, xp.z, x.z, trunc=max(cfg.trunc, 12))
+        res = quad.verify_gaussian_pairing(xp, x, trunc=max(cfg.trunc, 12))
         worst = max(worst, res["residual"])
     checks.append(residual_check("generating-series-pairing", worst, 1e-6))
     return checks

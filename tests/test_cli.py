@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sjdomains
-from sjdomains import cli, domains, fockpoly, groups, kernels
+from sjdomains import cli, domains, fockpoly, groups, kernels, report
 
 
 def run(argv, capsys):
@@ -84,16 +84,35 @@ def test_eval_theta_identity_roundtrip(capsys):
 # --- eval: every object through the CLI, checked against the library ---
 
 M, K = 0.25, 3  # the CLI defaults
+ENC = report.encode_value
+
+
+def _disk_json(x, suffix=""):
+    return {"W" + suffix: ENC(x.w), "z" + suffix: ENC(x.z)}
+
+
+def _space_json(y, suffix=""):
+    return {"Omega" + suffix: ENC(y.omega), "zeta" + suffix: ENC(y.zeta)}
+
+
+def _jacobi_json(g):
+    # the real blocks and vectors as complex [re, im] entries, kappa a number
+    blocks = {name: getattr(g.sigma, name).astype(complex) for name in "abcd"}
+    return ENC({**blocks, "lam": g.h.lam.astype(complex), "mu": g.h.mu.astype(complex),
+                "kappa": g.h.kappa})
+
+
+def _star_json(gs):
+    return ENC({"p": gs.omega.p, "q": gs.omega.q, "alpha": gs.alpha, "varkappa": gs.varkappa})
+
+
 G = groups.random_jacobi(1, seed=3)
 GS = groups.theta_iso(G)
 X, XP = (domains.sample_sj_disk_point(1, 0.5, 0.6, seed=s) for s in (1, 2))
 Y, YP = domains.cayley_forward(X), domains.cayley_forward(XP)
-DISK = {"W": domains.matrix_to_json(X.w), "z": domains.vector_to_json(X.z)}
-SPACE = {"Omega": domains.matrix_to_json(Y.omega), "zeta": domains.vector_to_json(Y.zeta)}
-SPACE_P = {"Omega_p": domains.matrix_to_json(YP.omega),
-           "zeta_p": domains.vector_to_json(YP.zeta)}
-DISK_P = {"W_p": domains.matrix_to_json(XP.w), "z_p": domains.vector_to_json(XP.z)}
-G_JSON, GS_JSON = groups.jacobi_to_json(G), groups.jacobi_star_to_json(GS)
+DISK, DISK_P = _disk_json(X), _disk_json(XP, "_p")
+SPACE, SPACE_P = _space_json(Y), _space_json(YP, "_p")
+G_JSON, GS_JSON = _jacobi_json(G), _star_json(GS)
 
 # object -> [(arguments, the library's value)], one case or more per object
 EVAL_CASES = {
@@ -104,21 +123,19 @@ EVAL_CASES = {
         (1,), fockpoly.q_basis(1, K, 1)[1], M).evaluate(X.z, X.w))],
     "Q_a": [({"a": 1, "n": 1, "W": DISK["W"]},
              lambda: fockpoly.q_basis(1, K, 1)[1].evaluate(None, X.w))],
-    "J1": [({"g": groups.sp_to_json(G.sigma), "Omega": SPACE["Omega"]},
+    "J1": [({"g": {name: G_JSON[name] for name in "abcd"}, "Omega": SPACE["Omega"]},
             lambda: kernels.j1(G.sigma, Y))],
     "theta": [({"g": G_JSON}, lambda: GS_JSON)],
     "K1": [({"Omega_p": SPACE_P["Omega_p"], "Omega": SPACE["Omega"]},
             lambda: kernels.k1(YP, Y))],
     "K2": [({**SPACE_P, **SPACE}, lambda: kernels.k2_space(YP, Y))],
-    "A": [(DISK, lambda: kernels.a_form(X.w, X.z))],
+    "A": [(DISK, lambda: kernels.a_form(X))],
     "Jmk": [({"g": G_JSON, **SPACE}, lambda: kernels.jmk(G, Y, M, K))],
     "JmkStar": [({"g": GS_JSON, **DISK}, lambda: kernels.jmk_star(GS, X, M, K))],
     "Kmk": [({**SPACE_P, **SPACE}, lambda: kernels.kmk_kernel(YP, Y, M, K))],
     "KmkStar": [({**DISK_P, **DISK}, lambda: kernels.kmk_star_kernel(XP, X, M, K))],
-    "action": [({"g": GS_JSON, "point": DISK},
-                lambda: domains.point_to_json(groups.act_sj_disk(GS, X))),
-               ({"g": G_JSON, "point": SPACE},
-                lambda: domains.point_to_json(groups.act_sj_space(G, Y)))],
+    "action": [({"g": GS_JSON, "point": DISK}, lambda: _disk_json(groups.act_sj_disk(GS, X))),
+               ({"g": G_JSON, "point": SPACE}, lambda: _space_json(groups.act_sj_space(G, Y)))],
     "cayley": [(DISK, lambda: SPACE),
                ({"direction": "inverse", **SPACE}, lambda: DISK)],
 }
@@ -149,8 +166,8 @@ def test_eval_scalars_broadcast_over_the_point(capsys):
     # [re, im] is a real 2-vector)
     gs = groups.theta_iso(groups.random_jacobi(2, seed=4))
     w, z = 0.2, 0.3 + 0.2j
-    explicit = {"W": domains.matrix_to_json(w * np.eye(2)), "z": domains.vector_to_json([z, z])}
-    for obj, extra in (("JmkStar", {"g": groups.jacobi_star_to_json(gs)}),
+    explicit = {"W": ENC(w * np.eye(2, dtype=complex)), "z": ENC(np.array([z, z]))}
+    for obj, extra in (("JmkStar", {"g": _star_json(gs)}),
                        ("P_s", {"s": [1, 1]})):
         outs = [run(["eval", obj, json.dumps({**extra, **point})], capsys)
                 for point in (explicit, {"W": w, "z": [[z.real, z.imag]]})]
@@ -163,7 +180,7 @@ BAD_EVAL_INPUTS = {
     "action-matrix-only-point": ("action", {"g": GS_JSON, "point": {"W": DISK["W"]}}),
     "action-space-point-disk-element": ("action", {"g": GS_JSON, "point": SPACE}),
     "action-disk-point-space-element": ("action", {"g": G_JSON, "point": DISK}),
-    "action-dimension": ("action", {"g": groups.jacobi_star_to_json(
+    "action-dimension": ("action", {"g": _star_json(
         groups.theta_iso(groups.random_jacobi(2, seed=4))), "point": DISK}),
     "cayley-forward-z": ("cayley", {"W": DISK["W"], "z": WRONG_LENGTH}),
     "cayley-inverse-zeta": ("cayley", {"direction": "inverse", "Omega": SPACE["Omega"],
@@ -189,6 +206,126 @@ def test_eval_matrix_only_action_point_has_no_traceback():
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: unrecognized point encoding\n"
+
+
+@pytest.mark.parametrize("half", [{"W": DISK["W"]}, {"Omega": SPACE["Omega"]}])
+def test_eval_action_point_is_a_matrix_with_its_vector(half, capsys):
+    # a matrix alone is no point, on either model
+    code, out, err = run(["eval", "action", json.dumps({"g": GS_JSON, "point": half})], capsys)
+    assert (code, out, err) == (2, "", "error: unrecognized point encoding\n")
+
+
+# --- eval: the kernels certify their points, polynomials take any ---
+
+OUT_OF_DOMAIN = {
+    "A": ({"W": 2, "z": 1}, "I - W conj(W)"),
+    "KmkStar": ({"W_p": 1.5, "z_p": 0, "W": 1.5, "z": 0}, "I - W conj(W)"),
+    "J1": ({"g": {"a": [[1, 0], [0, 1]], "b": [[0, 0], [0, 0]], "c": [[0, 0], [0, 0]],
+                  "d": [[1, 0], [0, 1]]}, "Omega": [[0, 0], [0, 0]]}, "Im Omega"),
+}
+
+
+@pytest.mark.parametrize("obj", sorted(OUT_OF_DOMAIN))
+def test_eval_kernels_refuse_points_outside_the_domain(obj, capsys):
+    args, what = OUT_OF_DOMAIN[obj]
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} not positive definite (lambda_min=")
+    assert err.count("\n") == 1
+
+
+def test_eval_polynomials_take_any_point(capsys):
+    # P_2 = Z^2 + W is a polynomial, defined at W = 2 too
+    code, out, err = run(["eval", "P_s", '{"s": [2], "W": 2, "z": 1}'], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [3.0, 0.0]
+
+
+# --- eval: group elements are read as points are ---
+
+def _without(fields, name):
+    return {key: val for key, val in fields.items() if key != name}
+
+
+BAD_ELEMENTS = {
+    "theta-missing-field": ("theta", {"g": {"a": 1}}, "g lacks its field 'b'"),
+    "Jmk-missing-field": ("Jmk", {"g": _without(G_JSON, "kappa"), **SPACE},
+                          "g lacks its field 'kappa'"),
+    "action-missing-field": ("action", {"g": _without(GS_JSON, "varkappa"), "point": DISK},
+                             "g lacks its field 'varkappa'"),
+    "theta-complex-block": ("theta", {"g": {**G_JSON, "a": [[[1, 0.5]]]}},
+                            "the field 'a' of g must be real"),
+    "J1-not-an-object": ("J1", {"g": 5, "Omega": SPACE["Omega"]},
+                         "g must be a JSON object of its fields"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ELEMENTS))
+def test_eval_names_the_faulty_field_of_g(case, capsys):
+    obj, args, message = BAD_ELEMENTS[case]
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_eval_reads_a_space_element_of_plain_real_matrices(capsys):
+    g = {"a": [[1]], "b": [[0]], "c": [[0]], "d": [[1]], "lam": 0, "mu": 0, "kappa": 0}
+    code, out, err = run(["eval", "theta", json.dumps({"g": g})], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == _star_json(groups.JacobiStarElement.identity(1))
+    code, out, err = run(["eval", "Jmk", json.dumps({"g": g, **SPACE})], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [1.0, 0.0]
+
+
+def test_complex_scalars_are_re_im_pairs():
+    assert ENC(1 - 2j) == [1.0, -2.0]
+    assert cli._as_complex([1.0, -2.0]) == 1 - 2j
+
+
+# --- eval: what eval writes, eval reads back ---
+# Each output equals the library's value encoded, bit for bit, so the input
+# was read exactly; fed back, it returns the input.
+
+def test_eval_theta_then_inverse_returns_g(capsys):
+    g = groups.random_jacobi(2, seed=8)
+    code, out, _ = run(["eval", "theta", json.dumps({"g": _jacobi_json(g)})], capsys)
+    star = json.loads(out)
+    assert code == 0 and star == _star_json(groups.theta_iso(g))
+    code, out, _ = run(["eval", "theta", json.dumps({"g": star, "inverse": True})], capsys)
+    back = json.loads(out)
+    assert code == 0 and back == _jacobi_json(groups.theta_inv(groups.theta_iso(g)))
+    _assert_close(back, _jacobi_json(g))
+
+
+def test_eval_cayley_forward_then_inverse_returns_the_point(capsys):
+    x = domains.sample_sj_disk_point(2, 0.6, 0.8, seed=5)
+    code, out, _ = run(["eval", "cayley", json.dumps(_disk_json(x))], capsys)
+    image = json.loads(out)
+    assert code == 0 and image == _space_json(domains.cayley_forward(x))
+    code, out, _ = run(["eval", "cayley", json.dumps({"direction": "inverse", **image})],
+                       capsys)
+    back = json.loads(out)
+    assert code == 0 and back == _disk_json(domains.cayley_inverse(domains.cayley_forward(x)))
+    _assert_close(back, _disk_json(x))
+
+
+def test_eval_action_output_reads_back_as_a_point(capsys):
+    # the image of x under g is a point argument again, which g^{-1} takes back
+    g = groups.random_jacobi(2, seed=9)
+    gs = groups.theta_iso(g)
+    x = domains.sample_sj_disk_point(2, 0.6, 0.8, seed=5)
+    for elem, inv, point, act, elem_json, point_json in (
+            (gs, groups.jacobi_star_inv(gs), x, groups.act_sj_disk, _star_json, _disk_json),
+            (g, groups.jacobi_inv(g), domains.cayley_forward(x), groups.act_sj_space,
+             _jacobi_json, _space_json)):
+        code, out, _ = run(["eval", "action", json.dumps({"g": elem_json(elem),
+                                                          "point": point_json(point)})], capsys)
+        moved = json.loads(out)
+        assert code == 0 and moved == point_json(act(elem, point))
+        code, out, _ = run(["eval", "action", json.dumps({"g": elem_json(inv), "point": moved})],
+                           capsys)
+        assert code == 0
+        _assert_close(json.loads(out), point_json(point))
 
 
 # --- exit code contract ---

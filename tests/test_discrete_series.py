@@ -35,7 +35,7 @@ def test_transfer_roundtrip_disk():
     back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), PARAMS), PARAMS)
     for t in range(30):
         x = domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t)
-        assert abs(back((x.w, x.z)) - psi.evaluate(x.z, x.w)) < 1e-12
+        assert abs(back(x) - psi.evaluate(x.z, x.w)) < 1e-12
 
 
 def test_transfer_roundtrip_space():
@@ -51,7 +51,6 @@ def test_transfer_roundtrip_space():
     forth = ds.t_star(ds.t_inv(carrier, PARAMS), PARAMS)
     for t in range(30):
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t))
-        assert abs(forth((y.omega, y.zeta)) - phi((y.omega, y.zeta))) < 1e-12
         assert abs(forth(y) - phi((y.omega, y.zeta))) < 1e-12
 
 
@@ -61,7 +60,7 @@ def test_transfer_roundtrip_n2():
     back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), params), params)
     for t in range(10):
         x = domains.sample_sj_disk_point(2, 0.5, 0.6, seed=t)
-        assert abs(back((x.w, x.z)) - psi.evaluate(x.z, x.w)) < 1e-12
+        assert abs(back(x) - psi.evaluate(x.z, x.w)) < 1e-12
 
 
 def test_batch_evaluation_matches_scalar():
@@ -73,11 +72,11 @@ def test_batch_evaluation_matches_scalar():
     xs = [domains.sample_sj_disk_point(1, 0.5, 0.6, seed=t) for t in range(6)]
     ys = [domains.cayley_forward(x) for x in xs]
     logs_of = {}
-    for name, fn, side, pts in [("phi", phi, "space", [(y.omega, y.zeta) for y in ys]),
-                                ("op", op, "space", [(y.omega, y.zeta) for y in ys]),
-                                ("back", back, "disk", [(x.w, x.z) for x in xs])]:
+    for name, fn, side, pts in [("phi", phi, "space", ys), ("op", op, "space", ys),
+                                ("back", back, "disk", xs)]:
         assert fn.side == side and len(fn) == 1
-        mats, vecs = np.stack([p[0] for p in pts]), np.stack([p[1] for p in pts])
+        fields = [(p.w, p.z) if side == "disk" else (p.omega, p.zeta) for p in pts]
+        mats, vecs = (np.stack(field) for field in zip(*fields))
         vals, logs = fn.split(mats, vecs)
         logs_of[name] = logs
         assert vals.shape == (1, 6) and logs.shape == (6,)
@@ -173,7 +172,7 @@ def test_operator_composition_is_antihomomorphism():
     rhs = ds.pi_star_apply(groups.jacobi_star_mul(g2, g1), psi, PARAMS)
     for t in range(10):
         x = domains.sample_sj_disk_point(1, 0.5, 0.7, seed=50 + t)
-        assert abs(lhs((x.w, x.z)) - rhs((x.w, x.z))) < 1e-10
+        assert abs(lhs(x) - rhs(x)) < 1e-10
 
 
 def test_intertwining_pointwise():
@@ -182,8 +181,8 @@ def test_intertwining_pointwise():
     for t in range(10):
         gs = groups.random_jacobi_star(1, scale=0.4, seed=31 + t)
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=41 + t))
-        lhs = ds.t_star(ds.pi_star_apply(gs, psi, PARAMS), PARAMS)((y.omega, y.zeta))
-        rhs = ds.pi_apply(groups.theta_inv(gs), phi, PARAMS)((y.omega, y.zeta))
+        lhs = ds.t_star(ds.pi_star_apply(gs, psi, PARAMS), PARAMS)(y)
+        rhs = ds.pi_apply(groups.theta_inv(gs), phi, PARAMS)(y)
         assert abs(lhs - rhs) < 1e-10
 
 

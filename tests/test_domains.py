@@ -87,26 +87,6 @@ def test_cayley_equivariance():
             assert np.max(np.abs(lhs.zeta - rhs.zeta)) < 1e-9
 
 
-def test_json_point_roundtrip():
-    x = domains.sample_sj_disk_point(2, 0.6, 0.8, seed=5)
-    back = domains.json_to_point(domains.point_to_json(x))
-    assert_allclose(back.w, x.w)
-    assert_allclose(back.z, x.z)
-    y = domains.cayley_forward(x)
-    back = domains.json_to_point(domains.point_to_json(y))
-    assert_allclose(back.omega, y.omega)
-    assert_allclose(back.zeta, y.zeta)
-    # a point is a matrix with its vector: a matrix alone is no encoding
-    for half in ({"W": [[[0.2, 0.0]]]}, {"Omega": [[[0.0, 1.0]]]}):
-        with pytest.raises(ValueError, match="unrecognized point encoding"):
-            domains.json_to_point(half)
-
-
-def test_complex_json_encoding():
-    assert domains.complex_to_json(1 - 2j) == [1.0, -2.0]
-    assert domains.json_to_complex([1.0, -2.0]) == 1 - 2j
-
-
 # --- stacks: one implementation, the scalar API a batch of one ---
 
 def _seeds(n):

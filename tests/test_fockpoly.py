@@ -139,7 +139,7 @@ def test_poly_json_roundtrip():
     # the JSON terms carry every (s, a, c) of the polynomial
     f = fockpoly.basis_f((2, 0), M) + fockpoly.basis_f((0, 1), M) * (1 - 1j)
     back = PolyFunction(2, {(tuple(item["s"]), numkit.SymIndex.from_full(np.asarray(item["a"]))):
-                            complex(*item["c"]) for item in f.to_json()})
+                            item["c"] for item in f.to_json()})
     assert (f - back).is_zero()
 
 
@@ -175,7 +175,7 @@ def _graded_partials(n, max_degree, term):
 
 def test_matching_expansion_fixed_point():
     # both sides equal (1 - 0.3^2)^(-1/2) at the coincident real point
-    point = (0.3 * np.eye(1), np.zeros(1))
+    point = SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
     res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=20))
     assert abs(res.value - 0.91 ** -0.5) < 1e-8
     closed = kernels.kmk_star_kernel(point, point, MATCHING_M, 0.5)
@@ -187,7 +187,7 @@ def test_expansions_converge_on_safe_pairs(n):
     spec = TruncationSpec(max_degree=12)
     for xp, x in _pairs(n, 10 + n, 5):
         # matching (m = MATCHING_M), fixed W (W' = W) and full Fock kernels
-        for pair_xp, m in ((xp, MATCHING_M), ((x.w, xp.z), M), (xp, M)):
+        for pair_xp, m in ((xp, MATCHING_M), (SJDiskPoint(x.w, xp.z), M), (xp, M)):
             res = fockpoly.expansion_fock_full(pair_xp, x, m, spec)
             closed = kernels.kmk_star_kernel(pair_xp, x, m, 0.5)
             assert abs(res.value - closed) < 1e-5
@@ -216,7 +216,8 @@ def test_fixed_w_instance_is_the_basis_phi_sum(n):
             s = tuple(s)
             assert_allclose(fockpoly.basis_phi(x.w, s, M).evaluate(x.z),
                             fockpoly.basis_f(s, M).evaluate(x.z, x.w), rtol=1e-12)
-        res = fockpoly.expansion_fock_full((x.w, xp.z), x, M, TruncationSpec(max_degree))
+        res = fockpoly.expansion_fock_full(SJDiskPoint(x.w, xp.z), x, M,
+                                           TruncationSpec(max_degree))
         direct = _graded_partials(n, max_degree, lambda s: (
             fockpoly.basis_phi(x.w, s, M).evaluate(xp.z)
             * np.conj(fockpoly.basis_phi(x.w, s, M).evaluate(x.z))))
@@ -362,7 +363,7 @@ def test_fock_expansions_resume_bit_for_bit(n):
 
 
 def test_truncation_result_tail_decreases():
-    point = (0.3 * np.eye(1), np.zeros(1))
+    point = SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
     res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=14))
     resid = [abs(p - 0.91 ** -0.5) for p in res.partials]
     assert resid[-1] < resid[0]

@@ -118,15 +118,6 @@ def test_disk_action_preserves_model():
         assert np.max(np.abs(np.linalg.svd(moved.w, compute_uv=False))) < 1.0
 
 
-def test_group_json_roundtrip():
-    g = groups.random_jacobi(2, seed=8)
-    back = groups.json_to_jacobi(groups.jacobi_to_json(g))
-    assert _dist(back, g) < 1e-15
-    gs = groups.random_jacobi_star(2, seed=9)
-    back = groups.json_to_jacobi_star(groups.jacobi_star_to_json(gs))
-    assert _dist_star(back, gs) < 1e-15
-
-
 # --- stacks: one implementation, the scalar API a batch of one ---
 
 def _assert_jacobi_close(g, ref, rtol=1e-13, atol=0.0):

@@ -13,13 +13,13 @@ def _tame_disk(n, seed):
 
 def test_a_form_reference_value():
     # scalar case: W = 0.5, z = 1 gives (1 + 0.25)/0.75 + 0.25/0.75 = 2
-    assert_allclose(kernels.a_form(np.array([[0.5]]), np.array([1.0])), 2.0)
+    assert_allclose(kernels.a_form(domains.SJDiskPoint(np.array([[0.5]]), np.array([1.0]))), 2.0)
 
 
 def test_a_form_real_nonnegative():
     for t in range(50):
         x = domains.sample_sj_disk_point(2, 0.8, 1.5, seed=t)
-        val = kernels.a_form(x.w, x.z)
+        val = kernels.a_form(x)
         assert abs(val.imag) < 1e-12
         assert val.real >= -1e-12
 

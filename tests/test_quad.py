@@ -38,7 +38,8 @@ def _polarized_forms(ws, m, flip):
     units = [e[:n] + 1j * e[n:] for e in np.eye(2 * n)]
 
     def fn(z):
-        return 8.0 * math.pi * m * kernels.a_form(sign * ws, np.broadcast_to(z, ws.shape[:-1])).real
+        x = domains.SJDiskPoint(sign * ws, np.broadcast_to(z, ws.shape[:-1]))
+        return 8.0 * math.pi * m * kernels.a_form(x).real
 
     return np.stack([np.stack([0.5 * (fn(u + v) - fn(u) - fn(v)) for v in units], axis=-1)
                      for u in units], axis=-2)
@@ -110,7 +111,7 @@ def test_disk_form_matches_a_form(n):
         closed = _closed_forms(np.stack(wlist), M, flip)
         for w, qb, qc in zip(wlist, batched, closed):
             def fn(z):
-                return 8.0 * math.pi * M * kernels.a_form(sign * w, z).real
+                return 8.0 * math.pi * M * kernels.a_form(domains.SJDiskPoint(sign * w, z)).real
 
             polarized = np.array([[0.5 * (fn(u + v) - fn(u) - fn(v)) for v in units]
                                   for u in units])
@@ -216,7 +217,7 @@ def test_calibrate_norms_values():
 def test_generating_series_pairing():
     x = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=3)
     xp = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=4)
-    res = quad.verify_gaussian_pairing(xp.w, x.w, xp.z, x.z, trunc=14)
+    res = quad.verify_gaussian_pairing(xp, x, trunc=14)
     assert res["residual"] < 1e-8
 
 
@@ -300,9 +301,9 @@ def test_mc_gram_blocks_match_one_shot(n):
                         -np.sum(np.abs(zs) ** 2, axis=1) + np.log(rank), -np.inf)
         return ws, zs, logw
 
-    cfg = quad.MCConfig(samples=5001, seed=13, batch=3000)
-    assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
-    gram, sigma, stats = quad._mc_gram(funcs, n, cfg, cfg.batch, draw)
+    cfg, chunk = quad.MCConfig(samples=5001, seed=13), 3000
+    assert cfg.samples % quad._BLOCK and chunk % quad._BLOCK
+    gram, sigma, stats = quad._mc_gram(funcs, n, cfg, chunk, draw)
 
     # replay the proposals: polydisk entries, SVD membership, then z
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -352,7 +353,8 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
         return ws, dets, mask
 
     monkeypatch.setattr(quad, "_sample_w", recording)
-    cfg = quad.MCConfig(samples=60, seed=5, batch=20)
+    monkeypatch.setattr(quad, "_CHUNK", 20)
+    cfg = quad.MCConfig(samples=60, seed=5)
     f = fockpoly.PolyFamily([fockpoly.basis_f((0, 0, 0), M)])
     space_f = ds.SampledFunction(
         lambda mats, vecs: (np.ones((1, len(mats)), dtype=complex), np.zeros(len(mats))), "space")
@@ -583,7 +585,7 @@ def test_folded_power_sums_match_direct_sums(deg):
                     rtol=1e-13)
 
 
-def test_mc_dj_gram_exact_z_replays_per_sample_grams():
+def test_mc_dj_gram_exact_z_replays_per_sample_grams(monkeypatch):
     # the exact-z twin of test_mc_gram_blocks_match_one_shot: mc_dj_gram at
     # n = 1 on a PolyFamily with complex coefficients against a replay of its
     # proposals, each sample's conditional Gram E[f_i conj(f_j) | w] from the
@@ -593,8 +595,9 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
     family = fockpoly.PolyFamily(_section_pair())
     assert np.iscomplexobj(family.coeffs) and np.any(family.coeffs.imag)
     k = 5
-    cfg = quad.MCConfig(samples=5001, seed=17, batch=3000)
-    assert cfg.samples % quad._BLOCK and cfg.batch % quad._BLOCK
+    monkeypatch.setattr(quad, "_EXACT_Z_CHUNK", 3000)
+    cfg = quad.MCConfig(samples=5001, seed=17)
+    assert cfg.samples % quad._BLOCK and quad._EXACT_Z_CHUNK % quad._BLOCK
     gram, sigma, stats = quad.mc_dj_gram(family, 1, M, k, cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -616,11 +619,12 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
     assert_allclose(stats["ess_f"], diag ** 2 / diag2, rtol=1e-12)
 
 
-def test_exact_z_stats_match_the_disk_draw():
+def test_exact_z_stats_match_the_disk_draw(monkeypatch):
     # at n = 1 the exact-z weight is det^(k - 2) Z, proportional to the
-    # det^(k - 5/2) of mc_disk_gram, and in chunks of 20000 both see the same
-    # W: the ESS and the largest share, both scale-free, agree
-    cfg = quad.MCConfig(samples=50000, seed=17, batch=20000)
+    # det^(k - 5/2) of mc_disk_gram, and in chunks of the exact-z size both
+    # see the same W: the ESS and the largest share, both scale-free, agree
+    monkeypatch.setattr(quad, "_CHUNK", quad._EXACT_Z_CHUNK)
+    cfg = quad.MCConfig(samples=50000, seed=17)
     _, _, exact = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F[:2]), 1, M, K, cfg)
     _, _, disk = quad.mc_disk_gram(fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)]),
                                    1, K, cfg)

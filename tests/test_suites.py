@@ -134,7 +134,8 @@ def _expansions_pair_by_pair(n, seed, pairs=20, tol=1e-6):
     worst = {}
     for xp, x in zip(xps, xs):
         for name, pair_xp, m in (("matching", xp, fockpoly.MATCHING_M),
-                                 ("fock-at-w", (x.w, xp.z), 0.25), ("fock-full", xp, 0.25)):
+                                 ("fock-at-w", domains.SJDiskPoint(x.w, xp.z), 0.25),
+                                 ("fock-full", xp, 0.25)):
             for degree, res in zip(suites.FOCK_DEGREES, fockpoly.fock_expansions(
                     pair_xp, x, m, suites.FOCK_DEGREES)):
                 if res.tail_estimate <= tol / 100:
