@@ -153,12 +153,11 @@ def _q_poly(n, k, a):
         upper = (a,) + (0,) * (n * (n + 1) // 2 - 1)
     else:
         upper = tuple(int(v) for v in a)
-    deg = sum(upper)
-    qs = fockpoly.q_basis(n, k, deg)
-    for label, qpoly in zip(fockpoly.sym_degree_list(n, deg), qs):
-        if tuple(label.upper) == upper:
-            return qpoly
-    raise CliError(f"no basis label with exponents {upper}")
+    qs = fockpoly.q_basis(n, k, sum(upper))
+    labels = fockpoly.sym_degree_list(n, sum(upper))
+    if upper not in labels:
+        raise CliError(f"no basis label with exponents {upper}")
+    return qs[labels.index(upper)]
 
 
 # --- eval handlers ---
@@ -262,6 +261,8 @@ def _ev_action(args, cfg):
     g, point = _need(args, "g"), _need(args, "point")
     disk = isinstance(g, dict) and "p" in g
     elem = _element(args, "star" if disk else "jacobi")
+    if not isinstance(point, dict):
+        raise CliError("point must be a JSON object, {W, z} or {Omega, zeta}")
     if "W" in point and "z" in point:
         x = _point(point, ("W",), ("z",), vec_default=None, model=SJDiskPoint)
     elif "Omega" in point and "zeta" in point:

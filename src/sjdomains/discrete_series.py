@@ -60,10 +60,16 @@ class SampledFunction:
     def __call__(self, point):
         """Values at one point or at each point of a stack, an SJDiskPoint
         or an SJSpacePoint of this function's side.  A one-member family has
-        the shape of the stack, a larger one a leading axis of its members."""
-        side = "disk" if isinstance(point, SJDiskPoint) else "space"
+        the shape of the stack, a larger one a leading axis of its members;
+        TypeError for anything else."""
+        if isinstance(point, SJDiskPoint):
+            side, mat, vec = "disk", point.w, point.z
+        elif isinstance(point, SJSpacePoint):
+            side, mat, vec = "space", point.omega, point.zeta
+        else:
+            raise TypeError("a point is an SJDiskPoint or an SJSpacePoint, not a "
+                            + type(point).__name__)
         quad.require_side(self, side)
-        mat, vec = (point.w, point.z) if side == "disk" else (point.omega, point.zeta)
         vals, logs = self.split(mat.reshape((-1,) + mat.shape[-2:]),
                                 vec.reshape(-1, vec.shape[-1]))
         members = () if self.size == 1 else (self.size,)

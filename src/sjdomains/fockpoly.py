@@ -18,6 +18,12 @@ expansion its W' = W instance; the discrete-series expansion is a constant
 times it.  The limits are kernels.kmk_star_kernel, the one closed-form
 kernel of the bounded model.
 
+A PolyFunction keys each term by the flat exponent tuple s + a of its
+monomial z^s W^a, a the exponents of the upper entries W_ij (i <= j) in
+numkit.upper_pairs order.  A symmetric index is such a tuple of upper
+exponents everywhere (sym_degree_list, q_basis, the labels of
+series_basis), and the keys are the rows of PolyFamily.exponents.
+
 Polynomials are evaluated in families (PolyFamily): a product chain fills
 the table of the family's monomials on a batch of points, one multiplication
 per monomial, and the real coefficient matrix (the imaginary one too, if
@@ -47,15 +53,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import numkit
-from .numkit import SymIndex, enumerate_multiindices, mi_factorial
+from .numkit import enumerate_multiindices, mi_factorial
 
 
 def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction))
 
 
-def _key(s, a):
-    return tuple(int(v) for v in s), a
+def _width(n):
+    # the length of an exponent tuple: n z-exponents, n(n+1)/2 W-exponents
+    return n + n * (n + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,12 @@ class TruncationResult:
 class PolyFunction:
     """Polynomial in the row vector z (or Z) and the symmetric matrix W.
 
-    Terms are stored as {(s, a): coeff} with s a length-n exponent tuple for z
-    and a a SymIndex for W; each upper-triangle entry W_ij (i <= j) counts as
-    one variable.  Coefficients may be int/Fraction (exact) or float/complex.
+    Terms are stored as {e: coeff}, e the flat exponent tuple s + a of the
+    monomial z^s W^a: the n z-exponents s, then the n(n+1)/2 W-exponents a
+    of the upper entries W_ij (i <= j) in numkit.upper_pairs order, each
+    upper entry counting as one variable.  This is the row format of
+    PolyFamily.exponents.  Coefficients may be int/Fraction (exact) or
+    float/complex.
     """
 
     __slots__ = ("n", "terms")
@@ -90,12 +100,12 @@ class PolyFunction:
         self.n = int(n)
         self.terms = {}
         if terms:
-            for (s, a), c in terms.items():
-                if len(s) != self.n or a.n != self.n:
+            for e, c in terms.items():
+                if len(e) != _width(self.n):
                     raise ValueError("term arity mismatch")
                 if c == 0:
                     continue
-                self.terms[_key(s, a)] = c
+                self.terms[tuple(int(v) for v in e)] = c
 
     # --- constructors ---
 
@@ -105,13 +115,14 @@ class PolyFunction:
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {((0,) * n, SymIndex.zero(n)): c})
+        return cls(n, {(0,) * _width(n): c})
 
     @classmethod
     def monomial(cls, n, s=None, a=None, coeff=1):
-        s = (0,) * n if s is None else tuple(int(v) for v in s)
-        a = SymIndex.zero(n) if a is None else a
-        return cls(n, {(s, a): coeff})
+        """coeff z^s W^a, a the W-exponents in numkit.upper_pairs order."""
+        s = (0,) * n if s is None else tuple(s)
+        a = (0,) * (_width(n) - n) if a is None else tuple(a)
+        return cls(n, {s + a: coeff})
 
     # --- ring operations ---
 
@@ -152,11 +163,9 @@ class PolyFunction:
         if other.n != self.n:
             raise ValueError("arity mismatch")
         out = {}
-        for (s1, a1), c1 in self.terms.items():
-            for (s2, a2), c2 in other.terms.items():
-                s = tuple(x + y for x, y in zip(s1, s2))
-                a = SymIndex(self.n, tuple(x + y for x, y in zip(a1.upper, a2.upper)))
-                key = (s, a)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
                 new = out.get(key, 0) + c1 * c2
                 if new == 0:
                     out.pop(key, None)
@@ -180,41 +189,31 @@ class PolyFunction:
         return not self.terms
 
     def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1].upper))
+        # by z-degree |s|, then by s and a
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:self.n]), kv[0]))
 
     def has_exact_coeffs(self):
         return all(_is_exact(c) for c in self.terms.values())
 
     # --- calculus ---
 
-    def dz(self, j):
+    def _d(self, v):
+        # derivative in the v-th variable of the exponent tuples
         out = {}
-        for (s, a), c in self.terms.items():
-            if s[j] == 0:
-                continue
-            s2 = list(s)
-            s2[j] -= 1
-            out[(tuple(s2), a)] = out.get((tuple(s2), a), 0) + c * s[j]
+        for e, c in self.terms.items():
+            if e[v]:
+                key = _lowered(e, v)
+                out[key] = out.get(key, 0) + c * e[v]
         res = PolyFunction(self.n)
         res.terms = out
         return res
 
+    def dz(self, j):
+        return self._d(j)
+
     def dw(self, i, j):
         """Derivative in the single variable W_ij (i <= j)."""
-        if i > j:
-            i, j = j, i
-        out = {}
-        for (s, a), c in self.terms.items():
-            e = a.entry(i, j)
-            if e == 0:
-                continue
-            upper = list(a.upper)
-            upper[numkit._upper_offset(self.n, i, j)] -= 1
-            key = (s, SymIndex(self.n, tuple(upper)))
-            out[key] = out.get(key, 0) + c * e
-        res = PolyFunction(self.n)
-        res.terms = out
-        return res
+        return self._d(self.n + numkit.upper_pairs(self.n).index((min(i, j), max(i, j))))
 
     # --- evaluation ---
 
@@ -230,8 +229,14 @@ class PolyFunction:
     def to_json(self):
         """The terms as {s, a, c}, a as its full symmetric matrix and c
         complex; report.encode_value writes them."""
-        return [{"s": list(s), "a": [list(map(int, row)) for row in a.full()], "c": complex(c)}
-                for (s, a), c in self.terms_sorted()]
+        n = self.n
+        out = []
+        for e, c in self.terms_sorted():
+            a = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(numkit.upper_pairs(n), e[n:]):
+                a[i][j] = a[j][i] = v
+            out.append({"s": list(e[:n]), "a": a, "c": complex(c)})
+        return out
 
 
 def _chain_link(mono):
@@ -264,8 +269,8 @@ class PolyFamily:
 
     def __init__(self, polys):
         self.n = polys[0].n
-        width = self.n + self.n * (self.n + 1) // 2
-        terms = [{s + a.upper: complex(c) for (s, a), c in f.terms.items()} for f in polys]
+        width = _width(self.n)
+        terms = [{e: complex(c) for e, c in f.terms.items()} for f in polys]
         chain = set()
         for mono in itertools.chain.from_iterable(terms):
             while mono not in chain:
@@ -359,8 +364,7 @@ def _z_monomials(n, coeff=1):
 @lru_cache(maxsize=None)
 def _p_s_table(n: int, degree: int) -> dict:
     pairs = numkit.upper_pairs(n)
-    w = [[PolyFunction.monomial(n, a=SymIndex(n, tuple(int(p == (min(i, j), max(i, j)))
-                                                         for p in pairs)))
+    w = [[PolyFunction.monomial(n, a=[int(p == (min(i, j), max(i, j))) for p in pairs])
           for j in range(n)] for i in range(n)]
     return p_s_values(_z_monomials(n), w, degree)
 
@@ -380,33 +384,30 @@ def p_s_from_generating(s: tuple) -> PolyFunction:
     s = tuple(int(v) for v in s)
     n = len(s)
     total = sum(s)
-    # terms of the exponent, keyed (u exponent, z exponent, W index) -> Fraction
-    gens = []
-    zero_s = (0,) * n
-    zero_a = SymIndex.zero(n)
-    for i in range(n):
-        ei = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(((ei, ei, zero_a), Fraction(1)))
+    # terms of the exponent, keyed (u exponent, exponent tuple of z^s W^a)
+    # -> Fraction
+    width = _width(n)
+    unit = [tuple(int(t == v) for t in range(width)) for v in range(width)]
+    gens = [((unit[i][:n], unit[i]), Fraction(1)) for i in range(n)]
     for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
         u = tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))
-        upper = tuple(1 if t == idx else 0 for t in range(len(zero_a.upper)))
-        gens.append(((u, zero_s, SymIndex(n, upper)), Fraction(1, 2) if i == j else Fraction(1)))
+        gens.append(((u, unit[n + idx]), Fraction(1, 2) if i == j else Fraction(1)))
 
     def mul(p1, p2):
         out = {}
-        for (u1, z1, a1), c1 in p1.items():
-            for (u2, z2, a2), c2 in p2.items():
+        for (u1, e1), c1 in p1.items():
+            for (u2, e2), c2 in p2.items():
                 u = tuple(x + y for x, y in zip(u1, u2))
                 if any(x > y for x, y in zip(u, s)):
                     continue
-                key = (u, tuple(x + y for x, y in zip(z1, z2)),
-                       SymIndex(n, tuple(x + y for x, y in zip(a1.upper, a2.upper))))
+                key = (u, tuple(x + y for x, y in zip(e1, e2)))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return {k: v for k, v in out.items() if v != 0}
 
     expo = dict(gens)
-    series = {(zero_s, zero_s, zero_a): Fraction(1)}
-    power = {(zero_s, zero_s, zero_a): Fraction(1)}
+    one = ((0,) * n, (0,) * width)
+    series = {one: Fraction(1)}
+    power = {one: Fraction(1)}
     for j in range(1, total + 1):
         power = mul(power, expo)
         inv = Fraction(1, math.factorial(j))
@@ -414,10 +415,10 @@ def p_s_from_generating(s: tuple) -> PolyFunction:
             series[key] = series.get(key, Fraction(0)) + c * inv
     sfact = mi_factorial(s)
     terms = {}
-    for (u, z, a), c in series.items():
+    for (u, e), c in series.items():
         if u == s:
             val = c * sfact
-            terms[(z, a)] = int(val) if val.denominator == 1 else val
+            terms[e] = int(val) if val.denominator == 1 else val
     return PolyFunction(n, terms)
 
 
@@ -433,8 +434,9 @@ def basis_f(s: tuple, m: float) -> PolyFunction:
     root = math.sqrt(float(mi_factorial(s)))
     u = 8.0 * math.pi * m
     poly = p_s(s)
-    res = PolyFunction(poly.n)
-    res.terms = {(t, a): c * _scale_pow(u, sum(t)) / root for (t, a), c in poly.terms.items()}
+    n = poly.n
+    res = PolyFunction(n)
+    res.terms = {e: c * _scale_pow(u, sum(e[:n])) / root for e, c in poly.terms.items()}
     return res
 
 
@@ -449,9 +451,9 @@ def basis_f_scaled(s: tuple, m: float) -> PolyFunction:
     poly = p_s(s)
     res = PolyFunction(poly.n)
     terms = {}
-    for (t, a), c in poly.terms.items():
-        val = Fraction(c) / u ** sum(a.upper)
-        terms[(t, a)] = int(val) if val.denominator == 1 else val
+    for e, c in poly.terms.items():
+        val = Fraction(c) / u ** sum(e[poly.n:])
+        terms[e] = int(val) if val.denominator == 1 else val
     res.terms = terms
     return res
 
@@ -467,10 +469,14 @@ def basis_phi(w, s: tuple, m: float) -> PolyFunction:
 
 
 def sym_degree_list(n: int, max_degree: int):
-    """Symmetric indices with at most max_degree stored entries, ordered by
-    (|a|, upper triangle)."""
-    labels = [SymIndex(n, u) for u in enumerate_multiindices(n * (n + 1) // 2, max_degree)]
-    return sorted(labels, key=lambda a: (a.total(), a.upper))
+    """The symmetric indices a of polynomial degree sum(a) <= max_degree,
+    each the tuple of its upper entries in numkit.upper_pairs order.  They
+    are sorted by the key (|a|, a), |a| the sum over the full symmetric
+    matrix, which counts each off-diagonal entry twice; the polynomial
+    degree of W^a is sum(a), which counts it once."""
+    twice = [1 if i == j else 2 for i, j in numkit.upper_pairs(n)]
+    labels = enumerate_multiindices(len(twice), max_degree)
+    return sorted(labels, key=lambda a: (sum(t * v for t, v in zip(twice, a)), a))
 
 
 def bergman_mass(n: int, k) -> float:
@@ -488,15 +494,14 @@ def _taylor_blocks(n: int, k, max_degree: int) -> list:
     """[K_0, ..., K_max_degree]: K_d is the bidegree-(d, d) Taylor block of
     det(I - W conj(V))^{-lam}, lam = k - 1/2, in the upper entries of W and
     of conj(V), both axes over the labels a of sym_degree_list with
-    sum(a.upper) = d, in that order.  A bidegree-(d, d) polynomial is its
+    sum(a) = d, in that order.  A bidegree-(d, d) polynomial is its
     matrix of coefficients, and a product adds each pair of monomials
     (a, a') into a + a'.  The power sums t_j = tr((W conj V)^j) come from
     the powers of W conj(V), and the blocks from
     d K_d = lam sum_{j=1..d} t_j K_{d-j}, the Euler operator applied to
     exp(lam sum_j t_j / j)."""
     top = max(max_degree, 1)  # the entries of W conj(V) have degree 1
-    labels = [[a.upper for a in sym_degree_list(n, top) if sum(a.upper) == d]
-              for d in range(top + 1)]
+    labels = [[a for a in sym_degree_list(n, top) if sum(a) == d] for d in range(top + 1)]
     pos = {u: p for block in labels for p, u in enumerate(block)}
 
     @lru_cache(maxsize=None)
@@ -536,7 +541,7 @@ def q_basis(n: int, k, max_degree: int):
     (n, k, max_degree) is built once per process.
 
     The monomials are orthonormalized in label order against their exact
-    Gram.  Monomials of different degree sum(a.upper) are orthogonal, and
+    Gram.  Monomials of different degree sum(a) are orthogonal, and
     the degree-d block of the Gram is mass inv(K_d) (bergman_mass,
     _taylor_blocks).  So the degree-d coefficients are the upper triangular
     U with U t(U) = K_d / mass, a Cholesky factor in reversed order, and no
@@ -548,11 +553,11 @@ def q_basis(n: int, k, max_degree: int):
     labels = sym_degree_list(n, max_degree)
     out = {}
     for d, block in enumerate(_taylor_blocks(n, k, max_degree)):
-        mono = [a for a in labels if sum(a.upper) == d]
+        mono = [a for a in labels if sum(a) == d]
         # U t(U) = K_d / mass
         upper = numkit.spd_cholesky(block[::-1, ::-1] / mass)[::-1, ::-1]
         for a, col in zip(mono, upper.T):
-            out[a] = PolyFunction(n, {((0,) * n, b): float(c) for b, c in zip(mono, col)})
+            out[a] = PolyFunction(n, {(0,) * n + b: float(c) for b, c in zip(mono, col)})
     return tuple(out[a] for a in labels)
 
 

@@ -4,9 +4,10 @@ Matrices are plain numpy complex arrays, one matrix (n, n) or a stack
 (..., n, n) with leading axes; every helper here runs the same code on both.
 Symmetric matrices are stored in full square form but always passed through
 symmetrize() so that t(M) == M holds exactly (shared upper triangle).
-Multi-indices s are tuples of ints; a symmetric index a (a natural symmetric
-matrix indexing a monomial in the entries of a symmetric W) is a small frozen
-dataclass over its stored upper triangle, so that it can key polynomial terms.
+Multi-indices s are tuples of ints.  A symmetric index a (a natural
+symmetric matrix indexing the monomial W^a in the entries of a symmetric W)
+is the tuple of its upper entries in upper_pairs order, the form in which it
+keys polynomial terms.
 
 Two kinds of solver live here.  solve and condition_guard take general
 matrices, check their condition and call LAPACK.  eliminate is Gaussian
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -289,57 +289,7 @@ def _fixed_total(n, total):
 
 
 def upper_pairs(n):
-    """Index pairs (i, j), i <= j, row-major; the storage order for
-    symmetric matrices and symmetric indices."""
+    """Index pairs (i, j), i <= j, row-major; the storage order of the
+    upper entries of a symmetric matrix and of the W-exponents of a
+    polynomial term."""
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-@dataclass(frozen=True)
-class SymIndex:
-    """Symmetric matrix of naturals, upper triangle stored row-major.
-
-    Indexes monomials W^a = prod_{i<=j} W_ij^{a_ij}.
-    """
-
-    n: int
-    upper: tuple
-
-    def __post_init__(self):
-        expect = self.n * (self.n + 1) // 2
-        if len(self.upper) != expect:
-            raise ValueError(f"need {expect} upper entries, got {len(self.upper)}")
-        if any((not isinstance(v, int)) or v < 0 for v in self.upper):
-            raise ValueError("entries must be naturals")
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, (0,) * (n * (n + 1) // 2))
-
-    @classmethod
-    def from_full(cls, mat):
-        mat = np.asarray(mat)
-        n = mat.shape[0]
-        if not np.array_equal(mat, mat.T):
-            raise ValueError("not symmetric")
-        return cls(n, tuple(int(mat[i, j]) for i, j in upper_pairs(n)))
-
-    def full(self):
-        a = np.zeros((self.n, self.n), dtype=int)
-        for (i, j), v in zip(upper_pairs(self.n), self.upper):
-            a[i, j] = v
-            a[j, i] = v
-        return a
-
-    def entry(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.upper[_upper_offset(self.n, i, j)]
-
-    def total(self):
-        # |a| = sum over the full matrix
-        return int(self.full().sum())
-
-
-def _upper_offset(n, i, j):
-    # row-major offset of (i, j), i <= j, in the stacked upper triangle
-    return i * n - i * (i - 1) // 2 + (j - i)

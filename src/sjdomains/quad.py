@@ -2,10 +2,11 @@
 Carlo engines for the weighted inner products on the bounded and unbounded
 domains, and finite-difference Jacobian helpers.
 
-The Gaussian weight exp(-8 pi m A(+/-W, z)) of the Fock spaces has one
-closed-form law for one W or a stack of them: E[z t(z)] = -/+W / (8 pi m),
+The Gaussian weight exp(-8 pi m A(W, z)) of the Fock spaces has one
+closed-form law for one W or a stack of them: E[z t(z)] = -W / (8 pi m),
 E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
-(_z_moments, _z_normalizer).  Every exact z-integral, the n = 1 exact-z Gram
+(_z_moments, _z_normalizer); the weight exp(-8 pi m A(-W, z)) of the
+space-side engine is the same law at -W.  Every exact z-integral, the n = 1 exact-z Gram
 included, reads one Wick factor of that law built on the P_s recurrence at
 Z = 0 (_wick_factor): E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
 (z_law_table).  The Monte Carlo engines draw z from the same law and
@@ -48,11 +49,11 @@ from .fockpoly import PolyFamily
 
 # --- the closed-form z-law and its exact moments ---
 
-def _z_moments(ws, m, flip):
-    """E[z t(z)] = c = -W / (8 pi m) (+W flipped) and E[z z^*] = d I, d =
-    1 / (8 pi m), of the z-law exp(-8 pi m A(+/-W, z)) / Z given each W."""
+def _z_moments(ws, m):
+    """E[z t(z)] = c = -W / (8 pi m) and E[z z^*] = d I, d = 1 / (8 pi m),
+    of the z-law exp(-8 pi m A(W, z)) / Z given each W."""
     d = 1.0 / (8.0 * math.pi * m)
-    return (d if flip else -d) * ws, d
+    return -d * ws, d
 
 
 def _z_normalizer(dets, n, m):
@@ -85,7 +86,7 @@ def z_law_table(w, m, degree) -> np.ndarray:
     exp(-8 pi m A(W, z)) / Z of one W (_wick_factor).  At W = 0 and
     m = fockpoly.MATCHING_M, E[z z^*] = I exactly: the standard complex
     Gaussian, whose table is diag(s!)."""
-    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m, False), degree)
+    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m), degree)
     return (factor * lam) @ factor.conj().T
 
 
@@ -124,7 +125,7 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
         raise ValueError("fock_gram needs z-only polynomials")
     degree = int(exps.sum(axis=1).max(initial=0))
     pos = {s: p for p, s in enumerate(numkit.enumerate_multiindices(n, degree))}
-    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m, False), degree)
+    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m), degree)
     coef = family.coeffs @ factor[[pos[tuple(s)] for s in exps[:, :n].tolist()]]
     return (coef * lam) @ coef.conj().T
 
@@ -156,7 +157,7 @@ def verify_gaussian_pairing(xp: SJDiskPoint, x: SJDiskPoint, trunc: int) -> dict
         vals = fockpoly.p_s_values(point.z.tolist(), point.w.tolist(), trunc)
         return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()]) @ factor
 
-    factor, lam = _wick_factor(*_z_moments(np.zeros((n, n)), fockpoly.MATCHING_M, False), trunc)
+    factor, lam = _wick_factor(*_z_moments(np.zeros((n, n)), fockpoly.MATCHING_M), trunc)
     lhs = (coefficients(xp) * lam) @ coefficients(x).conj()
     rhs = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
@@ -250,7 +251,7 @@ def _sample_w(rng, count, n):
     return _symmetric(entries[inside], n), dets[inside], mask
 
 
-def _sample_z_given_w(rng, ws, m, flip, mask):
+def _sample_z_given_w(rng, ws, m, mask):
     """z from the conditional law (_z_moments) of each accepted W, through
     the Cholesky factor L of its real covariance (2Q)^{-1}, and the exponent
     x^T Q x = |g|^2 / 2 of its density at x = L g.  L comes from one
@@ -259,7 +260,7 @@ def _sample_z_given_w(rng, ws, m, flip, mask):
     rows are kept, so the random stream does not depend on which proposals
     were accepted."""
     n = ws.shape[-1]
-    c, d = _z_moments(ws, m, flip)
+    c, d = _z_moments(ws, m)
     # the real covariance of (Re z, Im z) with E[z t(z)] = c, E[z z^*] = d I
     eye = d * np.eye(n)
     cov = 0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]])
@@ -280,7 +281,7 @@ def _exact_z_kernel(family: PolyFamily, m):
     nf = len(family)
     coef = np.zeros((nf, pmax + 1, amax + 1), dtype=complex)
     coef[:, zexp, wexp] = family.coeffs
-    factor, lam = _wick_factor(*_z_moments(np.ones((1, 1)), m, False), pmax)
+    factor, lam = _wick_factor(*_z_moments(np.ones((1, 1)), m), pmax)
     beta = np.zeros((pmax + 1, nf, amax + pmax // 2 + 1), dtype=complex)
     for p, u in zip(*np.nonzero(factor)):
         beta[u, :, (p - u) // 2:(p - u) // 2 + amax + 1] += factor[p, u] * coef[:, p]
@@ -471,7 +472,7 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, dets, mask):
-        zs = None if exact_z else _sample_z_given_w(rng, ws, m, False, mask)[0]
+        zs = None if exact_z else _sample_z_given_w(rng, ws, m, mask)[0]
         logw = (float(k) - n - 2) * np.log(dets) + np.log(_z_normalizer(dets, n, m)) + logc
         return ws, zs, logw
 
@@ -501,11 +502,11 @@ def mc_hj_gram(family, n, m, k, cfg: MCConfig):
 
     The space-side counterpart of mc_dj_gram: samples are proposed in the
     bounded chart (the only practical way to cover the domain), in chunks of
-    _CHUNK from the stream of cfg.seed, z is drawn from the flipped law
-    exp(-8 pi m A(-W, z)) / Z, and the points are mapped forward.  The two
-    engines draw the same W only where they chunk alike: at n >= 2
-    mc_dj_gram proposes the same W (and draws the same normals a second
-    time), while at n = 1 its exact-z path proposes in chunks of
+    _CHUNK from the stream of cfg.seed, z is drawn from
+    exp(-8 pi m A(-W, z)) / Z, the z-law at -W, and the points are mapped
+    forward.  The two engines draw the same W only where they chunk alike:
+    at n >= 2 mc_dj_gram proposes the same W (and draws the same normals a
+    second time), while at n = 1 its exact-z path proposes in chunks of
     _EXACT_Z_CHUNK and so sees other W.  The overall constant cancels the chart
     Jacobian constant 2^{n(n+3)} exactly, and the remaining weight and
     measure factors are evaluated from the raw (Omega, zeta) values so the
@@ -517,7 +518,8 @@ def mc_hj_gram(family, n, m, k, cfg: MCConfig):
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, dets, mask):
-        zs, xqx = _sample_z_given_w(rng, ws, m, True, mask)
+        # the law exp(-8 pi m A(-W, z)) / Z is the z-law at -W
+        zs, xqx = _sample_z_given_w(rng, -ws, m, mask)
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         etas = zetas.imag
         sol, lu = numkit.eliminate(oms.imag, etas[:, :, None])

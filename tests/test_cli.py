@@ -182,6 +182,7 @@ BAD_EVAL_INPUTS = {
     "action-disk-point-space-element": ("action", {"g": G_JSON, "point": DISK}),
     "action-dimension": ("action", {"g": _star_json(
         groups.theta_iso(groups.random_jacobi(2, seed=4))), "point": DISK}),
+    "action-point-not-an-object": ("action", {"g": GS_JSON, "point": 3}),
     "cayley-forward-z": ("cayley", {"W": DISK["W"], "z": WRONG_LENGTH}),
     "cayley-inverse-zeta": ("cayley", {"direction": "inverse", "Omega": SPACE["Omega"],
                                        "zeta": WRONG_LENGTH}),
@@ -206,6 +207,14 @@ def test_eval_matrix_only_action_point_has_no_traceback():
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: unrecognized point encoding\n"
+
+
+@pytest.mark.parametrize("point", [3, [1, 2], "W"])
+def test_eval_action_point_must_be_an_object(point, capsys):
+    # a point that is not a JSON object is named as the fault
+    code, out, err = run(["eval", "action", json.dumps({"g": GS_JSON, "point": point})], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: point must be a JSON object, {W, z} or {Omega, zeta}\n"
 
 
 @pytest.mark.parametrize("half", [{"W": DISK["W"]}, {"Omega": SPACE["Omega"]}])
@@ -460,9 +469,10 @@ def test_table_gram_big_f_json(capsys):
     assert np.max(np.abs(mat - np.eye(mat.shape[0]))) < 0.1
 
 
-def test_table_gram_big_f_million_samples(capsys):
+def test_table_gram_big_f_million_samples(capsys, benchmark_workloads):
     # the 1e6-sample Gram of the benchmark: Hermitian, exact zeros where the
-    # z-degrees differ in parity, and every sigma within 3e-3
+    # z-degrees differ in parity, and every sigma within 3e-3; the
+    # benchmark's own checks, which parse the labels, pass on it
     code, out, _ = run(["table", "--kind", "gram-F", "--n", "1", "--samples", "1000000"],
                        capsys)
     assert code == 0
@@ -471,11 +481,12 @@ def test_table_gram_big_f_million_samples(capsys):
     sigma = np.asarray(doc["sigma"])
     assert mat.shape == sigma.shape == (12, 12)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
-    # a label reads "((s,), SymIndex(n=1, upper=(a,)))"
+    # a label reads "((s,), (a,))"
     zdeg = np.array([int(re.match(r"\(\((\d+),\)", lbl).group(1)) for lbl in doc["labels"]])
     odd = (zdeg[:, None] - zdeg[None, :]) % 2 == 1
     assert odd.any() and np.max(np.abs(mat[odd])) <= 1e-12
     assert np.max(sigma) <= 3e-3
+    assert [c for c in benchmark_workloads.gram_checks(doc) if not c[1]] == []
 
 
 def _src_env():

@@ -277,3 +277,14 @@ def test_transported_function_side():
     assert phi.side == "space"
     op = ds.pi_apply(groups.random_jacobi(1, seed=1), phi, PARAMS)
     assert op.side == "space"
+
+
+@pytest.mark.parametrize("side", ["disk", "space"])
+def test_sampled_function_refuses_what_is_not_a_point(side):
+    # a raw (matrix, vector) pair is no point on either side: a TypeError
+    # that names the two point classes, before the side guard
+    psi = _test_family(PARAMS)
+    fn = ds.t_inv(ds.t_star(psi, PARAMS), PARAMS) if side == "disk" else ds.t_star(psi, PARAMS)
+    x = domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3)
+    with pytest.raises(TypeError, match="SJDiskPoint or an SJSpacePoint, not a tuple"):
+        fn((x.w, x.z))

@@ -57,19 +57,39 @@ def _explicit_p_s(s):
 @pytest.mark.parametrize("n,s_max", [(1, 8), (2, 6), (3, 4)])
 def test_p_s_is_the_explicit_sum(n, s_max):
     for s in fockpoly.enumerate_multiindices(n, s_max):
-        got = {(t, a.upper): c for (t, a), c in fockpoly.p_s(s).terms.items()}
+        got = {(e[:n], e[n:]): c for e, c in fockpoly.p_s(s).terms.items()}
         assert all(type(c) is int for c in got.values())
         assert got == _explicit_p_s(s)
 
 
 def test_sym_degree_list_order():
     # the q_basis Cholesky order and the series-gram labels depend on it
-    assert [a.upper for a in fockpoly.sym_degree_list(2, 2)] == [
+    assert fockpoly.sym_degree_list(2, 2) == [
         (0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 2), (0, 1, 0), (1, 0, 1), (2, 0, 0),
         (0, 1, 1), (1, 1, 0), (0, 2, 0)]
-    assert [a.upper for a in fockpoly.sym_degree_list(3, 1)] == [
+    assert fockpoly.sym_degree_list(3, 1) == [
         (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0),
         (0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+
+
+def test_terms_are_keyed_by_flat_exponent_tuples():
+    # the key of z^s W^a is s + a, the upper W-exponents in upper_pairs
+    # order: the row format of PolyFamily.exponents
+    f = PolyFunction.monomial(2, s=(1, 0), a=(1, 2, 0), coeff=3)
+    assert f.terms == {(1, 0, 1, 2, 0): 3}
+    assert PolyFunction.constant(3, 1).terms == {(0,) * 9: 1}
+    assert fockpoly.PolyFamily([f]).exponents[-1].tolist() == [1, 0, 1, 2, 0]
+    z, w = np.array([0.3, -0.2j]), np.array([[0.5, 0.1 + 0.2j], [0.1 + 0.2j, 0.7]])
+    assert_allclose(f.evaluate(z, w), 3 * z[0] * w[0, 0] * w[0, 1] ** 2, rtol=1e-15)
+    # W_01 and W_10 are one variable, at offset n + 1
+    assert f.dw(0, 1) == f.dw(1, 0) == PolyFunction.monomial(2, (1, 0), (1, 1, 0), 6)
+    # the JSON a is the full symmetric matrix, whose sum 5 counts W_01
+    # twice; the polynomial degree of W^a is 3
+    assert f.to_json()[0]["a"] == [[1, 2], [2, 0]]
+    # sym_degree_list sorts by that full sum: (3, 0, 0) (sum 3) before
+    # (0, 2, 0) (sum 4, degree 2) before (1, 2, 0)
+    labels = fockpoly.sym_degree_list(2, 3)
+    assert labels.index((3, 0, 0)) < labels.index((0, 2, 0)) < labels.index((1, 2, 0))
 
 
 def test_generating_function_matches_recursion():
@@ -112,11 +132,12 @@ def _per_term(f, zs, ws):
     """Reference: f at each point as the sum of its terms, each term the
     coefficient times the powers of the entries it involves."""
     out = np.zeros(len(zs), dtype=complex)
-    for (s, a), c in f.terms.items():
+    for key, c in f.terms.items():
+        s, a = key[:f.n], key[f.n:]
         val = np.full(len(zs), complex(c))
         for i, e in enumerate(s):
             val = val * zs[:, i] ** e
-        for (i, j), e in zip(numkit.upper_pairs(f.n), a.upper):
+        for (i, j), e in zip(numkit.upper_pairs(f.n), a):
             val = val * ws[:, i, j] ** e
         out += val
     return out
@@ -138,8 +159,10 @@ def test_family_evaluation_matches_per_term_sums(n, k):
 def test_poly_json_roundtrip():
     # the JSON terms carry every (s, a, c) of the polynomial
     f = fockpoly.basis_f((2, 0), M) + fockpoly.basis_f((0, 1), M) * (1 - 1j)
-    back = PolyFunction(2, {(tuple(item["s"]), numkit.SymIndex.from_full(np.asarray(item["a"]))):
-                            item["c"] for item in f.to_json()})
+    back = PolyFunction(2, {tuple(item["s"]) + tuple(item["a"][i][j] for i, j in
+                                                     numkit.upper_pairs(2)): item["c"]
+                            for item in f.to_json()})
+    assert all(item["a"] == np.transpose(item["a"]).tolist() for item in f.to_json())
     assert (f - back).is_zero()
 
 
@@ -290,7 +313,7 @@ def _monomial_gram(n, k, degree):
     basis, so G = inv(C) inv(t(C))."""
     labels = fockpoly.sym_degree_list(n, degree)
     zero = (0,) * n
-    coef = np.array([[q.terms.get((zero, a), 0.0) for a in labels] for q in
+    coef = np.array([[q.terms.get(zero + a, 0.0) for a in labels] for q in
                      fockpoly.q_basis(n, k, degree)])
     inv = np.linalg.inv(coef)
     return labels, inv @ inv.T
@@ -300,7 +323,7 @@ def test_q_basis_exact_gram_n2():
     # n = 2, k = 3, over the mass: Hua's law in the upper entries
     labels, gram = _monomial_gram(2, 3, 2)
     gram /= fockpoly.bergman_mass(2, 3)
-    at = {a.upper: p for p, a in enumerate(labels)}
+    at = {a: p for p, a in enumerate(labels)}
     w11, w12, w22 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     target = np.zeros_like(gram)
     target[0, 0] = 1.0
@@ -343,7 +366,8 @@ def test_series_basis_labels():
     labeled = fockpoly.series_basis(1, M, K, s_max=2, a_max=1)
     labels = [lbl for lbl, _ in labeled]
     assert len(labels) == 3 * 2
-    assert labels[0] == ((0,), numkit.SymIndex(1, (0,)))
+    assert labels[0] == ((0,), (0,))
+    assert str(labels[3]) == "((1,), (1,))"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -429,7 +453,7 @@ def _chain_families(n):
     for f, val in zip(funcs, vals):
         section = section + f * complex(np.conj(val))
     w = domains.sample_sj_disk_point(n, 0.4, 0.1, seed=3).w
-    lone = numkit.SymIndex(n, tuple(int(p == (0, n - 1)) for p in numkit.upper_pairs(n)))
+    lone = tuple(int(p == (0, n - 1)) for p in numkit.upper_pairs(n))
     return {
         "complex-sections": ([section, section * (0.5 - 1j), funcs[1]], True, True),
         "w-only": (list(fockpoly.q_basis(n, K, 2)), False, True),

@@ -85,20 +85,41 @@ def test_multiindex_helpers():
     assert all(sum(s) <= 3 for s in idx)
 
 
+def _full_matrix(n, upper):
+    """The full symmetric matrix of the upper W-exponents, upper_pairs order."""
+    full = np.zeros((n, n), dtype=int)
+    for (i, j), v in zip(numkit.upper_pairs(n), upper):
+        full[i, j] = full[j, i] = v
+    return full
+
+
 def test_symindex_counts_and_weights():
-    # upper-triangle exponents of a symmetric 2x2 matrix power
-    a = numkit.SymIndex(2, (1, 2, 0))
-    assert a.total() == 5  # full-matrix sum counts off-diagonals twice
-    full = a.full()
+    # upper-triangle exponents of a symmetric 2x2 matrix power, as the flat
+    # tuple that keys a PolyFunction term after its z-exponents
+    a = (1, 2, 0)
+    full = _full_matrix(2, a)
+    assert full.sum() == 5  # full-matrix sum counts off-diagonals twice
+    assert sum(a) == 3  # the polynomial degree counts them once
     assert_allclose(full, full.T)
-    assert numkit.SymIndex.from_full(full) == a
+    assert tuple(full[i, j] for i, j in numkit.upper_pairs(2)) == a
+    f = fockpoly.PolyFunction.monomial(2, a=a)
+    assert f.to_json()[0]["a"] == full.tolist()
+    # sym_degree_list sorts by the full-matrix sum: a (sum 5) comes after
+    # every label of full sum 4, (0, 2, 0) among them
+    labels = fockpoly.sym_degree_list(2, 3)
+    assert labels.index((0, 2, 0)) < labels.index(a)
+    assert all(_full_matrix(2, b).sum() <= 5 for b in labels[:labels.index(a)])
 
 
 def test_symindex_factorial_and_zero():
-    zero = numkit.SymIndex.zero(3)
-    assert zero.upper == (0,) * 6
-    assert zero.total() == 0
-    assert numkit.SymIndex(1, (4,)).total() == 4
+    zero = fockpoly.PolyFunction.constant(3, 1)
+    assert list(zero.terms) == [(0,) * 9]
+    upper = list(zero.terms)[0][3:]
+    assert upper == (0,) * 6 == (0,) * len(numkit.upper_pairs(3))
+    assert _full_matrix(3, upper).sum() == 0
+    assert fockpoly.sym_degree_list(3, 0) == [(0,) * 6]
+    assert _full_matrix(1, (4,)).sum() == 4
+    assert fockpoly.PolyFunction.monomial(1, a=(4,)).to_json()[0]["a"] == [[4]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,11 +206,12 @@ def _assert_close_per_member(got, ref, rtol):
 
 
 def _z_covariances(ws):
-    """The real covariances of both z-laws of _sample_z_given_w at each W."""
+    """The real covariances of the z-laws of _sample_z_given_w at each W and
+    at -W, the law of the space-side engine."""
     n = ws.shape[-1]
     out = []
-    for flip in (False, True):
-        c, d = quad._z_moments(ws, 0.25, flip)
+    for sign in (1.0, -1.0):
+        c, d = quad._z_moments(sign * ws, 0.25)
         eye = d * np.eye(n)
         out.append(0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]]))
     return out
@@ -327,7 +349,7 @@ def test_refuse_stacks_guard_trips():
 def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
     params = ds.ReprParams(n, 0.25, 3)
     e1 = (1,) + (0,) * (n - 1)
-    a1 = numkit.SymIndex(n, (1,) + (0,) * (len(numkit.upper_pairs(n)) - 1))
+    a1 = (1,) + (0,) * (len(numkit.upper_pairs(n)) - 1)
     family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0),
                                   fockpoly.PolyFunction.monomial(n, e1),
                                   fockpoly.PolyFunction.monomial(n, a=a1)])

@@ -72,7 +72,7 @@ def _test_laws(n):
     # pairs are nonzero: the two disk weights, with Q polarized from a_form
     # and c, d (E[z z^*] = d I) in closed form
     w = domains.sample_sj_disk_point(n, 0.6, seed=5).w
-    return [(_polarized_forms(w[None], M, flip)[0], *quad._z_moments(w, M, flip))
+    return [(_polarized_forms(w[None], M, flip)[0], *quad._z_moments(-w if flip else w, M))
             for flip in (False, True)]
 
 
@@ -134,11 +134,16 @@ def test_normalization_closed_form():
 
 
 def test_flip_matches_reflected_argument():
+    # the weight exp(-8 pi m A(-W, z)) of the space-side engine is the z-law
+    # at -W: its form is a_form_matrix(-W), its E[z t(z)] is +W / (8 pi m)
     w = np.array([[0.4 + 0.1j]])
     flipped = _polarized_forms(w[None], M, flip=True)[0]
     assert_allclose(flipped, quad.a_form_matrix(-w, M), atol=1e-12)
-    (c_flip, d_flip), (c_ref, d_ref) = quad._z_moments(w, M, True), quad._z_moments(-w, M, False)
-    assert_allclose(_wick_table(c_flip, d_flip, 4), _wick_table(c_ref, d_ref, 4), atol=1e-12)
+    c, d = quad._z_moments(-w, M)
+    assert_allclose(c, w / (8.0 * math.pi * M), rtol=1e-15)
+    c_ref, d_ref = _complex_covariances(np.linalg.inv(flipped) / 2.0)
+    assert_allclose(c, c_ref, atol=1e-14)
+    assert_allclose(d * np.eye(1), d_ref, atol=1e-14)
 
 
 def _gauss_hermite_table(q, degree, order):
@@ -161,7 +166,7 @@ def _gauss_hermite_table(q, degree, order):
 
 def test_gauss_hermite_agrees_with_exact_moments():
     w = np.array([[0.35 - 0.15j]])
-    c, d = quad._z_moments(w, M, False)
+    c, d = quad._z_moments(w, M)
     pairs = {(2, 2): 1.0, (1, 1): 0.5 - 0.25j, (0, 0): -1.0}
     exact = _wick_table(c, d, 2)
     gh = _gauss_hermite_table(_polarized_forms(w[None], M, False)[0], 2, order=40)
@@ -225,7 +230,7 @@ def test_mc_disk_inner_against_beta_moments():
     # |w|^{2a} against the bounded-domain weight: pi B(a + 1, k - 3/2)
     cfg = quad.MCConfig(samples=200000, seed=11)
     one = fockpoly.PolyFunction.constant(1, 1.0)
-    wmono = fockpoly.PolyFunction.monomial(1, a=numkit.SymIndex(1, (1,)))
+    wmono = fockpoly.PolyFunction.monomial(1, a=(1,))
     gram, sigma, _ = quad.mc_disk_gram(fockpoly.PolyFamily([one, wmono]), 1, K, cfg)
     for a in range(2):
         target = math.pi * beta_fn(a + 1, K - 1.5)
@@ -455,7 +460,7 @@ def test_closed_form_z_law(n, flip):
     ws = _w_stack(n)
     assert np.max(np.linalg.svd(ws, compute_uv=False)) < 0.95
     qmats = _polarized_forms(ws, M, flip)
-    c, d = quad._z_moments(ws, M, flip)
+    c, d = quad._z_moments(-ws if flip else ws, M)
     c_ref, d_ref = _complex_covariances(np.linalg.inv(qmats) / 2.0)
     assert np.max(np.abs(c - c_ref)) <= 1e-15
     assert np.max(np.abs(d * np.eye(n) - d_ref)) <= 1e-15
@@ -475,7 +480,7 @@ def test_z_draw_keeps_the_stream():
     assert 0 < mask.sum() < quad._in_domain(entries, 2)[0].sum()
     qmats = _closed_forms(ws[mask], M, flip=True)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    zs, xqx = quad._sample_z_given_w(rng, ws[mask], M, True, mask)
+    zs, xqx = quad._sample_z_given_w(rng, -ws[mask], M, mask)
     gauss = ref.standard_normal((len(mask), 4))[mask]
     xs = np.einsum("bij,bj->bi", np.linalg.cholesky(np.linalg.inv(qmats) / 2.0), gauss)
     assert_allclose(zs, xs[:, :2] + 1j * xs[:, 2:], rtol=1e-14)
@@ -651,7 +656,7 @@ def test_exact_dj_gram_against_beta_moments():
     # 1 and w: E[|f|^2 | w] is 1 and |w|^2, and the W-integral of |w|^(2a)
     # is B(a + 1, k - 3/2) / (8 m); 1 and w do not pair
     one = fockpoly.PolyFunction.constant(1, 1.0)
-    wmono = fockpoly.PolyFunction.monomial(1, a=numkit.SymIndex(1, (1,)))
+    wmono = fockpoly.PolyFunction.monomial(1, a=(1,))
     gram = quad.exact_dj_gram(fockpoly.PolyFamily([one, wmono]), 1, M, K)
     target = np.diag([beta_fn(a + 1, K - 1.5) / (8 * M) for a in range(2)])
     assert_allclose(gram, target, rtol=1e-14, atol=1e-15)

@@ -1,7 +1,3 @@
-import pathlib
-import sys
-import types
-
 import pytest
 
 from sjdomains import domains, fockpoly, kernels, suites
@@ -64,20 +60,8 @@ def test_fock_suites_pass_at_other_masses(name, m, n, k):
     assert rep.passed, [c.summary() for c in rep.checks if not c.passed]
 
 
-def _benchmark_workloads(monkeypatch):
-    """perfbench/workloads.py, run from its source: nothing is written next
-    to it, not even a bytecode cache.  Its dataclasses look their module up
-    in sys.modules, where it stays for the test only."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
-    module.__file__ = str(path)
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize("n", [1, 2])
-def test_run_all_reports_the_checks_the_benchmark_expects(n, monkeypatch):
+def test_run_all_reports_the_checks_the_benchmark_expects(n, benchmark_workloads):
     # the benchmark marks a run incorrect when a suite's check names differ
     # from expected_checks(n); a renamed, added or dropped check fails here
     rep = suites.run_suite("all", SuiteConfig(n=n, samples=30000, seed=1))
@@ -85,7 +69,7 @@ def test_run_all_reports_the_checks_the_benchmark_expects(n, monkeypatch):
     for c in rep.checks:
         suite, check = c.name.split("/", 1)
         got.setdefault(suite, []).append(check)
-    expected = _benchmark_workloads(monkeypatch).expected_checks(n)
+    expected = benchmark_workloads.expected_checks(n)
     assert list(got) == list(expected)
     assert got == expected
 
