@@ -7,8 +7,8 @@ Submodules:
   kernels           automorphy factors, invariant weights, kernel functions
   fockpoly          polynomial engine: bases and kernel expansions
   quad              exact Gaussian moments and Monte Carlo inner products
-  discrete_series   twisted actions, the transfer map, representation suites
-  suites            named verification suites
+  discrete_series   twisted actions and the transfer map between the models
+  suites            every verification check, as named suites
   cli               command-line front end (console script `sjdomains`);
                     not imported here, so `python -m sjdomains.cli` runs cleanly
 """
@@ -19,8 +19,8 @@ from .discrete_series import (ReprParams, SampledFunction, pi_apply,
                               pi_star_apply, t_inv, t_star)
 from .domains import (SJDiskPoint, SJSpacePoint, cayley_forward,
                       cayley_inverse)
-from .fockpoly import (PolyFunction, TruncationSpec, basis_big_f, basis_f,
-                       basis_phi, p_s, q_basis, series_basis)
+from .fockpoly import (PolyFunction, basis_big_f, basis_f, basis_phi, p_s,
+                       q_basis, series_basis)
 from .groups import (JacobiElement, JacobiStarElement, act_sj_disk,
                      act_sj_space, theta_inv, theta_iso)
 from .kernels import (a_form, jmk, jmk_star, kmk_kernel, kmk_star_kernel,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "JacobiElement", "JacobiStarElement",
     "MCConfig", "PolyFunction", "ReprParams", "SJDiskPoint", "SJSpacePoint",
-    "SampledFunction", "TruncationSpec", "VerifyReport", "a_form",
+    "SampledFunction", "VerifyReport", "a_form",
     "act_sj_disk", "act_sj_space", "basis_big_f", "basis_f", "basis_phi",
     "cayley_forward", "cayley_inverse", "discrete_series", "domains",
     "fock_gram", "fockpoly", "groups", "jmk", "jmk_star",

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import discrete_series as ds
 from . import domains, fockpoly, groups, kernels, quad, report, suites
 from .domains import SJDiskPoint, SJSpacePoint
 from .suites import SuiteConfig, sub_seed
@@ -31,8 +30,9 @@ class CliError(Exception):
 # scalar [re, im] (at n = 2 it is a real vector).  Vectors and matrices
 # beyond that use the nested forms ([[re, im], ...] and [[...row...], ...]),
 # whose entries are numbers or [re, im] pairs.  Every point enters through
-# _point and every group element through _element, on the same readers;
-# every result leaves through report.encode_value.
+# _point and every group element through _element, on the same readers, and
+# every multi-index through _indices; every result leaves through
+# report.encode_value.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -75,6 +75,24 @@ def _need(args, *keys, default=None):
     if default is None:
         raise CliError(f"missing required argument {keys[0]!r}")
     return default
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _indices(args, key, single=False):
+    """The multi-index args[key], a non-empty list of non-negative integers,
+    as a tuple; with single, one such integer is also read, as it is.
+    Anything else is a usage error that names the field."""
+    v = _need(args, key)
+    if single and _is_count(v):
+        return v
+    if isinstance(v, list) and v and all(_is_count(u) for u in v):
+        return tuple(v)
+    either = " or one such integer" if single else ""
+    raise CliError(f"{key!r} must be a non-empty list of non-negative integers{either},"
+                   f" got {v!r}")
 
 
 def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.0,
@@ -149,10 +167,9 @@ def _element_fields(g):
 
 
 def _q_poly(n, k, a):
-    if isinstance(a, int):
-        upper = (a,) + (0,) * (n * (n + 1) // 2 - 1)
-    else:
-        upper = tuple(int(v) for v in a)
+    """Q_a at (n, k), a the tuple of upper exponents or, as one integer, the
+    exponent of W_11 alone."""
+    upper = (a,) + (0,) * (n * (n + 1) // 2 - 1) if isinstance(a, int) else a
     qs = fockpoly.q_basis(n, k, sum(upper))
     labels = fockpoly.sym_degree_list(n, sum(upper))
     if upper not in labels:
@@ -170,17 +187,17 @@ def _ev_poly(poly, args, n):
 
 
 def _ev_p_s(args, cfg):
-    s = tuple(int(v) for v in _need(args, "s"))
+    s = _indices(args, "s")
     return _ev_poly(fockpoly.p_s(s), args, len(s))
 
 
 def _ev_f_s(args, cfg):
-    s = tuple(int(v) for v in _need(args, "s"))
+    s = _indices(args, "s")
     return _ev_poly(fockpoly.basis_f(s, args.get("m", cfg.m)), args, len(s))
 
 
 def _ev_phi(args, cfg):
-    s = tuple(int(v) for v in _need(args, "s"))
+    s = _indices(args, "s")
     w, z = _point(args, ("W", "w"), ("Z", "z"), len(s), mat_default=0.0)
     poly = fockpoly.basis_phi(w, s, args.get("m", cfg.m))
     if "Z" not in args and "z" not in args:
@@ -189,18 +206,18 @@ def _ev_phi(args, cfg):
 
 
 def _ev_big_f(args, cfg):
-    s = tuple(int(v) for v in _need(args, "s"))
+    s = _indices(args, "s")
     n = len(s)
-    qpoly = _q_poly(n, args.get("k", cfg.k), _need(args, "a"))
+    qpoly = _q_poly(n, args.get("k", cfg.k), _indices(args, "a", single=True))
     poly = fockpoly.basis_big_f(s, qpoly, args.get("m", cfg.m))
     return _ev_poly(poly, args, n)
 
 
 def _ev_q_a(args, cfg):
-    a = _need(args, "a")
-    n = args.get("n", cfg.n if not isinstance(a, list) else None)
-    if n is None:
-        n = int((math.isqrt(8 * len(a) + 1) - 1) // 2)
+    a = _indices(args, "a", single=True)
+    n = args.get("n", cfg.n if isinstance(a, int) else (math.isqrt(8 * len(a) + 1) - 1) // 2)
+    if not _is_count(n) or n == 0:
+        raise CliError(f"'n' must be a positive integer, got {n!r}")
     qpoly = _q_poly(n, args.get("k", cfg.k), a)
     if "W" not in args and "w" not in args:
         return qpoly.to_json()
@@ -323,16 +340,14 @@ def _table_gram_phi(cfg: SuiteConfig):
 
 
 def _table_gram_big_f(cfg: SuiteConfig):
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "table-gram-F"))
-    labels, gram, sigma, _ = ds.gram_matrix(cfg.params(), mccfg, s_max=3, a_max=2)
+    labels, _, gram, sigma, _ = suites.series_gram(cfg, "table-gram-F")
     return [str(lbl) for lbl in labels], gram, sigma
 
 
 def _table_expansion_convergence(cfg: SuiteConfig):
     xp = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-a"))
     x = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-b"))
-    trunc = fockpoly.TruncationSpec(max_degree=max(cfg.trunc, 4))
-    res = fockpoly.expansion_fock_full(xp, x, fockpoly.MATCHING_M, trunc)
+    res = fockpoly.expansion_fock_full(xp, x, fockpoly.MATCHING_M, max(cfg.trunc, 4))
     closed = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
     rows = [(deg, abs(partial - closed))
             for deg, partial in enumerate(res.partials)]
@@ -392,8 +407,6 @@ def _build_parser():
         p.add_argument("--m", type=float, default=0.25)
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the per-check residual tolerance")
         p.add_argument("--samples", type=int, default=100000)
         p.add_argument("--trunc", type=int, default=10)
         p.add_argument("--out", default=None, help="write output to this path")
@@ -428,8 +441,12 @@ def _config_from(ns) -> SuiteConfig:
         raise CliError("m must be positive")
     if ns.samples < 2:
         raise CliError("samples must be at least 2")
-    return SuiteConfig(n=ns.n, m=ns.m, k=ns.k, seed=ns.seed, tol=ns.tol,
-                       samples=ns.samples, trunc=ns.trunc)
+    if ns.seed < 0:
+        raise CliError("seed must be a non-negative integer")
+    if ns.trunc < 0:
+        raise CliError("trunc must be a non-negative integer")
+    return SuiteConfig(n=ns.n, m=ns.m, k=ns.k, seed=ns.seed, samples=ns.samples,
+                       trunc=ns.trunc)
 
 
 def _emit(text: str, out_path):

@@ -1,25 +1,22 @@
-"""Discrete-series layer: twisted group actions on function spaces over the
-bounded and unbounded models, the transfer map between them, and the checks
-of the identities the transfer rests on, each returned as a list of
-CheckResults for the suites to report.
+"""Discrete-series layer: the twisted group actions on function spaces over
+the bounded and unbounded models, and the transfer map between them.  The
+checks of the identities they satisfy are suites (the module suites).
 
 Functions that are not polynomials (transported and composite ones) are
 SampledFunctions, families of quad's evaluation protocol like the
 PolyFamily; pointwise values are a batch of one.  Each operator takes one
 family, checks its side once when built, and returns a family of the same
 length.  The transfer t_star uses the packaging under which t_inv is an
-exact pointwise inverse; see the module suites for the convention
-diagnostics.
+exact pointwise inverse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, fockpoly, groups, kernels, numkit, quad, report
+from . import domains, groups, kernels, numkit, quad
 from .domains import SJDiskPoint, SJSpacePoint
 
 
@@ -161,252 +158,3 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
         return mant, logs + 2.0 * np.pi * m * quad_terms.real
 
     return SampledFunction(split, "disk", size=len(phi))
-
-
-# --- verification suites ---
-
-def _tame_disk_batch(n, count, seed):
-    return domains.sample_sj_disk_batch(n, count, seed, 0.5, 0.6)
-
-
-def verify_identities(params: ReprParams, count=100, seed=0) -> list:
-    """Both-sides evaluation of the three chart identities: the imaginary
-    parts of the forward chart in closed form, and the transfer of the
-    Gaussian exponent.  The exponent identity holds with the W-argument of A
-    negated and plus signs on the holomorphic terms; the residuals of the
-    as-printed sign variant are recorded in the detail for comparison."""
-    n = params.n
-    eye = np.eye(n)
-    x = _tame_disk_batch(n, count, seed)
-    y = domains.cayley_forward(x)
-    w, z = x.w, x.z
-    yim, eta = y.omega.imag, y.zeta.imag
-    res_inv, res_conj_inv = np.linalg.inv(eye - w), np.linalg.inv(eye - w.conj())
-    rhs_y = np.linalg.solve(eye - w, eye - w @ w.conj()) @ res_conj_inv
-    rhs_eta = numkit.vecmat(z, res_inv) + numkit.vecmat(z.conj(), res_conj_inv)
-    lhs = numkit.vecvec(np.linalg.solve(yim, eta[..., None])[..., 0], eta)
-    hol = numkit.vecvec(z, np.linalg.solve(eye - w, z[..., None])[..., 0]).real
-    a_flip = 2.0 * kernels.a_form(SJDiskPoint(-w, z)).real
-    return [
-        report.residual_check("imag-part-matrix", float(np.max(np.abs(yim - rhs_y))), 1e-10),
-        report.residual_check("imag-part-vector", float(np.max(np.abs(eta - rhs_eta))), 1e-10),
-        report.residual_check(
-            "exponent-transfer", float(np.max(np.abs(lhs - (a_flip + 2.0 * hol)))), 1e-10,
-            detail={"printed_sign_variant_residual":
-                    float(np.max(np.abs(lhs - (a_flip - 2.0 * hol))))}),
-    ]
-
-
-def verify_jacobian_constant(params: ReprParams, count=50, seed=0,
-                             step=1e-5) -> list:
-    """Finite-difference check that the real Jacobian of the forward chart
-    times the density ratio of the two invariant measures is the constant
-    2^{n(n+3)}, globally across random points."""
-    n = params.n
-    target = 2.0 ** (n * (n + 3))
-    eye = np.eye(n)
-    x = _tame_disk_batch(n, count, seed)
-
-    def chart(v):
-        # real chart coordinates as columns (D, ...) -> image coordinates
-        pts = quad.unpack_disk_point(v.reshape(len(v), -1).T, n)
-        return quad.pack_space_point(domains.cayley_forward(pts)).T.reshape(v.shape)
-
-    jac = quad.numeric_jacobian(chart, quad.pack_disk_point(x).T, step=step)
-    y = domains.cayley_forward(x)
-    dets_ratio = (np.linalg.det(eye - x.w @ x.w.conj()).real ** (n + 2)
-                  / np.linalg.det(y.omega.imag) ** (n + 2))
-    values = np.abs(np.linalg.det(np.moveaxis(jac, -1, 0))) * dets_ratio
-    return [report.residual_check(f"measure-constant-n{n}",
-                                  float(np.max(np.abs(values / target - 1.0))), 1e-4,
-                                  detail={"target": target,
-                                          "min": float(np.min(values)),
-                                          "max": float(np.max(values))})]
-
-
-def _series_family(params: ReprParams, s_max, a_max):
-    """The labels of the series basis F_sa and the basis as one PolyFamily."""
-    labeled = fockpoly.series_basis(params.n, params.m, params.k, s_max, a_max)
-    return [lbl for (lbl, _) in labeled], fockpoly.PolyFamily([f for (_, f) in labeled])
-
-
-def gram_matrix(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2):
-    """Labeled MC Gram matrix of the series basis under the bounded-model
-    inner product; returns (labels, gram, sigma, stats)."""
-    labels, family = _series_family(params, s_max, a_max)
-    return (labels, *quad.mc_dj_gram(family, params.n, params.m, params.k, cfg))
-
-
-# Gram errors within this relative distance of the largest are one tie
-TIE_RTOL = 1e-10
-
-
-def verify_gram(params: ReprParams, cfg: quad.MCConfig, s_max=3, a_max=2) -> list:
-    """Largest Gram deviation against the error bar of that entry.
-
-    At n = 1 the z-integrals are evaluated exactly per sample, the remaining
-    noise is small, and the contract is 3 sigma with a tight sigma budget;
-    entries whose integrand vanishes identically get a small floor since
-    their error bar is pure roundoff.  For n >= 2 z is sampled too: the
-    threshold widens to the expected maximum over all entries, and the
-    exact-cancellation checks are skipped.  That estimator is heavy-tailed
-    (its ess_f is at most a few dozen of thousands of samples), so its own
-    sigma understates the error, and the floor 0.02 allows for that.
-
-    The reported entry is the first of the ties (TIE_RTOL) in label order:
-    at n = 1 the entries of every s agree up to roundoff.  There the detail
-    adds exact_residual, max |G - I| of quad.exact_dj_gram, read by no verdict.
-    """
-    labels, family = _series_family(params, s_max, a_max)
-    gram, sigma, stats = quad.mc_dj_gram(family, params.n, params.m, params.k, cfg)
-    size = len(labels)
-    err = np.abs(gram - np.eye(size))
-    i, j = divmod(int(np.argmax(err.ravel() >= (1.0 - TIE_RTOL) * err.max())), size)
-    exact_z = params.n == 1
-    if exact_z:
-        floor, zcrit = 1e-9, 3.0
-    else:
-        floor = 0.02
-        zcrit = math.sqrt(2.0 * math.log(max(size * size, 2))) + 1.5
-    tol_entry = float(zcrit * sigma[i, j] + floor)
-    checks = [
-        report.CheckResult(name="gram-identity", passed=bool(err[i, j] <= tol_entry),
-                           residual=float(err[i, j]), tol=tol_entry,
-                           detail={"worst_row": str(labels[i]), "worst_col": str(labels[j]),
-                                   "sigma": float(sigma[i, j]), "z_critical": zcrit,
-                                   **quad.mc_stats(stats)}),
-    ]
-    if exact_z:
-        exact = quad.exact_dj_gram(family, params.n, params.m, params.k)
-        checks[0].detail["exact_residual"] = float(np.max(np.abs(exact - np.eye(size))))
-        sigma_budget = 3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples))
-        zdeg = np.array([sum(lbl[0]) for lbl in labels])
-        parity_worst = float(np.max(err[(zdeg[:, None] - zdeg[None]) % 2 == 1], initial=0.0))
-        checks.append(report.residual_check("sigma-budget", float(np.max(sigma)),
-                                            sigma_budget))
-        checks.append(report.residual_check("parity-zeros", parity_worst, 1e-12))
-    return checks
-
-
-def _isometry_functions(params: ReprParams):
-    qb = fockpoly.q_basis(params.n, params.k, 1)
-    f00 = fockpoly.basis_big_f((0,) * params.n, qb[0], params.m)
-    f10 = fockpoly.basis_big_f((1,) + (0,) * (params.n - 1), qb[0], params.m)
-    f01 = fockpoly.basis_big_f((0,) * params.n, qb[1], params.m)
-    mix = (f00 + f10) * complex(1.0 / math.sqrt(2.0))
-    return [("F00", f00), ("F10", f10), ("F01", f01), ("mix", mix)]
-
-
-def verify_isometry(params: ReprParams, cfg: quad.MCConfig) -> list:
-    """Norms before and after the transfer agree within combined MC error;
-    the test functions have z-degree at most one, where the two bounded-side
-    weight conventions coincide, so the comparison is convention-free.
-
-    Each side is one Gram over all the test functions, on one draw: the
-    disk side over the polynomials, the space side over their transfer as
-    one family.  The norms, sigmas and per-function stats are read off the
-    diagonals."""
-    n, m, k = params.n, params.m, params.k
-    names, psis = zip(*_isometry_functions(params))
-    family = fockpoly.PolyFamily(psis)
-    disk = quad.mc_dj_gram(family, n, m, k, cfg)
-    space = quad.mc_hj_gram(t_star(family, params), n, m, k, cfg)
-    checks = []
-    for i, name in enumerate(names):
-        (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
-            (complex(gram[i, i]), float(sigma[i, i]), quad.mc_stats(stats, [i]))
-            for gram, sigma, stats in (disk, space))
-        err = abs(s_est - d_est)
-        tol = 3.0 * math.hypot(s_sig, d_sig) + 1e-9
-        checks.append(report.CheckResult(
-            name=f"isometry-{name}", passed=bool(err <= tol),
-            residual=float(err), tol=float(tol),
-            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est,
-                    "disk_sigma": d_sig, "space_sigma": s_sig,
-                    **{"disk_" + key: v for key, v in d_stats.items()},
-                    **{"space_" + key: v for key, v in s_stats.items()}}))
-    return checks
-
-
-def verify_roundtrip(params: ReprParams, count=50, seed=0) -> list:
-    """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise."""
-    n = params.n
-    qb = fockpoly.q_basis(n, params.k, 1)
-    psi = fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], params.m)
-                               + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m)
-                               * (0.5 + 0.25j)])
-    back = t_inv(t_star(psi, params), params)
-
-    def phi_split(oms, zetas):
-        vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
-        return vals[None], np.zeros(len(vals))
-
-    phi = SampledFunction(phi_split, "space")
-    forth = t_star(t_inv(phi, params), params)
-    both = _tame_disk_batch(n, 2 * count, seed)
-    x, y = both[:count], domains.cayley_forward(both[count:])
-    worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
-    worst_space = float(np.max(np.abs(forth(y) - phi(y))))
-    return [
-        report.residual_check("roundtrip-disk", worst_disk, 1e-10),
-        report.residual_check("roundtrip-space", worst_space, 1e-10),
-    ]
-
-
-def verify_intertwining(params: ReprParams, count=50, seed=0, scale=0.4) -> list:
-    """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise,
-    with the t-th element evaluated at the t-th point."""
-    n = params.n
-    qb = fockpoly.q_basis(n, params.k, 1)
-    psi = fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], params.m)
-                               + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m)
-                               * 0.7])
-    gs = groups.theta_iso(groups.random_jacobi_batch(n, count, (seed, 1000, 0), scale))
-    y = domains.cayley_forward(_tame_disk_batch(n, count, (seed, 1000, 1)))
-    lhs = t_star(pi_star_apply(gs, psi, params), params)(y)
-    rhs = pi_apply(groups.theta_inv(gs), t_star(psi, params), params)(y)
-    return [report.residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
-
-
-def reproducing_check(params: ReprParams, cfg: quad.MCConfig, trunc_s=10, trunc_a=6,
-                      points=5, seed=0) -> list:
-    """(i) The truncated two-point basis sum matches the closed-form kernel;
-    (ii) pairing against the truncated kernel section reproduces point values
-    within MC error."""
-    if params.n != 1:
-        raise ValueError("reproducing_check runs at n = 1")
-    n, m, k = params.n, params.m, params.k
-    spec = fockpoly.TruncationSpec(max_degree=trunc_s)
-    # the pairs (x', x) as two stacks, for one stacked expansion
-    xp, x = (domains.sample_sj_disk_batch(n, points, (seed, 3301, i), 0.25, 0.3) for i in (0, 1))
-    approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=trunc_a)
-    closed = fockpoly.discrete_kernel_constant(m, k) * kernels.kmk_star_kernel(xp, x, m, k)
-    worst_rel = float(np.max(np.abs(approx.value - closed) / np.abs(closed)))
-    funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
-    family = fockpoly.PolyFamily(funcs)
-    # the section at x_j is sum_i conj(F_i(x_j)) F_i; f = F_0 pairs with it
-    # to f(x_j)
-    x = domains.sample_sj_disk_batch(n, min(points, 5), (seed, 3301, 2), 0.25, 0.3)
-    vals = family.split(x.w, x.z)[0]
-    sections, targets = [], vals[0]
-    for col in vals.T:
-        section = fockpoly.PolyFunction.zero(n)
-        for basis_fn, val in zip(funcs, col):
-            section = section + basis_fn * complex(np.conj(val))
-        sections.append(section)
-    # every pairing <f, section_j> is an entry (0, j) of one Gram
-    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(funcs[:1] + sections), n, m, k, cfg)
-    worst_err, worst_tol = 0.0, 0.0
-    ok = True
-    for j, target in enumerate(targets, 1):
-        err = abs(gram[0, j] - target)
-        tol = 3.0 * sigma[0, j] + 1e-6
-        ok = ok and err <= tol
-        if err > worst_err:
-            worst_err, worst_tol = err, tol
-    return [
-        report.residual_check("kernel-expansion", worst_rel, 1e-4),
-        report.CheckResult(name="kernel-section-pairing", passed=bool(ok),
-                           residual=float(worst_err), tol=float(worst_tol),
-                           detail=quad.mc_stats(stats, [0, -1])),  # of <f, last section>
-    ]

@@ -66,17 +66,6 @@ def _width(n):
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation policy for kernel expansions: keep total degree <= max_degree
-    and estimate the dropped tail by the last included grade."""
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-
-
-@dataclass(frozen=True)
 class TruncationResult:
     value: complex
     tail_estimate: float
@@ -654,17 +643,18 @@ def fock_expansions(xp, x, m: float, degrees):
         yield TruncationResult(pick(partials[-1]), pick(tail), tuple(map(pick, partials)))
 
 
-def expansion_fock_full(xp, x, m: float, trunc: TruncationSpec) -> TruncationResult:
-    """sum over |s| <= d of f_s(W', z') conj(f_s(W, z)), one partial sum per
-    degree; its limit is kernels.kmk_star_kernel(xp, x, m, 1/2).  One pair
-    of points gives numbers, a stack of pairs (N,) arrays (fock_expansions).
+def expansion_fock_full(xp, x, m: float, degree: int) -> TruncationResult:
+    """sum over |s| <= degree of f_s(W', z') conj(f_s(W, z)), one partial sum
+    per degree, the last grade the tail estimate; its limit is
+    kernels.kmk_star_kernel(xp, x, m, 1/2).  One pair of points gives
+    numbers, a stack of pairs (N,) arrays (fock_expansions).
 
     f_s(W, z) = P_s(sqrt(8 pi m) z, W) / sqrt(s!), with the P_s values at
     both points from one p_s_values run each.  At m = MATCHING_M it is the
     matching expansion sum P_s(z', W') conj(P_s(z, W)) / s!; at W' = W it is
     the fixed-W expansion over basis_phi(W, s, m), since
     basis_phi(W, s, m)(z) = f_s(W, z)."""
-    return next(fock_expansions(xp, x, m, [trunc.max_degree]))
+    return next(fock_expansions(xp, x, m, [degree]))
 
 
 def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
@@ -681,9 +671,9 @@ def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
     return float((8.0 * math.pi * m) ** n / bergman_mass(n, k))
 
 
-def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
+def expansion_discrete_kernel(xp, x, m: float, k, degree: int,
                               a_max: int) -> TruncationResult:
-    """sum over |s| <= d, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)),
+    """sum over |s| <= degree, deg a <= a_max of F_{s,a}(x') conj(F_{s,a}(x)),
     for one pair of points or a stack of pairs as expansion_fock_full.
 
     F_{s,a} = (8 pi m)^{n/2} f_s q_a, so the sum factors as (8 pi m)^n times
@@ -697,6 +687,6 @@ def expansion_discrete_kernel(xp, x, m: float, k, trunc: TruncationSpec,
     scale = float((8.0 * math.pi * m) ** n) * qsum
     if not stacked:
         scale = scale[0].item()
-    res = expansion_fock_full(xp, x, m, trunc)
+    res = expansion_fock_full(xp, x, m, degree)
     return TruncationResult(scale * res.value, abs(scale) * res.tail_estimate,
                             tuple(scale * p for p in res.partials))

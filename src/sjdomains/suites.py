@@ -1,16 +1,19 @@
-"""Named verification suites behind the command-line front end.
+"""Every verification check of the package, as the named suites behind the
+command-line front end.
 
-Each runner takes a SuiteConfig and returns a VerifyReport; the decorator
-_suite registers it in SUITES under its public name and builds that report,
-in one place, from the checks the runner's body returns, so every report
-records the run that made it: cfg.to_dict() and cfg.seed.  Residual
-tolerances default to the per-suite contract values and can be overridden
-globally with the config tol.  Monte Carlo sub-streams are seeded per check
-name so reports are reproducible check by check.
+Each runner takes a SuiteConfig alone and returns a VerifyReport; the
+decorator _suite registers it in SUITES under its public name and builds
+that report, in one place, from the checks the runner's body returns, so
+every report records the run that made it: cfg.to_dict() and cfg.seed.  The
+sizes of a check (points, pairs, degrees) and its residual tolerance are
+constants of its contract, written in the runner's body; no config field
+changes them.  Monte Carlo sub-streams are seeded per check name so reports
+are reproducible check by check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import discrete_series as ds
-from . import domains, fockpoly, groups, kernels, quad
+from . import domains, fockpoly, groups, kernels, numkit, quad
 from .report import CheckResult, VerifyReport, residual_check
 
 
@@ -30,7 +33,6 @@ class SuiteConfig:
     m: float = 0.25
     k: int = 3
     seed: int = 0
-    tol: float = None
     samples: int = 100000
     trunc: int = 10
 
@@ -39,7 +41,7 @@ class SuiteConfig:
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "k": self.k, "samples": self.samples,
-                "trunc": self.trunc, "tol": self.tol}
+                "trunc": self.trunc}
 
 
 # public suite name -> runner, in the order run_all runs them
@@ -52,8 +54,8 @@ def _suite(name):
     seed."""
     def register(checks_of):
         @functools.wraps(checks_of)
-        def runner(cfg: SuiteConfig, *args, **kwargs) -> VerifyReport:
-            return VerifyReport(name, cfg.to_dict(), cfg.seed, checks_of(cfg, *args, **kwargs))
+        def runner(cfg: SuiteConfig) -> VerifyReport:
+            return VerifyReport(name, cfg.to_dict(), cfg.seed, checks_of(cfg))
 
         SUITES[name] = runner
         return runner
@@ -65,30 +67,18 @@ def sub_seed(base: int, name: str) -> int:
     return (int(base) + zlib.crc32(name.encode())) % (2 ** 31)
 
 
-def _tol(cfg: SuiteConfig, default: float) -> float:
-    return default if cfg.tol is None else cfg.tol
-
-
 def _max_abs(*diffs) -> float:
     return max(float(np.max(np.abs(d))) for d in diffs)
 
 
-def _jacobi_dist(g1: groups.JacobiElement, g2: groups.JacobiElement) -> float:
-    return _max_abs(g1.sigma.as_matrix() - g2.sigma.as_matrix(), g1.h.lam - g2.h.lam,
-                    g1.h.mu - g2.h.mu, g1.h.kappa - g2.h.kappa)
-
-
-def _jacobi_star_dist(g1: groups.JacobiStarElement, g2: groups.JacobiStarElement) -> float:
-    return _max_abs(g1.omega.as_matrix() - g2.omega.as_matrix(), g1.alpha - g2.alpha,
-                    g1.varkappa - g2.varkappa)
-
-
-def _space_dist(y1: domains.SJSpacePoint, y2: domains.SJSpacePoint) -> float:
-    return _max_abs(y1.omega - y2.omega, y1.zeta - y2.zeta)
-
-
-def _disk_dist(x1: domains.SJDiskPoint, x2: domains.SJDiskPoint) -> float:
-    return _max_abs(x1.w - x2.w, x1.z - x2.z)
+def _dist(a, b) -> float:
+    """The largest entry modulus of a - b for two points or group elements
+    of one class (or stacks of them), over their dataclass fields, nested
+    elements field by field."""
+    if dataclasses.is_dataclass(a):
+        return max(_dist(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return _max_abs(a - b)
 
 
 # --- algebraic suites ---
@@ -97,89 +87,83 @@ def _disk_dist(x1: domains.SJDiskPoint, x2: domains.SJDiskPoint) -> float:
 # stack; the residual is the worst member.
 
 @_suite("group-axioms")
-def run_group_axioms(cfg: SuiteConfig, count=100) -> list:
+def run_group_axioms(cfg: SuiteConfig) -> list:
     n, seed = cfg.n, cfg.seed
-    tol = _tol(cfg, 1e-9)
-    g1, g2, g3 = (groups.random_jacobi_batch(n, count, (seed, 7919, i)) for i in range(3))
+    g1, g2, g3 = (groups.random_jacobi_batch(n, 100, (seed, 7919, i)) for i in range(3))
     s1, s2, s3 = (groups.theta_iso(g) for g in (g1, g2, g3))
     ident = groups.JacobiElement.identity(n)
     ident_s = groups.JacobiStarElement.identity(n)
     worst = {
-        "space-associativity": _jacobi_dist(
+        "space-associativity": _dist(
             groups.jacobi_mul(groups.jacobi_mul(g1, g2), g3),
             groups.jacobi_mul(g1, groups.jacobi_mul(g2, g3))),
-        "space-inverse": max(_jacobi_dist(groups.jacobi_mul(g1, groups.jacobi_inv(g1)), ident),
-                             _jacobi_dist(groups.jacobi_mul(groups.jacobi_inv(g1), g1), ident)),
-        "disk-associativity": _jacobi_star_dist(
+        "space-inverse": max(_dist(groups.jacobi_mul(g1, groups.jacobi_inv(g1)), ident),
+                             _dist(groups.jacobi_mul(groups.jacobi_inv(g1), g1), ident)),
+        "disk-associativity": _dist(
             groups.jacobi_star_mul(groups.jacobi_star_mul(s1, s2), s3),
             groups.jacobi_star_mul(s1, groups.jacobi_star_mul(s2, s3))),
         "disk-inverse": max(
-            _jacobi_star_dist(groups.jacobi_star_mul(s1, groups.jacobi_star_inv(s1)), ident_s),
-            _jacobi_star_dist(groups.jacobi_star_mul(groups.jacobi_star_inv(s1), s1), ident_s)),
+            _dist(groups.jacobi_star_mul(s1, groups.jacobi_star_inv(s1)), ident_s),
+            _dist(groups.jacobi_star_mul(groups.jacobi_star_inv(s1), s1), ident_s)),
     }
-    return [residual_check(name, val, tol) for name, val in worst.items()]
+    return [residual_check(name, val, 1e-9) for name, val in worst.items()]
 
 
 @_suite("theta-iso")
-def run_theta_iso(cfg: SuiteConfig, count=100) -> list:
+def run_theta_iso(cfg: SuiteConfig) -> list:
     n, seed = cfg.n, cfg.seed
-    tol = _tol(cfg, 1e-9)
-    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 6211, i)) for i in range(2))
+    g1, g2 = (groups.random_jacobi_batch(n, 100, (seed, 6211, i)) for i in range(2))
     gs = groups.theta_iso(g1)
-    worst_hom = _jacobi_star_dist(groups.theta_iso(groups.jacobi_mul(g1, g2)),
-                                  groups.jacobi_star_mul(gs, groups.theta_iso(g2)))
-    worst_round = max(_jacobi_dist(groups.theta_inv(gs), g1),
-                      _jacobi_star_dist(groups.theta_iso(groups.theta_inv(gs)), gs))
-    return [residual_check("homomorphism", worst_hom, tol),
-            residual_check("inverse-roundtrip", worst_round, tol)]
+    worst_hom = _dist(groups.theta_iso(groups.jacobi_mul(g1, g2)),
+                      groups.jacobi_star_mul(gs, groups.theta_iso(g2)))
+    worst_round = max(_dist(groups.theta_inv(gs), g1),
+                      _dist(groups.theta_iso(groups.theta_inv(gs)), gs))
+    return [residual_check("homomorphism", worst_hom, 1e-9),
+            residual_check("inverse-roundtrip", worst_round, 1e-9)]
 
 
 @_suite("actions")
-def run_actions(cfg: SuiteConfig, count=100) -> list:
+def run_actions(cfg: SuiteConfig) -> list:
     n, seed = cfg.n, cfg.seed
-    tol = _tol(cfg, 1e-9)
-    x = domains.sample_sj_disk_batch(n, count, (seed, 4099, 0), 0.6, 0.8)
+    x = domains.sample_sj_disk_batch(n, 100, (seed, 4099, 0), 0.6, 0.8)
     y = domains.cayley_forward(x)
-    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 4099, i)) for i in (1, 2))
+    g1, g2 = (groups.random_jacobi_batch(n, 100, (seed, 4099, i)) for i in (1, 2))
     s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
     worst = {
-        "space-composition": _space_dist(groups.act_sj_space(g1, groups.act_sj_space(g2, y)),
-                                         groups.act_sj_space(groups.jacobi_mul(g1, g2), y)),
-        "space-identity": _space_dist(
+        "space-composition": _dist(groups.act_sj_space(g1, groups.act_sj_space(g2, y)),
+                                   groups.act_sj_space(groups.jacobi_mul(g1, g2), y)),
+        "space-identity": _dist(
             groups.act_sj_space(groups.JacobiElement.identity(n), y), y),
-        "disk-composition": _disk_dist(groups.act_sj_disk(s1, groups.act_sj_disk(s2, x)),
-                                       groups.act_sj_disk(groups.jacobi_star_mul(s1, s2), x)),
-        "disk-identity": _disk_dist(
+        "disk-composition": _dist(groups.act_sj_disk(s1, groups.act_sj_disk(s2, x)),
+                                  groups.act_sj_disk(groups.jacobi_star_mul(s1, s2), x)),
+        "disk-identity": _dist(
             groups.act_sj_disk(groups.JacobiStarElement.identity(n), x), x),
     }
-    return [residual_check(name, val, tol) for name, val in worst.items()]
+    return [residual_check(name, val, 1e-9) for name, val in worst.items()]
 
 
 @_suite("cayley")
-def run_cayley(cfg: SuiteConfig, count=1000, cases=100) -> list:
+def run_cayley(cfg: SuiteConfig) -> list:
     n, seed = cfg.n, cfg.seed
-    round_tol = 1e-12
-    equi_tol = _tol(cfg, 1e-9)
-    x = domains.sample_sj_disk_batch(n, count, (seed, 9001, 0), 0.85, 1.5)
-    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, count, (seed, 9001, 1), 0.7, 1.0))
-    worst_round = max(_disk_dist(domains.cayley_inverse(domains.cayley_forward(x)), x),
-                      _space_dist(domains.cayley_forward(domains.cayley_inverse(y)), y))
-    g = groups.random_jacobi_batch(n, cases, (seed, 9013, 0))
-    x = domains.sample_sj_disk_batch(n, cases, (seed, 9013, 1), 0.6, 0.8)
-    worst_equi = _space_dist(domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x)),
-                             groups.act_sj_space(g, domains.cayley_forward(x)))
-    return [residual_check("roundtrip", worst_round, round_tol),
-            residual_check("equivariance", worst_equi, equi_tol)]
+    x = domains.sample_sj_disk_batch(n, 1000, (seed, 9001, 0), 0.85, 1.5)
+    y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 1000, (seed, 9001, 1), 0.7, 1.0))
+    worst_round = max(_dist(domains.cayley_inverse(domains.cayley_forward(x)), x),
+                      _dist(domains.cayley_forward(domains.cayley_inverse(y)), y))
+    g = groups.random_jacobi_batch(n, 100, (seed, 9013, 0))
+    x = domains.sample_sj_disk_batch(n, 100, (seed, 9013, 1), 0.6, 0.8)
+    worst_equi = _dist(domains.cayley_forward(groups.act_sj_disk(groups.theta_iso(g), x)),
+                       groups.act_sj_space(g, domains.cayley_forward(x)))
+    return [residual_check("roundtrip", worst_round, 1e-12),
+            residual_check("equivariance", worst_equi, 1e-9)]
 
 
 @_suite("cocycle")
-def run_cocycle(cfg: SuiteConfig, count=100) -> list:
+def run_cocycle(cfg: SuiteConfig) -> list:
     n, seed = cfg.n, cfg.seed
     m, k = cfg.m, cfg.k
-    tol = _tol(cfg, 1e-8)
-    x = domains.sample_sj_disk_batch(n, count, (seed, 5003, 0), 0.55, 0.7)
+    x = domains.sample_sj_disk_batch(n, 100, (seed, 5003, 0), 0.55, 0.7)
     y = domains.cayley_forward(x)
-    g1, g2 = (groups.random_jacobi_batch(n, count, (seed, 5003, i)) for i in (1, 2))
+    g1, g2 = (groups.random_jacobi_batch(n, 100, (seed, 5003, i)) for i in (1, 2))
     s1, s2 = groups.theta_iso(g1), groups.theta_iso(g2)
     g2y, s2x = groups.act_sj_space(g2, y), groups.act_sj_disk(s2, x)
     worst = {
@@ -196,7 +180,7 @@ def run_cocycle(cfg: SuiteConfig, count=100) -> list:
             kernels.jmk_star(groups.jacobi_star_mul(s1, s2), x, m, k)
             - kernels.jmk_star(s1, s2x, m, k) * kernels.jmk_star(s2, x, m, k)),
     }
-    return [residual_check(name, val, tol) for name, val in worst.items()]
+    return [residual_check(name, val, 1e-8) for name, val in worst.items()]
 
 
 # --- polynomial-engine suites ---
@@ -240,15 +224,13 @@ def _worst(resid, tail, degree):
 
 
 @_suite("expansions")
-def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
+def run_expansions(cfg: SuiteConfig) -> list:
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
-    tol = _tol(cfg, 1e-6)
+    tol, pairs = 1e-6, 20
     checks = []
-    spec = fockpoly.TruncationSpec(max_degree=14)
     if n == 1:
         point = domains.SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
-        fixed = fockpoly.expansion_fock_full(point, point, fockpoly.MATCHING_M,
-                                             fockpoly.TruncationSpec(max_degree=20))
+        fixed = fockpoly.expansion_fock_full(point, point, fockpoly.MATCHING_M, 20)
         target = 0.91 ** -0.5
         checks.append(residual_check("matching-fixed-point",
                                      abs(fixed.value - target), 1e-8,
@@ -277,11 +259,11 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
         closed = kernels.kmk_star_kernel(pair_xp, x, pair_m, 0.5)
         worst[name] = _worst(np.abs(value - closed), tail, degree)
     if n == 1:
-        res = fockpoly.expansion_discrete_kernel(xp, x, m, k, spec, a_max=14)
+        res = fockpoly.expansion_discrete_kernel(xp, x, m, k, 14, a_max=14)
         closed = (fockpoly.discrete_kernel_constant(m, k)
                   * kernels.kmk_star_kernel(xp, x, m, k))
         worst["discrete"] = _worst(np.abs(res.value - closed), res.tail_estimate,
-                                   np.full(pairs, spec.max_degree))
+                                   np.full(pairs, 14))
     for name, (resid, tail, degree) in worst.items():
         checks.append(residual_check(name, resid, tol,
                                      detail={"tail_estimate": tail, "degree": degree}))
@@ -291,7 +273,6 @@ def run_expansions(cfg: SuiteConfig, pairs=20) -> list:
 @_suite("orthonormality-fock")
 def run_orthonormality_fock(cfg: SuiteConfig) -> list:
     n, m, seed = cfg.n, cfg.m, cfg.seed
-    tol = _tol(cfg, 1e-6)
     s_max = 4 if n == 1 else 2
     index_list = list(fockpoly.enumerate_multiindices(n, s_max))
     if n == 1:
@@ -304,7 +285,7 @@ def run_orthonormality_fock(cfg: SuiteConfig) -> list:
         family = fockpoly.PolyFamily([fockpoly.basis_phi(w, tuple(s), m) for s in index_list])
         gram = quad.fock_gram(family, w, m)
         resid = float(np.max(np.abs(gram - np.eye(len(index_list)))))
-        checks.append(residual_check(f"gram-w{idx}", resid, tol,
+        checks.append(residual_check(f"gram-w{idx}", resid, 1e-6,
                                      detail={"w": np.asarray(w, dtype=complex)}))
     cal = quad.calibrate_norms(n, m)
     checks.append(residual_check("calibration-ratio", abs(cal["ratio"] - 4.0 ** n), 1e-12,
@@ -362,58 +343,275 @@ def run_q_basis(cfg: SuiteConfig) -> list:
 
 
 # --- transfer and representation suites ---
+# Each reads the discrete-series parameters through cfg.params(), which
+# refuses m <= 0 and k <= n + 1/2 before anything is drawn.
+
+def _tame_disk_batch(n, count, seed):
+    return domains.sample_sj_disk_batch(n, count, seed, 0.5, 0.6)
+
+
+def _two_term_family(params: ds.ReprParams, coeff):
+    """The one-member family F_(0, 0) + coeff F_(e_1, a_1) of z-degree one,
+    a_1 the second label of degree one of q_basis."""
+    n, m = params.n, params.m
+    qb = fockpoly.q_basis(n, params.k, 1)
+    return fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], m)
+                                + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], m)
+                                * coeff])
+
 
 @_suite("transfer-identities")
 def run_transfer_identities(cfg: SuiteConfig) -> list:
-    return ds.verify_identities(cfg.params(), count=100, seed=cfg.seed)
+    """Both-sides evaluation of the three chart identities: the imaginary
+    parts of the forward chart in closed form, and the transfer of the
+    Gaussian exponent.  The exponent identity holds with the W-argument of A
+    negated and plus signs on the holomorphic terms; the residuals of the
+    as-printed sign variant are recorded in the detail for comparison."""
+    n = cfg.params().n
+    eye = np.eye(n)
+    x = _tame_disk_batch(n, 100, cfg.seed)
+    y = domains.cayley_forward(x)
+    w, z = x.w, x.z
+    yim, eta = y.omega.imag, y.zeta.imag
+    res_inv, res_conj_inv = np.linalg.inv(eye - w), np.linalg.inv(eye - w.conj())
+    rhs_y = np.linalg.solve(eye - w, eye - w @ w.conj()) @ res_conj_inv
+    rhs_eta = numkit.vecmat(z, res_inv) + numkit.vecmat(z.conj(), res_conj_inv)
+    lhs = numkit.vecvec(np.linalg.solve(yim, eta[..., None])[..., 0], eta)
+    hol = numkit.vecvec(z, np.linalg.solve(eye - w, z[..., None])[..., 0]).real
+    a_flip = 2.0 * kernels.a_form(domains.SJDiskPoint(-w, z)).real
+    return [
+        residual_check("imag-part-matrix", float(np.max(np.abs(yim - rhs_y))), 1e-10),
+        residual_check("imag-part-vector", float(np.max(np.abs(eta - rhs_eta))), 1e-10),
+        residual_check(
+            "exponent-transfer", float(np.max(np.abs(lhs - (a_flip + 2.0 * hol)))), 1e-10,
+            detail={"printed_sign_variant_residual":
+                    float(np.max(np.abs(lhs - (a_flip - 2.0 * hol))))}),
+    ]
 
 
 @_suite("measure-jacobian")
 def run_measure_jacobian(cfg: SuiteConfig) -> list:
-    return ds.verify_jacobian_constant(cfg.params(), count=50, seed=cfg.seed)
+    """Finite-difference check that the real Jacobian of the forward chart
+    times the density ratio of the two invariant measures is the constant
+    2^{n(n+3)}, globally across random points."""
+    n = cfg.params().n
+    target = 2.0 ** (n * (n + 3))
+    eye = np.eye(n)
+    x = _tame_disk_batch(n, 50, cfg.seed)
+
+    def chart(v):
+        # real chart coordinates as columns (D, ...) -> image coordinates
+        pts = quad.unpack_disk_point(v.reshape(len(v), -1).T, n)
+        return quad.pack_space_point(domains.cayley_forward(pts)).T.reshape(v.shape)
+
+    jac = quad.numeric_jacobian(chart, quad.pack_disk_point(x).T)
+    y = domains.cayley_forward(x)
+    dets_ratio = (np.linalg.det(eye - x.w @ x.w.conj()).real ** (n + 2)
+                  / np.linalg.det(y.omega.imag) ** (n + 2))
+    values = np.abs(np.linalg.det(np.moveaxis(jac, -1, 0))) * dets_ratio
+    return [residual_check(f"measure-constant-n{n}",
+                           float(np.max(np.abs(values / target - 1.0))), 1e-4,
+                           detail={"target": target,
+                                   "min": float(np.min(values)),
+                                   "max": float(np.max(values))})]
+
+
+def series_gram(cfg: SuiteConfig, stream: str):
+    """The series basis F_sa (|s| <= 3, deg a <= 2) at cfg's parameters and
+    its MC Gram under the bounded-model inner product, on the substream
+    `stream` of cfg.seed: (labels, family, gram, sigma, stats), the family
+    one PolyFamily."""
+    params = cfg.params()
+    labeled = fockpoly.series_basis(params.n, params.m, params.k, 3, 2)
+    family = fockpoly.PolyFamily([f for _, f in labeled])
+    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, stream))
+    return ([lbl for lbl, _ in labeled], family,
+            *quad.mc_dj_gram(family, params.n, params.m, params.k, mccfg))
+
+
+# Gram errors within this relative distance of the largest are one tie
+TIE_RTOL = 1e-10
 
 
 @_suite("series-gram")
 def run_series_gram(cfg: SuiteConfig) -> list:
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "series-gram"))
-    return ds.verify_gram(cfg.params(), mccfg, s_max=3, a_max=2)
+    """Largest Gram deviation of series_gram against the error bar of that
+    entry.
+
+    At n = 1 the z-integrals are evaluated exactly per sample, the remaining
+    noise is small, and the contract is 3 sigma with a tight sigma budget;
+    entries whose integrand vanishes identically get a small floor since
+    their error bar is pure roundoff.  For n >= 2 z is sampled too: the
+    threshold widens to the expected maximum over all entries, and the
+    exact-cancellation checks are skipped.  That estimator is heavy-tailed
+    (its ess_f is at most a few dozen of thousands of samples), so its own
+    sigma understates the error, and the floor 0.02 allows for that.
+
+    The reported entry is the first of the ties (TIE_RTOL) in label order:
+    at n = 1 the entries of every s agree up to roundoff.  There the detail
+    adds exact_residual, max |G - I| of quad.exact_dj_gram, read by no verdict.
+    """
+    labels, family, gram, sigma, stats = series_gram(cfg, "series-gram")
+    size = len(labels)
+    err = np.abs(gram - np.eye(size))
+    i, j = divmod(int(np.argmax(err.ravel() >= (1.0 - TIE_RTOL) * err.max())), size)
+    exact_z = cfg.n == 1
+    if exact_z:
+        floor, zcrit = 1e-9, 3.0
+    else:
+        floor = 0.02
+        zcrit = math.sqrt(2.0 * math.log(max(size * size, 2))) + 1.5
+    tol_entry = float(zcrit * sigma[i, j] + floor)
+    checks = [
+        CheckResult(name="gram-identity", passed=bool(err[i, j] <= tol_entry),
+                    residual=float(err[i, j]), tol=tol_entry,
+                    detail={"worst_row": str(labels[i]), "worst_col": str(labels[j]),
+                            "sigma": float(sigma[i, j]), "z_critical": zcrit,
+                            **quad.mc_stats(stats)}),
+    ]
+    if exact_z:
+        exact = quad.exact_dj_gram(family, cfg.n, cfg.m, cfg.k)
+        checks[0].detail["exact_residual"] = float(np.max(np.abs(exact - np.eye(size))))
+        sigma_budget = 3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples))
+        zdeg = np.array([sum(lbl[0]) for lbl in labels])
+        parity_worst = float(np.max(err[(zdeg[:, None] - zdeg[None]) % 2 == 1], initial=0.0))
+        checks.append(residual_check("sigma-budget", float(np.max(sigma)), sigma_budget))
+        checks.append(residual_check("parity-zeros", parity_worst, 1e-12))
+    return checks
+
+
+def _isometry_functions(params: ds.ReprParams):
+    qb = fockpoly.q_basis(params.n, params.k, 1)
+    f00 = fockpoly.basis_big_f((0,) * params.n, qb[0], params.m)
+    f10 = fockpoly.basis_big_f((1,) + (0,) * (params.n - 1), qb[0], params.m)
+    f01 = fockpoly.basis_big_f((0,) * params.n, qb[1], params.m)
+    mix = (f00 + f10) * complex(1.0 / math.sqrt(2.0))
+    return [("F00", f00), ("F10", f10), ("F01", f01), ("mix", mix)]
 
 
 @_suite("isometry")
 def run_isometry(cfg: SuiteConfig) -> list:
+    """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise; then
+    norms before and after the transfer agree within combined MC error.  The
+    isometry's test functions have z-degree at most one, where the two
+    bounded-side weight conventions coincide, so the comparison is
+    convention-free.
+
+    Each side of the isometry is one Gram over all the test functions, on
+    one draw: the disk side over the polynomials, the space side over their
+    transfer as one family.  The norms, sigmas and per-function stats are
+    read off the diagonals."""
     params = cfg.params()
+    n, m, k = params.n, params.m, params.k
+    psi = _two_term_family(params, 0.5 + 0.25j)
+    back = ds.t_inv(ds.t_star(psi, params), params)
+
+    def phi_split(oms, zetas):
+        vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
+        return vals[None], np.zeros(len(vals))
+
+    phi = ds.SampledFunction(phi_split, "space")
+    forth = ds.t_star(ds.t_inv(phi, params), params)
+    both = _tame_disk_batch(n, 100, cfg.seed)
+    x, y = both[:50], domains.cayley_forward(both[50:])
+    worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
+    worst_space = float(np.max(np.abs(forth(y) - phi(y))))
+    checks = [residual_check("roundtrip-disk", worst_disk, 1e-10),
+              residual_check("roundtrip-space", worst_space, 1e-10)]
+    names, psis = zip(*_isometry_functions(params))
+    family = fockpoly.PolyFamily(psis)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
-    return (ds.verify_roundtrip(params, count=50, seed=cfg.seed)
-            + ds.verify_isometry(params, mccfg))
+    disk = quad.mc_dj_gram(family, n, m, k, mccfg)
+    space = quad.mc_hj_gram(ds.t_star(family, params), n, m, k, mccfg)
+    for i, name in enumerate(names):
+        (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
+            (complex(gram[i, i]), float(sigma[i, i]), quad.mc_stats(stats, [i]))
+            for gram, sigma, stats in (disk, space))
+        err = abs(s_est - d_est)
+        tol = 3.0 * math.hypot(s_sig, d_sig) + 1e-9
+        checks.append(CheckResult(
+            name=f"isometry-{name}", passed=bool(err <= tol),
+            residual=float(err), tol=float(tol),
+            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est,
+                    "disk_sigma": d_sig, "space_sigma": s_sig,
+                    **{"disk_" + key: v for key, v in d_stats.items()},
+                    **{"space_" + key: v for key, v in s_stats.items()}}))
+    return checks
 
 
 @_suite("intertwining")
 def run_intertwining(cfg: SuiteConfig) -> list:
-    return ds.verify_intertwining(cfg.params(), count=50, seed=cfg.seed)
+    """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise,
+    with the t-th element evaluated at the t-th point."""
+    params = cfg.params()
+    n, seed = params.n, cfg.seed
+    psi = _two_term_family(params, 0.7)
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, 50, (seed, 1000, 0), 0.4))
+    y = domains.cayley_forward(_tame_disk_batch(n, 50, (seed, 1000, 1)))
+    lhs = ds.t_star(ds.pi_star_apply(gs, psi, params), params)(y)
+    rhs = ds.pi_apply(groups.theta_inv(gs), ds.t_star(psi, params), params)(y)
+    return [residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
 
 
 @_suite("reproducing")
 def run_reproducing(cfg: SuiteConfig) -> list:
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "reproducing"))
-    return ds.reproducing_check(cfg.params(), mccfg, trunc_s=max(cfg.trunc, 10),
-                                trunc_a=6, points=5, seed=cfg.seed)
+    """(i) The truncated two-point basis sum matches the closed-form kernel;
+    (ii) pairing against the truncated kernel section reproduces point values
+    within MC error."""
+    params = cfg.params()
+    if params.n != 1:
+        raise ValueError("the reproducing suite runs at n = 1")
+    n, m, k, seed = params.n, params.m, params.k, cfg.seed
+    # the pairs (x', x) as two stacks, for one stacked expansion
+    xp, x = (domains.sample_sj_disk_batch(n, 5, (seed, 3301, i), 0.25, 0.3) for i in (0, 1))
+    approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, max(cfg.trunc, 10), a_max=6)
+    closed = fockpoly.discrete_kernel_constant(m, k) * kernels.kmk_star_kernel(xp, x, m, k)
+    worst_rel = float(np.max(np.abs(approx.value - closed) / np.abs(closed)))
+    funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
+    # the section at x_j is sum_i conj(F_i(x_j)) F_i; f = F_0 pairs with it
+    # to f(x_j)
+    x = domains.sample_sj_disk_batch(n, 5, (seed, 3301, 2), 0.25, 0.3)
+    vals = fockpoly.PolyFamily(funcs).split(x.w, x.z)[0]
+    sections, targets = [], vals[0]
+    for col in vals.T:
+        section = fockpoly.PolyFunction.zero(n)
+        for basis_fn, val in zip(funcs, col):
+            section = section + basis_fn * complex(np.conj(val))
+        sections.append(section)
+    # every pairing <f, section_j> is an entry (0, j) of one Gram
+    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(seed, "reproducing"))
+    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(funcs[:1] + sections), n, m, k,
+                                         mccfg)
+    worst_err, worst_tol = 0.0, 0.0
+    ok = True
+    for j, target in enumerate(targets, 1):
+        err = abs(gram[0, j] - target)
+        tol = 3.0 * sigma[0, j] + 1e-6
+        ok = ok and err <= tol
+        if err > worst_err:
+            worst_err, worst_tol = err, tol
+    return [
+        residual_check("kernel-expansion", worst_rel, 1e-4),
+        CheckResult(name="kernel-section-pairing", passed=bool(ok),
+                    residual=float(worst_err), tol=float(worst_tol),
+                    detail=quad.mc_stats(stats, [0, -1])),  # of <f, last section>
+    ]
 
 
 @_suite("kernel-invariance")
-def run_kernel_invariance(cfg: SuiteConfig, count=100) -> list:
+def run_kernel_invariance(cfg: SuiteConfig) -> list:
     """Pointwise unitarity trace: the invariant weight transported by the
     action and corrected by |jmk_star|^2 reproduces itself.  The identity
     holds for the reflected-argument weight; the deviation of the plain
     variant is reported alongside for reference."""
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
-    tol = _tol(cfg, 1e-7)
-    gs = groups.theta_iso(groups.random_jacobi_batch(n, count, (seed, 7717, 0), scale=0.4))
-    x = domains.sample_sj_disk_batch(n, count, (seed, 7717, 1), 0.5, 0.8)
+    gs = groups.theta_iso(groups.random_jacobi_batch(n, 100, (seed, 7717, 0), scale=0.4))
+    x = domains.sample_sj_disk_batch(n, 100, (seed, 7717, 1), 0.5, 0.8)
     gx = groups.act_sj_disk(gs, x)
     jac = np.abs(kernels.jmk_star(gs, x, m, k)) ** 2
     ratio = kernels.kmk_star_weight_flipped(gx, m, k) * jac / kernels.kmk_star_weight_flipped(x, m, k)
     plain = kernels.kmk_star_weight(gx, m, k) * jac / kernels.kmk_star_weight(x, m, k)
-    return [residual_check("invariance-ratio", _max_abs(ratio - 1.0), tol,
+    return [residual_check("invariance-ratio", _max_abs(ratio - 1.0), 1e-7,
                            detail={"plain_weight_variant_residual": _max_abs(plain - 1.0)})]
 
 

@@ -10,9 +10,7 @@ import time
 
 import numpy as np
 
-from sjdomains import discrete_series as ds
-from sjdomains import quad, suites
-from sjdomains.discrete_series import ReprParams
+from sjdomains import suites
 from sjdomains.suites import SuiteConfig
 
 
@@ -94,18 +92,16 @@ def test_criterion_07_fock_orthonormality():
 
 def test_criterion_08_transfer_identities():
     t0 = time.time()
-    checks = [c for n in (1, 2)
-              for c in ds.verify_identities(ReprParams(n, 0.25, 3), count=100, seed=n)]
+    reports = [suites.run_transfer_identities(SuiteConfig(n=n, seed=n)) for n in (1, 2)]
     _finish(8, "imag-part and exponent transfer identities at 1e-10",
-            checks, t0, 30)
+            _checks(*reports), t0, 30)
 
 
 def test_criterion_09_jacobian_constant():
     t0 = time.time()
     checks = []
     for n, target in ((1, 16.0), (2, 1024.0)):
-        found = ds.verify_jacobian_constant(ReprParams(n, 0.25, 3), count=50,
-                                            seed=n)
+        found = suites.run_measure_jacobian(SuiteConfig(n=n, seed=n)).checks
         assert found[0].detail["target"] == target
         checks += found
     _finish(9, "measure Jacobian constant 16 (n=1), 1024 (n=2) at 1e-4 rel",
@@ -114,8 +110,9 @@ def test_criterion_09_jacobian_constant():
 
 def test_criterion_10_mc_gram():
     t0 = time.time()
-    mccfg = quad.MCConfig(samples=10 ** 6, seed=10)
-    checks = ds.verify_gram(ReprParams(1, 0.25, 3), mccfg, s_max=3, a_max=2)
+    # the base seed whose series-gram substream is 10
+    seed = (10 - suites.sub_seed(0, "series-gram")) % 2 ** 31
+    checks = suites.run_series_gram(SuiteConfig(samples=10 ** 6, seed=seed)).checks
     gram = [c for c in checks if c.name == "gram-identity"][0]
     sigma = gram.detail["sigma"]
     print(f"    |G - I|_inf = {gram.residual:.3e}, sigma = {sigma:.3e}")
@@ -126,10 +123,8 @@ def test_criterion_10_mc_gram():
 
 def test_criterion_11_intertwiner():
     t0 = time.time()
-    params = ReprParams(1, 0.25, 3)
-    checks = (ds.verify_roundtrip(params, count=50, seed=11)
-              + ds.verify_isometry(params, quad.MCConfig(samples=200000, seed=11))
-              + ds.verify_intertwining(params, count=50, seed=11))
+    cfg = SuiteConfig(samples=200000, seed=11)
+    checks = _checks(suites.run_isometry(cfg), suites.run_intertwining(cfg))
     _finish(11, "transfer roundtrip 1e-10, isometry 3 sigma, intertwining 1e-7",
             checks, t0, 300)
 

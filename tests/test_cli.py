@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sjdomains
-from sjdomains import cli, domains, fockpoly, groups, kernels, report
+from sjdomains import cli, domains, fockpoly, groups, kernels, report, suites
 
 
 def run(argv, capsys):
@@ -193,6 +193,34 @@ BAD_EVAL_INPUTS = {
 }
 
 
+# A multi-index is a non-empty list of non-negative integers; a may also be
+# one such integer, and the n of Q_a is a positive integer.  Anything else
+# exits 2 with one line naming the field.
+BAD_INDICES = {
+    "P_s-empty": ("P_s", {"s": []}, "s"),
+    "f_s-fraction": ("f_s", {"s": [1.5]}, "s"),
+    "Phi-scalar": ("Phi", {"s": 3}, "s"),
+    "P_s-negative": ("P_s", {"s": [1, -1]}, "s"),
+    "P_s-bool": ("P_s", {"s": [True]}, "s"),
+    "F_sa-empty-s": ("F_sa", {"s": [], "a": 0}, "s"),
+    "F_sa-fraction-a": ("F_sa", {"s": [0], "a": [1.5]}, "a"),
+    "F_sa-negative-a": ("F_sa", {"s": [0], "a": -1}, "a"),
+    "Q_a-fraction": ("Q_a", {"a": [0.5]}, "a"),
+    "Q_a-empty": ("Q_a", {"a": []}, "a"),
+    "Q_a-string": ("Q_a", {"a": "1"}, "a"),
+    "Q_a-n-zero": ("Q_a", {"a": 1, "n": 0}, "n"),
+    "Q_a-n-fraction": ("Q_a", {"a": 1, "n": 1.5}, "n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDICES))
+def test_eval_malformed_multi_index_exits_two(case, capsys):
+    obj, args, field = BAD_INDICES[case]
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field!r} must be ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUTS))
 def test_eval_malformed_point_exits_two(case, capsys):
     obj, args = BAD_EVAL_INPUTS[case]
@@ -347,12 +375,23 @@ def test_verify_pass_exit_zero(capsys):
     assert "[PASS]" in out
 
 
-def test_verify_fail_exit_one(capsys):
-    code, out, _ = run(
-        ["verify", "--suite", "group-axioms", "--tol", "1e-30",
-         "--no-timestamp"], capsys)
+def test_verify_fail_exit_one(capsys, monkeypatch):
+    # a suite whose one check fails: its report fails and the exit code is 1
+    def failing(cfg):
+        return report.VerifyReport("group-axioms", cfg.to_dict(), cfg.seed,
+                                   [report.residual_check("always", 1.0, 0.0)])
+
+    monkeypatch.setitem(suites.SUITES, "group-axioms", failing)
+    code, out, _ = run(["verify", "--suite", "group-axioms", "--no-timestamp"], capsys)
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_tol_is_no_option(capsys):
+    # each check keeps its contract tolerance: no option widens them
+    code, out, err = run(["verify", "--suite", "cayley", "--tol", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--tol" in err
 
 
 def test_gram_suite_bad_k_exit_two(capsys):
@@ -382,6 +421,18 @@ def test_bad_config_exit_two(capsys):
     code, _, err = run(["verify", "--suite", "cayley", "--m", "-1"], capsys)
     assert code == 2
     assert "m must be positive" in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["table", "--kind", "gram-phi", "--trunc", "-1"], "trunc"),
+    (["verify", "--suite", "all", "--seed", "-1"], "seed"),
+    (["verify", "--suite", "cayley", "--seed", "-1"], "seed"),
+    (["eval", "P_s", '{"s": [1]}', "--seed", "-2"], "seed"),
+])
+def test_negative_seed_or_trunc_exit_two(argv, field, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be a non-negative integer\n"
 
 
 # --- reports ---

@@ -1,11 +1,12 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sjdomains import discrete_series as ds
-from sjdomains import domains, fockpoly, groups, numkit, quad
+from sjdomains import domains, fockpoly, groups, numkit, quad, suites
+from sjdomains.suites import SuiteConfig
 
 PARAMS = ds.ReprParams(1, 0.25, 3)
 
@@ -98,7 +99,7 @@ def test_t_star_of_a_family_stacks_the_members(n):
     # one transfer of the family against the transfer of each member: the
     # same values and logs
     params = ds.ReprParams(n, 0.25, 3)
-    psis = [f for _, f in ds._isometry_functions(params)] + [_test_poly(params)]
+    psis = [f for _, f in suites._isometry_functions(params)] + [_test_poly(params)]
     phi = ds.t_star(fockpoly.PolyFamily(psis), params)
     assert len(phi) == len(psis) and phi.side == "space"
     y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 40, n, 0.6, 0.8))
@@ -115,7 +116,7 @@ def test_family_values_have_a_member_axis(n):
     # a family of two called at a point or a stack gives one value per
     # member, (len,) + the stack's shape; a family of one the stack's shape
     params = ds.ReprParams(n, 0.25, 3)
-    f0, f1 = [f for _, f in ds._isometry_functions(params)][:2]
+    f0, f1 = [f for _, f in suites._isometry_functions(params)][:2]
     phi = ds.t_star(fockpoly.PolyFamily([f0, f1]), params)
     y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 7, n, 0.6, 0.8))
     ones = [ds.t_star(fockpoly.PolyFamily([f]), params) for f in (f0, f1)]
@@ -186,8 +187,13 @@ def test_intertwining_pointwise():
         assert abs(lhs - rhs) < 1e-10
 
 
+def _base_seed(stream, mc_seed):
+    """The base seed whose substream `stream` is mc_seed (suites.sub_seed)."""
+    return (mc_seed - suites.sub_seed(0, stream)) % 2 ** 31
+
+
 def test_chart_identities_hold_and_sign_variant_fails():
-    checks = ds.verify_identities(PARAMS, count=50, seed=2)
+    checks = suites.run_transfer_identities(SuiteConfig(seed=2)).checks
     assert all(c.passed for c in checks)
     transfer = {c.name: c for c in checks}["exponent-transfer"]
     assert transfer.residual < 1e-12
@@ -195,20 +201,22 @@ def test_chart_identities_hold_and_sign_variant_fails():
 
 
 def test_jacobian_constant_both_sizes():
-    checks = ds.verify_jacobian_constant(PARAMS, count=10, seed=3)
+    checks = suites.run_measure_jacobian(SuiteConfig(seed=3)).checks
     assert all(c.passed for c in checks)
     assert checks[0].detail["target"] == 16.0
-    checks = ds.verify_jacobian_constant(ds.ReprParams(2, 0.25, 4), count=5, seed=3)
+    checks = suites.run_measure_jacobian(SuiteConfig(n=2, k=4, seed=3)).checks
     assert all(c.passed for c in checks)
     assert checks[0].detail["target"] == 1024.0
 
 
 def test_gram_matrix_labels():
-    labels, gram, sigma, _ = ds.gram_matrix(PARAMS, quad.MCConfig(samples=20000, seed=4),
-                                            s_max=2, a_max=1)
-    assert len(labels) == 3 * 2
-    assert gram.shape == (6, 6)
-    assert sigma.shape == (6, 6)
+    # the one series Gram of series-gram and `table --kind gram-F`: the
+    # F_sa with |s| <= 3 and deg a <= 2, labeled
+    cfg = SuiteConfig(samples=20000, seed=_base_seed("table-gram-F", 4))
+    labels, family, gram, sigma, _ = suites.series_gram(cfg, "table-gram-F")
+    assert len(labels) == len(family) == 4 * 3
+    assert gram.shape == (12, 12)
+    assert sigma.shape == (12, 12)
 
 
 def _assert_mc_stats(detail, samples, prefix=""):
@@ -219,7 +227,8 @@ def _assert_mc_stats(detail, samples, prefix=""):
 
 
 def test_verify_gram_small_run():
-    checks = ds.verify_gram(PARAMS, quad.MCConfig(samples=120000, seed=5))
+    cfg = SuiteConfig(samples=120000, seed=_base_seed("series-gram", 5))
+    checks = suites.run_series_gram(cfg).checks
     assert all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert names == {"gram-identity", "sigma-budget", "parity-zeros"}
@@ -230,15 +239,15 @@ def test_verify_gram_small_run():
 def test_verify_gram_reports_the_first_tied_entry(seed):
     # at n = 1 the worst error is a tie among the entries (F_sa, F_sa') of
     # every s, equal up to roundoff: the report names the first of them in
-    # label order, s = (0,), with that entry's own error and sigma (at seed
-    # 2 np.argmax picks s = (1,) of the tie)
-    cfg = quad.MCConfig(samples=20000, seed=seed)
-    labels, gram, sigma, _ = ds.gram_matrix(PARAMS, cfg)
+    # label order, s = (0,), with that entry's own error and sigma (at Monte
+    # Carlo seed 2 np.argmax picks s = (1,) of the tie)
+    cfg = SuiteConfig(samples=20000, seed=_base_seed("series-gram", seed))
+    labels, _, gram, sigma, _ = suites.series_gram(cfg, "series-gram")
     err = np.abs(gram - np.eye(len(labels)))
-    ties = np.argwhere(err >= (1.0 - ds.TIE_RTOL) * err.max())
+    ties = np.argwhere(err >= (1.0 - suites.TIE_RTOL) * err.max())
     assert len(ties) > 1
     i, j = ties[0]
-    check = ds.verify_gram(PARAMS, cfg)[0]
+    check = suites.run_series_gram(cfg).checks[0]
     assert (check.detail["worst_row"], check.detail["worst_col"]) == (str(labels[i]),
                                                                       str(labels[j]))
     assert labels[i][0] == (0,)
@@ -247,14 +256,15 @@ def test_verify_gram_reports_the_first_tied_entry(seed):
 
 def test_verify_gram_reports_the_exact_residual_at_n1():
     # the sample-free Gram rides along at n = 1 only, as data
-    cfg = quad.MCConfig(samples=20000, seed=3)
-    assert ds.verify_gram(PARAMS, cfg)[0].detail["exact_residual"] <= 1e-12
-    n2 = ds.verify_gram(ds.ReprParams(2, 0.25, 3), cfg, s_max=1, a_max=1)
-    assert "exact_residual" not in n2[0].detail
+    cfg = SuiteConfig(samples=20000, seed=_base_seed("series-gram", 3))
+    assert suites.run_series_gram(cfg).checks[0].detail["exact_residual"] <= 1e-12
+    n2 = suites.run_series_gram(replace(cfg, n=2))
+    assert "exact_residual" not in n2.checks[0].detail
 
 
 def test_isometry_small_run():
-    checks = ds.verify_isometry(PARAMS, quad.MCConfig(samples=60000, seed=6))
+    cfg = SuiteConfig(samples=60000, seed=_base_seed("isometry", 6))
+    checks = [c for c in suites.run_isometry(cfg).checks if c.name.startswith("isometry-")]
     assert all(c.passed for c in checks)
     assert len(checks) == 4
     for check in checks:
@@ -263,13 +273,11 @@ def test_isometry_small_run():
 
 
 def test_reproducing_small_run():
-    checks = ds.reproducing_check(PARAMS, quad.MCConfig(samples=60000, seed=7),
-                                  trunc_s=8, trunc_a=5, points=3, seed=7)
+    checks = suites.run_reproducing(SuiteConfig(samples=60000, seed=7)).checks
     assert all(c.passed for c in checks)
     _assert_mc_stats(checks[1].detail, 60000)
     with pytest.raises(ValueError):
-        ds.reproducing_check(ds.ReprParams(2, 0.25, 4),
-                             quad.MCConfig(samples=1000, seed=0))
+        suites.run_reproducing(SuiteConfig(n=2, k=4, samples=1000))
 
 
 def test_transported_function_side():

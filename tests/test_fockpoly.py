@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from sjdomains import domains, fockpoly, kernels, numkit, quad
 from sjdomains.domains import SJDiskPoint
-from sjdomains.fockpoly import MATCHING_M, PolyFunction, TruncationSpec
+from sjdomains.fockpoly import MATCHING_M, PolyFunction
 
 M, K = 0.25, 3
 
@@ -199,7 +199,7 @@ def _graded_partials(n, max_degree, term):
 def test_matching_expansion_fixed_point():
     # both sides equal (1 - 0.3^2)^(-1/2) at the coincident real point
     point = SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
-    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=20))
+    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, 20)
     assert abs(res.value - 0.91 ** -0.5) < 1e-8
     closed = kernels.kmk_star_kernel(point, point, MATCHING_M, 0.5)
     assert_allclose(closed, 0.91 ** -0.5, rtol=1e-14)
@@ -207,11 +207,11 @@ def test_matching_expansion_fixed_point():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_expansions_converge_on_safe_pairs(n):
-    spec = TruncationSpec(max_degree=12)
+    degree = 12
     for xp, x in _pairs(n, 10 + n, 5):
         # matching (m = MATCHING_M), fixed W (W' = W) and full Fock kernels
         for pair_xp, m in ((xp, MATCHING_M), (SJDiskPoint(x.w, xp.z), M), (xp, M)):
-            res = fockpoly.expansion_fock_full(pair_xp, x, m, spec)
+            res = fockpoly.expansion_fock_full(pair_xp, x, m, degree)
             closed = kernels.kmk_star_kernel(pair_xp, x, m, 0.5)
             assert abs(res.value - closed) < 1e-5
 
@@ -222,7 +222,7 @@ def test_matching_instance_is_the_p_s_sum(n):
     assert 8.0 * math.pi * MATCHING_M == 1.0
     max_degree = 6 if n < 3 else 4
     for xp, x in _pairs(n, 40 + n, 3):
-        res = fockpoly.expansion_fock_full(xp, x, MATCHING_M, TruncationSpec(max_degree))
+        res = fockpoly.expansion_fock_full(xp, x, MATCHING_M, max_degree)
         direct = _graded_partials(n, max_degree, lambda s: (
             fockpoly.p_s(s).evaluate(xp.z, xp.w) * np.conj(fockpoly.p_s(s).evaluate(x.z, x.w))
             / numkit.mi_factorial(s)))
@@ -240,7 +240,7 @@ def test_fixed_w_instance_is_the_basis_phi_sum(n):
             assert_allclose(fockpoly.basis_phi(x.w, s, M).evaluate(x.z),
                             fockpoly.basis_f(s, M).evaluate(x.z, x.w), rtol=1e-12)
         res = fockpoly.expansion_fock_full(SJDiskPoint(x.w, xp.z), x, M,
-                                           TruncationSpec(max_degree))
+                                           max_degree)
         direct = _graded_partials(n, max_degree, lambda s: (
             fockpoly.basis_phi(x.w, s, M).evaluate(xp.z)
             * np.conj(fockpoly.basis_phi(x.w, s, M).evaluate(x.z))))
@@ -263,18 +263,18 @@ def test_discrete_kernel_constant_n1_closed_form():
 @pytest.mark.parametrize("k", [3, 5])
 def test_discrete_kernel_expansion_n2(k):
     # sum F conj(F) over |s| <= 14, deg q_a <= 8 against rho kmk_star_kernel
-    spec = TruncationSpec(max_degree=14)
+    degree = 14
     for xp, x in _pairs(2, 80 + k, 5):
-        res = fockpoly.expansion_discrete_kernel(xp, x, M, k, spec, a_max=8)
+        res = fockpoly.expansion_discrete_kernel(xp, x, M, k, degree, a_max=8)
         closed = (fockpoly.discrete_kernel_constant(M, k, 2)
                   * kernels.kmk_star_kernel(xp, x, M, k))
         assert abs(res.value - closed) / abs(closed) < 1e-6
 
 
 def test_discrete_kernel_expansion():
-    spec = TruncationSpec(max_degree=12)
+    degree = 12
     for xp, x in _pairs(1, 30, 5):
-        res = fockpoly.expansion_discrete_kernel(xp, x, M, K, spec, a_max=12)
+        res = fockpoly.expansion_discrete_kernel(xp, x, M, K, degree, a_max=12)
         closed = (fockpoly.discrete_kernel_constant(M, K)
                   * kernels.kmk_star_kernel(xp, x, M, K))
         assert abs(res.value - closed) / abs(closed) < 1e-5
@@ -285,7 +285,7 @@ def test_discrete_expansion_is_the_big_f_double_sum():
     s_max, a_max = 4, 2
     qs = fockpoly.q_basis(1, K, a_max)
     for xp, x in _pairs(1, 60, 3):
-        res = fockpoly.expansion_discrete_kernel(xp, x, M, K, TruncationSpec(s_max), a_max)
+        res = fockpoly.expansion_discrete_kernel(xp, x, M, K, s_max, a_max)
         direct = _graded_partials(1, s_max, lambda s: sum(
             big_f.evaluate(xp.z, xp.w) * np.conj(big_f.evaluate(x.z, x.w))
             for big_f in (fockpoly.basis_big_f(s, q, M) for q in qs)))
@@ -378,7 +378,7 @@ def test_fock_expansions_resume_bit_for_bit(n):
     for xp, x in _pairs(n, 70 + n, 2):
         grown = list(fockpoly.fock_expansions(xp, x, M, degrees))
         for degree, res in zip(degrees, grown):
-            fresh = fockpoly.expansion_fock_full(xp, x, M, TruncationSpec(degree))
+            fresh = fockpoly.expansion_fock_full(xp, x, M, degree)
             assert res.partials == fresh.partials and res.tail_estimate == fresh.tail_estimate
     z, w = [0.3 - 0.1j] * n, (0.2 * np.eye(n)).tolist()
     table = fockpoly.p_s_values(z, w, 3)
@@ -388,7 +388,7 @@ def test_fock_expansions_resume_bit_for_bit(n):
 
 def test_truncation_result_tail_decreases():
     point = SJDiskPoint(0.3 * np.eye(1), np.zeros(1))
-    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, TruncationSpec(max_degree=14))
+    res = fockpoly.expansion_fock_full(point, point, MATCHING_M, 14)
     resid = [abs(p - 0.91 ** -0.5) for p in res.partials]
     assert resid[-1] < resid[0]
     assert resid[-1] < 1e-6
@@ -423,21 +423,21 @@ def test_stacked_fock_expansion_broadcasts_one_point():
     # one point against a stack is that point repeated
     pairs = list(_pairs(2, 95, 3))
     xp, x = pairs[0][0], SJDiskPoint.of([q for _, q in pairs])
-    spec = TruncationSpec(8)
-    res = fockpoly.expansion_fock_full(xp, x, M, spec)
-    again = fockpoly.expansion_fock_full(SJDiskPoint.of([xp] * 3), x, M, spec)
+    degree = 8
+    res = fockpoly.expansion_fock_full(xp, x, M, degree)
+    again = fockpoly.expansion_fock_full(SJDiskPoint.of([xp] * 3), x, M, degree)
     assert np.array_equal(res.value, again.value)
 
 
 @pytest.mark.parametrize("n,a_max", [(1, 10), (2, 4)])
 def test_stacked_discrete_expansion_matches_each_pair(n, a_max):
-    spec = TruncationSpec(10 if n == 1 else 6)
+    degree = 10 if n == 1 else 6
     pairs = list(_pairs(n, 100 + n, 5))
     xp, x = (SJDiskPoint.of(half) for half in zip(*pairs))
-    res = fockpoly.expansion_discrete_kernel(xp, x, M, K, spec, a_max)
+    res = fockpoly.expansion_discrete_kernel(xp, x, M, K, degree, a_max)
     assert res.value.shape == (5,)
     for i, (p, q) in enumerate(pairs):
-        one = fockpoly.expansion_discrete_kernel(p, q, M, K, spec, a_max)
+        one = fockpoly.expansion_discrete_kernel(p, q, M, K, degree, a_max)
         assert_allclose(res.value[i], one.value, rtol=1e-13, atol=0)
         assert_allclose(res.tail_estimate[i], one.tail_estimate, rtol=1e-13, atol=0)
         assert_allclose([v[i] for v in res.partials], one.partials, rtol=1e-13, atol=0)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.special import beta as beta_fn
 
 from sjdomains import discrete_series as ds
-from sjdomains import domains, fockpoly, kernels, numkit, quad
+from sjdomains import domains, fockpoly, kernels, numkit, quad, suites
 
 M, K = 0.25, 3
 
@@ -716,7 +716,7 @@ def test_family_grams_match_one_member_runs(n):
     # the space side over their transfer as one family, against one run per
     # function on the same seed: diagonal, sigma and per-function Kish size
     params = ds.ReprParams(n, M, K)
-    psis = [f for _, f in ds._isometry_functions(params)]
+    psis = [f for _, f in suites._isometry_functions(params)]
     cfg = quad.MCConfig(samples=20000, seed=16)
     both = fockpoly.PolyFamily(psis)
     family = [quad.mc_dj_gram(both, n, M, K, cfg),

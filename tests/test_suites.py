@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import pytest
 
 from sjdomains import domains, fockpoly, kernels, suites
@@ -159,11 +162,13 @@ def test_unknown_suite_raises():
         suites.run_suite("bogus", SuiteConfig())
 
 
-def test_tol_override_applies():
-    rep = suites.run_suite("group-axioms", SuiteConfig(tol=1e-30))
-    assert not rep.passed  # impossible tolerance must fail honestly
-    rep = suites.run_suite("group-axioms", SuiteConfig(tol=1e-6))
-    assert rep.passed
+def test_every_check_is_built_from_the_config_alone():
+    # a runner takes the config and nothing else, and the config holds the
+    # run's parameters, no tolerance: each check keeps its contract bound
+    assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
+        "n", "m", "k", "seed", "samples", "trunc"]
+    for runner in suites.SUITES.values():
+        assert list(inspect.signature(runner).parameters) == ["cfg"]
 
 
 def test_gram_suite_rejects_small_k():
