@@ -24,7 +24,7 @@ from .fockpoly import (PolyFunction, basis_big_f, basis_f, basis_phi, p_s,
 from .groups import (JacobiElement, JacobiStarElement, act_sj_disk,
                      act_sj_space, theta_inv, theta_iso)
 from .kernels import (a_form, jmk, jmk_star, kmk_kernel, kmk_star_kernel,
-                      kmk_star_weight, kmk_weight)
+                      kmk_star_weight)
 from .quad import MCConfig, fock_gram
 from .report import CheckResult, VerifyReport
 
@@ -38,7 +38,7 @@ __all__ = [
     "cayley_forward", "cayley_inverse", "discrete_series", "domains",
     "fock_gram", "fockpoly", "groups", "jmk", "jmk_star",
     "kernels", "kmk_kernel", "kmk_star_kernel", "kmk_star_weight",
-    "kmk_weight", "numkit", "p_s", "pi_apply", "pi_star_apply", "q_basis",
+    "numkit", "p_s", "pi_apply", "pi_star_apply", "q_basis",
     "quad", "report", "series_basis", "suites", "t_inv", "t_star",
     "theta_inv", "theta_iso", "__version__",
 ]

@@ -9,6 +9,7 @@ are byte-identical across identical invocations when --no-timestamp is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,9 +31,9 @@ class CliError(Exception):
 # scalar [re, im] (at n = 2 it is a real vector).  Vectors and matrices
 # beyond that use the nested forms ([[re, im], ...] and [[...row...], ...]),
 # whose entries are numbers or [re, im] pairs.  Every point enters through
-# _point and every group element through _element, on the same readers, and
-# every multi-index through _indices; every result leaves through
-# report.encode_value.
+# _point and every group element through _element, on the same readers, every
+# multi-index through _indices and every parameter (m, k, Q_a's n) through
+# _param; every result leaves through report.encode_value.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -79,6 +80,25 @@ def _need(args, *keys, default=None):
 
 def _is_count(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+# eval's parameters: what each must be, and the test of it
+_PARAMS = {
+    "m": ("a positive number", lambda v: _is_num(v) and v > 0),
+    "k": ("a number", _is_num),
+    "n": ("a positive integer", lambda v: _is_count(v) and v > 0),
+}
+
+
+def _param(args, key, default=None):
+    """The parameter args[key] (m, k or n), else default, else SuiteConfig's
+    default; a value that is not what _PARAMS asks (a bool is no number) is
+    a usage error that names the field."""
+    v = args.get(key, getattr(SuiteConfig, key) if default is None else default)
+    what, valid = _PARAMS[key]
+    if not valid(v):
+        raise CliError(f"{key!r} must be {what}, got {v!r}")
+    return v
 
 
 def _indices(args, key, single=False):
@@ -186,95 +206,93 @@ def _ev_poly(poly, args, n):
     return poly.evaluate(z, w)
 
 
-def _ev_p_s(args, cfg):
+def _ev_p_s(args):
     s = _indices(args, "s")
     return _ev_poly(fockpoly.p_s(s), args, len(s))
 
 
-def _ev_f_s(args, cfg):
+def _ev_f_s(args):
     s = _indices(args, "s")
-    return _ev_poly(fockpoly.basis_f(s, args.get("m", cfg.m)), args, len(s))
+    return _ev_poly(fockpoly.basis_f(s, _param(args, "m")), args, len(s))
 
 
-def _ev_phi(args, cfg):
+def _ev_phi(args):
     s = _indices(args, "s")
     w, z = _point(args, ("W", "w"), ("Z", "z"), len(s), mat_default=0.0)
-    poly = fockpoly.basis_phi(w, s, args.get("m", cfg.m))
+    poly = fockpoly.basis_phi(w, s, _param(args, "m"))
     if "Z" not in args and "z" not in args:
         return poly.to_json()
     return poly.evaluate(z, None)
 
 
-def _ev_big_f(args, cfg):
+def _ev_big_f(args):
     s = _indices(args, "s")
     n = len(s)
-    qpoly = _q_poly(n, args.get("k", cfg.k), _indices(args, "a", single=True))
-    poly = fockpoly.basis_big_f(s, qpoly, args.get("m", cfg.m))
+    qpoly = _q_poly(n, _param(args, "k"), _indices(args, "a", single=True))
+    poly = fockpoly.basis_big_f(s, qpoly, _param(args, "m"))
     return _ev_poly(poly, args, n)
 
 
-def _ev_q_a(args, cfg):
+def _ev_q_a(args):
     a = _indices(args, "a", single=True)
-    n = args.get("n", cfg.n if isinstance(a, int) else (math.isqrt(8 * len(a) + 1) - 1) // 2)
-    if not _is_count(n) or n == 0:
-        raise CliError(f"'n' must be a positive integer, got {n!r}")
-    qpoly = _q_poly(n, args.get("k", cfg.k), a)
+    n = _param(args, "n", None if isinstance(a, int) else (math.isqrt(8 * len(a) + 1) - 1) // 2)
+    qpoly = _q_poly(n, _param(args, "k"), a)
     if "W" not in args and "w" not in args:
         return qpoly.to_json()
     return qpoly.evaluate(None, _point(args, ("W", "w"), n=n)[0])
 
 
-def _ev_j1(args, cfg):
+def _ev_j1(args):
     sigma = _element(args, "sp")
     return kernels.j1(sigma, _point(args, ("Omega",), n=sigma.n, model=SJSpacePoint))
 
 
-def _ev_theta(args, cfg):
+def _ev_theta(args):
     if args.get("inverse"):
         return _element_fields(groups.theta_inv(_element(args, "star")))
     return _element_fields(groups.theta_iso(_element(args, "jacobi")))
 
 
-def _ev_k1(args, cfg):
+def _ev_k1(args):
     yp = _point(args, ("Omega_p",), model=SJSpacePoint)
     return kernels.k1(yp, _point(args, ("Omega",), n=yp.n, model=SJSpacePoint))
 
 
-def _ev_k2(args, cfg):
+def _ev_k2(args):
     yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
     y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
     return kernels.k2_space(yp, y)
 
 
-def _ev_a_form(args, cfg):
+def _ev_a_form(args):
     return kernels.a_form(_point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint))
 
 
-def _ev_jmk(args, cfg):
+def _ev_jmk(args):
     g = _element(args, "jacobi")
     y = _point(args, ("Omega",), ("zeta",), g.n, model=SJSpacePoint)
-    return kernels.jmk(g, y, args.get("m", cfg.m), args.get("k", cfg.k))
+    return kernels.jmk(g, y, _param(args, "m"), _param(args, "k"))
 
 
-def _ev_jmk_star(args, cfg):
+def _ev_jmk_star(args):
     gs = _element(args, "star")
     x = _point(args, ("W", "w"), ("z", "Z"), gs.n, model=SJDiskPoint)
-    return kernels.jmk_star(gs, x, args.get("m", cfg.m), args.get("k", cfg.k))
+    return kernels.jmk_star(gs, x, _param(args, "m"), _param(args, "k"))
 
 
-def _ev_kmk(args, cfg):
+def _ev_kmk(args):
     yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
     y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
-    return kernels.kmk_kernel(yp, y, args.get("m", cfg.m), args.get("k", cfg.k))
+    return kernels.kmk_kernel(yp, y, _param(args, "m"), _param(args, "k"))
 
 
-def _ev_kmk_star(args, cfg):
+def _ev_kmk_star(args):
     xp = _point(args, ("W_p",), ("z_p",), vec_default=None, model=SJDiskPoint)
     x = _point(args, ("W",), ("z",), xp.n, vec_default=None, model=SJDiskPoint)
-    return kernels.kmk_star_kernel(xp, x, args.get("m", cfg.m), args.get("k", cfg.k))
+    return kernels.kmk_star_kernel(xp, x, _param(args, "m"), _param(args, "k"))
 
 
-def _ev_action(args, cfg):
+def _ev_action(args):
     g, point = _need(args, "g"), _need(args, "point")
     disk = isinstance(g, dict) and "p" in g
     elem = _element(args, "star" if disk else "jacobi")
@@ -295,7 +313,7 @@ def _ev_action(args, cfg):
     return _point_fields(act(elem, x))
 
 
-def _ev_cayley(args, cfg):
+def _ev_cayley(args):
     direction = args.get("direction", "forward")
     if direction == "forward":
         x = _point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint)
@@ -328,9 +346,9 @@ EVAL_OBJECTS = {
 
 # --- tables ---
 
-def _table_gram_phi(cfg: SuiteConfig):
+def _table_gram_phi(cfg: SuiteConfig, trunc: int):
     n = cfg.n
-    degree = min(cfg.trunc, 6)
+    degree = min(trunc, 6)
     w = 0.3 * np.eye(n)
     index_list = list(fockpoly.enumerate_multiindices(n, degree))
     family = fockpoly.PolyFamily([fockpoly.basis_phi(w, tuple(s), cfg.m) for s in index_list])
@@ -344,10 +362,10 @@ def _table_gram_big_f(cfg: SuiteConfig):
     return [str(lbl) for lbl in labels], gram, sigma
 
 
-def _table_expansion_convergence(cfg: SuiteConfig):
+def _table_expansion_convergence(cfg: SuiteConfig, trunc: int):
     xp = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-a"))
     x = domains.sample_sj_disk_point(cfg.n, 0.25, 0.3, seed=sub_seed(cfg.seed, "conv-b"))
-    res = fockpoly.expansion_fock_full(xp, x, fockpoly.MATCHING_M, max(cfg.trunc, 4))
+    res = fockpoly.expansion_fock_full(xp, x, fockpoly.MATCHING_M, max(trunc, 4))
     closed = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
     rows = [(deg, abs(partial - closed))
             for deg, partial in enumerate(res.partials)]
@@ -363,17 +381,17 @@ def _table_calibration(cfg: SuiteConfig):
     return rows
 
 
-def cmd_table(kind: str, cfg: SuiteConfig, fmt: str):
+def cmd_table(kind: str, cfg: SuiteConfig, trunc: int, fmt: str):
     if kind in ("gram-phi", "gram-F"):
-        labels, gram, sigma = (_table_gram_phi if kind == "gram-phi"
-                               else _table_gram_big_f)(cfg)
+        labels, gram, sigma = (_table_gram_phi(cfg, trunc) if kind == "gram-phi"
+                               else _table_gram_big_f(cfg))
         if fmt == "csv":
             return report.matrix_csv_text(gram, labels, labels, sigma=sigma)
         payload = {"kind": kind, "labels": labels, "matrix": gram}
         if sigma is not None:
             payload["sigma"] = sigma
     elif kind == "expansion-convergence":
-        rows, closed = _table_expansion_convergence(cfg)
+        rows, closed = _table_expansion_convergence(cfg, trunc)
         if fmt == "csv":
             return report.csv_text(["degree", "abs_residual"],
                                    [[deg, repr(float(resid))] for deg, resid in rows])
@@ -402,35 +420,39 @@ def _build_parser():
         description="Verified computations on Siegel-Jacobi domains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--m", type=float, default=0.25)
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100000)
-        p.add_argument("--trunc", type=int, default=10)
+    def config_options(p):
+        # one option per SuiteConfig field, its type and default the field's
+        for f in dataclasses.fields(SuiteConfig):
+            p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
+
+    def output_options(p):
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp for byte-identical reruns")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True,
                     choices=sorted(suites.SUITES) + ["all"])
-    common(pv)
+    config_options(pv)
+    output_options(pv)
+    pv.add_argument("--no-timestamp", action="store_true",
+                    help="omit the timestamp for byte-identical reruns")
 
     pe = sub.add_parser("eval", help="evaluate a single object")
     pe.add_argument("object", choices=sorted(EVAL_OBJECTS))
     pe.add_argument("args", nargs="?", default="{}",
-                    help="JSON arguments; scalars may be bare numbers,"
-                         " complex scalars [re, im]")
-    common(pe)
+                    help="JSON arguments, m, k and Q_a's n among them; scalars may"
+                         " be bare numbers, complex scalars [re, im]")
+    pe.add_argument("--out", default=None, help="write output to this path")
 
     pt = sub.add_parser("table", help="emit a matrix or series table")
     pt.add_argument("--kind", required=True,
                     choices=("gram-phi", "gram-F", "expansion-convergence",
                              "calibration"))
-    common(pt)
+    config_options(pt)
+    pt.add_argument("--trunc", type=int, default=10,
+                    help="the degree of gram-phi (at most 6) and of"
+                         " expansion-convergence (at least 4)")
+    output_options(pt)
     return parser
 
 
@@ -443,10 +465,7 @@ def _config_from(ns) -> SuiteConfig:
         raise CliError("samples must be at least 2")
     if ns.seed < 0:
         raise CliError("seed must be a non-negative integer")
-    if ns.trunc < 0:
-        raise CliError("trunc must be a non-negative integer")
-    return SuiteConfig(n=ns.n, m=ns.m, k=ns.k, seed=ns.seed, samples=ns.samples,
-                       trunc=ns.trunc)
+    return SuiteConfig(**{f.name: getattr(ns, f.name) for f in dataclasses.fields(SuiteConfig)})
 
 
 def _emit(text: str, out_path):
@@ -459,9 +478,8 @@ def _emit(text: str, out_path):
 def _verify_csv(rep: report.VerifyReport) -> str:
     return report.csv_text(
         ["name", "pass", "residual", "tol"],
-        [[c.name, int(c.passed),
-          "" if c.residual is None else repr(float(c.residual)),
-          "" if c.tol is None else repr(float(c.tol))] for c in rep.checks])
+        [[c.name, int(c.passed), repr(float(c.residual)), repr(float(c.tol))]
+         for c in rep.checks])
 
 
 def main(argv=None) -> int:
@@ -471,6 +489,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if ns.command == "eval":
+            try:
+                args = json.loads(ns.args)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"arguments are not valid JSON: {exc}")
+            if not isinstance(args, dict):
+                raise CliError("arguments must be a JSON object")
+            result = EVAL_OBJECTS[ns.object](args)
+            _emit(json.dumps(report.encode_value(result), sort_keys=True) + "\n", ns.out)
+            return 0
         cfg = _config_from(ns)
         if ns.command == "verify":
             rep = suites.run_suite(ns.suite, cfg)
@@ -484,21 +512,10 @@ def main(argv=None) -> int:
             elif ns.format == "csv":
                 sys.stdout.write(_verify_csv(rep))
             return 0 if rep.passed else 1
-        if ns.command == "eval":
-            try:
-                args = json.loads(ns.args)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"arguments are not valid JSON: {exc}")
-            if not isinstance(args, dict):
-                raise CliError("arguments must be a JSON object")
-            result = EVAL_OBJECTS[ns.object](args, cfg)
-            text = json.dumps(report.encode_value(result), sort_keys=True) + "\n"
-            _emit(text, ns.out)
-            return 0
-        if ns.command == "table":
-            _emit(cmd_table(ns.kind, cfg, ns.format), ns.out)
-            return 0
-        raise CliError(f"unknown command {ns.command!r}")
+        if ns.trunc < 0:
+            raise CliError("trunc must be a non-negative integer")
+        _emit(cmd_table(ns.kind, cfg, ns.trunc, ns.format), ns.out)
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

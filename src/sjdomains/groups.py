@@ -303,8 +303,3 @@ def random_jacobi_batch(n, count, seed, scale=0.5) -> JacobiElement:
 
 def random_jacobi(n, scale=0.5, seed=None) -> JacobiElement:
     return random_jacobi_batch(n, 1, seed, scale)[0]
-
-
-def random_jacobi_star(n, scale=0.5, seed=None) -> JacobiStarElement:
-    return theta_iso(random_jacobi(n, scale, seed))
-

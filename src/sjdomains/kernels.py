@@ -124,20 +124,6 @@ def jmk_star(gs: JacobiStarElement, x: SJDiskPoint, m, k) -> complex:
                          * np.exp(-4.0 * np.pi * m * theta_star(gs, x)))
 
 
-def kmk_weight(y: SJSpacePoint, m, k) -> float:
-    """exp(4 pi m eta Y^{-1} t(eta)) (det Y)^k with Y = Im Omega, eta = Im zeta."""
-    yim, eta = y.omega.imag, y.zeta.imag
-    quad = vecvec(numkit.solve(yim, eta[..., None])[..., 0], eta).real
-    return item_or_stack(np.exp(4.0 * np.pi * m * quad) * np.real(numkit.det_power(yim, k)))
-
-
-def hj_inner_weight(y: SJSpacePoint, m, k) -> float:
-    """(det Y)^k exp(-4 pi m eta Y^{-1} t(eta)): the weight the unbounded-model
-    inner product integrates against (it decays in eta and carries the +k
-    determinant power that matches the bounded side through the transform)."""
-    return kmk_weight(y, -m, k)
-
-
 def kmk_kernel(yp: SJSpacePoint, y: SJSpacePoint, m, k) -> complex:
     """det((i/2) conj(Omega) - (i/2) Omega')^{-k} exp(2 pi i m K2)."""
     det_part = numkit.det_power(0.5j * y.omega.conj() - 0.5j * yp.omega, -k)
@@ -159,18 +145,3 @@ def kmk_star_kernel(xp: SJDiskPoint, x: SJDiskPoint, m, k) -> complex:
     """det(I - W' conj(W))^{-k} exp(8 pi m A(W', z'; W, z))."""
     gram = np.eye(x.n) - xp.w @ x.w.conj()
     return item_or_stack(numkit.det_power(gram, -k) * np.exp(8.0 * np.pi * m * a_polar(xp, x)))
-
-
-def weight_diagnostics(y: SJSpacePoint, m, k) -> dict:
-    """Compare the printed weight, the kernel diagonal, and the weight the
-    inner product actually uses; they disagree by det-power sign and a
-    factor 2 in the exponent, so all three are reported side by side."""
-    diag = kmk_kernel(y, y, m, k)
-    lit = kmk_weight(y, m, k)
-    used = hj_inner_weight(y, m, k)
-    return {
-        "kernel_diagonal": complex(diag),
-        "weight_printed": lit,
-        "weight_used": used,
-        "diagonal_over_printed": complex(diag) / lit,
-    }

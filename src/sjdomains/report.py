@@ -36,35 +36,30 @@ def encode_value(value):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A named check: it passes if and only if residual <= tol."""
     name: str
-    passed: bool
-    residual: float | None = None
-    tol: float | None = None
+    residual: float
+    tol: float
     detail: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tol)
+
     def to_dict(self) -> dict:
-        out = {"name": self.name, "pass": bool(self.passed)}
-        if self.residual is not None:
-            out["residual"] = float(self.residual)
-        if self.tol is not None:
-            out["tol"] = float(self.tol)
+        out = {"name": self.name, "pass": self.passed,
+               "residual": float(self.residual), "tol": float(self.tol)}
         if self.detail:
             out["detail"] = encode_value(self.detail)
         return out
 
     def summary(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        body = ""
-        if self.residual is not None:
-            body = f"residual={self.residual:.3e}"
-            if self.tol is not None:
-                body += f" tol={self.tol:.1e}"
-        return f"{tag} {self.name} {body}".rstrip()
+        return f"{tag} {self.name} residual={self.residual:.3e} tol={self.tol:.1e}"
 
 
 def residual_check(name, residual, tol, detail=None) -> CheckResult:
-    return CheckResult(name=name, passed=bool(residual <= tol),
-                       residual=float(residual), tol=float(tol),
+    return CheckResult(name=name, residual=float(residual), tol=float(tol),
                        detail=detail or {})
 
 

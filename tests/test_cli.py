@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -133,7 +136,9 @@ EVAL_CASES = {
     "Jmk": [({"g": G_JSON, **SPACE}, lambda: kernels.jmk(G, Y, M, K))],
     "JmkStar": [({"g": GS_JSON, **DISK}, lambda: kernels.jmk_star(GS, X, M, K))],
     "Kmk": [({**SPACE_P, **SPACE}, lambda: kernels.kmk_kernel(YP, Y, M, K))],
-    "KmkStar": [({**DISK_P, **DISK}, lambda: kernels.kmk_star_kernel(XP, X, M, K))],
+    "KmkStar": [({**DISK_P, **DISK}, lambda: kernels.kmk_star_kernel(XP, X, M, K)),
+                ({**DISK_P, **DISK, "m": 0.5, "k": 4},
+                 lambda: kernels.kmk_star_kernel(XP, X, 0.5, 4))],
     "action": [({"g": GS_JSON, "point": DISK}, lambda: _disk_json(groups.act_sj_disk(GS, X))),
                ({"g": G_JSON, "point": SPACE}, lambda: _space_json(groups.act_sj_space(G, Y)))],
     "cayley": [(DISK, lambda: SPACE),
@@ -194,8 +199,9 @@ BAD_EVAL_INPUTS = {
 
 
 # A multi-index is a non-empty list of non-negative integers; a may also be
-# one such integer, and the n of Q_a is a positive integer.  Anything else
-# exits 2 with one line naming the field.
+# one such integer, and the n of Q_a is a positive integer, m a positive
+# number and k a number (no bool).  Anything else exits 2 with one line
+# naming the field.
 BAD_INDICES = {
     "P_s-empty": ("P_s", {"s": []}, "s"),
     "f_s-fraction": ("f_s", {"s": [1.5]}, "s"),
@@ -210,6 +216,12 @@ BAD_INDICES = {
     "Q_a-string": ("Q_a", {"a": "1"}, "a"),
     "Q_a-n-zero": ("Q_a", {"a": 1, "n": 0}, "n"),
     "Q_a-n-fraction": ("Q_a", {"a": 1, "n": 1.5}, "n"),
+    "f_s-m-zero": ("f_s", {"s": [1], "m": 0, "Z": 1}, "m"),
+    "KmkStar-m-negative": ("KmkStar", {"W_p": 0.1, "z_p": 0.2, "W": 0.1, "z": 0.3, "m": -5}, "m"),
+    "F_sa-m-bool": ("F_sa", {"s": [1], "a": 1, "m": True}, "m"),
+    "Phi-m-string": ("Phi", {"s": [1], "m": "x"}, "m"),
+    "Q_a-k-string": ("Q_a", {"a": 1, "k": "3"}, "k"),
+    "Jmk-k-bool": ("Jmk", {"g": G_JSON, **SPACE, "k": True}, "k"),
 }
 
 
@@ -427,12 +439,75 @@ def test_bad_config_exit_two(capsys):
     (["table", "--kind", "gram-phi", "--trunc", "-1"], "trunc"),
     (["verify", "--suite", "all", "--seed", "-1"], "seed"),
     (["verify", "--suite", "cayley", "--seed", "-1"], "seed"),
-    (["eval", "P_s", '{"s": [1]}', "--seed", "-2"], "seed"),
 ])
 def test_negative_seed_or_trunc_exit_two(argv, field, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {field} must be a non-negative integer\n"
+
+
+# --- one door per setting ---
+# Each command takes only the options it reads; the run's parameters default
+# to SuiteConfig's fields, and eval reads m, k and Q_a's n from its JSON.
+
+OPTIONS = {
+    "verify": {"--suite", "--n", "--m", "--k", "--seed", "--samples", "--out", "--format",
+               "--no-timestamp"},
+    "eval": {"object", "args", "--out"},
+    "table": {"--kind", "--n", "--m", "--k", "--seed", "--samples", "--trunc", "--out",
+              "--format"},
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(OPTIONS)
+    for command, expected in OPTIONS.items():
+        settable = {(a.option_strings or [a.dest])[0] for a in subparsers[command]._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        assert settable == expected, command
+    assert sum(map(len, OPTIONS.values())) == 21
+    defaults = dataclasses.asdict(suites.SuiteConfig())
+    for command in ("verify", "table"):
+        assert {key: subparsers[command].get_default(key) for key in defaults} == defaults
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["eval", "P_s", '{"s": [1]}'], ["--m", "1"]),
+    (["eval", "P_s", '{"s": [1]}'], ["--seed", "2"]),
+    (["table", "--kind", "calibration"], ["--no-timestamp"]),
+    (["verify", "--suite", "cayley"], ["--trunc", "12"]),
+])
+def test_an_option_the_command_does_not_read_exits_two(argv, unread, capsys):
+    code, out, err = run(argv + unread, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: " + " ".join(unread) + "\n")
+
+
+def _readme_cli_lines():
+    """Every `sjdomains ...` line of README's fenced sh blocks."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("sjdomains ")]
+
+
+def test_readme_cli_lines_parse():
+    # the README shows no option the parser lacks
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            cli._build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 # --- reports ---

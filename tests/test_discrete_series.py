@@ -167,8 +167,8 @@ def test_sampled_function_side_guard():
 def test_operator_composition_is_antihomomorphism():
     # T_g psi = jmk_star(g, .) psi(g . .): T_{g1} T_{g2} = T_{g2 g1}
     psi = _test_family(PARAMS)
-    g1 = groups.random_jacobi_star(1, scale=0.4, seed=21)
-    g2 = groups.random_jacobi_star(1, scale=0.4, seed=22)
+    g1 = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=21))
+    g2 = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=22))
     lhs = ds.pi_star_apply(g1, ds.pi_star_apply(g2, psi, PARAMS), PARAMS)
     rhs = ds.pi_star_apply(groups.jacobi_star_mul(g2, g1), psi, PARAMS)
     for t in range(10):
@@ -180,7 +180,7 @@ def test_intertwining_pointwise():
     psi = _test_family(PARAMS)
     phi = ds.t_star(psi, PARAMS)
     for t in range(10):
-        gs = groups.random_jacobi_star(1, scale=0.4, seed=31 + t)
+        gs = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=31 + t))
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=41 + t))
         lhs = ds.t_star(ds.pi_star_apply(gs, psi, PARAMS), PARAMS)(y)
         rhs = ds.pi_apply(groups.theta_inv(gs), phi, PARAMS)(y)

@@ -38,9 +38,9 @@ def test_group_axioms_both_models():
                          groups.jacobi_mul(g1, groups.jacobi_mul(g2, g3))) < 1e-9
             assert _dist(groups.jacobi_mul(g1, groups.jacobi_inv(g1)),
                          groups.JacobiElement.identity(n)) < 1e-9
-            s1 = groups.random_jacobi_star(n, seed=3 * t)
-            s2 = groups.random_jacobi_star(n, seed=3 * t + 1)
-            s3 = groups.random_jacobi_star(n, seed=3 * t + 2)
+            s1 = groups.theta_iso(groups.random_jacobi(n, seed=3 * t))
+            s2 = groups.theta_iso(groups.random_jacobi(n, seed=3 * t + 1))
+            s3 = groups.theta_iso(groups.random_jacobi(n, seed=3 * t + 2))
             assert _dist_star(
                 groups.jacobi_star_mul(groups.jacobi_star_mul(s1, s2), s3),
                 groups.jacobi_star_mul(s1, groups.jacobi_star_mul(s2, s3))) < 1e-9
@@ -63,7 +63,7 @@ def test_theta_bijection():
         for t in range(40):
             g = groups.random_jacobi(n, seed=11 * n + t)
             assert _dist(groups.theta_inv(groups.theta_iso(g)), g) < 1e-10
-            gs = groups.random_jacobi_star(n, seed=13 * n + t)
+            gs = groups.theta_iso(groups.random_jacobi(n, seed=13 * n + t))
             assert _dist_star(groups.theta_iso(groups.theta_inv(gs)), gs) < 1e-10
 
 
@@ -90,8 +90,8 @@ def test_action_composition_disk():
     for n in (1, 2):
         for t in range(30):
             x = domains.sample_sj_disk_point(n, 0.6, 0.8, seed=23 * n + t)
-            s1 = groups.random_jacobi_star(n, seed=29 * n + 2 * t)
-            s2 = groups.random_jacobi_star(n, seed=29 * n + 2 * t + 1)
+            s1 = groups.theta_iso(groups.random_jacobi(n, seed=29 * n + 2 * t))
+            s2 = groups.theta_iso(groups.random_jacobi(n, seed=29 * n + 2 * t + 1))
             lhs = groups.act_sj_disk(s1, groups.act_sj_disk(s2, x))
             rhs = groups.act_sj_disk(groups.jacobi_star_mul(s1, s2), x)
             assert np.max(np.abs(lhs.w - rhs.w)) < 1e-9
@@ -113,7 +113,7 @@ def test_disk_action_preserves_model():
     # the bounded model is stable under the star group action
     for t in range(20):
         x = domains.sample_sj_disk_point(2, 0.7, 1.0, seed=t)
-        gs = groups.random_jacobi_star(2, scale=0.6, seed=t)
+        gs = groups.theta_iso(groups.random_jacobi(2, scale=0.6, seed=t))
         moved = groups.act_sj_disk(gs, x)  # constructor revalidates membership
         assert np.max(np.abs(np.linalg.svd(moved.w, compute_uv=False))) < 1.0
 
@@ -146,7 +146,6 @@ def test_jacobi_sampler_batch_matches_per_seed(n):
     for seed in seeds:
         g = groups.random_jacobi(n, seed=seed)
         _assert_jacobi_close(groups.random_jacobi_batch(n, 1, seed)[0], g, rtol=0.0)
-        _assert_star_close(groups.random_jacobi_star(n, seed=seed), groups.theta_iso(g), rtol=0.0)
         rng = np.random.default_rng(seed)
         rng.standard_normal((2 * n, 2 * n))
         lam, mu = 0.5 * rng.standard_normal((2, n))

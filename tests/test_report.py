@@ -24,10 +24,10 @@ def test_check_dict_schema():
     c = report.residual_check("roundtrip", 1e-13, 1e-10)
     d = c.to_dict()
     assert d == {"name": "roundtrip", "pass": True, "residual": 1e-13, "tol": 1e-10}
-    c = report.CheckResult(name="norm", passed=True, residual=0.001, tol=0.006,
-                           detail={"sigma": 0.002})
+    c = report.CheckResult(name="norm", residual=0.001, tol=0.006, detail={"sigma": 0.002})
     d = c.to_dict()
     assert set(d) == {"name", "pass", "residual", "tol", "detail"}
+    assert d["pass"] is True
 
 
 def test_report_schema_and_json_stability():

@@ -3,7 +3,7 @@ import inspect
 
 import pytest
 
-from sjdomains import domains, fockpoly, kernels, suites
+from sjdomains import domains, fockpoly, kernels, quad, suites
 from sjdomains.suites import SuiteConfig
 
 
@@ -150,7 +150,7 @@ def test_single_suite_report_records_its_run(name):
     # a single-suite report carries the config that made it, every field and
     # the seed it was given (not a Monte Carlo substream), so a rerun from
     # the report's own params and seed repeats it
-    cfg = SuiteConfig(n=1, seed=5, samples=2000, trunc=11)
+    cfg = SuiteConfig(n=1, seed=5, samples=2000)
     rep = suites.run_suite(name, cfg)
     assert (rep.suite, rep.params, rep.seed) == (name, cfg.to_dict(), cfg.seed)
     again = suites.run_suite(name, SuiteConfig(seed=rep.seed, **rep.params))
@@ -164,9 +164,10 @@ def test_unknown_suite_raises():
 
 def test_every_check_is_built_from_the_config_alone():
     # a runner takes the config and nothing else, and the config holds the
-    # run's parameters, no tolerance: each check keeps its contract bound
+    # run's parameters, no tolerance and no size: each check keeps its
+    # contract bound and sizes
     assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
-        "n", "m", "k", "seed", "samples", "trunc"]
+        "n", "m", "k", "seed", "samples"]
     for runner in suites.SUITES.values():
         assert list(inspect.signature(runner).parameters) == ["cfg"]
 
@@ -174,3 +175,24 @@ def test_every_check_is_built_from_the_config_alone():
 def test_gram_suite_rejects_small_k():
     with pytest.raises(ValueError):
         suites.run_suite("series-gram", SuiteConfig(n=1, k=1))
+
+
+def test_kernel_section_pairing_reports_the_pair_furthest_past_its_bound(monkeypatch):
+    # one pairing off by 10 within a wide error bar passes; another off by
+    # 0.5 with no error bar fails.  The check fails, and it reports the
+    # failing pair, not the one of largest error: pass is residual <= tol
+    real = quad.mc_dj_gram
+
+    def skewed(*args):
+        gram, sigma, stats = real(*args)
+        gram, sigma = gram.copy(), sigma.copy()
+        gram[0, 1] += 10.0
+        gram[0, 2] += 0.5
+        sigma[0, 1:] = [1e3, 0.0, 1.0, 1.0, 1.0]
+        return gram, sigma, stats
+
+    monkeypatch.setattr(quad, "mc_dj_gram", skewed)
+    check = suites.run_reproducing(SuiteConfig(samples=2000, seed=3)).checks[1]
+    assert check.name == "kernel-section-pairing"
+    assert not check.passed and check.residual > check.tol
+    assert abs(check.residual - 0.5) < 0.1 and check.tol == 1e-6
