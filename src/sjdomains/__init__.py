@@ -15,8 +15,8 @@ Submodules:
 
 from . import (discrete_series, domains, fockpoly, groups, kernels, numkit,
                quad, report, suites)
-from .discrete_series import (ReprParams, SampledFunction, pi_apply,
-                              pi_star_apply, t_inv, t_star)
+from .discrete_series import (SampledFunction, pi_apply, pi_star_apply,
+                              t_inv, t_star)
 from .domains import (SJDiskPoint, SJSpacePoint, cayley_forward,
                       cayley_inverse)
 from .fockpoly import (PolyFunction, basis_big_f, basis_f, basis_phi, p_s,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "JacobiElement", "JacobiStarElement",
-    "MCConfig", "PolyFunction", "ReprParams", "SJDiskPoint", "SJSpacePoint",
+    "MCConfig", "PolyFunction", "SJDiskPoint", "SJSpacePoint",
     "SampledFunction", "VerifyReport", "a_form",
     "act_sj_disk", "act_sj_space", "basis_big_f", "basis_f", "basis_phi",
     "cayley_forward", "cayley_inverse", "discrete_series", "domains",

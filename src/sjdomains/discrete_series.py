@@ -21,21 +21,6 @@ from .domains import SJDiskPoint, SJSpacePoint
 
 
 @dataclass(frozen=True)
-class ReprParams:
-    n: int
-    m: float
-    k: int
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("m must be positive")
-        if int(self.k) != self.k:
-            raise ValueError("k must be an integer")
-        if not self.k > self.n + 0.5:
-            raise ValueError(f"need k > n + 1/2, got k={self.k}, n={self.n}")
-
-
-@dataclass(frozen=True)
 class SampledFunction:
     """A function, or a family of `size` functions, on one of the two models
     ('disk' or 'space').
@@ -76,12 +61,11 @@ class SampledFunction:
 # --- representation operators ---
 # g may be one element or a stack aligned with the evaluation points.
 
-def pi_star_apply(gs, psi, params: ReprParams) -> SampledFunction:
+def pi_star_apply(gs, psi, m: float, k) -> SampledFunction:
     """x -> jmk_star(g*, x) psi(g* . x) for each member of the disk-side
     family psi: the bounded-model operator applied to the inverse group
     element."""
     quad.require_side(psi, "disk")
-    m, k = params.m, params.k
 
     def split(ws, zs):
         x = SJDiskPoint(ws, zs)
@@ -92,11 +76,10 @@ def pi_star_apply(gs, psi, params: ReprParams) -> SampledFunction:
     return SampledFunction(split, "disk", size=len(psi))
 
 
-def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
+def pi_apply(g, phi, m: float, k) -> SampledFunction:
     """y -> jmk(g, y) phi(g . y) for each member of the space-side family
     phi: the unbounded-model operator applied to the inverse group element."""
     quad.require_side(phi, "space")
-    m, k = params.m, params.k
 
     def split(oms, zetas):
         y = SJSpacePoint(oms, zetas)
@@ -109,7 +92,7 @@ def pi_apply(g, phi, params: ReprParams) -> SampledFunction:
 
 # --- transfer between the models ---
 
-def t_star(psi, params: ReprParams) -> SampledFunction:
+def t_star(psi, m: float, k) -> SampledFunction:
     """Transfer a bounded-model function to the unbounded model:
     phi(Omega, zeta) = psi(W, z) det(I-W)^k exp(4 pi m z (I-W)^{-1} t(z))
     with (W, z) the preimage of (Omega, zeta) under the forward chart.
@@ -120,11 +103,10 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
     exponent's solve and det(I-W) come from one elimination of t(I-W) over
     the stack (numkit.eliminate)."""
     quad.require_side(psi, "disk")
-    m, k = params.m, params.k
-    eye = np.eye(params.n)
 
     def split(oms, zetas):
         ws, zs = domains.batch_cayley_inverse(oms, zetas)
+        eye = np.eye(ws.shape[-1])
         sol, lu = numkit.eliminate(numkit.transpose(eye - ws), zs[:, :, None])
         quad_terms = np.einsum("bi,bi->b", zs, sol[:, :, 0])
         vals, logs = psi.split(ws, zs)
@@ -134,7 +116,7 @@ def t_star(psi, params: ReprParams) -> SampledFunction:
     return SampledFunction(split, "space", size=len(psi))
 
 
-def t_inv(phi, params: ReprParams) -> SampledFunction:
+def t_inv(phi, m: float, k) -> SampledFunction:
     """Inverse transfer:
     psi(W, z) = phi(Omega, zeta) det(I-i Omega)^k exp(2 pi m zeta (I-i Omega)^{-1} t(zeta)) / 2^{nk}
     with (Omega, zeta) the forward-chart image of (W, z), for each member of
@@ -144,12 +126,11 @@ def t_inv(phi, params: ReprParams) -> SampledFunction:
     t(I-i Omega), whose Hermitian part I + Im Omega is positive definite
     (numkit.eliminate)."""
     quad.require_side(phi, "space")
-    m, k = params.m, params.k
-    n = params.n
-    eye = np.eye(n)
-    scale = 2.0 ** (-n * k)
 
     def split(ws, zs):
+        n = ws.shape[-1]
+        eye = np.eye(n)
+        scale = 2.0 ** (-n * k)
         oms, zetas = domains.batch_cayley_forward(ws, zs)
         sol, lu = numkit.eliminate(numkit.transpose(eye - 1j * oms), zetas[:, :, None])
         quad_terms = np.einsum("bi,bi->b", zetas, sol[:, :, 0])

@@ -129,6 +129,6 @@ def sample_sj_disk_batch(n, count, seed, radius_cap=0.8, z_cap=2.0) -> SJDiskPoi
     return SJDiskPoint(ws, r * np.exp(2j * np.pi * rng.random((count, n))))
 
 
-def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, seed=None):
+def sample_sj_disk_point(n, radius_cap=0.8, z_cap=2.0, *, seed):
     return sample_sj_disk_batch(n, 1, seed, radius_cap, z_cap)[0]
 

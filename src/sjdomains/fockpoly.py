@@ -537,7 +537,7 @@ def q_basis(n: int, k, max_degree: int):
     matrix is inverted.  At n = 1, q_a(w) = w^a / sqrt(pi B(a + 1, k - 3/2)).
     """
     if not k > n + 0.5:
-        raise ValueError("need k > n + 1/2 for a finite-norm basis")
+        raise ValueError(f"need k > n + 1/2 for a finite-norm basis, got k={k}, n={n}")
     mass = bergman_mass(n, k)
     labels = sym_degree_list(n, max_degree)
     out = {}
@@ -657,7 +657,7 @@ def expansion_fock_full(xp, x, m: float, degree: int) -> TruncationResult:
     return next(fock_expansions(xp, x, m, [degree]))
 
 
-def discrete_kernel_constant(m: float, k, n: int = 1) -> float:
+def discrete_kernel_constant(m: float, k, n: int) -> float:
     """Constant rho with sum_{s,a} F_{s,a}(x') conj(F_{s,a}(x)) =
     rho det(I - W' conj(W))^{-k} exp(8 pi m A(W', z'; W, z)).
 

@@ -301,5 +301,5 @@ def random_jacobi_batch(n, count, seed, scale=0.5) -> JacobiElement:
                          HeisenbergElement(lam_mu[:, 0], lam_mu[:, 1], kappa))
 
 
-def random_jacobi(n, scale=0.5, seed=None) -> JacobiElement:
+def random_jacobi(n, scale=0.5, *, seed) -> JacobiElement:
     return random_jacobi_batch(n, 1, seed, scale)[0]

@@ -7,8 +7,9 @@ that report, in one place, from the checks the runner's body returns, so
 every report records the run that made it: cfg.to_dict() and cfg.seed.  The
 sizes of a check (points, pairs, degrees) and its residual tolerance are
 constants of its contract, written in the runner's body; no config field
-changes them.  Monte Carlo sub-streams are seeded per check name so reports
-are reproducible check by check.
+changes them.  Each stack is seeded by (seed, suite tag, index) and each
+Monte Carlo Gram by its stream name (sub_seed), so reports are reproducible
+check by check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -35,8 +37,21 @@ class SuiteConfig:
     seed: int = 0
     samples: int = 100000
 
-    def params(self) -> ds.ReprParams:
-        return ds.ReprParams(self.n, self.m, self.k)
+    def __post_init__(self):
+        """Refuse a field out of its range, naming it; a bool is no number.
+        k > n + 1/2, which only a finite-norm basis needs, is q_basis's."""
+        def integer(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for valid, message in (
+                (integer(self.n) and self.n >= 1, "n must be a positive integer"),
+                (isinstance(self.m, numbers.Real) and not isinstance(self.m, bool)
+                 and self.m > 0, "m must be positive"),
+                (integer(self.k), "k must be an integer"),
+                (integer(self.seed) and self.seed >= 0, "seed must be a non-negative integer"),
+                (integer(self.samples) and self.samples >= 2, "samples must be at least 2")):
+            if not valid:
+                raise ValueError(message)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "k": self.k, "samples": self.samples}
@@ -258,7 +273,7 @@ def run_expansions(cfg: SuiteConfig) -> list:
         worst[name] = _worst(np.abs(value - closed), tail, degree)
     if n == 1:
         res = fockpoly.expansion_discrete_kernel(xp, x, m, k, 14, a_max=14)
-        closed = (fockpoly.discrete_kernel_constant(m, k)
+        closed = (fockpoly.discrete_kernel_constant(m, k, n)
                   * kernels.kmk_star_kernel(xp, x, m, k))
         worst["discrete"] = _worst(np.abs(res.value - closed), res.tail_estimate,
                                    np.full(pairs, 14))
@@ -337,18 +352,18 @@ def run_q_basis(cfg: SuiteConfig) -> list:
 
 
 # --- transfer and representation suites ---
-# Each reads the discrete-series parameters through cfg.params(), which
-# refuses m <= 0 and k <= n + 1/2 before anything is drawn.
+# Each that needs a finite-norm basis builds it (q_basis) before anything is
+# drawn, so k <= n + 1/2 is refused first; the chart suites never read k.
 
 def _tame_disk_batch(n, count, seed):
     return domains.sample_sj_disk_batch(n, count, seed, 0.5, 0.6)
 
 
-def _two_term_family(params: ds.ReprParams, coeff):
+def _two_term_family(cfg: SuiteConfig, coeff):
     """The one-member family F_(0, 0) + coeff F_(e_1, a_1) of z-degree one,
     a_1 the second label of degree one of q_basis."""
-    n, m = params.n, params.m
-    qb = fockpoly.q_basis(n, params.k, 1)
+    n, m = cfg.n, cfg.m
+    qb = fockpoly.q_basis(n, cfg.k, 1)
     return fockpoly.PolyFamily([fockpoly.basis_big_f((0,) * n, qb[0], m)
                                 + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], m)
                                 * coeff])
@@ -361,7 +376,7 @@ def run_transfer_identities(cfg: SuiteConfig) -> list:
     Gaussian exponent.  The exponent identity holds with the W-argument of A
     negated and plus signs on the holomorphic terms; the residuals of the
     as-printed sign variant are recorded in the detail for comparison."""
-    n = cfg.params().n
+    n = cfg.n
     eye = np.eye(n)
     x = _tame_disk_batch(n, 100, cfg.seed)
     y = domains.cayley_forward(x)
@@ -388,7 +403,7 @@ def run_measure_jacobian(cfg: SuiteConfig) -> list:
     """Finite-difference check that the real Jacobian of the forward chart
     times the density ratio of the two invariant measures is the constant
     2^{n(n+3)}, globally across random points."""
-    n = cfg.params().n
+    n = cfg.n
     target = 2.0 ** (n * (n + 3))
     eye = np.eye(n)
     x = _tame_disk_batch(n, 50, cfg.seed)
@@ -415,12 +430,11 @@ def series_gram(cfg: SuiteConfig, stream: str):
     its MC Gram under the bounded-model inner product, on the substream
     `stream` of cfg.seed: (labels, family, gram, sigma, stats), the family
     one PolyFamily."""
-    params = cfg.params()
-    labeled = fockpoly.series_basis(params.n, params.m, params.k, 3, 2)
+    labeled = fockpoly.series_basis(cfg.n, cfg.m, cfg.k, 3, 2)
     family = fockpoly.PolyFamily([f for _, f in labeled])
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, stream))
     return ([lbl for lbl, _ in labeled], family,
-            *quad.mc_dj_gram(family, params.n, params.m, params.k, mccfg))
+            *quad.mc_dj_gram(family, cfg.n, cfg.m, cfg.k, mccfg))
 
 
 # Gram errors within this relative distance of the largest are one tie
@@ -472,11 +486,12 @@ def run_series_gram(cfg: SuiteConfig) -> list:
     return checks
 
 
-def _isometry_functions(params: ds.ReprParams):
-    qb = fockpoly.q_basis(params.n, params.k, 1)
-    f00 = fockpoly.basis_big_f((0,) * params.n, qb[0], params.m)
-    f10 = fockpoly.basis_big_f((1,) + (0,) * (params.n - 1), qb[0], params.m)
-    f01 = fockpoly.basis_big_f((0,) * params.n, qb[1], params.m)
+def _isometry_functions(cfg: SuiteConfig):
+    n, m = cfg.n, cfg.m
+    qb = fockpoly.q_basis(n, cfg.k, 1)
+    f00 = fockpoly.basis_big_f((0,) * n, qb[0], m)
+    f10 = fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[0], m)
+    f01 = fockpoly.basis_big_f((0,) * n, qb[1], m)
     mix = (f00 + f10) * complex(1.0 / math.sqrt(2.0))
     return [("F00", f00), ("F10", f10), ("F01", f01), ("mix", mix)]
 
@@ -493,28 +508,27 @@ def run_isometry(cfg: SuiteConfig) -> list:
     one draw: the disk side over the polynomials, the space side over their
     transfer as one family.  The norms, sigmas and per-function stats are
     read off the diagonals."""
-    params = cfg.params()
-    n, m, k = params.n, params.m, params.k
-    psi = _two_term_family(params, 0.5 + 0.25j)
-    back = ds.t_inv(ds.t_star(psi, params), params)
+    n, m, k = cfg.n, cfg.m, cfg.k
+    psi = _two_term_family(cfg, 0.5 + 0.25j)
+    back = ds.t_inv(ds.t_star(psi, m, k), m, k)
 
     def phi_split(oms, zetas):
         vals = np.exp(1j * np.trace(oms, axis1=-2, axis2=-1)) * (1.0 + numkit.vecvec(zetas, zetas))
         return vals[None], np.zeros(len(vals))
 
     phi = ds.SampledFunction(phi_split, "space")
-    forth = ds.t_star(ds.t_inv(phi, params), params)
+    forth = ds.t_star(ds.t_inv(phi, m, k), m, k)
     both = _tame_disk_batch(n, 100, cfg.seed)
     x, y = both[:50], domains.cayley_forward(both[50:])
     worst_disk = float(np.max(np.abs(back(x) - psi.split(x.w, x.z)[0][0])))
     worst_space = float(np.max(np.abs(forth(y) - phi(y))))
     checks = [residual_check("roundtrip-disk", worst_disk, 1e-10),
               residual_check("roundtrip-space", worst_space, 1e-10)]
-    names, psis = zip(*_isometry_functions(params))
+    names, psis = zip(*_isometry_functions(cfg))
     family = fockpoly.PolyFamily(psis)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
     disk = quad.mc_dj_gram(family, n, m, k, mccfg)
-    space = quad.mc_hj_gram(ds.t_star(family, params), n, m, k, mccfg)
+    space = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, mccfg)
     for i, name in enumerate(names):
         (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
             (complex(gram[i, i]), float(sigma[i, i]), quad.mc_stats(stats, [i]))
@@ -532,13 +546,12 @@ def run_isometry(cfg: SuiteConfig) -> list:
 def run_intertwining(cfg: SuiteConfig) -> list:
     """t_star(pi_star(g*) psi) = pi(theta^{-1}(g*)) t_star(psi) pointwise,
     with the t-th element evaluated at the t-th point."""
-    params = cfg.params()
-    n, seed = params.n, cfg.seed
-    psi = _two_term_family(params, 0.7)
+    n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
+    psi = _two_term_family(cfg, 0.7)
     gs = groups.theta_iso(groups.random_jacobi_batch(n, 50, (seed, 1000, 0), 0.4))
     y = domains.cayley_forward(_tame_disk_batch(n, 50, (seed, 1000, 1)))
-    lhs = ds.t_star(ds.pi_star_apply(gs, psi, params), params)(y)
-    rhs = ds.pi_apply(groups.theta_inv(gs), ds.t_star(psi, params), params)(y)
+    lhs = ds.t_star(ds.pi_star_apply(gs, psi, m, k), m, k)(y)
+    rhs = ds.pi_apply(groups.theta_inv(gs), ds.t_star(psi, m, k), m, k)(y)
     return [residual_check("intertwining", float(np.max(np.abs(lhs - rhs))), 1e-7)]
 
 
@@ -547,16 +560,15 @@ def run_reproducing(cfg: SuiteConfig) -> list:
     """(i) The truncated two-point basis sum matches the closed-form kernel;
     (ii) pairing against the truncated kernel section reproduces point values
     within MC error."""
-    params = cfg.params()
-    if params.n != 1:
+    n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
+    if n != 1:
         raise ValueError("the reproducing suite runs at n = 1")
-    n, m, k, seed = params.n, params.m, params.k, cfg.seed
+    funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
     # the pairs (x', x) as two stacks, for one stacked expansion
     xp, x = (domains.sample_sj_disk_batch(n, 5, (seed, 3301, i), 0.25, 0.3) for i in (0, 1))
     approx = fockpoly.expansion_discrete_kernel(xp, x, m, k, 10, a_max=6)
-    closed = fockpoly.discrete_kernel_constant(m, k) * kernels.kmk_star_kernel(xp, x, m, k)
+    closed = fockpoly.discrete_kernel_constant(m, k, n) * kernels.kmk_star_kernel(xp, x, m, k)
     worst_rel = float(np.max(np.abs(approx.value - closed) / np.abs(closed)))
-    funcs = [fn for _, fn in fockpoly.series_basis(n, m, k, s_max=4, a_max=3)]
     # the section at x_j is sum_i conj(F_i(x_j)) F_i; f = F_0 pairs with it
     # to f(x_j)
     x = domains.sample_sj_disk_batch(n, 5, (seed, 3301, 2), 0.25, 0.3)

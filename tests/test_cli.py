@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -412,6 +414,19 @@ def test_gram_suite_bad_k_exit_two(capsys):
     assert "k > n + 1/2" in err
 
 
+def test_finite_norm_refusal_names_k_and_n(capsys):
+    code, out, err = run(["verify", "--suite", "series-gram", "--k", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: need k > n + 1/2 for a finite-norm basis, got k=1, n=1\n"
+
+
+@pytest.mark.parametrize("suite", ["measure-jacobian", "transfer-identities"])
+def test_suites_that_never_read_k_run_at_any_k(suite, capsys):
+    code, out, err = run(["verify", "--suite", suite, "--k", "1", "--no-timestamp"], capsys)
+    assert (code, err) == (0, "")
+    assert "PASS" in out and "FAIL" not in out
+
+
 def test_eval_bad_json_exit_two(capsys):
     code, _, err = run(["eval", "P_s", "{not json"], capsys)
     assert code == 2
@@ -510,6 +525,20 @@ def test_readme_cli_lines_parse():
             pytest.fail(f"README line does not parse: {line}")
 
 
+def test_readme_module_names_resolve():
+    # every backticked `module.name` of the README, module one of the
+    # package's, names something that module has
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as handle:
+        names = re.findall(r"`(\w+)\.(\w+)`", handle.read())
+    modules = {info.name for info in pkgutil.iter_modules(sjdomains.__path__)}
+    names = [(mod, attr) for mod, attr in names if mod in modules]
+    assert len(names) >= 11
+    for mod, attr in names:
+        assert hasattr(importlib.import_module(f"sjdomains.{mod}"), attr), f"{mod}.{attr}"
+
+
 # --- reports ---
 
 def test_report_json_schema_and_determinism(tmp_path, capsys):
@@ -571,6 +600,17 @@ def test_table_calibration(capsys):
     ratios = {row["n"]: row["ratio"] for row in doc["rows"]}
     assert ratios[1] == pytest.approx(4.0, abs=1e-9)
     assert ratios[2] == pytest.approx(16.0, abs=1e-9)
+
+
+def test_table_trunc_is_the_degree_given(capsys):
+    # no kind clamps --trunc: gram-phi at degree 8 has the 9 indices s <= 8
+    # at n = 1, expansion-convergence at degree 2 the partial sums 0, 1, 2
+    code, out, _ = run(["table", "--kind", "gram-phi", "--trunc", "8"], capsys)
+    assert code == 0
+    assert json.loads(out)["labels"] == [str((s,)) for s in range(9)]
+    code, out, _ = run(["table", "--kind", "expansion-convergence", "--trunc", "2"], capsys)
+    assert code == 0
+    assert [deg for deg, _ in json.loads(out)["rows"]] == [0, 1, 2]
 
 
 def test_table_expansion_convergence_monotone_tail(capsys):

@@ -8,32 +8,22 @@ from sjdomains import discrete_series as ds
 from sjdomains import domains, fockpoly, groups, numkit, quad, suites
 from sjdomains.suites import SuiteConfig
 
-PARAMS = ds.ReprParams(1, 0.25, 3)
+M, K = 0.25, 3
 
 
-def test_repr_params_validation():
-    with pytest.raises(ValueError):
-        ds.ReprParams(1, -0.25, 3)
-    with pytest.raises(ValueError):
-        ds.ReprParams(1, 0.25, 1)  # needs k > n + 1/2
-    with pytest.raises(ValueError):
-        ds.ReprParams(1, 0.25, 2.5)
+def _test_poly(n=1, k=K):
+    qb = fockpoly.q_basis(n, k, 1)
+    return (fockpoly.basis_big_f((0,) * n, qb[0], M)
+            + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], M) * (0.4 - 0.3j))
 
 
-def _test_poly(params):
-    qb = fockpoly.q_basis(params.n, params.k, 1)
-    n = params.n
-    return (fockpoly.basis_big_f((0,) * n, qb[0], params.m)
-            + fockpoly.basis_big_f((1,) + (0,) * (n - 1), qb[1], params.m) * (0.4 - 0.3j))
-
-
-def _test_family(params):
-    return fockpoly.PolyFamily([_test_poly(params)])
+def _test_family():
+    return fockpoly.PolyFamily([_test_poly()])
 
 
 def test_transfer_roundtrip_disk():
-    psi = _test_poly(PARAMS)
-    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), PARAMS), PARAMS)
+    psi = _test_poly()
+    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), M, K), M, K)
     for t in range(30):
         x = domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t)
         assert abs(back(x) - psi.evaluate(x.z, x.w)) < 1e-12
@@ -49,16 +39,15 @@ def test_transfer_roundtrip_space():
         return vals, np.zeros(len(vals))
 
     carrier = ds.SampledFunction(phi_split, "space")
-    forth = ds.t_star(ds.t_inv(carrier, PARAMS), PARAMS)
+    forth = ds.t_star(ds.t_inv(carrier, M, K), M, K)
     for t in range(30):
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.6, 0.8, seed=t))
         assert abs(forth(y) - phi((y.omega, y.zeta))) < 1e-12
 
 
 def test_transfer_roundtrip_n2():
-    params = ds.ReprParams(2, 0.25, 4)
-    psi = _test_poly(params)
-    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), params), params)
+    psi = _test_poly(2, 4)
+    back = ds.t_inv(ds.t_star(fockpoly.PolyFamily([psi]), M, 4), M, 4)
     for t in range(10):
         x = domains.sample_sj_disk_point(2, 0.5, 0.6, seed=t)
         assert abs(back(x) - psi.evaluate(x.z, x.w)) < 1e-12
@@ -67,9 +56,9 @@ def test_transfer_roundtrip_n2():
 def test_batch_evaluation_matches_scalar():
     # a batch of N against N batches of one, for a transported function, a
     # round trip of it, and a wrapped scalar closure
-    phi = ds.t_star(_test_family(PARAMS), PARAMS)
-    back = ds.t_inv(phi, PARAMS)
-    op = ds.pi_apply(groups.random_jacobi(1, seed=2), phi, PARAMS)
+    phi = ds.t_star(_test_family(), M, K)
+    back = ds.t_inv(phi, M, K)
+    op = ds.pi_apply(groups.random_jacobi(1, seed=2), phi, M, K)
     xs = [domains.sample_sj_disk_point(1, 0.5, 0.6, seed=t) for t in range(6)]
     ys = [domains.cayley_forward(x) for x in xs]
     logs_of = {}
@@ -98,15 +87,14 @@ def test_batch_evaluation_matches_scalar():
 def test_t_star_of_a_family_stacks_the_members(n):
     # one transfer of the family against the transfer of each member: the
     # same values and logs
-    params = ds.ReprParams(n, 0.25, 3)
-    psis = [f for _, f in suites._isometry_functions(params)] + [_test_poly(params)]
-    phi = ds.t_star(fockpoly.PolyFamily(psis), params)
+    psis = [f for _, f in suites._isometry_functions(SuiteConfig(n=n))] + [_test_poly(n)]
+    phi = ds.t_star(fockpoly.PolyFamily(psis), M, K)
     assert len(phi) == len(psis) and phi.side == "space"
     y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 40, n, 0.6, 0.8))
     vals, logs = phi.split(y.omega, y.zeta)
     assert vals.shape == (len(psis), 40) and logs.shape == (40,)
     for i, psi in enumerate(psis):
-        one_vals, one_logs = ds.t_star(fockpoly.PolyFamily([psi]), params).split(y.omega, y.zeta)
+        one_vals, one_logs = ds.t_star(fockpoly.PolyFamily([psi]), M, K).split(y.omega, y.zeta)
         assert_allclose(vals[i], one_vals[0], rtol=1e-14, atol=0)
         assert_allclose(logs, one_logs, rtol=1e-14, atol=0)
 
@@ -115,11 +103,10 @@ def test_t_star_of_a_family_stacks_the_members(n):
 def test_family_values_have_a_member_axis(n):
     # a family of two called at a point or a stack gives one value per
     # member, (len,) + the stack's shape; a family of one the stack's shape
-    params = ds.ReprParams(n, 0.25, 3)
-    f0, f1 = [f for _, f in suites._isometry_functions(params)][:2]
-    phi = ds.t_star(fockpoly.PolyFamily([f0, f1]), params)
+    f0, f1 = [f for _, f in suites._isometry_functions(SuiteConfig(n=n))][:2]
+    phi = ds.t_star(fockpoly.PolyFamily([f0, f1]), M, K)
     y = domains.cayley_forward(domains.sample_sj_disk_batch(n, 7, n, 0.6, 0.8))
-    ones = [ds.t_star(fockpoly.PolyFamily([f]), params) for f in (f0, f1)]
+    ones = [ds.t_star(fockpoly.PolyFamily([f]), M, K) for f in (f0, f1)]
     assert phi(y).shape == (2, 7) and ones[0](y).shape == (7,)
     assert_allclose(phi(y), [one(y) for one in ones], rtol=1e-14, atol=0)
     assert phi(y[3]).shape == (2,) and isinstance(ones[1](y[3]), complex)
@@ -139,26 +126,26 @@ def test_sampled_function_side_guard():
 
         return ds.SampledFunction(split, family.side, size=len(family))
 
-    psi = spy(_test_family(PARAMS))
-    phi = spy(ds.t_star(_test_family(PARAMS), PARAMS))
+    psi = spy(_test_family())
+    phi = spy(ds.t_star(_test_family(), M, K))
     g = groups.random_jacobi(1, seed=2)
     cfg = quad.MCConfig(samples=100, seed=0)
     with pytest.raises(ValueError):
         quad.require_side(phi, "disk")
     with pytest.raises(ValueError):
-        quad.mc_hj_gram(psi, 1, PARAMS.m, PARAMS.k, cfg)
+        quad.mc_hj_gram(psi, 1, M, K, cfg)
     with pytest.raises(ValueError):
-        quad.mc_dj_gram(phi, 1, PARAMS.m, PARAMS.k, cfg)
+        quad.mc_dj_gram(phi, 1, M, K, cfg)
     with pytest.raises(ValueError):
-        quad.mc_disk_gram(phi, 1, PARAMS.k, cfg)
+        quad.mc_disk_gram(phi, 1, K, cfg)
     with pytest.raises(ValueError):
-        ds.t_star(phi, PARAMS)
+        ds.t_star(phi, M, K)
     with pytest.raises(ValueError):
-        ds.t_inv(psi, PARAMS)
+        ds.t_inv(psi, M, K)
     with pytest.raises(ValueError):
-        ds.pi_apply(g, psi, PARAMS)
+        ds.pi_apply(g, psi, M, K)
     with pytest.raises(ValueError):
-        ds.pi_star_apply(groups.theta_iso(g), phi, PARAMS)
+        ds.pi_star_apply(groups.theta_iso(g), phi, M, K)
     with pytest.raises(ValueError):
         phi(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3))
     assert calls == []
@@ -166,24 +153,24 @@ def test_sampled_function_side_guard():
 
 def test_operator_composition_is_antihomomorphism():
     # T_g psi = jmk_star(g, .) psi(g . .): T_{g1} T_{g2} = T_{g2 g1}
-    psi = _test_family(PARAMS)
+    psi = _test_family()
     g1 = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=21))
     g2 = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=22))
-    lhs = ds.pi_star_apply(g1, ds.pi_star_apply(g2, psi, PARAMS), PARAMS)
-    rhs = ds.pi_star_apply(groups.jacobi_star_mul(g2, g1), psi, PARAMS)
+    lhs = ds.pi_star_apply(g1, ds.pi_star_apply(g2, psi, M, K), M, K)
+    rhs = ds.pi_star_apply(groups.jacobi_star_mul(g2, g1), psi, M, K)
     for t in range(10):
         x = domains.sample_sj_disk_point(1, 0.5, 0.7, seed=50 + t)
         assert abs(lhs(x) - rhs(x)) < 1e-10
 
 
 def test_intertwining_pointwise():
-    psi = _test_family(PARAMS)
-    phi = ds.t_star(psi, PARAMS)
+    psi = _test_family()
+    phi = ds.t_star(psi, M, K)
     for t in range(10):
         gs = groups.theta_iso(groups.random_jacobi(1, scale=0.4, seed=31 + t))
         y = domains.cayley_forward(domains.sample_sj_disk_point(1, 0.5, 0.6, seed=41 + t))
-        lhs = ds.t_star(ds.pi_star_apply(gs, psi, PARAMS), PARAMS)(y)
-        rhs = ds.pi_apply(groups.theta_inv(gs), phi, PARAMS)(y)
+        lhs = ds.t_star(ds.pi_star_apply(gs, psi, M, K), M, K)(y)
+        rhs = ds.pi_apply(groups.theta_inv(gs), phi, M, K)(y)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -281,9 +268,9 @@ def test_reproducing_small_run():
 
 
 def test_transported_function_side():
-    phi = ds.t_star(_test_family(PARAMS), PARAMS)
+    phi = ds.t_star(_test_family(), M, K)
     assert phi.side == "space"
-    op = ds.pi_apply(groups.random_jacobi(1, seed=1), phi, PARAMS)
+    op = ds.pi_apply(groups.random_jacobi(1, seed=1), phi, M, K)
     assert op.side == "space"
 
 
@@ -291,8 +278,8 @@ def test_transported_function_side():
 def test_sampled_function_refuses_what_is_not_a_point(side):
     # a raw (matrix, vector) pair is no point on either side: a TypeError
     # that names the two point classes, before the side guard
-    psi = _test_family(PARAMS)
-    fn = ds.t_inv(ds.t_star(psi, PARAMS), PARAMS) if side == "disk" else ds.t_star(psi, PARAMS)
+    psi = _test_family()
+    fn = ds.t_inv(ds.t_star(psi, M, K), M, K) if side == "disk" else ds.t_star(psi, M, K)
     x = domains.sample_sj_disk_point(1, 0.5, 0.6, seed=3)
     with pytest.raises(TypeError, match="SJDiskPoint or an SJSpacePoint, not a tuple"):
         fn((x.w, x.z))

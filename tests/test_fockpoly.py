@@ -275,7 +275,7 @@ def test_discrete_kernel_expansion():
     degree = 12
     for xp, x in _pairs(1, 30, 5):
         res = fockpoly.expansion_discrete_kernel(xp, x, M, K, degree, a_max=12)
-        closed = (fockpoly.discrete_kernel_constant(M, K)
+        closed = (fockpoly.discrete_kernel_constant(M, K, 1)
                   * kernels.kmk_star_kernel(xp, x, M, K))
         assert abs(res.value - closed) / abs(closed) < 1e-5
 

@@ -294,16 +294,15 @@ def test_transfer_splits_match_the_lapack_reference(n, edge):
     # at the points of the (separately tested) batch charts.  The exponent
     # scale * q is known to a relative roundoff, so its absolute error, and
     # the phase error of the mantissa exp(i scale Im q), grow with |scale q|
-    params = ds.ReprParams(n, 0.25, n + 2)
-    m, k, eye = params.m, params.k, np.eye(n)
+    m, k, eye = 0.25, n + 2, np.eye(n)
     psi, phi = _transfer_carriers()
     ws = _polydisk_w(n, edge)
     zs = _random_rows(np.random.default_rng(9), ws.shape[:-1])
     oms, zetas = domains.batch_cayley_forward(ws, zs)
     pre_ws, pre_zs = domains.batch_cayley_inverse(oms, zetas)
-    cases = [(ds.t_star(psi, params).split(oms, zetas), eye - pre_ws, pre_zs,
+    cases = [(ds.t_star(psi, m, k).split(oms, zetas), eye - pre_ws, pre_zs,
               psi.split(pre_ws, pre_zs)[0], 4.0 * np.pi * m),
-             (ds.t_inv(phi, params).split(ws, zs), eye - 1j * oms, zetas,
+             (ds.t_inv(phi, m, k).split(ws, zs), eye - 1j * oms, zetas,
               phi.split(oms, zetas)[0] * 2.0 ** (-n * k), 2.0 * np.pi * m)]
     for (mant, logs), mats, vecs, vals, scale in cases:
         sol = np.linalg.solve(numkit.transpose(mats), vecs[:, :, None])[:, :, 0]
@@ -347,7 +346,7 @@ def test_refuse_stacks_guard_trips():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
-    params = ds.ReprParams(n, 0.25, 3)
+    m, k = 0.25, 3
     e1 = (1,) + (0,) * (n - 1)
     a1 = (1,) + (0,) * (len(numkit.upper_pairs(n)) - 1)
     family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0),
@@ -357,8 +356,8 @@ def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
     zs = _random_rows(np.random.default_rng(10), ws.shape[:-1])
     _refuse_stacks(monkeypatch)
     cfg = quad.MCConfig(samples=20000, seed=0)
-    gram, _, stats = quad.mc_hj_gram(ds.t_star(family, params), n, params.m, params.k, cfg)
+    gram, _, stats = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, cfg)
     assert stats["accepted"] > 64 and np.all(np.isfinite(gram))
     oms, zetas = domains.batch_cayley_forward(ws, zs)
     domains.batch_cayley_inverse(oms, zetas)
-    ds.t_inv(_transfer_carriers()[1], params).split(ws, zs)
+    ds.t_inv(_transfer_carriers()[1], m, k).split(ws, zs)

@@ -668,12 +668,11 @@ def test_exact_dj_gram_is_n1_only():
 
 
 def test_mc_hj_matches_disk_norm():
-    params = ds.ReprParams(1, M, K)
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
     psi = fockpoly.PolyFamily([labeled[0][1]])
     cfg = quad.MCConfig(samples=120000, seed=9)
     disk, disk_sigma, _ = quad.mc_dj_gram(psi, 1, M, K, cfg)
-    phi = ds.t_star(psi, params)
+    phi = ds.t_star(psi, M, K)
     space, space_sigma, _ = quad.mc_hj_gram(phi, 1, M, K, cfg)
     tol = 3 * math.hypot(disk_sigma[0, 0], space_sigma[0, 0])
     assert abs(disk[0, 0] - space[0, 0]) <= tol
@@ -684,10 +683,9 @@ def test_mc_hj_two_function_path():
     # <phi, phi2> with phi2 a distinct but equal member of a transported
     # family of two takes the two-function path of the driver and must give
     # the same estimate
-    params = ds.ReprParams(1, M, K)
     psi = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)[3][1]
-    phi = ds.t_star(fockpoly.PolyFamily([psi]), params)
-    phis = ds.t_star(fockpoly.PolyFamily([psi, psi]), params)
+    phi = ds.t_star(fockpoly.PolyFamily([psi]), M, K)
+    phis = ds.t_star(fockpoly.PolyFamily([psi, psi]), M, K)
     cfg = quad.MCConfig(samples=30000, seed=14)
     one, one_sigma, one_stats = quad.mc_hj_gram(phi, 1, M, K, cfg)
     two, two_sigma, two_stats = quad.mc_hj_gram(phis, 1, M, K, cfg)
@@ -715,16 +713,15 @@ def test_family_grams_match_one_member_runs(n):
     # the shared pass of isometry: one Gram over the functions on each side,
     # the space side over their transfer as one family, against one run per
     # function on the same seed: diagonal, sigma and per-function Kish size
-    params = ds.ReprParams(n, M, K)
-    psis = [f for _, f in suites._isometry_functions(params)]
+    psis = [f for _, f in suites._isometry_functions(suites.SuiteConfig(n=n, m=M, k=K))]
     cfg = quad.MCConfig(samples=20000, seed=16)
     both = fockpoly.PolyFamily(psis)
     family = [quad.mc_dj_gram(both, n, M, K, cfg),
-              quad.mc_hj_gram(ds.t_star(both, params), n, M, K, cfg)]
+              quad.mc_hj_gram(ds.t_star(both, M, K), n, M, K, cfg)]
     for i, psi in enumerate(psis):
         psi = fockpoly.PolyFamily([psi])
         ones = [quad.mc_dj_gram(psi, n, M, K, cfg),
-                quad.mc_hj_gram(ds.t_star(psi, params), n, M, K, cfg)]
+                quad.mc_hj_gram(ds.t_star(psi, M, K), n, M, K, cfg)]
         for (gram, sigma, stats), (g1, s1, st1) in zip(family, ones):
             assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
             assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)

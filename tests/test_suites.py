@@ -177,6 +177,16 @@ def test_gram_suite_rejects_small_k():
         suites.run_suite("series-gram", SuiteConfig(n=1, k=1))
 
 
+def test_suite_config_refuses_each_bad_field():
+    # the config checks its own fields when it is built, a bool being no
+    # number; k > n + 1/2 is not among them (q_basis refuses it)
+    for field, value in (("n", 0), ("n", True), ("m", 0), ("m", -1.0), ("k", 2.5),
+                         ("seed", -1), ("samples", 1)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SuiteConfig(**{field: value})
+    assert SuiteConfig(k=1).k == 1
+
+
 def test_kernel_section_pairing_reports_the_pair_furthest_past_its_bound(monkeypatch):
     # one pairing off by 10 within a wide error bar passes; another off by
     # 0.5 with no error bar fails.  The check fails, and it reports the
