@@ -84,8 +84,8 @@ def _is_count(v):
 
 # eval's parameters: what each must be, and the test of it
 _PARAMS = {
-    "m": ("a positive number", lambda v: _is_num(v) and v > 0),
-    "k": ("a number", _is_num),
+    "m": ("a finite positive number", lambda v: _is_num(v) and 0 < v < math.inf),
+    "k": ("a finite number", lambda v: _is_num(v) and math.isfinite(v)),
     "n": ("a positive integer", lambda v: _is_count(v) and v > 0),
 }
 

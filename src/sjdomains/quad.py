@@ -6,12 +6,16 @@ The Gaussian weight exp(-8 pi m A(W, z)) of the Fock spaces has one
 closed-form law for one W or a stack of them: E[z t(z)] = -W / (8 pi m),
 E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
 (_z_moments, _z_normalizer); the weight exp(-8 pi m A(-W, z)) of the
-space-side engine is the same law at -W.  Every exact z-integral, the n = 1 exact-z Gram
-included, reads one Wick factor of that law built on the P_s recurrence at
-Z = 0 (_wick_factor): E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
-(z_law_table).  The Monte Carlo engines draw z from the same law and
-weigh W by its integral.  The checks of that integral read the form's real
-matrix off kernels.a_form instead (a_form_matrix).
+space-side engine is the same law at -W.  Every exact z-integral is Wick's
+rule on that law, with E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence
+at Z = 0: at one W a Wick factor, E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
+(_wick_factor; z_law_table, fock_gram), and over a polynomial family its
+Wick coefficients, polynomials in W (_wick_coefficients).  exact_dj_gram
+contracts those with the exact W-Gram of q_basis's measure at every n; the
+n = 1 exact-z Monte Carlo path, with power sums of w (_exact_z_kernel).
+The Monte Carlo engines draw z from the same law and weigh W by its
+integral.  The checks of that integral read the form's real matrix off
+kernels.a_form instead (a_form_matrix).
 
 Every integrand is a family with one protocol: its side ('disk' or
 'space'), len() members, and split(mats, vecs) -> (vals (len, N), logs (N,))
@@ -163,6 +167,56 @@ def verify_gaussian_pairing(xp: SJDiskPoint, x: SJDiskPoint, trunc: int) -> dict
     return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
 
 
+# --- the exact Jacobi-disk Gram of polynomial families ---
+
+def _wick_coefficients(family: PolyFamily, m):
+    """(lam, beta, monos) with E[f_i conj(f_j) | W] =
+    sum_u lam[u] B_i^u(W) conj(B_j^u(W)) under the z-law of each W.  For
+    f_i = sum_s z^s A_i[s](W), Wick's rule with u pairings across the two
+    sides gives lam[u] = u! d^|u| and B_i^u = sum_s C(s, u) A_i[s]
+    E[z^(s - u) | W], where E[z^v | W] = P_v(0, -d W) is (-d)^(|v| / 2) times
+    the Z-free part of fockpoly.p_s(v), none at odd |v|.  beta[i, u] holds
+    the coefficients of B_i^u over the W-monomials monos, every one of
+    degree <= D, D the largest |a| + |s| // 2 of the family's z^s W^a."""
+    n = family.n
+    zdeg, wdeg = family.exponents[:, :n].sum(axis=1), family.exponents[:, n:].sum(axis=1)
+    monos = numkit.enumerate_multiindices(_upper_dim(n), int((wdeg + zdeg // 2).max(initial=0)))
+    pos = {a: p for p, a in enumerate(monos)}
+    pairings = numkit.enumerate_multiindices(n, int(zdeg.max(initial=0)))
+    d = 1.0 / (8.0 * math.pi * m)
+    moments = {v: [(e[n:], (-d) ** (sum(v) // 2) * c)
+                   for e, c in fockpoly.p_s(v).terms.items() if not any(e[:n])]
+               for v in pairings}
+    beta = np.zeros((len(family), len(pairings), len(monos)), dtype=complex)
+    # each monomial z^s W^a adds C(s, u) W^a E[z^(s - u) | W] to the B^u,
+    # times its coefficient in each member
+    for col, e in zip(family.coeffs.T, family.exponents.tolist()):
+        for p, u in enumerate(pairings):
+            v = tuple(x - y for x, y in zip(e, u))
+            for a, c in moments.get(v, ()):  # none at a negative exponent
+                beta[:, p, pos[tuple(x + y for x, y in zip(e[n:], a))]] += (
+                    math.prod(map(math.comb, e, u)) * c) * col
+    lam = np.array([numkit.mi_factorial(u) * d ** sum(u) for u in pairings])
+    return lam, beta, monos
+
+
+def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
+    """mc_dj_gram's Gram without sampling, at every n.  The z-integral is
+    Wick's rule (_wick_coefficients) and leaves the W-weight
+    (8 pi m)^{-n} det(I - W conj(W))^{k - n - 3/2}, the measure of q_basis.
+    Its orthonormal q_a span the B_i^u: with B_i^u = sum_a x[i, u, a] q_a,
+    G_ij = (8 pi m)^{-n} sum_{u,a} lam[u] x[i, u, a] conj(x[j, u, a]).  The x
+    solve one linear system on the coefficients of the q_a, the Cholesky
+    factors of Hua's blocks mass inv(K_d), so no matrix is inverted.  Like
+    q_basis, it refuses k <= n + 1/2."""
+    lam, beta, monos = _wick_coefficients(family, m)
+    # q_basis's family chains every W-monomial of degree <= D, in monos' order
+    basis = PolyFamily(fockpoly.q_basis(n, k, sum(monos[-1]))).coeffs.real
+    coords = np.linalg.solve(basis.T, beta.reshape(-1, len(monos)).T).T.reshape(beta.shape)
+    flat = (np.sqrt(lam)[:, None] * coords).reshape(len(family), -1)
+    return (flat @ flat.conj().T) / (8.0 * math.pi * m) ** n
+
+
 # --- Monte Carlo engines ---
 
 @dataclass(frozen=True)
@@ -270,22 +324,11 @@ def _sample_z_given_w(rng, ws, m, mask):
 
 
 def _exact_z_kernel(family: PolyFamily, m):
-    """n = 1, f_i = sum_{p,a} C[i, p, a] z^p w^a: K (nf, nf, D + 1, D + 1)
-    with E[f_i conj(f_j) | w] = sum_{a,b} K[i, j, a, b] w^a conj(w)^b under
-    the z-law of mc_dj_gram; D = the largest w-degree + pmax // 2.  Its
-    c = c1 w makes the Wick factor B[p, u] of w = 1 carry w^((p - u) / 2), so
-    K = sum_u lam_u beta_u conj(beta_u), beta_u the sum over p of B[p, u]
-    C[:, p] shifted by (p - u) / 2 in w; C[i, p, a] is at exponents (p, a)."""
-    zexp, wexp = family.exponents.T
-    pmax, amax = int(zexp.max(initial=0)), int(wexp.max(initial=0))
-    nf = len(family)
-    coef = np.zeros((nf, pmax + 1, amax + 1), dtype=complex)
-    coef[:, zexp, wexp] = family.coeffs
-    factor, lam = _wick_factor(*_z_moments(np.ones((1, 1)), m), pmax)
-    beta = np.zeros((pmax + 1, nf, amax + pmax // 2 + 1), dtype=complex)
-    for p, u in zip(*np.nonzero(factor)):
-        beta[u, :, (p - u) // 2:(p - u) // 2 + amax + 1] += factor[p, u] * coef[:, p]
-    return np.einsum("u,uia,ujb->ijab", lam, beta, beta.conj())
+    """n = 1: K (nf, nf, D + 1, D + 1) with E[f_i conj(f_j) | w] =
+    sum_{a,b} K[i, j, a, b] w^a conj(w)^b under the z-law of mc_dj_gram, the
+    contraction of the Wick coefficients (_wick_coefficients; monos w^0..w^D)."""
+    lam, beta, _ = _wick_coefficients(family, m)
+    return np.einsum("u,iua,jub->ijab", lam, beta, beta.conj())
 
 
 class _PowerSums:
@@ -467,7 +510,8 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
     For n = 1 and a PolyFamily the z-integral is exact: each conditional
     Gram is a polynomial in w and conj(w) (_exact_z_kernel), and only the
     W-average is stochastic.  Any other family samples z from its
-    closed-form law as well."""
+    closed-form law as well.  exact_dj_gram gives the Gram of a PolyFamily
+    without sampling, at every n, from the same Wick coefficients."""
     exact_z = n == 1 and isinstance(family, PolyFamily)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
@@ -478,19 +522,6 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
 
     kern = _exact_z_kernel(family, m) if exact_z else None
     return _mc_gram(family, n, cfg, _EXACT_Z_CHUNK if exact_z else _CHUNK, draw, kern=kern)
-
-
-def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
-    """mc_dj_gram's Gram without sampling, at n = 1 only: the rotation-invariant
-    W-weight keeps the a = b terms of _exact_z_kernel, each times
-    int |w|^(2a) (1 - |w|^2)^(k - 5/2) dLeb(w) / (8 m pi) = a! / (8 m b ... (b + a)),
-    b = k - 3/2."""
-    if n != 1:
-        raise NotImplementedError("exact_dj_gram is implemented at n = 1 only")
-    kern = _exact_z_kernel(family, m)
-    mom = [math.factorial(a) / (8.0 * m * math.prod(k - 1.5 + j for j in range(a + 1)))
-           for a in range(kern.shape[-1])]
-    return np.einsum("ijaa,a->ij", kern, mom)
 
 
 def mc_hj_gram(family, n, m, k, cfg: MCConfig):

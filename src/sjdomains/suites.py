@@ -46,7 +46,7 @@ class SuiteConfig:
         for valid, message in (
                 (integer(self.n) and self.n >= 1, "n must be a positive integer"),
                 (isinstance(self.m, numbers.Real) and not isinstance(self.m, bool)
-                 and self.m > 0, "m must be positive"),
+                 and 0 < self.m < math.inf, "m must be positive and finite"),
                 (integer(self.k), "k must be an integer"),
                 (integer(self.seed) and self.seed >= 0, "seed must be a non-negative integer"),
                 (integer(self.samples) and self.samples >= 2, "samples must be at least 2")):
@@ -425,64 +425,44 @@ def run_measure_jacobian(cfg: SuiteConfig) -> list:
                                    "max": float(np.max(values))})]
 
 
-def series_gram(cfg: SuiteConfig, stream: str):
-    """The series basis F_sa (|s| <= 3, deg a <= 2) at cfg's parameters and
-    its MC Gram under the bounded-model inner product, on the substream
-    `stream` of cfg.seed: (labels, family, gram, sigma, stats), the family
-    one PolyFamily."""
+def _series_family(cfg: SuiteConfig):
+    """The series basis F_sa (|s| <= 3, deg a <= 2) at cfg's parameters:
+    (labels, family), the family one PolyFamily."""
     labeled = fockpoly.series_basis(cfg.n, cfg.m, cfg.k, 3, 2)
-    family = fockpoly.PolyFamily([f for _, f in labeled])
+    return [lbl for lbl, _ in labeled], fockpoly.PolyFamily([f for _, f in labeled])
+
+
+def series_gram(cfg: SuiteConfig, stream: str):
+    """The series basis and its MC Gram under the bounded-model inner
+    product, on the substream `stream` of cfg.seed: (labels, family, gram,
+    sigma, stats)."""
+    labels, family = _series_family(cfg)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, stream))
-    return ([lbl for lbl, _ in labeled], family,
-            *quad.mc_dj_gram(family, cfg.n, cfg.m, cfg.k, mccfg))
-
-
-# Gram errors within this relative distance of the largest are one tie
-TIE_RTOL = 1e-10
+    return (labels, family, *quad.mc_dj_gram(family, cfg.n, cfg.m, cfg.k, mccfg))
 
 
 @_suite("series-gram")
 def run_series_gram(cfg: SuiteConfig) -> list:
-    """Largest Gram deviation of series_gram against the error bar of that
-    entry.
+    """max |G - I| of the exact Gram of the series basis
+    (quad.exact_dj_gram), at a roundoff bound; worst_row and worst_col
+    label its largest entry.
 
-    At n = 1 the z-integrals are evaluated exactly per sample, the remaining
-    noise is small, and the contract is 3 sigma with a tight sigma budget;
-    entries whose integrand vanishes identically get a small floor since
-    their error bar is pure roundoff.  For n >= 2 z is sampled too: the
-    threshold widens to the expected maximum over all entries, and the
-    exact-cancellation checks are skipped.  That estimator is heavy-tailed
-    (its ess_f is at most a few dozen of thousands of samples), so its own
-    sigma understates the error, and the floor 0.02 allows for that.
-
-    The reported entry is the first of the ties (TIE_RTOL) in label order:
-    at n = 1 the entries of every s agree up to roundoff.  There the detail
-    adds exact_residual, max |G - I| of quad.exact_dj_gram, read by no verdict.
-    """
-    labels, family, gram, sigma, stats = series_gram(cfg, "series-gram")
-    size = len(labels)
-    err = np.abs(gram - np.eye(size))
-    i, j = divmod(int(np.argmax(err.ravel() >= (1.0 - TIE_RTOL) * err.max())), size)
-    exact_z = cfg.n == 1
-    if exact_z:
-        floor, zcrit = 1e-9, 3.0
-    else:
-        floor = 0.02
-        zcrit = math.sqrt(2.0 * math.log(max(size * size, 2))) + 1.5
-    checks = [
-        residual_check("gram-identity", err[i, j], zcrit * sigma[i, j] + floor,
-                       detail={"worst_row": str(labels[i]), "worst_col": str(labels[j]),
-                               "sigma": float(sigma[i, j]), "z_critical": zcrit,
-                               **quad.mc_stats(stats)}),
-    ]
-    if exact_z:
-        exact = quad.exact_dj_gram(family, cfg.n, cfg.m, cfg.k)
-        checks[0].detail["exact_residual"] = float(np.max(np.abs(exact - np.eye(size))))
-        sigma_budget = 3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples))
+    At n = 1 the MC Gram of series_gram, exact in z, is also held to a
+    sigma budget, with the engine's stats in its detail, and to exact zeros
+    between functions of z-degree of different parity."""
+    labels, family = _series_family(cfg)
+    err = np.abs(quad.exact_dj_gram(family, cfg.n, cfg.m, cfg.k) - np.eye(len(labels)))
+    i, j = np.unravel_index(np.argmax(err), err.shape)
+    checks = [residual_check("gram-identity", err[i, j], 1e-12,
+                             detail={"worst_row": str(labels[i]), "worst_col": str(labels[j])})]
+    if cfg.n == 1:
+        _, _, gram, sigma, stats = series_gram(cfg, "series-gram")
         zdeg = np.array([sum(lbl[0]) for lbl in labels])
-        parity_worst = float(np.max(err[(zdeg[:, None] - zdeg[None]) % 2 == 1], initial=0.0))
-        checks.append(residual_check("sigma-budget", float(np.max(sigma)), sigma_budget))
-        checks.append(residual_check("parity-zeros", parity_worst, 1e-12))
+        odd = (zdeg[:, None] - zdeg[None]) % 2 == 1
+        checks += [residual_check("sigma-budget", np.max(sigma),
+                                  3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples)),
+                                  detail=quad.mc_stats(stats)),
+                   residual_check("parity-zeros", np.max(np.abs(gram[odd]), initial=0.0), 1e-12)]
     return checks
 
 
@@ -558,8 +538,8 @@ def run_intertwining(cfg: SuiteConfig) -> list:
 @_suite("reproducing")
 def run_reproducing(cfg: SuiteConfig) -> list:
     """(i) The truncated two-point basis sum matches the closed-form kernel;
-    (ii) pairing against the truncated kernel section reproduces point values
-    within MC error."""
+    (ii) pairing against the truncated kernel section reproduces point
+    values, each pairing read off the exact Gram (quad.exact_dj_gram)."""
     n, m, k, seed = cfg.n, cfg.m, cfg.k, cfg.seed
     if n != 1:
         raise ValueError("the reproducing suite runs at n = 1")
@@ -573,26 +553,13 @@ def run_reproducing(cfg: SuiteConfig) -> list:
     # to f(x_j)
     x = domains.sample_sj_disk_batch(n, 5, (seed, 3301, 2), 0.25, 0.3)
     vals = fockpoly.PolyFamily(funcs).split(x.w, x.z)[0]
-    sections, targets = [], vals[0]
-    for col in vals.T:
-        section = fockpoly.PolyFunction.zero(n)
-        for basis_fn, val in zip(funcs, col):
-            section = section + basis_fn * complex(np.conj(val))
-        sections.append(section)
-    # every pairing <f, section_j> is an entry (0, j) of one Gram
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(seed, "reproducing"))
-    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(funcs[:1] + sections), n, m, k,
-                                         mccfg)
-    # the reported pairing is the one with the largest err - tol, so the
-    # check passes if and only if every pairing does
-    diff = gram[0, 1:] - targets
-    err = np.hypot(diff.real, diff.imag)  # each the scalar abs bit for bit, unlike np.abs
-    tol = 3.0 * sigma[0, 1:] + 1e-6
-    j = int(np.argmax(err - tol))
+    sections = [sum((fn * complex(np.conj(v)) for fn, v in zip(funcs, col)),
+                    fockpoly.PolyFunction.zero(n)) for col in vals.T]
+    # every pairing <f, section_j> is an entry (0, j) of one exact Gram
+    gram = quad.exact_dj_gram(fockpoly.PolyFamily(funcs[:1] + sections), n, m, k)
     return [
         residual_check("kernel-expansion", worst_rel, 1e-4),
-        residual_check("kernel-section-pairing", err[j], tol[j],
-                       detail=quad.mc_stats(stats, [0, -1])),  # of <f, last section>
+        residual_check("kernel-section-pairing", np.max(np.abs(gram[0, 1:] - vals[0])), 1e-12),
     ]
 
 
@@ -614,6 +581,7 @@ def run_kernel_invariance(cfg: SuiteConfig) -> list:
 
 
 def run_all(cfg: SuiteConfig) -> VerifyReport:
+    fockpoly.q_basis(cfg.n, cfg.k, 0)  # refuses k <= n + 1/2 before any suite runs
     checks, wall_s = [], {}
     for name, runner in SUITES.items():
         if name == "reproducing" and cfg.n != 1:

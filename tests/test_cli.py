@@ -235,6 +235,22 @@ def test_eval_malformed_multi_index_exits_two(case, capsys):
     assert err.startswith(f"error: {field!r} must be ") and err.count("\n") == 1
 
 
+# JSON numbers that overflow read as inf, and Python's json reads NaN
+@pytest.mark.parametrize("field,value", [("m", "1e400"), ("m", "NaN"), ("k", "-1e400")])
+def test_eval_non_finite_parameter_exits_two(field, value, capsys):
+    args = '{"W_p": 0.1, "z_p": 0.2, "W": 0.1, "z": 0.3, "%s": %s}' % (field, value)
+    code, out, err = run(["eval", "KmkStar", args], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field!r} must be a finite ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", ["inf", "nan"])
+def test_verify_non_finite_m_exits_two(m, capsys):
+    code, out, err = run(["verify", "--suite", "cocycle", "--m", m], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: m must be positive and finite\n"
+
+
 @pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUTS))
 def test_eval_malformed_point_exits_two(case, capsys):
     obj, args = BAD_EVAL_INPUTS[case]

@@ -219,34 +219,23 @@ def test_verify_gram_small_run():
     assert all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert names == {"gram-identity", "sigma-budget", "parity-zeros"}
-    _assert_mc_stats(checks[0].detail, 120000)
+    _assert_mc_stats(checks[1].detail, 120000)
 
 
-@pytest.mark.parametrize("seed", [0, 2, 11])
-def test_verify_gram_reports_the_first_tied_entry(seed):
-    # at n = 1 the worst error is a tie among the entries (F_sa, F_sa') of
-    # every s, equal up to roundoff: the report names the first of them in
-    # label order, s = (0,), with that entry's own error and sigma (at Monte
-    # Carlo seed 2 np.argmax picks s = (1,) of the tie)
-    cfg = SuiteConfig(samples=20000, seed=_base_seed("series-gram", seed))
-    labels, _, gram, sigma, _ = suites.series_gram(cfg, "series-gram")
-    err = np.abs(gram - np.eye(len(labels)))
-    ties = np.argwhere(err >= (1.0 - suites.TIE_RTOL) * err.max())
-    assert len(ties) > 1
-    i, j = ties[0]
-    check = suites.run_series_gram(cfg).checks[0]
-    assert (check.detail["worst_row"], check.detail["worst_col"]) == (str(labels[i]),
-                                                                      str(labels[j]))
-    assert labels[i][0] == (0,)
-    assert check.residual == err[i, j] and check.detail["sigma"] == sigma[i, j]
-
-
-def test_verify_gram_reports_the_exact_residual_at_n1():
-    # the sample-free Gram rides along at n = 1 only, as data
+def test_verify_gram_reads_the_exact_gram_at_n1_and_n2():
+    # gram-identity is max |G - I| of quad.exact_dj_gram at a roundoff
+    # bound, its worst entry the plain argmax; only n = 1 adds the checks of
+    # the Monte Carlo Gram, and n = 2 draws none
     cfg = SuiteConfig(samples=20000, seed=_base_seed("series-gram", 3))
-    assert suites.run_series_gram(cfg).checks[0].detail["exact_residual"] <= 1e-12
-    n2 = suites.run_series_gram(replace(cfg, n=2))
-    assert "exact_residual" not in n2.checks[0].detail
+    labels, family = suites._series_family(cfg)
+    err = np.abs(quad.exact_dj_gram(family, 1, M, K) - np.eye(len(labels)))
+    i, j = np.unravel_index(np.argmax(err), err.shape)
+    check = suites.run_series_gram(cfg).checks[0]
+    assert (check.name, check.residual, check.tol) == ("gram-identity", err[i, j], 1e-12)
+    assert check.detail == {"worst_row": str(labels[i]), "worst_col": str(labels[j])}
+    n2 = suites.run_series_gram(replace(cfg, n=2)).checks
+    assert [c.name for c in n2] == ["gram-identity"] and n2[0].residual <= 1e-12
+    assert n2[0].tol == 1e-12 and set(n2[0].detail) == {"worst_row", "worst_col"}
 
 
 def test_isometry_small_run():
@@ -259,10 +248,16 @@ def test_isometry_small_run():
         _assert_mc_stats(check.detail, 60000, "space_")
 
 
-def test_reproducing_small_run():
+def test_reproducing_small_run(monkeypatch):
+    # the pairings are read off the exact Gram: the suite draws no Monte
+    # Carlo Gram
+    def no_sampling(*args):
+        raise AssertionError("reproducing drew a Monte Carlo Gram")
+
+    monkeypatch.setattr(quad, "mc_dj_gram", no_sampling)
     checks = suites.run_reproducing(SuiteConfig(samples=60000, seed=7)).checks
     assert all(c.passed for c in checks)
-    _assert_mc_stats(checks[1].detail, 60000)
+    assert checks[1].residual <= 1e-12 and checks[1].tol == 1e-12
     with pytest.raises(ValueError):
         suites.run_reproducing(SuiteConfig(n=2, k=4, samples=1000))
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -375,8 +376,9 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
 
 def test_mc_stats_flags_a_small_ess_f():
     # ess_f_low: the smallest Kish size of the rows a check reads is below
-    # ESS_F_LOW_FRACTION of the accepted samples (the n=2 series-gram at
-    # seed 0 read 2.7 of 16,730); the other stats pass through unchanged
+    # ESS_F_LOW_FRACTION of the accepted samples (the Monte Carlo Gram of
+    # the n=2 series basis read 2.7 of 16,730 at seed 0); the other stats
+    # pass through unchanged
     stats = {"proposed": 100000, "accepted": 16730, "ess": 900.0, "max_share": 0.2,
              "ess_f": np.array([2.7, 5000.0, 167.0, 168.0])}
     cut = quad.ESS_F_LOW_FRACTION * 16730
@@ -641,15 +643,17 @@ def test_exact_z_stats_match_the_disk_draw(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [0.05, 0.25, 1.0])
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_exact_dj_gram_of_the_series_basis_is_the_identity(m, k):
-    # the sample-free n = 1 Gram of F_sa (|s| <= 3, a <= 2) is the identity
-    # to roundoff; the same W-moments taken at k + 1/2 miss it by far, so
-    # the identity tests the moments and not only the z-law
-    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(1, m, k, 3, 2)])
+@pytest.mark.parametrize("n,k", [pytest.param(1, k, id=str(k)) for k in (3, 4, 5)]
+                         + [pytest.param(n, k, id=f"n{n}-{k}")
+                            for n, k in ((2, 3), (2, 4), (3, 4))])
+def test_exact_dj_gram_of_the_series_basis_is_the_identity(n, k, m):
+    # the sample-free Gram of F_sa (|s| <= 3, a <= 2) is the identity to
+    # roundoff; the same W-Gram taken at k + 1/2 misses it by far, so the
+    # identity tests the W-part and not only the z-law
+    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(n, m, k, 3, 2)])
     eye = np.eye(len(family))
-    assert np.max(np.abs(quad.exact_dj_gram(family, 1, m, k) - eye)) <= 1e-12
-    assert np.max(np.abs(quad.exact_dj_gram(family, 1, m, k + 0.5) - eye)) > 0.1
+    assert np.max(np.abs(quad.exact_dj_gram(family, n, m, k) - eye)) <= 1e-12
+    assert np.max(np.abs(quad.exact_dj_gram(family, n, m, k + 0.5) - eye)) > 0.1
 
 
 def test_exact_dj_gram_against_beta_moments():
@@ -662,9 +666,18 @@ def test_exact_dj_gram_against_beta_moments():
     assert_allclose(gram, target, rtol=1e-14, atol=1e-15)
 
 
-def test_exact_dj_gram_is_n1_only():
-    with pytest.raises(NotImplementedError):
-        quad.exact_dj_gram(fockpoly.PolyFamily([fockpoly.basis_f((0, 0), M)]), 2, M, K)
+def test_exact_dj_gram_matches_the_sampled_z_gram_at_n2():
+    # the F_sa with |s| <= 1, a <= 1 at n = 2: the Monte Carlo Gram draws z
+    # from its law, so it checks the Wick coefficients with code they do not
+    # share; every one of the 144 entries lies within t sigma, t the normal
+    # quantile of a union bound at 1e-3 (4.5), plus a roundoff floor
+    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(2, M, K, 1, 1)])
+    size = len(family)
+    exact = quad.exact_dj_gram(family, 2, M, K)
+    assert size == 12 and np.max(np.abs(exact - np.eye(size))) <= 1e-12
+    gram, sigma, _ = quad.mc_dj_gram(family, 2, M, K, quad.MCConfig(samples=400000, seed=0))
+    t = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * size * size))
+    assert np.all(np.abs(gram - exact) <= t * sigma + 1e-9)
 
 
 def test_mc_hj_matches_disk_norm():

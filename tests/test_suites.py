@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 
 import pytest
 
@@ -38,7 +39,7 @@ N2_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "in
 # n=3 needs k > n + 1/2 for the discrete series; isometry runs its MC
 # engines on the accepted W of a polydisk that keeps about 0.3% of them
 N3_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "intertwining",
-                               "isometry", "orthonormality-fock", "pde"]
+                               "isometry", "orthonormality-fock", "pde", "series-gram"]
 
 
 @pytest.mark.parametrize("name,n,k", [pytest.param(name, 1, 3, id=name) for name in sorted(suites.SUITES)]
@@ -180,29 +181,39 @@ def test_gram_suite_rejects_small_k():
 def test_suite_config_refuses_each_bad_field():
     # the config checks its own fields when it is built, a bool being no
     # number; k > n + 1/2 is not among them (q_basis refuses it)
-    for field, value in (("n", 0), ("n", True), ("m", 0), ("m", -1.0), ("k", 2.5),
-                         ("seed", -1), ("samples", 1)):
+    for field, value in (("n", 0), ("n", True), ("m", 0), ("m", -1.0), ("m", math.inf),
+                         ("m", math.nan), ("k", 2.5), ("seed", -1), ("samples", 1)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SuiteConfig(**{field: value})
     assert SuiteConfig(k=1).k == 1
 
 
 def test_kernel_section_pairing_reports_the_pair_furthest_past_its_bound(monkeypatch):
-    # one pairing off by 10 within a wide error bar passes; another off by
-    # 0.5 with no error bar fails.  The check fails, and it reports the
-    # failing pair, not the one of largest error: pass is residual <= tol
-    real = quad.mc_dj_gram
+    # the pairings are entries (0, j) of the exact Gram: one off by 0.2 and
+    # another off by 0.5 fail the roundoff bound, and the check reports the
+    # one furthest past it
+    real = quad.exact_dj_gram
 
     def skewed(*args):
-        gram, sigma, stats = real(*args)
-        gram, sigma = gram.copy(), sigma.copy()
-        gram[0, 1] += 10.0
+        gram = real(*args).copy()
+        gram[0, 1] += 0.2
         gram[0, 2] += 0.5
-        sigma[0, 1:] = [1e3, 0.0, 1.0, 1.0, 1.0]
-        return gram, sigma, stats
+        return gram
 
-    monkeypatch.setattr(quad, "mc_dj_gram", skewed)
+    monkeypatch.setattr(quad, "exact_dj_gram", skewed)
     check = suites.run_reproducing(SuiteConfig(samples=2000, seed=3)).checks[1]
     assert check.name == "kernel-section-pairing"
     assert not check.passed and check.residual > check.tol
-    assert abs(check.residual - 0.5) < 0.1 and check.tol == 1e-6
+    assert abs(check.residual - 0.5) < 1e-12 and check.tol == 1e-12
+
+
+def test_run_all_refuses_small_k_before_any_suite_runs(monkeypatch):
+    # k <= n + 1/2 is refused with q_basis's message before the first
+    # runner is called, so no finished suite is discarded
+    called = []
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, lambda cfg, name=name: called.append(name))
+    refusal = r"^need k > n \+ 1/2 for a finite-norm basis, got k=1, n=1$"
+    with pytest.raises(ValueError, match=refusal):
+        suites.run_all(SuiteConfig(k=1))
+    assert called == []
