@@ -35,6 +35,8 @@ operator takes; PolyFunction.evaluate is a batch of one of a family of one.
 q_basis is exact at every n: Hua's total mass of the weighted measure and
 the Taylor blocks of det(I - W conj(V))^{-(k - 1/2)} give the Gram of the
 W-monomials, so nothing here samples or imports the quadrature layer.
+fk_gram gives the same Gram a second way, from the Faraut-Koranyi
+decomposition into K-types, so that it can check q_basis.
 
 Coefficient exactness policy: P_s coefficients are integers; the scaled basis
 representatives used by the differential-system check keep exact Fraction
@@ -350,12 +352,17 @@ def _z_monomials(n, coeff=1):
             for i in range(n)]
 
 
+def _w_monomials(n):
+    """The symmetric matrix W as n x n nested lists of its entries, each the
+    PolyFunction monomial of its upper entry."""
+    pairs = numkit.upper_pairs(n)
+    return [[PolyFunction.monomial(n, a=[int(p == (min(i, j), max(i, j))) for p in pairs])
+             for j in range(n)] for i in range(n)]
+
+
 @lru_cache(maxsize=None)
 def _p_s_table(n: int, degree: int) -> dict:
-    pairs = numkit.upper_pairs(n)
-    w = [[PolyFunction.monomial(n, a=[int(p == (min(i, j), max(i, j))) for p in pairs])
-          for j in range(n)] for i in range(n)]
-    return p_s_values(_z_monomials(n), w, degree)
+    return p_s_values(_z_monomials(n), _w_monomials(n), degree)
 
 
 def p_s(s: tuple) -> PolyFunction:
@@ -548,6 +555,119 @@ def q_basis(n: int, k, max_degree: int):
         for a, col in zip(mono, upper.T):
             out[a] = PolyFunction(n, {(0,) * n + b: float(c) for b, c in zip(mono, col)})
     return tuple(out[a] for a in labels)
+
+
+# --- the Faraut-Koranyi Gram of the W-monomials ---
+
+def _det(rows):
+    """Determinant of a square matrix of PolyFunctions (nested lists), by
+    expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** c * rows[0][c] * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c in range(len(rows)))
+
+
+def _unitriangular(n, bound):
+    """Every upper unitriangular integer n x n matrix with off-diagonal
+    entries in [-bound, bound], once each.  The t-th is the grid point
+    numbered t P mod N in base 2 bound + 1, N the number of points and
+    P = 2^31 - 1, a prime and so coprime to N: consecutive matrices differ
+    in every entry, so few are needed before their images span."""
+    base = 2 * bound + 1
+    slots = [(i, j) for i, j in numkit.upper_pairs(n) if i < j]
+    size = base ** len(slots)
+    for t in range(size):
+        code = t * (2 ** 31 - 1) % size
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j in slots:
+            code, digit = divmod(code, base)
+            a[i][j] = digit - bound
+        yield a
+
+
+@lru_cache(maxsize=None)
+def _k_types(n: int, d: int):
+    """The Fischer Gram and the K-types P_mu of the degree-d polynomials in
+    W (Hua, Schmid), over the degree-d labels of sym_degree_list, in exact
+    Fractions: (fischer, [(mu, basis)]) for each partition mu of d into at
+    most n parts, basis a Fischer-orthogonal basis of P_mu as pairs
+    (v, <v, v>_F).  The Fischer product of the monomials is diagonal,
+    fischer[a] = <W^a, W^a>_F = a! 2^(-sum_{i<j} a_ij).
+
+    Delta^mu = prod_j Delta_j^(mu_j - mu_(j+1)), Delta_j the leading
+    principal j x j minor, is an eigenvector of every lower triangular A
+    acting by W -> A W t(A), so the upper unitriangular A already span P_mu
+    by Delta^mu(A W t(A)) (Schmid, Invent. Math. 9 (1969)); their integer
+    coefficients have degree <= 2d in each entry of A, so the grid of
+    _unitriangular(n, d) determines them.  Each P_mu stops at its Weyl
+    dimension prod_{i<j} (2 mu_i - 2 mu_j + j - i) / (j - i)."""
+    pairs = numkit.upper_pairs(n)
+    labels = [a for a in sym_degree_list(n, d) if sum(a) == d]
+    fischer = [Fraction(mi_factorial(a), 2 ** sum(e for (i, j), e in zip(pairs, a) if i != j))
+               for a in labels]
+    mus = [mu for mu in itertools.product(range(d, -1, -1), repeat=n)
+           if sum(mu) == d and all(x >= y for x, y in zip(mu, mu[1:]))]
+    dims = {mu: math.prod(2 * (mu[i] - mu[j]) + j - i for i, j in pairs if i < j)
+            // math.prod(j - i for i, j in pairs if i < j) for mu in mus}
+    bases = {mu: [] for mu in mus}
+    w, zero = _w_monomials(n), (0,) * n
+    for a in _unitriangular(n, d):
+        if all(len(bases[mu]) == dims[mu] for mu in mus):
+            break
+        mat = [[sum(a[i][p] * a[j][q] * w[p][q] for p in range(n) for q in range(n))
+                for j in range(n)] for i in range(n)]
+        minors = [_det([row[:j] for row in mat[:j]]) for j in range(1, n + 1)]
+        for mu in mus:
+            basis = bases[mu]
+            if len(basis) == dims[mu]:
+                continue
+            poly = math.prod((minor for minor, hi, lo in zip(minors, mu, mu[1:] + (0,))
+                              for _ in range(hi - lo)), start=PolyFunction.constant(n, 1))
+            v = [Fraction(poly.terms.get(zero + b, 0)) for b in labels]
+            # Gram-Schmidt in the Fischer product: a zero remainder is
+            # dependent on the vectors already kept
+            for u, norm in basis:
+                c = sum(f * x * y for f, x, y in zip(fischer, u, v)) / norm
+                v = [y - c * x for x, y in zip(u, v)]
+            if any(v):
+                basis.append((v, sum(f * x * x for f, x in zip(fischer, v))))
+    if any(len(bases[mu]) != dims[mu] for mu in mus):
+        raise ArithmeticError(f"the K-types of degree {d} at n={n} are incomplete")
+    return fischer, [(mu, bases[mu]) for mu in mus]
+
+
+def fk_gram(n: int, k, max_degree: int) -> list:
+    """[G_0, ..., G_max_degree]: G_d is the Gram of the degree-d W-monomials
+    (labels of sym_degree_list with sum(a) = d, in that order) for the
+    measure det(I - W conj(W))^{k - n - 3/2} dLeb(W) of q_basis, from a
+    closed form independent of the Taylor blocks q_basis is built from.
+
+    Faraut-Koranyi (J. Funct. Anal. 88 (1990) 64-89): on each K-type P_mu,
+    the weighted product is the Fischer product over the generalized
+    Pochhammer symbol (lam)_mu = prod_j (lam - (j - 1)/2)_{mu_j},
+    lam = k - 1/2, times the total mass (bergman_mass).  So
+    G_d = mass sum_mu F C_mu inv(t(C_mu) F C_mu) t(C_mu) F / (lam)_mu, with
+    F the diagonal Fischer Gram and C_mu spanning P_mu (_k_types), whose
+    Fischer-orthogonal columns make each inverse a diagonal.  Exact Fractions
+    until the product with the mass."""
+    lam = Fraction(k) - Fraction(1, 2)
+    mass = bergman_mass(n, k)
+    out = []
+    for d in range(max_degree + 1):
+        fischer, types = _k_types(n, d)
+        gram = [[Fraction(0)] * len(fischer) for _ in fischer]
+        for mu, basis in types:
+            poch = math.prod((lam - Fraction(j, 2) + i for j, part in enumerate(mu)
+                              for i in range(part)), start=Fraction(1))
+            for v, norm in basis:
+                fv = [f * x for f, x in zip(fischer, v)]
+                for r, x in enumerate(fv):
+                    if x:
+                        x /= norm * poch
+                        gram[r] = [g + x * y for g, y in zip(gram[r], fv)]
+        out.append(mass * np.array(gram, dtype=float))
+    return out
 
 
 def basis_big_f(s: tuple, a_poly: PolyFunction, m: float) -> PolyFunction:

@@ -335,20 +335,25 @@ def run_gaussian_integrals(cfg: SuiteConfig) -> list:
 
 @_suite("q-basis")
 def run_q_basis(cfg: SuiteConfig) -> list:
+    """max over the degrees d of |U_d G_d t(U_d) - I|, U_d the degree-d
+    coefficients of q_basis and G_d the Gram of the degree-d monomials from
+    the Faraut-Koranyi decomposition (fockpoly.fk_gram), which shares
+    nothing with the Taylor blocks q_basis is built from; at a roundoff
+    bound.  The q_a of different degrees are orthogonal by the circle
+    action W -> e^(i t) W, which the measure keeps."""
     n, k = cfg.n, cfg.k
-    seed = sub_seed(cfg.seed, "q-basis-check")
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=seed)
     degree = 4 if n == 1 else 2
+    labels = fockpoly.sym_degree_list(n, degree)
     qs = fockpoly.q_basis(n, k, degree)
-    gram, sigma, stats = quad.mc_disk_gram(fockpoly.PolyFamily(qs), n, k, mccfg)
-    stats = quad.mc_stats(stats)
-    err = np.abs(gram - np.eye(len(qs)))
-    if n == 1:
-        i, j = np.unravel_index(np.argmax(err - 3.0 * sigma), err.shape)
-        return [residual_check("gram-identity", err[i, j], 3.0 * sigma[i, j] + 1e-9,
-                               detail={"sigma": float(sigma[i, j]), **stats})]
-    return [residual_check("gram-identity", np.max(err), 0.05,
-                           detail={"max_sigma": float(np.max(sigma)), **stats})]
+    zero = (0,) * n
+    errs = []
+    for d, gram in enumerate(fockpoly.fk_gram(n, k, degree)):
+        mono = [a for a in labels if sum(a) == d]
+        coef = np.array([[q.terms.get(zero + b, 0.0) for b in mono]
+                         for a, q in zip(labels, qs) if sum(a) == d])
+        errs.append(np.max(np.abs(coef @ gram @ coef.T - np.eye(len(mono)))))
+    return [residual_check("gram-identity", max(errs), 1e-12,
+                           detail={"worst_degree": int(np.argmax(errs))})]
 
 
 # --- transfer and representation suites ---
@@ -479,15 +484,17 @@ def _isometry_functions(cfg: SuiteConfig):
 @_suite("isometry")
 def run_isometry(cfg: SuiteConfig) -> list:
     """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise; then
-    norms before and after the transfer agree within combined MC error.  The
+    the norm of each test function before the transfer, exact, and after it,
+    a Monte Carlo estimate, agree within 3 sigma of the estimate.  The
     isometry's test functions have z-degree at most one, where the two
     bounded-side weight conventions coincide, so the comparison is
     convention-free.
 
-    Each side of the isometry is one Gram over all the test functions, on
-    one draw: the disk side over the polynomials, the space side over their
-    transfer as one family.  The norms, sigmas and per-function stats are
-    read off the diagonals."""
+    Each side of the isometry is one Gram over all the test functions: the
+    disk side quad.exact_dj_gram of the polynomials, which draws nothing,
+    and the space side one draw of quad.mc_hj_gram over their transfer as
+    one family.  The norms, sigmas and per-function stats are read off the
+    diagonals."""
     n, m, k = cfg.n, cfg.m, cfg.k
     psi = _two_term_family(cfg, 0.5 + 0.25j)
     back = ds.t_inv(ds.t_star(psi, m, k), m, k)
@@ -507,18 +514,14 @@ def run_isometry(cfg: SuiteConfig) -> list:
     names, psis = zip(*_isometry_functions(cfg))
     family = fockpoly.PolyFamily(psis)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
-    disk = quad.mc_dj_gram(family, n, m, k, mccfg)
-    space = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, mccfg)
+    disk = quad.exact_dj_gram(family, n, m, k)
+    space, sigma, stats = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, mccfg)
     for i, name in enumerate(names):
-        (d_est, d_sig, d_stats), (s_est, s_sig, s_stats) = (
-            (complex(gram[i, i]), float(sigma[i, i]), quad.mc_stats(stats, [i]))
-            for gram, sigma, stats in (disk, space))
+        d_est, s_est, s_sig = complex(disk[i, i]), complex(space[i, i]), float(sigma[i, i])
         checks.append(residual_check(
-            f"isometry-{name}", abs(s_est - d_est), 3.0 * math.hypot(s_sig, d_sig) + 1e-9,
-            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est,
-                    "disk_sigma": d_sig, "space_sigma": s_sig,
-                    **{"disk_" + key: v for key, v in d_stats.items()},
-                    **{"space_" + key: v for key, v in s_stats.items()}}))
+            f"isometry-{name}", abs(s_est - d_est), 3.0 * s_sig + 1e-9,
+            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est, "space_sigma": s_sig,
+                    **{"space_" + key: v for key, v in quad.mc_stats(stats, [i]).items()}}))
     return checks
 
 

@@ -137,8 +137,6 @@ def test_sampled_function_side_guard():
     with pytest.raises(ValueError):
         quad.mc_dj_gram(phi, 1, M, K, cfg)
     with pytest.raises(ValueError):
-        quad.mc_disk_gram(phi, 1, K, cfg)
-    with pytest.raises(ValueError):
         ds.t_star(phi, M, K)
     with pytest.raises(ValueError):
         ds.t_inv(psi, M, K)
@@ -238,13 +236,22 @@ def test_verify_gram_reads_the_exact_gram_at_n1_and_n2():
     assert n2[0].tol == 1e-12 and set(n2[0].detail) == {"worst_row", "worst_col"}
 
 
-def test_isometry_small_run():
+def test_isometry_small_run(monkeypatch):
+    # the disk-side norms are the diagonal of the exact Gram, with nothing
+    # drawn; only the space side samples
+    def no_sampling(*args):
+        raise AssertionError("isometry drew a Monte Carlo Gram on the disk side")
+
+    monkeypatch.setattr(quad, "mc_dj_gram", no_sampling)
     cfg = SuiteConfig(samples=60000, seed=_base_seed("isometry", 6))
     checks = [c for c in suites.run_isometry(cfg).checks if c.name.startswith("isometry-")]
     assert all(c.passed for c in checks)
     assert len(checks) == 4
-    for check in checks:
-        _assert_mc_stats(check.detail, 60000, "disk_")
+    family = fockpoly.PolyFamily([f for _, f in suites._isometry_functions(cfg)])
+    exact = quad.exact_dj_gram(family, 1, M, K)
+    for i, check in enumerate(checks):
+        assert check.detail["disk_norm_sq"] == exact[i, i]
+        assert check.tol == 3.0 * check.detail["space_sigma"] + 1e-9
         _assert_mc_stats(check.detail, 60000, "space_")
 
 

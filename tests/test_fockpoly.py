@@ -319,30 +319,56 @@ def _monomial_gram(n, k, degree):
     return labels, inv @ inv.T
 
 
+def _fk_monomial_gram(n, k, degree):
+    """fockpoly.fk_gram's blocks as one Gram over the labels of
+    sym_degree_list, zero between degrees."""
+    labels = fockpoly.sym_degree_list(n, degree)
+    gram = np.zeros((len(labels), len(labels)))
+    for d, block in enumerate(fockpoly.fk_gram(n, k, degree)):
+        at = [p for p, a in enumerate(labels) if sum(a) == d]
+        gram[np.ix_(at, at)] = block
+    return labels, gram
+
+
 def test_q_basis_exact_gram_n2():
-    # n = 2, k = 3, over the mass: Hua's law in the upper entries
-    labels, gram = _monomial_gram(2, 3, 2)
-    gram /= fockpoly.bergman_mass(2, 3)
+    # n = 2, k = 3, over the mass: Hua's law in the upper entries, both the
+    # Gram that makes q_basis orthonormal and the Faraut-Koranyi one
+    labels = fockpoly.sym_degree_list(2, 2)
     at = {a: p for p, a in enumerate(labels)}
     w11, w12, w22 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    target = np.zeros_like(gram)
+    target = np.zeros((len(labels), len(labels)))
     target[0, 0] = 1.0
     for a, v in [(w11, 2 / 5), (w22, 2 / 5), (w12, 1 / 5), ((2, 0, 0), 8 / 35),
                  ((0, 0, 2), 8 / 35), ((1, 1, 0), 2 / 35), ((0, 1, 1), 2 / 35),
                  ((1, 0, 1), 6 / 35), ((0, 2, 0), 1 / 14)]:
         target[at[a], at[a]] = v
     target[at[1, 0, 1], at[0, 2, 0]] = target[at[0, 2, 0], at[1, 0, 1]] = -1 / 35
-    assert np.max(np.abs(gram - target)) <= 1e-14
+    for source in (_monomial_gram, _fk_monomial_gram):
+        got, gram = source(2, 3, 2)
+        assert got == labels
+        assert np.max(np.abs(gram / fockpoly.bergman_mass(2, 3) - target)) <= 1e-14
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4)])
 def test_q_basis_matches_mc_gram(n, k):
     # the exact basis against an independent sampled Gram: every entry of
-    # its deviation from I within 5 sigma
+    # its deviation from I within 5 sigma; the W-marginal of mc_dj_gram is
+    # the bounded-domain weight over (8 pi m)^n
     qs = fockpoly.q_basis(n, k, 2)
-    gram, sigma, _ = quad.mc_disk_gram(fockpoly.PolyFamily(qs), n, k,
-                                       quad.MCConfig(samples=400000, seed=11))
-    assert np.all(np.abs(gram - np.eye(len(qs))) <= 5.0 * sigma)
+    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(qs), n, M, k,
+                                     quad.MCConfig(samples=400000, seed=11))
+    assert np.all(np.abs(gram - np.eye(len(qs)) / (8 * math.pi * M) ** n) <= 5.0 * sigma)
+
+
+@pytest.mark.parametrize("n,degree", [(1, 4), (2, 4), (3, 2)])
+def test_k_types_fill_every_degree(n, degree):
+    # the K-types of each degree, each collected up to its Weyl dimension,
+    # together span all the monomials of that degree
+    labels = fockpoly.sym_degree_list(n, degree)
+    for d in range(degree + 1):
+        fischer, types = fockpoly._k_types(n, d)
+        assert sum(len(basis) for _, basis in types) == len(fischer) == sum(
+            sum(a) == d for a in labels)
 
 
 def test_fockpoly_does_not_import_quad():

@@ -228,29 +228,30 @@ def test_generating_series_pairing():
 
 
 def test_mc_disk_inner_against_beta_moments():
-    # |w|^{2a} against the bounded-domain weight: pi B(a + 1, k - 3/2)
+    # |w|^{2a} against the W-marginal of the Jacobi-disk weight, the
+    # bounded-domain weight over 8 pi m: pi B(a + 1, k - 3/2) / (8 pi m)
     cfg = quad.MCConfig(samples=200000, seed=11)
     one = fockpoly.PolyFunction.constant(1, 1.0)
     wmono = fockpoly.PolyFunction.monomial(1, a=(1,))
-    gram, sigma, _ = quad.mc_disk_gram(fockpoly.PolyFamily([one, wmono]), 1, K, cfg)
+    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([one, wmono]), 1, M, K, cfg)
     for a in range(2):
-        target = math.pi * beta_fn(a + 1, K - 1.5)
+        target = math.pi * beta_fn(a + 1, K - 1.5) / (8 * math.pi * M)
         assert abs(gram[a, a] - target) <= 3 * sigma[a, a]
 
 
 def test_mc_determinism():
     cfg = quad.MCConfig(samples=20000, seed=5)
     one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
-    gram1, sigma1, _ = quad.mc_disk_gram(one, 1, K, cfg)
-    gram2, sigma2, _ = quad.mc_disk_gram(one, 1, K, cfg)
+    gram1, sigma1, _ = quad.mc_dj_gram(one, 1, M, K, cfg)
+    gram2, sigma2, _ = quad.mc_dj_gram(one, 1, M, K, cfg)
     assert gram1[0, 0] == gram2[0, 0]
     assert sigma1[0, 0] == sigma2[0, 0]
 
 
 def test_mc_sigma_scaling():
     one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
-    _, small, _ = quad.mc_disk_gram(one, 1, K, quad.MCConfig(samples=20000, seed=6))
-    _, big, _ = quad.mc_disk_gram(one, 1, K, quad.MCConfig(samples=80000, seed=6))
+    _, small, _ = quad.mc_dj_gram(one, 1, M, K, quad.MCConfig(samples=20000, seed=6))
+    _, big, _ = quad.mc_dj_gram(one, 1, M, K, quad.MCConfig(samples=80000, seed=6))
     assert 1.6 < small[0, 0] / big[0, 0] < 2.4
 
 
@@ -364,7 +365,7 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     f = fockpoly.PolyFamily([fockpoly.basis_f((0, 0, 0), M)])
     space_f = ds.SampledFunction(
         lambda mats, vecs: (np.ones((1, len(mats)), dtype=complex), np.zeros(len(mats))), "space")
-    results = [quad.mc_disk_gram(f, 3, 4, cfg),
+    results = [quad.mc_dj_gram(f, 3, M, 4, cfg),
                quad.mc_dj_gram(_sampled(f), 3, M, 4, cfg),
                quad.mc_hj_gram(space_f, 3, M, 4, cfg)]
     assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
@@ -626,19 +627,20 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams(monkeypatch):
     assert_allclose(stats["ess_f"], diag ** 2 / diag2, rtol=1e-12)
 
 
-def test_exact_z_stats_match_the_disk_draw(monkeypatch):
+def test_exact_z_stats_match_the_disk_draw():
     # at n = 1 the exact-z weight is det^(k - 2) Z, proportional to the
-    # det^(k - 5/2) of mc_disk_gram, and in chunks of the exact-z size both
-    # see the same W: the ESS and the largest share, both scale-free, agree
-    monkeypatch.setattr(quad, "_CHUNK", quad._EXACT_Z_CHUNK)
+    # bounded-domain weight det^(k - 5/2): the ESS and the largest share,
+    # both scale-free, are those of det^(k - 5/2) on the W that _sample_w
+    # draws from the same stream in chunks of the exact-z size
     cfg = quad.MCConfig(samples=50000, seed=17)
     _, _, exact = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F[:2]), 1, M, K, cfg)
-    _, _, disk = quad.mc_disk_gram(fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)]),
-                                   1, K, cfg)
-    assert exact["proposed"] == exact["accepted"] == cfg.samples
-    assert (disk["proposed"], disk["accepted"]) == (cfg.samples, cfg.samples)
-    assert_allclose(exact["ess"], disk["ess"], rtol=1e-12)
-    assert_allclose(exact["max_share"], disk["max_share"], rtol=1e-12)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    chunks = range(0, cfg.samples, quad._EXACT_Z_CHUNK)
+    weight = np.concatenate([quad._sample_w(rng, min(quad._EXACT_Z_CHUNK, cfg.samples - lo), 1)[1]
+                             for lo in chunks]) ** (K - 2.5)
+    assert exact["proposed"] == exact["accepted"] == cfg.samples == len(weight)
+    assert_allclose(exact["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
+    assert_allclose(exact["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
     assert 0.5 * cfg.samples < exact["ess"] < cfg.samples
 
 

@@ -29,17 +29,16 @@ GEOMETRY_SUITES = ["actions", "cayley", "cocycle", "group-axioms", "kernel-invar
                    "measure-jacobian", "theta-iso", "transfer-identities"]
 
 # n=2 also runs the polynomial-engine suites, the suites built on the
-# Gaussian z-law and moments of quad, and intertwining, which evaluates
-# transported functions; q-basis is left out: its basis is exact, but its
-# check's own Monte Carlo Gram still misses 0.05 at some seeds (ROADMAP
-# items 3 and 8)
+# Gaussian z-law and moments of quad, the exact Grams of q-basis and
+# series-gram, and intertwining and isometry, which evaluate transported
+# functions; reproducing runs at n = 1 only
 N2_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "intertwining",
-                               "isometry", "orthonormality-fock", "pde", "series-gram"]
+                               "isometry", "orthonormality-fock", "pde", "q-basis",
+                               "series-gram"]
 
-# n=3 needs k > n + 1/2 for the discrete series; isometry runs its MC
-# engines on the accepted W of a polydisk that keeps about 0.3% of them
-N3_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "intertwining",
-                               "isometry", "orthonormality-fock", "pde", "series-gram"]
+# n=3 needs k > n + 1/2 for the discrete series; isometry's space side runs
+# its MC engine on the accepted W of a polydisk that keeps about 0.3% of them
+N3_SUITES = N2_SUITES
 
 
 @pytest.mark.parametrize("name,n,k", [pytest.param(name, 1, 3, id=name) for name in sorted(suites.SUITES)]
@@ -171,6 +170,34 @@ def test_every_check_is_built_from_the_config_alone():
         "n", "m", "k", "seed", "samples"]
     for runner in suites.SUITES.values():
         assert list(inspect.signature(runner).parameters) == ["cfg"]
+
+
+def test_run_all_passes_at_n3():
+    # every suite that runs at n = 3, at k = 4, in one run
+    rep = suites.run_all(SuiteConfig(n=3, k=4, samples=30000, seed=0))
+    assert rep.passed, [c.summary() for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_q_basis_check_is_exact_and_draws_nothing(monkeypatch, seed):
+    # the seeds whose Monte Carlo Gram missed 0.05 at n = 2: the check now
+    # reads the Faraut-Koranyi Gram, with no sample drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("q-basis drew a Monte Carlo Gram")
+
+    monkeypatch.setattr(quad, "_mc_gram", no_sampling)
+    check, = suites.run_q_basis(SuiteConfig(n=2, seed=suites.sub_seed(seed, "q-basis"))).checks
+    assert check.passed and check.residual <= 1e-12 and check.tol == 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
+def test_q_basis_check_rejects_a_basis_at_another_weight(monkeypatch, n, k):
+    # a basis built at k + 1/2 misses the Gram at k by more than 1 (1.2, 4.9
+    # and 9.5)
+    build = fockpoly.q_basis
+    monkeypatch.setattr(fockpoly, "q_basis", lambda n, k, degree: build(n, k + 0.5, degree))
+    check, = suites.run_q_basis(SuiteConfig(n=n, k=k)).checks
+    assert not check.passed and check.residual > 1.0
 
 
 def test_gram_suite_rejects_small_k():
