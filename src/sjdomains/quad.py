@@ -7,10 +7,11 @@ closed-form law for one W or a stack of them: E[z t(z)] = -W / (8 pi m),
 E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
 (_z_moments, _z_normalizer); the weight exp(-8 pi m A(-W, z)) of the
 space-side engine is the same law at -W.  Every exact z-integral is Wick's
-rule on that law, with E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence
-at Z = 0: at one W a Wick factor, E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
-(_wick_factor; z_law_table, fock_gram), and over a polynomial family its
-Wick coefficients, polynomials in W (_wick_coefficients).  exact_dj_gram
+rule on that law, one Wick factor E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
+with E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence at Z = 0
+(_wick_factor).  It runs in the ring of E[z t(z)]: numbers at one W
+(fock_gram), or polynomials in W at the W-monomials, which a polynomial
+family's Wick coefficients read (_wick_coefficients).  exact_dj_gram
 contracts those with the exact W-Gram of q_basis's measure at every n; the
 n = 1 exact-z Monte Carlo path, with power sums of w (_exact_z_kernel).
 The Monte Carlo engines draw z from the same law and weigh W by its
@@ -70,10 +71,11 @@ def _wick_factor(c, d, degree):
     Gaussian z with E[z t(z)] = c and E[z z^*] = d I (d a scalar), over
     enumerate_multiindices(n, degree): Wick's rule with u pairings across the
     two sides gives B[s, u] = C(s, u) E[z^(s - u)] and lam[u] = u! d^|u|, and
-    E[z^v] = P_v(0, c) (fockpoly.p_s_values) is an exact zero at odd |v|."""
+    E[z^v] = P_v(0, c) (fockpoly.p_s_values) is an exact zero at odd |v|.
+    B lives in c's ring: numbers at one W, or polynomials in W (_wick_coefficients)."""
     n = c.shape[-1]
     exps = np.array(numkit.enumerate_multiindices(n, degree))
-    moments = np.array([*fockpoly.p_s_values([0] * n, c.tolist(), degree).values()], complex)
+    moments = np.array([*fockpoly.p_s_values([c.flat[0] * 0] * n, c.tolist(), degree).values()])
     # each index read as base-(degree + 1) digits: key(s) - key(u) =
     # key(s - u) for u <= s, and C(s, u) = 0 for any other u
     key = exps @ (degree + 1) ** np.arange(n)
@@ -83,15 +85,6 @@ def _wick_factor(c, d, degree):
     below = math.prod(binom[e[:, None], e[None]] for e in exps.T)
     lam = np.array([numkit.mi_factorial(u) for u in exps]) * d ** exps.sum(axis=1)
     return below * moments[pos[np.maximum(key[:, None] - key[None], 0)]], lam
-
-
-def z_law_table(w, m, degree) -> np.ndarray:
-    """T[s, r] = E[z^s conj(z)^r], |s|, |r| <= degree, under the z-law
-    exp(-8 pi m A(W, z)) / Z of one W (_wick_factor).  At W = 0 and
-    m = fockpoly.MATCHING_M, E[z z^*] = I exactly: the standard complex
-    Gaussian, whose table is diag(s!)."""
-    factor, lam = _wick_factor(*_z_moments(numkit.symmetrize(w), m), degree)
-    return (factor * lam) @ factor.conj().T
 
 
 def a_form_matrix(w, m) -> np.ndarray:
@@ -172,35 +165,39 @@ def verify_gaussian_pairing(xp: SJDiskPoint, x: SJDiskPoint, trunc: int) -> dict
 def _wick_coefficients(family: PolyFamily, m):
     """(lam, beta, monos) with E[f_i conj(f_j) | W] =
     sum_u lam[u] B_i^u(W) conj(B_j^u(W)) under the z-law of each W.  For
-    f_i = sum_s z^s A_i[s](W), Wick's rule with u pairings across the two
-    sides gives lam[u] = u! d^|u| and B_i^u = sum_s C(s, u) A_i[s]
-    E[z^(s - u) | W], where E[z^v | W] = P_v(0, -d W) is (-d)^(|v| / 2) times
-    the Z-free part of fockpoly.p_s(v), none at odd |v|.  beta[i, u] holds
-    the coefficients of B_i^u over the W-monomials monos, every one of
-    degree <= D, D the largest |a| + |s| // 2 of the family's z^s W^a."""
+    f_i = sum_s z^s A_i[s](W), B_i^u = sum_s A_i[s] B[s, u], with (B, lam)
+    the Wick factor of the z-law of the W-monomials: each B[s, u] a
+    polynomial in W.  beta[i, u] holds the coefficients of B_i^u over the
+    W-monomials monos, every one of degree <= D, D the largest
+    |a| + |s| // 2 of the family's z^s W^a."""
     n = family.n
-    zdeg, wdeg = family.exponents[:, :n].sum(axis=1), family.exponents[:, n:].sum(axis=1)
-    monos = numkit.enumerate_multiindices(_upper_dim(n), int((wdeg + zdeg // 2).max(initial=0)))
-    pos = {a: p for p, a in enumerate(monos)}
-    pairings = numkit.enumerate_multiindices(n, int(zdeg.max(initial=0)))
-    d = 1.0 / (8.0 * math.pi * m)
-    moments = {v: [(e[n:], (-d) ** (sum(v) // 2) * c)
-                   for e, c in fockpoly.p_s(v).terms.items() if not any(e[:n])]
-               for v in pairings}
-    beta = np.zeros((len(family), len(pairings), len(monos)), dtype=complex)
-    # each monomial z^s W^a adds C(s, u) W^a E[z^(s - u) | W] to the B^u,
-    # times its coefficient in each member
-    for col, e in zip(family.coeffs.T, family.exponents.tolist()):
-        for p, u in enumerate(pairings):
-            v = tuple(x - y for x, y in zip(e, u))
-            for a, c in moments.get(v, ()):  # none at a negative exponent
-                beta[:, p, pos[tuple(x + y for x, y in zip(e[n:], a))]] += (
-                    math.prod(map(math.comb, e, u)) * c) * col
-    lam = np.array([numkit.mi_factorial(u) * d ** sum(u) for u in pairings])
-    return lam, beta, monos
+    zexp, wexp = family.exponents[:, :n], family.exponents[:, n:]
+    zdeg = int(zexp.sum(axis=1).max(initial=0))
+    deg = int((wexp.sum(axis=1) + zexp.sum(axis=1) // 2).max(initial=0))
+    monos = numkit.enumerate_multiindices(_upper_dim(n), deg)
+    factor, lam = _wick_factor(*_z_moments(np.array(fockpoly._w_monomials(n)), m), zdeg)
+    # each W-monomial read as base-(D + 1) digits, as _wick_factor keys z^s:
+    # key(a) + key(b) = key(a + b) while a + b stays in monos
+    digits = (deg + 1) ** np.arange(_upper_dim(n))
+    pos = np.zeros((deg + 1) ** _upper_dim(n), dtype=int)
+    pos[np.array(monos) @ digits] = np.arange(len(monos))
+    # the family's columns z^s W^a grouped by s, in the order of B's rows
+    columns = {s: [] for s in numkit.enumerate_multiindices(n, zdeg)}
+    for col, s in enumerate(map(tuple, zexp.tolist())):
+        columns[s].append(col)
+    # filled as (u, monomial, member), each update whole rows; read as (member, u, monomial)
+    beta = np.zeros((len(lam), len(monos), len(family)), dtype=complex)
+    for row, cols in zip(factor, columns.values()):
+        # the columns of one s have distinct a, so each term of B[s, u]
+        # lands on distinct monomials, in one update
+        keys, coeffs = wexp[cols] @ digits, family.coeffs[:, cols].T
+        for u, poly in enumerate(row):
+            for e, c in poly.terms.items():
+                beta[u, pos[keys + np.dot(e[n:], digits)]] += c * coeffs
+    return lam, beta.transpose(2, 0, 1), monos
 
 
-def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
+def exact_dj_gram(family: PolyFamily, m, k) -> np.ndarray:
     """mc_dj_gram's Gram without sampling, at every n.  The z-integral is
     Wick's rule (_wick_coefficients) and leaves the W-weight
     (8 pi m)^{-n} det(I - W conj(W))^{k - n - 3/2}, the measure of q_basis.
@@ -215,15 +212,15 @@ def exact_dj_gram(family: PolyFamily, n, m, k) -> np.ndarray:
     G is summed over u from the x of the members whose B_i^u is nonzero; a
     family with real coefficients has real B_i^u and a real G, and runs in
     real arithmetic."""
+    n = family.n
     lam, beta, monos = _wick_coefficients(family, m)
     # q_basis's family chains every W-monomial of degree <= D, in monos' order
     basis = PolyFamily(fockpoly.q_basis(n, k, sum(monos[-1]))).coeffs.real
-    rows = beta.reshape(-1, len(monos))
+    member, pairing = np.nonzero(beta.any(axis=2))
+    rows = beta[member, pairing]
     if not rows.imag.any():
         rows = rows.real
-    live = np.flatnonzero(rows.any(axis=1))
-    member, pairing = np.divmod(live, len(lam))
-    coords = np.linalg.solve(basis.T, rows[live].T).T * np.sqrt(lam[pairing])[:, None]
+    coords = np.linalg.solve(basis.T, rows.T).T * np.sqrt(lam[pairing])[:, None]
     gram = np.zeros((len(family), len(family)), dtype=rows.dtype)
     for u in sorted(set(pairing.tolist())):
         sel = pairing == u

@@ -226,7 +226,7 @@ def test_verify_gram_reads_the_exact_gram_at_n1_and_n2():
     # the Monte Carlo Gram, and n = 2 draws none
     cfg = SuiteConfig(samples=20000, seed=_base_seed("series-gram", 3))
     labels, family = suites._series_family(cfg)
-    err = np.abs(quad.exact_dj_gram(family, 1, M, K) - np.eye(len(labels)))
+    err = np.abs(quad.exact_dj_gram(family, M, K) - np.eye(len(labels)))
     i, j = np.unravel_index(np.argmax(err), err.shape)
     check = suites.run_series_gram(cfg).checks[0]
     assert (check.name, check.residual, check.tol) == ("gram-identity", err[i, j], 1e-12)
@@ -248,7 +248,7 @@ def test_isometry_small_run(monkeypatch):
     assert all(c.passed for c in checks)
     assert len(checks) == 4
     family = fockpoly.PolyFamily([f for _, f in suites._isometry_functions(cfg)])
-    exact = quad.exact_dj_gram(family, 1, M, K)
+    exact = quad.exact_dj_gram(family, M, K)
     for i, check in enumerate(checks):
         assert check.detail["disk_norm_sq"] == exact[i, i]
         assert check.tol == 3.0 * check.detail["space_sigma"] + 1e-9

@@ -12,9 +12,17 @@ from sjdomains import domains, fockpoly, kernels, numkit, quad, suites
 M, K = 0.25, 3
 
 
+def _monomial_gram(n, degree):
+    """fock_gram of the monomials z^s, |s| <= degree: the table
+    E[z^s conj(z)^r] of the z-law at W = 0, m = MATCHING_M."""
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.monomial(n, s)
+                                  for s in fockpoly.enumerate_multiindices(n, degree)])
+    return quad.fock_gram(family, np.zeros((n, n)), fockpoly.MATCHING_M)
+
+
 def test_identity_form_moments_are_factorials():
     # the z-law at W = 0, m = MATCHING_M is the standard complex Gaussian
-    table = quad.z_law_table(np.zeros((1, 1)), fockpoly.MATCHING_M, 4)
+    table = _monomial_gram(1, 4)
     for s in range(5):
         for r in range(5):
             target = math.factorial(s) if s == r else 0.0
@@ -22,7 +30,7 @@ def test_identity_form_moments_are_factorials():
 
 
 def test_identity_form_moments_n2():
-    table = quad.z_law_table(np.zeros((2, 2)), fockpoly.MATCHING_M, 3)
+    table = _monomial_gram(2, 3)
     idx = list(fockpoly.enumerate_multiindices(2, 3))
     for p, s in enumerate(idx):
         for q, r in enumerate(idx):
@@ -147,9 +155,9 @@ def test_flip_matches_reflected_argument():
     assert_allclose(d * np.eye(1), d_ref, atol=1e-14)
 
 
-def _gauss_hermite_table(q, degree, order):
-    """Tensor Gauss-Hermite evaluation of the moment table of the law
-    exp(-x^T Q x) / Z, the independent reference for the Wick table."""
+def _gauss_hermite_rule(q, order):
+    """Tensor Gauss-Hermite nodes z (N, n) and weights (N,), summing to 1, of
+    the law exp(-x^T Q x) / Z: the independent reference for Wick's rule."""
     dim = q.shape[0]
     n = dim // 2
     nodes, weights = np.polynomial.hermite.hermgauss(order)
@@ -159,10 +167,16 @@ def _gauss_hermite_table(q, degree, order):
     ys = np.stack(np.meshgrid(*([nodes] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     wgrid = np.prod(np.meshgrid(*([weights] * dim), indexing="ij"), axis=0).ravel()
     xs = ys @ root.T
-    zs = xs[:, :n] + 1j * xs[:, n:]
-    exps = np.array(numkit.enumerate_multiindices(n, degree))
+    return xs[:, :n] + 1j * xs[:, n:], wgrid / np.sum(wgrid)
+
+
+def _gauss_hermite_table(q, degree, order):
+    """The moment table of the law exp(-x^T Q x) / Z on its Gauss-Hermite
+    rule, the reference for the Wick table."""
+    zs, wgrid = _gauss_hermite_rule(q, order)
+    exps = np.array(numkit.enumerate_multiindices(zs.shape[1], degree))
     mono = np.prod(zs[:, None, :] ** exps[None], axis=2)
-    return (mono.T * wgrid) @ mono.conj() / np.sum(wgrid)
+    return (mono.T * wgrid) @ mono.conj()
 
 
 def test_gauss_hermite_agrees_with_exact_moments():
@@ -197,6 +211,32 @@ def test_moment_table_matches_gauss_hermite_n2():
         nonzero = np.abs(exact) > 1e-12 * scale
         assert_allclose(gh[nonzero], exact[nonzero], rtol=1e-11)
         assert np.max(np.abs(gh[~nonzero]) + np.abs(exact[~nonzero])) <= 1e-13 * scale
+
+
+def test_polynomial_wick_factor_matches_gauss_hermite_n2():
+    # the conditional Gram sum_u lam[u] B_i^u(W) conj(B_j^u(W)) of
+    # _wick_coefficients, its W-monomials evaluated at fixed W, against the
+    # family's own values on a tensor Gauss-Hermite rule of the z-law on
+    # (Re z, Im z) in R^4, its form polarized from a_form; the family has
+    # W terms and complex coefficients, and z-degree <= 3, which order 6
+    # integrates exactly
+    labeled = fockpoly.series_basis(2, M, K, s_max=3, a_max=1)
+    coeffs = np.random.default_rng(8).standard_normal((2, len(labeled), 2)) @ [1.0, 1.0j]
+    mixes = [sum((f * complex(c) for (_, f), c in zip(labeled, row)),
+                 fockpoly.PolyFunction.zero(2)) for row in coeffs]
+    family = fockpoly.PolyFamily([f for _, f in labeled[::7]] + mixes)
+    assert np.any(family.coeffs.imag) and family.exponents[:, 2:].any()
+    lam, beta, monos = quad._wick_coefficients(family, M)
+    ws = [np.array([[0.3 - 0.2j, 0.1j], [0.1j, -0.25 + 0.05j]]),
+          *(domains.sample_sj_disk_point(2, 0.7, seed=30 + t).w for t in range(3))]
+    for w in ws:
+        upper = w[np.triu_indices(2)]
+        coef = beta @ np.prod(upper ** np.array(monos), axis=1)
+        exact = (coef * lam) @ coef.conj().T
+        zs, weights = _gauss_hermite_rule(_polarized_forms(w[None], M, False)[0], order=6)
+        vals = family.split(np.broadcast_to(w, (len(zs), 2, 2)), zs)[0]
+        assert_allclose(exact, (vals * weights) @ vals.conj().T,
+                        rtol=1e-11, atol=1e-12 * np.max(np.abs(exact)))
 
 
 def test_fock_gram_rejects_w_terms():
@@ -654,8 +694,31 @@ def test_exact_dj_gram_of_the_series_basis_is_the_identity(n, k, m):
     # identity tests the W-part and not only the z-law
     family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(n, m, k, 3, 2)])
     eye = np.eye(len(family))
-    assert np.max(np.abs(quad.exact_dj_gram(family, n, m, k) - eye)) <= 1e-12
-    assert np.max(np.abs(quad.exact_dj_gram(family, n, m, k + 0.5) - eye)) > 0.1
+    assert np.max(np.abs(quad.exact_dj_gram(family, m, k) - eye)) <= 1e-12
+    assert np.max(np.abs(quad.exact_dj_gram(family, m, k + 0.5) - eye)) > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_z_law_is_stated_once(monkeypatch, n):
+    # under the flipped law E[z t(z)] = +W / (8 pi m) the series basis has
+    # the Gram that the reflected family F(-W, z) has under the real law,
+    # since the measure is invariant under W -> -W: a second statement of
+    # the law, which the patch of _z_moments would miss, breaks the
+    # equality; and that Gram is far from I, so the patch reached it
+    k = 4
+    funcs = [f for _, f in fockpoly.series_basis(n, M, k, 3, 2)]
+    reflected = fockpoly.PolyFamily([
+        fockpoly.PolyFunction(n, {e: c * (-1) ** sum(e[n:]) for e, c in f.terms.items()})
+        for f in funcs])
+    real = quad.exact_dj_gram(reflected, M, k)
+    def flipped_law(ws, m):
+        d = 1.0 / (8.0 * math.pi * m)
+        return ws * d, d
+
+    monkeypatch.setattr(quad, "_z_moments", flipped_law)
+    flipped = quad.exact_dj_gram(fockpoly.PolyFamily(funcs), M, k)
+    assert np.max(np.abs(flipped - real)) <= 1e-12
+    assert np.max(np.abs(flipped - np.eye(len(funcs)))) > 1.0
 
 
 def test_exact_dj_gram_against_beta_moments():
@@ -663,7 +726,7 @@ def test_exact_dj_gram_against_beta_moments():
     # is B(a + 1, k - 3/2) / (8 m); 1 and w do not pair
     one = fockpoly.PolyFunction.constant(1, 1.0)
     wmono = fockpoly.PolyFunction.monomial(1, a=(1,))
-    gram = quad.exact_dj_gram(fockpoly.PolyFamily([one, wmono]), 1, M, K)
+    gram = quad.exact_dj_gram(fockpoly.PolyFamily([one, wmono]), M, K)
     target = np.diag([beta_fn(a + 1, K - 1.5) / (8 * M) for a in range(2)])
     assert_allclose(gram, target, rtol=1e-14, atol=1e-15)
 
@@ -675,7 +738,7 @@ def test_exact_dj_gram_matches_the_sampled_z_gram_at_n2():
     # quantile of a union bound at 1e-3 (4.5), plus a roundoff floor
     family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(2, M, K, 1, 1)])
     size = len(family)
-    exact = quad.exact_dj_gram(family, 2, M, K)
+    exact = quad.exact_dj_gram(family, M, K)
     assert size == 12 and np.max(np.abs(exact - np.eye(size))) <= 1e-12
     gram, sigma, _ = quad.mc_dj_gram(family, 2, M, K, quad.MCConfig(samples=400000, seed=0))
     t = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * size * size))
