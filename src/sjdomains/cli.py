@@ -30,10 +30,12 @@ class CliError(Exception):
 # Scalars may be given as plain numbers; a two-number list is a complex
 # scalar [re, im] (at n = 2 it is a real vector).  Vectors and matrices
 # beyond that use the nested forms ([[re, im], ...] and [[...row...], ...]),
-# whose entries are numbers or [re, im] pairs.  Every point enters through
-# _point and every group element through _element, on the same readers, every
-# multi-index through _indices and every parameter (m, k, Q_a's n) through
-# _param; every result leaves through report.encode_value.
+# whose entries are numbers or [re, im] pairs.  Each field has one name and
+# one reader, which pops it: a point's through _point (or _matrix and
+# _vector), a group element's through _element, a multi-index through
+# _indices and a parameter (m, k) through _param.  A field left unpopped is
+# one the object does not read, and _unread refuses it.  Every result leaves
+# through report.encode_value.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -67,89 +69,109 @@ def _as_matrix(v, n=None):
     raise CliError(f"cannot read a matrix from {v!r}")
 
 
-def _need(args, *keys, default=None):
-    """The value of the first of keys in args, else default; without a
-    default a missing argument is a usage error."""
-    for key in keys:
-        if key in args:
-            return args[key]
+def _need(args, key, default=None):
+    """Pop args[key], else return default; without a default a missing
+    field is a usage error."""
+    if key in args:
+        return args.pop(key)
     if default is None:
-        raise CliError(f"missing required argument {keys[0]!r}")
+        raise CliError(f"missing required argument {key!r}")
     return default
 
 
-def _is_count(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _unread(fields, where=""):
+    """A usage error naming the fields that no reader popped."""
+    if fields:
+        raise CliError(f"unrecognized field{where}: {', '.join(map(repr, fields))}")
 
 
 # eval's parameters: what each must be, and the test of it
 _PARAMS = {
     "m": ("a finite positive number", lambda v: _is_num(v) and 0 < v < math.inf),
     "k": ("a finite number", lambda v: _is_num(v) and math.isfinite(v)),
-    "n": ("a positive integer", lambda v: _is_count(v) and v > 0),
 }
 
 
-def _param(args, key, default=None):
-    """The parameter args[key] (m, k or n), else default, else SuiteConfig's
-    default; a value that is not what _PARAMS asks (a bool is no number) is
-    a usage error that names the field."""
-    v = args.get(key, getattr(SuiteConfig, key) if default is None else default)
+def _param(args, key):
+    """The parameter args[key] (m or k), else SuiteConfig's default; a value
+    that is not what _PARAMS asks (a bool is no number) is a usage error
+    that names the field."""
+    v = _need(args, key, getattr(SuiteConfig, key))
     what, valid = _PARAMS[key]
     if not valid(v):
         raise CliError(f"{key!r} must be {what}, got {v!r}")
     return v
 
 
-def _indices(args, key, single=False):
+def _indices(args, key):
     """The multi-index args[key], a non-empty list of non-negative integers,
-    as a tuple; with single, one such integer is also read, as it is.
-    Anything else is a usage error that names the field."""
+    as a tuple; anything else is a usage error that names the field."""
     v = _need(args, key)
-    if single and _is_count(v):
-        return v
-    if isinstance(v, list) and v and all(_is_count(u) for u in v):
+    if isinstance(v, list) and v and all(_is_num(u) and isinstance(u, int) and u >= 0
+                                         for u in v):
         return tuple(v)
-    either = " or one such integer" if single else ""
-    raise CliError(f"{key!r} must be a non-empty list of non-negative integers{either},"
-                   f" got {v!r}")
+    raise CliError(f"{key!r} must be a non-empty list of non-negative integers, got {v!r}")
 
 
-def _point(args, mat_keys, vec_keys=(), n=None, mat_default=None, vec_default=0.0,
-           model=None):
-    """The point (matrix, vector) read from the first of mat_keys and of
-    vec_keys in args, else from the defaults (None: required).  n is the
-    dimension, else the matrix's size.  A scalar broadcasts, the matrix to
-    w I and the vector to (z, ..., z); any other size is a usage error.
-    With a model, SJDiskPoint or SJSpacePoint, the point is that class,
-    whose constructor certifies it: a ValueError outside the domain."""
-    mat = _as_matrix(_need(args, *mat_keys, default=mat_default), n)
+def _matrix(args, key, n=None, default=None):
+    """The n x n matrix args[key] (n None: its own size); a scalar w is w I
+    and any other size a usage error."""
+    mat = _as_matrix(_need(args, key, default), n)
     n = len(mat) if n is None else n
-    vec = _as_vector(_need(args, *vec_keys, default=vec_default), n)
     if mat.shape == (1, 1):
         mat = mat[0, 0] * np.eye(n)
+    if mat.shape != (n, n):
+        raise CliError(f"{key!r} must be {n} x {n} or a scalar, got shape {mat.shape}")
+    return mat
+
+
+def _vector(args, key, n, default=None):
+    """The length-n vector args[key]; a scalar z is (z, ..., z) and any
+    other length a usage error."""
+    vec = _as_vector(_need(args, key, default), n)
     if len(vec) == 1:
         vec = np.full(n, vec[0])
-    if mat.shape != (n, n):
-        raise CliError(f"{mat_keys[0]!r} must be {n} x {n} or a scalar, got shape {mat.shape}")
     if vec.shape != (n,):
-        raise CliError(f"{vec_keys[0]!r} must have length {n} or be a scalar, got length {len(vec)}")
-    return (mat, vec) if model is None else model(mat, vec)
+        raise CliError(f"{key!r} must have length {n} or be a scalar, got length {len(vec)}")
+    return vec
 
 
-def _element(args, kind):
+# each point model's fields by name, in the order of its dataclass fields
+_FIELDS = {SJDiskPoint: ("W", "z"), SJSpacePoint: ("Omega", "zeta")}
+
+
+def _point(args, model, n=None, suffix="", vector=True):
+    """The point of model, SJDiskPoint or SJSpacePoint, read from its fields
+    (their names with suffix), both required; without vector the matrix
+    alone, at vector 0.  n is the dimension, else the matrix's size.  The
+    model's constructor certifies the point: a ValueError outside the
+    domain."""
+    mat_key, vec_key = (key + suffix for key in _FIELDS[model])
+    mat = _matrix(args, mat_key, n)
+    return model(mat, _vector(args, vec_key, len(mat)) if vector else np.zeros(len(mat), complex))
+
+
+def _pair(args, model, vector=True):
+    """The points x_p (suffix _p) and x of model, both of x_p's n."""
+    xp = _point(args, model, suffix="_p", vector=vector)
+    return xp, _point(args, model, xp.n, vector=vector)
+
+
+def _element(args, kind=None):
     """The group element g of args, its fields read as points are: kind 'sp'
     {a, b, c, d}, 'jacobi' those and {lam, mu, kappa}, 'star' {p, q, alpha,
-    varkappa}.  A missing field, or an imaginary part in a field of the real
-    group, is a usage error that names the field."""
+    varkappa}; without a kind, 'star' if g has p, else 'jacobi'.  A missing
+    or unread field, or an imaginary part in a field of the real group, is
+    a usage error that names the field."""
     g = _need(args, "g")
     if not isinstance(g, dict):
         raise CliError("g must be a JSON object of its fields")
+    kind = kind or ("star" if "p" in g else "jacobi")
 
     def field(name, read=_as_matrix, *rest):
         if name not in g:
             raise CliError(f"g lacks its field {name!r}")
-        return read(g[name], *rest)
+        return read(g.pop(name), *rest)
 
     def real(name, *read):
         value = field(name, *read)
@@ -159,21 +181,21 @@ def _element(args, kind):
 
     if kind == "star":
         omega = groups.SpStarElement(field("p"), field("q"))
-        return groups.JacobiStarElement(omega, field("alpha", _as_vector, omega.n),
+        elem = groups.JacobiStarElement(omega, field("alpha", _as_vector, omega.n),
                                         field("varkappa", _as_complex))
-    sigma = groups.SpElement(*(real(name) for name in "abcd"))
-    if kind == "sp":
-        return sigma
-    lam, mu = (real(name, _as_vector, sigma.n) for name in ("lam", "mu"))
-    h = groups.HeisenbergElement(lam, mu, real("kappa", _as_complex))
-    return groups.JacobiElement(sigma, h)
+    else:
+        elem = groups.SpElement(*(real(name) for name in "abcd"))
+        if kind == "jacobi":
+            lam, mu = (real(name, _as_vector, elem.n) for name in ("lam", "mu"))
+            elem = groups.JacobiElement(
+                elem, groups.HeisenbergElement(lam, mu, real("kappa", _as_complex)))
+    _unread(g, " of g")
+    return elem
 
 
 def _point_fields(x):
-    """A point's fields by name, as eval writes them."""
-    if isinstance(x, SJDiskPoint):
-        return {"W": x.w, "z": x.z}
-    return {"Omega": x.omega, "zeta": x.zeta}
+    """A point's fields by name, as eval writes them and _point reads them."""
+    return dict(zip(_FIELDS[type(x)], (getattr(x, f.name) for f in dataclasses.fields(x))))
 
 
 def _element_fields(g):
@@ -187,158 +209,118 @@ def _element_fields(g):
 
 
 def _q_poly(n, k, a):
-    """Q_a at (n, k), a the tuple of upper exponents or, as one integer, the
-    exponent of W_11 alone."""
-    upper = (a,) + (0,) * (n * (n + 1) // 2 - 1) if isinstance(a, int) else a
-    qs = fockpoly.q_basis(n, k, sum(upper))
-    labels = fockpoly.sym_degree_list(n, sum(upper))
-    if upper not in labels:
-        raise CliError(f"no basis label with exponents {upper}")
-    return qs[labels.index(upper)]
+    """Q_a at (n, k), a the tuple of upper exponents."""
+    qs = fockpoly.q_basis(n, k, sum(a))
+    labels = fockpoly.sym_degree_list(n, sum(a))
+    if a not in labels:
+        raise CliError(f"no basis label with exponents {a}")
+    return qs[labels.index(a)]
 
 
 # --- eval handlers ---
+# Each pops the fields it reads from its args; main refuses what is left.
 
-def _ev_poly(poly, args, n):
-    if not any(key in args for key in ("Z", "z", "W", "w")):
+def _mk(args):
+    """The parameters m and k."""
+    return _param(args, "m"), _param(args, "k")
+
+
+def _ev_poly(args, build):
+    """The polynomial build(s), s the multi-index args["s"], at W, z (each 0
+    if absent), or its terms if neither is given."""
+    s = _indices(args, "s")
+    poly = build(s)
+    if "W" not in args and "z" not in args:
         return poly.to_json()
-    w, z = _point(args, ("W", "w"), ("Z", "z"), n, mat_default=0.0)
-    return poly.evaluate(z, w)
+    w = _matrix(args, "W", len(s), 0.0)
+    return poly.evaluate(_vector(args, "z", len(s), 0.0), w)
 
 
-def _ev_p_s(args):
-    s = _indices(args, "s")
-    return _ev_poly(fockpoly.p_s(s), args, len(s))
-
-
-def _ev_f_s(args):
-    s = _indices(args, "s")
-    return _ev_poly(fockpoly.basis_f(s, _param(args, "m")), args, len(s))
+def _ev_big_f(args):
+    return _ev_poly(args, lambda s: fockpoly.basis_big_f(
+        s, _q_poly(len(s), _param(args, "k"), _indices(args, "a")), _param(args, "m")))
 
 
 def _ev_phi(args):
     s = _indices(args, "s")
-    w, z = _point(args, ("W", "w"), ("Z", "z"), len(s), mat_default=0.0)
-    poly = fockpoly.basis_phi(w, s, _param(args, "m"))
-    if "Z" not in args and "z" not in args:
+    poly = fockpoly.basis_phi(_matrix(args, "W", len(s), 0.0), s, _param(args, "m"))
+    if "z" not in args:
         return poly.to_json()
-    return poly.evaluate(z, None)
-
-
-def _ev_big_f(args):
-    s = _indices(args, "s")
-    n = len(s)
-    qpoly = _q_poly(n, _param(args, "k"), _indices(args, "a", single=True))
-    poly = fockpoly.basis_big_f(s, qpoly, _param(args, "m"))
-    return _ev_poly(poly, args, n)
+    return poly.evaluate(_vector(args, "z", len(s)), None)
 
 
 def _ev_q_a(args):
-    a = _indices(args, "a", single=True)
-    n = _param(args, "n", None if isinstance(a, int) else (math.isqrt(8 * len(a) + 1) - 1) // 2)
+    a = _indices(args, "a")
+    n = (math.isqrt(8 * len(a) + 1) - 1) // 2  # len(a) = n(n + 1)/2
     qpoly = _q_poly(n, _param(args, "k"), a)
-    if "W" not in args and "w" not in args:
+    if "W" not in args:
         return qpoly.to_json()
-    return qpoly.evaluate(None, _point(args, ("W", "w"), n=n)[0])
+    return qpoly.evaluate(None, _matrix(args, "W", n))
 
 
 def _ev_j1(args):
     sigma = _element(args, "sp")
-    return kernels.j1(sigma, _point(args, ("Omega",), n=sigma.n, model=SJSpacePoint))
+    return kernels.j1(sigma, _point(args, SJSpacePoint, sigma.n, vector=False))
 
 
 def _ev_theta(args):
-    if args.get("inverse"):
-        return _element_fields(groups.theta_inv(_element(args, "star")))
-    return _element_fields(groups.theta_iso(_element(args, "jacobi")))
-
-
-def _ev_k1(args):
-    yp = _point(args, ("Omega_p",), model=SJSpacePoint)
-    return kernels.k1(yp, _point(args, ("Omega",), n=yp.n, model=SJSpacePoint))
-
-
-def _ev_k2(args):
-    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
-    y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
-    return kernels.k2_space(yp, y)
-
-
-def _ev_a_form(args):
-    return kernels.a_form(_point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint))
+    g = _element(args)
+    back = isinstance(g, groups.JacobiStarElement)
+    return _element_fields(groups.theta_inv(g) if back else groups.theta_iso(g))
 
 
 def _ev_jmk(args):
     g = _element(args, "jacobi")
-    y = _point(args, ("Omega",), ("zeta",), g.n, model=SJSpacePoint)
-    return kernels.jmk(g, y, _param(args, "m"), _param(args, "k"))
+    return kernels.jmk(g, _point(args, SJSpacePoint, g.n), *_mk(args))
 
 
 def _ev_jmk_star(args):
     gs = _element(args, "star")
-    x = _point(args, ("W", "w"), ("z", "Z"), gs.n, model=SJDiskPoint)
-    return kernels.jmk_star(gs, x, _param(args, "m"), _param(args, "k"))
-
-
-def _ev_kmk(args):
-    yp = _point(args, ("Omega_p",), ("zeta_p",), vec_default=None, model=SJSpacePoint)
-    y = _point(args, ("Omega",), ("zeta",), yp.n, vec_default=None, model=SJSpacePoint)
-    return kernels.kmk_kernel(yp, y, _param(args, "m"), _param(args, "k"))
-
-
-def _ev_kmk_star(args):
-    xp = _point(args, ("W_p",), ("z_p",), vec_default=None, model=SJDiskPoint)
-    x = _point(args, ("W",), ("z",), xp.n, vec_default=None, model=SJDiskPoint)
-    return kernels.kmk_star_kernel(xp, x, _param(args, "m"), _param(args, "k"))
+    return kernels.jmk_star(gs, _point(args, SJDiskPoint, gs.n), *_mk(args))
 
 
 def _ev_action(args):
-    g, point = _need(args, "g"), _need(args, "point")
-    disk = isinstance(g, dict) and "p" in g
-    elem = _element(args, "star" if disk else "jacobi")
+    g = _element(args)
+    point = _need(args, "point")
     if not isinstance(point, dict):
         raise CliError("point must be a JSON object, {W, z} or {Omega, zeta}")
-    if "W" in point and "z" in point:
-        x = _point(point, ("W",), ("z",), vec_default=None, model=SJDiskPoint)
-    elif "Omega" in point and "zeta" in point:
-        x = _point(point, ("Omega",), ("zeta",), vec_default=None, model=SJSpacePoint)
-    else:
+    model = next((m for m, keys in _FIELDS.items() if point.keys() >= set(keys)), None)
+    if model is None:
         raise CliError("unrecognized point encoding")
+    x = _point(point, model)
+    _unread(point, " of point")
+    disk = isinstance(g, groups.JacobiStarElement)
     if disk != isinstance(x, SJDiskPoint):
         raise CliError("a disk element {p, q, ...} acts on {W, z} points and a space"
                        " element {a, b, c, d, ...} on {Omega, zeta} points")
-    if elem.n != x.n:
-        raise CliError(f"the element has n = {elem.n} and the point n = {x.n}")
+    if g.n != x.n:
+        raise CliError(f"the element has n = {g.n} and the point n = {x.n}")
     act = groups.act_sj_disk if disk else groups.act_sj_space
-    return _point_fields(act(elem, x))
+    return _point_fields(act(g, x))
 
 
 def _ev_cayley(args):
-    direction = args.get("direction", "forward")
-    if direction == "forward":
-        x = _point(args, ("W", "w"), ("z", "Z"), model=SJDiskPoint)
-        return _point_fields(domains.cayley_forward(x))
-    if direction == "inverse":
-        y = _point(args, ("Omega",), ("zeta",), model=SJSpacePoint)
-        return _point_fields(domains.cayley_inverse(y))
-    raise CliError("direction must be 'forward' or 'inverse'")
+    # an Omega point maps back to the disk, a W point forward to the space
+    if "Omega" in args:
+        return _point_fields(domains.cayley_inverse(_point(args, SJSpacePoint)))
+    return _point_fields(domains.cayley_forward(_point(args, SJDiskPoint)))
 
 
 EVAL_OBJECTS = {
-    "P_s": _ev_p_s,
+    "P_s": lambda args: _ev_poly(args, fockpoly.p_s),
     "Phi": _ev_phi,
-    "f_s": _ev_f_s,
+    "f_s": lambda args: _ev_poly(args, lambda s: fockpoly.basis_f(s, _param(args, "m"))),
     "F_sa": _ev_big_f,
     "Q_a": _ev_q_a,
     "J1": _ev_j1,
     "theta": _ev_theta,
-    "K1": _ev_k1,
-    "K2": _ev_k2,
-    "A": _ev_a_form,
+    "K1": lambda args: kernels.k1(*_pair(args, SJSpacePoint, vector=False)),
+    "K2": lambda args: kernels.k2_space(*_pair(args, SJSpacePoint)),
+    "A": lambda args: kernels.a_form(_point(args, SJDiskPoint)),
     "Jmk": _ev_jmk,
     "JmkStar": _ev_jmk_star,
-    "Kmk": _ev_kmk,
-    "KmkStar": _ev_kmk_star,
+    "Kmk": lambda args: kernels.kmk_kernel(*_pair(args, SJSpacePoint), *_mk(args)),
+    "KmkStar": lambda args: kernels.kmk_star_kernel(*_pair(args, SJDiskPoint), *_mk(args)),
     "action": _ev_action,
     "cayley": _ev_cayley,
 }
@@ -394,7 +376,7 @@ def cmd_table(kind: str, cfg: SuiteConfig, trunc: int, fmt: str):
             return report.csv_text(["degree", "abs_residual"],
                                    [[deg, repr(float(resid))] for deg, resid in rows])
         payload = {"kind": kind, "closed_form": closed, "rows": rows}
-    elif kind == "calibration":
+    else:
         rows = _table_calibration(cfg)
         header = ["n", "m", "reference_constant", "calibrated_constant", "ratio",
                   "closed_form"]
@@ -402,12 +384,27 @@ def cmd_table(kind: str, cfg: SuiteConfig, trunc: int, fmt: str):
             return report.csv_text(header, [[row[0]] + [repr(float(v)) for v in row[1:]]
                                             for row in rows])
         payload = {"kind": kind, "rows": [dict(zip(header, row)) for row in rows]}
-    else:
-        raise CliError(f"unknown table kind '{kind}'")
     return json.dumps(report.encode_value(payload), indent=2, sort_keys=True) + "\n"
 
 
 # --- argument plumbing ---
+
+# the options each table kind reads, besides --kind, --out and --format
+TABLE_OPTIONS = {
+    "gram-phi": ("n", "m", "trunc"),
+    "gram-F": ("n", "m", "k", "seed", "samples"),
+    "expansion-convergence": ("n", "seed", "trunc"),
+    "calibration": ("m",),
+}
+
+
+class _Given(argparse.Action):
+    """Store the option's value and note its name in the namespace's given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.dest,)
+
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
@@ -421,7 +418,8 @@ def _build_parser():
     def config_options(p):
         # one option per SuiteConfig field, its type and default the field's
         for f in dataclasses.fields(SuiteConfig):
-            p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
+            p.add_argument(f"--{f.name}", type=type(f.default), default=f.default,
+                           action=_Given)
 
     def output_options(p):
         p.add_argument("--out", default=None, help="write output to this path")
@@ -438,16 +436,14 @@ def _build_parser():
     pe = sub.add_parser("eval", help="evaluate a single object")
     pe.add_argument("object", choices=sorted(EVAL_OBJECTS))
     pe.add_argument("args", nargs="?", default="{}",
-                    help="JSON arguments, m, k and Q_a's n among them; scalars may"
+                    help="JSON arguments, m and k among them; scalars may"
                          " be bare numbers, complex scalars [re, im]")
     pe.add_argument("--out", default=None, help="write output to this path")
 
     pt = sub.add_parser("table", help="emit a matrix or series table")
-    pt.add_argument("--kind", required=True,
-                    choices=("gram-phi", "gram-F", "expansion-convergence",
-                             "calibration"))
+    pt.add_argument("--kind", required=True, choices=list(TABLE_OPTIONS))
     config_options(pt)
-    pt.add_argument("--trunc", type=int, default=10,
+    pt.add_argument("--trunc", type=int, default=10, action=_Given,
                     help="the degree of gram-phi and of expansion-convergence")
     output_options(pt)
     return parser
@@ -482,8 +478,14 @@ def main(argv=None) -> int:
             if not isinstance(args, dict):
                 raise CliError("arguments must be a JSON object")
             result = EVAL_OBJECTS[ns.object](args)
+            _unread(args)
             _emit(json.dumps(report.encode_value(result), sort_keys=True) + "\n", ns.out)
             return 0
+        if ns.command == "table":
+            unread = [f"--{name}" for name in getattr(ns, "given", ())
+                      if name not in TABLE_OPTIONS[ns.kind]]
+            if unread:
+                raise CliError(f"table --kind {ns.kind} reads no {', '.join(unread)}")
         cfg = SuiteConfig(**{f.name: getattr(ns, f.name)
                              for f in dataclasses.fields(SuiteConfig)})
         if ns.command == "verify":
@@ -502,10 +504,7 @@ def main(argv=None) -> int:
             raise CliError("trunc must be a non-negative integer")
         _emit(cmd_table(ns.kind, cfg, ns.trunc, ns.format), ns.out)
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except (CliError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,13 +28,11 @@ import numpy as np
 
 from . import numkit
 
-BOUNDARY_MARGIN = 1e-12
-
 
 def _certify(h, what):
     """ValueError unless every member of the Hermitian stack h is positive
-    definite with smallest eigenvalue above BOUNDARY_MARGIN."""
-    ok, lam = numkit.posdef_certificate(h, BOUNDARY_MARGIN)
+    definite with smallest eigenvalue above numkit.POSDEF_THRESHOLD."""
+    ok, lam = numkit.posdef_certificate(h)
     if not np.all(ok):
         raise ValueError(f"{what} not positive definite (lambda_min={np.min(lam):.3e})")
 

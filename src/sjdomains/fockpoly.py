@@ -6,8 +6,8 @@ P_{s+e_i} = Z_i P_s + sum_j s_j W_ij P_{s-e_j}.  Run on PolyFunction monomials
 it builds the integer polynomials p_s; run on numbers, or on (N,) arrays of
 them, it evaluates the Fock basis f_s = P_s(sqrt(8 pi m) z, W)/sqrt(s!) at a
 point or at each point of a stack; run on z-monomials with a numeric W it
-gives basis_phi.  p_s_from_generating expands the generating function
-exp(U tZ + U W tU / 2) independently, as a check.
+gives basis_phi.  p_s_from_generating reads P_s off the generating function
+exp(U tZ + U W tU / 2) in closed form, independently, as a check.
 
 There is one kernel expansion, expansion_fock_full: sum f_s(x') conj(f_s(x))
 over |s| <= d; fock_expansions grows it through increasing degrees, extending
@@ -375,47 +375,24 @@ def p_s(s: tuple) -> PolyFunction:
 
 
 def p_s_from_generating(s: tuple) -> PolyFunction:
-    """Independent construction of P_s: s! times the U^s Taylor coefficient of
-    exp(U tZ + U W tU / 2), computed by exact truncated series arithmetic."""
+    """Independent construction of P_s: s! times the U^s Taylor coefficient
+    of exp(U tZ) prod_{i<=j} exp(c_ij W_ij U_i U_j), c_ii = 1/2 and c_ij = 1,
+    in closed form: the sum over upper exponents a with deg(a) <= s of
+    s! / ((s - deg a)! a! 2^(sum_i a_ii)) Z^(s - deg a) W^a, where deg(a)_v
+    counts the pairs (i, j) of a that contain v, each a_ij times."""
     s = tuple(int(v) for v in s)
-    n = len(s)
-    total = sum(s)
-    # terms of the exponent, keyed (u exponent, exponent tuple of z^s W^a)
-    # -> Fraction
-    width = _width(n)
-    unit = [tuple(int(t == v) for t in range(width)) for v in range(width)]
-    gens = [((unit[i][:n], unit[i]), Fraction(1)) for i in range(n)]
-    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-        u = tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))
-        gens.append(((u, unit[n + idx]), Fraction(1, 2) if i == j else Fraction(1)))
-
-    def mul(p1, p2):
-        out = {}
-        for (u1, e1), c1 in p1.items():
-            for (u2, e2), c2 in p2.items():
-                u = tuple(x + y for x, y in zip(u1, u2))
-                if any(x > y for x, y in zip(u, s)):
-                    continue
-                key = (u, tuple(x + y for x, y in zip(e1, e2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v != 0}
-
-    expo = dict(gens)
-    one = ((0,) * n, (0,) * width)
-    series = {one: Fraction(1)}
-    power = {one: Fraction(1)}
-    for j in range(1, total + 1):
-        power = mul(power, expo)
-        inv = Fraction(1, math.factorial(j))
-        for key, c in power.items():
-            series[key] = series.get(key, Fraction(0)) + c * inv
-    sfact = mi_factorial(s)
+    pairs = numkit.upper_pairs(len(s))
     terms = {}
-    for (u, e), c in series.items():
-        if u == s:
-            val = c * sfact
-            terms[e] = int(val) if val.denominator == 1 else val
-    return PolyFunction(n, terms)
+    for a in itertools.product(*(range(min(s[i], s[j]) + 1) for i, j in pairs)):
+        rest = list(s)
+        for (i, j), e in zip(pairs, a):
+            rest[i] -= e
+            rest[j] -= e
+        if min(rest) >= 0:
+            halves = sum(e for (i, j), e in zip(pairs, a) if i == j)
+            c = Fraction(mi_factorial(s), mi_factorial(rest) * mi_factorial(a) * 2 ** halves)
+            terms[tuple(rest) + a] = int(c) if c.denominator == 1 else c
+    return PolyFunction(len(s), terms)
 
 
 # --- normalized bases ---

@@ -1,5 +1,6 @@
 """Automorphy factors and kernel functions for both symplectic models and
-both Jacobi groups, plus the weight functions consumed by the inner products.
+both Jacobi groups, plus the weight functions kmk_star_weight and
+kmk_star_weight_flipped, which the kernel-invariance suite compares.
 
 Each function takes one point (and element) or stacks of them, broadcast
 member by member as in groups, and runs the same code on both: a stack gives

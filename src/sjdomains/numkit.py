@@ -203,9 +203,10 @@ def spd_cholesky(a):
     return low
 
 
-def posdef_certificate(H, threshold=POSDEF_THRESHOLD):
+def posdef_certificate(H):
     """(is positive definite, smallest eigenvalue) for a Hermitian matrix,
-    or per member of a stack.  NotHermitianError when a member departs from
+    or per member of a stack; positive definite means a smallest eigenvalue
+    above POSDEF_THRESHOLD.  NotHermitianError when a member departs from
     Hermitian by more than HERMITIAN_TOL relative to max(1, its largest
     entry)."""
     H = as_square(H)
@@ -214,7 +215,7 @@ def posdef_certificate(H, threshold=POSDEF_THRESHOLD):
     if np.any(np.max(np.abs(H - Hh), axis=(-2, -1)) > HERMITIAN_TOL * scale):
         raise NotHermitianError("matrix is not Hermitian within 1e-12")
     lam_min = np.linalg.eigvalsh(0.5 * (H + Hh))[..., 0]
-    return item_or_stack(lam_min > threshold), item_or_stack(lam_min)
+    return item_or_stack(lam_min > POSDEF_THRESHOLD), item_or_stack(lam_min)
 
 
 def principal_logdet(A):

@@ -25,7 +25,7 @@ def run(argv, capsys):
 # --- eval: frozen examples ---
 
 def test_eval_p_s_frozen(capsys):
-    code, out, _ = run(["eval", "P_s", '{"s": [2], "Z": 1, "W": 0.5}'], capsys)
+    code, out, _ = run(["eval", "P_s", '{"s": [2], "z": 1, "W": 0.5}'], capsys)
     assert code == 0
     assert json.loads(out) == [1.5, 0.0]
 
@@ -49,7 +49,7 @@ def test_eval_cayley_base_point(capsys):
 def test_eval_cayley_inverse_of_base(capsys):
     code, out, _ = run(
         ["eval", "cayley",
-         '{"direction": "inverse", "Omega": [[[0, 1]]], "zeta": [[0, 0]]}'],
+         '{"Omega": [[[0, 1]]], "zeta": [[0, 0]]}'],
         capsys)
     assert code == 0
     val = json.loads(out)
@@ -67,8 +67,7 @@ def test_eval_without_point_returns_coefficients(capsys):
 
 def test_eval_q_a_scalar(capsys):
     # n=1, a=1: Q_1(w) = w / sqrt(pi * B(2, k - 3/2))
-    code, out, _ = run(["eval", "Q_a", '{"a": 1, "n": 1, "W": 0.5, "z": 0}'],
-                       capsys)
+    code, out, _ = run(["eval", "Q_a", '{"a": [1], "W": 0.5}'], capsys)
     assert code == 0
 
 
@@ -80,7 +79,7 @@ def test_eval_theta_identity_roundtrip(capsys):
     star = json.loads(out)
     assert set(star) == {"p", "q", "alpha", "varkappa"}
     code, out, _ = run(
-        ["eval", "theta", json.dumps({"g": star, "inverse": True})], capsys)
+        ["eval", "theta", json.dumps({"g": star})], capsys)
     assert code == 0
     back = json.loads(out)
     assert np.allclose(back["a"], g["a"]) and np.allclose(back["d"], g["d"])
@@ -119,18 +118,20 @@ DISK, DISK_P = _disk_json(X), _disk_json(XP, "_p")
 SPACE, SPACE_P = _space_json(Y), _space_json(YP, "_p")
 G_JSON, GS_JSON = _jacobi_json(G), _star_json(GS)
 
-# object -> [(arguments, the library's value)], one case or more per object
+# object -> [(arguments, the library's value)], one case or more per object;
+# cayley and theta map each way, as their arguments' fields say
 EVAL_CASES = {
-    "P_s": [({"s": [2], "Z": 1, "W": 0.5}, lambda: 1.5 + 0j)],
+    "P_s": [({"s": [2], "z": 1, "W": 0.5}, lambda: 1.5 + 0j)],
     "Phi": [({"s": [2], **DISK}, lambda: fockpoly.basis_f((2,), M).evaluate(X.z, X.w))],
     "f_s": [({"s": [2], **DISK}, lambda: fockpoly.basis_f((2,), M).evaluate(X.z, X.w))],
-    "F_sa": [({"s": [1], "a": 1, **DISK}, lambda: fockpoly.basis_big_f(
+    "F_sa": [({"s": [1], "a": [1], **DISK}, lambda: fockpoly.basis_big_f(
         (1,), fockpoly.q_basis(1, K, 1)[1], M).evaluate(X.z, X.w))],
-    "Q_a": [({"a": 1, "n": 1, "W": DISK["W"]},
+    "Q_a": [({"a": [1], "W": DISK["W"]},
              lambda: fockpoly.q_basis(1, K, 1)[1].evaluate(None, X.w))],
     "J1": [({"g": {name: G_JSON[name] for name in "abcd"}, "Omega": SPACE["Omega"]},
             lambda: kernels.j1(G.sigma, Y))],
-    "theta": [({"g": G_JSON}, lambda: GS_JSON)],
+    "theta": [({"g": G_JSON}, lambda: GS_JSON),
+              ({"g": GS_JSON}, lambda: _jacobi_json(groups.theta_inv(GS)))],
     "K1": [({"Omega_p": SPACE_P["Omega_p"], "Omega": SPACE["Omega"]},
             lambda: kernels.k1(YP, Y))],
     "K2": [({**SPACE_P, **SPACE}, lambda: kernels.k2_space(YP, Y))],
@@ -144,7 +145,7 @@ EVAL_CASES = {
     "action": [({"g": GS_JSON, "point": DISK}, lambda: _disk_json(groups.act_sj_disk(GS, X))),
                ({"g": G_JSON, "point": SPACE}, lambda: _space_json(groups.act_sj_space(G, Y)))],
     "cayley": [(DISK, lambda: SPACE),
-               ({"direction": "inverse", **SPACE}, lambda: DISK)],
+               (SPACE, lambda: DISK)],
 }
 
 
@@ -191,38 +192,34 @@ BAD_EVAL_INPUTS = {
         groups.theta_iso(groups.random_jacobi(2, seed=4))), "point": DISK}),
     "action-point-not-an-object": ("action", {"g": GS_JSON, "point": 3}),
     "cayley-forward-z": ("cayley", {"W": DISK["W"], "z": WRONG_LENGTH}),
-    "cayley-inverse-zeta": ("cayley", {"direction": "inverse", "Omega": SPACE["Omega"],
-                                       "zeta": WRONG_LENGTH}),
+    "cayley-inverse-zeta": ("cayley", {"Omega": SPACE["Omega"], "zeta": WRONG_LENGTH}),
     "A-z": ("A", {"W": DISK["W"], "z": WRONG_LENGTH}),
     "Jmk-zeta": ("Jmk", {"g": G_JSON, "Omega": SPACE["Omega"], "zeta": WRONG_LENGTH}),
     "JmkStar-z": ("JmkStar", {"g": GS_JSON, "W": DISK["W"], "z": WRONG_LENGTH}),
-    "P_s-W": ("P_s", {"s": [1, 1], "Z": 1, "W": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    "P_s-W": ("P_s", {"s": [1, 1], "z": 1, "W": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
 }
 
 
-# A multi-index is a non-empty list of non-negative integers; a may also be
-# one such integer, and the n of Q_a is a positive integer, m a positive
-# number and k a number (no bool).  Anything else exits 2 with one line
-# naming the field.
+# A multi-index (s, and a the exponents of the upper entries of W) is a
+# non-empty list of non-negative integers, m a positive number and k a number
+# (no bool).  Anything else exits 2 with one line naming the field.
 BAD_INDICES = {
     "P_s-empty": ("P_s", {"s": []}, "s"),
     "f_s-fraction": ("f_s", {"s": [1.5]}, "s"),
     "Phi-scalar": ("Phi", {"s": 3}, "s"),
     "P_s-negative": ("P_s", {"s": [1, -1]}, "s"),
     "P_s-bool": ("P_s", {"s": [True]}, "s"),
-    "F_sa-empty-s": ("F_sa", {"s": [], "a": 0}, "s"),
+    "F_sa-empty-s": ("F_sa", {"s": [], "a": [0]}, "s"),
     "F_sa-fraction-a": ("F_sa", {"s": [0], "a": [1.5]}, "a"),
-    "F_sa-negative-a": ("F_sa", {"s": [0], "a": -1}, "a"),
+    "F_sa-negative-a": ("F_sa", {"s": [0], "a": [-1]}, "a"),
     "Q_a-fraction": ("Q_a", {"a": [0.5]}, "a"),
     "Q_a-empty": ("Q_a", {"a": []}, "a"),
     "Q_a-string": ("Q_a", {"a": "1"}, "a"),
-    "Q_a-n-zero": ("Q_a", {"a": 1, "n": 0}, "n"),
-    "Q_a-n-fraction": ("Q_a", {"a": 1, "n": 1.5}, "n"),
-    "f_s-m-zero": ("f_s", {"s": [1], "m": 0, "Z": 1}, "m"),
+    "f_s-m-zero": ("f_s", {"s": [1], "m": 0, "z": 1}, "m"),
     "KmkStar-m-negative": ("KmkStar", {"W_p": 0.1, "z_p": 0.2, "W": 0.1, "z": 0.3, "m": -5}, "m"),
-    "F_sa-m-bool": ("F_sa", {"s": [1], "a": 1, "m": True}, "m"),
+    "F_sa-m-bool": ("F_sa", {"s": [1], "a": [1], "m": True}, "m"),
     "Phi-m-string": ("Phi", {"s": [1], "m": "x"}, "m"),
-    "Q_a-k-string": ("Q_a", {"a": 1, "k": "3"}, "k"),
+    "Q_a-k-string": ("Q_a", {"a": [1], "k": "3"}, "k"),
     "Jmk-k-bool": ("Jmk", {"g": G_JSON, **SPACE, "k": True}, "k"),
 }
 
@@ -344,6 +341,64 @@ def test_eval_reads_a_space_element_of_plain_real_matrices(capsys):
     assert json.loads(out) == [1.0, 0.0]
 
 
+# --- eval: one name per field, and no other ---
+# Each object reads its fields under one name each and refuses any other
+# field, at the top level and inside g or point, with exit 2 and one line
+# naming it.
+
+UNREAD_CASES = [(obj, where) for obj in sorted(cli.EVAL_OBJECTS) for where in ("", "g", "point")
+                if not where or where in EVAL_CASES[obj][0][0]]
+
+
+@pytest.mark.parametrize("obj,where", UNREAD_CASES)
+def test_eval_refuses_a_field_the_object_does_not_read(obj, where, capsys):
+    args = json.loads(json.dumps(EVAL_CASES[obj][0][0]))
+    (args[where] if where else args)["typo"] = 1
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized field{' of ' + where if where else ''}: 'typo'\n"
+
+
+# spellings that an earlier eval also read, each now refused
+REMOVED_SPELLINGS = {
+    "Z": ("P_s", {"s": [2], "Z": 1, "W": 0.5}, "unrecognized field: 'Z'"),
+    "w": ("P_s", {"s": [2], "w": 0.5, "z": 1}, "unrecognized field: 'w'"),
+    "direction": ("cayley", {"direction": "inverse", **SPACE},
+                  "unrecognized field: 'direction'"),
+    "inverse": ("theta", {"g": GS_JSON, "inverse": True}, "unrecognized field: 'inverse'"),
+    "Q_a-n": ("Q_a", {"a": [1], "n": 1}, "unrecognized field: 'n'"),
+    "Q_a-integer-a": ("Q_a", {"a": 1},
+                      "'a' must be a non-empty list of non-negative integers, got 1"),
+    "F_sa-integer-a": ("F_sa", {"s": [1], "a": 1},
+                       "'a' must be a non-empty list of non-negative integers, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_SPELLINGS))
+def test_eval_removed_spellings_exit_two(case, capsys):
+    obj, args, message = REMOVED_SPELLINGS[case]
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("obj,args,message", [
+    ("cayley", {**SPACE, **DISK}, "unrecognized field: 'W', 'z'"),
+    ("theta", {"g": {**GS_JSON, "a": G_JSON["a"]}}, "unrecognized field of g: 'a'")])
+def test_eval_fields_of_both_directions_exit_two(obj, args, message, capsys):
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("obj,args", [
+    ("A", {"W": 0.5}), ("cayley", {"W": 0.5}), ("JmkStar", {"g": GS_JSON, "W": 0.5}),
+    ("Jmk", {"g": G_JSON, "Omega": SPACE["Omega"]})])
+def test_eval_kernel_objects_require_the_vector(obj, args, capsys):
+    # z (zeta) has no default outside the polynomials
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    missing = "z" if "W" in args else "zeta"
+    assert (code, out, err) == (2, "", f"error: missing required argument {missing!r}\n")
+
+
 def test_complex_scalars_are_re_im_pairs():
     assert ENC(1 - 2j) == [1.0, -2.0]
     assert cli._as_complex([1.0, -2.0]) == 1 - 2j
@@ -358,7 +413,7 @@ def test_eval_theta_then_inverse_returns_g(capsys):
     code, out, _ = run(["eval", "theta", json.dumps({"g": _jacobi_json(g)})], capsys)
     star = json.loads(out)
     assert code == 0 and star == _star_json(groups.theta_iso(g))
-    code, out, _ = run(["eval", "theta", json.dumps({"g": star, "inverse": True})], capsys)
+    code, out, _ = run(["eval", "theta", json.dumps({"g": star})], capsys)
     back = json.loads(out)
     assert code == 0 and back == _jacobi_json(groups.theta_inv(groups.theta_iso(g)))
     _assert_close(back, _jacobi_json(g))
@@ -369,8 +424,7 @@ def test_eval_cayley_forward_then_inverse_returns_the_point(capsys):
     code, out, _ = run(["eval", "cayley", json.dumps(_disk_json(x))], capsys)
     image = json.loads(out)
     assert code == 0 and image == _space_json(domains.cayley_forward(x))
-    code, out, _ = run(["eval", "cayley", json.dumps({"direction": "inverse", **image})],
-                       capsys)
+    code, out, _ = run(["eval", "cayley", json.dumps(image)], capsys)
     back = json.loads(out)
     assert code == 0 and back == _disk_json(domains.cayley_inverse(domains.cayley_forward(x)))
     _assert_close(back, _disk_json(x))
@@ -479,7 +533,7 @@ def test_negative_seed_or_trunc_exit_two(argv, field, capsys):
 
 # --- one door per setting ---
 # Each command takes only the options it reads; the run's parameters default
-# to SuiteConfig's fields, and eval reads m, k and Q_a's n from its JSON.
+# to SuiteConfig's fields, and eval reads m and k from its JSON.
 
 OPTIONS = {
     "verify": {"--suite", "--n", "--m", "--k", "--seed", "--samples", "--out", "--format",
@@ -669,6 +723,34 @@ def test_table_gram_big_f_million_samples(capsys, benchmark_workloads):
     assert odd.any() and np.max(np.abs(mat[odd])) <= 1e-12
     assert np.max(sigma) <= 3e-3
     assert [c for c in benchmark_workloads.gram_checks(doc) if not c[1]] == []
+
+
+# Each kind reads only its own options, besides --kind, --out and --format;
+# any other option given exits 2 and names it, before its value is checked.
+TABLE_UNREAD = {
+    "gram-phi": ["--k", "4", "--seed", "1", "--samples", "10"],
+    "gram-F": ["--trunc", "3"],
+    "expansion-convergence": ["--m", "0.5", "--k", "4", "--samples", "10"],
+    "calibration": ["--n", "0", "--k", "9", "--seed", "4", "--samples", "7", "--trunc", "-1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_UNREAD))
+def test_a_table_kind_refuses_the_options_it_does_not_read(kind, capsys):
+    unread = TABLE_UNREAD[kind]
+    code, out, err = run(["table", "--kind", kind] + unread, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: table --kind {kind} reads no {', '.join(unread[::2])}\n"
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_UNREAD))
+def test_a_table_kind_takes_each_option_it_reads(kind, capsys):
+    # its options, given at their defaults, leave the table as it is
+    defaults = {**dataclasses.asdict(suites.SuiteConfig()), "trunc": 10}
+    given = [word for name in cli.TABLE_OPTIONS[kind]
+             for word in (f"--{name}", str(defaults[name]))]
+    bare = run(["table", "--kind", kind], capsys)
+    assert bare[0] == 0 and run(["table", "--kind", kind] + given, capsys) == bare
 
 
 def _src_env():

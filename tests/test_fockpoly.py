@@ -97,6 +97,8 @@ def test_generating_function_matches_recursion():
         assert (fockpoly.p_s(tuple(s)) - fockpoly.p_s_from_generating(tuple(s))).is_zero()
     for s in fockpoly.enumerate_multiindices(2, 4):
         assert (fockpoly.p_s(tuple(s)) - fockpoly.p_s_from_generating(tuple(s))).is_zero()
+    for s in fockpoly.enumerate_multiindices(3, 4):
+        assert (fockpoly.p_s(tuple(s)) - fockpoly.p_s_from_generating(tuple(s))).is_zero()
 
 
 def test_poly_algebra_is_pointwise():
