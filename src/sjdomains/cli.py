@@ -34,8 +34,8 @@ class CliError(Exception):
 # one reader, which pops it: a point's through _point (or _matrix and
 # _vector), a group element's through _element, a multi-index through
 # _indices and a parameter (m, k) through _param.  A field left unpopped is
-# one the object does not read, and _unread refuses it.  Every result leaves
-# through report.encode_value.
+# one the object does not read, and _unread refuses it before the object is
+# evaluated.  Every result leaves through report.encode_value.
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -209,16 +209,16 @@ def _element_fields(g):
 
 
 def _q_poly(n, k, a):
-    """Q_a at (n, k), a the tuple of upper exponents."""
-    qs = fockpoly.q_basis(n, k, sum(a))
+    """Q_a's label a checked at n, and a callable that builds Q_a at (n, k)."""
     labels = fockpoly.sym_degree_list(n, sum(a))
     if a not in labels:
         raise CliError(f"no basis label with exponents {a}")
-    return qs[labels.index(a)]
+    return lambda: fockpoly.q_basis(n, k, sum(a))[labels.index(a)]
 
 
 # --- eval handlers ---
-# Each pops the fields it reads from its args; main refuses what is left.
+# Each pops the fields it reads from its args and returns the evaluation as
+# a zero-argument callable; main refuses what is left before calling it.
 
 def _mk(args):
     """The parameters m and k."""
@@ -226,57 +226,50 @@ def _mk(args):
 
 
 def _ev_poly(args, build):
-    """The polynomial build(s), s the multi-index args["s"], at W, z (each 0
-    if absent), or its terms if neither is given."""
+    """The polynomial of the multi-index s = args["s"] at W, z (each 0 if
+    absent), or its terms if neither is given; build(s) reads the other
+    fields the polynomial needs and returns the callable that builds it."""
     s = _indices(args, "s")
     poly = build(s)
     if "W" not in args and "z" not in args:
-        return poly.to_json()
-    w = _matrix(args, "W", len(s), 0.0)
-    return poly.evaluate(_vector(args, "z", len(s), 0.0), w)
+        return lambda: poly().to_json()
+    w, z = _matrix(args, "W", len(s), 0.0), _vector(args, "z", len(s), 0.0)
+    return lambda: poly().evaluate(z, w)
 
 
 def _ev_big_f(args):
-    return _ev_poly(args, lambda s: fockpoly.basis_big_f(
-        s, _q_poly(len(s), _param(args, "k"), _indices(args, "a")), _param(args, "m")))
-
-
-def _ev_phi(args):
-    s = _indices(args, "s")
-    poly = fockpoly.basis_phi(_matrix(args, "W", len(s), 0.0), s, _param(args, "m"))
-    if "z" not in args:
-        return poly.to_json()
-    return poly.evaluate(_vector(args, "z", len(s)), None)
+    def build(s):
+        q, m = _q_poly(len(s), _param(args, "k"), _indices(args, "a")), _param(args, "m")
+        return lambda: fockpoly.basis_big_f(s, q(), m)
+    return _ev_poly(args, build)
 
 
 def _ev_q_a(args):
     a = _indices(args, "a")
     n = (math.isqrt(8 * len(a) + 1) - 1) // 2  # len(a) = n(n + 1)/2
     qpoly = _q_poly(n, _param(args, "k"), a)
-    if "W" not in args:
-        return qpoly.to_json()
-    return qpoly.evaluate(None, _matrix(args, "W", n))
+    w = _matrix(args, "W", n) if "W" in args else None
+    return lambda: qpoly().to_json() if w is None else qpoly().evaluate(None, w)
 
 
 def _ev_j1(args):
     sigma = _element(args, "sp")
-    return kernels.j1(sigma, _point(args, SJSpacePoint, sigma.n, vector=False))
+    return functools.partial(kernels.j1, sigma, _point(args, SJSpacePoint, sigma.n, vector=False))
 
 
 def _ev_theta(args):
     g = _element(args)
     back = isinstance(g, groups.JacobiStarElement)
-    return _element_fields(groups.theta_inv(g) if back else groups.theta_iso(g))
+    return lambda: _element_fields(groups.theta_inv(g) if back else groups.theta_iso(g))
 
 
-def _ev_jmk(args):
-    g = _element(args, "jacobi")
-    return kernels.jmk(g, _point(args, SJSpacePoint, g.n), *_mk(args))
-
-
-def _ev_jmk_star(args):
-    gs = _element(args, "star")
-    return kernels.jmk_star(gs, _point(args, SJDiskPoint, gs.n), *_mk(args))
+def _ev_jmk(kernel, kind, model):
+    """The reader of the automorphy factor kernel(g, x, m, k), g a group
+    element of kind and x a point of model."""
+    def read(args):
+        g = _element(args, kind)
+        return functools.partial(kernel, g, _point(args, model, g.n), *_mk(args))
+    return read
 
 
 def _ev_action(args):
@@ -296,31 +289,36 @@ def _ev_action(args):
     if g.n != x.n:
         raise CliError(f"the element has n = {g.n} and the point n = {x.n}")
     act = groups.act_sj_disk if disk else groups.act_sj_space
-    return _point_fields(act(g, x))
+    return lambda: _point_fields(act(g, x))
 
 
 def _ev_cayley(args):
     # an Omega point maps back to the disk, a W point forward to the space
-    if "Omega" in args:
-        return _point_fields(domains.cayley_inverse(_point(args, SJSpacePoint)))
-    return _point_fields(domains.cayley_forward(_point(args, SJDiskPoint)))
+    back = "Omega" in args
+    x = _point(args, SJSpacePoint if back else SJDiskPoint)
+    return lambda: _point_fields((domains.cayley_inverse if back else domains.cayley_forward)(x))
 
 
 EVAL_OBJECTS = {
-    "P_s": lambda args: _ev_poly(args, fockpoly.p_s),
-    "Phi": _ev_phi,
-    "f_s": lambda args: _ev_poly(args, lambda s: fockpoly.basis_f(s, _param(args, "m"))),
+    "P_s": lambda args: _ev_poly(args, lambda s: functools.partial(fockpoly.p_s, s)),
+    # Phi's W is its parameter, popped by the build, so it is evaluated at z
+    "Phi": lambda args: _ev_poly(args, lambda s: functools.partial(
+        fockpoly.basis_phi, _matrix(args, "W", len(s), 0.0), s, _param(args, "m"))),
+    "f_s": lambda args: _ev_poly(
+        args, lambda s: functools.partial(fockpoly.basis_f, s, _param(args, "m"))),
     "F_sa": _ev_big_f,
     "Q_a": _ev_q_a,
     "J1": _ev_j1,
     "theta": _ev_theta,
-    "K1": lambda args: kernels.k1(*_pair(args, SJSpacePoint, vector=False)),
-    "K2": lambda args: kernels.k2_space(*_pair(args, SJSpacePoint)),
-    "A": lambda args: kernels.a_form(_point(args, SJDiskPoint)),
-    "Jmk": _ev_jmk,
-    "JmkStar": _ev_jmk_star,
-    "Kmk": lambda args: kernels.kmk_kernel(*_pair(args, SJSpacePoint), *_mk(args)),
-    "KmkStar": lambda args: kernels.kmk_star_kernel(*_pair(args, SJDiskPoint), *_mk(args)),
+    "K1": lambda args: functools.partial(kernels.k1, *_pair(args, SJSpacePoint, vector=False)),
+    "K2": lambda args: functools.partial(kernels.k2_space, *_pair(args, SJSpacePoint)),
+    "A": lambda args: functools.partial(kernels.a_form, _point(args, SJDiskPoint)),
+    "Jmk": _ev_jmk(kernels.jmk, "jacobi", SJSpacePoint),
+    "JmkStar": _ev_jmk(kernels.jmk_star, "star", SJDiskPoint),
+    "Kmk": lambda args: functools.partial(kernels.kmk_kernel, *_pair(args, SJSpacePoint),
+                                          *_mk(args)),
+    "KmkStar": lambda args: functools.partial(kernels.kmk_star_kernel,
+                                              *_pair(args, SJDiskPoint), *_mk(args)),
     "action": _ev_action,
     "cayley": _ev_cayley,
 }
@@ -477,9 +475,9 @@ def main(argv=None) -> int:
                 raise CliError(f"arguments are not valid JSON: {exc}")
             if not isinstance(args, dict):
                 raise CliError("arguments must be a JSON object")
-            result = EVAL_OBJECTS[ns.object](args)
+            evaluate = EVAL_OBJECTS[ns.object](args)
             _unread(args)
-            _emit(json.dumps(report.encode_value(result), sort_keys=True) + "\n", ns.out)
+            _emit(json.dumps(report.encode_value(evaluate()), sort_keys=True) + "\n", ns.out)
             return 0
         if ns.command == "table":
             unread = [f"--{name}" for name in getattr(ns, "given", ())

@@ -288,9 +288,13 @@ class PolyFamily:
 
     def split(self, ws=None, zs=None):
         """(vals (nf, N), logs (N,) = 0) of the family at ws (N, n, n) and
-        zs (N, n); either may be None when no monomial involves it."""
+        zs (N, n); either may be None when no monomial involves it, and
+        points of another shape, of another n among them, raise ValueError."""
         if zs is None and ws is None:
             raise ValueError("need at least one batch argument")
+        for pts, tail in ((zs, (self.n,)), (ws, (self.n, self.n))):
+            if pts is not None and np.shape(pts)[1:] != tail:
+                raise ValueError(f"a family of n = {self.n} at points of shape {np.shape(pts)}")
         nrow = len(zs) if zs is not None else len(ws)
         used = self.variables
         if zs is None and used and used[0] < self.n:

@@ -10,9 +10,10 @@ space-side engine is the same law at -W.  Every exact z-integral is Wick's
 rule on that law, one Wick factor E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
 with E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence at Z = 0
 (_wick_factor).  It runs in the ring of E[z t(z)]: numbers at one W
-(fock_gram), or polynomials in W at the W-monomials, which a polynomial
-family's Wick coefficients read (_wick_coefficients).  exact_dj_gram
-contracts those with the exact W-Gram of q_basis's measure at every n; the
+(fock_gram, whose entries include the generating-series pairing), or
+polynomials in W at the W-monomials, which a polynomial family's Wick
+coefficients read, one table per pairing (_wick_coefficients).  exact_dj_gram
+contracts each with the exact W-Gram of q_basis's measure at every n; the
 n = 1 exact-z Monte Carlo path, with power sums of w (_exact_z_kernel).
 The Monte Carlo engines draw z from the same law and weigh W by its
 integral.  The checks of that integral read the form's real matrix off
@@ -66,6 +67,16 @@ def _z_normalizer(dets, n, m):
     return np.sqrt(dets) / (8.0 * m) ** n
 
 
+def _digit_key(exps, base):
+    """(digits, pos): key(e) = e @ digits reads an exponent row e as base-`base`
+    digits, so keys add and subtract as the rows do while the digits stay in
+    [0, base), and pos[key(e)] is the row of e in exps."""
+    digits = base ** np.arange(exps.shape[1])
+    pos = np.zeros(base ** exps.shape[1], dtype=int)
+    pos[exps @ digits] = np.arange(len(exps))
+    return digits, pos
+
+
 def _wick_factor(c, d, degree):
     """(B, lam) with E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r] for a centred
     Gaussian z with E[z t(z)] = c and E[z z^*] = d I (d a scalar), over
@@ -76,11 +87,9 @@ def _wick_factor(c, d, degree):
     n = c.shape[-1]
     exps = np.array(numkit.enumerate_multiindices(n, degree))
     moments = np.array([*fockpoly.p_s_values([c.flat[0] * 0] * n, c.tolist(), degree).values()])
-    # each index read as base-(degree + 1) digits: key(s) - key(u) =
-    # key(s - u) for u <= s, and C(s, u) = 0 for any other u
-    key = exps @ (degree + 1) ** np.arange(n)
-    pos = np.zeros((degree + 1) ** n, dtype=int)
-    pos[key] = np.arange(len(exps))
+    # C(s, u) = 0 for any u but u <= s, where key(s) - key(u) = key(s - u)
+    digits, pos = _digit_key(exps, degree + 1)
+    key = exps @ digits
     binom = np.array([[math.comb(a, b) for b in range(degree + 1)] for a in range(degree + 1)])
     below = math.prod(binom[e[:, None], e[None]] for e in exps.T)
     lam = np.array([numkit.mi_factorial(u) for u in exps]) * d ** exps.sum(axis=1)
@@ -111,12 +120,15 @@ def fock_gram(family: PolyFamily, w, m) -> np.ndarray:
     is the reciprocal of the Gaussian's integral (_z_normalizer), so the
     Gram is exactly (A B) diag(lam) (A B)^H, with (B, lam) the z-law's Wick
     factor and A the family's coefficients: A B sums the rows of B at the
-    family's monomials.  Raises ValueError on a family with a W term.
+    family's monomials.  Raises ValueError on a family with a W term or of
+    another n than W's.
 
     The constant (8 pi m)^n is the one that makes the basis orthonormal; the
     reference constant (2 pi m)^n is off by the ratio calibrate_norms
     reports."""
     n = np.shape(w)[-1]
+    if n != family.n:
+        raise ValueError(f"fock_gram at a W of n = {n} of a family of n = {family.n}")
     exps = family.exponents
     if exps[:, n:].any():
         raise ValueError("fock_gram needs z-only polynomials")
@@ -139,62 +151,42 @@ def calibrate_norms(n: int, m) -> dict:
             "closed_form": float((8.0 * math.pi * m) ** n)}
 
 
-def verify_gaussian_pairing(xp: SJDiskPoint, x: SJDiskPoint, trunc: int) -> dict:
-    """Pair the truncated exponential generating series with itself under the
-    restored Gaussian weight exp(-U conj(t(U))) pi^{-n} dLeb(U) and compare
-    with the closed form det(I - W' conj(W))^{-1/2} exp A(W', z'; W, z).
-
-    The U^s coefficients P_s(z, W) / s! of both series, in table order, are
-    vectors a and b, and the pairing is (a B) diag(lam) conj(b B), with
-    (B, lam) the Wick factor of the z-law at W = 0, m = fockpoly.MATCHING_M,
-    for one pair of points (W', z'), (W, z)."""
-    n = x.n
-
-    def coefficients(point):
-        vals = fockpoly.p_s_values(point.z.tolist(), point.w.tolist(), trunc)
-        return np.array([v / numkit.mi_factorial(s) for s, v in vals.items()]) @ factor
-
-    factor, lam = _wick_factor(*_z_moments(np.zeros((n, n)), fockpoly.MATCHING_M), trunc)
-    lhs = (coefficients(xp) * lam) @ coefficients(x).conj()
-    rhs = kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)
-    return {"lhs": complex(lhs), "rhs": complex(rhs), "residual": abs(lhs - rhs)}
-
-
 # --- the exact Jacobi-disk Gram of polynomial families ---
 
 def _wick_coefficients(family: PolyFamily, m):
-    """(lam, beta, monos) with E[f_i conj(f_j) | W] =
-    sum_u lam[u] B_i^u(W) conj(B_j^u(W)) under the z-law of each W.  For
+    """(tables, monos) with E[f_i conj(f_j) | W] =
+    sum_u lam_u B_i^u(W) conj(B_j^u(W)) under the z-law of each W.  For
     f_i = sum_s z^s A_i[s](W), B_i^u = sum_s A_i[s] B[s, u], with (B, lam)
     the Wick factor of the z-law of the W-monomials: each B[s, u] a
-    polynomial in W.  beta[i, u] holds the coefficients of B_i^u over the
-    W-monomials monos, every one of degree <= D, D the largest
-    |a| + |s| // 2 of the family's z^s W^a."""
+    polynomial in W.  Each pairing u has one table (lam_u, members, coeffs):
+    the members i whose B_i^u is nonzero, and their coefficients (monomial,
+    member) over the W-monomials monos, every one of degree <= D, D the
+    largest |a| + |s| // 2 of the family's z^s W^a; real for a family with
+    real coefficients."""
     n = family.n
     zexp, wexp = family.exponents[:, :n], family.exponents[:, n:]
     zdeg = int(zexp.sum(axis=1).max(initial=0))
     deg = int((wexp.sum(axis=1) + zexp.sum(axis=1) // 2).max(initial=0))
     monos = numkit.enumerate_multiindices(_upper_dim(n), deg)
     factor, lam = _wick_factor(*_z_moments(np.array(fockpoly._w_monomials(n)), m), zdeg)
-    # each W-monomial read as base-(D + 1) digits, as _wick_factor keys z^s:
-    # key(a) + key(b) = key(a + b) while a + b stays in monos
-    digits = (deg + 1) ** np.arange(_upper_dim(n))
-    pos = np.zeros((deg + 1) ** _upper_dim(n), dtype=int)
-    pos[np.array(monos) @ digits] = np.arange(len(monos))
-    # the family's columns z^s W^a grouped by s, in the order of B's rows
-    columns = {s: [] for s in numkit.enumerate_multiindices(n, zdeg)}
-    for col, s in enumerate(map(tuple, zexp.tolist())):
-        columns[s].append(col)
-    # filled as (u, monomial, member), each update whole rows; read as (member, u, monomial)
-    beta = np.zeros((len(lam), len(monos), len(family)), dtype=complex)
-    for row, cols in zip(factor, columns.values()):
-        # the columns of one s have distinct a, so each term of B[s, u]
-        # lands on distinct monomials, in one update
-        keys, coeffs = wexp[cols] @ digits, family.coeffs[:, cols].T
-        for u, poly in enumerate(row):
+    # a W-monomial times a term of B[s, u] stays in monos: keys add
+    digits, pos = _digit_key(np.array(monos), deg + 1)
+    coeffs = family.coeffs if family.coeffs.imag.any() else family.coeffs.real
+    # the W-keys and coefficients (column, member) of the family's columns
+    # z^s W^a, grouped by s in the order of B's rows
+    zs = numkit.enumerate_multiindices(n, zdeg)
+    groups = [(wexp[c] @ digits, coeffs[:, c].T) for c in (np.all(zexp == s, axis=1) for s in zs)]
+    tables = []
+    for u, lam_u in enumerate(lam):
+        table = np.zeros((len(monos), len(family)), dtype=coeffs.dtype)
+        for (keys, block), poly in zip(groups, factor[:, u]):
+            # the columns of one s have distinct a, so each term of B[s, u]
+            # lands on distinct monomials, in one update
             for e, c in poly.terms.items():
-                beta[u, pos[keys + np.dot(e[n:], digits)]] += c * coeffs
-    return lam, beta.transpose(2, 0, 1), monos
+                table[pos[keys + np.dot(e[n:], digits)]] += c * block
+        members = np.flatnonzero(table.any(axis=0))
+        tables.append((lam_u, members, table[:, members]))
+    return tables, monos
 
 
 def exact_dj_gram(family: PolyFamily, m, k) -> np.ndarray:
@@ -202,30 +194,22 @@ def exact_dj_gram(family: PolyFamily, m, k) -> np.ndarray:
     Wick's rule (_wick_coefficients) and leaves the W-weight
     (8 pi m)^{-n} det(I - W conj(W))^{k - n - 3/2}, the measure of q_basis.
     Its orthonormal q_a span the B_i^u: with B_i^u = sum_a x[i, u, a] q_a,
-    G_ij = (8 pi m)^{-n} sum_{u,a} lam[u] x[i, u, a] conj(x[j, u, a]).  The x
-    solve one linear system on the coefficients of the q_a, the Cholesky
-    factors of Hua's blocks mass inv(K_d), so no matrix is inverted.  Like
-    q_basis, it refuses k <= n + 1/2.
+    G_ij = (8 pi m)^{-n} sum_{u,a} lam_u x[i, u, a] conj(x[j, u, a]).  One
+    linear system per pairing's table gives its x, on the coefficients of
+    the q_a, the Cholesky factors of Hua's blocks mass inv(K_d), so no
+    matrix is inverted.  Like q_basis, it refuses k <= n + 1/2.
 
-    Most B_i^u are zero (1190 of the 560 x 20 x 84 coefficients of the
-    series family at n = 3), so only the nonzero ones are solved for, and
-    G is summed over u from the x of the members whose B_i^u is nonzero; a
-    family with real coefficients has real B_i^u and a real G, and runs in
-    real arithmetic."""
-    n = family.n
-    lam, beta, monos = _wick_coefficients(family, m)
+    The tables hold only the nonzero B_i^u (953 of the 560 x 20 of the
+    series family at n = 3, k = 4); a family with real coefficients has real
+    B_i^u and a real G, and runs in real arithmetic."""
+    tables, monos = _wick_coefficients(family, m)
     # q_basis's family chains every W-monomial of degree <= D, in monos' order
-    basis = PolyFamily(fockpoly.q_basis(n, k, sum(monos[-1]))).coeffs.real
-    member, pairing = np.nonzero(beta.any(axis=2))
-    rows = beta[member, pairing]
-    if not rows.imag.any():
-        rows = rows.real
-    coords = np.linalg.solve(basis.T, rows.T).T * np.sqrt(lam[pairing])[:, None]
-    gram = np.zeros((len(family), len(family)), dtype=rows.dtype)
-    for u in sorted(set(pairing.tolist())):
-        sel = pairing == u
-        gram[np.ix_(member[sel], member[sel])] += coords[sel] @ coords[sel].conj().T
-    return gram / (8.0 * math.pi * m) ** n
+    basis = PolyFamily(fockpoly.q_basis(family.n, k, sum(monos[-1]))).coeffs.real.T
+    gram = np.zeros((len(family),) * 2, dtype=tables[0][2].dtype)
+    for lam_u, members, table in tables:
+        coords = (np.linalg.solve(basis, table) * np.sqrt(lam_u)).T
+        gram[np.ix_(members, members)] += coords @ coords.conj().T
+    return gram / (8.0 * math.pi * m) ** family.n
 
 
 # --- Monte Carlo engines ---
@@ -337,9 +321,12 @@ def _sample_z_given_w(rng, ws, m, mask):
 def _exact_z_kernel(family: PolyFamily, m):
     """n = 1: K (nf, nf, D + 1, D + 1) with E[f_i conj(f_j) | w] =
     sum_{a,b} K[i, j, a, b] w^a conj(w)^b under the z-law of mc_dj_gram, the
-    contraction of the Wick coefficients (_wick_coefficients; monos w^0..w^D)."""
-    lam, beta, _ = _wick_coefficients(family, m)
-    return np.einsum("u,iua,jub->ijab", lam, beta, beta.conj())
+    contraction of each Wick table (_wick_coefficients; monos w^0..w^D)."""
+    tables, monos = _wick_coefficients(family, m)
+    kern = np.zeros((len(family), len(family), len(monos), len(monos)), dtype=complex)
+    for lam_u, members, table in tables:
+        kern[np.ix_(members, members)] += np.einsum("ai,bj->ijab", lam_u * table, table.conj())
+    return kern
 
 
 class _PowerSums:
@@ -503,7 +490,10 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
     Gram is a polynomial in w and conj(w) (_exact_z_kernel), and only the
     W-average is stochastic.  Any other family samples z from its
     closed-form law as well.  exact_dj_gram gives the Gram of a PolyFamily
-    without sampling, at every n, from the same Wick coefficients."""
+    without sampling, at every n, from the same Wick coefficients.  Raises
+    ValueError on a PolyFamily of another n."""
+    if isinstance(family, PolyFamily) and family.n != n:
+        raise ValueError(f"mc_dj_gram at n = {n} of a family of n = {family.n}")
     exact_z = n == 1 and isinstance(family, PolyFamily)
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 

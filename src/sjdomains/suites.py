@@ -326,11 +326,17 @@ def run_gaussian_integrals(cfg: SuiteConfig) -> list:
                   * math.sqrt(float(np.linalg.det(np.eye(n) - w @ w.conj()).real)))
         worst = max(worst, abs(integral - closed) / closed)
     checks.append(residual_check("weight-normalization-closed-form", worst, 1e-10))
-    worst = 0.0
     xps, xs = (domains.sample_sj_disk_batch(n, 2, (cfg.seed, 6011, i), 0.25, 0.3) for i in (1, 2))
-    for xp, x in zip(xps, xs):
-        res = quad.verify_gaussian_pairing(xp, x, trunc=12)
-        worst = max(worst, res["residual"])
+    # each point's series sum_s P_s(x) U^s / s!, |s| <= 12, a polynomial in U;
+    # one fock_gram at W = 0, MATCHING_M pairs them under the standard Gaussian
+    zero = (0,) * len(numkit.upper_pairs(n))
+    series = fockpoly.PolyFamily([fockpoly.PolyFunction(n, {
+        s + zero: v / fockpoly.mi_factorial(s)
+        for s, v in fockpoly.p_s_values(p.z.tolist(), p.w.tolist(), 12).items()})
+        for p in (*xps, *xs)])
+    gram = quad.fock_gram(series, np.zeros((n, n)), fockpoly.MATCHING_M)
+    closed = kernels.kmk_star_kernel(xps, xs, fockpoly.MATCHING_M, 0.5)
+    worst = float(np.max(np.abs(np.diagonal(gram, len(closed)) - closed)))
     checks.append(residual_check("generating-series-pairing", worst, 1e-6))
     return checks
 

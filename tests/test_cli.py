@@ -359,6 +359,20 @@ def test_eval_refuses_a_field_the_object_does_not_read(obj, where, capsys):
     assert err == f"error: unrecognized field{' of ' + where if where else ''}: 'typo'\n"
 
 
+@pytest.mark.parametrize("obj,args", [
+    ("Q_a", {"a": [0, 0, 12]}), ("Q_a", {"a": [0, 0, 0, 0, 0, 5], "k": 4}),
+    ("F_sa", {"s": [1, 0], "a": [0, 0, 12]})])
+def test_eval_refuses_a_field_before_it_evaluates(obj, args, capsys, monkeypatch):
+    # every field is read before the object is evaluated, so a leftover
+    # field exits 2 without building the basis
+    def unexpected(*_):
+        pytest.fail("q_basis was built before the fields were all read")
+
+    monkeypatch.setattr(fockpoly, "q_basis", unexpected)
+    code, out, err = run(["eval", obj, json.dumps({**args, "typo": 1})], capsys)
+    assert (code, out, err) == (2, "", "error: unrecognized field: 'typo'\n")
+
+
 # spellings that an earlier eval also read, each now refused
 REMOVED_SPELLINGS = {
     "Z": ("P_s", {"s": [2], "Z": 1, "W": 0.5}, "unrecognized field: 'Z'"),

@@ -518,6 +518,17 @@ def test_chain_split_matches_per_term_sums(n, name):
         assert len(exps) == 5 and np.count_nonzero(family.coeffs) == 1
 
 
+def test_split_refuses_points_of_another_n():
+    # an n = 1 family at n = 2 points, z and W alike, names both n
+    x = domains.sample_sj_disk_batch(2, 3, 1, 0.6, 0.8)
+    one = fockpoly.PolyFunction.constant(1, 1.0)
+    family = fockpoly.PolyFamily([one, fockpoly.PolyFunction.monomial(1, (1,), (1,))])
+    with pytest.raises(ValueError, match=r"n = 1 at points of shape \(3, 2\)$"):
+        family.split(x.w[:, :1, :1], x.z)
+    with pytest.raises(ValueError, match=r"n = 1 at points of shape \(3, 2, 2\)$"):
+        family.split(x.w, x.z[:, :1])
+
+
 def test_split_names_a_missing_batch_argument():
     x = domains.sample_sj_disk_batch(2, 3, 1, 0.6, 0.8)
     mixed = fockpoly.PolyFamily([fockpoly.basis_f((1, 1), M)])

@@ -214,8 +214,9 @@ def test_moment_table_matches_gauss_hermite_n2():
 
 
 def test_polynomial_wick_factor_matches_gauss_hermite_n2():
-    # the conditional Gram sum_u lam[u] B_i^u(W) conj(B_j^u(W)) of
-    # _wick_coefficients, its W-monomials evaluated at fixed W, against the
+    # the conditional Gram sum_u lam_u B_i^u(W) conj(B_j^u(W)) of the
+    # tables of _wick_coefficients, each table's W-monomials evaluated at
+    # fixed W and its members' products summed, against the
     # family's own values on a tensor Gauss-Hermite rule of the z-law on
     # (Re z, Im z) in R^4, its form polarized from a_form; the family has
     # W terms and complex coefficients, and z-degree <= 3, which order 6
@@ -226,13 +227,15 @@ def test_polynomial_wick_factor_matches_gauss_hermite_n2():
                  fockpoly.PolyFunction.zero(2)) for row in coeffs]
     family = fockpoly.PolyFamily([f for _, f in labeled[::7]] + mixes)
     assert np.any(family.coeffs.imag) and family.exponents[:, 2:].any()
-    lam, beta, monos = quad._wick_coefficients(family, M)
+    tables, monos = quad._wick_coefficients(family, M)
     ws = [np.array([[0.3 - 0.2j, 0.1j], [0.1j, -0.25 + 0.05j]]),
           *(domains.sample_sj_disk_point(2, 0.7, seed=30 + t).w for t in range(3))]
     for w in ws:
         upper = w[np.triu_indices(2)]
-        coef = beta @ np.prod(upper ** np.array(monos), axis=1)
-        exact = (coef * lam) @ coef.conj().T
+        exact = np.zeros((len(family), len(family)), dtype=complex)
+        for lam_u, members, table in tables:
+            coef = np.prod(upper ** np.array(monos), axis=1) @ table
+            exact[np.ix_(members, members)] += lam_u * np.outer(coef, coef.conj())
         zs, weights = _gauss_hermite_rule(_polarized_forms(w[None], M, False)[0], order=6)
         vals = family.split(np.broadcast_to(w, (len(zs), 2, 2)), zs)[0]
         assert_allclose(exact, (vals * weights) @ vals.conj().T,
@@ -253,6 +256,23 @@ def test_fock_gram_orthonormal():
     assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-12
 
 
+def test_fock_gram_refuses_a_family_of_another_n():
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0),
+                                  fockpoly.PolyFunction.monomial(1, (1,))])
+    with pytest.raises(ValueError, match="W of n = 2 of a family of n = 1"):
+        quad.fock_gram(family, 0.1 * np.eye(2), M)
+
+
+@pytest.mark.parametrize("n,funcs", [
+    (2, [fockpoly.PolyFunction.constant(1, 1.0), fockpoly.PolyFunction.monomial(1, (1,))]),
+    (1, [fockpoly.PolyFunction.constant(2, 1.0)])], ids=["sampled-z", "exact-z"])
+def test_mc_dj_gram_refuses_a_family_of_another_n(n, funcs):
+    # the n = 1 family at n = 2 would sample z, and the n = 2 constant at
+    # n = 1 would take the exact-z path, which evaluates no point
+    with pytest.raises(ValueError, match=f"at n = {n} of a family of n = {3 - n}"):
+        quad.mc_dj_gram(fockpoly.PolyFamily(funcs), n, M, K, quad.MCConfig(samples=1000))
+
+
 def test_calibrate_norms_values():
     cal = quad.calibrate_norms(1, M)
     assert_allclose(cal["constant"], 8 * math.pi * M, rtol=1e-12)
@@ -261,10 +281,16 @@ def test_calibrate_norms_values():
 
 
 def test_generating_series_pairing():
+    # the truncated series sum_s P_s(x) U^s / s!, |s| <= 14, of two points
+    # paired by fock_gram under the standard Gaussian (W = 0, MATCHING_M),
+    # against its limit, the bounded kernel at MATCHING_M and k = 1/2
     x = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=3)
     xp = domains.sample_sj_disk_point(1, 0.25, 0.3, seed=4)
-    res = quad.verify_gaussian_pairing(xp, x, trunc=14)
-    assert res["residual"] < 1e-8
+    series = fockpoly.PolyFamily([fockpoly.PolyFunction(1, {
+        s + (0,): v / math.factorial(s[0])
+        for s, v in fockpoly.p_s_values(p.z.tolist(), p.w.tolist(), 14).items()}) for p in (xp, x)])
+    pairing = quad.fock_gram(series, np.zeros((1, 1)), fockpoly.MATCHING_M)[0, 1]
+    assert abs(pairing - kernels.kmk_star_kernel(xp, x, fockpoly.MATCHING_M, 0.5)) < 1e-8
 
 
 def test_mc_disk_inner_against_beta_moments():
@@ -719,6 +745,46 @@ def test_the_z_law_is_stated_once(monkeypatch, n):
     flipped = quad.exact_dj_gram(fockpoly.PolyFamily(funcs), M, k)
     assert np.max(np.abs(flipped - real)) <= 1e-12
     assert np.max(np.abs(flipped - np.eye(len(funcs)))) > 1.0
+
+
+def test_wick_tables_hold_only_the_nonzero_rows():
+    # one table per pairing u, each over the members whose B_i^u is
+    # nonzero: 953 of the 560 x 20 (member, u) rows of the series family at
+    # n = 3, k = 4, every one of them nonzero
+    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(3, M, 4, 3, 2)])
+    tables, monos = quad._wick_coefficients(family, M)
+    assert (len(family), len(tables), len(monos)) == (560, 20, 84)
+    for _, members, table in tables:
+        assert table.shape == (len(monos), len(members)) and table.any(axis=0).all()
+    assert sum(len(members) for _, members, _ in tables) == 953
+
+
+def test_exact_dj_gram_of_a_complex_family_with_w_terms_n2():
+    # the per-pairing solve on complex coefficients and W terms, against
+    # sum_u lam_u B_u G_W B_u^H / (8 pi m)^n with B_u the (member, monomial)
+    # coefficients of the Wick tables and G_W the W-Gram from fk_gram's
+    # blocks, which shares no code with the q_basis solve
+    labeled = fockpoly.series_basis(2, M, K, s_max=3, a_max=2)
+    coeffs = np.random.default_rng(12).standard_normal((4, len(labeled), 2)) @ [1.0, 1.0j]
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    family = fockpoly.PolyFamily([sum((f * complex(c) for (_, f), c in zip(labeled, row)),
+                                      fockpoly.PolyFunction.zero(2)) for row in coeffs])
+    assert np.any(family.coeffs.imag) and family.exponents[:, 2:].any()
+    tables, monos = quad._wick_coefficients(family, M)
+    degree = sum(monos[-1])
+    labels = fockpoly.sym_degree_list(2, degree)
+    where = {a: (sum(a), [b for b in labels if sum(b) == sum(a)].index(a)) for a in labels}
+    blocks = fockpoly.fk_gram(2, K, degree)
+    g_w = np.array([[blocks[d][i, j] if d == e else 0.0 for e, j in map(where.get, monos)]
+                    for d, i in map(where.get, monos)])
+    ref = np.zeros((len(family), len(family)), dtype=complex)
+    for lam_u, members, table in tables:
+        b_u = np.zeros((len(family), len(monos)), dtype=complex)
+        b_u[members] = table.T
+        ref += lam_u * b_u @ g_w @ b_u.conj().T
+    gram = quad.exact_dj_gram(family, M, K)
+    assert np.iscomplexobj(gram) and np.max(np.abs(gram.imag)) > 0.1
+    assert np.max(np.abs(gram - ref / (8 * math.pi * M) ** 2)) <= 1e-13
 
 
 def test_exact_dj_gram_against_beta_moments():
