@@ -17,7 +17,8 @@ The chart functions work on both; a single point is the stack with no
 leading axis.  cayley_forward / cayley_inverse validate (the condition of
 the matrix they invert and, through the constructor, the image);
 batch_cayley_forward / batch_cayley_inverse are the same arithmetic on raw
-arrays, unvalidated, for the Monte Carlo engines' boundary samples.
+arrays, unvalidated, which the transfer operators (discrete_series.t_star
+and t_inv) run on the stacked points they are split at.
 """
 
 from __future__ import annotations

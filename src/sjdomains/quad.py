@@ -1,41 +1,41 @@
-"""Quadrature layer: exact moments of complex Gaussian weights, seeded Monte
-Carlo engines for the weighted inner products on the bounded and unbounded
-domains, and finite-difference Jacobian helpers.
+"""Quadrature layer: exact moments of complex Gaussian weights, the seeded
+Monte Carlo engine for the weighted inner product on the bounded domain, and
+finite-difference Jacobian helpers.
 
 The Gaussian weight exp(-8 pi m A(W, z)) of the Fock spaces has one
 closed-form law for one W or a stack of them: E[z t(z)] = -W / (8 pi m),
 E[z z^*] = I / (8 pi m) and the integral (8 m)^{-n} det(I - W conj(W))^{1/2}
-(_z_moments, _z_normalizer); the weight exp(-8 pi m A(-W, z)) of the
-space-side engine is the same law at -W.  Every exact z-integral is Wick's
-rule on that law, one Wick factor E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r]
-with E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence at Z = 0
-(_wick_factor).  It runs in the ring of E[z t(z)]: numbers at one W
-(fock_gram, whose entries include the generating-series pairing), or
-polynomials in W at the W-monomials, which a polynomial family's Wick
-coefficients read, one table per pairing (_wick_coefficients).  exact_dj_gram
-contracts each with the exact W-Gram of q_basis's measure at every n; the
-n = 1 exact-z Monte Carlo path, with power sums of w (_exact_z_kernel).
-The Monte Carlo engines draw z from the same law and weigh W by its
-integral.  The checks of that integral read the form's real matrix off
-kernels.a_form instead (a_form_matrix).
+(_z_moments, _z_normalizer).  Every exact z-integral is Wick's rule on that
+law, one Wick factor E[z^s conj(z)^r] = (B diag(lam) B^H)[s, r] with
+E[z^v] = P_v(0, E[z t(z)]) from the P_s recurrence at Z = 0 (_wick_factor).
+It runs in the ring of E[z t(z)]: numbers at one W (fock_gram, whose entries
+include the generating-series pairing), or polynomials in W at the
+W-monomials, which a polynomial family's Wick coefficients read, one table
+per pairing (_wick_coefficients).  exact_dj_gram contracts each with the
+exact W-Gram of q_basis's measure at every n; the n = 1 exact-z Monte Carlo
+path, with power sums of w (_exact_z_kernel).  The Monte Carlo engine draws
+z from the same law and weighs W by its integral.  The checks of that
+integral read the form's real matrix off kernels.a_form instead
+(a_form_matrix).
 
 Every integrand is a family with one protocol: its side ('disk' or
 'space'), len() members, and split(mats, vecs) -> (vals (len, N), logs (N,))
 on stacked points of that side, member i being vals[i] * exp(logs): a
 fockpoly.PolyFamily (disk, logs = 0) or a discrete_series.SampledFunction.
-Each engine takes one family, checks its side once (require_side), and
-makes each member a row of one Gram, so a check draws its samples once and
-reads its inner products off that Gram.  The Monte Carlo engines are one
-streaming driver, _mc_gram, that proposes W from the polydisk in chunks,
-keeps the draws that lie in the domain and contracts the Gram over them in
-blocks of _BLOCK samples; each engine only supplies its draw on the accepted
-W (evaluation points and log weight); where the z-integral is exact (n = 1,
-a PolyFamily) the driver accumulates weighted power sums of w instead of
-evaluating the family, folded by their Hermitian symmetry into one real
-GEMM per block on one workspace (_PowerSums).  Proposals are tested on
-their entries as (N,) arrays: a filter on the radii, then one Cholesky
-elimination that also gives det(I - W conj(W)); only accepted W become
-matrices.  Rejected proposals count in the estimator's denominator.
+Each engine takes one disk-side family, checks its side once
+(require_side), and makes each member a row of one Gram, so a check draws
+its samples once and reads its inner products off that Gram.  The Monte
+Carlo engine, mc_dj_gram, runs on a streaming driver, _mc_gram, that
+proposes W from the polydisk in chunks, keeps the draws that lie in the
+domain and contracts the Gram over them in blocks of _BLOCK samples; the
+engine only supplies its draw on the accepted W (evaluation points and log
+weight); where the z-integral is exact (n = 1, a PolyFamily) the driver
+accumulates weighted power sums of w instead of evaluating the family,
+folded by their Hermitian symmetry into one real GEMM per block on one
+workspace (_PowerSums).  Proposals are tested on their entries as (N,)
+arrays: a filter on the radii, then one Cholesky elimination that also gives
+det(I - W conj(W)); only accepted W become matrices.  Rejected proposals
+count in the estimator's denominator.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, fockpoly, kernels, numkit
+from . import fockpoly, kernels, numkit
 from .domains import SJDiskPoint, SJSpacePoint
 from .fockpoly import PolyFamily
 
@@ -212,7 +212,7 @@ def exact_dj_gram(family: PolyFamily, m, k) -> np.ndarray:
     return gram / (8.0 * math.pi * m) ** family.n
 
 
-# --- Monte Carlo engines ---
+# --- the Monte Carlo engine ---
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -301,9 +301,8 @@ def _sample_w(rng, count, n):
 
 
 def _sample_z_given_w(rng, ws, m, mask):
-    """z from the conditional law (_z_moments) of each accepted W, through
-    the Cholesky factor L of its real covariance (2Q)^{-1}, and the exponent
-    x^T Q x = |g|^2 / 2 of its density at x = L g.  L comes from one
+    """z from the conditional law (_z_moments) of each accepted W: x = L g,
+    with L the Cholesky factor of its real covariance (2Q)^{-1}, from one
     elimination over the stack of covariances (numkit.spd_cholesky).  The
     normal draws g cover every proposal of the chunk (mask) and the accepted
     rows are kept, so the random stream does not depend on which proposals
@@ -315,7 +314,7 @@ def _sample_z_given_w(rng, ws, m, mask):
     cov = 0.5 * np.block([[eye + c.real, c.imag], [c.imag, eye - c.real]])
     gauss = rng.standard_normal((len(mask), 2 * n))[mask]
     xs = np.einsum("bij,bj->bi", numkit.spd_cholesky(cov), gauss)
-    return xs[:, :n] + 1j * xs[:, n:], 0.5 * np.sum(gauss ** 2, axis=1)
+    return xs[:, :n] + 1j * xs[:, n:]
 
 
 def _exact_z_kernel(family: PolyFamily, m):
@@ -390,13 +389,14 @@ def require_side(family, side):
 ESS_F_LOW_FRACTION = 0.01
 
 
-def mc_stats(stats, rows=slice(None)):
-    """The stats of a check that reads the functions `rows` of an engine's
-    Gram: its ess_f is the smallest of their Kish sizes, and ess_f_low says
-    whether that is below ESS_F_LOW_FRACTION of the accepted samples."""
-    ess_f = float(np.min(stats["ess_f"][rows]))
+def mc_stats(stats):
+    """The stats of a check that reads an engine's Gram: its ess_f is the
+    smallest of the functions' Kish sizes, and ess_f_low says whether that is
+    below ESS_F_LOW_FRACTION of the accepted samples, or 0: a Gram that rests
+    on no sample is flagged too."""
+    ess_f = float(np.min(stats["ess_f"]))
     return {**stats, "ess_f": ess_f,
-            "ess_f_low": ess_f < ESS_F_LOW_FRACTION * stats["accepted"]}
+            "ess_f_low": ess_f == 0.0 or ess_f < ESS_F_LOW_FRACTION * stats["accepted"]}
 
 
 # samples per Gram contraction: it bounds the (nf, block) values, or the
@@ -406,16 +406,16 @@ def mc_stats(stats, rows=slice(None)):
 _BLOCK = 2000
 
 
-def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
+def _mc_gram(family, n, cfg: MCConfig, chunk, draw, kern=None):
     """The Monte Carlo driver: shared-sample estimate of the Gram matrix
     E[f_i conj(f_j) weight] over the members of family, its standard errors
     and stats: the proposals, the accepted draws, over their weights
     w = exp(logw) the Kish effective sample size (sum w)^2 / sum w^2 and
     largest share max w / sum w, and ess_f, the (nf,) Kish sizes of each
     function's contributions to its diagonal entry, w |f_i|^2 (their log
-    parts included); mc_stats reduces them to the functions a check reads.
+    parts included); mc_stats reduces them to the smallest.
 
-    Each member of family, an integrand of side `side`, is a row; one split
+    Each member of family, a disk-side integrand, is a row; one split
     per block evaluates them all.  Each chunk of `chunk` proposals draws W
     from the polydisk (_sample_w), then calls draw(rng, ws, dets, mask) ->
     (mats, vecs, logw) on the accepted ws only, with their dets = det(I - W
@@ -429,7 +429,7 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
     sums of w to one _PowerSums, whose workspace is allocated once per call;
     at the end they are unfolded once, and the Gram and its variance are
     contracted from them.  The result is Hermitian by construction."""
-    require_side(family, side)
+    require_side(family, "disk")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     nf = len(family)
     acc = np.zeros((nf, nf), dtype=complex)
@@ -451,9 +451,9 @@ def _mc_gram(family, n, cfg: MCConfig, chunk, draw, side="disk", kern=None):
                 sums.add(mats[blk, 0, 0], weight[blk])
                 continue
             vals, logs = family.split(mats[blk], vecs[blk])
-            # transported functions carry a +exponent that the weight's
-            # -exponent cancels to O(1); summing the logs before exp keeps
-            # boundary samples finite where a factored product would not
+            # summing the logs before exp keeps a function's growing exponent
+            # and the weight's decaying one finite where a factored product
+            # would not be
             with np.errstate(over="ignore", invalid="ignore"):
                 u = vals * np.exp(logs + logw[blk] / 2)
             sq = np.abs(u) ** 2
@@ -483,8 +483,8 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
 
     The Gaussian is the reciprocal of the kernel diagonal, the convention the
     orthonormal basis lives in.  The weight that the group action preserves
-    has A(-W, z) instead (see mc_hj_gram); the two agree on functions whose
-    z-degree stays below 2.
+    has A(-W, z) instead (kernels.kmk_star_weight_flipped); the two agree on
+    functions whose z-degree stays below 2.
 
     For n = 1 and a PolyFamily the z-integral is exact: each conditional
     Gram is a polynomial in w and conj(w) (_exact_z_kernel), and only the
@@ -498,49 +498,12 @@ def mc_dj_gram(family, n, m, k, cfg: MCConfig):
     logc = (_upper_dim(n) - n) * math.log(math.pi)
 
     def draw(rng, ws, dets, mask):
-        zs = None if exact_z else _sample_z_given_w(rng, ws, m, mask)[0]
+        zs = None if exact_z else _sample_z_given_w(rng, ws, m, mask)
         logw = (float(k) - n - 2) * np.log(dets) + np.log(_z_normalizer(dets, n, m)) + logc
         return ws, zs, logw
 
     kern = _exact_z_kernel(family, m) if exact_z else None
     return _mc_gram(family, n, cfg, _EXACT_Z_CHUNK if exact_z else _CHUNK, draw, kern=kern)
-
-
-def mc_hj_gram(family, n, m, k, cfg: MCConfig):
-    """Shared-sample MC Gram of a space-side family, such as
-    t_star(PolyFamily(...)), on the unbounded Jacobi domain with the decaying
-    weight (det Y)^k exp(-4 pi m eta Y^{-1} t(eta)), overall constant
-    2^{-n(n+3)}, measure (det Y)^{-n-2} pi^{-n} dLeb(zeta) dLeb(Omega);
-    returns (gram, sigma, stats) as mc_dj_gram does.
-
-    The space-side counterpart of mc_dj_gram: samples are proposed in the
-    bounded chart (the only practical way to cover the domain), in chunks of
-    _CHUNK from the stream of cfg.seed, z is drawn from
-    exp(-8 pi m A(-W, z)) / Z, the z-law at -W, and the points are mapped
-    forward.  The overall constant cancels the chart Jacobian constant
-    2^{n(n+3)} exactly, and the remaining weight and measure factors are
-    evaluated from the raw (Omega, zeta) values so the identities relating
-    the two sides stay testable rather than assumed.
-    The whole weight is kept as a log.  eta Y^{-1} t(eta) and det Y come
-    from one elimination of the real stack Y = Im Omega, and det(I - W) from
-    one of I - W."""
-    eye = np.eye(n)
-    logc = (_upper_dim(n) - n) * math.log(math.pi)
-
-    def draw(rng, ws, dets, mask):
-        # the law exp(-8 pi m A(-W, z)) / Z is the z-law at -W
-        zs, xqx = _sample_z_given_w(rng, -ws, m, mask)
-        oms, zetas = domains.batch_cayley_forward(ws, zs)
-        etas = zetas.imag
-        sol, lu = numkit.eliminate(oms.imag, etas[:, :, None])
-        quad = np.einsum("bi,bi->b", sol[:, :, 0], etas)
-        det_res = numkit.lu_det(numkit.eliminate(eye - ws, ws[..., :0])[1])
-        logw = ((float(k) - n - 2) * np.log(numkit.lu_det(lu))
-                - (n + 2) * np.log(np.abs(det_res) ** 2)
-                + np.log(_z_normalizer(dets, n, m)) + logc - 4.0 * np.pi * m * quad + xqx)
-        return oms, zetas, logw
-
-    return _mc_gram(family, n, cfg, _CHUNK, draw, side="space")
 
 
 # --- finite-difference Jacobians and real charts ---

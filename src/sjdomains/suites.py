@@ -489,20 +489,29 @@ def _isometry_functions(cfg: SuiteConfig):
     return [("F00", f00), ("F10", f10), ("F01", f01), ("mix", mix)]
 
 
+def _reflected(f):
+    """f(-W, z): each coefficient of z^s W^a times (-1)^{|a|}."""
+    return fockpoly.PolyFunction(f.n, {e: c * (-1) ** sum(e[f.n:]) for e, c in f.terms.items()})
+
+
 @_suite("isometry")
 def run_isometry(cfg: SuiteConfig) -> list:
     """t_inv(t_star(psi)) = psi and t_star(t_inv(phi)) = phi pointwise; then
-    the norm of each test function before the transfer, exact, and after it,
-    a Monte Carlo estimate, agree within 3 sigma of the estimate.  The
-    isometry's test functions have z-degree at most one, where the two
-    bounded-side weight conventions coincide, so the comparison is
-    convention-free.
+    the norm of each test function before the transfer and after it, both
+    exact.
 
-    Each side of the isometry is one Gram over all the test functions: the
-    disk side quad.exact_dj_gram of the polynomials, which draws nothing,
-    and the space side one draw of quad.mc_hj_gram over their transfer as
-    one family.  The norms, sigmas and per-function stats are read off the
-    diagonals."""
+    Pulled back through the chart, whose Jacobian measure-jacobian checks,
+    the space integrand of t_star(psi) is |psi|^2 rho times the flipped disk
+    weight det(I - W conj(W))^k exp(-8 pi m A(-W, z)), with
+    rho = |T|^2 (det Y)^k exp(-4 pi m eta Y^{-1} t(eta)) times
+    kernels.kmk_star_weight_flipped, T the factor of t_star and (Omega,
+    zeta) = C(W, z).  W -> -W maps the flipped weight onto the plain one, so
+    the space norm is the diagonal of exact_dj_gram of the reflected
+    functions psi(-W, z), within that norm times max |rho - 1|.  rho is read
+    on a stack of its own, sigma_max(W) < 0.9 and |z| < 1.5 at m = 0.25;
+    the bound on |z| scales as m^{-1/2}, so that 8 pi m A, the exponent of
+    the weight, stays in floating-point range at every m.  The residual
+    |space - disk| + space max |rho - 1| bounds the gap of the two norms."""
     n, m, k = cfg.n, cfg.m, cfg.k
     psi = _two_term_family(cfg, 0.5 + 0.25j)
     back = ds.t_inv(ds.t_star(psi, m, k), m, k)
@@ -519,17 +528,25 @@ def run_isometry(cfg: SuiteConfig) -> list:
     worst_space = float(np.max(np.abs(forth(y) - phi(y))))
     checks = [residual_check("roundtrip-disk", worst_disk, 1e-10),
               residual_check("roundtrip-space", worst_space, 1e-10)]
+    x = domains.sample_sj_disk_batch(n, 200, (cfg.seed, 2017, 1), 0.9, 0.75 / math.sqrt(m))
+    y = domains.cayley_forward(x)
+    one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0)])
+    t_vals, t_logs = ds.t_star(one, m, k).split(y.omega, y.zeta)
+    eta = y.zeta.imag
+    sol, lu = numkit.eliminate(y.omega.imag, eta[:, :, None])
+    log_space = (k * np.log(numkit.lu_det(lu))
+                 - 4.0 * np.pi * m * np.einsum("bi,bi->b", sol[:, :, 0], eta))
+    rho = (np.abs(t_vals[0]) ** 2 * np.exp(2.0 * t_logs + log_space)
+           * kernels.kmk_star_weight_flipped(x, m, k))
+    deviation = _max_abs(rho - 1.0)
     names, psis = zip(*_isometry_functions(cfg))
-    family = fockpoly.PolyFamily(psis)
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, "isometry"))
-    disk = quad.exact_dj_gram(family, m, k)
-    space, sigma, stats = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, mccfg)
-    for i, name in enumerate(names):
-        d_est, s_est, s_sig = complex(disk[i, i]), complex(space[i, i]), float(sigma[i, i])
+    disk, space = (quad.exact_dj_gram(fockpoly.PolyFamily(fs), m, k).diagonal().real
+                   for fs in (psis, [_reflected(f) for f in psis]))
+    for name, d, s in zip(names, disk, space):
         checks.append(residual_check(
-            f"isometry-{name}", abs(s_est - d_est), 3.0 * s_sig + 1e-9,
-            detail={"disk_norm_sq": d_est, "space_norm_sq": s_est, "space_sigma": s_sig,
-                    **{"space_" + key: v for key, v in quad.mc_stats(stats, [i]).items()}}))
+            f"isometry-{name}", abs(s - d) + s * deviation, 1e-10,
+            detail={"disk_norm_sq": float(d), "space_norm_sq": float(s),
+                    "weight_ratio_deviation": deviation}))
     return checks
 
 

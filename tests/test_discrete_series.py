@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sjdomains import discrete_series as ds
-from sjdomains import domains, fockpoly, groups, numkit, quad, suites
+from sjdomains import domains, fockpoly, groups, kernels, numkit, quad, suites
 from sjdomains.suites import SuiteConfig
 
 M, K = 0.25, 3
@@ -133,8 +133,6 @@ def test_sampled_function_side_guard():
     with pytest.raises(ValueError):
         quad.require_side(phi, "disk")
     with pytest.raises(ValueError):
-        quad.mc_hj_gram(psi, 1, M, K, cfg)
-    with pytest.raises(ValueError):
         quad.mc_dj_gram(phi, 1, M, K, cfg)
     with pytest.raises(ValueError):
         ds.t_star(phi, M, K)
@@ -204,11 +202,11 @@ def test_gram_matrix_labels():
     assert sigma.shape == (12, 12)
 
 
-def _assert_mc_stats(detail, samples, prefix=""):
+def _assert_mc_stats(detail, samples):
     # n = 1 accepts every polydisk proposal
-    assert detail[prefix + "proposed"] == detail[prefix + "accepted"] == samples
-    assert 0 < detail[prefix + "ess"] <= samples
-    assert 1 / samples <= detail[prefix + "max_share"] < 1
+    assert detail["proposed"] == detail["accepted"] == samples
+    assert 0 < detail["ess"] <= samples
+    assert 1 / samples <= detail["max_share"] < 1
 
 
 def test_verify_gram_small_run():
@@ -236,23 +234,64 @@ def test_verify_gram_reads_the_exact_gram_at_n1_and_n2():
     assert n2[0].tol == 1e-12 and set(n2[0].detail) == {"worst_row", "worst_col"}
 
 
+def _reflected_family(psis):
+    """The family of psi(-W, z): each coefficient of z^s W^a times (-1)^|a|."""
+    return fockpoly.PolyFamily([
+        fockpoly.PolyFunction(f.n, {e: c * (-1) ** sum(e[f.n:]) for e, c in f.terms.items()})
+        for f in psis])
+
+
 def test_isometry_small_run(monkeypatch):
-    # the disk-side norms are the diagonal of the exact Gram, with nothing
-    # drawn; only the space side samples
+    # both norms are exact: the disk side the diagonal of the exact Gram, the
+    # space side that of the reflected functions psi(-W, z); nothing is drawn
     def no_sampling(*args):
-        raise AssertionError("isometry drew a Monte Carlo Gram on the disk side")
+        raise AssertionError("isometry drew a Monte Carlo sample")
 
     monkeypatch.setattr(quad, "mc_dj_gram", no_sampling)
-    cfg = SuiteConfig(samples=60000, seed=_base_seed("isometry", 6))
+    monkeypatch.setattr(quad, "_sample_w", no_sampling)
+    cfg = SuiteConfig(seed=6)
     checks = [c for c in suites.run_isometry(cfg).checks if c.name.startswith("isometry-")]
     assert all(c.passed for c in checks)
     assert len(checks) == 4
-    family = fockpoly.PolyFamily([f for _, f in suites._isometry_functions(cfg)])
-    exact = quad.exact_dj_gram(family, M, K)
+    psis = [f for _, f in suites._isometry_functions(cfg)]
+    exact = quad.exact_dj_gram(fockpoly.PolyFamily(psis), M, K)
+    reflected = quad.exact_dj_gram(_reflected_family(psis), M, K)
     for i, check in enumerate(checks):
+        assert check.tol == 1e-10
         assert check.detail["disk_norm_sq"] == exact[i, i]
-        assert check.tol == 3.0 * check.detail["space_sigma"] + 1e-9
-        _assert_mc_stats(check.detail, 60000, "space_")
+        assert check.detail["space_norm_sq"] == reflected[i, i]
+        deviation = check.detail["weight_ratio_deviation"]
+        assert 0 < deviation < 1e-12
+        assert check.residual == (abs(reflected[i, i] - exact[i, i])
+                                  + reflected[i, i] * deviation)
+
+
+def _scaled_transfer(monkeypatch, scale_m=1.0, add_k=0):
+    """Run t_star and t_inv both at scale_m m and k + add_k: a fault that the
+    pointwise round trips cannot see, since each undoes the other."""
+    t_star, t_inv = ds.t_star, ds.t_inv
+    monkeypatch.setattr(ds, "t_star", lambda f, m, k: t_star(f, scale_m * m, k + add_k))
+    monkeypatch.setattr(ds, "t_inv", lambda f, m, k: t_inv(f, scale_m * m, k + add_k))
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda patch: _scaled_transfer(patch, add_k=1), id="transfer-at-k-plus-1"),
+    pytest.param(lambda patch: _scaled_transfer(patch, scale_m=1.01), id="transfer-at-1.01-m"),
+    pytest.param(lambda patch: patch.setattr(kernels, "kmk_star_weight_flipped",
+                                             kernels.kmk_star_weight), id="plain-weight")])
+def test_isometry_fails_on_a_wrong_transfer(mutate, monkeypatch):
+    # a transfer that is its own inverse's inverse but no isometry: the round
+    # trips pass and every isometry check fails
+    mutate(monkeypatch)
+    checks = {c.name: c for c in suites.run_isometry(SuiteConfig(seed=0)).checks}
+    assert checks.pop("roundtrip-disk").passed and checks.pop("roundtrip-space").passed
+    assert len(checks) == 4 and not any(c.passed for c in checks.values())
+
+
+def test_isometry_at_n4():
+    # the polydisk accepts no W at n = 4; the exact norms need none
+    checks = suites.run_isometry(SuiteConfig(n=4, k=5, seed=0)).checks
+    assert len(checks) == 6 and all(c.passed for c in checks)
 
 
 def test_reproducing_small_run(monkeypatch):

@@ -207,7 +207,7 @@ def _assert_close_per_member(got, ref, rtol):
 
 def _z_covariances(ws):
     """The real covariances of the z-laws of _sample_z_given_w at each W and
-    at -W, the law of the space-side engine."""
+    at -W, the law of the flipped weight."""
     n = ws.shape[-1]
     out = []
     for sign in (1.0, -1.0):
@@ -355,9 +355,13 @@ def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
     ws = _polydisk_w(n, False)[:500]
     zs = _random_rows(np.random.default_rng(10), ws.shape[:-1])
     _refuse_stacks(monkeypatch)
+    # the sampled-z path: at n = 1 a PolyFamily is exact in z, a
+    # SampledFunction of it is not
+    sampled = ds.SampledFunction(family.split, "disk", size=len(family)) if n == 1 else family
     cfg = quad.MCConfig(samples=20000, seed=0)
-    gram, _, stats = quad.mc_hj_gram(ds.t_star(family, m, k), n, m, k, cfg)
+    gram, _, stats = quad.mc_dj_gram(sampled, n, m, k, cfg)
     assert stats["accepted"] > 64 and np.all(np.isfinite(gram))
     oms, zetas = domains.batch_cayley_forward(ws, zs)
-    domains.batch_cayley_inverse(oms, zetas)
+    vals, logs = ds.t_star(family, m, k).split(oms, zetas)
+    assert vals.shape == (3, len(ws)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(logs))
     ds.t_inv(_transfer_carriers()[1], m, k).split(ws, zs)

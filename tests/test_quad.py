@@ -415,8 +415,8 @@ def test_mc_gram_blocks_match_one_shot(n):
 
 def test_mc_engines_survive_rejected_chunks(monkeypatch):
     # n = 3 accepts about 0.3% of its polydisk proposals, so on this seed no
-    # chunk of 20 keeps a sample: each draw runs on an empty stack and every
-    # engine returns a zero Gram and sigma
+    # chunk of 20 keeps a sample: each draw runs on an empty stack and both
+    # paths return a zero Gram and sigma, flagged as resting on no sample
     masks = []
     sample_w = quad._sample_w
 
@@ -429,33 +429,28 @@ def test_mc_engines_survive_rejected_chunks(monkeypatch):
     monkeypatch.setattr(quad, "_CHUNK", 20)
     cfg = quad.MCConfig(samples=60, seed=5)
     f = fockpoly.PolyFamily([fockpoly.basis_f((0, 0, 0), M)])
-    space_f = ds.SampledFunction(
-        lambda mats, vecs: (np.ones((1, len(mats)), dtype=complex), np.zeros(len(mats))), "space")
     results = [quad.mc_dj_gram(f, 3, M, 4, cfg),
-               quad.mc_dj_gram(_sampled(f), 3, M, 4, cfg),
-               quad.mc_hj_gram(space_f, 3, M, 4, cfg)]
-    assert len(masks) == 9 and all(len(mask) == 20 and not mask.any() for mask in masks)
+               quad.mc_dj_gram(_sampled(f), 3, M, 4, cfg)]
+    assert len(masks) == 6 and all(len(mask) == 20 and not mask.any() for mask in masks)
     for gram, sigma, stats in results:
         assert np.all(gram == 0) and np.all(sigma == 0)
         assert quad.mc_stats(stats) == {"proposed": 60, "accepted": 0, "ess": 0.0,
-                                        "max_share": 0.0, "ess_f": 0.0, "ess_f_low": False}
+                                        "max_share": 0.0, "ess_f": 0.0, "ess_f_low": True}
 
 
 def test_mc_stats_flags_a_small_ess_f():
-    # ess_f_low: the smallest Kish size of the rows a check reads is below
+    # ess_f_low: the smallest Kish size of a Gram's functions is below
     # ESS_F_LOW_FRACTION of the accepted samples (the Monte Carlo Gram of
     # the n=2 series basis read 2.7 of 16,730 at seed 0); the other stats
     # pass through unchanged
-    stats = {"proposed": 100000, "accepted": 16730, "ess": 900.0, "max_share": 0.2,
-             "ess_f": np.array([2.7, 5000.0, 167.0, 168.0])}
+    stats = {"proposed": 100000, "accepted": 16730, "ess": 900.0, "max_share": 0.2}
     cut = quad.ESS_F_LOW_FRACTION * 16730
     assert 167.0 < cut < 168.0
-    for rows, ess_f, low in (([0, 1], 2.7, True), ([1], 5000.0, False),
-                             ([2], 167.0, True), ([3], 168.0, False),
-                             (slice(None), 2.7, True)):
-        got = quad.mc_stats(stats, rows)
-        assert got == {"proposed": 100000, "accepted": 16730, "ess": 900.0,
-                       "max_share": 0.2, "ess_f": ess_f, "ess_f_low": low}
+    for sizes, ess_f, low in (([2.7, 5000.0], 2.7, True), ([5000.0], 5000.0, False),
+                              ([167.0], 167.0, True), ([168.0], 168.0, False),
+                              ([2.7, 5000.0, 167.0, 168.0], 2.7, True)):
+        got = quad.mc_stats({**stats, "ess_f": np.array(sizes)})
+        assert got == {**stats, "ess_f": ess_f, "ess_f_low": low}
 
 
 def _proposals(rng, count, n):
@@ -549,11 +544,10 @@ def test_z_draw_keeps_the_stream():
     assert 0 < mask.sum() < quad._in_domain(entries, 2)[0].sum()
     qmats = _closed_forms(ws[mask], M, flip=True)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    zs, xqx = quad._sample_z_given_w(rng, -ws[mask], M, mask)
+    zs = quad._sample_z_given_w(rng, -ws[mask], M, mask)
     gauss = ref.standard_normal((len(mask), 4))[mask]
     xs = np.einsum("bij,bj->bi", np.linalg.cholesky(np.linalg.inv(qmats) / 2.0), gauss)
     assert_allclose(zs, xs[:, :2] + 1j * xs[:, 2:], rtol=1e-14)
-    assert_allclose(xqx, np.einsum("bi,bij,bj->b", xs, qmats, xs), rtol=1e-13)
     assert rng.uniform() == ref.uniform()
 
 
@@ -811,33 +805,6 @@ def test_exact_dj_gram_matches_the_sampled_z_gram_at_n2():
     assert np.all(np.abs(gram - exact) <= t * sigma + 1e-9)
 
 
-def test_mc_hj_matches_disk_norm():
-    labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
-    psi = fockpoly.PolyFamily([labeled[0][1]])
-    cfg = quad.MCConfig(samples=120000, seed=9)
-    disk, disk_sigma, _ = quad.mc_dj_gram(psi, 1, M, K, cfg)
-    phi = ds.t_star(psi, M, K)
-    space, space_sigma, _ = quad.mc_hj_gram(phi, 1, M, K, cfg)
-    tol = 3 * math.hypot(disk_sigma[0, 0], space_sigma[0, 0])
-    assert abs(disk[0, 0] - space[0, 0]) <= tol
-    assert abs(disk[0, 0] - 1.0) <= 3 * disk_sigma[0, 0]
-
-
-def test_mc_hj_two_function_path():
-    # <phi, phi2> with phi2 a distinct but equal member of a transported
-    # family of two takes the two-function path of the driver and must give
-    # the same estimate
-    psi = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)[3][1]
-    phi = ds.t_star(fockpoly.PolyFamily([psi]), M, K)
-    phis = ds.t_star(fockpoly.PolyFamily([psi, psi]), M, K)
-    cfg = quad.MCConfig(samples=30000, seed=14)
-    one, one_sigma, one_stats = quad.mc_hj_gram(phi, 1, M, K, cfg)
-    two, two_sigma, two_stats = quad.mc_hj_gram(phis, 1, M, K, cfg)
-    assert abs(two[0, 1] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
-    assert abs(two_sigma[0, 1] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
-    assert one_stats["proposed"] == two_stats["proposed"] == cfg.samples
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_mc_dj_inner_same_function_path(n):
     # <psi, psi> from the one-function Gram; a distinct but equal psi2 in a
@@ -854,25 +821,19 @@ def test_mc_dj_inner_same_function_path(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_family_grams_match_one_member_runs(n):
-    # the shared pass of isometry: one Gram over the functions on each side,
-    # the space side over their transfer as one family, against one run per
-    # function on the same seed: diagonal, sigma and per-function Kish size
+    # one Gram over a family against one run per function on the same seed:
+    # diagonal, sigma and per-function Kish size
     psis = [f for _, f in suites._isometry_functions(suites.SuiteConfig(n=n, m=M, k=K))]
     cfg = quad.MCConfig(samples=20000, seed=16)
-    both = fockpoly.PolyFamily(psis)
-    family = [quad.mc_dj_gram(both, n, M, K, cfg),
-              quad.mc_hj_gram(ds.t_star(both, M, K), n, M, K, cfg)]
+    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(psis), n, M, K, cfg)
     for i, psi in enumerate(psis):
-        psi = fockpoly.PolyFamily([psi])
-        ones = [quad.mc_dj_gram(psi, n, M, K, cfg),
-                quad.mc_hj_gram(ds.t_star(psi, M, K), n, M, K, cfg)]
-        for (gram, sigma, stats), (g1, s1, st1) in zip(family, ones):
-            assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
-            assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)
-            assert_allclose(stats["ess_f"][i], st1["ess_f"][0], rtol=1e-12, atol=0)
-            assert all(stats[key] == st1[key] for key in ("proposed", "accepted"))
-            assert_allclose([stats["ess"], stats["max_share"]],
-                            [st1["ess"], st1["max_share"]], rtol=1e-12)
+        g1, s1, st1 = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), n, M, K, cfg)
+        assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
+        assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)
+        assert_allclose(stats["ess_f"][i], st1["ess_f"][0], rtol=1e-12, atol=0)
+        assert all(stats[key] == st1[key] for key in ("proposed", "accepted"))
+        assert_allclose([stats["ess"], stats["max_share"]],
+                        [st1["ess"], st1["max_share"]], rtol=1e-12)
 
 
 def test_pack_unpack_roundtrip():

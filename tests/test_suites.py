@@ -36,8 +36,7 @@ N2_SUITES = GEOMETRY_SUITES + ["expansions", "gaussian-integrals", "genfun", "in
                                "isometry", "orthonormality-fock", "pde", "q-basis",
                                "series-gram"]
 
-# n=3 needs k > n + 1/2 for the discrete series; isometry's space side runs
-# its MC engine on the accepted W of a polydisk that keeps about 0.3% of them
+# n=3 needs k > n + 1/2 for the discrete series
 N3_SUITES = N2_SUITES
 
 
