@@ -6,7 +6,7 @@ Submodules:
   groups            the two Jacobi groups, their isomorphism, and actions
   kernels           automorphy factors, invariant weights, kernel functions
   fockpoly          polynomial engine: bases and kernel expansions
-  quad              exact Gaussian moments and Monte Carlo inner products
+  quad              exact Gaussian moments, exact and Monte Carlo Grams
   discrete_series   twisted actions and the transfer map between the models
   suites            every verification check, as named suites
   cli               command-line front end (console script `sjdomains`);

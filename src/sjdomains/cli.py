@@ -336,6 +336,9 @@ def _table_gram_phi(cfg: SuiteConfig, trunc: int):
 
 
 def _table_gram_big_f(cfg: SuiteConfig):
+    if cfg.n != 1:
+        raise CliError(f"table --kind gram-F samples at n = 1 only, not at n = {cfg.n}; "
+                       "verify --suite series-gram reads the exact Gram at every n")
     labels, _, gram, sigma, _ = suites.series_gram(cfg, "table-gram-F")
     return [str(lbl) for lbl in labels], gram, sigma
 

@@ -11,10 +11,11 @@ keys polynomial terms.
 
 Two kinds of solver live here.  solve and condition_guard take general
 matrices, check their condition and call LAPACK.  eliminate is Gaussian
-elimination without pivoting vectorized over a stack, for the Monte Carlo
-path's small matrices, where a batched LAPACK call per member costs more
-than the arithmetic: it solves, and its pivots give the determinant
-(lu_det) and, on a real SPD matrix, the Cholesky factor (spd_cholesky).
+elimination without pivoting vectorized over a stack, for the small
+matrices of the stacked charts and transfer operators, where a batched
+LAPACK call per member costs more than the arithmetic: it solves, and its
+pivots give the determinant (lu_det) and, on a real SPD matrix, the
+Cholesky factor (spd_cholesky).
 Skipping the pivoting is safe on exactly the matrices it is given: each has
 a positive definite Hermitian part once multiplied by a unit scalar, so
 every Schur complement does too and no pivot can vanish.

@@ -451,7 +451,7 @@ def series_gram(cfg: SuiteConfig, stream: str):
     sigma, stats)."""
     labels, family = _series_family(cfg)
     mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, stream))
-    return (labels, family, *quad.mc_dj_gram(family, cfg.n, cfg.m, cfg.k, mccfg))
+    return (labels, family, *quad.mc_dj_gram(family, cfg.m, cfg.k, mccfg))
 
 
 @_suite("series-gram")

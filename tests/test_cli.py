@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sjdomains
-from sjdomains import cli, domains, fockpoly, groups, kernels, report, suites
+from sjdomains import cli, domains, fockpoly, groups, kernels, quad, report, suites
 
 
 def run(argv, capsys):
@@ -737,6 +737,21 @@ def test_table_gram_big_f_million_samples(capsys, benchmark_workloads):
     assert odd.any() and np.max(np.abs(mat[odd])) <= 1e-12
     assert np.max(sigma) <= 3e-3
     assert [c for c in benchmark_workloads.gram_checks(doc) if not c[1]] == []
+
+
+@pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "3", "--k", "4"]], ids=["n2", "n3"])
+def test_table_gram_big_f_refuses_n_above_1(argv, capsys, monkeypatch):
+    # the Monte Carlo Gram samples at n = 1 only: any other n exits 2 before
+    # the family is built or a sample drawn, naming the n and the exact check
+    def unexpected(*args):
+        raise AssertionError("table --kind gram-F built or sampled a Gram")
+
+    monkeypatch.setattr(suites, "series_gram", unexpected)
+    monkeypatch.setattr(quad, "mc_dj_gram", unexpected)
+    code, out, err = run(["table", "--kind", "gram-F"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"at n = 1 only, not at n = {argv[1]}" in err
+    assert "verify --suite series-gram" in err
 
 
 # Each kind reads only its own options, besides --kind, --out and --format;

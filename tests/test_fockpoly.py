@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sjdomains import domains, fockpoly, kernels, numkit, quad
+from sjdomains import domains, fockpoly, kernels, numkit
 from sjdomains.domains import SJDiskPoint
 from sjdomains.fockpoly import MATCHING_M, PolyFunction
 
@@ -349,17 +349,6 @@ def test_q_basis_exact_gram_n2():
         got, gram = source(2, 3, 2)
         assert got == labels
         assert np.max(np.abs(gram / fockpoly.bergman_mass(2, 3) - target)) <= 1e-14
-
-
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 4)])
-def test_q_basis_matches_mc_gram(n, k):
-    # the exact basis against an independent sampled Gram: every entry of
-    # its deviation from I within 5 sigma; the W-marginal of mc_dj_gram is
-    # the bounded-domain weight over (8 pi m)^n
-    qs = fockpoly.q_basis(n, k, 2)
-    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(qs), n, M, k,
-                                     quad.MCConfig(samples=400000, seed=11))
-    assert np.all(np.abs(gram - np.eye(len(qs)) / (8 * math.pi * M) ** n) <= 5.0 * sigma)
 
 
 @pytest.mark.parametrize("n,degree", [(1, 4), (2, 4), (3, 2)])

@@ -168,13 +168,19 @@ def test_matrix_exp_squares_each_member_by_its_own_scale():
 # --- the stack elimination ---
 
 def _polydisk_w(n, edge):
-    """The W that quad._sample_w accepts from 20000 proposals (all of them
-    at n = 1, a few dozen at n = 3), or the same W rescaled to
-    sigma_max(W) = 1 - 1e-10."""
-    ws = quad._sample_w(np.random.default_rng(n), 20000, n)[0]
-    if edge:
-        ws = ws * ((1.0 - 1e-10) / np.linalg.svd(ws, compute_uv=False)[:, 0])[:, None, None]
-    return ws
+    """The symmetric W with sigma_max(W) < 1 among 20000 with independent
+    uniform unit-disk upper entries (all of them at n = 1, a few dozen at
+    n = 3), or the same W rescaled to sigma_max(W) = 1 - 1e-10."""
+    rng = np.random.default_rng(n)
+    shape = (20000, len(numkit.upper_pairs(n)))
+    radii = np.sqrt(rng.uniform(size=shape))
+    entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=shape))
+    ws = np.zeros((20000, n, n), dtype=complex)
+    for p, (i, j) in enumerate(numkit.upper_pairs(n)):
+        ws[:, i, j] = ws[:, j, i] = entries[:, p]
+    smax = np.linalg.svd(ws, compute_uv=False)[:, 0]
+    ws, smax = ws[smax < 1], smax[smax < 1]
+    return ws * ((1.0 - 1e-10) / smax)[:, None, None] if edge else ws
 
 
 def _random_rows(rng, shape):
@@ -206,8 +212,8 @@ def _assert_close_per_member(got, ref, rtol):
 
 
 def _z_covariances(ws):
-    """The real covariances of the z-laws of _sample_z_given_w at each W and
-    at -W, the law of the flipped weight."""
+    """The real covariances of the z-laws (quad._z_moments) at each W and at
+    -W, the law of the flipped weight."""
     n = ws.shape[-1]
     out = []
     for sign in (1.0, -1.0):
@@ -355,12 +361,10 @@ def test_monte_carlo_path_makes_no_lapack_call_per_member(n, monkeypatch):
     ws = _polydisk_w(n, False)[:500]
     zs = _random_rows(np.random.default_rng(10), ws.shape[:-1])
     _refuse_stacks(monkeypatch)
-    # the sampled-z path: at n = 1 a PolyFamily is exact in z, a
-    # SampledFunction of it is not
-    sampled = ds.SampledFunction(family.split, "disk", size=len(family)) if n == 1 else family
-    cfg = quad.MCConfig(samples=20000, seed=0)
-    gram, _, stats = quad.mc_dj_gram(sampled, n, m, k, cfg)
-    assert stats["accepted"] > 64 and np.all(np.isfinite(gram))
+    if n == 1:
+        # the Monte Carlo Gram, which samples at n = 1 only
+        gram, _, stats = quad.mc_dj_gram(family, m, k, quad.MCConfig(samples=20000, seed=0))
+        assert stats["samples"] > 64 and np.all(np.isfinite(gram))
     oms, zetas = domains.batch_cayley_forward(ws, zs)
     vals, logs = ds.t_star(family, m, k).split(oms, zetas)
     assert vals.shape == (3, len(ws)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(logs))

@@ -139,7 +139,6 @@ def test_normalization_closed_form():
         dets = np.linalg.det(np.eye(2) - x.w @ x.w.conj()).real
         closed = math.pi ** 2 * (8 * math.pi * M) ** -2 * math.sqrt(dets)
         assert_allclose(integral, closed, rtol=1e-12)
-        assert_allclose(quad._z_normalizer(dets, 2, M), closed, rtol=1e-12)
 
 
 def test_flip_matches_reflected_argument():
@@ -263,14 +262,32 @@ def test_fock_gram_refuses_a_family_of_another_n():
         quad.fock_gram(family, 0.1 * np.eye(2), M)
 
 
-@pytest.mark.parametrize("n,funcs", [
-    (2, [fockpoly.PolyFunction.constant(1, 1.0), fockpoly.PolyFunction.monomial(1, (1,))]),
-    (1, [fockpoly.PolyFunction.constant(2, 1.0)])], ids=["sampled-z", "exact-z"])
-def test_mc_dj_gram_refuses_a_family_of_another_n(n, funcs):
-    # the n = 1 family at n = 2 would sample z, and the n = 2 constant at
-    # n = 1 would take the exact-z path, which evaluates no point
-    with pytest.raises(ValueError, match=f"at n = {n} of a family of n = {3 - n}"):
-        quad.mc_dj_gram(fockpoly.PolyFamily(funcs), n, M, K, quad.MCConfig(samples=1000))
+def _no_draw(*args):
+    raise AssertionError("mc_dj_gram drew a sample")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mc_dj_gram_refuses_a_family_of_another_n(monkeypatch, n):
+    # the engine samples at n = 1 only, n read off the family, and refuses
+    # before its first draw
+    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0)])
+    with pytest.raises(ValueError, match=f"at n = 1, not at the n = {n} of this family"):
+        quad.mc_dj_gram(family, M, K + 1, quad.MCConfig(samples=1000))
+
+
+def test_mc_dj_gram_refuses_a_sampled_function_and_an_infinite_measure(monkeypatch):
+    # a SampledFunction, even a disk-side one of n = 1, has no exact
+    # z-integral; at k <= 3/2 the w-measure has no finite mass
+    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
+    sampled = ds.SampledFunction(family.split, "disk", size=1)
+    cfg = quad.MCConfig(samples=1000)
+    with pytest.raises(ValueError, match="a PolyFamily, not a SampledFunction"):
+        quad.mc_dj_gram(sampled, M, K, cfg)
+    for k in (1, 1.5):
+        with pytest.raises(ValueError, match="k > 3/2"):
+            quad.mc_dj_gram(family, M, k, cfg)
 
 
 def test_calibrate_norms_values():
@@ -299,25 +316,29 @@ def test_mc_disk_inner_against_beta_moments():
     cfg = quad.MCConfig(samples=200000, seed=11)
     one = fockpoly.PolyFunction.constant(1, 1.0)
     wmono = fockpoly.PolyFunction.monomial(1, a=(1,))
-    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([one, wmono]), 1, M, K, cfg)
-    for a in range(2):
-        target = math.pi * beta_fn(a + 1, K - 1.5) / (8 * math.pi * M)
-        assert abs(gram[a, a] - target) <= 3 * sigma[a, a]
+    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([one, wmono]), M, K, cfg)
+    target = [math.pi * beta_fn(a + 1, K - 1.5) / (8 * math.pi * M) for a in range(2)]
+    # every sample carries the measure's whole mass: the constant is exact,
+    # its sigma roundoff
+    assert sigma[0, 0] <= 1e-10 and abs(gram[0, 0] - target[0]) <= 1e-12 * target[0]
+    assert abs(gram[1, 1] - target[1]) <= 3 * sigma[1, 1]
+
+
+# w, whose |w|^2 varies over the draws (the constant is exact)
+_W_ONLY = fockpoly.PolyFamily([fockpoly.PolyFunction.monomial(1, a=(1,))])
 
 
 def test_mc_determinism():
     cfg = quad.MCConfig(samples=20000, seed=5)
-    one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
-    gram1, sigma1, _ = quad.mc_dj_gram(one, 1, M, K, cfg)
-    gram2, sigma2, _ = quad.mc_dj_gram(one, 1, M, K, cfg)
+    gram1, sigma1, _ = quad.mc_dj_gram(_W_ONLY, M, K, cfg)
+    gram2, sigma2, _ = quad.mc_dj_gram(_W_ONLY, M, K, cfg)
     assert gram1[0, 0] == gram2[0, 0]
-    assert sigma1[0, 0] == sigma2[0, 0]
+    assert sigma1[0, 0] == sigma2[0, 0] > 0
 
 
 def test_mc_sigma_scaling():
-    one = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
-    _, small, _ = quad.mc_dj_gram(one, 1, M, K, quad.MCConfig(samples=20000, seed=6))
-    _, big, _ = quad.mc_dj_gram(one, 1, M, K, quad.MCConfig(samples=80000, seed=6))
+    _, small, _ = quad.mc_dj_gram(_W_ONLY, M, K, quad.MCConfig(samples=20000, seed=6))
+    _, big, _ = quad.mc_dj_gram(_W_ONLY, M, K, quad.MCConfig(samples=80000, seed=6))
     assert 1.6 < small[0, 0] / big[0, 0] < 2.4
 
 
@@ -325,125 +346,16 @@ def test_mc_dj_gram_identity_small():
     labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=1)
     funcs = fockpoly.PolyFamily([f for _, f in labeled])
     cfg = quad.MCConfig(samples=100000, seed=7)
-    gram, sigma, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
+    gram, sigma, _ = quad.mc_dj_gram(funcs, M, K, cfg)
     err = np.abs(gram - np.eye(len(funcs)))
     assert np.all(err <= 3 * sigma + 1e-9)
 
 
-def _sampled(family):
-    """A PolyFamily as a disk-side SampledFunction, which mc_dj_gram
-    integrates by sampling z instead of the exact-z path."""
-    return ds.SampledFunction(family.split, "disk", size=len(family))
-
-
-def test_mc_dj_gram_exact_z_matches_sampled():
-    labeled = fockpoly.series_basis(1, M, K, s_max=1, a_max=0)
-    funcs = fockpoly.PolyFamily([f for _, f in labeled])
-    cfg = quad.MCConfig(samples=60000, seed=8)
-    g_rb, s_rb, _ = quad.mc_dj_gram(funcs, 1, M, K, cfg)
-    g_mc, s_mc, _ = quad.mc_dj_gram(_sampled(funcs), 1, M, K, cfg)
-    comb = np.sqrt(s_rb ** 2 + s_mc ** 2)
-    assert np.all(np.abs(g_rb - g_mc) <= 4 * comb + 1e-9)
-    # the exact-z path cancels odd-parity entries identically
-    assert abs(g_rb[0, 1]) < 1e-14
-    # and the sampled path does not: it really sampled z
-    assert abs(g_mc[0, 1]) > 1e-6
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_mc_gram_blocks_match_one_shot(n):
-    # the chunked, blocked driver, which hands the draw the accepted W only,
-    # against one unblocked u u^H over *all* proposals with weight 0 off the
-    # domain, replayed on the same seed; 5001 samples in chunks of 3000 leave
-    # partial blocks in both
-    polys = fockpoly.PolyFamily([fockpoly.basis_f(tuple(s), M)
-                                 for s in fockpoly.enumerate_multiindices(n, 2)])
-    # a nonzero shared log part, so the driver's exp(logs + logw / 2) is
-    # exercised
-    funcs = ds.SampledFunction(
-        lambda mats, vecs: (polys.split(mats, vecs)[0], 0.5 * np.sum(np.abs(vecs) ** 2, axis=1)),
-        "disk", size=len(polys))
-
-    def draw(rng, ws, dets, mask):
-        # z for every proposal, accepted rows kept, as the engines draw it
-        zs = rng.standard_normal((len(mask), n)) + 1j * rng.standard_normal((len(mask), n))
-        zs = zs[mask]
-        rank = np.flatnonzero(mask) + 1.0
-        # drop |W_11| >= 0.9 as well, so that n = 1 has zero weights too
-        logw = np.where(np.abs(ws[:, 0, 0]) < 0.9,
-                        -np.sum(np.abs(zs) ** 2, axis=1) + np.log(rank), -np.inf)
-        return ws, zs, logw
-
-    cfg, chunk = quad.MCConfig(samples=5001, seed=13), 3000
-    assert cfg.samples % quad._BLOCK and chunk % quad._BLOCK
-    gram, sigma, stats = quad._mc_gram(funcs, n, cfg, chunk, draw)
-
-    # replay the proposals: polydisk entries, SVD membership, then z
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    parts, accepted = [], 0
-    for count in (3000, 2001):
-        ws = _proposals(rng, count, n)[1]
-        zs = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        in_domain = np.linalg.svd(ws, compute_uv=False)[:, 0] < 1
-        accepted += int(in_domain.sum())
-        inside = in_domain & (np.abs(ws[:, 0, 0]) < 0.9)
-        logw = np.where(inside, -np.sum(np.abs(zs) ** 2, axis=1) + np.log(np.arange(count) + 1.0),
-                        -np.inf)
-        parts.append((ws, zs, logw))
-    ws, zs, logw = (np.concatenate(p) for p in zip(*parts))
-    assert np.any(np.isinf(logw)) and np.any(np.isfinite(logw))
-    vals, logs = funcs.split(ws, zs)
-    vals, weight = vals * np.exp(logs), np.exp(logw)
-    acc = (vals * weight) @ vals.conj().T
-    acc2 = (np.abs(vals) ** 2 * weight ** 2) @ (np.abs(vals) ** 2).T
-    ref = (acc + acc.conj().T) / (2 * cfg.samples)
-    ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
-    assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
-    assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
-    # the run's stats: proposals, accepted W (the zero weights of |W_11| >=
-    # 0.9 included), Kish ESS and largest weight share
-    assert (stats["proposed"], stats["accepted"]) == (cfg.samples, accepted)
-    assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
-    assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
-    # and each function's Kish size of its contributions w |f_i|^2, whose
-    # smallest a check reports
-    contrib = np.abs(vals) ** 2 * weight
-    ess_f = np.sum(contrib, axis=1) ** 2 / np.sum(contrib ** 2, axis=1)
-    assert_allclose(stats["ess_f"], ess_f, rtol=1e-12)
-    assert_allclose(quad.mc_stats(stats)["ess_f"], np.min(ess_f), rtol=1e-12)
-
-
-def test_mc_engines_survive_rejected_chunks(monkeypatch):
-    # n = 3 accepts about 0.3% of its polydisk proposals, so on this seed no
-    # chunk of 20 keeps a sample: each draw runs on an empty stack and both
-    # paths return a zero Gram and sigma, flagged as resting on no sample
-    masks = []
-    sample_w = quad._sample_w
-
-    def recording(rng, count, n):
-        ws, dets, mask = sample_w(rng, count, n)
-        masks.append(mask)
-        return ws, dets, mask
-
-    monkeypatch.setattr(quad, "_sample_w", recording)
-    monkeypatch.setattr(quad, "_CHUNK", 20)
-    cfg = quad.MCConfig(samples=60, seed=5)
-    f = fockpoly.PolyFamily([fockpoly.basis_f((0, 0, 0), M)])
-    results = [quad.mc_dj_gram(f, 3, M, 4, cfg),
-               quad.mc_dj_gram(_sampled(f), 3, M, 4, cfg)]
-    assert len(masks) == 6 and all(len(mask) == 20 and not mask.any() for mask in masks)
-    for gram, sigma, stats in results:
-        assert np.all(gram == 0) and np.all(sigma == 0)
-        assert quad.mc_stats(stats) == {"proposed": 60, "accepted": 0, "ess": 0.0,
-                                        "max_share": 0.0, "ess_f": 0.0, "ess_f_low": True}
-
-
 def test_mc_stats_flags_a_small_ess_f():
     # ess_f_low: the smallest Kish size of a Gram's functions is below
-    # ESS_F_LOW_FRACTION of the accepted samples (the Monte Carlo Gram of
-    # the n=2 series basis read 2.7 of 16,730 at seed 0); the other stats
-    # pass through unchanged
-    stats = {"proposed": 100000, "accepted": 16730, "ess": 900.0, "max_share": 0.2}
+    # ESS_F_LOW_FRACTION of the samples; the sample count passes through
+    # unchanged
+    stats = {"samples": 16730}
     cut = quad.ESS_F_LOW_FRACTION * 16730
     assert 167.0 < cut < 168.0
     for sizes, ess_f, low in (([2.7, 5000.0], 2.7, True), ([5000.0], 5000.0, False),
@@ -453,66 +365,8 @@ def test_mc_stats_flags_a_small_ess_f():
         assert got == {**stats, "ess_f": ess_f, "ess_f_low": low}
 
 
-def _proposals(rng, count, n):
-    """The polydisk proposals of quad._sample_w, all of them: their upper
-    entries (count, d) and the symmetric stack (count, n, n)."""
-    d = n * (n + 1) // 2
-    radii = np.sqrt(rng.uniform(size=(count, d)))
-    entries = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, d)))
-    ws = np.zeros((count, n, n), dtype=complex)
-    for idx, (i, j) in enumerate(numkit.upper_pairs(n)):
-        ws[:, i, j] = ws[:, j, i] = entries[:, idx]
-    return entries, ws
-
-
-def _upper(ws):
-    rows, cols = np.array(numkit.upper_pairs(ws.shape[-1])).T
-    return ws[:, rows, cols]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_membership_matches_svd(n):
-    # the elimination on the upper entries against sigma_max(W) < 1 on
-    # polydisk proposals, and on the same proposals rescaled to
-    # sigma_max = 1 -/+ 1e-10
-    _, ws = _proposals(np.random.default_rng(70 + n), 10000, n)
-    smax = np.linalg.svd(ws, compute_uv=False)[:, 0]
-    assert np.array_equal(quad._in_domain(_upper(ws), n)[0], smax < 1)
-    for target, inside in ((1 - 1e-10, True), (1 + 1e-10, False)):
-        scaled = ws * (target / smax)[:, None, None]
-        assert np.all((np.linalg.svd(scaled, compute_uv=False)[:, 0] < 1) == inside)
-        assert np.all(quad._in_domain(_upper(scaled), n)[0] == inside)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_radius_filter_drops_no_accepted_proposal(n):
-    # _sample_w (radius filter, then the elimination on the survivors)
-    # against the elimination on every proposal of the same stream: the same
-    # mask and accepted W, bit for bit, and the same determinants up to the
-    # roundoff of numpy's complex products, which depends on the layout
-    entries, ws = _proposals(np.random.default_rng(80 + n), 100000, n)
-    inside, dets = quad._in_domain(entries, n)
-    got_ws, got_dets, mask = quad._sample_w(np.random.default_rng(80 + n), 100000, n)
-    # n = 1 accepts every proposal, n = 2 about 1/6 and n = 3 about 0.3%
-    assert inside.any() and (n == 1) == inside.all()
-    assert np.array_equal(mask, inside)
-    assert np.array_equal(got_ws, ws[inside])
-    assert_allclose(got_dets, dets[inside], rtol=1e-13, atol=0)
-
-
 def _w_stack(n, count=200, cap=0.95):
     return domains.sample_sj_disk_batch(n, count, n, cap).w
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_elimination_dets_match_lapack(n):
-    # the product of the pivots against det(I - W conj(W)) on W with
-    # sigma_max < 0.95
-    ws = _w_stack(n)
-    inside, dets = quad._in_domain(_upper(ws), n)
-    assert inside.all()
-    ref = np.linalg.det(np.eye(n) - ws @ ws.conj()).real
-    assert_allclose(dets, ref, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -530,25 +384,7 @@ def test_closed_form_z_law(n, flip):
     assert np.max(np.abs(d * np.eye(n) - d_ref)) <= 1e-15
     dets = np.linalg.det(np.eye(n) - ws @ ws.conj()).real
     znorm = math.pi ** n / np.sqrt(np.linalg.det(qmats))
-    assert_allclose(quad._z_normalizer(dets, n, M), znorm, rtol=2e-15, atol=0)
-
-
-def test_z_draw_keeps_the_stream():
-    # the z-draw of the accepted W equals the Cholesky draw of inv(Q) / 2 and
-    # consumes normals for every proposal, so what follows it in the stream
-    # does not depend on the acceptances.  inv(Q) is accurate only to
-    # cond(Q) eps, which grows without bound as sigma_max(W) -> 1, so the
-    # draw is compared on the polydisk proposals with sigma_max < 0.95
-    entries, ws = _proposals(np.random.default_rng(3), 500, 2)
-    mask = np.linalg.svd(ws, compute_uv=False)[:, 0] < 0.95
-    assert 0 < mask.sum() < quad._in_domain(entries, 2)[0].sum()
-    qmats = _closed_forms(ws[mask], M, flip=True)
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    zs = quad._sample_z_given_w(rng, -ws[mask], M, mask)
-    gauss = ref.standard_normal((len(mask), 4))[mask]
-    xs = np.einsum("bij,bj->bi", np.linalg.cholesky(np.linalg.inv(qmats) / 2.0), gauss)
-    assert_allclose(zs, xs[:, :2] + 1j * xs[:, 2:], rtol=1e-14)
-    assert rng.uniform() == ref.uniform()
+    assert_allclose(np.sqrt(dets) / (8 * M) ** n, znorm, rtol=2e-15, atol=0)
 
 
 def _section_pair():
@@ -587,8 +423,8 @@ def _gauss_hermite_grams(family, ws, order=8):
 def _power_sum_contraction(funcs, ws, weight):
     kern = quad._exact_z_kernel(fockpoly.PolyFamily(funcs), M)
     sums = quad._PowerSums(kern.shape[-1] - 1)
-    sums.add(ws, weight)
-    return quad._contract_power_sums(kern, *sums.unfold())
+    sums.add(ws)
+    return quad._contract_power_sums(kern, *sums.unfold(weight))
 
 
 _GRAM_F = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
@@ -600,20 +436,20 @@ def test_power_sum_grams_match_scalar_moments(funcs):
     # the contraction at single samples (unit weight) against the
     # Gauss-Hermite conditional Gram: the Gram and its squared modulus
     for w, ref in zip(_WS, _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)):
-        acc, acc2 = _power_sum_contraction(funcs, np.array([w]), np.ones(1))
+        acc, acc2 = _power_sum_contraction(funcs, np.array([w]), 1.0)
         assert_allclose(acc, ref, rtol=1e-12, atol=1e-12)
         assert_allclose(acc2, np.abs(ref) ** 2, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
 def test_power_sum_variance_matches_per_sample_sum(funcs):
-    # sum_t weight_t^2 |G_t|^2 and sum_t weight_t G_t over several weighted
-    # samples against the per-sample values
-    weight = np.array([0.5, 1.7, 0.2, 3.0, 0.9])
+    # c^2 sum_t |G_t|^2 and c sum_t G_t over several samples of one weight c
+    # against the per-sample values
+    weight = 1.7
     grams = _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)
     acc, acc2 = _power_sum_contraction(funcs, _WS, weight)
-    assert_allclose(acc, np.tensordot(weight, grams, axes=1), rtol=1e-12, atol=1e-12)
-    ref2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
+    assert_allclose(acc, weight * np.sum(grams, axis=0), rtol=1e-12, atol=1e-12)
+    ref2 = weight ** 2 * np.sum(np.abs(grams) ** 2, axis=0)
     assert_allclose(acc2, ref2, rtol=1e-12, atol=1e-12 * np.max(ref2))
 
 
@@ -624,9 +460,9 @@ def test_power_sum_parity_entries_are_exact_zeros():
     odd = np.array([[(a - b) % 2 == 1 for b in zdeg] for a in zdeg])
     kern = quad._exact_z_kernel(fockpoly.PolyFamily(_GRAM_F), M)
     assert odd.any() and np.all(kern[odd] == 0)
-    acc, acc2 = _power_sum_contraction(_GRAM_F, _WS, np.ones(len(_WS)))
+    acc, acc2 = _power_sum_contraction(_GRAM_F, _WS, 1.0)
     assert np.all(acc[odd] == 0) and np.all(acc2[odd] == 0)
-    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), 1, M, K,
+    gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), M, K,
                                      quad.MCConfig(samples=30000, seed=3))
     assert np.all(gram[odd] == 0) and np.all(sigma[odd] == 0)
 
@@ -634,74 +470,85 @@ def test_power_sum_parity_entries_are_exact_zeros():
 @pytest.mark.parametrize("deg", range(8))
 def test_folded_power_sums_match_direct_sums(deg):
     # M and M2 unfolded from a stream fed in blocks of _BLOCK, the last one
-    # partial, against the per-sample sums of weight^(1|2) w^a conj(w)^b;
-    # deg = 0 has a one-row |w|^(2b) table
+    # partial, against the per-sample sums c^(1|2) w^a conj(w)^b; deg = 0
+    # has a one-row |w|^(2b) table
     rng = np.random.default_rng(90 + deg)
     count = 2 * quad._BLOCK + 123
     w = np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     w[0] = 0.0
-    weight = rng.uniform(0.1, 2.0, size=count)
+    weight = 0.3
     sums = quad._PowerSums(deg)
     for lo in range(0, count, quad._BLOCK):
-        sums.add(w[lo:lo + quad._BLOCK], weight[lo:lo + quad._BLOCK])
-    big, big2 = sums.unfold()
+        sums.add(w[lo:lo + quad._BLOCK])
+    big, big2 = sums.unfold(weight)
     powers = w[:, None] ** np.arange(2 * deg + 1)
     low = powers[:, :deg + 1]
     assert big.shape == (deg + 1, deg + 1) and big2.shape == (2 * deg + 1, 2 * deg + 1)
-    assert_allclose(big, np.einsum("t,ta,tb->ab", weight, low, low.conj()), rtol=1e-13)
-    assert_allclose(big2, np.einsum("t,ta,tb->ab", weight ** 2, powers, powers.conj()),
+    assert_allclose(big, weight * np.einsum("ta,tb->ab", low, low.conj()), rtol=1e-13)
+    assert_allclose(big2, weight ** 2 * np.einsum("ta,tb->ab", powers, powers.conj()),
                     rtol=1e-13)
 
 
-def test_mc_dj_gram_exact_z_replays_per_sample_grams(monkeypatch):
-    # the exact-z twin of test_mc_gram_blocks_match_one_shot: mc_dj_gram at
-    # n = 1 on a PolyFamily with complex coefficients against a replay of its
-    # proposals, each sample's conditional Gram E[f_i conj(f_j) | w] from the
-    # family's own values on a tensor Gauss-Hermite rule of the z-law, and
-    # the weight det^(k - 3) Z written out; 5001 samples in chunks of 3000
-    # leave partial blocks in both chunks
+def test_mc_dj_gram_exact_z_replays_per_sample_grams():
+    # mc_dj_gram on a PolyFamily with complex coefficients against a replay
+    # of its draws, one generator in blocks of _BLOCK, each sample's
+    # conditional Gram E[f_i conj(f_j) | w] from the family's own values on a
+    # tensor Gauss-Hermite rule of the z-law, and the one weight
+    # (pi / (k - 3/2)) / (8 pi m) written out; two blocks and a partial one
     family = fockpoly.PolyFamily(_section_pair())
     assert np.iscomplexobj(family.coeffs) and np.any(family.coeffs.imag)
     k = 5
-    monkeypatch.setattr(quad, "_EXACT_Z_CHUNK", 3000)
-    cfg = quad.MCConfig(samples=5001, seed=17)
-    assert cfg.samples % quad._BLOCK and quad._EXACT_Z_CHUNK % quad._BLOCK
-    gram, sigma, stats = quad.mc_dj_gram(family, 1, M, k, cfg)
+    cfg = quad.MCConfig(samples=2 * quad._BLOCK + 1001, seed=17)
+    gram, sigma, stats = quad.mc_dj_gram(family, M, k, cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    w = np.concatenate([_proposals(rng, count, 1)[0][:, 0] for count in (3000, 2001)])
-    dets = 1.0 - np.abs(w) ** 2
-    weight = dets ** (k - 3) * np.sqrt(dets) / (8 * M)
+    counts = (quad._BLOCK, quad._BLOCK, 1001)
+    w = np.concatenate([quad._draw_disk(rng, count, k) for count in counts])
+    weight = 1.0 / (8 * M * (k - 1.5))
     grams = _gauss_hermite_grams(family, w)
-    acc = np.tensordot(weight, grams, axes=1)
-    acc2 = np.tensordot(weight ** 2, np.abs(grams) ** 2, axes=1)
+    acc = weight * np.sum(grams, axis=0)
+    acc2 = weight ** 2 * np.sum(np.abs(grams) ** 2, axis=0)
     ref = (acc + acc.conj().T) / (2 * cfg.samples)
     ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
     assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
     assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
-    assert (stats["proposed"], stats["accepted"]) == (cfg.samples, cfg.samples)
-    assert_allclose(stats["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
-    assert_allclose(stats["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
-    diag = np.einsum("t,tii->i", weight, grams).real
-    diag2 = np.einsum("t,tii->i", weight ** 2, np.abs(grams) ** 2)
+    assert stats["samples"] == cfg.samples
+    diag = np.einsum("tii->i", grams).real
+    diag2 = np.einsum("tii->i", np.abs(grams) ** 2)
     assert_allclose(stats["ess_f"], diag ** 2 / diag2, rtol=1e-12)
 
 
-def test_exact_z_stats_match_the_disk_draw():
-    # at n = 1 the exact-z weight is det^(k - 2) Z, proportional to the
-    # bounded-domain weight det^(k - 5/2): the ESS and the largest share,
-    # both scale-free, are those of det^(k - 5/2) on the W that _sample_w
-    # draws from the same stream in chunks of the exact-z size
-    cfg = quad.MCConfig(samples=50000, seed=17)
-    _, _, exact = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F[:2]), 1, M, K, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    chunks = range(0, cfg.samples, quad._EXACT_Z_CHUNK)
-    weight = np.concatenate([quad._sample_w(rng, min(quad._EXACT_Z_CHUNK, cfg.samples - lo), 1)[1]
-                             for lo in chunks]) ** (K - 2.5)
-    assert exact["proposed"] == exact["accepted"] == cfg.samples == len(weight)
-    assert_allclose(exact["ess"], np.sum(weight) ** 2 / np.sum(weight ** 2), rtol=1e-12)
-    assert_allclose(exact["max_share"], np.max(weight) / np.sum(weight), rtol=1e-12)
-    assert 0.5 * cfg.samples < exact["ess"] < cfg.samples
+@pytest.mark.parametrize("k", [3, 5])
+def test_disk_draw_has_the_moments_of_its_measure(k):
+    # s = 1 - |w|^2 ~ Beta(k - 3/2, 1): E[s^j] = (k - 3/2) / (k - 3/2 + j),
+    # and the uniform angle gives E[w^j] = 0, j = 1..4; each sample mean
+    # within z = 5 of its own standard errors (a chance of about 1e-5 over
+    # the 12 means of both k)
+    w = quad._draw_disk(np.random.default_rng(30 + k), 200000, k)
+    assert np.all(np.abs(w) < 1)
+    s = 1.0 - np.abs(w) ** 2
+    for j in range(1, 5):
+        target = (k - 1.5) / (k - 1.5 + j)
+        assert abs(np.mean(s ** j) - target) <= 5 * np.std(s ** j) / math.sqrt(len(w))
+        for part in ((w ** j).real, (w ** j).imag):
+            assert abs(np.mean(part)) <= 5 * np.std(part) / math.sqrt(len(w))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_dj_gram_of_the_gram_f_family_matches_the_exact_gram(seed):
+    # every one of the 144 entries within t sigma of exact_dj_gram, t the
+    # normal quantile of a union bound at 1e-3 (4.5), plus a roundoff
+    # floor; the 72 entries between z-degrees of different parity are
+    # exactly 0.0
+    family = fockpoly.PolyFamily(_GRAM_F)
+    size = len(family)
+    exact = quad.exact_dj_gram(family, M, K)
+    gram, sigma, _ = quad.mc_dj_gram(family, M, K, quad.MCConfig(samples=200000, seed=seed))
+    t = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * size * size))
+    assert np.all(np.abs(gram - exact) <= t * sigma + 1e-9)
+    zdeg = np.array([sum(s) for (s, _), _ in fockpoly.series_basis(1, M, K, 3, 2)])
+    odd = (zdeg[:, None] - zdeg[None]) % 2 == 1
+    assert odd.sum() == 72 and np.all(gram[odd] == 0.0)
 
 
 @pytest.mark.parametrize("m", [0.05, 0.25, 1.0])
@@ -791,49 +638,60 @@ def test_exact_dj_gram_against_beta_moments():
     assert_allclose(gram, target, rtol=1e-14, atol=1e-15)
 
 
-def test_exact_dj_gram_matches_the_sampled_z_gram_at_n2():
-    # the F_sa with |s| <= 1, a <= 1 at n = 2: the Monte Carlo Gram draws z
-    # from its law, so it checks the Wick coefficients with code they do not
-    # share; every one of the 144 entries lies within t sigma, t the normal
-    # quantile of a union bound at 1e-3 (4.5), plus a roundoff floor
-    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(2, M, K, 1, 1)])
-    size = len(family)
-    exact = quad.exact_dj_gram(family, M, K)
-    assert size == 12 and np.max(np.abs(exact - np.eye(size))) <= 1e-12
-    gram, sigma, _ = quad.mc_dj_gram(family, 2, M, K, quad.MCConfig(samples=400000, seed=0))
-    t = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * size * size))
-    assert np.all(np.abs(gram - exact) <= t * sigma + 1e-9)
+def test_wick_tables_match_a_cholesky_gauss_hermite_rule_at_n2():
+    # the conditional Gram E[f_i conj(f_j) | W] of the series family F_sa
+    # (|s| <= 3, a <= 2) at n = 2, read off the Wick tables at a few fixed W,
+    # against the family's own values on a tensor Gauss-Hermite rule in
+    # (Re z, Im z) through the Cholesky factor of the z-law's real
+    # covariance, written out from W and m: a rule that shares no code with
+    # _wick_factor.  Order 4 integrates z-degree 3 times 3 exactly; the W
+    # part is fk_gram's (test_exact_dj_gram_of_a_complex_family_with_w_terms_n2)
+    family = fockpoly.PolyFamily([f for _, f in fockpoly.series_basis(2, M, K, 3, 2)])
+    tables, monos = quad._wick_coefficients(family, M)
+    nodes, weights = np.polynomial.hermite.hermgauss(4)
+    grid = np.stack(np.meshgrid(*[nodes] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    rule = np.prod(np.meshgrid(*[weights] * 4, indexing="ij"), axis=0).ravel() / np.pi ** 2
+    d = 1.0 / (8 * np.pi * M)
+    ws = [np.array([[0.3 - 0.2j, 0.1j], [0.1j, -0.25 + 0.05j]]),
+          *(domains.sample_sj_disk_point(2, 0.9, seed=40 + t).w for t in range(3))]
+    for w in ws:
+        c = -w * d
+        cov = 0.5 * np.block([[d * np.eye(2) + c.real, c.imag], [c.imag, d * np.eye(2) - c.real]])
+        xs = np.sqrt(2.0) * grid @ np.linalg.cholesky(cov).T
+        vals = family.split(np.broadcast_to(w, (len(xs), 2, 2)), xs[:, :2] + 1j * xs[:, 2:])[0]
+        upper = w[np.triu_indices(2)]
+        exact = np.zeros((len(family), len(family)), dtype=complex)
+        for lam_u, members, table in tables:
+            coef = np.prod(upper ** np.array(monos), axis=1) @ table
+            exact[np.ix_(members, members)] += lam_u * np.outer(coef, coef.conj())
+        rule_gram = (vals * rule) @ vals.conj().T
+        assert np.max(np.abs(exact - rule_gram)) <= 1e-12 * np.max(np.abs(exact))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_mc_dj_inner_same_function_path(n):
+def test_mc_dj_inner_same_function_path():
     # <psi, psi> from the one-function Gram; a distinct but equal psi2 in a
     # family of two must give the same estimate, on and off the diagonal
-    s = (1,) + (0,) * (n - 1)
-    psi, psi2 = fockpoly.basis_f(s, M), fockpoly.basis_f(s, M)
+    psi, psi2 = fockpoly.basis_f((1,), M), fockpoly.basis_f((1,), M)
     cfg = quad.MCConfig(samples=20000, seed=15)
-    one, one_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), n, M, K, cfg)
-    two, two_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi, psi2]), n, M, K, cfg)
+    one, one_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), M, K, cfg)
+    two, two_sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily([psi, psi2]), M, K, cfg)
     for entry in ((0, 0), (0, 1), (1, 1)):
         assert abs(two[entry] - one[0, 0]) <= 1e-12 * abs(one[0, 0])
         assert abs(two_sigma[entry] - one_sigma[0, 0]) <= 1e-12 * one_sigma[0, 0]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_family_grams_match_one_member_runs(n):
+def test_family_grams_match_one_member_runs():
     # one Gram over a family against one run per function on the same seed:
     # diagonal, sigma and per-function Kish size
-    psis = [f for _, f in suites._isometry_functions(suites.SuiteConfig(n=n, m=M, k=K))]
+    psis = [f for _, f in suites._isometry_functions(suites.SuiteConfig(m=M, k=K))]
     cfg = quad.MCConfig(samples=20000, seed=16)
-    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(psis), n, M, K, cfg)
+    gram, sigma, stats = quad.mc_dj_gram(fockpoly.PolyFamily(psis), M, K, cfg)
     for i, psi in enumerate(psis):
-        g1, s1, st1 = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), n, M, K, cfg)
+        g1, s1, st1 = quad.mc_dj_gram(fockpoly.PolyFamily([psi]), M, K, cfg)
         assert_allclose(gram[i, i], g1[0, 0], rtol=1e-12, atol=0)
         assert_allclose(sigma[i, i], s1[0, 0], rtol=1e-12, atol=0)
         assert_allclose(stats["ess_f"][i], st1["ess_f"][0], rtol=1e-12, atol=0)
-        assert all(stats[key] == st1[key] for key in ("proposed", "accepted"))
-        assert_allclose([stats["ess"], stats["max_share"]],
-                        [st1["ess"], st1["max_share"]], rtol=1e-12)
+        assert stats["samples"] == st1["samples"] == cfg.samples
 
 
 def test_pack_unpack_roundtrip():

@@ -184,7 +184,7 @@ def test_q_basis_check_is_exact_and_draws_nothing(monkeypatch, seed):
     def no_sampling(*args, **kwargs):
         raise AssertionError("q-basis drew a Monte Carlo Gram")
 
-    monkeypatch.setattr(quad, "_mc_gram", no_sampling)
+    monkeypatch.setattr(quad, "mc_dj_gram", no_sampling)
     check, = suites.run_q_basis(SuiteConfig(n=2, seed=suites.sub_seed(seed, "q-basis"))).checks
     assert check.passed and check.residual <= 1e-12 and check.tol == 1e-12
 
