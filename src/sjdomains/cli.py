@@ -335,11 +335,13 @@ def _table_gram_phi(cfg: SuiteConfig, trunc: int):
     return labels, gram, None
 
 
-def _table_gram_big_f(cfg: SuiteConfig):
+def _table_gram_big_f(cfg: SuiteConfig, samples: int):
     if cfg.n != 1:
         raise CliError(f"table --kind gram-F samples at n = 1 only, not at n = {cfg.n}; "
                        "verify --suite series-gram reads the exact Gram at every n")
-    labels, _, gram, sigma, _ = suites.series_gram(cfg, "table-gram-F")
+    labels, family = suites.series_family(cfg)
+    mccfg = quad.MCConfig(samples=samples, seed=sub_seed(cfg.seed, "table-gram-F"))
+    gram, sigma, _ = quad.mc_dj_gram(family, cfg.m, cfg.k, mccfg)
     return [str(lbl) for lbl in labels], gram, sigma
 
 
@@ -362,10 +364,10 @@ def _table_calibration(cfg: SuiteConfig):
     return rows
 
 
-def cmd_table(kind: str, cfg: SuiteConfig, trunc: int, fmt: str):
+def cmd_table(kind: str, cfg: SuiteConfig, trunc: int, samples: int, fmt: str):
     if kind in ("gram-phi", "gram-F"):
         labels, gram, sigma = (_table_gram_phi(cfg, trunc) if kind == "gram-phi"
-                               else _table_gram_big_f(cfg))
+                               else _table_gram_big_f(cfg, samples))
         if fmt == "csv":
             return report.matrix_csv_text(gram, labels, labels, sigma=sigma)
         payload = {"kind": kind, "labels": labels, "matrix": gram}
@@ -446,6 +448,8 @@ def _build_parser():
     config_options(pt)
     pt.add_argument("--trunc", type=int, default=10, action=_Given,
                     help="the degree of gram-phi and of expansion-convergence")
+    pt.add_argument("--samples", type=int, default=quad.MCConfig.samples, action=_Given,
+                    help="the Monte Carlo sample count of gram-F")
     output_options(pt)
     return parser
 
@@ -493,17 +497,19 @@ def main(argv=None) -> int:
             rep = suites.run_suite(ns.suite, cfg)
             if not ns.no_timestamp:
                 rep = rep.stamp()
+            # a CSV report on stdout has it to itself: the summary goes to stderr
+            csv_out = ns.format == "csv" and not ns.out
             for line in rep.summary_lines():
-                print(line)
+                print(line, file=sys.stderr if csv_out else sys.stdout)
             if ns.out:
                 text = _verify_csv(rep) if ns.format == "csv" else rep.to_json()
                 report.atomic_write_text(ns.out, text)
-            elif ns.format == "csv":
+            elif csv_out:
                 sys.stdout.write(_verify_csv(rep))
             return 0 if rep.passed else 1
         if ns.trunc < 0:
             raise CliError("trunc must be a non-negative integer")
-        _emit(cmd_table(ns.kind, cfg, ns.trunc, ns.format), ns.out)
+        _emit(cmd_table(ns.kind, cfg, ns.trunc, ns.samples, ns.format), ns.out)
         return 0
     except (CliError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

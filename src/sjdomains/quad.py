@@ -32,6 +32,7 @@ matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,8 +323,9 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
 
     exact_dj_gram gives the Gram without sampling, at every n, from the same
     Wick coefficients.  Raises ValueError, before any draw, on anything but
-    a PolyFamily of n = 1, and at k <= 3/2, where the measure has no finite
-    mass."""
+    a PolyFamily of n = 1, at k <= 3/2, where the measure has no finite
+    mass, and on a sample count that is not an integer >= 2, the fewest
+    that give a variance."""
     if not isinstance(family, PolyFamily):
         raise ValueError(f"mc_dj_gram samples a PolyFamily, not a {type(family).__name__}")
     if family.n != 1:
@@ -331,19 +333,21 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
                          " exact_dj_gram gives its Gram at every n")
     if k <= 1.5:
         raise ValueError(f"mc_dj_gram needs k > 3/2 for a finite measure, not k = {k}")
+    samples = cfg.samples
+    if not isinstance(samples, numbers.Integral) or isinstance(samples, bool) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
     kern = _exact_z_kernel(family, m)
     sums = _PowerSums(kern.shape[-1] - 1)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    for lo in range(0, cfg.samples, _BLOCK):
-        sums.add(_draw_disk(rng, min(_BLOCK, cfg.samples - lo), k))
+    for lo in range(0, samples, _BLOCK):
+        sums.add(_draw_disk(rng, min(_BLOCK, samples - lo), k))
     weight = fockpoly.bergman_mass(1, k) / (8.0 * math.pi * m)
     acc, acc2 = _contract_power_sums(kern, *sums.unfold(weight))
-    done = cfg.samples
     diag, diag2 = acc.diagonal().real, acc2.diagonal()
-    gram = (acc + acc.conj().T) / (2 * done)
-    var = np.maximum((acc2 + acc2.T) / (2 * done) - np.abs(gram) ** 2, 0.0)
-    stats = {"samples": done, "ess_f": diag ** 2 / np.where(diag2 > 0, diag2, np.inf)}
-    return gram, np.sqrt(var / done), stats
+    gram = (acc + acc.conj().T) / (2 * samples)
+    var = np.maximum((acc2 + acc2.T) / (2 * samples) - np.abs(gram) ** 2, 0.0)
+    stats = {"samples": samples, "ess_f": diag ** 2 / np.where(diag2 > 0, diag2, np.inf)}
+    return gram, np.sqrt(var / samples), stats
 
 
 # --- finite-difference Jacobians and real charts ---

@@ -1,7 +1,9 @@
 """Typed results for verification suites plus JSON/CSV serialization.
 
-A check carries a residual compared against tol; a Monte Carlo check's tol
-is its sigma multiple, and its sigma goes in the detail.  Reports serialize
+A check carries a residual compared against tol.  The one Monte Carlo check,
+series-gram's sigma-budget, compares sigma_max, the largest standard error
+of its Gram, with a fixed budget, and holds the sample count, ess_f and
+ess_f_low in its detail.  Reports serialize
 deterministically: keys sorted, complex values as [re, im], timestamp
 optional so byte-identical reruns are possible.
 """

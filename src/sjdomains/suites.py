@@ -5,11 +5,11 @@ Each runner takes a SuiteConfig alone and returns a VerifyReport; the
 decorator _suite registers it in SUITES under its public name and builds
 that report, in one place, from the checks the runner's body returns, so
 every report records the run that made it: cfg.to_dict() and cfg.seed.  The
-sizes of a check (points, pairs, degrees) and its residual tolerance are
-constants of its contract, written in the runner's body; no config field
-changes them.  Each stack is seeded by (seed, suite tag, index) and each
-Monte Carlo Gram by its stream name (sub_seed), so reports are reproducible
-check by check.
+sizes of a check (points, pairs, degrees, samples) and its residual
+tolerance are constants of its contract, written in the runner's body; no
+config field changes them.  Each stack is seeded by (seed, suite tag,
+index) and each Monte Carlo Gram by its stream name (sub_seed), so reports
+are reproducible check by check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class SuiteConfig:
     m: float = 0.25
     k: int = 3
     seed: int = 0
-    samples: int = 100000
 
     def __post_init__(self):
         """Refuse a field out of its range, naming it; a bool is no number.
@@ -48,13 +47,12 @@ class SuiteConfig:
                 (isinstance(self.m, numbers.Real) and not isinstance(self.m, bool)
                  and 0 < self.m < math.inf, "m must be positive and finite"),
                 (integer(self.k), "k must be an integer"),
-                (integer(self.seed) and self.seed >= 0, "seed must be a non-negative integer"),
-                (integer(self.samples) and self.samples >= 2, "samples must be at least 2")):
+                (integer(self.seed) and self.seed >= 0, "seed must be a non-negative integer")):
             if not valid:
                 raise ValueError(message)
 
     def to_dict(self):
-        return {"n": self.n, "m": self.m, "k": self.k, "samples": self.samples}
+        return {"n": self.n, "m": self.m, "k": self.k}
 
 
 # public suite name -> runner, in the order run_all runs them
@@ -438,20 +436,12 @@ def run_measure_jacobian(cfg: SuiteConfig) -> list:
                                    "max": float(np.max(values))})]
 
 
-def _series_family(cfg: SuiteConfig):
+def series_family(cfg: SuiteConfig):
     """The series basis F_sa (|s| <= 3, deg a <= 2) at cfg's parameters:
-    (labels, family), the family one PolyFamily."""
+    (labels, family), the family one PolyFamily.  series-gram reads its
+    Grams, and `table --kind gram-F` its Monte Carlo Gram."""
     labeled = fockpoly.series_basis(cfg.n, cfg.m, cfg.k, 3, 2)
     return [lbl for lbl, _ in labeled], fockpoly.PolyFamily([f for _, f in labeled])
-
-
-def series_gram(cfg: SuiteConfig, stream: str):
-    """The series basis and its MC Gram under the bounded-model inner
-    product, on the substream `stream` of cfg.seed: (labels, family, gram,
-    sigma, stats)."""
-    labels, family = _series_family(cfg)
-    mccfg = quad.MCConfig(samples=cfg.samples, seed=sub_seed(cfg.seed, stream))
-    return (labels, family, *quad.mc_dj_gram(family, cfg.m, cfg.k, mccfg))
 
 
 @_suite("series-gram")
@@ -460,20 +450,23 @@ def run_series_gram(cfg: SuiteConfig) -> list:
     (quad.exact_dj_gram), at a roundoff bound; worst_row and worst_col
     label its largest entry.
 
-    At n = 1 the MC Gram of series_gram, exact in z, is also held to a
-    sigma budget, with the engine's stats in its detail, and to exact zeros
-    between functions of z-degree of different parity."""
-    labels, family = _series_family(cfg)
+    At n = 1 the MC Gram of 10^5 samples, exact in z, on the substream
+    "series-gram" of cfg.seed, is also held to a sigma budget, 3e-3 at 10^6
+    samples scaled by the square root of the sample ratio, with the
+    engine's stats in its detail, and to exact zeros between functions of
+    z-degree of different parity."""
+    labels, family = series_family(cfg)
     err = np.abs(quad.exact_dj_gram(family, cfg.m, cfg.k) - np.eye(len(labels)))
     i, j = np.unravel_index(np.argmax(err), err.shape)
     checks = [residual_check("gram-identity", err[i, j], 1e-12,
                              detail={"worst_row": str(labels[i]), "worst_col": str(labels[j])})]
     if cfg.n == 1:
-        _, _, gram, sigma, stats = series_gram(cfg, "series-gram")
+        samples = 10 ** 5
+        mccfg = quad.MCConfig(samples=samples, seed=sub_seed(cfg.seed, "series-gram"))
+        gram, sigma, stats = quad.mc_dj_gram(family, cfg.m, cfg.k, mccfg)
         zdeg = np.array([sum(lbl[0]) for lbl in labels])
         odd = (zdeg[:, None] - zdeg[None]) % 2 == 1
-        checks += [residual_check("sigma-budget", np.max(sigma),
-                                  3e-3 * math.sqrt(max(1.0, 1e6 / cfg.samples)),
+        checks += [residual_check("sigma-budget", np.max(sigma), 3e-3 * math.sqrt(1e6 / samples),
                                   detail=quad.mc_stats(stats)),
                    residual_check("parity-zeros", np.max(np.abs(gram[odd]), initial=0.0), 1e-12)]
     return checks

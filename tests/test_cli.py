@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import importlib
 import json
@@ -550,7 +551,7 @@ def test_negative_seed_or_trunc_exit_two(argv, field, capsys):
 # to SuiteConfig's fields, and eval reads m and k from its JSON.
 
 OPTIONS = {
-    "verify": {"--suite", "--n", "--m", "--k", "--seed", "--samples", "--out", "--format",
+    "verify": {"--suite", "--n", "--m", "--k", "--seed", "--out", "--format",
                "--no-timestamp"},
     "eval": {"object", "args", "--out"},
     "table": {"--kind", "--n", "--m", "--k", "--seed", "--samples", "--trunc", "--out",
@@ -570,10 +571,11 @@ def test_each_command_takes_only_the_options_it_reads():
         settable = {(a.option_strings or [a.dest])[0] for a in subparsers[command]._actions
                     if not isinstance(a, argparse._HelpAction)}
         assert settable == expected, command
-    assert sum(map(len, OPTIONS.values())) == 21
+    assert sum(map(len, OPTIONS.values())) == 20
     defaults = dataclasses.asdict(suites.SuiteConfig())
     for command in ("verify", "table"):
         assert {key: subparsers[command].get_default(key) for key in defaults} == defaults
+    assert subparsers["table"].get_default("samples") == quad.MCConfig().samples
 
 
 @pytest.mark.parametrize("argv,unread", [
@@ -581,6 +583,7 @@ def test_each_command_takes_only_the_options_it_reads():
     (["eval", "P_s", '{"s": [1]}'], ["--seed", "2"]),
     (["table", "--kind", "calibration"], ["--no-timestamp"]),
     (["verify", "--suite", "cayley"], ["--trunc", "12"]),
+    (["verify", "--suite", "series-gram"], ["--samples", "2"]),
 ])
 def test_an_option_the_command_does_not_read_exits_two(argv, unread, capsys):
     code, out, err = run(argv + unread, capsys)
@@ -658,6 +661,18 @@ def test_verify_csv_format(tmp_path, capsys):
     assert len(lines) >= 2
 
 
+def test_verify_csv_to_stdout_is_the_report_alone(capsys):
+    # without --out the CSV report is stdout and the summary goes to stderr
+    code, out, err = run(["verify", "--suite", "cayley", "--format", "csv", "--no-timestamp"],
+                         capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["name", "pass", "residual", "tol"]
+    assert [row[0] for row in rows[1:]] == ["roundtrip", "equivariance"]
+    assert all(len(row) == 4 and row[1] == "1" for row in rows[1:])
+    assert err.startswith("[PASS] suite cayley\n")
+
+
 # --- tables ---
 
 def test_table_gram_phi_csv(tmp_path, capsys):
@@ -666,7 +681,6 @@ def test_table_gram_phi_csv(tmp_path, capsys):
                      "--format", "csv", "--out", str(p)])
     capsys.readouterr()
     assert code == 0
-    import csv
     rows = list(csv.reader(p.read_text().splitlines()))
     assert len(rows) == 26  # header + 5x5 entries
     assert rows[0][:2] == ["i", "j"]
@@ -739,6 +753,17 @@ def test_table_gram_big_f_million_samples(capsys, benchmark_workloads):
     assert [c for c in benchmark_workloads.gram_checks(doc) if not c[1]] == []
 
 
+def test_table_gram_big_f_refuses_too_few_samples(capsys, monkeypatch):
+    # the engine's refusal, before any draw
+    def unexpected(*args):
+        raise AssertionError("table --kind gram-F drew a sample")
+
+    monkeypatch.setattr(quad, "_draw_disk", unexpected)
+    code, out, err = run(["table", "--kind", "gram-F", "--samples", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: samples must be an integer of at least 2, not 1\n"
+
+
 @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "3", "--k", "4"]], ids=["n2", "n3"])
 def test_table_gram_big_f_refuses_n_above_1(argv, capsys, monkeypatch):
     # the Monte Carlo Gram samples at n = 1 only: any other n exits 2 before
@@ -746,7 +771,7 @@ def test_table_gram_big_f_refuses_n_above_1(argv, capsys, monkeypatch):
     def unexpected(*args):
         raise AssertionError("table --kind gram-F built or sampled a Gram")
 
-    monkeypatch.setattr(suites, "series_gram", unexpected)
+    monkeypatch.setattr(suites, "series_family", unexpected)
     monkeypatch.setattr(quad, "mc_dj_gram", unexpected)
     code, out, err = run(["table", "--kind", "gram-F"] + argv, capsys)
     assert (code, out) == (2, "")
@@ -775,7 +800,8 @@ def test_a_table_kind_refuses_the_options_it_does_not_read(kind, capsys):
 @pytest.mark.parametrize("kind", sorted(TABLE_UNREAD))
 def test_a_table_kind_takes_each_option_it_reads(kind, capsys):
     # its options, given at their defaults, leave the table as it is
-    defaults = {**dataclasses.asdict(suites.SuiteConfig()), "trunc": 10}
+    defaults = {**dataclasses.asdict(suites.SuiteConfig()), "trunc": 10,
+                "samples": quad.MCConfig().samples}
     given = [word for name in cli.TABLE_OPTIONS[kind]
              for word in (f"--{name}", str(defaults[name]))]
     bare = run(["table", "--kind", kind], capsys)

@@ -290,6 +290,16 @@ def test_mc_dj_gram_refuses_a_sampled_function_and_an_infinite_measure(monkeypat
             quad.mc_dj_gram(family, M, k, cfg)
 
 
+@pytest.mark.parametrize("samples", [0, 1, -5, True, 2.5])
+def test_mc_dj_gram_refuses_a_sample_count_below_two(monkeypatch, samples):
+    # a variance needs two samples; a bool is no count and 2.5 no integer
+    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
+    refusal = f"^samples must be an integer of at least 2, not {samples!r}$"
+    with pytest.raises(ValueError, match=refusal):
+        quad.mc_dj_gram(family, M, K, quad.MCConfig(samples=samples))
+
+
 def test_calibrate_norms_values():
     cal = quad.calibrate_norms(1, M)
     assert_allclose(cal["constant"], 8 * math.pi * M, rtol=1e-12)

@@ -44,7 +44,7 @@ N3_SUITES = N2_SUITES
                          + [pytest.param(name, 2, 3, id=f"{name}-n2") for name in N2_SUITES]
                          + [pytest.param(name, 3, 4, id=f"{name}-n3") for name in N3_SUITES])
 def test_each_suite_passes_quick(name, n, k):
-    cfg = SuiteConfig(n=n, k=k, samples=30000, seed=1)
+    cfg = SuiteConfig(n=n, k=k, seed=1)
     rep = suites.run_suite(name, cfg)
     failing = [c.summary() for c in rep.checks if not c.passed]
     assert rep.passed, failing
@@ -66,7 +66,7 @@ def test_fock_suites_pass_at_other_masses(name, m, n, k):
 def test_run_all_reports_the_checks_the_benchmark_expects(n, benchmark_workloads):
     # the benchmark marks a run incorrect when a suite's check names differ
     # from expected_checks(n); a renamed, added or dropped check fails here
-    rep = suites.run_suite("all", SuiteConfig(n=n, samples=30000, seed=1))
+    rep = suites.run_suite("all", SuiteConfig(n=n, seed=1))
     got = {}
     for c in rep.checks:
         suite, check = c.name.split("/", 1)
@@ -91,7 +91,7 @@ def test_sampled_suites_pass_at_several_seeds(name, n, seed):
 
 
 def test_run_all_aggregates_with_prefixes():
-    cfg = SuiteConfig(samples=20000, seed=2)
+    cfg = SuiteConfig(seed=2)
     rep = suites.run_suite("all", cfg)
     assert rep.passed
     assert rep.suite == "all"
@@ -149,9 +149,10 @@ def test_single_suite_report_records_its_run(name):
     # a single-suite report carries the config that made it, every field and
     # the seed it was given (not a Monte Carlo substream), so a rerun from
     # the report's own params and seed repeats it
-    cfg = SuiteConfig(n=1, seed=5, samples=2000)
+    cfg = SuiteConfig(n=1, seed=5)
     rep = suites.run_suite(name, cfg)
     assert (rep.suite, rep.params, rep.seed) == (name, cfg.to_dict(), cfg.seed)
+    assert list(rep.params) == ["n", "m", "k"]
     again = suites.run_suite(name, SuiteConfig(seed=rep.seed, **rep.params))
     assert again.to_json() == rep.to_json()
 
@@ -166,14 +167,14 @@ def test_every_check_is_built_from_the_config_alone():
     # run's parameters, no tolerance and no size: each check keeps its
     # contract bound and sizes
     assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
-        "n", "m", "k", "seed", "samples"]
+        "n", "m", "k", "seed"]
     for runner in suites.SUITES.values():
         assert list(inspect.signature(runner).parameters) == ["cfg"]
 
 
 def test_run_all_passes_at_n3():
     # every suite that runs at n = 3, at k = 4, in one run
-    rep = suites.run_all(SuiteConfig(n=3, k=4, samples=30000, seed=0))
+    rep = suites.run_all(SuiteConfig(n=3, k=4, seed=0))
     assert rep.passed, [c.summary() for c in rep.checks if not c.passed]
 
 
@@ -208,7 +209,7 @@ def test_suite_config_refuses_each_bad_field():
     # the config checks its own fields when it is built, a bool being no
     # number; k > n + 1/2 is not among them (q_basis refuses it)
     for field, value in (("n", 0), ("n", True), ("m", 0), ("m", -1.0), ("m", math.inf),
-                         ("m", math.nan), ("k", 2.5), ("seed", -1), ("samples", 1)):
+                         ("m", math.nan), ("k", 2.5), ("seed", -1)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SuiteConfig(**{field: value})
     assert SuiteConfig(k=1).k == 1
@@ -227,7 +228,7 @@ def test_kernel_section_pairing_reports_the_pair_furthest_past_its_bound(monkeyp
         return gram
 
     monkeypatch.setattr(quad, "exact_dj_gram", skewed)
-    check = suites.run_reproducing(SuiteConfig(samples=2000, seed=3)).checks[1]
+    check = suites.run_reproducing(SuiteConfig(seed=3)).checks[1]
     assert check.name == "kernel-section-pairing"
     assert not check.passed and check.residual > check.tol
     assert abs(check.residual - 0.5) < 1e-12 and check.tol == 1e-12
