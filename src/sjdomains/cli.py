@@ -87,7 +87,7 @@ def _unread(fields, where=""):
 
 # eval's parameters: what each must be, and the test of it
 _PARAMS = {
-    "m": ("a finite positive number", lambda v: _is_num(v) and 0 < v < math.inf),
+    "m": (suites.M_RULE, suites.m_in_range),
     "k": ("a finite number", lambda v: _is_num(v) and math.isfinite(v)),
 }
 
@@ -497,15 +497,10 @@ def main(argv=None) -> int:
             rep = suites.run_suite(ns.suite, cfg)
             if not ns.no_timestamp:
                 rep = rep.stamp()
-            # a CSV report on stdout has it to itself: the summary goes to stderr
-            csv_out = ns.format == "csv" and not ns.out
+            # a report on stdout has it to itself: the summary goes to stderr
             for line in rep.summary_lines():
-                print(line, file=sys.stderr if csv_out else sys.stdout)
-            if ns.out:
-                text = _verify_csv(rep) if ns.format == "csv" else rep.to_json()
-                report.atomic_write_text(ns.out, text)
-            elif csv_out:
-                sys.stdout.write(_verify_csv(rep))
+                print(line, file=sys.stdout if ns.out else sys.stderr)
+            _emit(_verify_csv(rep) if ns.format == "csv" else rep.to_json(), ns.out)
             return 0 if rep.passed else 1
         if ns.trunc < 0:
             raise CliError("trunc must be a non-negative integer")

@@ -38,10 +38,8 @@ W-monomials, so nothing here samples or imports the quadrature layer.
 fk_gram gives the same Gram a second way, from the Faraut-Koranyi
 decomposition into K-types, so that it can check q_basis.
 
-Coefficient exactness policy: P_s coefficients are integers; the scaled basis
-representatives used by the differential-system check keep exact Fraction
-coefficients so that residuals are exactly zero, not merely small.  The
-normalized bases used by quadrature carry float coefficients.
+Coefficient exactness policy: P_s, p_s_from_generating and the K-types are
+exact (int or Fraction coefficients); every basis carries float coefficients.
 """
 
 from __future__ import annotations
@@ -56,10 +54,6 @@ import numpy as np
 
 from . import numkit
 from .numkit import enumerate_multiindices, mi_factorial
-
-
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction))
 
 
 def _width(n):
@@ -182,9 +176,6 @@ class PolyFunction:
     def terms_sorted(self):
         # by z-degree |s|, then by s and a
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:self.n]), kv[0]))
-
-    def has_exact_coeffs(self):
-        return all(_is_exact(c) for c in self.terms.values())
 
     # --- calculus ---
 
@@ -414,24 +405,6 @@ def basis_f(s: tuple, m: float) -> PolyFunction:
     n = poly.n
     res = PolyFunction(n)
     res.terms = {e: c * _scale_pow(u, sum(e[:n])) / root for e, c in poly.terms.items()}
-    return res
-
-
-def basis_f_scaled(s: tuple, m: float) -> PolyFunction:
-    """Exact-rational representative of basis_f: the same polynomial divided by
-    the overall constant (8 pi m)^{|s|/2}/sqrt(s!), so each coefficient is the
-    exact Fraction c_a u^{-deg_W(a)} with u the double-precision value of
-    8 pi m.  Scalar multiples are invisible to the differential-system check,
-    which this representative satisfies with exactly zero residual."""
-    s = tuple(int(v) for v in s)
-    u = Fraction(8.0 * math.pi * m)
-    poly = p_s(s)
-    res = PolyFunction(poly.n)
-    terms = {}
-    for e, c in poly.terms.items():
-        val = Fraction(c) / u ** sum(e[poly.n:])
-        terms[e] = int(val) if val.denominator == 1 else val
-    res.terms = terms
     return res
 
 
@@ -673,23 +646,21 @@ def series_basis(n: int, m: float, k, s_max: int, a_max: int):
 
 # --- differential system ---
 
-def pde_check(f: PolyFunction, m: float) -> float:
+def pde_check(f: PolyFunction, c) -> float:
     """Largest coefficient residual of d^2 f / dz_j dz_k
-    - 8 pi m (1 + delta_jk) df/dW_jk over all j <= k.
+    - c (1 + delta_jk) df/dW_jk over all j <= k.
 
-    Exactly 0.0 (exact rational arithmetic throughout) when f has int/Fraction
-    coefficients, e.g. any output of basis_f_scaled or combinations thereof.
-    """
-    exact = f.has_exact_coeffs()
-    mult = Fraction(8.0 * math.pi * m) if exact else 8.0 * math.pi * m
+    The arithmetic is that of f's coefficients and c: on the integer p_s at
+    c = 1 it is exact, and the residual is 0.0 exactly; on basis_f(s, m) the
+    system's factor is c = 8 pi m, in floats."""
     worst = 0.0
     for i in range(f.n):
         for j in range(i, f.n):
             lhs = f.dz(i).dz(j)
-            rhs = f.dw(i, j) * (mult * (2 if i == j else 1))
+            rhs = f.dw(i, j) * (c * (2 if i == j else 1))
             diff = lhs - rhs
             if diff.terms:
-                worst = max(worst, max(abs(complex(c)) for c in diff.terms.values()))
+                worst = max(worst, max(abs(complex(v)) for v in diff.terms.values()))
     return worst
 
 

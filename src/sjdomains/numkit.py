@@ -159,9 +159,10 @@ def eliminate(a, b):
     Unvalidated, and only for matrices whose pivots cannot vanish: those
     with a positive definite Hermitian part, after multiplying by a unit
     scalar where needed (I - W for sigma_max(W) < 1; -i(Omega + iI) and
-    I - i Omega, with Hermitian part I + Im Omega; Im Omega; real SPD
-    covariances).  Each Schur complement of such a matrix keeps that
-    property, so every pivot has a positive real part, and the elimination
+    I - i Omega, with Hermitian part I + Im Omega; Im Omega, in the weight
+    ratio of the isometry check; the real SPD Taylor blocks K_d / mass that
+    q_basis factors by spd_cholesky).  Each Schur complement of such a
+    matrix keeps that property, so every pivot has a positive real part, and the elimination
     is backward stable without pivoting (Golub and Van Loan, Linear Algebra
     Appl. 28 (1979); Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 10.4)."""

@@ -202,8 +202,8 @@ BAD_EVAL_INPUTS = {
 
 
 # A multi-index (s, and a the exponents of the upper entries of W) is a
-# non-empty list of non-negative integers, m a positive number and k a number
-# (no bool).  Anything else exits 2 with one line naming the field.
+# non-empty list of non-negative integers, m a number from 1e-30 to 1e30 and
+# k a number (no bool).  Anything else exits 2 with one line naming the field.
 BAD_INDICES = {
     "P_s-empty": ("P_s", {"s": []}, "s"),
     "f_s-fraction": ("f_s", {"s": [1.5]}, "s"),
@@ -239,14 +239,63 @@ def test_eval_non_finite_parameter_exits_two(field, value, capsys):
     args = '{"W_p": 0.1, "z_p": 0.2, "W": 0.1, "z": 0.3, "%s": %s}' % (field, value)
     code, out, err = run(["eval", "KmkStar", args], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {field!r} must be a finite ") and err.count("\n") == 1
+    what = {"m": "a number from 1e-30 to 1e+30", "k": "a finite number"}[field]
+    assert err.startswith(f"error: {field!r} must be {what}, got ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("m", ["inf", "nan"])
 def test_verify_non_finite_m_exits_two(m, capsys):
     code, out, err = run(["verify", "--suite", "cocycle", "--m", m], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: m must be positive and finite\n"
+    assert err == f"error: m must be a number from 1e-30 to 1e+30, got {m}\n"
+
+
+# m has one range, 1e-30 to 1e30, in verify, table and eval alike: at both
+# ends every run ends in its output, and just outside it exits 2.  At
+# m = 1e30 some values overflow to inf or NaN, with numpy's RuntimeWarning;
+# what they are is no part of these tests
+M_ENDS = ["1e-30", "1e30"]
+M_OUTSIDE = ["9.9e-31", "1.01e30", "1e-300", "1e300"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", M_ENDS)
+def test_verify_all_runs_at_both_ends_of_the_m_range(n, m, tmp_path, capsys):
+    p = tmp_path / "r.json"
+    code, _, _ = run(["verify", "--suite", "all", "--n", str(n), "--m", m,
+                      "--no-timestamp", "--out", str(p)], capsys)
+    doc = json.loads(p.read_text())
+    assert doc["params"] == {"n": n, "m": float(m), "k": 3}
+    assert code == (0 if doc["pass"] else 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", M_ENDS)
+def test_eval_and_table_run_at_both_ends_of_the_m_range(m, capsys):
+    objects = {"Phi": {"s": [8], "W": 0.3, "z": 0.5}, "f_s": {"s": [8], "z": 0.5},
+               "F_sa": {"s": [8], "a": [2], "W": 0.3, "z": 0.5},
+               "Jmk": {"g": G_JSON, **SPACE}, "JmkStar": {"g": GS_JSON, **DISK},
+               "Kmk": {**SPACE_P, **SPACE}, "KmkStar": {**DISK_P, **DISK}}
+    for obj, args in objects.items():
+        code, out, err = run(["eval", obj, json.dumps({**args, "m": float(m)})], capsys)
+        assert (code, err) == (0, ""), obj
+        json.loads(out)
+    for kind, extra in [("gram-phi", ["--n", "2", "--trunc", "6"]),
+                        ("gram-F", ["--samples", "1000"]), ("calibration", [])]:
+        code, out, err = run(["table", "--kind", kind, "--m", m] + extra, capsys)
+        assert (code, err) == (0, ""), kind
+        json.loads(out)
+
+
+@pytest.mark.parametrize("m", M_OUTSIDE)
+def test_m_outside_its_range_exits_two(m, capsys):
+    rule = f"must be a number from 1e-30 to 1e+30, got {float(m)!r}\n"
+    for argv in (["verify", "--suite", "all", "--m", m],
+                 ["table", "--kind", "calibration", "--m", m]):
+        assert run(argv, capsys) == (2, "", "error: m " + rule)
+    code, out, err = run(["eval", "f_s", '{"s": [8], "m": %s}' % m], capsys)
+    assert (code, out, err) == (2, "", "error: 'm' " + rule)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUTS))
@@ -467,11 +516,11 @@ def test_eval_action_output_reads_back_as_a_point(capsys):
 # --- exit code contract ---
 
 def test_verify_pass_exit_zero(capsys):
-    code, out, _ = run(
+    code, _, err = run(
         ["verify", "--suite", "cayley", "--n", "2", "--seed", "7",
          "--no-timestamp"], capsys)
     assert code == 0
-    assert "[PASS]" in out
+    assert "[PASS]" in err
 
 
 def test_verify_fail_exit_one(capsys, monkeypatch):
@@ -481,9 +530,9 @@ def test_verify_fail_exit_one(capsys, monkeypatch):
                                    [report.residual_check("always", 1.0, 0.0)])
 
     monkeypatch.setitem(suites.SUITES, "group-axioms", failing)
-    code, out, _ = run(["verify", "--suite", "group-axioms", "--no-timestamp"], capsys)
+    code, _, err = run(["verify", "--suite", "group-axioms", "--no-timestamp"], capsys)
     assert code == 1
-    assert "[FAIL]" in out
+    assert "[FAIL]" in err
 
 
 def test_tol_is_no_option(capsys):
@@ -508,8 +557,8 @@ def test_finite_norm_refusal_names_k_and_n(capsys):
 @pytest.mark.parametrize("suite", ["measure-jacobian", "transfer-identities"])
 def test_suites_that_never_read_k_run_at_any_k(suite, capsys):
     code, out, err = run(["verify", "--suite", suite, "--k", "1", "--no-timestamp"], capsys)
-    assert (code, err) == (0, "")
-    assert "PASS" in out and "FAIL" not in out
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert "PASS" in err and "FAIL" not in err
 
 
 def test_eval_bad_json_exit_two(capsys):
@@ -532,7 +581,7 @@ def test_unknown_suite_usage_exit_two(capsys):
 def test_bad_config_exit_two(capsys):
     code, _, err = run(["verify", "--suite", "cayley", "--m", "-1"], capsys)
     assert code == 2
-    assert "m must be positive" in err
+    assert "m must be a number from 1e-30 to 1e+30" in err
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -671,6 +720,23 @@ def test_verify_csv_to_stdout_is_the_report_alone(capsys):
     assert [row[0] for row in rows[1:]] == ["roundtrip", "equivariance"]
     assert all(len(row) == 4 and row[1] == "1" for row in rows[1:])
     assert err.startswith("[PASS] suite cayley\n")
+
+
+def test_verify_json_to_stdout_is_the_report_alone(capsys):
+    # without --out the JSON report is stdout and the summary goes to stderr
+    code, out, err = run(["verify", "--suite", "cayley", "--no-timestamp"], capsys)
+    assert code == 0
+    assert json.loads(out)["suite"] == "cayley"
+    assert err.startswith("[PASS] suite cayley\n")
+
+
+def test_verify_summary_is_stdout_with_out(tmp_path, capsys):
+    p = tmp_path / "r.json"
+    code, out, err = run(["verify", "--suite", "cayley", "--no-timestamp", "--out", str(p)],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("[PASS] suite cayley\n")
+    assert json.loads(p.read_text())["suite"] == "cayley"
 
 
 # --- tables ---

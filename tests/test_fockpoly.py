@@ -26,8 +26,8 @@ def test_p_s_hand_values():
 
 
 def test_p_s_exact_coefficients():
-    assert fockpoly.p_s((6,)).has_exact_coeffs()
-    assert fockpoly.p_s((2, 1)).has_exact_coeffs()
+    for s in [(6,), (2, 1), (1, 1, 2)]:
+        assert all(type(c) is int for c in fockpoly.p_s(s).terms.values())
 
 
 def _explicit_p_s(s):
@@ -168,15 +168,24 @@ def test_poly_json_roundtrip():
     assert (f - back).is_zero()
 
 
-def test_heat_system_exact_on_scaled_basis():
-    for s in fockpoly.enumerate_multiindices(1, 8):
-        assert fockpoly.pde_check(fockpoly.basis_f_scaled(tuple(s), M), M) == 0.0
-    for s in fockpoly.enumerate_multiindices(2, 4):
-        assert fockpoly.pde_check(fockpoly.basis_f_scaled(tuple(s), M), M) == 0.0
+def test_heat_system_exact_on_p_s():
+    # d^2 P_s / dZ_j dZ_k = (1 + delta_jk) dP_s / dW_jk over the integers
+    for n, s_max in [(1, 8), (2, 4), (3, 4)]:
+        for s in fockpoly.enumerate_multiindices(n, s_max):
+            assert fockpoly.pde_check(fockpoly.p_s(s), 1) == 0.0
+
+
+def test_heat_system_exact_catches_a_perturbed_coefficient():
+    # P_(2, 1) = Z_1^2 Z_2 + W_11 Z_2 + 2 W_12 Z_1 with 2 W_12 Z_1 made 3 W_12 Z_1
+    poly = fockpoly.p_s((2, 1))
+    key = (1, 0, 0, 1, 0)
+    assert poly.terms[key] == 2
+    bad = poly + PolyFunction(2, {key: 1})
+    assert fockpoly.pde_check(bad, 1) == 1.0
 
 
 def test_heat_system_float_basis_small():
-    worst = max(fockpoly.pde_check(fockpoly.basis_f(tuple(s), M), M)
+    worst = max(fockpoly.pde_check(fockpoly.basis_f(tuple(s), M), 8.0 * math.pi * M)
                 for s in fockpoly.enumerate_multiindices(1, 8))
     assert worst < 1e-10
 

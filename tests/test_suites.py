@@ -209,10 +209,12 @@ def test_suite_config_refuses_each_bad_field():
     # the config checks its own fields when it is built, a bool being no
     # number; k > n + 1/2 is not among them (q_basis refuses it)
     for field, value in (("n", 0), ("n", True), ("m", 0), ("m", -1.0), ("m", math.inf),
-                         ("m", math.nan), ("k", 2.5), ("seed", -1)):
+                         ("m", math.nan), ("m", 9.9e-31), ("m", 1.01e30), ("k", 2.5),
+                         ("seed", -1)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SuiteConfig(**{field: value})
     assert SuiteConfig(k=1).k == 1
+    assert [SuiteConfig(m=m).m for m in suites.M_RANGE] == [1e-30, 1e30]
 
 
 def test_kernel_section_pairing_reports_the_pair_furthest_past_its_bound(monkeypatch):
