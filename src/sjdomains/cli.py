@@ -228,13 +228,21 @@ def _mk(args):
 def _ev_poly(args, build):
     """The polynomial of the multi-index s = args["s"] at W, z (each 0 if
     absent), or its terms if neither is given; build(s) reads the other
-    fields the polynomial needs and returns the callable that builds it."""
+    fields the polynomial needs and returns the callable that builds it.
+    A polynomial that overflows a float is a usage error that names s."""
     s = _indices(args, "s")
     poly = build(s)
-    if "W" not in args and "z" not in args:
-        return lambda: poly().to_json()
-    w, z = _matrix(args, "W", len(s), 0.0), _vector(args, "z", len(s), 0.0)
-    return lambda: poly().evaluate(z, w)
+    point = None
+    if "W" in args or "z" in args:
+        w = _matrix(args, "W", len(s), 0.0)
+        point = _vector(args, "z", len(s), 0.0), w
+
+    def value():
+        try:
+            return poly().to_json() if point is None else poly().evaluate(*point)
+        except OverflowError:
+            raise CliError(f"the polynomial of 's' = {list(s)} overflows a float")
+    return value
 
 
 def _ev_big_f(args):

@@ -16,14 +16,14 @@ of q_basis's measure at every n.  The checks of the Gaussian's integral
 read the form's real matrix off kernels.a_form instead (a_form_matrix).
 
 The Monte Carlo Gram, mc_dj_gram, runs at n = 1 on a PolyFamily only.  Its
-z-integral is exact too (_exact_z_kernel), and w is drawn from the weight
-that integral leaves, q_basis's measure (1 - |w|^2)^{k - 5/2} dLeb(w), so
-every sample has the same weight.  It streams blocks of _BLOCK draws into
-power sums of w, folded by their Hermitian symmetry into one real GEMM per
-block on one workspace (_PowerSums), and contracts the Gram once at the
-end.  Every engine takes one family and makes each member a row of one
-Gram, so a check draws its samples once and reads its inner products off
-that Gram.
+z-integral is exact too, and so is the integral over the angle of w
+(_exact_z_kernel): what is left is a polynomial in t = |w|^2 under the
+radial law of q_basis's measure (1 - |w|^2)^{k - 5/2} dLeb(w).  Only t is
+drawn (_draw_radial), from that law itself, so every sample has the same
+weight.  It streams blocks of _BLOCK draws into the real power sums of t
+(_radial_sums) and contracts the Gram once at the end.  Every engine takes
+one family and makes each member a row of one Gram, so a check draws its
+samples once and reads its inner products off that Gram.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -206,57 +206,57 @@ class MCConfig:
 
 
 def _exact_z_kernel(family: PolyFamily, m):
-    """n = 1: K (nf, nf, D + 1, D + 1) with E[f_i conj(f_j) | w] =
-    sum_{a,b} K[i, j, a, b] w^a conj(w)^b under the z-law of mc_dj_gram, the
-    contraction of each Wick table (_wick_coefficients; monos w^0..w^D)."""
+    """n = 1: K (nf, nf, D + 1) with the angle average of E[f_i conj(f_j) | w]
+    under the z-law of mc_dj_gram equal to sum_a K[i, j, a] t^a, t = |w|^2.
+    Each Wick table (_wick_coefficients; monos w^0..w^D) contracts to a
+    polynomial in w and conj(w), and the average of w^a conj(w)^b over the
+    angle of w is 0 unless a = b, so only the diagonal of each contraction
+    is kept."""
     tables, monos = _wick_coefficients(family, m)
-    kern = np.zeros((len(family), len(family), len(monos), len(monos)), dtype=complex)
+    kern = np.zeros((len(family), len(family), len(monos)), dtype=complex)
     for lam_u, members, table in tables:
-        kern[np.ix_(members, members)] += np.einsum("ai,bj->ijab", lam_u * table, table.conj())
+        kern[np.ix_(members, members)] += np.einsum("ai,aj->ija", lam_u * table, table.conj())
     return kern
 
 
-class _PowerSums:
-    """The power sums S[b, j] = sum_t w_t^j |w_t|^(2b), j, b <= 2 deg, of
-    the draws w at n = 1.  With one weight c for every sample, the weighted
-    sums M[a, b] = c sum_t w_t^a conj(w_t)^b, a, b <= deg, and M2, the same
-    with c^2 and a, b <= 2 deg, are read off S: both are Hermitian, and
-    w^a conj(w)^b = w^(a - b) |w|^(2b) for a >= b.  A block adds S by one
-    real GEMM, the table |w|^(2b) times the float view of the rows w^j, both
-    filled in place in one workspace kept for the run."""
-
-    def __init__(self, deg):
-        self.deg = deg
-        self.rows = np.ones((_BLOCK, 2 * deg + 1), dtype=complex)
-        self.table = np.ones((2 * deg + 1, _BLOCK))
-        self.folded = np.zeros((2 * deg + 1, 2 * deg + 1), dtype=complex)
-
-    def add(self, wsc):
-        """Add the samples w (N,), N <= _BLOCK."""
-        rows, table = self.rows[:len(wsc)], self.table[:, :len(wsc)]
-        sq = wsc.real ** 2 + wsc.imag ** 2
-        for j in range(2 * self.deg):
-            np.multiply(rows[:, j], wsc, out=rows[:, j + 1])
-            np.multiply(table[j], sq, out=table[j + 1])
-        self.folded += (table @ rows.view(float)).view(complex)
-
-    def unfold(self, weight):
-        """(M, M2) at the weight c of every sample, each entry read off S."""
-        a, b = np.indices(self.folded.shape)
-        vals = self.folded[np.minimum(a, b), np.abs(a - b)]
-        full = np.where(a >= b, vals, vals.conj())
-        return weight * full[:self.deg + 1, :self.deg + 1], weight ** 2 * full
+def _draw_radial(rng, count, k):
+    """count draws of t = |w|^2 for w from the probability measure
+    proportional to (1 - |w|^2)^{k - 5/2} dLeb(w) on the unit disk:
+    s = 1 - t has density (k - 3/2) s^{k - 5/2}, so s = U^{1/(k - 3/2)}
+    for U uniform, one uniform per draw."""
+    return 1.0 - rng.uniform(size=count) ** (1.0 / (k - 1.5))
 
 
-def _contract_power_sums(kern, sums, sums2):
-    """(sum_t c G_t, sum_t c^2 |G_t|^2) of the Grams G_t =
-    sum_{a,b} kern[..., a, b] w_t^a conj(w_t)^b from the unfolded sums of
-    _PowerSums(D), with |G|^2 = sum K[a, b] conj(K[a', b']) w^(a + b')
-    conj(w)^(b + a')."""
+# samples per draw and per power-sum update: it bounds the draw and the
+# workspace of _radial_sums (0.1 MiB for D = 3), so the peak holds one block
+_BLOCK = 2000
+
+
+def _radial_sums(rng, samples, k, deg):
+    """The power sums P[b] = sum_t t_t^b, b <= deg, of samples draws of
+    _draw_radial from rng, drawn in blocks of _BLOCK: each block fills the
+    table t^b in place in one workspace kept for the run and adds its row
+    sums."""
+    table = np.ones((deg + 1, _BLOCK))
+    sums = np.zeros(deg + 1)
+    for lo in range(0, samples, _BLOCK):
+        t = _draw_radial(rng, min(_BLOCK, samples - lo), k)
+        block = table[:, :len(t)]
+        for b in range(deg):
+            np.multiply(block[b], t, out=block[b + 1])
+        sums += block.sum(axis=1)
+    return sums
+
+
+def _contract_radial_sums(kern, sums, weight):
+    """(sum_t c G_t, sum_t c^2 |G_t|^2) of the angle-averaged Grams G_t =
+    sum_a kern[..., a] t_t^a at the weight c of every sample, from the power
+    sums P of _radial_sums(2 D): c sum_a K[a] P[a], and, with |G|^2 =
+    sum_{a,a'} K[a] conj(K[a']) t^(a + a'), the pair table P[a + a'] read
+    off the same sums."""
     idx = np.arange(kern.shape[-1])
-    a, b, a2, b2 = np.ix_(idx, idx, idx, idx)
-    acc2 = np.einsum("ijab,abcd,ijcd->ij", kern, sums2[a + b2, b + a2], kern.conj())
-    return np.einsum("ijab,ab->ij", kern, sums), acc2.real
+    acc2 = np.einsum("ija,ab,ijb->ij", kern, sums[idx[:, None] + idx], kern.conj())
+    return weight * (kern @ sums[idx]), weight ** 2 * acc2.real
 
 
 def require_side(family, side):
@@ -282,22 +282,6 @@ def mc_stats(stats):
             "ess_f_low": ess_f == 0.0 or ess_f < ESS_F_LOW_FRACTION * stats["samples"]}
 
 
-def _draw_disk(rng, count, k):
-    """count draws of w from the probability measure proportional to
-    (1 - |w|^2)^{k - 5/2} dLeb(w) on the unit disk: s = 1 - |w|^2 has
-    density (k - 3/2) s^{k - 5/2}, so s = U^{1/(k - 3/2)} for U uniform, and
-    the angle is uniform."""
-    u, turn = rng.uniform(size=(2, count))
-    radius = np.sqrt(1.0 - u ** (1.0 / (k - 1.5)))
-    angle = 2.0 * np.pi * turn
-    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
-
-
-# samples per draw and per power-sum update: it bounds the draw and the
-# workspace of _PowerSums (0.3 MiB for D = 3), so the peak holds one block
-_BLOCK = 2000
-
-
 def mc_dj_gram(family, m, k, cfg: MCConfig):
     """Shared-sample MC Gram of a polynomial family at n = 1 for the bounded
     Jacobi-domain inner product f conj(g) (1 - |w|^2)^k exp(-8 pi m A(w, z))
@@ -310,14 +294,20 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
     functions whose z-degree stays below 2.
 
     The z-integral is exact: each conditional Gram is a polynomial in w and
-    conj(w) (_exact_z_kernel).  It leaves the w-weight (1 - |w|^2)^{k - 5/2}
-    dLeb(w) / (8 pi m), the measure of q_basis over 8 pi m, and w is drawn
-    from that measure itself (_draw_disk), so every sample has the weight
-    c = fockpoly.bergman_mass(1, k) / (8 pi m).  One generator seeded by
-    cfg.seed draws blocks of _BLOCK samples; each block adds its power sums
-    of w to one _PowerSums, and the Gram and its variance are contracted
-    from them once at the end.  The Gram is Hermitian by construction.
-    stats holds the sample count and ess_f, the (nf,) Kish sizes of each
+    conj(w).  It leaves the w-weight (1 - |w|^2)^{k - 5/2} dLeb(w) / (8 pi m),
+    the measure of q_basis over 8 pi m, which is invariant under rotation of
+    w, so the angle of w is integrated exactly too: the angle-averaged
+    conditional Gram is a polynomial in t = |w|^2 (_exact_z_kernel), a
+    conditional Monte Carlo whose variance is at most that of sampling w.
+    t is drawn from its law under that measure (_draw_radial), so every
+    sample has the weight c = fockpoly.bergman_mass(1, k) / (8 pi m).  One
+    generator seeded by cfg.seed draws blocks of _BLOCK samples, one uniform
+    each, into the power sums of t (_radial_sums), and the Gram and its
+    variance are contracted from them once at the end
+    (_contract_radial_sums).  The Gram is Hermitian by construction; an
+    entry whose angle average is the same at every t has no sampling error,
+    and one whose kernel vanishes is an exact zero with sigma 0.  stats
+    holds the sample count and ess_f, the (nf,) Kish sizes of each
     function's contributions to its diagonal entry; mc_stats reduces them
     to the smallest.
 
@@ -337,12 +327,10 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
     if not isinstance(samples, numbers.Integral) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
     kern = _exact_z_kernel(family, m)
-    sums = _PowerSums(kern.shape[-1] - 1)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    for lo in range(0, samples, _BLOCK):
-        sums.add(_draw_disk(rng, min(_BLOCK, samples - lo), k))
+    sums = _radial_sums(rng, samples, k, 2 * (kern.shape[-1] - 1))
     weight = fockpoly.bergman_mass(1, k) / (8.0 * math.pi * m)
-    acc, acc2 = _contract_power_sums(kern, *sums.unfold(weight))
+    acc, acc2 = _contract_radial_sums(kern, sums, weight)
     diag, diag2 = acc.diagonal().real, acc2.diagonal()
     gram = (acc + acc.conj().T) / (2 * samples)
     var = np.maximum((acc2 + acc2.T) / (2 * samples) - np.abs(gram) ** 2, 0.0)

@@ -3,9 +3,11 @@
 A check carries a residual compared against tol.  The one Monte Carlo check,
 series-gram's sigma-budget, compares sigma_max, the largest standard error
 of its Gram, with a fixed budget, and holds the sample count, ess_f and
-ess_f_low in its detail.  Reports serialize
-deterministically: keys sorted, complex values as [re, im], timestamp
-optional so byte-identical reruns are possible.
+ess_f_low in its detail.  That Gram integrates z and the angle of w
+exactly and samples only |w|^2 (quad.mc_dj_gram), so its sample count
+counts radial draws, and ess_f the Kish size of their contributions.
+Reports serialize deterministically: keys sorted, complex values as
+[re, im], timestamp optional so byte-identical reruns are possible.
 """
 
 from __future__ import annotations

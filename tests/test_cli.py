@@ -233,6 +233,17 @@ def test_eval_malformed_multi_index_exits_two(case, capsys):
     assert err.startswith(f"error: {field!r} must be ") and err.count("\n") == 1
 
 
+# 400! and the coefficients of P_400 are integers beyond the largest float
+@pytest.mark.parametrize("obj,args", [
+    ("f_s", {"s": [400]}), ("F_sa", {"s": [400], "a": [0]}),
+    ("f_s", {"s": [400], "z": 0.1}), ("P_s", {"s": [400]}), ("Phi", {"s": [400], "z": 0.1}),
+    ("f_s", {"s": [200], "m": 1e30})], ids=["f_s", "F_sa", "f_s-at", "P_s", "Phi", "f_s-m"])
+def test_eval_of_a_polynomial_that_overflows_exits_two(obj, args, capsys):
+    code, out, err = run(["eval", obj, json.dumps(args)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: the polynomial of 's' = {args['s']} overflows a float\n"
+
+
 # JSON numbers that overflow read as inf, and Python's json reads NaN
 @pytest.mark.parametrize("field,value", [("m", "1e400"), ("m", "NaN"), ("k", "-1e400")])
 def test_eval_non_finite_parameter_exits_two(field, value, capsys):
@@ -824,7 +835,7 @@ def test_table_gram_big_f_refuses_too_few_samples(capsys, monkeypatch):
     def unexpected(*args):
         raise AssertionError("table --kind gram-F drew a sample")
 
-    monkeypatch.setattr(quad, "_draw_disk", unexpected)
+    monkeypatch.setattr(quad, "_draw_radial", unexpected)
     code, out, err = run(["table", "--kind", "gram-F", "--samples", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: samples must be an integer of at least 2, not 1\n"

@@ -270,7 +270,7 @@ def _no_draw(*args):
 def test_mc_dj_gram_refuses_a_family_of_another_n(monkeypatch, n):
     # the engine samples at n = 1 only, n read off the family, and refuses
     # before its first draw
-    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    monkeypatch.setattr(quad, "_draw_radial", _no_draw)
     family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(n, 1.0)])
     with pytest.raises(ValueError, match=f"at n = 1, not at the n = {n} of this family"):
         quad.mc_dj_gram(family, M, K + 1, quad.MCConfig(samples=1000))
@@ -279,7 +279,7 @@ def test_mc_dj_gram_refuses_a_family_of_another_n(monkeypatch, n):
 def test_mc_dj_gram_refuses_a_sampled_function_and_an_infinite_measure(monkeypatch):
     # a SampledFunction, even a disk-side one of n = 1, has no exact
     # z-integral; at k <= 3/2 the w-measure has no finite mass
-    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    monkeypatch.setattr(quad, "_draw_radial", _no_draw)
     family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
     sampled = ds.SampledFunction(family.split, "disk", size=1)
     cfg = quad.MCConfig(samples=1000)
@@ -293,7 +293,7 @@ def test_mc_dj_gram_refuses_a_sampled_function_and_an_infinite_measure(monkeypat
 @pytest.mark.parametrize("samples", [0, 1, -5, True, 2.5])
 def test_mc_dj_gram_refuses_a_sample_count_below_two(monkeypatch, samples):
     # a variance needs two samples; a bool is no count and 2.5 no integer
-    monkeypatch.setattr(quad, "_draw_disk", _no_draw)
+    monkeypatch.setattr(quad, "_draw_radial", _no_draw)
     family = fockpoly.PolyFamily([fockpoly.PolyFunction.constant(1, 1.0)])
     refusal = f"^samples must be an integer of at least 2, not {samples!r}$"
     with pytest.raises(ValueError, match=refusal):
@@ -430,23 +430,39 @@ def _gauss_hermite_grams(family, ws, order=8):
     return np.einsum("itq,jtq,q->tij", vals, vals.conj(), rule)
 
 
-def _power_sum_contraction(funcs, ws, weight):
+def _angle_averaged_grams(family, ts):
+    """The conditional Grams of _gauss_hermite_grams at each t of ts (N,)
+    averaged over the angle of w = sqrt(t) e^(i theta), by the trapezoid
+    rule on 2 D + 2 equispaced angles: exact for the polynomial in w and
+    conj(w) of degree <= D in each, D the largest |a| + |s| // 2 of the
+    family's z^s w^a."""
+    exps = family.exponents
+    deg = int((exps[:, 1] + exps[:, 0] // 2).max())
+    turns = np.exp(2j * np.pi * np.arange(2 * deg + 2) / (2 * deg + 2))
+    ws = np.sqrt(ts)[:, None] * turns
+    grams = _gauss_hermite_grams(family, ws.ravel())
+    return grams.reshape(ws.shape + grams.shape[1:]).mean(axis=1)
+
+
+def _radial_contraction(funcs, ts, weight):
+    # the power sums of the samples t, b <= 2 D, contracted with the kernel
     kern = quad._exact_z_kernel(fockpoly.PolyFamily(funcs), M)
-    sums = quad._PowerSums(kern.shape[-1] - 1)
-    sums.add(ws)
-    return quad._contract_power_sums(kern, *sums.unfold(weight))
+    sums = np.sum(ts[:, None] ** np.arange(2 * kern.shape[-1] - 1), axis=0)
+    return quad._contract_radial_sums(kern, sums, weight)
 
 
 _GRAM_F = [f for _, f in fockpoly.series_basis(1, M, K, s_max=3, a_max=2)]
-_WS = np.array([0.0, 0.3 - 0.4j, -0.7 + 0.1j, 0.05j, 0.6 + 0.7j])
+_TS = np.array([0.0, 0.25, 0.5, 0.0025, 0.85])
 
 
 @pytest.mark.parametrize("funcs", [_GRAM_F, _section_pair()], ids=["gram-F", "section"])
 def test_power_sum_grams_match_scalar_moments(funcs):
-    # the contraction at single samples (unit weight) against the
-    # Gauss-Hermite conditional Gram: the Gram and its squared modulus
-    for w, ref in zip(_WS, _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)):
-        acc, acc2 = _power_sum_contraction(funcs, np.array([w]), 1.0)
+    # the contraction at single samples t (unit weight) against the
+    # Gauss-Hermite conditional Gram averaged over the angle of w: the Gram
+    # and its squared modulus
+    refs = _angle_averaged_grams(fockpoly.PolyFamily(funcs), _TS)
+    for t, ref in zip(_TS, refs):
+        acc, acc2 = _radial_contraction(funcs, np.array([t]), 1.0)
         assert_allclose(acc, ref, rtol=1e-12, atol=1e-12)
         assert_allclose(acc2, np.abs(ref) ** 2, rtol=1e-12, atol=1e-12)
 
@@ -456,8 +472,8 @@ def test_power_sum_variance_matches_per_sample_sum(funcs):
     # c^2 sum_t |G_t|^2 and c sum_t G_t over several samples of one weight c
     # against the per-sample values
     weight = 1.7
-    grams = _gauss_hermite_grams(fockpoly.PolyFamily(funcs), _WS)
-    acc, acc2 = _power_sum_contraction(funcs, _WS, weight)
+    grams = _angle_averaged_grams(fockpoly.PolyFamily(funcs), _TS)
+    acc, acc2 = _radial_contraction(funcs, _TS, weight)
     assert_allclose(acc, weight * np.sum(grams, axis=0), rtol=1e-12, atol=1e-12)
     ref2 = weight ** 2 * np.sum(np.abs(grams) ** 2, axis=0)
     assert_allclose(acc2, ref2, rtol=1e-12, atol=1e-12 * np.max(ref2))
@@ -470,7 +486,7 @@ def test_power_sum_parity_entries_are_exact_zeros():
     odd = np.array([[(a - b) % 2 == 1 for b in zdeg] for a in zdeg])
     kern = quad._exact_z_kernel(fockpoly.PolyFamily(_GRAM_F), M)
     assert odd.any() and np.all(kern[odd] == 0)
-    acc, acc2 = _power_sum_contraction(_GRAM_F, _WS, 1.0)
+    acc, acc2 = _radial_contraction(_GRAM_F, _TS, 1.0)
     assert np.all(acc[odd] == 0) and np.all(acc2[odd] == 0)
     gram, sigma, _ = quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), M, K,
                                      quad.MCConfig(samples=30000, seed=3))
@@ -479,32 +495,30 @@ def test_power_sum_parity_entries_are_exact_zeros():
 
 @pytest.mark.parametrize("deg", range(8))
 def test_folded_power_sums_match_direct_sums(deg):
-    # M and M2 unfolded from a stream fed in blocks of _BLOCK, the last one
-    # partial, against the per-sample sums c^(1|2) w^a conj(w)^b; deg = 0
-    # has a one-row |w|^(2b) table
-    rng = np.random.default_rng(90 + deg)
+    # the power sums of a stream drawn in blocks of _BLOCK, the last one
+    # partial, against a replay of its draws; the pair table P[a + a'],
+    # a, a' <= deg, that the variance folds onto them, against the
+    # per-sample sums t^a t^a'; deg = 0 has a one-row table
+    k = 3 + deg % 3
     count = 2 * quad._BLOCK + 123
-    w = np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
-    w[0] = 0.0
-    weight = 0.3
-    sums = quad._PowerSums(deg)
-    for lo in range(0, count, quad._BLOCK):
-        sums.add(w[lo:lo + quad._BLOCK])
-    big, big2 = sums.unfold(weight)
-    powers = w[:, None] ** np.arange(2 * deg + 1)
+    sums = quad._radial_sums(np.random.default_rng(90 + deg), count, k, 2 * deg)
+    rng = np.random.default_rng(90 + deg)
+    t = np.concatenate([quad._draw_radial(rng, c, k) for c in (quad._BLOCK, quad._BLOCK, 123)])
+    powers = t[:, None] ** np.arange(2 * deg + 1)
     low = powers[:, :deg + 1]
-    assert big.shape == (deg + 1, deg + 1) and big2.shape == (2 * deg + 1, 2 * deg + 1)
-    assert_allclose(big, weight * np.einsum("ta,tb->ab", low, low.conj()), rtol=1e-13)
-    assert_allclose(big2, weight ** 2 * np.einsum("ta,tb->ab", powers, powers.conj()),
-                    rtol=1e-13)
+    idx = np.arange(deg + 1)
+    assert sums.shape == (2 * deg + 1,)
+    assert_allclose(sums, powers.sum(axis=0), rtol=1e-13)
+    assert_allclose(sums[idx[:, None] + idx], low.T @ low, rtol=1e-13)
 
 
 def test_mc_dj_gram_exact_z_replays_per_sample_grams():
     # mc_dj_gram on a PolyFamily with complex coefficients against a replay
-    # of its draws, one generator in blocks of _BLOCK, each sample's
+    # of its radial draws, one generator in blocks of _BLOCK, each sample's
     # conditional Gram E[f_i conj(f_j) | w] from the family's own values on a
-    # tensor Gauss-Hermite rule of the z-law, and the one weight
-    # (pi / (k - 3/2)) / (8 pi m) written out; two blocks and a partial one
+    # tensor Gauss-Hermite rule of the z-law, averaged over the angle of w,
+    # and the one weight (pi / (k - 3/2)) / (8 pi m) written out; two blocks
+    # and a partial one
     family = fockpoly.PolyFamily(_section_pair())
     assert np.iscomplexobj(family.coeffs) and np.any(family.coeffs.imag)
     k = 5
@@ -513,15 +527,18 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     counts = (quad._BLOCK, quad._BLOCK, 1001)
-    w = np.concatenate([quad._draw_disk(rng, count, k) for count in counts])
+    t = np.concatenate([quad._draw_radial(rng, count, k) for count in counts])
     weight = 1.0 / (8 * M * (k - 1.5))
-    grams = _gauss_hermite_grams(family, w)
+    grams = _angle_averaged_grams(family, t)
     acc = weight * np.sum(grams, axis=0)
     acc2 = weight ** 2 * np.sum(np.abs(grams) ** 2, axis=0)
     ref = (acc + acc.conj().T) / (2 * cfg.samples)
     ref_var = np.maximum((acc2 + acc2.T) / (2 * cfg.samples) - np.abs(ref) ** 2, 0.0)
     assert_allclose(gram, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
-    assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12)
+    # an entry exact for every t has sigma 0 up to the square root of its
+    # variance's roundoff, about sqrt(eps) |G| / sqrt(N)
+    assert_allclose(sigma, np.sqrt(ref_var / cfg.samples), rtol=1e-12,
+                    atol=1e-7 * np.max(np.abs(ref)) / math.sqrt(cfg.samples))
     assert stats["samples"] == cfg.samples
     diag = np.einsum("tii->i", grams).real
     diag2 = np.einsum("tii->i", np.abs(grams) ** 2)
@@ -530,18 +547,16 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_disk_draw_has_the_moments_of_its_measure(k):
-    # s = 1 - |w|^2 ~ Beta(k - 3/2, 1): E[s^j] = (k - 3/2) / (k - 3/2 + j),
-    # and the uniform angle gives E[w^j] = 0, j = 1..4; each sample mean
-    # within z = 5 of its own standard errors (a chance of about 1e-5 over
-    # the 12 means of both k)
-    w = quad._draw_disk(np.random.default_rng(30 + k), 200000, k)
-    assert np.all(np.abs(w) < 1)
-    s = 1.0 - np.abs(w) ** 2
+    # t = |w|^2 of the disk measure: s = 1 - t ~ Beta(k - 3/2, 1), so
+    # E[s^j] = (k - 3/2) / (k - 3/2 + j), j = 1..4; each sample mean within
+    # z = 5 of its own standard error (a chance of about 5e-6 over the 8
+    # means of both k)
+    t = quad._draw_radial(np.random.default_rng(30 + k), 200000, k)
+    assert np.all((0 <= t) & (t < 1))
+    s = 1.0 - t
     for j in range(1, 5):
         target = (k - 1.5) / (k - 1.5 + j)
-        assert abs(np.mean(s ** j) - target) <= 5 * np.std(s ** j) / math.sqrt(len(w))
-        for part in ((w ** j).real, (w ** j).imag):
-            assert abs(np.mean(part)) <= 5 * np.std(part) / math.sqrt(len(w))
+        assert abs(np.mean(s ** j) - target) <= 5 * np.std(s ** j) / math.sqrt(len(t))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
