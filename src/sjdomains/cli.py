@@ -464,7 +464,10 @@ def _build_parser():
 
 def _emit(text: str, out_path):
     if out_path:
-        report.atomic_write_text(out_path, text)
+        try:
+            report.atomic_write_text(out_path, text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

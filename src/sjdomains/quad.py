@@ -20,10 +20,11 @@ z-integral is exact too, and so is the integral over the angle of w
 (_exact_z_kernel): what is left is a polynomial in t = |w|^2 under the
 radial law of q_basis's measure (1 - |w|^2)^{k - 5/2} dLeb(w).  Only t is
 drawn (_draw_radial), from that law itself, so every sample has the same
-weight.  It streams blocks of _BLOCK draws into the real power sums of t
-(_radial_sums) and contracts the Gram once at the end.  Every engine takes
-one family and makes each member a row of one Gram, so a check draws its
-samples once and reads its inner products off that Gram.
+weight.  It draws blocks of _BLOCK samples in place into a workspace of the
+powers t^1..t^D, adds the real power sums of t up to 2 D as row sums and
+dot products (_radial_sums), and contracts the Gram once at the end.  Every
+engine takes one family and makes each member a row of one Gram, so a check
+draws its samples once and reads its inner products off that Gram.
 
 Real coordinates are always ordered (Re z_1..Re z_n, Im z_1..Im z_n); for
 matrix charts, (Re W_ij upper row-major, Im W_ij, Re z, Im z).
@@ -219,39 +220,46 @@ def _exact_z_kernel(family: PolyFamily, m):
     return kern
 
 
-def _draw_radial(rng, count, k):
-    """count draws of t = |w|^2 for w from the probability measure
-    proportional to (1 - |w|^2)^{k - 5/2} dLeb(w) on the unit disk:
-    s = 1 - t has density (k - 3/2) s^{k - 5/2}, so s = U^{1/(k - 3/2)}
-    for U uniform, one uniform per draw."""
-    return 1.0 - rng.uniform(size=count) ** (1.0 / (k - 1.5))
+def _draw_radial(rng, out, k):
+    """Fill out (a contiguous float row) in place with draws of t = |w|^2 for
+    w from the probability measure proportional to (1 - |w|^2)^{k - 5/2}
+    dLeb(w) on the unit disk: s = 1 - t has density (k - 3/2) s^{k - 5/2},
+    so s = U^{1/(k - 3/2)} for U uniform, one uniform per draw."""
+    rng.random(out=out)
+    np.power(out, 1.0 / (k - 1.5), out=out)
+    np.subtract(1.0, out, out=out)
 
 
 # samples per draw and per power-sum update: it bounds the draw and the
-# workspace of _radial_sums (0.1 MiB for D = 3), so the peak holds one block
-_BLOCK = 2000
+# workspace of _radial_sums (192 KiB at D = 3), so the peak holds one block,
+# and it is large enough that the draw, not numpy's call overhead, bounds
+# the loop
+_BLOCK = 8192
 
 
 def _radial_sums(rng, samples, k, deg):
-    """The power sums P[b] = sum_t t_t^b, b <= deg, of samples draws of
-    _draw_radial from rng, drawn in blocks of _BLOCK: each block fills the
-    table t^b in place in one workspace kept for the run and adds its row
-    sums."""
-    table = np.ones((deg + 1, _BLOCK))
-    sums = np.zeros(deg + 1)
-    for lo in range(0, samples, _BLOCK):
-        t = _draw_radial(rng, min(_BLOCK, samples - lo), k)
-        block = table[:, :len(t)]
-        for b in range(deg):
-            np.multiply(block[b], t, out=block[b + 1])
-        sums += block.sum(axis=1)
+    """The power sums P[b] = sum_t t_t^b, b <= 2 deg, of samples draws of
+    _draw_radial from rng, drawn in blocks of _BLOCK into row 1 of a
+    workspace t^1..t^deg kept for the run, whose higher rows fill in place:
+    P[b] for 1 <= b <= deg is a row sum, P[deg + b] the dot product
+    t^deg . t^b, and P[0] the sample count.  At deg = 0 nothing is drawn."""
+    table = np.empty((deg, _BLOCK))
+    sums = np.zeros(2 * deg + 1)
+    sums[0] = samples
+    for lo in range(0, samples if deg else 0, _BLOCK):
+        block = table[:, :min(_BLOCK, samples - lo)]
+        _draw_radial(rng, block[0], k)
+        for b in range(1, deg):
+            np.multiply(block[b - 1], block[0], out=block[b])
+        sums[1:deg + 1] += block.sum(axis=1)
+        sums[deg + 1:] += block @ block[-1]
     return sums
 
 
 def _contract_radial_sums(kern, sums, weight):
     """(sum_t c G_t, sum_t c^2 |G_t|^2) of the angle-averaged Grams G_t =
     sum_a kern[..., a] t_t^a at the weight c of every sample, from the power
-    sums P of _radial_sums(2 D): c sum_a K[a] P[a], and, with |G|^2 =
+    sums P of _radial_sums(D): c sum_a K[a] P[a], and, with |G|^2 =
     sum_{a,a'} K[a] conj(K[a']) t^(a + a'), the pair table P[a + a'] read
     off the same sums."""
     idx = np.arange(kern.shape[-1])
@@ -301,9 +309,11 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
     conditional Monte Carlo whose variance is at most that of sampling w.
     t is drawn from its law under that measure (_draw_radial), so every
     sample has the weight c = fockpoly.bergman_mass(1, k) / (8 pi m).  One
-    generator seeded by cfg.seed draws blocks of _BLOCK samples, one uniform
-    each, into the power sums of t (_radial_sums), and the Gram and its
-    variance are contracted from them once at the end
+    generator seeded by cfg.seed draws blocks of _BLOCK samples in place,
+    one uniform each and one generator call per block.  Each block adds the
+    power sums of t up to 2 D, D the kernel's degree in t, as row sums and
+    dot products of its powers t^1..t^D (_radial_sums), and the Gram and
+    its variance are contracted from them once at the end
     (_contract_radial_sums).  The Gram is Hermitian by construction; an
     entry whose angle average is the same at every t has no sampling error,
     and one whose kernel vanishes is an exact zero with sigma 0.  stats
@@ -328,7 +338,7 @@ def mc_dj_gram(family, m, k, cfg: MCConfig):
         raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
     kern = _exact_z_kernel(family, m)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    sums = _radial_sums(rng, samples, k, 2 * (kern.shape[-1] - 1))
+    sums = _radial_sums(rng, samples, k, kern.shape[-1] - 1)
     weight = fockpoly.bergman_mass(1, k) / (8.0 * math.pi * m)
     acc, acc2 = _contract_radial_sums(kern, sums, weight)
     diag, diag2 = acc.diagonal().real, acc2.diagonal()

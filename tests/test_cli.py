@@ -750,6 +750,20 @@ def test_verify_summary_is_stdout_with_out(tmp_path, capsys):
     assert json.loads(p.read_text())["suite"] == "cayley"
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "cayley"],
+                                  ["table", "--kind", "calibration"],
+                                  ["eval", "Phi", '{"s": [1]}']],
+                         ids=["verify", "table", "eval"])
+def test_an_out_path_that_cannot_be_written_exits_two(argv, tmp_path, capsys):
+    # a missing directory: one line naming the path given, not the temp
+    # file, exit 2 and no file left behind
+    p = tmp_path / "missing" / "x.json"
+    code, _, err = run(argv + ["--out", str(p)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {str(p)!r}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- tables ---
 
 def test_table_gram_phi_csv(tmp_path, capsys):

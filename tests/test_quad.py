@@ -493,17 +493,37 @@ def test_power_sum_parity_entries_are_exact_zeros():
     assert np.all(gram[odd] == 0) and np.all(sigma[odd] == 0)
 
 
+def _replay_radial(rng, counts, k):
+    # the radial draws of rng, drawn into one row in the given chunks
+    t = np.empty(sum(counts))
+    for lo, count in zip(np.cumsum((0,) + counts), counts):
+        quad._draw_radial(rng, t[lo:lo + count], k)
+    return t
+
+
+@pytest.mark.parametrize("k", [2, 3, 3.5, 4, 5])
+def test_radial_draws_do_not_depend_on_the_chunking(k):
+    # the t stream of one generator is bit-identical in any chunking, and
+    # equals the closed form 1 - U^(1/(k - 3/2)) of one uniform per draw
+    count = 2 * quad._BLOCK + 123
+    ref = 1.0 - np.random.default_rng(7).uniform(size=count) ** (1.0 / (k - 1.5))
+    chunkings = [(count,), (7,) * (count // 7) + (count % 7,),
+                 (quad._BLOCK, quad._BLOCK, 123), (1, count - 1)]
+    for counts in chunkings:
+        t = _replay_radial(np.random.default_rng(7), counts, k)
+        assert np.array_equal(t, ref)
+
+
 @pytest.mark.parametrize("deg", range(8))
 def test_folded_power_sums_match_direct_sums(deg):
     # the power sums of a stream drawn in blocks of _BLOCK, the last one
     # partial, against a replay of its draws; the pair table P[a + a'],
     # a, a' <= deg, that the variance folds onto them, against the
-    # per-sample sums t^a t^a'; deg = 0 has a one-row table
+    # per-sample sums t^a t^a'; deg = 0 has no row and draws nothing
     k = 3 + deg % 3
     count = 2 * quad._BLOCK + 123
-    sums = quad._radial_sums(np.random.default_rng(90 + deg), count, k, 2 * deg)
-    rng = np.random.default_rng(90 + deg)
-    t = np.concatenate([quad._draw_radial(rng, c, k) for c in (quad._BLOCK, quad._BLOCK, 123)])
+    sums = quad._radial_sums(np.random.default_rng(90 + deg), count, k, deg)
+    t = _replay_radial(np.random.default_rng(90 + deg), (quad._BLOCK, quad._BLOCK, 123), k)
     powers = t[:, None] ** np.arange(2 * deg + 1)
     low = powers[:, :deg + 1]
     idx = np.arange(deg + 1)
@@ -512,13 +532,77 @@ def test_folded_power_sums_match_direct_sums(deg):
     assert_allclose(sums[idx[:, None] + idx], low.T @ low, rtol=1e-13)
 
 
-def test_mc_dj_gram_exact_z_replays_per_sample_grams():
+@pytest.mark.parametrize("blocks,extra", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 123)],
+                         ids=["2", "B-1", "B", "B+1", "2B+123"])
+@pytest.mark.parametrize("deg", range(4))
+def test_radial_sums_at_block_edges_match_direct_sums(deg, blocks, extra):
+    # sample counts of 2, a block less one, one block, a block and one, and
+    # two blocks and a partial one (B = _BLOCK), against the direct sums
+    # sum t^b, b <= 2 deg, of a replay of the stream
+    count = blocks * quad._BLOCK + extra
+    sums = quad._radial_sums(np.random.default_rng(40 + deg), count, K, deg)
+    t = _replay_radial(np.random.default_rng(40 + deg), (count,), K)
+    assert sums.shape == (2 * deg + 1,) and sums[0] == count
+    assert_allclose(sums, np.sum(t[:, None] ** np.arange(2 * deg + 1), axis=0), rtol=1e-13)
+
+
+def test_mc_dj_gram_does_not_depend_on_the_block(monkeypatch):
+    # blocks of 7 against the default: the same power sums, Gram and sigma
+    # up to the order of the sums; sigma of the entries exact at every t is
+    # the square root of its variance's roundoff, so it is compared above
+    # that floor only
+    family = fockpoly.PolyFamily(_GRAM_F)
+    cfg = quad.MCConfig(samples=2 * quad._BLOCK + 123, seed=5)
+    gram, sigma, stats = quad.mc_dj_gram(family, M, K, cfg)
+    sums = quad._radial_sums(np.random.default_rng(5), cfg.samples, K, 3)
+    monkeypatch.setattr(quad, "_BLOCK", 7)
+    gram7, sigma7, stats7 = quad.mc_dj_gram(family, M, K, cfg)
+    assert_allclose(quad._radial_sums(np.random.default_rng(5), cfg.samples, K, 3), sums,
+                    rtol=1e-13)
+    assert_allclose(gram7, gram, rtol=1e-13, atol=1e-13 * np.max(np.abs(gram)))
+    random = sigma > 1e-7 * np.max(np.abs(gram)) / math.sqrt(cfg.samples)
+    assert random.sum() == 8
+    assert_allclose(sigma7[random], sigma[random], rtol=1e-13)
+    assert_allclose(stats7["ess_f"], stats["ess_f"], rtol=1e-13)
+
+
+class _CountingGenerator:
+    # a generator that counts its calls of random and passes every call on
+    def __init__(self, rng):
+        self.rng, self.random_calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_mc_dj_gram_draws_one_block_per_generator_call(monkeypatch):
+    # 10^6 samples take ceil(10^6 / _BLOCK) calls of the generator, one per
+    # block, not many small draws
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args):
+        made.append(_CountingGenerator(default_rng(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    samples = 10 ** 6
+    quad.mc_dj_gram(fockpoly.PolyFamily(_GRAM_F), M, K, quad.MCConfig(samples=samples))
+    assert [g.random_calls for g in made] == [-(-samples // quad._BLOCK)]
+
+
+def test_mc_dj_gram_exact_z_replays_per_sample_grams(monkeypatch):
     # mc_dj_gram on a PolyFamily with complex coefficients against a replay
     # of its radial draws, one generator in blocks of _BLOCK, each sample's
     # conditional Gram E[f_i conj(f_j) | w] from the family's own values on a
     # tensor Gauss-Hermite rule of the z-law, averaged over the angle of w,
     # and the one weight (pi / (k - 3/2)) / (8 pi m) written out; two blocks
-    # and a partial one
+    # and a partial one, of 2000 samples each to keep the replay short
+    monkeypatch.setattr(quad, "_BLOCK", 2000)
     family = fockpoly.PolyFamily(_section_pair())
     assert np.iscomplexobj(family.coeffs) and np.any(family.coeffs.imag)
     k = 5
@@ -526,8 +610,7 @@ def test_mc_dj_gram_exact_z_replays_per_sample_grams():
     gram, sigma, stats = quad.mc_dj_gram(family, M, k, cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    counts = (quad._BLOCK, quad._BLOCK, 1001)
-    t = np.concatenate([quad._draw_radial(rng, count, k) for count in counts])
+    t = _replay_radial(rng, (quad._BLOCK, quad._BLOCK, 1001), k)
     weight = 1.0 / (8 * M * (k - 1.5))
     grams = _angle_averaged_grams(family, t)
     acc = weight * np.sum(grams, axis=0)
@@ -551,7 +634,7 @@ def test_disk_draw_has_the_moments_of_its_measure(k):
     # E[s^j] = (k - 3/2) / (k - 3/2 + j), j = 1..4; each sample mean within
     # z = 5 of its own standard error (a chance of about 5e-6 over the 8
     # means of both k)
-    t = quad._draw_radial(np.random.default_rng(30 + k), 200000, k)
+    t = _replay_radial(np.random.default_rng(30 + k), (200000,), k)
     assert np.all((0 <= t) & (t < 1))
     s = 1.0 - t
     for j in range(1, 5):
